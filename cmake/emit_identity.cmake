@@ -15,6 +15,9 @@
 #             carries the parallelism under test
 #   PAR_ARGS  optional: parallelism flags for the second emit
 #             (default "--sim-threads 4")
+#   REF       optional: a recorded document (e.g. baselines/<suite>.json)
+#             the serial emission must also equal byte for byte, so a drift
+#             that hits both legs alike still fails
 
 foreach(var TCDM_RUN SUITE OUT_DIR)
   if(NOT DEFINED ${var})
@@ -63,6 +66,19 @@ if(NOT rc_cmp EQUAL 0 OR NOT md5_serial STREQUAL md5_par)
   message(FATAL_ERROR
           "parallel (${PAR_ARGS}) emission of ${SUITE} differs from the serial "
           "(${SER_ARGS}) one: md5 ${md5_par} vs ${md5_serial}")
+endif()
+
+if(DEFINED REF)
+  file(MD5 "${REF}" md5_ref)
+  execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E compare_files "${REF}" "${OUT_DIR}/serial/${SUITE}.json"
+    RESULT_VARIABLE rc_ref)
+  if(NOT rc_ref EQUAL 0)
+    message(FATAL_ERROR
+            "serial (${SER_ARGS}) emission of ${SUITE} differs from ${REF}: "
+            "md5 ${md5_serial} vs ${md5_ref}")
+  endif()
+  message(STATUS "${SUITE}: serial (${SER_ARGS}) emission equals ${REF}")
 endif()
 
 message(STATUS

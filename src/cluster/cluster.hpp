@@ -122,8 +122,9 @@ class Cluster final : public RspSink {
   RunOutcome run(Cycle max_cycles = 50'000'000);
 
   [[nodiscard]] SteppingMode stepping() const noexcept { return stepping_; }
-  /// Quiet cycles jumped over by event-driven stepping so far (the
-  /// `sim.cycles_skipped` counter; 0 in kCycleByCycle/kCrossCheck modes).
+  /// Quiet cycles jumped over by skip_to() so far (the `sim.cycles_skipped`
+  /// counter). 0 for a bare run in kCycleByCycle/kCrossCheck modes; a
+  /// System also counts the span a halted cluster stays parked.
   [[nodiscard]] double cycles_skipped() const noexcept { return cycles_skipped_.value(); }
 
   /// TEST-ONLY: offset every computed earliest-event cycle by `bias` before
@@ -136,9 +137,9 @@ class Cluster final : public RspSink {
   void set_watchdog_window(Cycle window) { watchdog_.set_window(window); }
 
   // ---- composable wakeup/skip surface ----
-  // The event-driven run() loop, factored so an outer composition layer
-  // (src/system/) can drive several clusters in lockstep under one global
-  // skip decision while each cluster keeps its own EV1–EV3 contract. The
+  // The event-driven run() loop, factored so an outer loop can advance a
+  // cluster itself while the cluster keeps its own EV1–EV3 contract (the
+  // System parks a halted cluster with next_event() + skip_to()). The
   // protocol per quiet-span decision is exactly run()'s:
   //
   //   step() … until it returns false and mem_phase_active() is false,

@@ -58,25 +58,71 @@ System::System(const SystemConfig& sys, const ClusterConfig& cluster_cfg,
   global_barrier_ = make_barrier(cfg_.barrier_kind, cfg_.num_clusters,
                                  cfg_.barrier_link_latency, cfg_.barrier_radix);
   dma_.resize(cfg_.num_clusters);
-  kernel_arrived_.assign(cfg_.num_clusters, 0);
-  cluster_event_.assign(cfg_.num_clusters, 0);
+  halt_at_.assign(cfg_.num_clusters, kNoCycle);
+  faults_.resize(cfg_.num_clusters);
   if (shard_threads_ > 1) shards_ = std::make_unique<ShardExecutor>(shard_threads_);
 }
 
-void System::check_rendezvous(Cycle expected) const {
-  if (shards_->in_span()) {
+void System::run_kernels(Cycle budget_end) {
+  const auto run_one = [this, budget_end](unsigned c) {
+    faults_[c] = nullptr;
+    if (halt_at_[c] != kNoCycle) return;  // parked by an earlier run() call
+    Cluster& cluster = *clusters_[c];
+    try {
+      if (cluster.run(budget_end - cluster.now()).all_halted) halt_at_[c] = cluster.now() - 1;
+    } catch (...) {
+      faults_[c] = std::current_exception();  // rethrown in order below (S3)
+    }
+  };
+  const unsigned n = num_clusters();
+  if (shards_ != nullptr) {
+    shards_->run(n, run_one);
+  } else {
+    for (unsigned c = 0; c < n; ++c) run_one(c);
+  }
+  check_kernel_span(budget_end);
+
+  // A fault stops a cluster's clock at the faulting cycle. Stepping every
+  // cluster each cycle in index order would have surfaced the earliest
+  // such cycle first, and the lowest index among ties.
+  unsigned first = n;
+  for (unsigned c = 0; c < n; ++c) {
+    if (faults_[c] && (first == n || clusters_[c]->now() < clusters_[first]->now())) first = c;
+  }
+  if (first < n) std::rethrow_exception(faults_[first]);
+  kernels_running_ = static_cast<unsigned>(
+      std::count_if(halt_at_.begin(), halt_at_.end(), [this](Cycle h) { return h >= now_; }));
+}
+
+void System::check_kernel_span(Cycle budget_end) const {
+  if (shards_ != nullptr && shards_->in_span()) {
     throw std::logic_error(
-        "S2 violation (serial-phase ordering, docs/CONCURRENCY.md): a serial "
-        "phase was entered while a shard span is still active");
+        "S2 violation (serial-phase ordering, docs/CONCURRENCY.md): the system "
+        "loop was entered while a shard span is still active");
   }
   for (unsigned c = 0; c < num_clusters(); ++c) {
-    if (clusters_[c]->now() != expected) {
+    const Cycle now = clusters_[c]->now();
+    if (halt_at_[c] == kNoCycle && !faults_[c] && now != budget_end) {
       throw std::logic_error(
-          "S1 violation (shard rendezvous soundness, docs/CONCURRENCY.md): "
-          "cluster " + std::to_string(c) + " is at cycle " +
-          std::to_string(clusters_[c]->now()) + " after the span, expected " +
-          std::to_string(expected));
+          "S1 violation (shard rendezvous soundness, docs/CONCURRENCY.md): cluster " +
+          std::to_string(c) + " left the kernel span at cycle " + std::to_string(now) +
+          " without halting, faulting or reaching the budget end " +
+          std::to_string(budget_end));
     }
+  }
+}
+
+void System::unpark() {
+  for (unsigned c = 0; c < num_clusters(); ++c) {
+    Cluster& cluster = *clusters_[c];
+    if (halt_at_[c] == kNoCycle || cluster.now() >= now_) continue;
+    if (cluster.next_event() != kNoCycle) {
+      throw std::logic_error("parked cluster " + std::to_string(c) +
+                             " has a pending event at cycle " +
+                             std::to_string(cluster.now()) +
+                             "; a halted cluster must stay quiet until the run ends");
+    }
+    cluster.skip_to(now_);
   }
 }
 
@@ -84,8 +130,8 @@ void System::reset() {
   for (auto& c : clusters_) c->reset();
   global_barrier_->reset();
   std::fill(dma_.begin(), dma_.end(), DmaEngine{});
-  std::fill(kernel_arrived_.begin(), kernel_arrived_.end(), char{0});
-  std::fill(cluster_event_.begin(), cluster_event_.end(), Cycle{0});
+  std::fill(halt_at_.begin(), halt_at_.end(), kNoCycle);
+  kernels_running_ = 0;
   dma_started_ = false;
   done_ = false;
   words_delivered_ = 0;
@@ -168,42 +214,22 @@ Cycle System::dma_next_event() const {
   return e;
 }
 
-bool System::dma_streaming() const {
-  if (!dma_started_ || done_) return false;
-  for (const DmaEngine& d : dma_) {
-    if (d.state == DmaEngine::State::kStream) return true;
-  }
-  return false;
-}
-
 bool System::step() {
   const Cycle now = now_;
-  // Phase 1 — every cluster advances one cycle (a halted cluster's step is
-  // a cheap no-op). Clusters share no mutable state during their own step,
-  // so this phase is the shardable one: with an executor attached the steps
-  // run on shard threads and rendezvous here (S1); serially, index order is
-  // only for determinism of the phases below.
-  if (shards_ != nullptr) {
-    shards_->run(num_clusters(), [this](unsigned c) { clusters_[c]->step(); });
-    check_rendezvous(now + 1);
-  } else {
-    for (auto& c : clusters_) c->step();
-  }
-
-  // Phase 2 — kernel-completion arrivals at the global barrier (serial,
-  // ascending cluster index — S2; likewise phases 3 and 4 below).
-  const unsigned n = num_clusters();
-  for (unsigned c = 0; c < n; ++c) {
-    if (!kernel_arrived_[c] && clusters_[c]->all_halted()) {
+  // Phase 1 — replay the kernel-phase halts due this cycle as global
+  // barrier arrivals (serial, ascending cluster index — S2; likewise the
+  // phases below).
+  for (unsigned c = 0; kernels_running_ > 0 && c < num_clusters(); ++c) {
+    if (halt_at_[c] == now) {
       global_barrier_->arrive(c, now);
-      kernel_arrived_[c] = 1;
+      --kernels_running_;
     }
   }
 
-  // Phase 3 — DMA/NoC streaming under the shared L2 budget.
+  // Phase 2 — DMA/NoC streaming under the shared L2 budget.
   dma_cycle(now);
 
-  // Phase 4 — global barrier release, run-phase transitions, watchdog.
+  // Phase 3 — global barrier release, run-phase transitions, watchdog.
   global_barrier_->cycle(now);
   if (!dma_started_ && global_barrier_->generation() == 1) start_dma(now);
   if (global_barrier_->generation() >= 2) done_ = true;
@@ -211,17 +237,10 @@ bool System::step() {
   // The system watchdog guards the sync/DMA machinery once every cluster
   // halted (halted clusters stop checking their own); while any cluster
   // runs, its in-cluster watchdog owns deadlock detection.
-  bool any_running = false;
-  for (auto& c : clusters_) {
-    if (!c->all_halted()) {
-      any_running = true;
-      break;
-    }
-  }
   const double token = static_cast<double>(words_delivered_) +
                        1048576.0 * global_barrier_->generation() +
                        1024.0 * global_barrier_->arrived();
-  if (any_running || token != last_progress_token_) {
+  if (kernels_running_ > 0 || token != last_progress_token_) {
     last_progress_token_ = token;
     watchdog_.note_progress(now);
   }
@@ -244,6 +263,7 @@ RunOutcome System::run(Cycle max_cycles) {
   RunOutcome out;
   const Cycle start = now_;
   const Cycle budget_end = max_cycles > kNoCycle - start ? kNoCycle : start + max_cycles;
+  run_kernels(budget_end);
   while (now_ < budget_end) {
     if (step()) {
       out.all_halted = true;
@@ -252,64 +272,22 @@ RunOutcome System::run(Cycle max_cycles) {
     if (stepping_ == SteppingMode::kCycleByCycle) continue;
     const Cycle now = now_;
     if (now >= budget_end) break;
-    // May-probe gate, one level up from Cluster::run's: while any cluster's
-    // memory phase streams or any DMA engine streams, next cycle has work.
-    bool active = dma_streaming();
-    for (auto& c : clusters_) active = active || c->mem_phase_active();
-    if (active) continue;
-
-    // One global skip decision: the earliest event over every cluster
-    // (each fills its own SkipPlan), the DMA engines and a pending global
-    // barrier release. The per-cluster queries walk only the owning
-    // cluster's components, so they run on the shards; the min-reduce is
-    // the serial rendezvous (S1).
+    // The system loop's events: a DMA engine streaming or its header
+    // completing, the next replayed arrival and a pending global barrier
+    // release. Clusters are no part of it: they have halted (parked) or
+    // run to the budget.
     Cycle event = dma_next_event();
-    if (shards_ != nullptr) {
-      shards_->run(num_clusters(), [this](unsigned c) {
-        cluster_event_[c] = clusters_[c]->next_event();
-      });
-    } else {
-      for (unsigned c = 0; c < num_clusters(); ++c) {
-        cluster_event_[c] = clusters_[c]->next_event();
-      }
-    }
-    for (unsigned c = 0; c < num_clusters(); ++c) {
-      event = std::min(event, cluster_event_[c]);
+    for (unsigned c = 0; kernels_running_ > 0 && c < num_clusters(); ++c) {
+      if (halt_at_[c] > now) event = std::min(event, halt_at_[c]);
     }
     if (global_barrier_->release_pending()) {
       event = std::min(event, global_barrier_->release_at());
     }
     if (event <= now) continue;
-    Cycle jump = std::min(std::min(event, watchdog_.deadline()), budget_end);
-    for (auto& c : clusters_) {
-      // A halted cluster's watchdog is frozen by design (it stopped
-      // checking); only running clusters' deadlines cap the jump.
-      if (!c->all_halted()) jump = std::min(jump, c->watchdog_deadline());
-    }
-    if (jump <= now) continue;
-
-    // Skip application touches only the owning cluster (bulk counter
-    // application resp. reference-stepping the quiet span), so it shards
-    // the same way as phase 1. kCrossCheck: clusters are independent over
-    // a quiet span (DMA is waiting on a header timestamp and the global
-    // barrier on a release cycle, both >= jump), so each cluster
-    // reference-steps its span alone; halted clusters have nothing to
-    // verify — empty plan, no-op steps — and just advance.
-    const auto apply_skip = [this, jump](unsigned c) {
-      if (stepping_ == SteppingMode::kEventDriven || clusters_[c]->all_halted()) {
-        clusters_[c]->skip_to(jump);
-      } else {
-        clusters_[c]->cross_check_to(cluster_event_[c], jump);
-      }
-    };
-    if (shards_ != nullptr) {
-      shards_->run(num_clusters(), apply_skip);
-      check_rendezvous(jump);
-    } else {
-      for (unsigned c = 0; c < num_clusters(); ++c) apply_skip(c);
-    }
-    now_ = jump;
+    const Cycle jump = std::min(std::min(event, watchdog_.deadline()), budget_end);
+    if (jump > now) now_ = jump;
   }
+  unpark();
   out.cycles = now_ - start;
   return out;
 }

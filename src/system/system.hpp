@@ -13,28 +13,28 @@
 //                  (generation 1).
 //   done           the generation-1 release ends the run.
 //
-// Every simulated cycle advances all clusters in lockstep through the fixed
-// serial phase order cluster steps (by index) -> kernel-completion arrivals
-// -> DMA/NoC cycle -> global barrier -> watchdog, mirroring the in-cluster
-// D1 phase contract one level up: DMA only touches cluster state through
-// the external-memory port (the host backdoor read path) after the owning
-// cluster halted, and L2 grants rotate with the cycle number (D3), so
-// results are bit-identical for any --sim-threads value and for all three
-// stepping modes.
+// Clusters interact only through the global-barrier arrival at halt and
+// the DMA's backdoor reads of halted clusters, so run() does not step them
+// in lockstep. First each cluster runs alone to its halt cycle h_c (or
+// fault, or the budget) through Cluster::run. Then the system loop
+// advances only the DMA engines and the global barrier, in the serial
+// order arrivals replayed at h_c (by cycle, then cluster index) -> DMA/NoC
+// cycle -> global barrier -> watchdog: the in-cluster D1 phase contract
+// one level up, with L2 grants rotating by cycle number (D3). Halted
+// clusters stay parked; on return their clocks catch up with one skip_to,
+// so parked spans count as `sim.cycles_skipped` in every stepping mode.
+// Results are bit-identical to stepping every cluster every cycle.
 //
-// With shard_threads > 1 the per-cluster work — cycle steps, skip-plan
-// queries and skip applications, which touch only the owning cluster's
-// state — runs on a ShardExecutor, rendezvousing before every serial
-// exchange phase and before each global skip decision. The contract is
-// docs/CONCURRENCY.md S1-S3: spans join before serial phases read cluster
-// state (S1), the DMA/L2/barrier phases stay serial in ascending cluster
-// index (S2), and a faulting cluster surfaces the lowest-index exception
-// exactly like the serial loop (S3). Any shard_threads x sim_threads
-// combination is bit-identical to serial in all three stepping modes.
+// With shard_threads > 1 the kernel phase is one ShardExecutor span per
+// run(), under docs/CONCURRENCY.md S1-S3: the span joins with every
+// cluster halted, faulted or at the budget (S1), the system loop is serial
+// (S2), and the earliest fault cycle surfaces, ties to the lowest index
+// (S3). Any shard_threads x sim_threads combination is bit-identical.
 //
 // N == 1 degenerates to exactly Cluster::run — same cycles, same stats.
 #pragma once
 
+#include <exception>
 #include <memory>
 #include <vector>
 
@@ -65,7 +65,7 @@ class System {
   [[nodiscard]] SteppingMode stepping() const noexcept { return stepping_; }
   /// Shard threads the run loop actually uses, after resolving the
   /// SimOptions/SystemConfig precedence and clamping to the cluster count;
-  /// 1 means the serial lockstep loop.
+  /// 1 means the kernel phase runs the clusters one after another.
   [[nodiscard]] unsigned shard_threads() const noexcept { return shard_threads_; }
 
   /// Back to the just-constructed state without reallocating anything:
@@ -76,9 +76,11 @@ class System {
 
   /// Run to completion (kernel + DMA phases synchronized out) or
   /// `max_cycles`; throws DeadlockError when a cluster or the system-level
-  /// watchdog fires. Time advances per the SimOptions stepping mode with
-  /// one global skip decision across all clusters; all modes and thread
-  /// counts are bit-identical (apart from `sim.*` bookkeeping counters).
+  /// watchdog fires. Each cluster runs to its halt alone, then the system
+  /// loop advances the DMA engines and the global barrier (see the header
+  /// comment); all modes and thread counts are bit-identical (apart from
+  /// `sim.*` bookkeeping counters). On return every cluster's clock equals
+  /// now().
   RunOutcome run(Cycle max_cycles = 50'000'000);
 
   /// Propagates to every cluster and scales the system watchdog with it.
@@ -115,18 +117,19 @@ class System {
     std::uint64_t golden = 1469598103934665603ULL;     // source-range reference
   };
 
+  /// Kernel phase: every cluster not yet halted runs alone to its halt,
+  /// fault or `budget_end`; rethrows the earliest fault (S3).
+  void run_kernels(Cycle budget_end);
+  /// S1/S2 tripwire after the kernel span: it has joined, and every
+  /// cluster has halted, faulted or reached `budget_end`.
+  void check_kernel_span(Cycle budget_end) const;
+  /// One system-loop cycle; returns true once the run is done.
   bool step();
-  /// S1/S2 tripwires at every shard-to-serial transition: the span must
-  /// have joined and every cluster must have advanced to `expected`.
-  void check_rendezvous(Cycle expected) const;
+  /// Catch every parked (halted) cluster's clock up to now_.
+  void unpark();
   void start_dma(Cycle now);
   void dma_cycle(Cycle now);
   [[nodiscard]] Cycle dma_next_event() const;
-  [[nodiscard]] bool dma_streaming() const;
-  void note_word(DmaEngine& d, Word w) {
-    d.checksum ^= w;
-    d.checksum *= 1099511628211ULL;
-  }
 
   SystemConfig cfg_;
   SteppingMode stepping_ = SteppingMode::kEventDriven;
@@ -135,8 +138,9 @@ class System {
   std::unique_ptr<ShardExecutor> shards_;  // only when shard_threads_ > 1
   std::unique_ptr<Barrier> global_barrier_;
   std::vector<DmaEngine> dma_;
-  std::vector<char> kernel_arrived_;  // per cluster (vector<bool> is a bitfield)
-  std::vector<Cycle> cluster_event_;  // per-skip-decision scratch
+  std::vector<Cycle> halt_at_;  // per cluster: halt cycle, kNoCycle while running
+  std::vector<std::exception_ptr> faults_;  // per cluster, this run's kernel phase
+  unsigned kernels_running_ = 0;            // clusters not yet arrived
   bool dma_started_ = false;
   bool done_ = false;
   std::uint64_t words_delivered_ = 0;

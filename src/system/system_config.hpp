@@ -47,8 +47,8 @@ struct SystemConfig {
   unsigned dma_words = 0;
 
   // ---- host execution (not part of the modeled hardware) ----
-  /// Shard threads System::run() steps the clusters on between global
-  /// synchronization points: 1 (default) is the serial lockstep loop, 0
+  /// Shard threads System::run() runs the clusters' kernel phase on: 1
+  /// (default) runs them one after another on the calling thread, 0
   /// resolves to the hardware concurrency; the effective count is clamped
   /// to num_clusters. A host knob, never an architecture parameter —
   /// results are bit-identical at any value (docs/CONCURRENCY.md, S1-S3),

@@ -15,7 +15,7 @@
 namespace tcdm {
 
 /// Run `kernels` (exactly one per cluster) on an existing System. Aggregate
-/// semantics: cycles is the lockstep end-to-end count; flops and bytes sum
+/// semantics: cycles is the system's end-to-end count; flops and bytes sum
 /// over clusters; fpu_util is measured against N x the cluster peak;
 /// bw_bytes_per_cycle counts kernel traffic plus NoC DMA payload; verified
 /// requires every kernel's golden check and every DMA checksum to pass.

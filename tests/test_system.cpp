@@ -1,9 +1,10 @@
-// System layer (src/system/): multi-cluster lockstep over the modeled
-// L2/NoC. Covers the N == 1 degenerate identity with a bare Cluster run,
-// bit-identical determinism across sim-thread counts and all three stepping
-// modes at N == 4, the P2 fresh-vs-reset identity, DMA payload accounting
-// and checksums, monotone aggregate-bandwidth weak scaling 1 -> 8, and
-// cross-kind correctness of the global barrier.
+// System layer (src/system/): N clusters over the modeled L2/NoC. Covers
+// the N == 1 degenerate identity with a bare Cluster run, bit-identical
+// determinism across sim-thread counts and all three stepping modes at
+// N == 4, the P2 fresh-vs-reset identity, DMA payload accounting and
+// checksums, clusters halting at different cycles, monotone
+// aggregate-bandwidth weak scaling 1 -> 8, and cross-kind correctness of
+// the global barrier.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -197,6 +198,54 @@ TEST(SystemScaling, AggregateBandwidthIsMonotoneOneToEight) {
     ASSERT_FALSE(m.timed_out) << n;
     EXPECT_GT(m.bw_bytes_per_cycle, prev_bw) << n << " clusters";
     prev_bw = m.bw_bytes_per_cycle;
+  }
+}
+
+// ------------------------------------------------------ staggered halts ----
+
+/// A cluster's registry without the `sim.*` bookkeeping namespace: the
+/// modelled state, which must not depend on how time was advanced.
+std::vector<std::pair<std::string, double>> model_stats(const Cluster& cluster) {
+  std::vector<std::pair<std::string, double>> snap = cluster.stats().snapshot();
+  std::erase_if(snap, [](const auto& kv) { return kv.first.rfind("sim.", 0) == 0; });
+  return snap;
+}
+
+TEST(SystemStaggered, ClustersHaltingApartMatchBareClustersAndLockstep) {
+  // One dotp size per cluster, so the four kernels halt at four different
+  // cycles and reach the global barrier one by one; every other System
+  // test runs the same kernel on every cluster.
+  const unsigned sizes[] = {256, 512, 1024, 2048};
+  const ClusterConfig cfg = mp4_config(4);
+  const SystemConfig sys_cfg = small_system(4);
+
+  std::vector<std::vector<std::pair<std::string, double>>> bare_stats;
+  for (const unsigned size : sizes) {
+    Cluster bare(cfg, SimOptions{});
+    DotpKernel kernel(size);
+    ASSERT_TRUE(run_kernel_on(bare, kernel, capped_opts()).verified) << size;
+    bare_stats.push_back(model_stats(bare));
+  }
+
+  for (const SteppingMode mode :
+       {SteppingMode::kEventDriven, SteppingMode::kCycleByCycle, SteppingMode::kCrossCheck}) {
+    for (const unsigned shards : {1u, 2u, 4u}) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) + ", " +
+                   std::to_string(shards) + " shard threads");
+      System system(sys_cfg, cfg, SimOptions{1, mode, shards});
+      std::vector<std::unique_ptr<Kernel>> kernels;
+      for (const unsigned size : sizes) kernels.push_back(std::make_unique<DotpKernel>(size));
+      const KernelMetrics m = run_system_kernel(system, kernels, capped_opts());
+      ASSERT_TRUE(m.verified);
+      ASSERT_FALSE(m.timed_out);
+      // Recorded from the loop that stepped every cluster every cycle.
+      EXPECT_EQ(m.cycles, 940u);
+      EXPECT_EQ(m.noc_bytes, 4096.0);
+      for (unsigned c = 0; c < 4; ++c) {
+        EXPECT_EQ(system.cluster(c).now(), system.now()) << "cluster " << c;
+        EXPECT_EQ(model_stats(system.cluster(c)), bare_stats[c]) << "cluster " << c;
+      }
+    }
   }
 }
 

@@ -1,10 +1,10 @@
 // Sharded System execution (docs/CONCURRENCY.md, S1-S3): ShardExecutor's
 // lowest-index fault attribution and S1 re-entrancy tripwire, bit-identity
-// of sharded System runs against the serial lockstep loop across
+// of sharded System runs against the serial run across
 // shard_threads x sim_threads x stepping-mode combinations at N == 4 and
 // N == 8, the P2 fresh-vs-reset identity under shards, serial-equal
-// DeadlockError surfacing from a faulting cluster, and the exclusion of
-// shard_threads from the explore config hash.
+// DeadlockError surfacing from faulting clusters (earliest fault cycle
+// first), and the exclusion of shard_threads from the explore config hash.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -261,6 +261,60 @@ TEST(SystemShardFaults, DeadlockSurfacesTheSameErrorAsTheSerialLoop) {
     FAIL() << "sharded deadlock run returned normally";
   } catch (const DeadlockError& e) {
     EXPECT_EQ(std::string(e.what()), serial_what);
+  }
+}
+
+TEST(SystemShardFaults, EarliestFaultCycleSurfacesBeforeLowerIndex) {
+  // Clusters 1 and 3 both deadlock at a mismatched barrier, but cluster 1's
+  // waiting harts first spin through a counted loop, so its watchdog fires
+  // much later. The earliest fault is cluster 3's: that DeadlockError must
+  // surface, serial and sharded, byte-equal to a bare Cluster's.
+  const ClusterConfig cfg = mp4_config(4);
+  constexpr Cycle kWindow = 2000;
+  const auto programs_for = [&](unsigned c) {
+    std::vector<Program> programs;
+    for (unsigned h = 0; h < cfg.num_cores(); ++h) {
+      ProgramBuilder b("hart");
+      if ((c == 1 || c == 3) && h > 0) {
+        if (c == 1) {
+          b.li(t0, 3000);
+          const Label loop = b.make_label();
+          b.bind(loop);
+          b.addi(t0, t0, -1);
+          b.bnez(t0, loop);
+        }
+        b.barrier();
+      }
+      b.halt();
+      programs.push_back(b.build());
+    }
+    return programs;
+  };
+  const auto bare_what = [&](unsigned c) {
+    Cluster bare(cfg, SimOptions{});
+    bare.set_watchdog_window(kWindow);
+    bare.load_programs(programs_for(c));
+    try {
+      (void)bare.run(1'000'000);
+    } catch (const DeadlockError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no deadlock");
+  };
+  const std::string expected = bare_what(3);
+  ASSERT_NE(expected, "no deadlock");
+  ASSERT_NE(expected, bare_what(1));  // the two faults are distinguishable
+
+  for (const unsigned shards : {1u, 4u}) {
+    System system(small_system(4), cfg, SimOptions{1, SteppingMode::kEventDriven, shards});
+    system.set_watchdog_window(kWindow);
+    for (unsigned c = 0; c < 4; ++c) system.cluster(c).load_programs(programs_for(c));
+    try {
+      (void)system.run(1'000'000);
+      FAIL() << shards << " shards: deadlock run returned normally";
+    } catch (const DeadlockError& e) {
+      EXPECT_EQ(std::string(e.what()), expected) << shards << " shards";
+    }
   }
 }
 
