@@ -10,38 +10,13 @@ void ShardExecutor::run_raw(unsigned n, void (*fn)(void*, unsigned), void* ctx) 
         "S1 violation (shard rendezvous soundness, docs/CONCURRENCY.md): "
         "ShardExecutor::run re-entered before the previous span joined");
   }
+  // Cleared on every exit: parallel_for_raw joins before it rethrows.
+  struct SpanEnd {
+    std::atomic<bool>& in_span;
+    ~SpanEnd() { in_span.store(false, std::memory_order_relaxed); }
+  } span_end{in_span_};
   in_span_.store(true, std::memory_order_relaxed);
-  if (faults_.size() < n) faults_.resize(n);
-  fault_count_.store(0, std::memory_order_relaxed);
-
-  // The wrapper never lets an exception escape into WorkerPool: every
-  // shard's exception lands in its own slot, the epoch handshake always
-  // completes, and the join below is the only synchronization the slot
-  // reads need (WorkerPool's pending_ checkout is release/acquire).
-  auto wrapped = [&](unsigned i) {
-    try {
-      fn(ctx, i);
-    } catch (...) {
-      faults_[i] = std::current_exception();
-      fault_count_.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  pool_.parallel_for(n, wrapped);
-  in_span_.store(false, std::memory_order_relaxed);
-
-  if (fault_count_.load(std::memory_order_relaxed) == 0) return;
-  for (unsigned i = 0; i < n; ++i) {
-    if (faults_[i] != nullptr) {
-      const std::exception_ptr e = faults_[i];
-      for (unsigned k = i; k < n; ++k) faults_[k] = nullptr;
-      std::rethrow_exception(e);
-    }
-  }
-  // A fault was counted but no slot holds it: the capture above and this
-  // scan disagree, so the lowest-index promise cannot be kept.
-  throw std::logic_error(
-      "S3 violation (shard fault attribution, docs/CONCURRENCY.md): a shard "
-      "fault was recorded without a captured exception");
+  pool_.parallel_for_raw(n, fn, ctx);
 }
 
 }  // namespace tcdm

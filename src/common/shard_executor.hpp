@@ -11,20 +11,14 @@
 // pools (shards each driving a cluster's own tile pool) park under
 // oversubscription instead of spinning.
 //
-// Fault contract (S3, shard fault attribution): when shards throw inside a
-// span, the span still runs to completion and the exception of the LOWEST
-// shard index is rethrown on the calling thread — exactly the fault a
-// serial ascending-index loop would have surfaced first, so diagnostics are
-// bit-identical at any shard count. Unlike WorkerPool's single lowest-index
-// slot, every shard's exception is captured in a per-shard slot first; the
-// ordered rethrow is by construction, not by locking order.
+// An exception escaping a shard propagates as from WorkerPool: after the
+// join, on the calling thread. Fault attribution by simulated time (S3) is
+// the caller's; System::run_kernels catches every cluster's fault itself.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <type_traits>
-#include <vector>
 
 #include "src/common/worker_pool.hpp"
 
@@ -68,11 +62,6 @@ class ShardExecutor {
  private:
   WorkerPool pool_;
   std::atomic<bool> in_span_{false};
-  // Per-shard exception slots (distinct indices, no locking) plus a count
-  // so the clean path never scans. Slots are only cleared on the fault
-  // path; the vector grows to the largest span seen and is then reused.
-  std::vector<std::exception_ptr> faults_;
-  std::atomic<unsigned> fault_count_{0};
 };
 
 }  // namespace tcdm

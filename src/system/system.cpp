@@ -89,7 +89,10 @@ void System::run_kernels(Cycle budget_end) {
   for (unsigned c = 0; c < n; ++c) {
     if (faults_[c] && (first == n || clusters_[c]->now() < clusters_[first]->now())) first = c;
   }
-  if (first < n) std::rethrow_exception(faults_[first]);
+  if (first < n) {
+    now_ = clusters_[first]->now();  // the system clock stops there too
+    std::rethrow_exception(faults_[first]);
+  }
   kernels_running_ = static_cast<unsigned>(
       std::count_if(halt_at_.begin(), halt_at_.end(), [this](Cycle h) { return h >= now_; }));
 }
@@ -112,11 +115,11 @@ void System::check_kernel_span(Cycle budget_end) const {
   }
 }
 
-void System::unpark() {
+void System::unpark(bool check_quiet) {
   for (unsigned c = 0; c < num_clusters(); ++c) {
     Cluster& cluster = *clusters_[c];
     if (halt_at_[c] == kNoCycle || cluster.now() >= now_) continue;
-    if (cluster.next_event() != kNoCycle) {
+    if (cluster.next_event() != kNoCycle && check_quiet) {
       throw std::logic_error("parked cluster " + std::to_string(c) +
                              " has a pending event at cycle " +
                              std::to_string(cluster.now()) +
@@ -263,31 +266,37 @@ RunOutcome System::run(Cycle max_cycles) {
   RunOutcome out;
   const Cycle start = now_;
   const Cycle budget_end = max_cycles > kNoCycle - start ? kNoCycle : start + max_cycles;
-  run_kernels(budget_end);
-  while (now_ < budget_end) {
-    if (step()) {
-      out.all_halted = true;
-      break;
+  try {
+    run_kernels(budget_end);
+    while (now_ < budget_end) {
+      if (step()) {
+        out.all_halted = true;
+        break;
+      }
+      if (stepping_ == SteppingMode::kCycleByCycle) continue;
+      const Cycle now = now_;
+      if (now >= budget_end) break;
+      // The system loop's events: a DMA engine streaming or its header
+      // completing, the next replayed arrival and a pending global barrier
+      // release. Clusters are no part of it: they have halted (parked) or
+      // run to the budget.
+      Cycle event = dma_next_event();
+      for (unsigned c = 0; kernels_running_ > 0 && c < num_clusters(); ++c) {
+        // An arrival due at `now` itself is still to be replayed.
+        if (halt_at_[c] >= now) event = std::min(event, halt_at_[c]);
+      }
+      if (global_barrier_->release_pending()) {
+        event = std::min(event, global_barrier_->release_at());
+      }
+      if (event <= now) continue;
+      const Cycle jump = std::min(std::min(event, watchdog_.deadline()), budget_end);
+      if (jump > now) now_ = jump;
     }
-    if (stepping_ == SteppingMode::kCycleByCycle) continue;
-    const Cycle now = now_;
-    if (now >= budget_end) break;
-    // The system loop's events: a DMA engine streaming or its header
-    // completing, the next replayed arrival and a pending global barrier
-    // release. Clusters are no part of it: they have halted (parked) or
-    // run to the budget.
-    Cycle event = dma_next_event();
-    for (unsigned c = 0; kernels_running_ > 0 && c < num_clusters(); ++c) {
-      if (halt_at_[c] > now) event = std::min(event, halt_at_[c]);
-    }
-    if (global_barrier_->release_pending()) {
-      event = std::min(event, global_barrier_->release_at());
-    }
-    if (event <= now) continue;
-    const Cycle jump = std::min(std::min(event, watchdog_.deadline()), budget_end);
-    if (jump > now) now_ = jump;
+  } catch (...) {
+    unpark(/*check_quiet=*/false);  // the fault, not a parked event, is the report
+    throw;
   }
-  unpark();
+  unpark(/*check_quiet=*/true);
   out.cycles = now_ - start;
   return out;
 }

@@ -21,8 +21,9 @@
 // order arrivals replayed at h_c (by cycle, then cluster index) -> DMA/NoC
 // cycle -> global barrier -> watchdog: the in-cluster D1 phase contract
 // one level up, with L2 grants rotating by cycle number (D3). Halted
-// clusters stay parked; on return their clocks catch up with one skip_to,
-// so parked spans count as `sim.cycles_skipped` in every stepping mode.
+// clusters stay parked; at every exit, a throw included, their clocks catch
+// up with one skip_to, so parked spans count as `sim.cycles_skipped` in
+// every stepping mode.
 // Results are bit-identical to stepping every cluster every cycle.
 //
 // With shard_threads > 1 the kernel phase is one ShardExecutor span per
@@ -80,7 +81,8 @@ class System {
   /// loop advances the DMA engines and the global barrier (see the header
   /// comment); all modes and thread counts are bit-identical (apart from
   /// `sim.*` bookkeeping counters). On return every cluster's clock equals
-  /// now().
+  /// now(). On a throw, now() is the faulting cycle and every cluster parked
+  /// before it has caught up to it.
   RunOutcome run(Cycle max_cycles = 50'000'000);
 
   /// Propagates to every cluster and scales the system watchdog with it.
@@ -125,8 +127,9 @@ class System {
   void check_kernel_span(Cycle budget_end) const;
   /// One system-loop cycle; returns true once the run is done.
   bool step();
-  /// Catch every parked (halted) cluster's clock up to now_.
-  void unpark();
+  /// Catch every parked (halted) cluster's clock up to now_; with
+  /// `check_quiet`, a parked cluster with a pending event is a logic_error.
+  void unpark(bool check_quiet);
   void start_dma(Cycle now);
   void dma_cycle(Cycle now);
   [[nodiscard]] Cycle dma_next_event() const;

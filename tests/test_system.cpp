@@ -249,6 +249,114 @@ TEST(SystemStaggered, ClustersHaltingApartMatchBareClustersAndLockstep) {
   }
 }
 
+TEST(SystemStaggered, HaltsOneCycleApartAreAllReplayed) {
+  // Cluster c's harts spin through the same counted loop and then run c
+  // nops, so the four clusters halt on four consecutive cycles. An event
+  // skip after one arrival must not jump over the arrival due next cycle.
+  const ClusterConfig cfg = mp4_config(4);
+  const auto programs_for = [&](unsigned c) {
+    std::vector<Program> programs;
+    for (unsigned h = 0; h < cfg.num_cores(); ++h) {
+      ProgramBuilder b("spin");
+      b.li(t0, 40);
+      const Label loop = b.make_label();
+      b.bind(loop);
+      b.addi(t0, t0, -1);
+      b.bnez(t0, loop);
+      for (unsigned k = 0; k < c; ++k) b.nop();
+      b.halt();
+      programs.push_back(b.build());
+    }
+    return programs;
+  };
+  std::vector<Cycle> bare_cycles;
+  for (unsigned c = 0; c < 4; ++c) {
+    Cluster bare(cfg, SimOptions{});
+    bare.load_programs(programs_for(c));
+    const RunOutcome out = bare.run(1'000'000);
+    ASSERT_TRUE(out.all_halted) << c;
+    bare_cycles.push_back(out.cycles);
+  }
+  for (unsigned c = 1; c < 4; ++c) ASSERT_EQ(bare_cycles[c], bare_cycles[c - 1] + 1) << c;
+
+  const auto run_system = [&](SteppingMode mode, unsigned shards) {
+    System system(small_system(4), cfg, SimOptions{1, mode, shards});
+    for (unsigned c = 0; c < 4; ++c) system.cluster(c).load_programs(programs_for(c));
+    return system.run(200'000);
+  };
+  const RunOutcome ref = run_system(SteppingMode::kCycleByCycle, 1);
+  ASSERT_TRUE(ref.all_halted);
+  for (const SteppingMode mode : {SteppingMode::kEventDriven, SteppingMode::kCrossCheck}) {
+    for (const unsigned shards : {1u, 4u}) {
+      const RunOutcome got = run_system(mode, shards);
+      EXPECT_TRUE(got.all_halted) << "mode " << static_cast<int>(mode) << ", " << shards;
+      EXPECT_EQ(got.cycles, ref.cycles) << "mode " << static_cast<int>(mode) << ", " << shards;
+    }
+  }
+}
+
+TEST(SystemStaggered, RunSplitAtAnyBudgetMatchesOneRun) {
+  // A run() that stops at its budget with some clusters parked and others
+  // still running must resume exactly: the second run() picks up the halt
+  // cycles already recorded and the clusters still mid-kernel.
+  const unsigned sizes[] = {256, 512, 1024, 2048};
+  const ClusterConfig cfg = mp4_config(4);
+  const RunnerOptions opts = capped_opts();
+
+  std::vector<Cycle> halts;  // bare-cluster cycle counts, one per size
+  for (const unsigned size : sizes) {
+    Cluster bare(cfg, SimOptions{});
+    DotpKernel kernel(size);
+    halts.push_back(run_kernel_on(bare, kernel, opts).cycles);
+  }
+  ASSERT_LT(halts[0] + 1, halts[1]);
+
+  struct Image {
+    Cycle cycles = 0;
+    bool halted = false;
+    double noc_bytes = 0.0;
+    std::vector<std::vector<std::pair<std::string, double>>> stats;
+  };
+  const auto run_split = [&](SteppingMode mode, Cycle first_budget) {
+    System system(small_system(4), cfg, SimOptions{1, mode});
+    system.set_watchdog_window(opts.watchdog_window);
+    std::vector<DotpKernel> kernels(std::begin(sizes), std::end(sizes));
+    for (unsigned c = 0; c < 4; ++c) kernels[c].setup(system.cluster(c));
+    Image img;
+    if (first_budget != 0) {
+      const RunOutcome first = system.run(first_budget);
+      EXPECT_FALSE(first.all_halted) << first_budget;
+      EXPECT_EQ(first.cycles, first_budget);
+      for (unsigned c = 0; c < 4; ++c) EXPECT_EQ(system.cluster(c).now(), system.now()) << c;
+      img.cycles = first.cycles;
+    }
+    const RunOutcome rest = system.run(opts.max_cycles);
+    img.cycles += rest.cycles;
+    img.halted = rest.all_halted;
+    img.noc_bytes = system.noc_bytes_transferred();
+    for (unsigned c = 0; c < 4; ++c) img.stats.push_back(model_stats(system.cluster(c)));
+    return img;
+  };
+
+  // Budgets ending on the cycle before the first halt, right after it,
+  // between the first two halts, and in the DMA phase after every halt.
+  const Cycle budgets[] = {halts[0] - 1, halts[0], (halts[0] + halts[1]) / 2, halts[3] + 50};
+  for (const SteppingMode mode :
+       {SteppingMode::kEventDriven, SteppingMode::kCycleByCycle, SteppingMode::kCrossCheck}) {
+    const Image whole = run_split(mode, 0);
+    ASSERT_TRUE(whole.halted);
+    for (const Cycle budget : budgets) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) + ", first budget " +
+                   std::to_string(budget));
+      const Image split = run_split(mode, budget);
+      EXPECT_TRUE(split.halted);
+      EXPECT_EQ(split.cycles, whole.cycles);
+      EXPECT_EQ(split.noc_bytes, whole.noc_bytes);
+      EXPECT_EQ(split.stats, whole.stats);
+    }
+  }
+}
+
 // -------------------------------------------------------- barrier kinds ----
 
 TEST(SystemBarrierKinds, AllKindsCompleteAndVerify) {

@@ -1,5 +1,5 @@
 // Sharded System execution (docs/CONCURRENCY.md, S1-S3): ShardExecutor's
-// lowest-index fault attribution and S1 re-entrancy tripwire, bit-identity
+// S1 re-entrancy tripwire and reuse after a throw, bit-identity
 // of sharded System runs against the serial run across
 // shard_threads x sim_threads x stepping-mode combinations at N == 4 and
 // N == 8, the P2 fresh-vs-reset identity under shards, serial-equal
@@ -7,6 +7,7 @@
 // first), and the exclusion of shard_threads from the explore config hash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -83,30 +84,6 @@ void expect_identical(const SystemImage& a, const SystemImage& b) {
 
 // -------------------------------------------------------- ShardExecutor ----
 
-TEST(ShardExecutor, LowestIndexExceptionSurfaces) {
-  // Faults at indices 2 and 5: the serial ascending-index loop would have
-  // hit index 2 first, so that is the exception the span must rethrow (S3),
-  // regardless of which shard thread finished first.
-  ShardExecutor ex(4);
-  try {
-    ex.run(8, [](unsigned i) {
-      if (i == 2) throw std::runtime_error("shard 2 fault");
-      if (i == 5) throw std::runtime_error("shard 5 fault");
-    });
-    FAIL() << "span with faulting shards returned normally";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "shard 2 fault");
-  }
-  // The fault path must leave the executor reusable: slots cleared, clean
-  // span runs through.
-  unsigned hits = 0;
-  std::vector<char> seen(8, 0);
-  ex.run(8, [&](unsigned i) { seen[i] = 1; });
-  for (const char s : seen) hits += static_cast<unsigned>(s);
-  EXPECT_EQ(hits, 8u);
-  EXPECT_FALSE(ex.in_span());
-}
-
 TEST(ShardExecutor, NestedSpanIsAnS1Violation) {
   ShardExecutor ex(2);
   try {
@@ -117,7 +94,11 @@ TEST(ShardExecutor, NestedSpanIsAnS1Violation) {
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find("S1"), std::string::npos) << e.what();
   }
+  // The throw must leave the executor reusable: a clean span runs through.
   EXPECT_FALSE(ex.in_span());
+  std::vector<char> seen(8, 0);
+  ex.run(8, [&](unsigned i) { seen[i] = 1; });
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), 8);
 }
 
 TEST(ShardExecutor, SingleShardSpansRunInline) {
@@ -315,6 +296,12 @@ TEST(SystemShardFaults, EarliestFaultCycleSurfacesBeforeLowerIndex) {
     } catch (const DeadlockError& e) {
       EXPECT_EQ(std::string(e.what()), expected) << shards << " shards";
     }
+    // The system clock stops at cluster 3's fault cycle, and the clusters
+    // parked before it (0 and 2 halt at once) catch up to it on the throw.
+    for (const unsigned c : {0u, 2u, 3u}) {
+      EXPECT_EQ(system.cluster(c).now(), system.now()) << shards << " shards, cluster " << c;
+    }
+    EXPECT_GT(system.cluster(1).now(), system.now());
   }
 }
 
