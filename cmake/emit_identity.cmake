@@ -6,7 +6,9 @@
 #
 # Variables (passed with -D):
 #   TCDM_RUN  path to the tcdm_run binary
-#   SUITE     suite name (the emitted file is <suite>.json)
+#   SUITE     suite name (the emitted file is <suite>.json), or --all: emit
+#             every builtin suite with the PAR_ARGS flags only, and compare
+#             each <suite>.json with the one in the REF directory
 #   OUT_DIR   scratch directory for the two emissions
 #   FILE      optional: a tcdm-scenarios suite file; the suite is then
 #             loaded with `--no-builtin --file` instead of from the builtins
@@ -14,10 +16,11 @@
 #             it to pin both legs to one stepping mode while only PAR_ARGS
 #             carries the parallelism under test
 #   PAR_ARGS  optional: parallelism flags for the second emit
-#             (default "--sim-threads 4")
+#             (default "-j 4")
 #   REF       optional: a recorded document (e.g. baselines/<suite>.json)
 #             the serial emission must also equal byte for byte, so a drift
-#             that hits both legs alike still fails
+#             that hits both legs alike still fails; with SUITE=--all, the
+#             directory of recorded documents (required)
 
 foreach(var TCDM_RUN SUITE OUT_DIR)
   if(NOT DEFINED ${var})
@@ -25,7 +28,7 @@ foreach(var TCDM_RUN SUITE OUT_DIR)
   endif()
 endforeach()
 if(NOT DEFINED PAR_ARGS)
-  set(PAR_ARGS "--sim-threads 4")
+  set(PAR_ARGS "-j 4")
 endif()
 if(NOT DEFINED SER_ARGS)
   set(SER_ARGS "")
@@ -41,6 +44,38 @@ if(DEFINED FILE)
 endif()
 
 file(REMOVE_RECURSE "${OUT_DIR}")
+
+if(SUITE STREQUAL "--all")
+  if(NOT DEFINED REF OR NOT IS_DIRECTORY "${REF}")
+    message(FATAL_ERROR "emit_identity.cmake: SUITE=--all needs -DREF=<directory>")
+  endif()
+  execute_process(
+    COMMAND "${TCDM_RUN}" emit ${par_flags} --out "${OUT_DIR}/par" --all
+    RESULT_VARIABLE rc_all)
+  if(NOT rc_all EQUAL 0)
+    message(FATAL_ERROR "emit --all (${PAR_ARGS}) failed (exit ${rc_all})")
+  endif()
+  file(GLOB emitted RELATIVE "${OUT_DIR}/par" "${OUT_DIR}/par/*.json")
+  if(NOT emitted)
+    message(FATAL_ERROR "emit --all (${PAR_ARGS}) wrote no documents")
+  endif()
+  set(differing "")
+  foreach(doc ${emitted})
+    execute_process(
+      COMMAND "${CMAKE_COMMAND}" -E compare_files "${REF}/${doc}" "${OUT_DIR}/par/${doc}"
+      RESULT_VARIABLE rc_doc)
+    if(NOT rc_doc EQUAL 0)
+      list(APPEND differing "${doc}")
+    endif()
+  endforeach()
+  if(differing)
+    message(FATAL_ERROR
+            "emit --all (${PAR_ARGS}) differs from ${REF} in: ${differing}")
+  endif()
+  list(LENGTH emitted n_docs)
+  message(STATUS "emit --all (${PAR_ARGS}): all ${n_docs} suites equal ${REF}")
+  return()
+endif()
 
 execute_process(
   COMMAND "${TCDM_RUN}" ${base_args} ${ser_flags} --out "${OUT_DIR}/serial" ${select_args}

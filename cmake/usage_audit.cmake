@@ -28,7 +28,7 @@ set(expected_tokens
   # subcommands
   list run emit bench validate gen explore
   # common flags (list/run/emit/bench/explore)
-  -j --sim-threads --shard-threads --stepping --file --no-builtin
+  -j --shard-threads --stepping --file --no-builtin
   # emit
   --out --all
   # bench

@@ -18,9 +18,9 @@
 // The sender owns the burst table that maps a returning wide beat's
 // (burst_id, word_offset) back to (VLSU port, ROB slot).
 //
-// dispatch() is called from the tile-parallel core phase; it may only use
-// the calling tile's TileServices (own banks, own master ports — remote
-// sends stage their cross-tile effects inside HierNetwork, see network.hpp).
+// dispatch() is called from the core phase; it may only use the calling
+// tile's TileServices (own banks, own master ports; remote sends go through
+// HierNetwork, see network.hpp).
 #pragma once
 
 #include <cstdint>

@@ -16,15 +16,10 @@
 //   ButterflyBarrier  log2(n) all-to-all dissemination stages, no separate
 //                     broadcast: delay = ceil(log2(n)) * link latency.
 //
-// arrive() may be called concurrently from the tile-parallel core phase:
-// the arrival count is atomic, and because every arrival within one
-// simulated cycle carries the same `now`, the release timestamp is
-// identical no matter which thread's arrival completes the set —
-// determinism needs no ordering here. generation() only changes in cycle(),
-// which runs in the serial phase, so members read a stable value all phase.
+// Members arrive during the core phase; generation() only changes in
+// cycle(), which runs after it, so members read a stable value all phase.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -63,7 +58,7 @@ class Barrier {
   /// and is only consulted on a protocol violation, where it names the
   /// over-arriving member in the thrown BarrierContractError.
   void arrive(unsigned hart, Cycle now) {
-    const unsigned count = arrived_.fetch_add(1, std::memory_order_relaxed) + 1;
+    const unsigned count = ++arrived_;
     if (count > num_cores_) {
       throw BarrierContractError(
           std::string(barrier_kind_name(kind())) +
@@ -82,16 +77,14 @@ class Barrier {
   void cycle(Cycle now) {
     if (release_pending_ && now >= release_at_) {
       release_pending_ = false;
-      arrived_.store(0, std::memory_order_relaxed);
+      arrived_ = 0;
       ++generation_;
     }
   }
 
   [[nodiscard]] virtual BarrierKind kind() const noexcept = 0;
   [[nodiscard]] unsigned generation() const noexcept { return generation_; }
-  [[nodiscard]] unsigned arrived() const noexcept {
-    return arrived_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] unsigned arrived() const noexcept { return arrived_; }
   [[nodiscard]] unsigned num_cores() const noexcept { return num_cores_; }
 
   /// Event-driven stepping: a pending release is the barrier's only timed
@@ -102,7 +95,7 @@ class Barrier {
   /// Back to the just-constructed state (generation 0, nobody arrived);
   /// cluster reuse only (docs/ARCHITECTURE.md, P2), serial context.
   void reset() {
-    arrived_.store(0, std::memory_order_relaxed);
+    arrived_ = 0;
     generation_ = 0;
     release_pending_ = false;
     release_at_ = 0;
@@ -116,7 +109,7 @@ class Barrier {
 
  private:
   unsigned num_cores_;
-  std::atomic<unsigned> arrived_{0};
+  unsigned arrived_ = 0;
   unsigned generation_ = 0;
   bool release_pending_ = false;
   Cycle release_at_ = 0;

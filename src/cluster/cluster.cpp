@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <thread>
 
 namespace tcdm {
 
@@ -16,12 +15,6 @@ unsigned auto_barrier_latency(const ClusterConfig& cfg, const Topology& topo) {
   }
   return worst;
 }
-
-unsigned resolve_sim_threads(const SimOptions& sim, unsigned num_tiles) {
-  unsigned t = sim.sim_threads;
-  if (t == 0) t = std::max(1u, std::thread::hardware_concurrency());
-  return std::min(t, num_tiles);
-}
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& cfg, const SimOptions& sim)
@@ -31,7 +24,6 @@ Cluster::Cluster(const ClusterConfig& cfg, const SimOptions& sim)
       barrier_(make_barrier(cfg.barrier_kind, cfg.num_cores(),
                             auto_barrier_latency(cfg, topo_), cfg.barrier_radix)),
       watchdog_(100'000),
-      sim_threads_(resolve_sim_threads(sim, cfg.num_tiles)),
       stepping_(sim.stepping) {
   cfg_.validate();
   NetworkConfig net_cfg = cfg_.net;
@@ -41,8 +33,6 @@ Cluster::Cluster(const ClusterConfig& cfg, const SimOptions& sim)
   for (TileId t = 0; t < cfg_.num_tiles; ++t) {
     tiles_.push_back(std::make_unique<Tile>(cfg_, t, *net_, map_, *barrier_, stats_));
   }
-  if (sim_threads_ > 1) pool_ = std::make_unique<WorkerPool>(sim_threads_);
-  active_tiles_.reserve(cfg_.num_tiles);
   cycles_skipped_ = stats_.counter("sim.cycles_skipped");
   cycles_simulated_ = stats_.counter("sim.cycles_simulated");
 }
@@ -113,7 +103,6 @@ void Cluster::reset() {
   programs_.clear();
   last_progress_token_ = -1.0;
   plan_.clear();
-  active_tiles_.clear();
   scan_hint_ = 0;
   mem_phase_active_ = false;
   wakeup_bias_ = 0;
@@ -132,29 +121,23 @@ bool Cluster::step() {
 
   // Phase 1 — core/VLSU issue, per tile. A halted core complex is fully
   // drained (the Snitch only halts after drained() && fully_idle()), so its
-  // cycle is a strict no-op and can be skipped. The active set is compacted
-  // first so the worker pool is dispatched only when at least two tiles
-  // actually have work (a skip jump often lands on a near-empty cycle).
-  active_tiles_.clear();
-  for (unsigned t = 0; t < tiles_.size(); ++t) {
-    if (!tiles_[t]->cc().halted()) active_tiles_.push_back(t);
+  // cycle is a strict no-op and can be skipped.
+  for (auto& tile : tiles_) {
+    if (!tile->cc().halted()) tile->cycle_cores(now);
   }
-  for_each_active(active_tiles_, [&](unsigned t) { tiles_[t]->cycle_cores(now); });
 
-  // Phase 2 — network & burst routing (serial: the egress arbiters read and
-  // re-register master-port heads across tiles in a fixed global order).
-  // cycle() first commits the core phase's staged sends in tile order.
+  // Phase 2 — network & burst routing: the egress arbiters read and
+  // re-register master-port heads across tiles in a fixed global order.
   net_->cycle(now, *this);
 
   // Phase 3 — bank access and response emission, per tile, with a
   // quiescence fast-path for tiles with no in-flight memory work.
-  active_tiles_.clear();
-  for (unsigned t = 0; t < tiles_.size(); ++t) {
-    if (!tiles_[t]->memory_quiescent()) active_tiles_.push_back(t);
+  mem_phase_active_ = false;
+  for (auto& tile : tiles_) {
+    if (tile->memory_quiescent()) continue;
+    mem_phase_active_ = true;
+    tile->cycle_memory(now);
   }
-  mem_phase_active_ = !active_tiles_.empty();
-  for_each_active(active_tiles_, [&](unsigned t) { tiles_[t]->cycle_memory(now); });
-  net_->commit_deferred();
 
   // Phase 4 — barrier release, watchdog and halt detection (serial).
   barrier_->cycle(now);

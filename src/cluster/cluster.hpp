@@ -3,20 +3,16 @@
 // the cycle loop. This is the main entry point of the library's public API:
 //
 //   ClusterConfig cfg = ClusterConfig::mp4spatz4().with_burst(4);
-//   Cluster cluster(cfg, SimOptions{.sim_threads = 4});
+//   Cluster cluster(cfg);
 //   cluster.load_program(program);           // same binary on every hart
 //   cluster.write_f32(addr, 1.5f);           // preload data (host backdoor)
 //   RunOutcome out = cluster.run();
 //   double bw = cluster.bytes_accessed() / double(out.cycles);
 //
-// Tile-parallel stepping: each simulated cycle is executed as the phase
-// sequence core/VLSU issue -> network & burst routing -> bank access &
-// response emission -> barrier/watchdog. The core and memory phases run
-// per-tile across a persistent worker pool with barriers in between; all
-// cross-tile traffic those phases produce is staged inside HierNetwork and
-// committed in fixed tile-index order at the phase boundary, so a run with
-// N sim threads is byte-identical to the serial run (same cycle counts,
-// same statistics, same memory contents).
+// Each simulated cycle runs the phase sequence core/VLSU issue -> network &
+// burst routing -> bank access & response emission -> barrier/watchdog on
+// the calling thread, visiting tiles in ascending index order within a
+// phase (docs/CONCURRENCY.md, D1).
 #pragma once
 
 #include <memory>
@@ -28,7 +24,6 @@
 #include "src/cluster/tile.hpp"
 #include "src/common/sim_time.hpp"
 #include "src/common/stats.hpp"
-#include "src/common/worker_pool.hpp"
 
 namespace tcdm {
 
@@ -58,20 +53,14 @@ enum class SteppingMode : std::uint8_t {
 /// Host-side simulation options — knobs that change how fast the simulator
 /// runs, never what it computes.
 struct SimOptions {
-  /// Worker threads for tile-parallel stepping. 1 (default) steps serially
-  /// on the calling thread; 0 resolves to the hardware concurrency. The
-  /// effective count is clamped to the cluster's tile count. Any value
-  /// produces bit-identical simulations.
-  unsigned sim_threads = 1;
   /// Time-advance strategy for run(); step() is always single-cycle.
   SteppingMode stepping = SteppingMode::kEventDriven;
-  /// Shard threads for the System layer's per-cluster concurrency
-  /// (`tcdm_run --shard-threads`); a bare Cluster ignores this. 0 (default)
-  /// defers to SystemConfig::shard_threads; N > 0 overrides it. The System
-  /// clamps the resolved count to its cluster count and splits the
-  /// sim_threads tile budget across the shards. Any value is bit-identical
+  /// Shard threads for the System layer's kernel phase
+  /// (`tcdm_run --shard-threads`); a bare Cluster ignores this. 0 and 1
+  /// run the clusters one after another on the calling thread; the System
+  /// clamps larger counts to its cluster count. Any value is bit-identical
   /// to serial (docs/CONCURRENCY.md, S1-S3).
-  unsigned shard_threads = 0;
+  unsigned shard_threads = 1;
 };
 
 class Cluster final : public RspSink {
@@ -79,9 +68,6 @@ class Cluster final : public RspSink {
   explicit Cluster(const ClusterConfig& cfg, const SimOptions& sim = {});
 
   [[nodiscard]] const ClusterConfig& config() const noexcept { return cfg_; }
-  /// Worker threads the stepping engine actually uses (after resolving 0
-  /// and clamping to the tile count); 1 means serial stepping.
-  [[nodiscard]] unsigned sim_threads() const noexcept { return sim_threads_; }
   [[nodiscard]] StatsRegistry& stats() noexcept { return stats_; }
   [[nodiscard]] const StatsRegistry& stats() const noexcept { return stats_; }
   [[nodiscard]] const AddressMap& map() const noexcept { return map_; }
@@ -209,21 +195,6 @@ class Cluster final : public RspSink {
   [[nodiscard]] double bytes_stored() const;
 
  private:
-  /// Run `fn(tile_index)` for the tiles listed in `active`: on the worker
-  /// pool when sim_threads > 1 and at least two tiles have work, inline
-  /// otherwise (the pool is never woken for an empty or single-tile phase —
-  /// see WorkerPool::epochs_dispatched). `fn` must only touch the tile's own
-  /// state plus the staged-commit network/barrier entry points.
-  template <typename Fn>
-  void for_each_active(const std::vector<unsigned>& active, Fn&& fn) {
-    const auto n = static_cast<unsigned>(active.size());
-    if (pool_) {
-      pool_->parallel_for(n, [&](unsigned i) { fn(active[i]); });
-    } else {
-      for (unsigned i = 0; i < n; ++i) fn(active[i]);
-    }
-  }
-
   /// Global next-event query (docs/ARCHITECTURE.md): the minimum
   /// earliest_wakeup over every non-halted CC, every non-quiescent tile
   /// memory stage, the network and a pending barrier release — with the
@@ -247,14 +218,11 @@ class Cluster final : public RspSink {
   std::vector<Program> programs_;
   SimClock clock_;
   Watchdog watchdog_;
-  unsigned sim_threads_ = 1;
-  std::unique_ptr<WorkerPool> pool_;  // only when sim_threads_ > 1
   double last_progress_token_ = -1.0;
 
   // ---- event-driven stepping state ----
   SteppingMode stepping_ = SteppingMode::kEventDriven;
   SkipPlan plan_;                       // reused across skip decisions
-  std::vector<unsigned> active_tiles_;  // reused per-phase compaction buffer
   unsigned scan_hint_ = 0;  // tile that most recently had work; earliest_event
                             // starts its scan there so a busy cluster answers
                             // "no skip" in O(1) (scan order never affects the

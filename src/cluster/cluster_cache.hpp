@@ -1,7 +1,7 @@
 // ClusterCache: a small LRU of constructed Cluster instances, keyed by the
-// full configuration plus the host SimOptions. Building a cluster allocates
-// every tile, bank, queue and worker thread; sweeps and design-space
-// exploration run thousands of scenarios over a handful of config shapes, so
+// full configuration plus the stepping mode. Building a cluster allocates
+// every tile, bank and queue; sweeps and design-space exploration run
+// thousands of scenarios over a handful of config shapes, so
 // reusing one cluster per shape through Cluster::reset() removes that
 // construction cost from the per-scenario path (docs/ARCHITECTURE.md, P2:
 // a reset cluster is bit-identical to a freshly constructed one).
@@ -52,13 +52,13 @@ class ClusterCache {
   [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::size_t misses() const noexcept { return misses_; }
 
-  /// Cache identity of a (config, sim-options) pair. The stepping mode and
-  /// thread count are part of the key: they never change simulated results,
-  /// but the worker pool and stepping engine are per-instance state.
+  /// Cache identity of a (config, sim-options) pair. The stepping mode is
+  /// part of the key: it never changes simulated results, but it is
+  /// per-instance state. shard_threads is not: a bare Cluster ignores it.
   [[nodiscard]] static std::string cache_key(const ClusterConfig& cfg,
                                              const SimOptions& sim) {
-    return cfg.to_json().dump_compact() + "|t" + std::to_string(sim.sim_threads) +
-           "|s" + std::to_string(static_cast<unsigned>(sim.stepping));
+    return cfg.to_json().dump_compact() + "|s" +
+           std::to_string(static_cast<unsigned>(sim.stepping));
   }
 
  private:

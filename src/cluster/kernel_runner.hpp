@@ -43,9 +43,9 @@ struct RunnerOptions {
   bool verify = true;
   Cycle max_cycles = 50'000'000;
   Cycle watchdog_window = 100'000;
-  /// Host-side simulation options (tile-parallel stepping). Only consulted
-  /// by run_kernel, which builds the cluster; run_kernel_on uses whatever
-  /// the caller's cluster was constructed with.
+  /// Host-side simulation options (stepping mode, shard threads). Only
+  /// consulted by run_kernel, which builds the cluster; run_kernel_on uses
+  /// whatever the caller's cluster was constructed with.
   SimOptions sim{};
 };
 

@@ -38,25 +38,16 @@ Json canonical_point_json(const scenario::FileScenario& point) {
   Json doc;
   doc.set("config", point.config.to_json());
   doc.set("kernel", point.kernel.to_json());
-  // sim_threads and shard_threads are host-side execution knobs with
-  // bit-identical results at any value (PR 4's and the shard layer's
-  // determinism guarantees); keying on either would split the cache by
-  // machine shape for no semantic difference. shard_threads is normalized
-  // to its default BEFORE serializing — to_json then omits the key, so
-  // pre-shard memo stores stay valid byte for byte.
-  auto opts_canon = point.opts;
-  opts_canon.sim.shard_threads = 0;
-  Json opts = scenario::runner_options_to_json(opts_canon);
+  // Host thread counts never reach the key. The literal keeps the spelling
+  // of keys written while options still carried a sim_threads field, so
+  // memo stores recorded then still hit.
+  Json opts = scenario::runner_options_to_json(point.opts);
   opts.set("sim_threads", 0);
   doc.set("options", std::move(opts));
   doc.set("expect_verified", point.expect_verified);
   // Only when present: cluster-only points keep their pre-system-layer
   // canonical spelling, so existing explore caches stay valid.
-  if (point.system) {
-    auto sys_canon = *point.system;
-    sys_canon.shard_threads = 1;
-    doc.set("system", sys_canon.to_json());
-  }
+  if (point.system) doc.set("system", point.system->to_json());
   return doc;
 }
 

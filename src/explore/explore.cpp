@@ -335,7 +335,6 @@ ExploreOutcome run_explore(const scenario::LoadedSuite& suite,
 
       scenario::SweepOptions sweep;
       sweep.jobs = opts.jobs;
-      sweep.sim_threads = opts.sim_threads;
       sweep.stepping = opts.stepping;
       sweep.shard_threads = opts.shard_threads;
       if (opts.log != nullptr) {

@@ -8,13 +8,13 @@
 //            committed frontier (value upper bound, so pruning can never
 //            change the outcome), then memo lookup (hit = free) or
 //            simulation scheduling (miss);
-//   run    — the wave's misses simulate on the PR 3/4 sweep runner
-//            (`-j` scenario-parallel x `--sim-threads` tile-parallel);
+//   run    — the wave's misses simulate on the sweep runner (`-j`
+//            scenario-parallel, `--shard-threads` for system points);
 //   fold   — results commit into the Pareto frontier in candidate order;
 //   save   — the search state checkpoints via atomic write-then-rename.
 //
 // Wave size is a constant, so pruning decisions — and therefore the report,
-// byte for byte — are independent of `jobs`/`sim_threads`. The budget caps
+// byte for byte — are independent of `jobs`/`shard_threads`. The budget caps
 // *simulations* (cache hits are free); an exhausted budget checkpoints and
 // stops, and a later `--resume` (same suite, objective and settings)
 // continues from the frontier instead of from scratch. A run killed at any
@@ -68,10 +68,8 @@ struct ExploreOptions {
   /// frontier is identical either way (the differential suites prove it).
   bool prune = true;
   unsigned jobs = 1;         // scenario-parallel sweep workers
-  unsigned sim_threads = 0;  // tile-parallel stepping (0 = per-spec)
-  /// Shard threads for system points (0 = per-spec). A host knob like
-  /// sim_threads: results and memo keys are bit-identical at any value
-  /// (canonical_point_json excludes it from the config hash).
+  /// Shard threads for system points (0 = per-spec). A host knob: results
+  /// and memo keys are bit-identical at any value.
   unsigned shard_threads = 0;
   /// Stepping-mode override for the sweep (unset = per-spec). Results,
   /// memo entries and reports are bit-identical in every mode.

@@ -31,7 +31,6 @@ HierNetwork::HierNetwork(const Topology& topo, const NetworkConfig& cfg, StatsRe
   rsp_registered_.assign(ports, 0);
   rsp_egress_rr_.assign(num_tiles_, 0);
   acks_.resize(num_tiles_);
-  deferred_.resize(num_tiles_);
   req_wait_map_.init(ports);
   rsp_dst_map_.init(num_tiles_);
   rsp_wait_cls_cnt_.assign(num_tiles_, 0);
@@ -61,22 +60,12 @@ void HierNetwork::send_req(TileId src, TileId dst, const TcdmReq& req, Cycle now
   assert(ok);
   (void)ok;
   req_master_free_at_[p] = now + beats;
-  // Cross-tile effects (destination wait-list, shared counters) are staged;
-  // per-source state above took effect immediately so same-cycle
-  // can_send_req checks from this tile stay exact. An unregistered port was
-  // empty before this push, so the new request is the head to register.
-  DeferredOp op;
-  op.kind = DeferredOp::Kind::kReqSend;
-  op.who = src;
-  op.words = req.len;
-  op.hop_words = static_cast<double>(req.len) * (topo_.req_latency(cls) + 1);
-  if (req_registered_[p] == 0) {
-    req_registered_[p] = 1;
-    op.register_head = true;
-    op.egress = port_index(dst, cls);
-  }
-  deferred_[src].push_back(op);
-  deferred_ops_.fetch_add(1, std::memory_order_relaxed);
+  // An unregistered port was empty before this push, so the new request is
+  // the head to register at its destination's egress.
+  if (!req_registered_[p]) register_req_head(src, cls);
+  req_sent_.inc();
+  req_words_.inc(req.len);
+  req_hop_words_.inc(static_cast<double>(req.len) * (topo_.req_latency(cls) + 1));
 }
 
 void HierNetwork::send_rsp(TileId responder, const TcdmResp& rsp, Cycle now) {
@@ -87,31 +76,21 @@ void HierNetwork::send_rsp(TileId responder, const TcdmResp& rsp, Cycle now) {
   assert(ok);
   (void)ok;
   rsp_master_last_push_[p] = now;
-  DeferredOp op;
-  op.kind = DeferredOp::Kind::kRspSend;
-  op.who = responder;
-  op.words = rsp.num_words;
-  op.hop_words = static_cast<double>(rsp.num_words) * (topo_.rsp_latency(cls) + 1);
-  if (rsp_registered_[p] == 0) {
-    rsp_registered_[p] = 1;
-    op.register_head = true;
-    op.egress = port_index(rsp.dst_tile, cls);
-  }
-  deferred_[responder].push_back(op);
-  deferred_ops_.fetch_add(1, std::memory_order_relaxed);
+  if (!rsp_registered_[p]) register_rsp_head(responder, cls);
+  rsp_beats_.inc();
+  rsp_words_.inc(rsp.num_words);
+  rsp_hop_words_.inc(static_cast<double>(rsp.num_words) * (topo_.rsp_latency(cls) + 1));
 }
 
 void HierNetwork::send_store_ack(TileId responder, TileId requester, ReqOwner owner,
                                  Cycle now) {
   const std::uint8_t cls = topo_.class_of(responder, requester);
-  DeferredOp op;
-  op.kind = DeferredOp::Kind::kStoreAck;
-  op.hop_words = static_cast<double>(topo_.rsp_latency(cls)) + 1;
-  op.ack_ready_at = now + topo_.rsp_latency(cls);
-  op.ack_owner = owner;
-  op.ack_requester = requester;
-  deferred_[responder].push_back(op);
-  deferred_ops_.fetch_add(1, std::memory_order_relaxed);
+  if (acks_[requester].empty()) {
+    ++acks_active_;
+    acks_map_.set(requester);
+  }
+  acks_[requester].push_back(AckEntry{now + topo_.rsp_latency(cls), owner});
+  rsp_hop_words_.inc(static_cast<double>(topo_.rsp_latency(cls)) + 1);
 }
 
 void HierNetwork::register_req_head(TileId src, std::uint8_t cls) {
@@ -145,62 +124,7 @@ void HierNetwork::register_rsp_head(TileId responder, std::uint8_t cls) {
   rsp_registered_[p] = true;
 }
 
-void HierNetwork::commit_deferred() {
-  if (deferred_ops_.load(std::memory_order_relaxed) == 0) return;
-  for (std::vector<DeferredOp>& ops : deferred_) {
-    for (const DeferredOp& op : ops) {
-      switch (op.kind) {
-        case DeferredOp::Kind::kReqSend:
-          if (op.register_head) {
-            auto& wait = req_wait_[op.egress];
-            if (wait.empty()) {
-              ++req_wait_active_;
-              req_wait_map_.set(op.egress);
-            }
-            const bool ok = wait.try_push(op.who);
-            assert(ok);
-            (void)ok;
-          }
-          req_sent_.inc();
-          req_words_.inc(op.words);
-          req_hop_words_.inc(op.hop_words);
-          break;
-        case DeferredOp::Kind::kRspSend:
-          if (op.register_head) {
-            auto& wait = rsp_wait_[op.egress];
-            if (wait.empty()) {
-              ++rsp_wait_active_;
-              const TileId dst = static_cast<TileId>(op.egress / num_classes_);
-              if (rsp_wait_cls_cnt_[dst]++ == 0) rsp_dst_map_.set(dst);
-            }
-            const bool ok = wait.try_push(op.who);
-            assert(ok);
-            (void)ok;
-          }
-          rsp_beats_.inc();
-          rsp_words_.inc(op.words);
-          rsp_hop_words_.inc(op.hop_words);
-          break;
-        case DeferredOp::Kind::kStoreAck:
-          if (acks_[op.ack_requester].empty()) {
-            ++acks_active_;
-            acks_map_.set(op.ack_requester);
-          }
-          acks_[op.ack_requester].push_back(AckEntry{op.ack_ready_at, op.ack_owner});
-          rsp_hop_words_.inc(op.hop_words);
-          break;
-      }
-    }
-    ops.clear();
-  }
-  deferred_ops_.store(0, std::memory_order_relaxed);
-}
-
 void HierNetwork::cycle(Cycle now, RspSink& sink) {
-  // Make the preceding phase's staged sends visible before routing (no-op
-  // when the cluster already committed at the phase boundary).
-  commit_deferred();
-
   // Deliver due store-ack credits (out-of-band; see send_store_ack). Acks
   // are enqueued in ready order per tile, so only the head needs checking.
   // The bitmaps enumerate exactly the active tiles/ports in the ascending
@@ -297,8 +221,6 @@ void HierNetwork::cycle(Cycle now, RspSink& sink) {
 }
 
 Cycle HierNetwork::earliest_wakeup(Cycle now) const {
-  // Uncommitted staged effects become visible next commit — act this cycle.
-  if (deferred_ops_.load(std::memory_order_relaxed) != 0) return now;
   Cycle wake = kNoCycle;
   if (acks_active_ > 0) {
     acks_map_.for_each([&](std::size_t t) {
@@ -331,7 +253,6 @@ Cycle HierNetwork::earliest_wakeup(Cycle now) const {
 }
 
 bool HierNetwork::busy() const {
-  if (deferred_ops_.load(std::memory_order_relaxed) != 0) return true;  // staged effects
   if (acks_active_ != 0) return true;
   for (const auto& q : req_master_) {
     if (!q.empty()) return true;
@@ -357,7 +278,6 @@ void HierNetwork::reset() {
   std::fill(rsp_registered_.begin(), rsp_registered_.end(), std::uint8_t{0});
   std::fill(rsp_egress_rr_.begin(), rsp_egress_rr_.end(), 0u);
   for (auto& q : acks_) q.clear();
-  for (auto& ops : deferred_) ops.clear();
   req_wait_active_ = 0;
   rsp_wait_active_ = 0;
   acks_active_ = 0;
@@ -365,7 +285,6 @@ void HierNetwork::reset() {
   rsp_dst_map_.clear_all();
   std::fill(rsp_wait_cls_cnt_.begin(), rsp_wait_cls_cnt_.end(), std::uint16_t{0});
   acks_map_.clear_all();
-  deferred_ops_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace tcdm

@@ -24,18 +24,12 @@
 // bank output registers. Head-of-line blocking in the port FIFOs is modeled,
 // as in the RTL.
 //
-// Thread-safety contract (tile-parallel stepping): send_req / send_rsp /
-// send_store_ack may be called concurrently from different SOURCE tiles.
-// Each call mutates only per-source state (master queues, free-at stamps,
-// registered flags) immediately; every cross-tile effect — wait-list
-// registration at the destination, store-ack credits at the requester, and
-// the shared network counters — is staged in a per-source-tile deferred list
-// and applied by commit_deferred() in ascending tile-index order, replaying
-// exactly the order a serial tile loop would have produced. cycle() and
-// commit_deferred() themselves are serial-phase-only.
+// Every send_* call applies its effects at once — master port, destination
+// wait-list, store-ack credit and counters. The cluster steps tiles in
+// ascending index order, so wait-lists fill in that order (invariant D1,
+// docs/CONCURRENCY.md).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -115,19 +109,7 @@ class HierNetwork {
 
   // ---- network stage: move one request per (dst, class) into its slave
   //      queue and deliver one response beat per (requester, class) ----
-  /// Begins by committing all deferred cross-tile effects (see
-  /// commit_deferred), so send_* calls staged by the preceding phase are
-  /// visible to this cycle's routing.
   void cycle(Cycle now, RspSink& sink);
-
-  /// Apply every staged cross-tile effect of send_req/send_rsp/
-  /// send_store_ack in ascending source-tile order (within a tile, in call
-  /// order) — byte-identical to a serial tile loop having sent them
-  /// directly (invariant D2, ascending-tile deferred commit; see
-  /// docs/CONCURRENCY.md). Must be called from a serial phase; the cluster
-  /// invokes it between the parallel phases of each cycle and cycle()
-  /// re-runs it defensively at its top.
-  void commit_deferred();
 
   // ---- request egress: slave queues drained by the destination tile ----
   [[nodiscard]] bool slave_empty(TileId dst, std::uint8_t cls) const {
@@ -172,29 +154,12 @@ class HierNetwork {
     TileId dst = 0;
   };
 
-  // One staged cross-tile effect of a send_* call (see the thread-safety
-  // contract above). Counter bumps ride along so shared-counter accumulation
-  // order is the serial order at any thread count.
-  struct DeferredOp {
-    enum class Kind : std::uint8_t { kReqSend, kRspSend, kStoreAck } kind;
-    std::size_t egress = 0;   // wait-list port index at the destination
-    std::uint32_t who = 0;    // source tile (req) / responder tile (rsp)
-    double words = 0.0;       // req.len / rsp.num_words
-    double hop_words = 0.0;   // words x (pipe latency + 1)
-    bool register_head = false;  // push `who` into the egress wait-list
-    Cycle ack_ready_at = 0;      // store-ack credit fields
-    ReqOwner ack_owner = ReqOwner::kScalar;
-    TileId ack_requester = 0;
-  };
-
   const Topology& topo_;
   NetworkConfig cfg_;
   unsigned num_classes_ = 0;
   unsigned num_tiles_ = 0;
 
-  // Request path. (The registered flags are bytes, not vector<bool>:
-  // neighbouring tiles set their own flags concurrently during a parallel
-  // phase, and packed bits would make that a data race.)
+  // Request path.
   std::vector<TimedQueue<ReqEntry>> req_master_;      // [src * C + cls]
   std::vector<Cycle> req_master_free_at_;             // first cycle the port is free
                                                       // (write bursts hold it for
@@ -208,9 +173,6 @@ class HierNetwork {
   std::vector<Cycle> rsp_master_last_push_;
   std::vector<std::uint8_t> rsp_registered_;
   std::vector<BoundedQueue<std::uint32_t>> rsp_wait_;  // [requester * C + cls] -> responder ids
-
-  // Staged cross-tile effects, one list per source tile (commit_deferred).
-  std::vector<std::vector<DeferredOp>> deferred_;
 
   // CC response channel gating happens at the requester egress (one beat
   // per cycle across classes); request serialization is per class port.
@@ -231,10 +193,7 @@ class HierNetwork {
   // O(1) idle gate; the bitmaps enumerate exactly the non-empty wait-lists
   // (req: per egress port; rsp: per destination tile, with a per-dst count
   // of non-empty class lists; acks: per requester tile) in the same
-  // ascending order the old full scans used. All are maintained only in the
-  // serial phases (cycle / commit_deferred). The staged-op count is bumped
-  // from parallel send_* calls, hence atomic; the phase-boundary join orders
-  // those bumps before the serial read.
+  // ascending order the old full scans used.
   std::size_t req_wait_active_ = 0;
   std::size_t rsp_wait_active_ = 0;
   std::size_t acks_active_ = 0;
@@ -242,7 +201,6 @@ class HierNetwork {
   ActiveBitmap rsp_dst_map_;                      // dst tile -> any class wait non-empty
   std::vector<std::uint16_t> rsp_wait_cls_cnt_;   // [dst]: non-empty class waits
   ActiveBitmap acks_map_;                         // requester tile -> credits pending
-  std::atomic<std::size_t> deferred_ops_{0};
 
   // Statistics.
   Counter req_sent_;

@@ -42,7 +42,6 @@ std::vector<std::string> emit_suites(const ScenarioRegistry& reg,
 
   SweepOptions sweep;
   sweep.jobs = opts.jobs;
-  sweep.sim_threads = opts.sim_threads;
   sweep.stepping = opts.stepping;
   sweep.shard_threads = opts.shard_threads;
   unsigned done = 0;

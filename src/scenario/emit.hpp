@@ -27,9 +27,6 @@ namespace tcdm::scenario {
 struct EmitOptions {
   std::string out_dir;  // created if missing
   unsigned jobs = 1;    // 0 -> one worker per hardware thread
-  /// Tile-parallel stepping threads per cluster (see SweepOptions);
-  /// 0 keeps each spec's own setting. Emissions stay byte-identical.
-  unsigned sim_threads = 0;
   /// Shard threads for system scenarios (see SweepOptions); 0 keeps each
   /// spec's setting. Emissions are byte-identical at any value.
   unsigned shard_threads = 0;

@@ -54,7 +54,7 @@ const PowerBreakdown& ResultSet::power(const std::string& rel) const {
   return r == nullptr ? kEmpty : r->power;
 }
 
-ScenarioResult run_scenario(const ScenarioSpec& spec, unsigned sim_threads_override,
+ScenarioResult run_scenario(const ScenarioSpec& spec,
                             std::optional<SteppingMode> stepping_override,
                             ClusterCache* cache, unsigned shard_threads_override) {
   ScenarioResult r;
@@ -63,7 +63,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, unsigned sim_threads_overr
   try {
     const ClusterConfig cfg = spec.config();
     SimOptions sim = spec.opts.sim;
-    if (sim_threads_override > 0) sim.sim_threads = sim_threads_override;
     if (stepping_override) sim.stepping = *stepping_override;
     if (shard_threads_override > 0) sim.shard_threads = shard_threads_override;
     if (spec.system) {
@@ -114,8 +113,7 @@ std::vector<ScenarioResult> run_scenarios(const std::vector<const ScenarioSpec*>
   if (jobs <= 1) {
     ClusterCache cache;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      slots[i] = run_scenario(*specs[i], opts.sim_threads, opts.stepping, &cache,
-                              opts.shard_threads);
+      slots[i] = run_scenario(*specs[i], opts.stepping, &cache, opts.shard_threads);
       if (opts.on_done) opts.on_done(slots[i]);
     }
   } else {
@@ -126,8 +124,7 @@ std::vector<ScenarioResult> run_scenarios(const std::vector<const ScenarioSpec*>
       for (;;) {
         const std::size_t i = next.fetch_add(1);
         if (i >= specs.size()) return;
-        slots[i] = run_scenario(*specs[i], opts.sim_threads, opts.stepping, &cache,
-                                opts.shard_threads);
+        slots[i] = run_scenario(*specs[i], opts.stepping, &cache, opts.shard_threads);
         if (opts.on_done) {
           const std::lock_guard<std::mutex> lock(done_mutex);
           opts.on_done(slots[i]);

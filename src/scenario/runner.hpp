@@ -23,20 +23,15 @@ namespace tcdm::scenario {
 struct SweepOptions {
   /// Worker threads; 0 means one per hardware thread, 1 runs inline.
   unsigned jobs = 1;
-  /// Tile-parallel stepping threads inside each scenario's cluster
-  /// (tcdm_run --sim-threads). 0 keeps each spec's RunnerOptions value; any
-  /// other value overrides it for every scenario of the sweep. Simulation
-  /// results are bit-identical at any setting, so this composes freely with
-  /// `jobs` — it trades scenario-level for intra-scenario parallelism.
-  unsigned sim_threads = 0;
   /// Time-advance strategy override (tcdm_run --stepping). Unset keeps each
   /// spec's SimOptions value (event-driven unless a caller changed it); set,
   /// it applies to every scenario of the sweep. Bit-identical either way.
   std::optional<SteppingMode> stepping;
   /// Shard threads for system scenarios (tcdm_run --shard-threads): the N
-  /// clusters of a "system" block step concurrently between global sync
-  /// points. 0 keeps each spec's setting; cluster-only scenarios ignore it.
-  /// Bit-identical to serial at any value (docs/CONCURRENCY.md, S1-S3).
+  /// clusters of a "system" block run their kernels concurrently. 0 keeps
+  /// each spec's SimOptions value (serial unless a caller changed it);
+  /// cluster-only scenarios ignore it. Bit-identical to serial at any value
+  /// (docs/CONCURRENCY.md, S1-S3).
   unsigned shard_threads = 0;
   /// Progress callback, invoked as each scenario finishes (serialized; may
   /// be called from worker threads but never concurrently).
@@ -45,15 +40,13 @@ struct SweepOptions {
 
 /// Run one scenario on a fresh cluster. Never throws: failures (exceptions,
 /// timeouts, failed expected verification) land in ScenarioResult::error.
-/// `sim_threads_override` > 0 replaces the spec's RunnerOptions sim_threads;
-/// a set `stepping_override` replaces its stepping mode;
+/// A set `stepping_override` replaces the spec's stepping mode;
 /// `shard_threads_override` > 0 replaces the shard count of a system
 /// scenario (ignored otherwise). With a non-null `cache`, the cluster is
 /// drawn from it (reset-reuse per config shape — bit-identical results,
 /// docs/ARCHITECTURE.md P2) instead of constructed; the cache must not be
 /// shared across threads.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec,
-                                          unsigned sim_threads_override = 0,
                                           std::optional<SteppingMode> stepping_override = {},
                                           ClusterCache* cache = nullptr,
                                           unsigned shard_threads_override = 0);

@@ -274,10 +274,6 @@ Json runner_options_to_json(const RunnerOptions& o) {
   j.set("verify", o.verify);
   j.set("max_cycles", static_cast<unsigned long long>(o.max_cycles));
   j.set("watchdog_window", static_cast<unsigned long long>(o.watchdog_window));
-  j.set("sim_threads", o.sim.sim_threads);
-  // Omitted at the default (0 = defer to the system block): documents and
-  // config hashes written before the shard axis existed stay byte-stable.
-  if (o.sim.shard_threads != 0) j.set("shard_threads", o.sim.shard_threads);
   return j;
 }
 
@@ -295,13 +291,9 @@ RunnerOptions runner_options_from_json(const Json& j, const std::string& path) {
       }
       (key == "max_cycles" ? o.max_cycles : o.watchdog_window) =
           static_cast<Cycle>(val.as_double());
-    } else if (key == "sim_threads" || key == "shard_threads") {
-      if (!val.is_uint()) spec_error(p, "expected a non-negative integer");
-      (key == "sim_threads" ? o.sim.sim_threads : o.sim.shard_threads) =
-          static_cast<unsigned>(val.as_double());
     } else {
       spec_error(p, "unknown key (options take verify, max_cycles, "
-                    "watchdog_window, sim_threads, shard_threads)");
+                    "watchdog_window)");
     }
   }
   return o;

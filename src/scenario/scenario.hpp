@@ -119,7 +119,7 @@ struct KernelSpec {
   [[nodiscard]] static const std::vector<std::string>& kinds();
 };
 
-/// RunnerOptions <-> JSON: verify, max_cycles, watchdog_window, sim_threads.
+/// RunnerOptions <-> JSON: verify, max_cycles, watchdog_window.
 /// Strict on unknown keys, same error convention as the config parsers.
 [[nodiscard]] Json runner_options_to_json(const RunnerOptions& o);
 [[nodiscard]] RunnerOptions runner_options_from_json(

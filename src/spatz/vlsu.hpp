@@ -13,10 +13,9 @@
 // counted in `outstanding_stores` and acknowledged out of the response
 // network; barriers wait for the counter to drain.
 //
-// issue()/dispatch run inside the tile-parallel core phase: everything here
-// is per-core state, and the network hand-off (via TileServices) only
-// mutates per-source ports immediately — cross-tile effects are staged by
-// HierNetwork and committed at the phase boundary (see network.hpp).
+// issue()/dispatch run inside the core phase: everything here is per-core
+// state, and the network hand-off goes through TileServices (see
+// network.hpp).
 #pragma once
 
 #include <array>

@@ -1,6 +1,7 @@
 #include "src/system/system.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -33,34 +34,17 @@ System::System(const SystemConfig& sys, const ClusterConfig& cluster_cfg,
         std::to_string(cluster_cfg.bank_words) + " words = " +
         std::to_string(tcdm_words) + " words)");
   }
-  // SimOptions takes precedence over the scenario's system.shard_threads;
-  // 0 in both places means hardware concurrency resp. serial. Clamp to the
-  // cluster count — extra shard threads would only park.
-  unsigned shards = sim.shard_threads != 0 ? sim.shard_threads : cfg_.shard_threads;
-  if (shards == 0) shards = std::max(1u, std::thread::hardware_concurrency());
-  shard_threads_ = std::min(shards, cfg_.num_clusters);
-
-  // Each cluster's tile pool shares the one --sim-threads budget with the
-  // shard threads: S shards each driving T-thread pools would demand S*T
-  // cores, so split the budget instead (the sim_threads value never changes
-  // simulated results, only host throughput).
-  SimOptions per_cluster = sim;
-  if (shard_threads_ > 1) {
-    const unsigned budget = sim.sim_threads != 0
-                                ? sim.sim_threads
-                                : std::max(1u, std::thread::hardware_concurrency());
-    per_cluster.sim_threads = std::max(1u, budget / shard_threads_);
-  }
+  // Extra shard threads beyond the cluster count would only idle.
+  shard_threads_ = std::clamp(sim.shard_threads, 1u, cfg_.num_clusters);
   clusters_.reserve(cfg_.num_clusters);
   for (unsigned c = 0; c < cfg_.num_clusters; ++c) {
-    clusters_.push_back(std::make_unique<Cluster>(cluster_cfg, per_cluster));
+    clusters_.push_back(std::make_unique<Cluster>(cluster_cfg, sim));
   }
   global_barrier_ = make_barrier(cfg_.barrier_kind, cfg_.num_clusters,
                                  cfg_.barrier_link_latency, cfg_.barrier_radix);
   dma_.resize(cfg_.num_clusters);
   halt_at_.assign(cfg_.num_clusters, kNoCycle);
   faults_.resize(cfg_.num_clusters);
-  if (shard_threads_ > 1) shards_ = std::make_unique<ShardExecutor>(shard_threads_);
 }
 
 void System::run_kernels(Cycle budget_end) {
@@ -74,11 +58,20 @@ void System::run_kernels(Cycle budget_end) {
       faults_[c] = std::current_exception();  // rethrown in order below (S3)
     }
   };
+  // Fork-join: the caller and shard_threads_ - 1 helpers take cluster
+  // indices from one cursor. run_one captures every fault, so nothing
+  // escapes a thread, and the helpers join at the end of the block, before
+  // anything reads the clusters (S1).
   const unsigned n = num_clusters();
-  if (shards_ != nullptr) {
-    shards_->run(n, run_one);
-  } else {
-    for (unsigned c = 0; c < n; ++c) run_one(c);
+  std::atomic<unsigned> cursor{0};
+  const auto drain = [&] {
+    for (unsigned c = cursor++; c < n; c = cursor++) run_one(c);
+  };
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(shard_threads_ - 1);
+    for (unsigned t = 1; t < shard_threads_; ++t) helpers.emplace_back(drain);
+    drain();
   }
   check_kernel_span(budget_end);
 
@@ -98,11 +91,6 @@ void System::run_kernels(Cycle budget_end) {
 }
 
 void System::check_kernel_span(Cycle budget_end) const {
-  if (shards_ != nullptr && shards_->in_span()) {
-    throw std::logic_error(
-        "S2 violation (serial-phase ordering, docs/CONCURRENCY.md): the system "
-        "loop was entered while a shard span is still active");
-  }
   for (unsigned c = 0; c < num_clusters(); ++c) {
     const Cycle now = clusters_[c]->now();
     if (halt_at_[c] == kNoCycle && !faults_[c] && now != budget_end) {

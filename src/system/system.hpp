@@ -26,11 +26,12 @@
 // every stepping mode.
 // Results are bit-identical to stepping every cluster every cycle.
 //
-// With shard_threads > 1 the kernel phase is one ShardExecutor span per
-// run(), under docs/CONCURRENCY.md S1-S3: the span joins with every
+// With shard_threads > 1 the kernel phase is one fork-join per run():
+// shard_threads - 1 helper threads plus the caller take clusters from a
+// shared cursor, under docs/CONCURRENCY.md S1-S3: the join leaves every
 // cluster halted, faulted or at the budget (S1), the system loop is serial
 // (S2), and the earliest fault cycle surfaces, ties to the lowest index
-// (S3). Any shard_threads x sim_threads combination is bit-identical.
+// (S3). Any shard_threads value is bit-identical.
 //
 // N == 1 degenerates to exactly Cluster::run — same cycles, same stats.
 #pragma once
@@ -40,7 +41,6 @@
 #include <vector>
 
 #include "src/cluster/cluster.hpp"
-#include "src/common/shard_executor.hpp"
 #include "src/system/system_config.hpp"
 
 namespace tcdm {
@@ -64,9 +64,8 @@ class System {
   [[nodiscard]] Barrier& global_barrier() noexcept { return *global_barrier_; }
   [[nodiscard]] Cycle now() const noexcept { return now_; }
   [[nodiscard]] SteppingMode stepping() const noexcept { return stepping_; }
-  /// Shard threads the run loop actually uses, after resolving the
-  /// SimOptions/SystemConfig precedence and clamping to the cluster count;
-  /// 1 means the kernel phase runs the clusters one after another.
+  /// Shard threads the kernel phase actually uses: SimOptions::shard_threads
+  /// clamped to [1, num_clusters()]; 1 runs the clusters one after another.
   [[nodiscard]] unsigned shard_threads() const noexcept { return shard_threads_; }
 
   /// Back to the just-constructed state without reallocating anything:
@@ -122,8 +121,8 @@ class System {
   /// Kernel phase: every cluster not yet halted runs alone to its halt,
   /// fault or `budget_end`; rethrows the earliest fault (S3).
   void run_kernels(Cycle budget_end);
-  /// S1/S2 tripwire after the kernel span: it has joined, and every
-  /// cluster has halted, faulted or reached `budget_end`.
+  /// S1 tripwire after the kernel span: every cluster has halted, faulted
+  /// or reached `budget_end`.
   void check_kernel_span(Cycle budget_end) const;
   /// One system-loop cycle; returns true once the run is done.
   bool step();
@@ -138,7 +137,6 @@ class System {
   SteppingMode stepping_ = SteppingMode::kEventDriven;
   unsigned shard_threads_ = 1;
   std::vector<std::unique_ptr<Cluster>> clusters_;
-  std::unique_ptr<ShardExecutor> shards_;  // only when shard_threads_ > 1
   std::unique_ptr<Barrier> global_barrier_;
   std::vector<DmaEngine> dma_;
   std::vector<Cycle> halt_at_;  // per cluster: halt cycle, kNoCycle while running

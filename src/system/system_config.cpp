@@ -58,9 +58,6 @@ Json SystemConfig::to_json() const {
   j.set("l2_bandwidth_words", l2_bandwidth_words);
   j.set("dma_burst_len", dma_burst_len);
   j.set("dma_words", dma_words);
-  // Host knob, omitted at the default: pre-shard documents, config hashes
-  // and explore memo keys keep their exact canonical spelling.
-  if (shard_threads != 1) j.set("shard_threads", shard_threads);
   return j;
 }
 
@@ -97,8 +94,6 @@ SystemConfig SystemConfig::from_json(const Json& j, const std::string& path) {
       cfg.dma_burst_len = json_uint(val, p);
     } else if (key == "dma_words") {
       cfg.dma_words = json_uint(val, p);
-    } else if (key == "shard_threads") {
-      cfg.shard_threads = json_uint(val, p);
     } else {
       cfg_error(p, "unknown key");
     }

@@ -46,16 +46,6 @@ struct SystemConfig {
   /// kernel phase; 0 disables the DMA phase (pure kernel + global sync).
   unsigned dma_words = 0;
 
-  // ---- host execution (not part of the modeled hardware) ----
-  /// Shard threads System::run() runs the clusters' kernel phase on: 1
-  /// (default) runs them one after another on the calling thread, 0
-  /// resolves to the hardware concurrency; the effective count is clamped
-  /// to num_clusters. A host knob, never an architecture parameter —
-  /// results are bit-identical at any value (docs/CONCURRENCY.md, S1-S3),
-  /// explore config hashes exclude it, and to_json omits it at the
-  /// default so existing documents keep their canonical spelling.
-  unsigned shard_threads = 1;
-
   /// NoC depth of the radix tree between a cluster and the L2.
   [[nodiscard]] unsigned noc_hops() const noexcept {
     unsigned hops = 1;

@@ -65,20 +65,16 @@ std::vector<SpmBank> patterned_banks(unsigned num_banks, unsigned rows) {
 
 // ------------------------------------------------------ kernel run helpers --
 
-KernelMetrics run_capped(const ClusterConfig& cfg, Kernel& k, Cycle max_cycles,
-                         unsigned sim_threads) {
+KernelMetrics run_capped(const ClusterConfig& cfg, Kernel& k, Cycle max_cycles) {
   RunnerOptions opts;
   opts.max_cycles = max_cycles;
-  opts.sim.sim_threads = sim_threads;
   return run_kernel(cfg, k, opts);
 }
 
-KernelMetrics run_unverified(const ClusterConfig& cfg, Kernel& k, Cycle max_cycles,
-                             unsigned sim_threads) {
+KernelMetrics run_unverified(const ClusterConfig& cfg, Kernel& k, Cycle max_cycles) {
   RunnerOptions opts;
   opts.verify = false;
   opts.max_cycles = max_cycles;
-  opts.sim.sim_threads = sim_threads;
   return run_kernel(cfg, k, opts);
 }
 

@@ -84,16 +84,12 @@ class BurstSweepTest : public ::testing::TestWithParam<unsigned> {
 // ------------------------------------------------------ kernel run helpers --
 
 /// Run a kernel with verification on, under the suite-wide cycle cap.
-/// `sim_threads` selects tile-parallel stepping (bit-identical at any
-/// value; 0 = hardware concurrency) — worth it only for big presets.
 [[nodiscard]] KernelMetrics run_capped(const ClusterConfig& cfg, Kernel& k,
-                                       Cycle max_cycles = 5'000'000,
-                                       unsigned sim_threads = 1);
+                                       Cycle max_cycles = 5'000'000);
 
 /// Run a probe/stream kernel with verification off (pure traffic pattern).
 [[nodiscard]] KernelMetrics run_unverified(const ClusterConfig& cfg, Kernel& k,
-                                           Cycle max_cycles = 3'000'000,
-                                           unsigned sim_threads = 1);
+                                           Cycle max_cycles = 3'000'000);
 
 // --------------------------------------------- golden-output comparison ----
 

@@ -4,8 +4,6 @@
 // of the closed-form hierarchical average.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <thread>
 
 #include "src/analytics/bandwidth_model.hpp"
 #include "src/kernels/probes.hpp"
@@ -15,9 +13,9 @@ namespace tcdm {
 namespace {
 
 KernelMetrics probe(const ClusterConfig& cfg, RandomProbeKernel::Pattern pattern,
-                    unsigned iters = 128, unsigned sim_threads = 1) {
+                    unsigned iters = 128) {
   RandomProbeKernel k(iters, pattern);
-  return test::run_unverified(cfg, k, 3'000'000, sim_threads);
+  return test::run_unverified(cfg, k);
 }
 
 TEST(Bandwidth, LocalTileTrafficNearsPeak) {
@@ -67,16 +65,7 @@ TEST_P(UniformProbeVsModel, WithinContentionBandOfTable1) {
   const unsigned eff_gf = gf == 0 ? 1 : gf;
   const double analytic =
       model::hier_avg_bw(cfg.num_cores(), cfg.vlsu_ports, eff_gf);
-  // The MP128Spatz8 rows run at full probe length on the tile-parallel
-  // stepping engine (one sim thread per hardware core; results are
-  // bit-identical to serial, so only wall-clock changes). A single-core
-  // host gets no parallel payback, so it runs a shorter — but still double
-  // the old 32-iteration — probe to keep the suite's wall-clock bounded.
-  const bool big = cfg.num_cores() >= 128;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned iters = big && hw == 1 ? 64 : 128;
-  const KernelMetrics m =
-      probe(cfg, RandomProbeKernel::Pattern::kUniform, iters, big ? 0 : 1);
+  const KernelMetrics m = probe(cfg, RandomProbeKernel::Pattern::kUniform);
   // The RTL paper also measures below the closed form (its Fig. 3 dashed
   // lines sit at 70-85% of Table I); accept a 50%..110% band.
   EXPECT_GT(m.bw_per_core, 0.50 * analytic) << cfg.name;

@@ -169,11 +169,6 @@ class FakeTile final : public TileServices {
   const AddressMap& map() const override { return map_; }
   TileId tile_id() const override { return 0; }
 
-  /// Cross-tile network effects (wait-list registration, shared counters)
-  /// are staged per source tile for tile-parallel stepping; commit them the
-  /// way the cluster does at a phase boundary before inspecting stats.
-  void commit_network() { net_.commit_deferred(); }
-
   std::vector<std::pair<unsigned, BankReq>> local_pushes;
   bool accept_local = true;
   AddressMap map_;
@@ -203,7 +198,6 @@ TEST(BurstSender, CoalescesRemoteUnitStrideLoad) {
   ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), 0));
   sender.dispatch(0, tile);
   EXPECT_TRUE(tile.local_pushes.empty());
-  tile.commit_network();
   EXPECT_EQ(stats.value("network.req_sent"), 1.0);   // one burst request
   EXPECT_EQ(stats.value("network.req_words"), 4.0);  // carrying 4 words
   // Burst table resolves ports/slots by word offset.
@@ -232,7 +226,6 @@ TEST(BurstSender, DisabledModeSendsNarrow) {
   sender.dispatch(1, tile);
   sender.dispatch(2, tile);
   sender.dispatch(3, tile);
-  tile.commit_network();
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);  // serialized narrow words
   EXPECT_EQ(stats.value("network.req_words"), 4.0);
 }
@@ -245,7 +238,6 @@ TEST(BurstSender, StoresNeverBurst) {
   b.unit_stride_load = false;  // stores are not burst-eligible
   ASSERT_TRUE(sender.accept_beat(b, tile.map(), 0));
   for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
-  tile.commit_network();
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);
 }
 
@@ -257,7 +249,6 @@ TEST(BurstSender, SplitsAtTileBoundary) {
   ASSERT_TRUE(sender.accept_beat(unit_beat(24, 4), tile.map(), 0));
   sender.dispatch(0, tile);
   // Two bursts of two words each; distinct classes -> both sent in cycle 0.
-  tile.commit_network();
   EXPECT_EQ(stats.value("network.req_sent"), 2.0);
   EXPECT_EQ(stats.value("network.req_words"), 4.0);
 }
@@ -273,7 +264,6 @@ TEST(BurstSender, ExtendsTailAcrossBeats) {
   ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), map8, 0));
   ASSERT_TRUE(sender.accept_beat(unit_beat(48, 4), map8, 0));
   sender.dispatch(0, tile);  // FakeTile's own map differs; only count sends
-  tile.commit_network();
   EXPECT_EQ(stats.value("network.req_sent"), 1.0);
   EXPECT_EQ(stats.value("network.req_words"), 8.0);
   EXPECT_EQ(sender.lookup(0, 7).rob_slot, 3u);  // second beat's slots appended
@@ -288,7 +278,6 @@ TEST(BurstSender, TableExhaustionDegradesToNarrow) {
   ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), 0));  // takes the entry
   ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), tile.map(), 0));  // degrades
   for (Cycle c = 0; c < 8; ++c) sender.dispatch(c, tile);
-  tile.commit_network();
   EXPECT_EQ(stats.value("network.req_sent"), 5.0);  // 1 burst + 4 narrow
 }
 

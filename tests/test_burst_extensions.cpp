@@ -36,11 +36,6 @@ class FakeTile final : public TileServices {
   const AddressMap& map() const override { return map_; }
   TileId tile_id() const override { return 0; }
 
-  /// Cross-tile network effects (wait-list registration, shared counters)
-  /// are staged per source tile for tile-parallel stepping; commit them the
-  /// way the cluster does at a phase boundary before inspecting stats.
-  void commit_network() { net_.commit_deferred(); }
-
   std::vector<std::pair<unsigned, BankReq>> local_pushes;
   AddressMap map_;
   Topology topo_;
@@ -83,7 +78,6 @@ TEST(StridedBurstSender, CoalescesStride2AcrossTwoTiles) {
   // Elements at words 4,6,8,10: banks 4,6 (tile 1) and 8,10 (tile 2).
   ASSERT_TRUE(sender.accept_beat(strided_beat(16, 4, 2), tile.map(), 0));
   sender.dispatch(0, tile);
-  tile.commit_network();
   EXPECT_EQ(stats.value("network.req_sent"), 2.0);  // one burst per tile
   EXPECT_EQ(stats.value("network.req_words"), 4.0);
   // Table offsets are element indices regardless of stride.
@@ -99,7 +93,6 @@ TEST(StridedBurstSender, DisabledFlagFallsBackToNarrow) {
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
   ASSERT_TRUE(sender.accept_beat(strided_beat(16, 4, 2), tile.map(), 0));
   for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
-  tile.commit_network();
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);  // serialized narrow
 }
 
@@ -111,7 +104,6 @@ TEST(StridedBurstSender, StrideAtTileSpanStaysNarrow) {
   // stride 4 == banks_per_tile: every element lands in a different tile.
   ASSERT_TRUE(sender.accept_beat(strided_beat(16, 3, 4), tile.map(), 0));
   for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
-  tile.commit_network();
   EXPECT_EQ(stats.value("network.req_sent"), 3.0);
   EXPECT_EQ(stats.value("network.req_words"), 3.0);
 }
@@ -123,7 +115,6 @@ TEST(StoreBurstSender, CoalescesRemoteUnitStrideStore) {
       {.enable_bursts = true, .enable_store_bursts = true, .max_burst_len = 4}, 4);
   ASSERT_TRUE(sender.accept_beat(store_beat(16, 4), tile.map(), 0));
   sender.dispatch(0, tile);
-  tile.commit_network();
   EXPECT_EQ(stats.value("network.req_sent"), 1.0);
   EXPECT_EQ(stats.value("network.req_words"), 4.0);
   EXPECT_FALSE(sender.busy());  // write bursts hold no table entry
@@ -135,7 +126,6 @@ TEST(StoreBurstSender, DisabledFlagKeepsStoresNarrow) {
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
   ASSERT_TRUE(sender.accept_beat(store_beat(16, 4), tile.map(), 0));
   for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
-  tile.commit_network();
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);
 }
 

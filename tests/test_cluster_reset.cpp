@@ -1,8 +1,8 @@
 // Reset-reuse determinism (hot-path rule P2, docs/ARCHITECTURE.md): a run
 // on a dirtied-then-reset() cluster must be bit-identical — metrics, every
 // statistics counter, and the full TCDM image — to the same run on a
-// freshly constructed cluster, across baseline/GF2/GF4 presets, serial and
-// tile-parallel stepping, and all three stepping modes. This is the
+// freshly constructed cluster, across baseline/GF2/GF4 presets and all
+// three stepping modes. This is the
 // contract that lets the scenario runners keep one pooled cluster per
 // config shape (ClusterCache) instead of paying construction per scenario.
 #include <gtest/gtest.h>
@@ -84,45 +84,19 @@ void check_reset_identity(const ClusterConfig& cfg, const SimOptions& sim) {
   expect_identical(ref, got);
 }
 
-TEST_P(ResetIdentity, SerialEventDriven) {
-  check_reset_identity(config(), SimOptions{1, SteppingMode::kEventDriven});
+TEST_P(ResetIdentity, EventDriven) {
+  check_reset_identity(config(), SimOptions{SteppingMode::kEventDriven});
 }
 
-TEST_P(ResetIdentity, SerialCycleByCycle) {
-  check_reset_identity(config(), SimOptions{1, SteppingMode::kCycleByCycle});
+TEST_P(ResetIdentity, CycleByCycle) {
+  check_reset_identity(config(), SimOptions{SteppingMode::kCycleByCycle});
 }
 
-TEST_P(ResetIdentity, SerialCrossCheck) {
-  check_reset_identity(config(), SimOptions{1, SteppingMode::kCrossCheck});
-}
-
-TEST_P(ResetIdentity, FourSimThreadsEventDriven) {
-  check_reset_identity(config(), SimOptions{4, SteppingMode::kEventDriven});
-}
-
-TEST_P(ResetIdentity, FourSimThreadsCycleByCycle) {
-  check_reset_identity(config(), SimOptions{4, SteppingMode::kCycleByCycle});
+TEST_P(ResetIdentity, CrossCheck) {
+  check_reset_identity(config(), SimOptions{SteppingMode::kCrossCheck});
 }
 
 TCDM_INSTANTIATE_BURST_SWEEP(ResetIdentity);
-
-TEST(ResetIdentity, ThreadedMatchesSerialAfterReset) {
-  // Cross-axis check: a reset-reused serial run and a reset-reused
-  // 4-thread run of the same kernel are bit-identical to each other.
-  const ClusterConfig cfg = mp4_config(4);
-  RunImage imgs[2];
-  const unsigned threads[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    Cluster cluster(cfg, SimOptions{threads[i], SteppingMode::kEventDriven});
-    DotpKernel dirt(256);
-    RunnerOptions opts;
-    (void)run_kernel_on(cluster, dirt, opts);
-    cluster.reset();
-    AxpyKernel kernel(768, 1.25f, 11);
-    imgs[i] = capture(cluster, kernel);
-  }
-  expect_identical(imgs[0], imgs[1]);
-}
 
 // ------------------------------------------------------------- ClusterCache
 
@@ -137,15 +111,13 @@ TEST(ClusterCache, ReusesClusterForSameShape) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-TEST(ClusterCache, ShapeKeyIncludesSimOptions) {
+TEST(ClusterCache, ShapeKeyIncludesSteppingMode) {
   ClusterCache cache;
   const ClusterConfig cfg = mp4_config(2);
-  Cluster& serial = cache.acquire(cfg, SimOptions{1, SteppingMode::kEventDriven});
-  Cluster& threaded = cache.acquire(cfg, SimOptions{4, SteppingMode::kEventDriven});
-  Cluster& cyclewise = cache.acquire(cfg, SimOptions{1, SteppingMode::kCycleByCycle});
-  EXPECT_NE(&serial, &threaded);
-  EXPECT_NE(&serial, &cyclewise);
-  EXPECT_EQ(cache.misses(), 3u);
+  Cluster& eventwise = cache.acquire(cfg, SimOptions{SteppingMode::kEventDriven});
+  Cluster& cyclewise = cache.acquire(cfg, SimOptions{SteppingMode::kCycleByCycle});
+  EXPECT_NE(&eventwise, &cyclewise);
+  EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), 0u);
 }
 

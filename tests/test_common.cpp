@@ -15,7 +15,6 @@
 #include "src/common/sim_time.hpp"
 #include "src/common/stats.hpp"
 #include "src/common/timed_queue.hpp"
-#include "src/common/worker_pool.hpp"
 #include "tests/support/test_support.hpp"
 
 namespace tcdm {
@@ -209,32 +208,6 @@ TEST(BitUtilDeathTest, Log2FloorOfZeroAsserts) {
   EXPECT_DEATH((void)log2_floor(0), "v != 0");
 }
 #endif
-
-TEST(WorkerPool, RunsEveryIndexExactlyOnce) {
-  WorkerPool pool(4);
-  EXPECT_EQ(pool.threads(), 4u);
-  std::vector<std::atomic<unsigned>> hits(137);
-  pool.parallel_for(137, [&](unsigned i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1u);
-}
-
-TEST(WorkerPool, BackToBackPhasesSeePriorWrites) {
-  // The pool is a fork-join barrier: writes from one parallel_for must be
-  // visible to the next (this is what the phase-commit protocol relies on).
-  WorkerPool pool(3);
-  std::vector<unsigned> data(64, 0);
-  for (unsigned round = 1; round <= 50; ++round) {
-    pool.parallel_for(64, [&](unsigned i) { data[i] += 1; });
-  }
-  for (unsigned v : data) EXPECT_EQ(v, 50u);
-}
-
-TEST(WorkerPool, SingleThreadRunsInline) {
-  WorkerPool pool(1);
-  unsigned sum = 0;  // no synchronization: everything runs on this thread
-  pool.parallel_for(100, [&](unsigned i) { sum += i; });
-  EXPECT_EQ(sum, 4950u);
-}
 
 TEST(BitUtil, BitReverseInvolution) {
   for (unsigned bits = 1; bits <= 12; ++bits) {

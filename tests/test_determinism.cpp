@@ -2,10 +2,7 @@
 // (configuration, kernel, seed). Every run of the same workload must
 // produce identical cycle counts AND identical derived metrics, on every
 // configuration class we ship — this is the guard rail future
-// parallelization or event-reordering refactors have to pass. The
-// ThreadedStepping tests extend the contract across `SimOptions`: a
-// tile-parallel run at any sim_threads count must be bit-identical to the
-// serial run — same metrics, same statistics registry, same final memory.
+// parallelization or event-reordering refactors have to pass.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -95,82 +92,6 @@ TEST(Determinism, ExtensionConfigsRepeatExactly) {
     const KernelMetrics b = run_capped(cfg, k2);
     ASSERT_KERNEL_OK(a);
     expect_identical(a, b);
-  }
-}
-
-/// Compare two clusters word for word over the whole TCDM address space.
-void expect_identical_memory(const Cluster& a, const Cluster& b) {
-  const AddressMap& map = a.map();
-  ASSERT_EQ(map.total_bytes(), b.map().total_bytes());
-  unsigned mismatches = 0;
-  for (Addr addr = 0; addr < map.total_bytes(); addr += kWordBytes) {
-    if (a.read_word(addr) != b.read_word(addr)) {
-      ++mismatches;
-      EXPECT_EQ(a.read_word(addr), b.read_word(addr)) << "addr=" << addr;
-      if (mismatches > 4) FAIL() << "too many memory mismatches; stopping";
-    }
-  }
-}
-
-/// Run the same seeded kernel serially and at sim_threads = 4 and demand
-/// bit-identical outcomes: metrics, every statistics counter, and the full
-/// final memory image.
-template <typename KernelT, typename... Args>
-void expect_thread_count_invariant(const ClusterConfig& cfg, bool verify,
-                                   Args&&... kernel_args) {
-  KernelT k_serial(kernel_args...), k_par(kernel_args...);
-  RunnerOptions opts;
-  opts.verify = verify;
-  opts.max_cycles = 5'000'000;
-
-  Cluster serial(cfg, SimOptions{.sim_threads = 1});
-  const KernelMetrics a = run_kernel_on(serial, k_serial, opts);
-
-  Cluster parallel(cfg, SimOptions{.sim_threads = 4});
-  ASSERT_GT(parallel.sim_threads(), 1u);
-  const KernelMetrics b = run_kernel_on(parallel, k_par, opts);
-
-  EXPECT_FALSE(a.timed_out);
-  expect_identical(a, b);
-  // The statistics registries must agree on every counter — names and
-  // bit-exact values (shared network counters commit in tile order at any
-  // thread count).
-  EXPECT_EQ(serial.stats().snapshot(), parallel.stats().snapshot());
-  expect_identical_memory(serial, parallel);
-}
-
-using ThreadedSteppingOnConfig = test::BurstSweepTest;
-
-TEST_P(ThreadedSteppingOnConfig, DotpMatchesSerialBitForBit) {
-  expect_thread_count_invariant<DotpKernel>(config(), /*verify=*/true, 1024u,
-                                            /*seed=*/9);
-}
-
-TEST_P(ThreadedSteppingOnConfig, RandomProbeMatchesSerialBitForBit) {
-  // The probe stresses the contended remote paths (wait-list registration,
-  // burst beats, store acks) where commit ordering could diverge.
-  expect_thread_count_invariant<RandomProbeKernel>(
-      config(), /*verify=*/false, 96u, RandomProbeKernel::Pattern::kUniform,
-      /*seed=*/5);
-}
-
-TCDM_INSTANTIATE_BURST_SWEEP(ThreadedSteppingOnConfig);
-
-TEST(ThreadedStepping, ThreadCountsTwoThroughEightAgree) {
-  // Beyond 1-vs-4: every thread count (including one above the tile count,
-  // which clamps) must yield the same run.
-  const ClusterConfig cfg = mp4_config(4);
-  KernelMetrics base;
-  for (unsigned threads : {1u, 2u, 3u, 8u}) {
-    DotpKernel k(512, /*seed=*/3);
-    const KernelMetrics m =
-        test::run_capped(cfg, k, 5'000'000, threads);
-    ASSERT_KERNEL_OK(m);
-    if (threads == 1) {
-      base = m;
-    } else {
-      expect_identical(base, m);
-    }
   }
 }
 

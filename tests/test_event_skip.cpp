@@ -2,23 +2,18 @@
 // next-event skip loop must be bit-identical to the cycle-by-cycle
 // reference — same metrics, same statistics registry (apart from the sim.*
 // bookkeeping counters), same final TCDM memory image — across the
-// baseline/GF2/GF4 interconnects and at any sim_threads count, including
-// the deadlock-diagnostic and max-cycles-timeout exits. The kCrossCheck
-// mode is the suite's fault detector: a fabricated too-late
-// earliest_wakeup (exactly the bug class invariant EV1 forbids) must be
-// caught and reported by invariant name. The WorkerPool tests pin the
-// no-dispatch contract a skip jump relies on when it lands on a
-// near-empty cycle.
+// baseline/GF2/GF4 interconnects, including the deadlock-diagnostic and
+// max-cycles-timeout exits. The kCrossCheck mode is the suite's fault
+// detector: a fabricated too-late earliest_wakeup (exactly the bug class
+// invariant EV1 forbids) must be caught and reported by invariant name.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/cluster/cluster.hpp"
 #include "src/common/sim_time.hpp"
-#include "src/common/worker_pool.hpp"
 #include "src/kernels/dotp.hpp"
 #include "tests/support/test_support.hpp"
 
@@ -53,12 +48,9 @@ struct ModeRun {
   Cycle end_cycle = 0;
 };
 
-ModeRun run_dotp(const ClusterConfig& cfg, SteppingMode mode, unsigned sim_threads) {
+ModeRun run_dotp(const ClusterConfig& cfg, SteppingMode mode) {
   DotpKernel k(1024, /*seed=*/7);
-  SimOptions sim;
-  sim.sim_threads = sim_threads;
-  sim.stepping = mode;
-  Cluster cluster(cfg, sim);
+  Cluster cluster(cfg, SimOptions{mode});
   RunnerOptions opts;
   ModeRun r;
   r.metrics = run_kernel_on(cluster, k, opts);
@@ -82,16 +74,13 @@ void expect_identical_runs(const ModeRun& a, const ModeRun& b) {
   EXPECT_EQ(a.memory, b.memory);
 }
 
-/// (grouping factor, sim_threads): the interconnect sweep crossed with
-/// serial and tile-parallel stepping — skipping must compose with both.
-using GfThreads = std::tuple<unsigned, unsigned>;
-using EventSkipSweep = ::testing::TestWithParam<GfThreads>;
+/// The interconnect sweep by grouping factor (0 = no bursts).
+using EventSkipSweep = ::testing::TestWithParam<unsigned>;
 
 TEST_P(EventSkipSweep, EventDrivenRunIsBitIdenticalToCycleByCycle) {
-  const auto [gf, threads] = GetParam();
-  const ClusterConfig cfg = mp4_config(gf);
-  const ModeRun event = run_dotp(cfg, SteppingMode::kEventDriven, threads);
-  const ModeRun cycle = run_dotp(cfg, SteppingMode::kCycleByCycle, threads);
+  const ClusterConfig cfg = mp4_config(GetParam());
+  const ModeRun event = run_dotp(cfg, SteppingMode::kEventDriven);
+  const ModeRun cycle = run_dotp(cfg, SteppingMode::kCycleByCycle);
   ASSERT_TRUE(event.metrics.verified);
   expect_identical_runs(event, cycle);
   // The workload has real quiet spans (barrier releases, drain tails): the
@@ -101,26 +90,21 @@ TEST_P(EventSkipSweep, EventDrivenRunIsBitIdenticalToCycleByCycle) {
 }
 
 TEST_P(EventSkipSweep, CrossCheckModeValidatesEverySkipAndMatches) {
-  const auto [gf, threads] = GetParam();
-  const ClusterConfig cfg = mp4_config(gf);
+  const ClusterConfig cfg = mp4_config(GetParam());
   // kCrossCheck steps every claimed-quiet span cycle by cycle, throwing on
   // any EV1/EV2 violation — a clean completion is a proof that every skip
   // the event mode would take is sound on this workload.
-  const ModeRun check = run_dotp(cfg, SteppingMode::kCrossCheck, threads);
-  const ModeRun cycle = run_dotp(cfg, SteppingMode::kCycleByCycle, threads);
+  const ModeRun check = run_dotp(cfg, SteppingMode::kCrossCheck);
+  const ModeRun cycle = run_dotp(cfg, SteppingMode::kCycleByCycle);
   ASSERT_TRUE(check.metrics.verified);
   expect_identical_runs(check, cycle);
   EXPECT_EQ(check.skipped, 0.0);  // check mode verifies skips, never takes them
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    BurstByThreads, EventSkipSweep,
-    ::testing::Combine(::testing::Values(0u, 2u, 4u), ::testing::Values(1u, 4u)),
-    [](const ::testing::TestParamInfo<GfThreads>& info) {
-      const unsigned gf = std::get<0>(info.param);
-      const unsigned threads = std::get<1>(info.param);
-      return (gf == 0 ? std::string("baseline") : "gf" + std::to_string(gf)) +
-             "_threads" + std::to_string(threads);
+    Burst, EventSkipSweep, ::testing::Values(0u, 2u, 4u),
+    [](const ::testing::TestParamInfo<unsigned>& info) {
+      return info.param == 0 ? std::string("baseline") : "gf" + std::to_string(info.param);
     });
 
 TEST(EventSkip, TooLateWakeupIsCaughtByCrossCheck) {
@@ -217,37 +201,6 @@ TEST(EventSkip, MaxCyclesTimeoutIsCycleIdentical) {
   EXPECT_EQ(std::get<2>(event), std::get<2>(cycle));
   EXPECT_EQ(std::get<4>(event), std::get<4>(cycle));
   EXPECT_GT(std::get<3>(event), 0.0);
-}
-
-TEST(WorkerPoolEpochs, EmptyAndSingleItemPhasesNeverWakeWorkers) {
-  // The contract the skip loop depends on: landing on a cycle where zero or
-  // one tiles have work must not publish an epoch (workers stay parked, no
-  // futex round-trip, nothing to re-park after the jump).
-  WorkerPool pool(4);
-  ASSERT_EQ(pool.epochs_dispatched(), 0u);
-  int inline_calls = 0;
-  pool.parallel_for(0, [&](unsigned) { ++inline_calls; });
-  EXPECT_EQ(inline_calls, 0);
-  EXPECT_EQ(pool.epochs_dispatched(), 0u);
-  pool.parallel_for(1, [&](unsigned) { ++inline_calls; });
-  EXPECT_EQ(inline_calls, 1);
-  EXPECT_EQ(pool.epochs_dispatched(), 0u);
-}
-
-TEST(WorkerPoolEpochs, MultiItemPhasesDispatchAndStillCompleteAfterIdle) {
-  WorkerPool pool(4);
-  std::atomic<int> ran{0};
-  pool.parallel_for(3, [&](unsigned) { ran.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(ran.load(), 3);
-  const std::uint64_t first = pool.epochs_dispatched();
-  EXPECT_GT(first, 0u);
-  // Interleave inline phases (a skip landing on near-empty cycles) with a
-  // full dispatch: the pool must re-wake cleanly after staying parked.
-  pool.parallel_for(1, [&](unsigned) { ran.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(pool.epochs_dispatched(), first);
-  pool.parallel_for(8, [&](unsigned) { ran.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(ran.load(), 12);
-  EXPECT_GT(pool.epochs_dispatched(), first);
 }
 
 }  // namespace

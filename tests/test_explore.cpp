@@ -67,7 +67,7 @@ TEST(ConfigHash, PresetSugarAndExplicitSpellingHashIdentically) {
   EXPECT_EQ(canonical_point_json(a).dump(), canonical_point_json(b).dump());
 }
 
-TEST(ConfigHash, SimThreadsDoesNotAffectTheKey) {
+TEST(ConfigHash, HostSimOptionsDoNotAffectTheKey) {
   FileScenario a;
   a.config = ClusterConfig::by_name("mp4spatz4");
   a.kernel = scenario::KernelSpec::from_json([] {
@@ -77,9 +77,34 @@ TEST(ConfigHash, SimThreadsDoesNotAffectTheKey) {
     return k;
   }());
   FileScenario b = a;
-  a.opts.sim.sim_threads = 1;
-  b.opts.sim.sim_threads = 16;  // bit-identical results, so same key
+  b.opts.sim.stepping = SteppingMode::kCycleByCycle;  // bit-identical results,
+  b.opts.sim.shard_threads = 8;                       // so the same key
   EXPECT_EQ(canonical_key(a), canonical_key(b));
+}
+
+TEST(ConfigHash, KeysMatchTheRecordedSpelling) {
+  // Memo stores and checkpoints on disk are keyed by these digests, so a
+  // change to the canonical spelling would orphan every one of them. The
+  // literals were recorded before host thread counts left the options.
+  FileScenario cluster_point;
+  cluster_point.rel = "pinned";
+  cluster_point.config = ClusterConfig::by_name("mp4spatz4");
+  cluster_point.kernel = scenario::KernelSpec::from_json([] {
+    Json k;
+    k.set("kind", "dotp");
+    k.set("n", 1024);
+    return k;
+  }());
+  FileScenario system_point = cluster_point;
+  SystemConfig sys;
+  sys.name = "halo";
+  sys.num_clusters = 4;
+  sys.barrier_kind = BarrierKind::kTree;
+  sys.dma_words = 256;
+  system_point.system = sys;
+
+  EXPECT_EQ(canonical_key(cluster_point), "6791192223ec6776b422768b6a7646f4");
+  EXPECT_EQ(canonical_key(system_point), "8778a0ad38b4798c622fcc9e6a508260");
 }
 
 TEST(ConfigHash, EverySimulationRelevantFieldChangesTheKey) {
@@ -525,7 +550,7 @@ TEST(Explore, ReportIsIndependentOfJobsAndWaveScheduling) {
   serial.jobs = 1;
   ExploreOptions parallel;
   parallel.jobs = 8;
-  parallel.sim_threads = 2;
+  parallel.shard_threads = 2;
   EXPECT_EQ(report_json(suite, serial, run_explore(suite, serial)).dump(),
             report_json(suite, parallel, run_explore(suite, parallel)).dump());
 }

@@ -152,46 +152,6 @@ TEST_P(VectorFaultSweep, RemoteTileFaultIsAttributedToItsHart) {
   }
 }
 
-TEST_P(VectorFaultSweep, TileParallelSteppingSurfacesTheSameFault) {
-  // Under tile-parallel stepping a fault fires on a pool worker; it must
-  // surface on the caller as the same std::runtime_error a serial run
-  // throws (lowest faulting tile wins), never std::terminate. Two harts
-  // fault in the same cycle to pin down the tie-break.
-  auto faulting_cluster = [&](unsigned sim_threads) {
-    auto cluster = std::make_unique<Cluster>(config(), SimOptions{sim_threads});
-    cluster->set_watchdog_window(2000);
-    std::vector<Program> programs;
-    for (unsigned h = 0; h < cluster->config().num_cores(); ++h) {
-      const bool faults = h >= cluster->config().num_cores() - 2;
-      ProgramBuilder pb(faults ? "oob_remote" : "idle");
-      if (faults) {
-        pb.li(t0, static_cast<std::int32_t>(cluster->map().total_bytes()));
-        pb.li(t1, 4);
-        pb.vsetvli(t2, t1, Lmul::m1);
-        pb.vle32(VReg{0}, t0);
-      }
-      pb.halt();
-      programs.push_back(pb.build());
-    }
-    cluster->load_programs(std::move(programs));
-    return cluster;
-  };
-  const auto fault_message = [&](unsigned sim_threads) {
-    const auto cluster = faulting_cluster(sim_threads);
-    try {
-      (void)cluster->run(100'000);
-      ADD_FAILURE() << "expected a fault at sim_threads=" << sim_threads;
-      return std::string();
-    } catch (const std::runtime_error& e) {
-      return std::string(e.what());
-    }
-  };
-  const std::string serial = fault_message(1);
-  const std::string parallel = fault_message(4);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, parallel);
-}
-
 TCDM_INSTANTIATE_BURST_SWEEP(VectorFaultSweep);
 
 TEST(FaultHandling, RunawayLoopIsBoundedByMaxCycles) {

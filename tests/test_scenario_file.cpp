@@ -208,7 +208,6 @@ TEST(RunnerOptionsJson, RoundTripPreservesEveryField) {
   o.verify = false;
   o.max_cycles = 123456789;
   o.watchdog_window = 4242;
-  o.sim.sim_threads = 3;
   const RunnerOptions back = runner_options_from_json(runner_options_to_json(o));
   EXPECT_EQ(runner_options_to_json(o).dump(), runner_options_to_json(back).dump());
 }
@@ -351,6 +350,22 @@ TEST(ScenarioFile, MalformedDocumentsNameTheOffendingPath) {
                           "config": {"preset": "mp4spatz4"},
                           "kernel": {"kind": "dotp", "n": 64}}]})",
        "placeholder {typo} names no sweep parameter"},
+      // Host thread counts are command-line flags, not scenario fields.
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64},
+                          "options": {"sim_threads": 4}}]})",
+       "scenarios[0]/options/sim_threads: unknown key"},
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64},
+                          "options": {"shard_threads": 4}}]})",
+       "scenarios[0]/options/shard_threads: unknown key"},
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64},
+                          "system": {"num_clusters": 2, "shard_threads": 2}}]})",
+       "scenarios[0]/system/shard_threads: unknown key"},
       // A typo'd range must produce a diagnostic, not expand unboundedly.
       {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
            "scenarios": [{"name": "n{n}",

@@ -1,6 +1,6 @@
 // System layer (src/system/): N clusters over the modeled L2/NoC. Covers
 // the N == 1 degenerate identity with a bare Cluster run, bit-identical
-// determinism across sim-thread counts and all three stepping modes at
+// determinism across shard-thread counts and all three stepping modes at
 // N == 4, the P2 fresh-vs-reset identity, DMA payload accounting and
 // checksums, clusters halting at different cycles, monotone
 // aggregate-bandwidth weak scaling 1 -> 8, and cross-kind correctness of
@@ -102,22 +102,22 @@ TEST(SystemDeterminism, BitIdenticalAcrossThreadsAndSteppingModes) {
   const SystemConfig sys_cfg = small_system(4);
 
   // Reference: serial, cycle-by-cycle.
-  System ref(sys_cfg, cfg, SimOptions{1, SteppingMode::kCycleByCycle});
+  System ref(sys_cfg, cfg, SimOptions{SteppingMode::kCycleByCycle});
   const SystemImage ref_img = run_image(ref);
   ASSERT_FALSE(ref_img.metrics.timed_out);
   ASSERT_TRUE(ref_img.metrics.verified);
 
-  for (const unsigned threads : {1u, 4u}) {
+  for (const unsigned shards : {1u, 4u}) {
     for (const SteppingMode mode :
          {SteppingMode::kEventDriven, SteppingMode::kCycleByCycle,
           SteppingMode::kCrossCheck}) {
-      System sys(sys_cfg, cfg, SimOptions{threads, mode});
+      System sys(sys_cfg, cfg, SimOptions{mode, shards});
       const SystemImage img = run_image(sys);
       // Full per-cluster stats differ only in the `sim.*` bookkeeping
       // counters across modes (EV1-EV3), so the cross-mode identity is
       // asserted on the simulated state: metrics, payloads, verification.
       EXPECT_EQ(img.metrics.cycles, ref_img.metrics.cycles)
-          << threads << " threads, mode " << static_cast<int>(mode);
+          << shards << " shard threads, mode " << static_cast<int>(mode);
       EXPECT_EQ(img.metrics.flops, ref_img.metrics.flops);
       EXPECT_EQ(img.metrics.noc_bytes, ref_img.metrics.noc_bytes);
       EXPECT_EQ(img.metrics.verified, ref_img.metrics.verified);
@@ -232,7 +232,7 @@ TEST(SystemStaggered, ClustersHaltingApartMatchBareClustersAndLockstep) {
     for (const unsigned shards : {1u, 2u, 4u}) {
       SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) + ", " +
                    std::to_string(shards) + " shard threads");
-      System system(sys_cfg, cfg, SimOptions{1, mode, shards});
+      System system(sys_cfg, cfg, SimOptions{mode, shards});
       std::vector<std::unique_ptr<Kernel>> kernels;
       for (const unsigned size : sizes) kernels.push_back(std::make_unique<DotpKernel>(size));
       const KernelMetrics m = run_system_kernel(system, kernels, capped_opts());
@@ -280,7 +280,7 @@ TEST(SystemStaggered, HaltsOneCycleApartAreAllReplayed) {
   for (unsigned c = 1; c < 4; ++c) ASSERT_EQ(bare_cycles[c], bare_cycles[c - 1] + 1) << c;
 
   const auto run_system = [&](SteppingMode mode, unsigned shards) {
-    System system(small_system(4), cfg, SimOptions{1, mode, shards});
+    System system(small_system(4), cfg, SimOptions{mode, shards});
     for (unsigned c = 0; c < 4; ++c) system.cluster(c).load_programs(programs_for(c));
     return system.run(200'000);
   };
@@ -318,7 +318,7 @@ TEST(SystemStaggered, RunSplitAtAnyBudgetMatchesOneRun) {
     std::vector<std::vector<std::pair<std::string, double>>> stats;
   };
   const auto run_split = [&](SteppingMode mode, Cycle first_budget) {
-    System system(small_system(4), cfg, SimOptions{1, mode});
+    System system(small_system(4), cfg, SimOptions{mode});
     system.set_watchdog_window(opts.watchdog_window);
     std::vector<DotpKernel> kernels(std::begin(sizes), std::end(sizes));
     for (unsigned c = 0; c < 4; ++c) kernels[c].setup(system.cluster(c));

@@ -1,20 +1,16 @@
-// Sharded System execution (docs/CONCURRENCY.md, S1-S3): ShardExecutor's
-// S1 re-entrancy tripwire and reuse after a throw, bit-identity
-// of sharded System runs against the serial run across
-// shard_threads x sim_threads x stepping-mode combinations at N == 4 and
-// N == 8, the P2 fresh-vs-reset identity under shards, serial-equal
-// DeadlockError surfacing from faulting clusters (earliest fault cycle
-// first), and the exclusion of shard_threads from the explore config hash.
+// Sharded System execution (docs/CONCURRENCY.md, S1-S3): shard-count
+// clamping, bit-identity of sharded System runs against the serial run
+// across shard_threads x stepping-mode combinations at N == 4 and N == 8,
+// the P2 fresh-vs-reset identity under shards, serial-equal DeadlockError
+// surfacing from faulting clusters (earliest fault cycle first), and the
+// exclusion of shard_threads from the explore config hash.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/cluster/kernel_runner.hpp"
-#include "src/common/shard_executor.hpp"
 #include "src/common/sim_time.hpp"
 #include "src/explore/config_hash.hpp"
 #include "src/kernels/axpy.hpp"
@@ -82,54 +78,19 @@ void expect_identical(const SystemImage& a, const SystemImage& b) {
   }
 }
 
-// -------------------------------------------------------- ShardExecutor ----
+// ------------------------------------------------------------ clamping ----
 
-TEST(ShardExecutor, NestedSpanIsAnS1Violation) {
-  ShardExecutor ex(2);
-  try {
-    ex.run(2, [&](unsigned i) {
-      if (i == 0) ex.run(1, [](unsigned) {});
-    });
-    FAIL() << "nested span was not rejected";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("S1"), std::string::npos) << e.what();
-  }
-  // The throw must leave the executor reusable: a clean span runs through.
-  EXPECT_FALSE(ex.in_span());
-  std::vector<char> seen(8, 0);
-  ex.run(8, [&](unsigned i) { seen[i] = 1; });
-  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), 8);
-}
-
-TEST(ShardExecutor, SingleShardSpansRunInline) {
-  ShardExecutor ex(4);
-  const std::uint64_t before = ex.spans_dispatched();
-  bool ran = false;
-  ex.run(1, [&](unsigned i) { ran = (i == 0); });
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(ex.spans_dispatched(), before);  // inline path, no worker epoch
-  ex.run(4, [](unsigned) {});
-  EXPECT_GT(ex.spans_dispatched(), before);
-}
-
-// ------------------------------------------------- resolution & clamping ----
-
-TEST(SystemShardResolution, OptionsOverrideConfigAndClampToClusterCount) {
+TEST(SystemShardResolution, ShardThreadsClampToTheClusterCount) {
   const ClusterConfig cfg = mp4_config(4);
-  SystemConfig sys_cfg = small_system(4);
-  sys_cfg.shard_threads = 4;
-
-  System from_cfg(sys_cfg, cfg, SimOptions{});
-  EXPECT_EQ(from_cfg.shard_threads(), 4u);
-
-  System overridden(sys_cfg, cfg, SimOptions{1, SteppingMode::kEventDriven, 2});
-  EXPECT_EQ(overridden.shard_threads(), 2u);
-
-  System clamped(sys_cfg, cfg, SimOptions{1, SteppingMode::kEventDriven, 16});
-  EXPECT_EQ(clamped.shard_threads(), 4u);  // never more shards than clusters
-
-  System serial(small_system(4), cfg, SimOptions{});
-  EXPECT_EQ(serial.shard_threads(), 1u);
+  const SystemConfig sys_cfg = small_system(4);
+  EXPECT_EQ(System(sys_cfg, cfg, SimOptions{}).shard_threads(), 1u);
+  EXPECT_EQ(System(sys_cfg, cfg, SimOptions{SteppingMode::kEventDriven, 0}).shard_threads(),
+            1u);
+  EXPECT_EQ(System(sys_cfg, cfg, SimOptions{SteppingMode::kEventDriven, 2}).shard_threads(),
+            2u);
+  // Never more shards than clusters.
+  EXPECT_EQ(System(sys_cfg, cfg, SimOptions{SteppingMode::kEventDriven, 16}).shard_threads(),
+            4u);
 }
 
 // ---------------------------------------------------------- determinism ----
@@ -140,7 +101,7 @@ TEST(SystemShardDeterminism, BitIdenticalToSerialAcrossTheGrid) {
     const SystemConfig sys_cfg = small_system(n);
 
     // Cross-mode anchor: serial, cycle-by-cycle.
-    System anchor(sys_cfg, cfg, SimOptions{1, SteppingMode::kCycleByCycle});
+    System anchor(sys_cfg, cfg, SimOptions{SteppingMode::kCycleByCycle});
     const SystemImage anchor_img = run_image(anchor);
     ASSERT_FALSE(anchor_img.metrics.timed_out);
     ASSERT_TRUE(anchor_img.metrics.verified);
@@ -149,25 +110,21 @@ TEST(SystemShardDeterminism, BitIdenticalToSerialAcrossTheGrid) {
          {SteppingMode::kEventDriven, SteppingMode::kCycleByCycle,
           SteppingMode::kCrossCheck}) {
       // Within one mode the FULL image (metrics + every per-cluster stats
-      // document) must be bit-identical at any shard x sim combination;
-      // only the `sim.*` bookkeeping differs across modes (EV1-EV3).
-      System ref(sys_cfg, cfg, SimOptions{1, mode, 1});
+      // document) must be bit-identical at any shard count; only the
+      // `sim.*` bookkeeping differs across modes (EV1-EV3).
+      System ref(sys_cfg, cfg, SimOptions{mode, 1});
       const SystemImage ref_img = run_image(ref);
       EXPECT_EQ(ref_img.metrics.cycles, anchor_img.metrics.cycles);
       EXPECT_EQ(ref_img.metrics.noc_bytes, anchor_img.metrics.noc_bytes);
       EXPECT_EQ(ref_img.metrics.verified, anchor_img.metrics.verified);
 
       for (const unsigned shards : {2u, 4u}) {
-        for (const unsigned sim_threads : {1u, 4u}) {
-          System sys(sys_cfg, cfg, SimOptions{sim_threads, mode, shards});
-          EXPECT_EQ(sys.shard_threads(), shards);
-          const SystemImage img = run_image(sys);
-          SCOPED_TRACE(std::to_string(n) + " clusters, " +
-                       std::to_string(shards) + " shards, " +
-                       std::to_string(sim_threads) + " sim threads, mode " +
-                       std::to_string(static_cast<int>(mode)));
-          expect_identical(ref_img, img);
-        }
+        System sys(sys_cfg, cfg, SimOptions{mode, shards});
+        EXPECT_EQ(sys.shard_threads(), shards);
+        const SystemImage img = run_image(sys);
+        SCOPED_TRACE(std::to_string(n) + " clusters, " + std::to_string(shards) +
+                     " shards, mode " + std::to_string(static_cast<int>(mode)));
+        expect_identical(ref_img, img);
       }
     }
   }
@@ -178,7 +135,7 @@ TEST(SystemShardDeterminism, BitIdenticalToSerialAcrossTheGrid) {
 TEST(SystemShardReset, FreshAndResetRunsAreBitIdenticalUnderShards) {
   const ClusterConfig cfg = mp4_config(4);
   const SystemConfig sys_cfg = small_system(4);
-  const SimOptions sim{1, SteppingMode::kEventDriven, 4};
+  const SimOptions sim{SteppingMode::kEventDriven, 4};
 
   System fresh(sys_cfg, cfg, sim);
   const SystemImage ref = run_image(fresh);
@@ -235,7 +192,7 @@ TEST(SystemShardFaults, DeadlockSurfacesTheSameErrorAsTheSerialLoop) {
   }
   ASSERT_FALSE(serial_what.empty());
 
-  System system(small_system(4), cfg, SimOptions{1, SteppingMode::kEventDriven, 4});
+  System system(small_system(4), cfg, SimOptions{SteppingMode::kEventDriven, 4});
   program_system(system);
   try {
     (void)system.run(1'000'000);
@@ -287,7 +244,7 @@ TEST(SystemShardFaults, EarliestFaultCycleSurfacesBeforeLowerIndex) {
   ASSERT_NE(expected, bare_what(1));  // the two faults are distinguishable
 
   for (const unsigned shards : {1u, 4u}) {
-    System system(small_system(4), cfg, SimOptions{1, SteppingMode::kEventDriven, shards});
+    System system(small_system(4), cfg, SimOptions{SteppingMode::kEventDriven, shards});
     system.set_watchdog_window(kWindow);
     for (unsigned c = 0; c < 4; ++c) system.cluster(c).load_programs(programs_for(c));
     try {
@@ -307,18 +264,6 @@ TEST(SystemShardFaults, EarliestFaultCycleSurfacesBeforeLowerIndex) {
 
 // ------------------------------------------------------------- hashing ----
 
-TEST(SystemShardConfig, ShardThreadsIsOmittedAtDefaultAndRoundTrips) {
-  SystemConfig cfg = small_system(4);
-  // Default (1 = serial) stays out of the document, so every pre-shard
-  // suite file, config hash and memo key keeps its exact bytes.
-  EXPECT_EQ(cfg.to_json().dump().find("shard_threads"), std::string::npos);
-  cfg.shard_threads = 8;
-  const Json j = cfg.to_json();
-  EXPECT_NE(j.dump().find("shard_threads"), std::string::npos);
-  const SystemConfig back = SystemConfig::from_json(j);
-  EXPECT_EQ(back.shard_threads, 8u);
-}
-
 TEST(SystemShardConfig, ShardThreadsDoesNotAffectTheExploreKey) {
   scenario::FileScenario a;
   a.rel = "a";
@@ -332,10 +277,7 @@ TEST(SystemShardConfig, ShardThreadsDoesNotAffectTheExploreKey) {
   a.system = small_system(4);
 
   scenario::FileScenario b = a;
-  a.opts.sim.shard_threads = 1;
-  a.system->shard_threads = 1;
-  b.opts.sim.shard_threads = 8;   // host knobs, bit-identical results
-  b.system->shard_threads = 8;
+  b.opts.sim.shard_threads = 8;  // a host knob: bit-identical results
   EXPECT_EQ(explore::canonical_key(a), explore::canonical_key(b));
   EXPECT_EQ(explore::canonical_point_json(a).dump(),
             explore::canonical_point_json(b).dump());

@@ -4,12 +4,12 @@
 // requires a new binary.
 //
 //   tcdm_run list [--file F]... [glob...]      list suites and scenarios
-//   tcdm_run run [-j N] [--sim-threads N] [--stepping M] [--file F]...
+//   tcdm_run run [-j N] [--shard-threads N] [--stepping M] [--file F]...
 //                [--no-builtin] [glob...]      run a selection; print tables
-//   tcdm_run emit [-j N] [--sim-threads N] [--stepping M] [--file F]...
+//   tcdm_run emit [-j N] [--shard-threads N] [--stepping M] [--file F]...
 //                 [--no-builtin] --out <dir> (--all | suite|glob...)
 //                                              sweep suites, write <dir>/<suite>.json
-//   tcdm_run bench [--reps N] [-j N] [--sim-threads N] [--stepping M]
+//   tcdm_run bench [--reps N] [-j N] [--shard-threads N] [--stepping M]
 //                  [--file F]... [--no-builtin] [--out F] [--metrics-out D]
 //                  (--all | suite|glob...)
 //                                              time whole-suite sweeps for N
@@ -20,7 +20,7 @@
 //                                              files (default: stdin)
 //   tcdm_run gen --seed N --count K [--out F]  emit a randomized, invariant-
 //                                              checked suite file (stdout)
-//   tcdm_run explore [-j N] [--sim-threads N] [--stepping M] [--objective NAME]
+//   tcdm_run explore [-j N] [--shard-threads N] [--stepping M] [--objective NAME]
 //                    [--area-cap MGE] [--budget N] [--cache F] [--state F]
 //                    [--resume] [--no-prune] [--report F] [--stats-out F]
 //                    [--fail-after N] <suite.json>
@@ -33,9 +33,9 @@
 // lets a file re-express a builtin suite under its own name. With `--file`
 // and no globs/suites, the file's suites are selected. Globs match full
 // scenario names (`*` crosses `/`). Parallel runs (-j) produce
-// byte-identical emissions and stdout tables to serial ones; --sim-threads
-// additionally parallelizes each cluster's cycle loop (bit-identical at
-// any count; 0 = hardware concurrency). `--stepping event|cycle|check`
+// byte-identical emissions and stdout tables to serial ones; --shard-threads
+// runs the clusters of a system scenario concurrently (bit-identical at any
+// count; 0 = hardware concurrency). `--stepping event|cycle|check`
 // selects how each cluster advances time (event-driven skipping, the
 // cycle-by-cycle reference loop, or the self-verifying cross-check mode —
 // all bit-identical; see docs/ARCHITECTURE.md).
@@ -70,16 +70,16 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s list [--file F]... [glob...]\n"
-      "       %s run [-j N] [--sim-threads N] [--shard-threads N] [--stepping M]\n"
+      "       %s run [-j N] [--shard-threads N] [--stepping M]\n"
       "            [--file F]... [--no-builtin] [glob...]\n"
-      "       %s emit [-j N] [--sim-threads N] [--shard-threads N] [--stepping M]\n"
+      "       %s emit [-j N] [--shard-threads N] [--stepping M]\n"
       "            [--file F]... [--no-builtin] --out <dir> (--all | suite|glob...)\n"
-      "       %s bench [--reps N] [-j N] [--sim-threads N] [--shard-threads N]\n"
-      "            [--stepping M] [--file F]... [--no-builtin] [--out F]\n"
+      "       %s bench [--reps N] [-j N] [--shard-threads N] [--stepping M]\n"
+      "            [--file F]... [--no-builtin] [--out F]\n"
       "            [--metrics-out D] (--all | suite|glob...)\n"
       "       %s validate [file...|-]\n"
       "       %s gen [--seed N] [--count K] [--out <file>]\n"
-      "       %s explore [-j N] [--sim-threads N] [--shard-threads N] [--stepping M]\n"
+      "       %s explore [-j N] [--shard-threads N] [--stepping M]\n"
       "            [--objective NAME] [--area-cap MGE] [--budget N] [--cache F]\n"
       "            [--state F] [--resume] [--no-prune] [--report F] [--stats-out F]\n"
       "            [--fail-after N] <suite.json>\n"
@@ -87,11 +87,11 @@ int usage(const char* argv0) {
       "  --stepping M   time advance per cluster: event (skip quiet spans,\n"
       "                 default), cycle (reference loop), check (skip decisions\n"
       "                 verified cycle-by-cycle). All modes are bit-identical.\n"
-      "  --shard-threads N   system scenarios only: step the N clusters of a\n"
-      "                 \"system\" block on N shard threads between global sync\n"
-      "                 points (0 = hardware concurrency; the --sim-threads\n"
-      "                 tile budget is split across the shards). Bit-identical\n"
-      "                 to serial at any value.\n"
+      "  -j N           run N scenarios at once (0 = hardware concurrency).\n"
+      "  --shard-threads N   system scenarios only: run the kernels of a\n"
+      "                 \"system\" block's clusters on N threads (0 = hardware\n"
+      "                 concurrency; default 1). Both are bit-identical to\n"
+      "                 serial at any value.\n"
       "\n"
       "  Scenarios may scale out with a \"system\" block (N clusters over a\n"
       "  modeled L2/NoC with inter-cluster DMA bursts); its barrier_kind is\n"
@@ -103,11 +103,10 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Flags shared by list/run/emit: sweep and stepping parallelism, plus the
-/// data-driven registry sources.
+/// Flags shared by list/run/emit: sweep and shard parallelism, the stepping
+/// mode, plus the data-driven registry sources.
 struct CommonOptions {
   unsigned jobs = 1;
-  unsigned sim_threads = 0;
   unsigned shard_threads = 0;  // 0 = per-spec (system scenarios only)
   std::optional<SteppingMode> stepping;  // unset = per-spec (event-driven)
   std::vector<std::string> files;
@@ -142,13 +141,6 @@ bool parse_common(std::vector<std::string>& args, CommonOptions& opts) {
     } else if (args[i].rfind("-j", 0) == 0 && args[i].size() > 2) {
       value = args[i].substr(2);
       out = &opts.jobs;
-    } else if (args[i] == "--sim-threads") {
-      if (i + 1 >= args.size()) return false;
-      value = args[++i];
-      out = &opts.sim_threads;
-    } else if (args[i].rfind("--sim-threads=", 0) == 0) {
-      value = args[i].substr(14);
-      out = &opts.sim_threads;
     } else if (args[i] == "--shard-threads") {
       if (i + 1 >= args.size()) return false;
       value = args[++i];
@@ -183,11 +175,7 @@ bool parse_common(std::vector<std::string>& args, CommonOptions& opts) {
       return false;
     }
     // SweepOptions uses 0 for "keep each spec's setting", so an explicit
-    // `--sim-threads 0` / `--shard-threads 0` resolves to the hardware
-    // concurrency here.
-    if (out == &opts.sim_threads && opts.sim_threads == 0) {
-      opts.sim_threads = std::max(1u, std::thread::hardware_concurrency());
-    }
+    // `--shard-threads 0` resolves to the hardware concurrency here.
     if (out == &opts.shard_threads && opts.shard_threads == 0) {
       opts.shard_threads = std::max(1u, std::thread::hardware_concurrency());
     }
@@ -306,7 +294,6 @@ int cmd_run(const char* argv0, std::vector<std::string> args) {
 
   SweepOptions opts;
   opts.jobs = copts.jobs;
-  opts.sim_threads = copts.sim_threads;
   opts.shard_threads = copts.shard_threads;
   opts.stepping = copts.stepping;
   unsigned done = 0;
@@ -389,7 +376,6 @@ int cmd_emit(const char* argv0, std::vector<std::string> args) {
   EmitOptions opts;
   opts.out_dir = out_dir;
   opts.jobs = copts.jobs;
-  opts.sim_threads = copts.sim_threads;
   opts.shard_threads = copts.shard_threads;
   opts.stepping = copts.stepping;
   opts.log = &std::cerr;
@@ -505,7 +491,6 @@ int cmd_bench(const char* argv0, std::vector<std::string> args) {
 
   SweepOptions sopts;
   sopts.jobs = copts.jobs;
-  sopts.sim_threads = copts.sim_threads;
   sopts.shard_threads = copts.shard_threads;
   sopts.stepping = copts.stepping;
   using BenchClock = std::chrono::steady_clock;
@@ -596,7 +581,6 @@ int cmd_bench(const char* argv0, std::vector<std::string> args) {
     doc.set("version", 1);
     doc.set("reps", reps);
     doc.set("jobs", copts.jobs);
-    doc.set("sim_threads", copts.sim_threads);
     doc.set("shard_threads", copts.shard_threads);
     doc.set("stepping", stepping_name(copts.stepping));
     Json host;
@@ -634,7 +618,6 @@ int cmd_bench(const char* argv0, std::vector<std::string> args) {
     EmitOptions eopts;
     eopts.out_dir = metrics_dir;
     eopts.jobs = copts.jobs;
-    eopts.sim_threads = copts.sim_threads;
     eopts.shard_threads = copts.shard_threads;
     eopts.stepping = copts.stepping;
     eopts.log = &std::cerr;
@@ -767,7 +750,6 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
 
   explore::ExploreOptions eopts;
   eopts.jobs = copts.jobs;
-  eopts.sim_threads = copts.sim_threads;
   eopts.shard_threads = copts.shard_threads;
   eopts.stepping = copts.stepping;
   eopts.log = &std::cerr;
