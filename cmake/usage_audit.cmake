@@ -26,13 +26,11 @@ set(usage "${out}${err}")
 # --out) are accepted but deliberately undocumented.
 set(expected_tokens
   # subcommands
-  list run emit bench validate gen explore
-  # common flags (list/run/emit/bench/explore)
+  list run emit validate gen explore
+  # common flags (list/run/emit/explore)
   -j --shard-threads --stepping --file --no-builtin
   # emit
   --out --all
-  # bench
-  --reps --metrics-out
   # gen
   --seed --count
   # explore

@@ -1,7 +1,7 @@
 // Structured export of simulated paper metrics (Table I / Table II / Fig. 3
-// results) to a stable, versioned JSON schema — the wire format between the
-// bench binaries' sim-metrics mode, the recorded baselines/ files, and the
-// check_regression comparator.
+// results) to a stable, versioned JSON schema — the wire format between
+// `tcdm_run emit`, the recorded baselines/ files, and the check_regression
+// comparator.
 //
 // Schema (version 1):
 //   {

@@ -1,4 +1,4 @@
-// Console table formatting for the benchmark harness: fixed-width columns,
+// Console table formatting for the suite printers: fixed-width columns,
 // printf-free value formatting (numbers, percentages, ratios).
 #pragma once
 

@@ -333,10 +333,7 @@ ExploreOutcome run_explore(const scenario::LoadedSuite& suite,
       ptrs.reserve(specs.size());
       for (const scenario::ScenarioSpec& s : specs) ptrs.push_back(&s);
 
-      scenario::SweepOptions sweep;
-      sweep.jobs = opts.jobs;
-      sweep.stepping = opts.stepping;
-      sweep.shard_threads = opts.shard_threads;
+      scenario::SweepOptions sweep = opts.sweep;
       if (opts.log != nullptr) {
         sweep.on_done = [&](const scenario::ScenarioResult& r) {
           *opts.log << "  [sim] " << r.name

@@ -24,13 +24,13 @@
 
 #include <cstddef>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/explore/config_hash.hpp"
 #include "src/explore/memo_store.hpp"
 #include "src/explore/pareto.hpp"
+#include "src/scenario/runner.hpp"
 
 namespace tcdm::explore {
 
@@ -67,13 +67,11 @@ struct ExploreOptions {
   /// Exact dominance pruning. Off = pure exhaustive enumeration; the final
   /// frontier is identical either way (the differential suites prove it).
   bool prune = true;
-  unsigned jobs = 1;         // scenario-parallel sweep workers
-  /// Shard threads for system points (0 = per-spec). A host knob: results
-  /// and memo keys are bit-identical at any value.
-  unsigned shard_threads = 0;
-  /// Stepping-mode override for the sweep (unset = per-spec). Results,
-  /// memo entries and reports are bit-identical in every mode.
-  std::optional<SteppingMode> stepping;
+  /// Workers and overrides of each wave's sweep; with `log` set,
+  /// run_explore installs its own on_done. Host knobs only: results, memo
+  /// entries and reports are bit-identical at any jobs, shard threads and
+  /// stepping.
+  scenario::SweepOptions sweep;
   /// Fault injection: abort (ExploreAborted) once this many simulations
   /// have completed and been checkpointed. 0 = disabled.
   std::size_t fail_after = 0;

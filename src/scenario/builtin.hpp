@@ -12,7 +12,7 @@
 namespace tcdm::scenario {
 
 /// Register every builtin suite and scenario into the process registry.
-/// Idempotent: callers (bench adapters, CLIs, tests) invoke it freely.
+/// Idempotent: callers (CLIs, tests, the benchmark harness) invoke it freely.
 void register_builtin();
 
 namespace builtin {

@@ -1,6 +1,6 @@
 // Builtin ablation suites: burst-length/pattern sensitivity, grouping-
 // factor sweep, ROB depth, store bursts and the strided-burst extension.
-// All sweeps and sizes match the original per-binary benches.
+// All sweeps and sizes match the recorded baselines/ documents.
 #include <cstdio>
 #include <iostream>
 #include <memory>

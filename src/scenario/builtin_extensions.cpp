@@ -1,8 +1,9 @@
 // Builtin extension suites: the kernel-coverage extension study, the
 // area-bandwidth Pareto sweep, synthetic traffic patterns, and the two
-// interactive studies (bandwidth explorer, scaling study) that used to be
-// standalone examples. The studies register like everything else but opt
-// out of default emission: they are exploration tools, not gated claims.
+// interactive studies (bandwidth explorer, scaling study), run as
+// `tcdm_run run 'explorer/*'` and `tcdm_run run 'scaling/*'`. The studies
+// register like everything else but opt out of default emission: they are
+// exploration tools, not gated claims.
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "src/analytics/area_model.hpp"
+#include "src/analytics/bandwidth_model.hpp"
 #include "src/analytics/report.hpp"
 #include "src/kernels/conv2d.hpp"
 #include "src/kernels/dotp.hpp"
@@ -81,7 +83,7 @@ void print_ext_kernels(const ResultSet& rs) {
   std::printf(
       "All kernels verify against host golden models in every configuration.\n"
       "MaxPool2x2 barely moves: all its loads are stride-2 vlse32, which the\n"
-      "paper's VLE-keyed design never bursts (see bench_ablation_stride for\n"
+      "paper's VLE-keyed design never bursts (see the ablation_stride suite for\n"
       "the strided-burst extension that recovers it). Transpose moves no\n"
       "FLOPs; its speedup bounds store-dominated traffic (loads burst,\n"
       "strided stores serialize unchanged).\n");
@@ -266,6 +268,63 @@ void register_trace_patterns(ScenarioRegistry& reg) {
 
 // ----------------------------------------------------------- explorer -----
 
+// GF8 rides along for parity with the ablation_gf sweep.
+constexpr unsigned kExplorerGfs[] = {0u, 2u, 4u, 8u};
+
+constexpr struct {
+  const char* name;
+  RandomProbeKernel::Pattern pattern;
+} kExplorerPatterns[] = {
+    {"uniform", RandomProbeKernel::Pattern::kUniform},
+    {"remote", RandomProbeKernel::Pattern::kRemoteOnly},
+    {"local", RandomProbeKernel::Pattern::kLocalOnly},
+};
+
+std::string explorer_variant(unsigned gf) {
+  return gf == 0 ? "baseline" : "gf" + std::to_string(gf);
+}
+
+ClusterConfig explorer_config(const std::string& preset, unsigned gf) {
+  const ClusterConfig cfg = ClusterConfig::by_name(preset);
+  return gf > 0 ? cfg.with_burst(gf) : cfg;
+}
+
+/// Measured bandwidth per probe pattern next to the hierarchical-average
+/// model (eq. 5), each cell as B/cycle/core and its share of the VLSU peak.
+void print_explorer(const ResultSet& rs) {
+  std::printf("\n=== Bandwidth explorer: B/cycle/core (%% of VLSU peak) ===\n");
+  TableWriter tw({"config", "variant", "uniform", "remote-only", "local-only",
+                  "model (eq. 5)"});
+  const auto cell = [](double bw, double util) {
+    std::string s = fmt(bw);
+    s += " (";
+    s += pct(util, 1);
+    s += ")";
+    return s;
+  };
+  for (const std::string& preset : testbed_presets()) {
+    if (preset != testbed_presets().front()) tw.add_separator();
+    for (const unsigned gf : kExplorerGfs) {
+      const ClusterConfig cfg = explorer_config(preset, gf);
+      const std::string variant = explorer_variant(gf);
+      std::vector<std::string> row = {preset, variant};
+      for (const auto& p : kExplorerPatterns) {
+        const double bw = rs.metrics(preset + "/" + variant + "/" + p.name).bw_per_core;
+        row.push_back(cell(bw, bw / cfg.vlsu_peak_bw()));
+      }
+      const unsigned eff_gf = cfg.burst_enabled ? cfg.grouping_factor : 1;
+      row.push_back(cell(model::hier_avg_bw(cfg.num_cores(), cfg.vlsu_ports, eff_gf),
+                         model::utilization(cfg.num_cores(), cfg.vlsu_ports, eff_gf)));
+      tw.add_row(row);
+    }
+  }
+  tw.print(std::cout);
+  std::printf(
+      "Local-only traffic never leaves the tile; remote-only traffic is\n"
+      "what TCDM Burst speeds up, and uniform traffic mixes the two as the\n"
+      "model's hierarchical average does.\n");
+}
+
 void register_explorer(ScenarioRegistry& reg) {
   SuiteSpec suite;
   suite.name = "explorer";
@@ -273,28 +332,15 @@ void register_explorer(ScenarioRegistry& reg) {
       "Bandwidth explorer: per-preset hierarchical-average bandwidth under "
       "uniform / remote-only / local-only probe traffic (interactive study)";
   suite.emit_by_default = false;
+  suite.print = print_explorer;
   reg.add_suite(std::move(suite));
 
-  const struct {
-    const char* name;
-    RandomProbeKernel::Pattern pattern;
-  } patterns[] = {
-      {"uniform", RandomProbeKernel::Pattern::kUniform},
-      {"remote", RandomProbeKernel::Pattern::kRemoteOnly},
-      {"local", RandomProbeKernel::Pattern::kLocalOnly},
-  };
   for (const std::string& preset : testbed_presets()) {
-    // GF8 rides along for parity with the ablation_gf sweep (and the
-    // bandwidth_explorer CLI, which forwards its [gf] argument here).
-    for (unsigned gf : {0u, 2u, 4u, 8u}) {
-      for (const auto& p : patterns) {
+    for (const unsigned gf : kExplorerGfs) {
+      for (const auto& p : kExplorerPatterns) {
         ScenarioSpec s;
-        s.name = "explorer/" + preset + "/" + (gf == 0 ? "baseline" : "gf" + std::to_string(gf)) +
-                 "/" + p.name;
-        s.config = [preset, gf] {
-          ClusterConfig cfg = ClusterConfig::by_name(preset);
-          return gf > 0 ? cfg.with_burst(gf) : cfg;
-        };
+        s.name = "explorer/" + preset + "/" + explorer_variant(gf) + "/" + p.name;
+        s.config = [preset, gf] { return explorer_config(preset, gf); };
         s.kernel = [preset, pattern = p.pattern] {
           const ClusterConfig cfg = ClusterConfig::by_name(preset);
           return std::make_unique<RandomProbeKernel>(probe_iters(cfg), pattern);
@@ -362,7 +408,7 @@ void register_scaling(ScenarioRegistry& reg) {
   suite.name = "scaling";
   suite.description =
       "Scaling study: DotP with a constant per-core working set on 4 -> 128 "
-      "tiles (16 -> 1024 FPUs), baseline vs GF4 (interactive study)";
+      "tiles (16 -> 512 FPUs), baseline vs GF4 (interactive study)";
   suite.emit_by_default = false;
   suite.print = print_scaling;
   reg.add_suite(std::move(suite));

@@ -40,10 +40,7 @@ std::vector<std::string> emit_suites(const ScenarioRegistry& reg,
     specs.insert(specs.end(), suite_specs.begin(), suite_specs.end());
   }
 
-  SweepOptions sweep;
-  sweep.jobs = opts.jobs;
-  sweep.stepping = opts.stepping;
-  sweep.shard_threads = opts.shard_threads;
+  SweepOptions sweep = opts.sweep;
   unsigned done = 0;
   if (opts.log != nullptr) {
     sweep.on_done = [&](const ScenarioResult& r) {

@@ -1,6 +1,6 @@
 // Metrics emission over the scenario registry: build a suite's versioned
 // MetricsDoc from a completed sweep, or run-and-write whole suites to a
-// directory (the `tcdm_run emit` / bench `--metrics-out` backend). Because
+// directory (the `tcdm_run emit` backend). Because
 // each scenario runs on its own deterministic cluster and documents sort
 // their metric names, a parallel emit is byte-identical to a serial one.
 #pragma once
@@ -26,13 +26,10 @@ namespace tcdm::scenario {
 
 struct EmitOptions {
   std::string out_dir;  // created if missing
-  unsigned jobs = 1;    // 0 -> one worker per hardware thread
-  /// Shard threads for system scenarios (see SweepOptions); 0 keeps each
-  /// spec's setting. Emissions are byte-identical at any value.
-  unsigned shard_threads = 0;
-  /// Stepping-mode override (see SweepOptions); unset keeps each spec's
-  /// setting. Emissions stay byte-identical in every mode.
-  std::optional<SteppingMode> stepping;
+  /// Workers and overrides of the sweep; with `log` set, emit_suites
+  /// installs its own on_done. Emissions are byte-identical at any jobs,
+  /// shard threads and stepping.
+  SweepOptions sweep;
   /// Progress notes ("ran table1/... [i/n]") go here when set.
   std::ostream* log = nullptr;
 };

@@ -22,15 +22,6 @@ void ResultSet::add(ScenarioResult r) {
   ordered_.push_back(std::move(r));
 }
 
-void ResultSet::upsert(ScenarioResult r) {
-  const auto it = index_.find(r.rel);
-  if (it == index_.end()) {
-    add(std::move(r));
-  } else {
-    ordered_[it->second] = std::move(r);
-  }
-}
-
 const ScenarioResult& ResultSet::at(const std::string& rel) const {
   const ScenarioResult* r = find(rel);
   if (r == nullptr) throw std::out_of_range("no scenario result for: " + rel);
@@ -54,17 +45,16 @@ const PowerBreakdown& ResultSet::power(const std::string& rel) const {
   return r == nullptr ? kEmpty : r->power;
 }
 
-ScenarioResult run_scenario(const ScenarioSpec& spec,
-                            std::optional<SteppingMode> stepping_override,
-                            ClusterCache* cache, unsigned shard_threads_override) {
+ScenarioResult run_scenario(const ScenarioSpec& spec, const SweepOptions& opts,
+                            ClusterCache* cache) {
   ScenarioResult r;
   r.name = spec.name;
   r.rel = spec.rel();
   try {
     const ClusterConfig cfg = spec.config();
     SimOptions sim = spec.opts.sim;
-    if (stepping_override) sim.stepping = *stepping_override;
-    if (shard_threads_override > 0) sim.shard_threads = shard_threads_override;
+    if (opts.stepping) sim.stepping = *opts.stepping;
+    if (opts.shard_threads > 0) sim.shard_threads = opts.shard_threads;
     if (spec.system) {
       // System scenarios build fresh (no cache: a System owns N clusters and
       // suites sweep the cluster count, so shape reuse buys little here).
@@ -113,7 +103,7 @@ std::vector<ScenarioResult> run_scenarios(const std::vector<const ScenarioSpec*>
   if (jobs <= 1) {
     ClusterCache cache;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      slots[i] = run_scenario(*specs[i], opts.stepping, &cache, opts.shard_threads);
+      slots[i] = run_scenario(*specs[i], opts, &cache);
       if (opts.on_done) opts.on_done(slots[i]);
     }
   } else {
@@ -124,7 +114,7 @@ std::vector<ScenarioResult> run_scenarios(const std::vector<const ScenarioSpec*>
       for (;;) {
         const std::size_t i = next.fetch_add(1);
         if (i >= specs.size()) return;
-        slots[i] = run_scenario(*specs[i], opts.stepping, &cache, opts.shard_threads);
+        slots[i] = run_scenario(*specs[i], opts, &cache);
         if (opts.on_done) {
           const std::lock_guard<std::mutex> lock(done_mutex);
           opts.on_done(slots[i]);

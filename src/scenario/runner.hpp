@@ -40,16 +40,13 @@ struct SweepOptions {
 
 /// Run one scenario on a fresh cluster. Never throws: failures (exceptions,
 /// timeouts, failed expected verification) land in ScenarioResult::error.
-/// A set `stepping_override` replaces the spec's stepping mode;
-/// `shard_threads_override` > 0 replaces the shard count of a system
-/// scenario (ignored otherwise). With a non-null `cache`, the cluster is
-/// drawn from it (reset-reuse per config shape — bit-identical results,
-/// docs/ARCHITECTURE.md P2) instead of constructed; the cache must not be
-/// shared across threads.
+/// Of `opts`, only the `stepping` and `shard_threads` overrides apply. With
+/// a non-null `cache`, the cluster is drawn from it (reset-reuse per config
+/// shape — bit-identical results, docs/ARCHITECTURE.md P2) instead of
+/// constructed; the cache must not be shared across threads.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec,
-                                          std::optional<SteppingMode> stepping_override = {},
-                                          ClusterCache* cache = nullptr,
-                                          unsigned shard_threads_override = 0);
+                                          const SweepOptions& opts = {},
+                                          ClusterCache* cache = nullptr);
 
 /// Run every scenario in `specs` and collect results in the same order.
 /// The selection may span suites; group with group_by_suite for per-suite

@@ -43,14 +43,12 @@ struct ScenarioResult {
 
 /// Registration-ordered result collection with lookup by suite-relative
 /// name. `metrics`/`power` return zeroed defaults for missing keys (the
-/// printers tolerate partial runs, e.g. under --benchmark_filter); `at`
-/// throws and is what emission uses, where completeness is required.
+/// printers tolerate partial runs); `at` throws and is what emission uses,
+/// where completeness is required.
 class ResultSet {
  public:
   /// Appends; throws std::invalid_argument on a duplicate relative name.
   void add(ScenarioResult r);
-  /// Appends or replaces in place (re-runs, e.g. --benchmark_repetitions).
-  void upsert(ScenarioResult r);
 
   [[nodiscard]] const ScenarioResult& at(const std::string& rel) const;
   [[nodiscard]] const ScenarioResult* find(const std::string& rel) const;

@@ -416,7 +416,7 @@ TEST(Explore, WarmCacheAnswersEverythingWithoutSimulating) {
   std::remove(cache.c_str());
   ExploreOptions opts;
   opts.cache_path = cache;
-  opts.jobs = 2;
+  opts.sweep.jobs = 2;
 
   const ExploreOutcome cold = run_explore(suite, opts);
   EXPECT_GT(cold.simulations, 0u);
@@ -440,7 +440,7 @@ TEST(Explore, PrunedAndMemoizedSearchEqualsExhaustiveEnumeration) {
 
     ExploreOptions pruned;
     pruned.prune = true;
-    pruned.jobs = 4;
+    pruned.sweep.jobs = 4;
     const ExploreOutcome fast = run_explore(suite, pruned);
 
     EXPECT_EQ(report_json(suite, exhaustive, full).dump(),
@@ -547,10 +547,10 @@ TEST(Explore, AreaCapMakesEveryCandidateInadmissible) {
 TEST(Explore, ReportIsIndependentOfJobsAndWaveScheduling) {
   const LoadedSuite suite = gen_suite(17, 8);
   ExploreOptions serial;
-  serial.jobs = 1;
+  serial.sweep.jobs = 1;
   ExploreOptions parallel;
-  parallel.jobs = 8;
-  parallel.shard_threads = 2;
+  parallel.sweep.jobs = 8;
+  parallel.sweep.shard_threads = 2;
   EXPECT_EQ(report_json(suite, serial, run_explore(suite, serial)).dump(),
             report_json(suite, parallel, run_explore(suite, parallel)).dump());
 }

@@ -1,5 +1,5 @@
-// CI regression gate: compare metrics JSON emitted by the bench binaries'
-// --metrics-out mode against the recorded baselines/ documents. All logic
+// CI regression gate: compare metrics JSON emitted by `tcdm_run emit`
+// against the recorded baselines/ documents. All logic
 // lives in src/analytics/metrics_regression.* so it is unit-testable; this
 // binary only forwards argv and the exit code.
 //

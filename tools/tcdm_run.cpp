@@ -9,13 +9,6 @@
 //   tcdm_run emit [-j N] [--shard-threads N] [--stepping M] [--file F]...
 //                 [--no-builtin] --out <dir> (--all | suite|glob...)
 //                                              sweep suites, write <dir>/<suite>.json
-//   tcdm_run bench [--reps N] [-j N] [--shard-threads N] [--stepping M]
-//                  [--file F]... [--no-builtin] [--out F] [--metrics-out D]
-//                  (--all | suite|glob...)
-//                                              time whole-suite sweeps for N
-//                                              repetitions; print a throughput
-//                                              table and write a versioned
-//                                              tcdm-perf JSON report
 //   tcdm_run validate [file...|-]              load + expand + validate suite
 //                                              files (default: stdin)
 //   tcdm_run gen --seed N --count K [--out F]  emit a randomized, invariant-
@@ -43,11 +36,11 @@
 // 2 usage/IO errors (including unknown subcommands and corrupt explore
 // cache/checkpoint files), 3 injected --fail-after abort.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
@@ -74,9 +67,6 @@ int usage(const char* argv0) {
       "            [--file F]... [--no-builtin] [glob...]\n"
       "       %s emit [-j N] [--shard-threads N] [--stepping M]\n"
       "            [--file F]... [--no-builtin] --out <dir> (--all | suite|glob...)\n"
-      "       %s bench [--reps N] [-j N] [--shard-threads N] [--stepping M]\n"
-      "            [--file F]... [--no-builtin] [--out F]\n"
-      "            [--metrics-out D] (--all | suite|glob...)\n"
       "       %s validate [file...|-]\n"
       "       %s gen [--seed N] [--count K] [--out <file>]\n"
       "       %s explore [-j N] [--shard-threads N] [--stepping M]\n"
@@ -99,16 +89,14 @@ int usage(const char* argv0) {
       "  cluster TCDM (banks x bank_words — `validate` names the offending\n"
       "  cluster config and the resolved capacity). `gen` emits such points\n"
       "  too.\n",
-      argv0, argv0, argv0, argv0, argv0, argv0, argv0);
+      argv0, argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
 
 /// Flags shared by list/run/emit: sweep and shard parallelism, the stepping
 /// mode, plus the data-driven registry sources.
 struct CommonOptions {
-  unsigned jobs = 1;
-  unsigned shard_threads = 0;  // 0 = per-spec (system scenarios only)
-  std::optional<SteppingMode> stepping;  // unset = per-spec (event-driven)
+  SweepOptions sweep;  // -j, --shard-threads, --stepping
   std::vector<std::string> files;
   bool no_builtin = false;
 };
@@ -127,6 +115,29 @@ bool parse_stepping(const std::string& value, std::optional<SteppingMode>& out) 
   return true;
 }
 
+/// Strict non-negative decimal integer: digits only, so neither a sign
+/// ("-1" would wrap), leading blanks nor trailing junk ("2x") get through.
+/// 0 means unlimited for --budget and disabled for --fail-after.
+bool parse_size(const std::string& value, std::size_t& out) {
+  if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  try {
+    out = static_cast<std::size_t>(std::stoull(value));
+    return true;
+  } catch (const std::out_of_range&) {
+    return false;
+  }
+}
+
+/// parse_size narrowed to `unsigned` (-j, --shard-threads).
+bool parse_unsigned(const std::string& value, unsigned& out) {
+  std::size_t wide = 0;
+  if (!parse_size(value, wide) || wide > std::numeric_limits<unsigned>::max()) return false;
+  out = static_cast<unsigned>(wide);
+  return true;
+}
+
 /// Parses the common flags out of `args`; returns false on a malformed or
 /// valueless flag (caller prints usage).
 bool parse_common(std::vector<std::string>& args, CommonOptions& opts) {
@@ -137,23 +148,25 @@ bool parse_common(std::vector<std::string>& args, CommonOptions& opts) {
     if (args[i] == "-j" || args[i] == "--jobs") {
       if (i + 1 >= args.size()) return false;
       value = args[++i];
-      out = &opts.jobs;
+      out = &opts.sweep.jobs;
     } else if (args[i].rfind("-j", 0) == 0 && args[i].size() > 2) {
       value = args[i].substr(2);
-      out = &opts.jobs;
+      out = &opts.sweep.jobs;
     } else if (args[i] == "--shard-threads") {
       if (i + 1 >= args.size()) return false;
       value = args[++i];
-      out = &opts.shard_threads;
+      out = &opts.sweep.shard_threads;
     } else if (args[i].rfind("--shard-threads=", 0) == 0) {
       value = args[i].substr(16);
-      out = &opts.shard_threads;
+      out = &opts.sweep.shard_threads;
     } else if (args[i] == "--stepping") {
-      if (i + 1 >= args.size() || !parse_stepping(args[i + 1], opts.stepping)) return false;
+      if (i + 1 >= args.size() || !parse_stepping(args[i + 1], opts.sweep.stepping)) {
+        return false;
+      }
       ++i;
       continue;
     } else if (args[i].rfind("--stepping=", 0) == 0) {
-      if (!parse_stepping(args[i].substr(11), opts.stepping)) return false;
+      if (!parse_stepping(args[i].substr(11), opts.sweep.stepping)) return false;
       continue;
     } else if (args[i] == "--file") {
       if (i + 1 >= args.size()) return false;
@@ -169,15 +182,11 @@ bool parse_common(std::vector<std::string>& args, CommonOptions& opts) {
       rest.push_back(args[i]);
       continue;
     }
-    try {
-      *out = static_cast<unsigned>(std::stoul(value));
-    } catch (const std::exception&) {
-      return false;
-    }
+    if (!parse_unsigned(value, *out)) return false;
     // SweepOptions uses 0 for "keep each spec's setting", so an explicit
     // `--shard-threads 0` resolves to the hardware concurrency here.
-    if (out == &opts.shard_threads && opts.shard_threads == 0) {
-      opts.shard_threads = std::max(1u, std::thread::hardware_concurrency());
+    if (out == &opts.sweep.shard_threads && opts.sweep.shard_threads == 0) {
+      opts.sweep.shard_threads = std::max(1u, std::thread::hardware_concurrency());
     }
   }
   args = std::move(rest);
@@ -208,8 +217,7 @@ bool setup_registry(const CommonOptions& opts, std::vector<std::string>& file_su
 
 /// Resolve suite names/globs against the registry, appending matches to
 /// `suites` in registration order and deduplicating. Returns false after
-/// printing the error when a pattern matches no suite (shared by emit and
-/// bench so their selection semantics cannot drift apart).
+/// printing the error when a pattern matches no suite.
 bool resolve_suite_globs(const ScenarioRegistry& reg,
                          const std::vector<std::string>& wanted,
                          std::vector<std::string>& suites) {
@@ -292,10 +300,7 @@ int cmd_run(const char* argv0, std::vector<std::string> args) {
     return 1;
   }
 
-  SweepOptions opts;
-  opts.jobs = copts.jobs;
-  opts.shard_threads = copts.shard_threads;
-  opts.stepping = copts.stepping;
+  SweepOptions opts = copts.sweep;
   unsigned done = 0;
   opts.on_done = [&](const ScenarioResult& r) {
     ++done;
@@ -375,258 +380,13 @@ int cmd_emit(const char* argv0, std::vector<std::string> args) {
 
   EmitOptions opts;
   opts.out_dir = out_dir;
-  opts.jobs = copts.jobs;
-  opts.shard_threads = copts.shard_threads;
-  opts.stepping = copts.stepping;
+  opts.sweep = copts.sweep;
   opts.log = &std::cerr;
   try {
     (void)emit_suites(reg, suites, opts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "emit: %s\n", e.what());
     return 1;
-  }
-  return 0;
-}
-
-/// The --stepping flag spelled back for the tcdm-perf report; "default"
-/// means each spec kept its own (event-driven) setting.
-const char* stepping_name(const std::optional<SteppingMode>& m) {
-  if (!m.has_value()) return "default";
-  switch (*m) {
-    case SteppingMode::kEventDriven: return "event";
-    case SteppingMode::kCycleByCycle: return "cycle";
-    case SteppingMode::kCrossCheck: return "check";
-  }
-  return "?";
-}
-
-int cmd_bench(const char* argv0, std::vector<std::string> args) {
-  CommonOptions copts;
-  if (!parse_common(args, copts)) return usage(argv0);
-  bool all = false;
-  unsigned reps = 3;
-  std::string out_path;
-  std::string metrics_dir;
-  std::vector<std::string> wanted;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    std::string value;
-    std::string* str_out = nullptr;
-    if (args[i] == "--all") {
-      all = true;
-      continue;
-    } else if (args[i] == "--reps" || args[i].rfind("--reps=", 0) == 0) {
-      if (args[i].size() == 6) {
-        if (i + 1 >= args.size()) return usage(argv0);
-        value = args[++i];
-      } else {
-        value = args[i].substr(7);
-      }
-      try {
-        std::size_t pos = 0;
-        const unsigned long parsed = std::stoul(value, &pos);
-        if (pos != value.size() || parsed == 0 || parsed > 1000) return usage(argv0);
-        reps = static_cast<unsigned>(parsed);
-      } catch (const std::exception&) {
-        return usage(argv0);
-      }
-      continue;
-    } else if (args[i] == "--out" || args[i] == "-o") {
-      if (i + 1 >= args.size()) return usage(argv0);
-      value = args[i + 1];
-      ++i;
-      str_out = &out_path;
-    } else if (args[i].rfind("--out=", 0) == 0) {
-      value = args[i].substr(6);
-      str_out = &out_path;
-    } else if (args[i] == "--metrics-out") {
-      if (i + 1 >= args.size()) return usage(argv0);
-      value = args[i + 1];
-      ++i;
-      str_out = &metrics_dir;
-    } else if (args[i].rfind("--metrics-out=", 0) == 0) {
-      value = args[i].substr(14);
-      str_out = &metrics_dir;
-    } else {
-      wanted.push_back(args[i]);
-      continue;
-    }
-    if (value.empty()) return usage(argv0);  // --out= with nothing after
-    *str_out = value;
-  }
-  if (all && !wanted.empty()) return usage(argv0);
-  std::vector<std::string> file_suites;
-  if (!setup_registry(copts, file_suites)) return 2;
-  if (!all && wanted.empty() && file_suites.empty()) return usage(argv0);
-
-  const ScenarioRegistry& reg = ScenarioRegistry::instance();
-  std::vector<std::string> suites;
-  if (all) {
-    suites = default_emit_suites(reg);
-  } else if (wanted.empty()) {
-    suites = file_suites;
-  } else if (!resolve_suite_globs(reg, wanted, suites)) {
-    return 1;
-  }
-  if (suites.empty()) {
-    std::fprintf(stderr, "no suites selected\n");
-    return 1;
-  }
-
-  struct SuiteBench {
-    std::string name;
-    std::vector<const ScenarioSpec*> selection;
-    unsigned scenarios = 0;
-    unsigned long long sim_cycles = 0;       // sum of metrics.cycles, rep 0
-    unsigned long long cycles_skipped = 0;   // event-driven skips, rep 0
-    std::string fingerprint;                 // per-scenario cycle counts, rep 0
-    std::vector<double> wall_s;              // one entry per repetition
-  };
-  std::vector<SuiteBench> benches;
-  for (const std::string& s : suites) {
-    SuiteBench b;
-    b.name = s;
-    b.selection = reg.suite_scenarios(s);
-    benches.push_back(std::move(b));
-  }
-
-  SweepOptions sopts;
-  sopts.jobs = copts.jobs;
-  sopts.shard_threads = copts.shard_threads;
-  sopts.stepping = copts.stepping;
-  using BenchClock = std::chrono::steady_clock;
-  // Repetitions interleave across suites so host drift (thermal, noisy
-  // neighbors) biases every suite equally; best-of-reps absorbs the noise.
-  for (unsigned rep = 0; rep < reps; ++rep) {
-    for (SuiteBench& b : benches) {
-      const auto t0 = BenchClock::now();
-      const std::vector<ScenarioResult> results = run_scenarios(b.selection, sopts);
-      const double secs = std::chrono::duration<double>(BenchClock::now() - t0).count();
-      std::string fp;
-      unsigned long long cycles = 0;
-      unsigned long long skipped = 0;
-      for (const ScenarioResult& r : results) {
-        if (!r.ok()) {
-          std::fprintf(stderr, "bench: %s failed: %s\n", r.name.c_str(), r.error.c_str());
-          return 1;
-        }
-        cycles += r.metrics.cycles;
-        skipped += static_cast<unsigned long long>(r.sim_cycles_skipped);
-        fp += r.name;
-        fp += ':';
-        fp += std::to_string(r.metrics.cycles);
-        fp += ';';
-      }
-      if (rep == 0) {
-        b.scenarios = static_cast<unsigned>(results.size());
-        b.sim_cycles = cycles;
-        b.cycles_skipped = skipped;
-        b.fingerprint = std::move(fp);
-      } else if (fp != b.fingerprint) {
-        // Later reps reuse pooled clusters via reset(); divergence means a
-        // determinism bug, which outranks any throughput number.
-        std::fprintf(stderr, "bench: suite %s diverged between repetitions\n",
-                     b.name.c_str());
-        return 1;
-      }
-      b.wall_s.push_back(secs);
-      std::fprintf(stderr, "  rep %u/%u %s: %.3fs\n", rep + 1, reps, b.name.c_str(), secs);
-    }
-  }
-
-  TableWriter table({"suite", "scenarios", "Mcycles", "best [s]", "mean [s]",
-                     "Mcyc/s", "sims/s"});
-  double total_best = 0.0;
-  unsigned long long total_cycles = 0;
-  unsigned total_scenarios = 0;
-  Json::Array suites_json;
-  for (const SuiteBench& b : benches) {
-    const double best = *std::min_element(b.wall_s.begin(), b.wall_s.end());
-    double mean = 0.0;
-    for (const double w : b.wall_s) mean += w;
-    mean /= static_cast<double>(b.wall_s.size());
-    const double mcyc = static_cast<double>(b.sim_cycles) / 1e6;
-    table.add_row({b.name, std::to_string(b.scenarios), fmt(mcyc), fmt(best, 3),
-                   fmt(mean, 3), fmt(mcyc / best),
-                   fmt(static_cast<double>(b.scenarios) / best)});
-    total_best += best;
-    total_cycles += b.sim_cycles;
-    total_scenarios += b.scenarios;
-    Json s;
-    s.set("suite", b.name);
-    s.set("scenarios", b.scenarios);
-    s.set("sim_cycles", b.sim_cycles);
-    s.set("sim_cycles_skipped", b.cycles_skipped);
-    Json::Array walls;
-    for (const double w : b.wall_s) walls.emplace_back(w);
-    s.set("wall_s", Json(std::move(walls)));
-    s.set("best_wall_s", best);
-    s.set("mean_wall_s", mean);
-    s.set("cycles_per_sec", static_cast<double>(b.sim_cycles) / best);
-    s.set("scenarios_per_sec", static_cast<double>(b.scenarios) / best);
-    suites_json.push_back(std::move(s));
-  }
-  table.add_separator();
-  table.add_row({"total", std::to_string(total_scenarios),
-                 fmt(static_cast<double>(total_cycles) / 1e6), fmt(total_best, 3), "",
-                 fmt(static_cast<double>(total_cycles) / 1e6 / total_best),
-                 fmt(static_cast<double>(total_scenarios) / total_best)});
-  table.print(std::cout);
-
-  if (!out_path.empty()) {
-    // tcdm-perf v1: the versioned perf-trajectory record CI archives per
-    // commit. Everything except the wall times is deterministic, so two
-    // reports from one commit diff only in the timing fields.
-    Json doc;
-    doc.set("format", "tcdm-perf");
-    doc.set("version", 1);
-    doc.set("reps", reps);
-    doc.set("jobs", copts.jobs);
-    doc.set("shard_threads", copts.shard_threads);
-    doc.set("stepping", stepping_name(copts.stepping));
-    Json host;
-    host.set("hardware_concurrency", std::thread::hardware_concurrency());
-    host.set("compiler", __VERSION__);
-#ifdef NDEBUG
-    host.set("build", "release");
-#else
-    host.set("build", "debug");
-#endif
-    doc.set("host", std::move(host));
-    doc.set("suites", Json(std::move(suites_json)));
-    Json totals;
-    totals.set("scenarios", total_scenarios);
-    totals.set("sim_cycles", total_cycles);
-    totals.set("best_wall_s", total_best);
-    totals.set("cycles_per_sec", static_cast<double>(total_cycles) / total_best);
-    doc.set("totals", std::move(totals));
-    std::ofstream out(out_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "bench: cannot open %s for writing\n", out_path.c_str());
-      return 2;
-    }
-    out << doc.dump();
-    out.flush();
-    if (!out.good()) {
-      std::fprintf(stderr, "bench: write to %s failed\n", out_path.c_str());
-      return 2;
-    }
-  }
-
-  if (!metrics_dir.empty()) {
-    // Untimed convenience pass: record the same selection's metrics docs
-    // next to the perf report (emit_suites is the shared backend).
-    EmitOptions eopts;
-    eopts.out_dir = metrics_dir;
-    eopts.jobs = copts.jobs;
-    eopts.shard_threads = copts.shard_threads;
-    eopts.stepping = copts.stepping;
-    eopts.log = &std::cerr;
-    try {
-      (void)emit_suites(reg, suites, eopts);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench: %s\n", e.what());
-      return 1;
-    }
   }
   return 0;
 }
@@ -729,29 +489,12 @@ int cmd_gen(const char* argv0, std::vector<std::string> args) {
   return 0;
 }
 
-/// Strict non-negative integer ("all" is not accepted; 0 means unlimited
-/// for --budget and disabled for --fail-after).
-bool parse_size(const std::string& value, std::size_t& out) {
-  try {
-    std::size_t pos = 0;
-    if (value.empty() || value[0] == '-' || value[0] == '+') return false;
-    const unsigned long long parsed = std::stoull(value, &pos);
-    if (pos != value.size()) return false;
-    out = static_cast<std::size_t>(parsed);
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
 int cmd_explore(const char* argv0, std::vector<std::string> args) {
   CommonOptions copts;
   if (!parse_common(args, copts)) return usage(argv0);
 
   explore::ExploreOptions eopts;
-  eopts.jobs = copts.jobs;
-  eopts.shard_threads = copts.shard_threads;
-  eopts.stepping = copts.stepping;
+  eopts.sweep = copts.sweep;
   eopts.log = &std::cerr;
   std::string report_path;
   std::string stats_path;
@@ -914,7 +657,6 @@ int main_impl(int argc, char** argv) {
   if (cmd == "list") return cmd_list(argv[0], std::move(args));
   if (cmd == "run") return cmd_run(argv[0], std::move(args));
   if (cmd == "emit") return cmd_emit(argv[0], std::move(args));
-  if (cmd == "bench") return cmd_bench(argv[0], std::move(args));
   if (cmd == "validate") return cmd_validate(std::move(args));
   if (cmd == "gen") return cmd_gen(argv[0], std::move(args));
   if (cmd == "explore") return cmd_explore(argv[0], std::move(args));
