@@ -28,7 +28,7 @@ set(expected_tokens
   # subcommands
   list run emit validate gen explore
   # common flags (list/run/emit/explore)
-  -j --shard-threads --stepping --file --no-builtin
+  -j --stepping --file --no-builtin
   # emit
   --out --all
   # gen

@@ -23,6 +23,7 @@ double TimelineResult::avg_bw() const noexcept {
 
 TimelineResult record_timeline(Cluster& cluster, unsigned interval, Cycle max_cycles) {
   if (interval == 0) throw std::invalid_argument("timeline: interval must be positive");
+  cluster.require_program("timeline");
   TimelineResult out;
   out.interval = interval;
 

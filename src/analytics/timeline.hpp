@@ -42,7 +42,8 @@ struct TimelineResult {
 };
 
 /// Step `cluster` to completion (or `max_cycles`), sampling every `interval`
-/// cycles. The caller has already loaded a program / run Kernel::setup.
+/// cycles. The caller has already loaded a program / run Kernel::setup;
+/// without one this throws std::logic_error, as Cluster::run does.
 /// A final partial interval is recorded if the run ends mid-interval.
 [[nodiscard]] TimelineResult record_timeline(Cluster& cluster, unsigned interval,
                                              Cycle max_cycles = 50'000'000);

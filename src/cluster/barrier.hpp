@@ -105,7 +105,8 @@ class Barrier {
   /// Modeled latency between the last arrival and the release broadcast.
   /// Called once per generation (never on the per-arrival hot path beyond
   /// the completing arrival), so virtual dispatch costs nothing measurable.
-  [[nodiscard]] virtual unsigned release_delay() const noexcept = 0;
+  /// 64-bit, so a product of large per-link latencies cannot wrap.
+  [[nodiscard]] virtual Cycle release_delay() const noexcept = 0;
 
  private:
   unsigned num_cores_;
@@ -129,7 +130,7 @@ class CentralBarrier final : public Barrier {
   [[nodiscard]] unsigned release_latency() const noexcept { return release_latency_; }
 
  protected:
-  [[nodiscard]] unsigned release_delay() const noexcept override {
+  [[nodiscard]] Cycle release_delay() const noexcept override {
     return release_latency_;
   }
 
@@ -149,8 +150,8 @@ class TreeBarrier final : public Barrier {
   [[nodiscard]] unsigned levels() const noexcept { return levels_; }
 
  protected:
-  [[nodiscard]] unsigned release_delay() const noexcept override {
-    return 2 * levels_ * link_latency_;
+  [[nodiscard]] Cycle release_delay() const noexcept override {
+    return 2 * static_cast<Cycle>(levels_) * link_latency_;
   }
 
  private:
@@ -172,8 +173,8 @@ class ButterflyBarrier final : public Barrier {
   [[nodiscard]] unsigned stages() const noexcept { return stages_; }
 
  protected:
-  [[nodiscard]] unsigned release_delay() const noexcept override {
-    return stages_ * link_latency_;
+  [[nodiscard]] Cycle release_delay() const noexcept override {
+    return static_cast<Cycle>(stages_) * link_latency_;
   }
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace tcdm {
 
@@ -192,7 +193,7 @@ Cycle Cluster::earliest_event(SkipPlan& plan) {
   return wake;
 }
 
-void Cluster::cross_check_span(Cycle claimed_event, Cycle target) {
+void Cluster::cross_check_to(Cycle claimed_event, Cycle target) {
   if (xc_slots_.empty()) xc_slots_ = stats_.slots();
   const auto index_of = [&](const double* slot) {
     for (std::size_t i = 0; i < xc_slots_.size(); ++i) {
@@ -256,8 +257,12 @@ void Cluster::skip_to(Cycle target) {
   clock_.advance_by(target - now);
 }
 
+void Cluster::require_program(const char* caller) const {
+  if (programs_.empty()) throw std::logic_error(std::string(caller) + ": no program loaded");
+}
+
 RunOutcome Cluster::run(Cycle max_cycles) {
-  if (programs_.empty()) throw std::logic_error("run: no program loaded");
+  require_program("run");
   RunOutcome out;
   const Cycle start = clock_.now();
   const Cycle budget_end = max_cycles > kNoCycle - start ? kNoCycle : start + max_cycles;
@@ -290,7 +295,7 @@ RunOutcome Cluster::run(Cycle max_cycles) {
     if (stepping_ == SteppingMode::kEventDriven) {
       skip_to(jump_to);
     } else {
-      cross_check_span(event, jump_to);
+      cross_check_to(event, jump_to);
     }
   }
   out.cycles = clock_.now() - start;

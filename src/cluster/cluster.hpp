@@ -55,12 +55,6 @@ enum class SteppingMode : std::uint8_t {
 struct SimOptions {
   /// Time-advance strategy for run(); step() is always single-cycle.
   SteppingMode stepping = SteppingMode::kEventDriven;
-  /// Shard threads for the System layer's kernel phase
-  /// (`tcdm_run --shard-threads`); a bare Cluster ignores this. 0 and 1
-  /// run the clusters one after another on the calling thread; the System
-  /// clamps larger counts to its cluster count. Any value is bit-identical
-  /// to serial (docs/CONCURRENCY.md, S1-S3).
-  unsigned shard_threads = 1;
 };
 
 class Cluster final : public RspSink {
@@ -99,8 +93,12 @@ class Cluster final : public RspSink {
   /// construction per scenario.
   void reset();
 
-  /// Advance one cycle; returns true when every hart has halted.
+  /// Advance one cycle; returns true when every hart has halted. Needs a
+  /// loaded program; time-advancing loops check it with require_program().
   bool step();
+  /// Throws std::logic_error("<caller>: no program loaded") unless a
+  /// program is loaded. run() and record_timeline call it first.
+  void require_program(const char* caller) const;
   /// Run to completion (all harts halted) or `max_cycles`; throws
   /// DeadlockError if the watchdog fires. Advances time according to the
   /// configured SteppingMode; every mode reaches the same states at the
@@ -159,21 +157,11 @@ class Cluster final : public RspSink {
   /// time verifying EV1/EV2 against the last next_event() decision (whose
   /// claimed event cycle is `claimed_event`), throwing WakeupContractError
   /// on any violation.
-  void cross_check_to(Cycle claimed_event, Cycle target) {
-    cross_check_span(claimed_event, target);
-  }
+  void cross_check_to(Cycle claimed_event, Cycle target);
 
   /// Cycle at which the deadlock watchdog must fire (kNoCycle-saturating);
   /// composed skips must never jump past it.
   [[nodiscard]] Cycle watchdog_deadline() const noexcept { return watchdog_.deadline(); }
-
-  /// True when every hart has halted (same predicate step() returns).
-  [[nodiscard]] bool all_halted() const noexcept {
-    for (const auto& tile : tiles_) {
-      if (!tile->cc().halted()) return false;
-    }
-    return true;
-  }
 
   // ---- RspSink ----
   void deliver_rsp(const TcdmResp& rsp, Cycle now) override;
@@ -202,11 +190,6 @@ class Cluster final : public RspSink {
   /// the same traversal. Returns `now` as soon as any component has work
   /// this cycle (the plan is then meaningless and discarded by the caller).
   Cycle earliest_event(SkipPlan& plan);
-
-  /// kCrossCheck helper: step the claimed-quiet span [now, target) one cycle
-  /// at a time, verifying EV1/EV2 after each step. Throws
-  /// WakeupContractError naming the violated invariant.
-  void cross_check_span(Cycle claimed_event, Cycle target);
 
   ClusterConfig cfg_;
   Topology topo_;

@@ -54,7 +54,7 @@ class ClusterCache {
 
   /// Cache identity of a (config, sim-options) pair. The stepping mode is
   /// part of the key: it never changes simulated results, but it is
-  /// per-instance state. shard_threads is not: a bare Cluster ignores it.
+  /// per-instance state.
   [[nodiscard]] static std::string cache_key(const ClusterConfig& cfg,
                                              const SimOptions& sim) {
     return cfg.to_json().dump_compact() + "|s" +

@@ -43,7 +43,7 @@ struct RunnerOptions {
   bool verify = true;
   Cycle max_cycles = 50'000'000;
   Cycle watchdog_window = 100'000;
-  /// Host-side simulation options (stepping mode, shard threads). Only
+  /// Host-side simulation options (the stepping mode). Only
   /// consulted by run_kernel, which builds the cluster; run_kernel_on uses
   /// whatever the caller's cluster was constructed with.
   SimOptions sim{};

@@ -4,9 +4,8 @@
 // the same point — a preset plus burst sugar, an explicit field-by-field
 // object, a generated suite — hashes identically, and any change to a field
 // that can affect the simulation changes the key. Host-side options that are
-// proven not to affect results (the stepping mode, shard threads) are
-// excluded, so a cache warmed under one setting answers queries under any
-// other.
+// proven not to affect results (the stepping mode) are excluded, so a
+// cache warmed under one setting answers queries under any other.
 //
 // The key is what the explore memo store (memo_store.hpp) and checkpoints
 // are keyed by; its stability across spellings is what makes "repeated

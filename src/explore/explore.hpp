@@ -9,12 +9,12 @@
 //            change the outcome), then memo lookup (hit = free) or
 //            simulation scheduling (miss);
 //   run    — the wave's misses simulate on the sweep runner (`-j`
-//            scenario-parallel, `--shard-threads` for system points);
+//            scenario-parallel);
 //   fold   — results commit into the Pareto frontier in candidate order;
 //   save   — the search state checkpoints via atomic write-then-rename.
 //
 // Wave size is a constant, so pruning decisions — and therefore the report,
-// byte for byte — are independent of `jobs`/`shard_threads`. The budget caps
+// byte for byte — are independent of `jobs`. The budget caps
 // *simulations* (cache hits are free); an exhausted budget checkpoints and
 // stops, and a later `--resume` (same suite, objective and settings)
 // continues from the frontier instead of from scratch. A run killed at any
@@ -69,8 +69,7 @@ struct ExploreOptions {
   bool prune = true;
   /// Workers and overrides of each wave's sweep; with `log` set,
   /// run_explore installs its own on_done. Host knobs only: results, memo
-  /// entries and reports are bit-identical at any jobs, shard threads and
-  /// stepping.
+  /// entries and reports are bit-identical at any jobs and stepping.
   scenario::SweepOptions sweep;
   /// Fault injection: abort (ExploreAborted) once this many simulations
   /// have completed and been checkpointed. 0 = disabled.

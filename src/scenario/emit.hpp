@@ -27,8 +27,8 @@ namespace tcdm::scenario {
 struct EmitOptions {
   std::string out_dir;  // created if missing
   /// Workers and overrides of the sweep; with `log` set, emit_suites
-  /// installs its own on_done. Emissions are byte-identical at any jobs,
-  /// shard threads and stepping.
+  /// installs its own on_done. Emissions are byte-identical at any jobs
+  /// and stepping.
   SweepOptions sweep;
   /// Progress notes ("ran table1/... [i/n]") go here when set.
   std::ostream* log = nullptr;

@@ -54,7 +54,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const SweepOptions& opts,
     const ClusterConfig cfg = spec.config();
     SimOptions sim = spec.opts.sim;
     if (opts.stepping) sim.stepping = *opts.stepping;
-    if (opts.shard_threads > 0) sim.shard_threads = opts.shard_threads;
     if (spec.system) {
       // System scenarios build fresh (no cache: a System owns N clusters and
       // suites sweep the cluster count, so shape reuse buys little here).

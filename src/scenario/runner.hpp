@@ -27,12 +27,6 @@ struct SweepOptions {
   /// spec's SimOptions value (event-driven unless a caller changed it); set,
   /// it applies to every scenario of the sweep. Bit-identical either way.
   std::optional<SteppingMode> stepping;
-  /// Shard threads for system scenarios (tcdm_run --shard-threads): the N
-  /// clusters of a "system" block run their kernels concurrently. 0 keeps
-  /// each spec's SimOptions value (serial unless a caller changed it);
-  /// cluster-only scenarios ignore it. Bit-identical to serial at any value
-  /// (docs/CONCURRENCY.md, S1-S3).
-  unsigned shard_threads = 0;
   /// Progress callback, invoked as each scenario finishes (serialized; may
   /// be called from worker threads but never concurrently).
   std::function<void(const ScenarioResult&)> on_done;
@@ -40,10 +34,10 @@ struct SweepOptions {
 
 /// Run one scenario on a fresh cluster. Never throws: failures (exceptions,
 /// timeouts, failed expected verification) land in ScenarioResult::error.
-/// Of `opts`, only the `stepping` and `shard_threads` overrides apply. With
-/// a non-null `cache`, the cluster is drawn from it (reset-reuse per config
-/// shape — bit-identical results, docs/ARCHITECTURE.md P2) instead of
-/// constructed; the cache must not be shared across threads.
+/// Of `opts`, only the `stepping` override applies. With a non-null
+/// `cache`, the cluster is drawn from it (reset-reuse per config shape —
+/// bit-identical results, docs/ARCHITECTURE.md P2) instead of constructed;
+/// the cache must not be shared across threads.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec,
                                           const SweepOptions& opts = {},
                                           ClusterCache* cache = nullptr);

@@ -1,10 +1,9 @@
 #include "src/system/system.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <exception>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 namespace tcdm {
 
@@ -34,8 +33,6 @@ System::System(const SystemConfig& sys, const ClusterConfig& cluster_cfg,
         std::to_string(cluster_cfg.bank_words) + " words = " +
         std::to_string(tcdm_words) + " words)");
   }
-  // Extra shard threads beyond the cluster count would only idle.
-  shard_threads_ = std::clamp(sim.shard_threads, 1u, cfg_.num_clusters);
   clusters_.reserve(cfg_.num_clusters);
   for (unsigned c = 0; c < cfg_.num_clusters; ++c) {
     clusters_.push_back(std::make_unique<Cluster>(cluster_cfg, sim));
@@ -44,62 +41,45 @@ System::System(const SystemConfig& sys, const ClusterConfig& cluster_cfg,
                                  cfg_.barrier_link_latency, cfg_.barrier_radix);
   dma_.resize(cfg_.num_clusters);
   halt_at_.assign(cfg_.num_clusters, kNoCycle);
-  faults_.resize(cfg_.num_clusters);
 }
 
 void System::run_kernels(Cycle budget_end) {
-  const auto run_one = [this, budget_end](unsigned c) {
-    faults_[c] = nullptr;
-    if (halt_at_[c] != kNoCycle) return;  // parked by an earlier run() call
+  // A fault stops a cluster's clock at the faulting cycle. Stepping every
+  // cluster each cycle in index order would have surfaced the earliest
+  // such cycle first, and the lowest index among ties (S3), so every
+  // cluster still runs and only that fault is kept.
+  std::exception_ptr fault;
+  Cycle fault_at = kNoCycle;
+  for (unsigned c = 0; c < num_clusters(); ++c) {
+    if (halt_at_[c] != kNoCycle) continue;  // parked by an earlier run() call
     Cluster& cluster = *clusters_[c];
     try {
       if (cluster.run(budget_end - cluster.now()).all_halted) halt_at_[c] = cluster.now() - 1;
     } catch (...) {
-      faults_[c] = std::current_exception();  // rethrown in order below (S3)
+      if (cluster.now() < fault_at) {
+        fault = std::current_exception();
+        fault_at = cluster.now();
+      }
+      continue;
     }
-  };
-  // Fork-join: the caller and shard_threads_ - 1 helpers take cluster
-  // indices from one cursor. run_one captures every fault, so nothing
-  // escapes a thread, and the helpers join at the end of the block, before
-  // anything reads the clusters (S1).
-  const unsigned n = num_clusters();
-  std::atomic<unsigned> cursor{0};
-  const auto drain = [&] {
-    for (unsigned c = cursor++; c < n; c = cursor++) run_one(c);
-  };
-  {
-    std::vector<std::jthread> helpers;
-    helpers.reserve(shard_threads_ - 1);
-    for (unsigned t = 1; t < shard_threads_; ++t) helpers.emplace_back(drain);
-    drain();
+    check_kernel_span(c, budget_end);
   }
-  check_kernel_span(budget_end);
-
-  // A fault stops a cluster's clock at the faulting cycle. Stepping every
-  // cluster each cycle in index order would have surfaced the earliest
-  // such cycle first, and the lowest index among ties.
-  unsigned first = n;
-  for (unsigned c = 0; c < n; ++c) {
-    if (faults_[c] && (first == n || clusters_[c]->now() < clusters_[first]->now())) first = c;
-  }
-  if (first < n) {
-    now_ = clusters_[first]->now();  // the system clock stops there too
-    std::rethrow_exception(faults_[first]);
+  if (fault) {
+    now_ = fault_at;  // the system clock stops there too
+    std::rethrow_exception(fault);
   }
   kernels_running_ = static_cast<unsigned>(
       std::count_if(halt_at_.begin(), halt_at_.end(), [this](Cycle h) { return h >= now_; }));
 }
 
-void System::check_kernel_span(Cycle budget_end) const {
-  for (unsigned c = 0; c < num_clusters(); ++c) {
-    const Cycle now = clusters_[c]->now();
-    if (halt_at_[c] == kNoCycle && !faults_[c] && now != budget_end) {
-      throw std::logic_error(
-          "S1 violation (shard rendezvous soundness, docs/CONCURRENCY.md): cluster " +
-          std::to_string(c) + " left the kernel span at cycle " + std::to_string(now) +
-          " without halting, faulting or reaching the budget end " +
-          std::to_string(budget_end));
-    }
+void System::check_kernel_span(unsigned c, Cycle budget_end) const {
+  const Cycle now = clusters_[c]->now();
+  if (halt_at_[c] == kNoCycle && now != budget_end) {
+    throw std::logic_error(
+        "S1 violation (kernel-phase exit, docs/CONCURRENCY.md): cluster " +
+        std::to_string(c) + " left the kernel span at cycle " + std::to_string(now) +
+        " without halting, faulting or reaching the budget end " +
+        std::to_string(budget_end));
   }
 }
 

@@ -26,17 +26,14 @@
 // every stepping mode.
 // Results are bit-identical to stepping every cluster every cycle.
 //
-// With shard_threads > 1 the kernel phase is one fork-join per run():
-// shard_threads - 1 helper threads plus the caller take clusters from a
-// shared cursor, under docs/CONCURRENCY.md S1-S3: the join leaves every
-// cluster halted, faulted or at the budget (S1), the system loop is serial
-// (S2), and the earliest fault cycle surfaces, ties to the lowest index
-// (S3). Any shard_threads value is bit-identical.
+// Everything runs on the calling thread, under docs/CONCURRENCY.md S1-S3:
+// the kernel phase leaves every cluster halted, faulted or at the budget
+// (S1), the system loop is serial (S2), and the earliest fault cycle
+// surfaces, ties to the lowest index (S3).
 //
 // N == 1 degenerates to exactly Cluster::run — same cycles, same stats.
 #pragma once
 
-#include <exception>
 #include <memory>
 #include <vector>
 
@@ -64,9 +61,6 @@ class System {
   [[nodiscard]] Barrier& global_barrier() noexcept { return *global_barrier_; }
   [[nodiscard]] Cycle now() const noexcept { return now_; }
   [[nodiscard]] SteppingMode stepping() const noexcept { return stepping_; }
-  /// Shard threads the kernel phase actually uses: SimOptions::shard_threads
-  /// clamped to [1, num_clusters()]; 1 runs the clusters one after another.
-  [[nodiscard]] unsigned shard_threads() const noexcept { return shard_threads_; }
 
   /// Back to the just-constructed state without reallocating anything:
   /// every cluster reset (P2), global barrier at generation 0, DMA engines
@@ -78,10 +72,10 @@ class System {
   /// `max_cycles`; throws DeadlockError when a cluster or the system-level
   /// watchdog fires. Each cluster runs to its halt alone, then the system
   /// loop advances the DMA engines and the global barrier (see the header
-  /// comment); all modes and thread counts are bit-identical (apart from
-  /// `sim.*` bookkeeping counters). On return every cluster's clock equals
-  /// now(). On a throw, now() is the faulting cycle and every cluster parked
-  /// before it has caught up to it.
+  /// comment); all modes are bit-identical (apart from `sim.*` bookkeeping
+  /// counters). On return every cluster's clock equals now(). On a throw,
+  /// now() is the faulting cycle and every cluster parked before it has
+  /// caught up to it.
   RunOutcome run(Cycle max_cycles = 50'000'000);
 
   /// Propagates to every cluster and scales the system watchdog with it.
@@ -119,11 +113,12 @@ class System {
   };
 
   /// Kernel phase: every cluster not yet halted runs alone to its halt,
-  /// fault or `budget_end`; rethrows the earliest fault (S3).
+  /// fault or `budget_end`, in ascending index order; rethrows the earliest
+  /// fault (S3).
   void run_kernels(Cycle budget_end);
-  /// S1 tripwire after the kernel span: every cluster has halted, faulted
-  /// or reached `budget_end`.
-  void check_kernel_span(Cycle budget_end) const;
+  /// S1 tripwire after cluster `c`'s kernel span ended without a fault: it
+  /// has halted or reached `budget_end`.
+  void check_kernel_span(unsigned c, Cycle budget_end) const;
   /// One system-loop cycle; returns true once the run is done.
   bool step();
   /// Catch every parked (halted) cluster's clock up to now_; with
@@ -135,13 +130,11 @@ class System {
 
   SystemConfig cfg_;
   SteppingMode stepping_ = SteppingMode::kEventDriven;
-  unsigned shard_threads_ = 1;
   std::vector<std::unique_ptr<Cluster>> clusters_;
   std::unique_ptr<Barrier> global_barrier_;
   std::vector<DmaEngine> dma_;
   std::vector<Cycle> halt_at_;  // per cluster: halt cycle, kNoCycle while running
-  std::vector<std::exception_ptr> faults_;  // per cluster, this run's kernel phase
-  unsigned kernels_running_ = 0;            // clusters not yet arrived
+  unsigned kernels_running_ = 0;  // clusters not yet arrived
   bool dma_started_ = false;
   bool done_ = false;
   std::uint64_t words_delivered_ = 0;

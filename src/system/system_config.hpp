@@ -58,8 +58,9 @@ struct SystemConfig {
   }
   /// Cycles between issuing a DMA burst and its first payload word: one
   /// request round trip through the NoC plus the L2 access.
-  [[nodiscard]] unsigned burst_header_latency() const noexcept {
-    return 2 * noc_hops() * noc_hop_latency + l2_latency;
+  /// Computed in 64 bits: scenario files accept any `unsigned` latency.
+  [[nodiscard]] Cycle burst_header_latency() const noexcept {
+    return 2 * static_cast<Cycle>(noc_hops()) * noc_hop_latency + l2_latency;
   }
 
   /// Throws std::invalid_argument when parameters are inconsistent.

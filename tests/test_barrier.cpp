@@ -85,6 +85,15 @@ TEST(BarrierDelay, ButterflyIsOneDisseminationPass) {
   EXPECT_EQ(release_cycle(b, 16, 100), 112u);
 }
 
+TEST(BarrierDelay, LargeLinkLatenciesDoNotWrapAt32Bits) {
+  // 2 levels (4 members, radix 2) x 2 traversals x 2^31 = 2^33 cycles.
+  TreeBarrier tree(4, 1u << 31, 2);
+  EXPECT_EQ(release_cycle(tree, 4, 100), (Cycle{1} << 33) + 100);
+  // 2 stages x 2^31 = 2^32 cycles.
+  ButterflyBarrier butterfly(4, 1u << 31);
+  EXPECT_EQ(release_cycle(butterfly, 4, 100), (Cycle{1} << 32) + 100);
+}
+
 // --------------------------------------------------- generation protocol ----
 
 TEST(BarrierProtocol, GenerationAdvancesOnReleaseAndCountsClear) {

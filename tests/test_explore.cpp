@@ -77,8 +77,7 @@ TEST(ConfigHash, HostSimOptionsDoNotAffectTheKey) {
     return k;
   }());
   FileScenario b = a;
-  b.opts.sim.stepping = SteppingMode::kCycleByCycle;  // bit-identical results,
-  b.opts.sim.shard_threads = 8;                       // so the same key
+  b.opts.sim.stepping = SteppingMode::kCycleByCycle;  // bit-identical results, so the same key
   EXPECT_EQ(canonical_key(a), canonical_key(b));
 }
 
@@ -550,7 +549,6 @@ TEST(Explore, ReportIsIndependentOfJobsAndWaveScheduling) {
   serial.sweep.jobs = 1;
   ExploreOptions parallel;
   parallel.sweep.jobs = 8;
-  parallel.sweep.shard_threads = 2;
   EXPECT_EQ(report_json(suite, serial, run_explore(suite, serial)).dump(),
             report_json(suite, parallel, run_explore(suite, parallel)).dump());
 }

@@ -359,13 +359,8 @@ TEST(ScenarioFile, MalformedDocumentsNameTheOffendingPath) {
       {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
            "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
                           "kernel": {"kind": "dotp", "n": 64},
-                          "options": {"shard_threads": 4}}]})",
-       "scenarios[0]/options/shard_threads: unknown key"},
-      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
-           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
-                          "kernel": {"kind": "dotp", "n": 64},
-                          "system": {"num_clusters": 2, "shard_threads": 2}}]})",
-       "scenarios[0]/system/shard_threads: unknown key"},
+                          "system": {"num_clusters": 2, "sim_threads": 2}}]})",
+       "scenarios[0]/system/sim_threads: unknown key"},
       // A typo'd range must produce a diagnostic, not expand unboundedly.
       {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
            "scenarios": [{"name": "n{n}",

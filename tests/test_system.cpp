@@ -1,10 +1,10 @@
 // System layer (src/system/): N clusters over the modeled L2/NoC. Covers
 // the N == 1 degenerate identity with a bare Cluster run, bit-identical
-// determinism across shard-thread counts and all three stepping modes at
-// N == 4, the P2 fresh-vs-reset identity, DMA payload accounting and
-// checksums, clusters halting at different cycles, monotone
-// aggregate-bandwidth weak scaling 1 -> 8, and cross-kind correctness of
-// the global barrier.
+// determinism across all three stepping modes at N == 4, the P2
+// fresh-vs-reset identity, DMA payload accounting and checksums, the 64-bit
+// burst header latency, clusters halting at different cycles, the earliest
+// fault surfacing first (S3), monotone aggregate-bandwidth weak scaling
+// 1 -> 8, and cross-kind correctness of the global barrier.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/cluster/kernel_runner.hpp"
+#include "src/common/sim_time.hpp"
 #include "src/kernels/axpy.hpp"
 #include "src/kernels/dotp.hpp"
 #include "src/system/system.hpp"
@@ -97,31 +98,27 @@ TEST(SystemDegenerate, SingleClusterMatchesBareClusterExactly) {
 
 // ---------------------------------------------------------- determinism ----
 
-TEST(SystemDeterminism, BitIdenticalAcrossThreadsAndSteppingModes) {
+TEST(SystemDeterminism, BitIdenticalAcrossSteppingModes) {
   const ClusterConfig cfg = mp4_config(4);
   const SystemConfig sys_cfg = small_system(4);
 
-  // Reference: serial, cycle-by-cycle.
+  // Reference: cycle-by-cycle.
   System ref(sys_cfg, cfg, SimOptions{SteppingMode::kCycleByCycle});
   const SystemImage ref_img = run_image(ref);
   ASSERT_FALSE(ref_img.metrics.timed_out);
   ASSERT_TRUE(ref_img.metrics.verified);
 
-  for (const unsigned shards : {1u, 4u}) {
-    for (const SteppingMode mode :
-         {SteppingMode::kEventDriven, SteppingMode::kCycleByCycle,
-          SteppingMode::kCrossCheck}) {
-      System sys(sys_cfg, cfg, SimOptions{mode, shards});
-      const SystemImage img = run_image(sys);
-      // Full per-cluster stats differ only in the `sim.*` bookkeeping
-      // counters across modes (EV1-EV3), so the cross-mode identity is
-      // asserted on the simulated state: metrics, payloads, verification.
-      EXPECT_EQ(img.metrics.cycles, ref_img.metrics.cycles)
-          << shards << " shard threads, mode " << static_cast<int>(mode);
-      EXPECT_EQ(img.metrics.flops, ref_img.metrics.flops);
-      EXPECT_EQ(img.metrics.noc_bytes, ref_img.metrics.noc_bytes);
-      EXPECT_EQ(img.metrics.verified, ref_img.metrics.verified);
-    }
+  for (const SteppingMode mode :
+       {SteppingMode::kEventDriven, SteppingMode::kCycleByCycle, SteppingMode::kCrossCheck}) {
+    System sys(sys_cfg, cfg, SimOptions{mode});
+    const SystemImage img = run_image(sys);
+    // Full per-cluster stats differ only in the `sim.*` bookkeeping
+    // counters across modes (EV1-EV3), so the cross-mode identity is
+    // asserted on the simulated state: metrics, payloads, verification.
+    EXPECT_EQ(img.metrics.cycles, ref_img.metrics.cycles) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(img.metrics.flops, ref_img.metrics.flops);
+    EXPECT_EQ(img.metrics.noc_bytes, ref_img.metrics.noc_bytes);
+    EXPECT_EQ(img.metrics.verified, ref_img.metrics.verified);
   }
 }
 
@@ -171,6 +168,13 @@ TEST(SystemDma, ZeroWordsSkipsTheExchange) {
   ASSERT_TRUE(img.metrics.verified);
   EXPECT_EQ(img.metrics.noc_bytes, 0.0);
   EXPECT_TRUE(system.done());
+}
+
+TEST(SystemDma, BurstHeaderLatencyDoesNotWrapAt32Bits) {
+  SystemConfig sys_cfg = small_system(2);  // one NoC hop
+  sys_cfg.noc_hop_latency = 1u << 31;
+  EXPECT_EQ(sys_cfg.noc_hops(), 1u);
+  EXPECT_EQ(sys_cfg.burst_header_latency(), (Cycle{1} << 32) + sys_cfg.l2_latency);
 }
 
 TEST(SystemDma, RejectsPayloadBeyondTcdmCapacity) {
@@ -229,22 +233,19 @@ TEST(SystemStaggered, ClustersHaltingApartMatchBareClustersAndLockstep) {
 
   for (const SteppingMode mode :
        {SteppingMode::kEventDriven, SteppingMode::kCycleByCycle, SteppingMode::kCrossCheck}) {
-    for (const unsigned shards : {1u, 2u, 4u}) {
-      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) + ", " +
-                   std::to_string(shards) + " shard threads");
-      System system(sys_cfg, cfg, SimOptions{mode, shards});
-      std::vector<std::unique_ptr<Kernel>> kernels;
-      for (const unsigned size : sizes) kernels.push_back(std::make_unique<DotpKernel>(size));
-      const KernelMetrics m = run_system_kernel(system, kernels, capped_opts());
-      ASSERT_TRUE(m.verified);
-      ASSERT_FALSE(m.timed_out);
-      // Recorded from the loop that stepped every cluster every cycle.
-      EXPECT_EQ(m.cycles, 940u);
-      EXPECT_EQ(m.noc_bytes, 4096.0);
-      for (unsigned c = 0; c < 4; ++c) {
-        EXPECT_EQ(system.cluster(c).now(), system.now()) << "cluster " << c;
-        EXPECT_EQ(model_stats(system.cluster(c)), bare_stats[c]) << "cluster " << c;
-      }
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+    System system(sys_cfg, cfg, SimOptions{mode});
+    std::vector<std::unique_ptr<Kernel>> kernels;
+    for (const unsigned size : sizes) kernels.push_back(std::make_unique<DotpKernel>(size));
+    const KernelMetrics m = run_system_kernel(system, kernels, capped_opts());
+    ASSERT_TRUE(m.verified);
+    ASSERT_FALSE(m.timed_out);
+    // Recorded from the loop that stepped every cluster every cycle.
+    EXPECT_EQ(m.cycles, 940u);
+    EXPECT_EQ(m.noc_bytes, 4096.0);
+    for (unsigned c = 0; c < 4; ++c) {
+      EXPECT_EQ(system.cluster(c).now(), system.now()) << "cluster " << c;
+      EXPECT_EQ(model_stats(system.cluster(c)), bare_stats[c]) << "cluster " << c;
     }
   }
 }
@@ -279,19 +280,17 @@ TEST(SystemStaggered, HaltsOneCycleApartAreAllReplayed) {
   }
   for (unsigned c = 1; c < 4; ++c) ASSERT_EQ(bare_cycles[c], bare_cycles[c - 1] + 1) << c;
 
-  const auto run_system = [&](SteppingMode mode, unsigned shards) {
-    System system(small_system(4), cfg, SimOptions{mode, shards});
+  const auto run_system = [&](SteppingMode mode) {
+    System system(small_system(4), cfg, SimOptions{mode});
     for (unsigned c = 0; c < 4; ++c) system.cluster(c).load_programs(programs_for(c));
     return system.run(200'000);
   };
-  const RunOutcome ref = run_system(SteppingMode::kCycleByCycle, 1);
+  const RunOutcome ref = run_system(SteppingMode::kCycleByCycle);
   ASSERT_TRUE(ref.all_halted);
   for (const SteppingMode mode : {SteppingMode::kEventDriven, SteppingMode::kCrossCheck}) {
-    for (const unsigned shards : {1u, 4u}) {
-      const RunOutcome got = run_system(mode, shards);
-      EXPECT_TRUE(got.all_halted) << "mode " << static_cast<int>(mode) << ", " << shards;
-      EXPECT_EQ(got.cycles, ref.cycles) << "mode " << static_cast<int>(mode) << ", " << shards;
-    }
+    const RunOutcome got = run_system(mode);
+    EXPECT_TRUE(got.all_halted) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(got.cycles, ref.cycles) << "mode " << static_cast<int>(mode);
   }
 }
 
@@ -355,6 +354,67 @@ TEST(SystemStaggered, RunSplitAtAnyBudgetMatchesOneRun) {
       EXPECT_EQ(split.stats, whole.stats);
     }
   }
+}
+
+// ---------------------------------------------------------------- faults ----
+
+TEST(SystemFaults, EarliestFaultCycleSurfacesBeforeLowerIndex) {
+  // Clusters 1 and 3 both deadlock at a mismatched barrier, but cluster 1's
+  // waiting harts first spin through a counted loop, so its watchdog fires
+  // much later. The ascending kernel loop meets cluster 1's fault first,
+  // yet the earliest fault is cluster 3's: that DeadlockError must surface
+  // (S3), byte-equal to a bare Cluster's.
+  const ClusterConfig cfg = mp4_config(4);
+  constexpr Cycle kWindow = 2000;
+  const auto programs_for = [&](unsigned c) {
+    std::vector<Program> programs;
+    for (unsigned h = 0; h < cfg.num_cores(); ++h) {
+      ProgramBuilder b("hart");
+      if ((c == 1 || c == 3) && h > 0) {
+        if (c == 1) {
+          b.li(t0, 3000);
+          const Label loop = b.make_label();
+          b.bind(loop);
+          b.addi(t0, t0, -1);
+          b.bnez(t0, loop);
+        }
+        b.barrier();
+      }
+      b.halt();
+      programs.push_back(b.build());
+    }
+    return programs;
+  };
+  const auto bare_what = [&](unsigned c) {
+    Cluster bare(cfg, SimOptions{});
+    bare.set_watchdog_window(kWindow);
+    bare.load_programs(programs_for(c));
+    try {
+      (void)bare.run(1'000'000);
+    } catch (const DeadlockError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no deadlock");
+  };
+  const std::string expected = bare_what(3);
+  ASSERT_NE(expected, "no deadlock");
+  ASSERT_NE(expected, bare_what(1));  // the two faults are distinguishable
+
+  System system(small_system(4), cfg, SimOptions{});
+  system.set_watchdog_window(kWindow);
+  for (unsigned c = 0; c < 4; ++c) system.cluster(c).load_programs(programs_for(c));
+  try {
+    (void)system.run(1'000'000);
+    FAIL() << "deadlock run returned normally";
+  } catch (const DeadlockError& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
+  // The system clock stops at cluster 3's fault cycle, and the clusters
+  // parked before it (0 and 2 halt at once) catch up to it on the throw.
+  for (const unsigned c : {0u, 2u, 3u}) {
+    EXPECT_EQ(system.cluster(c).now(), system.now()) << "cluster " << c;
+  }
+  EXPECT_GT(system.cluster(1).now(), system.now());
 }
 
 // -------------------------------------------------------- barrier kinds ----

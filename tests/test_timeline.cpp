@@ -29,6 +29,11 @@ TEST(Timeline, RejectsZeroInterval) {
   EXPECT_THROW((void)record_timeline(cluster, 0), std::invalid_argument);
 }
 
+TEST(Timeline, RejectsAClusterWithNoProgram) {
+  Cluster cluster(test::mp4_config());
+  EXPECT_THROW((void)record_timeline(cluster, 10), std::logic_error);
+}
+
 TEST(Timeline, RunsToCompletionAndCoversAllCycles) {
   const TimelineResult t = record_dotp(50, test::mp4_config());
   EXPECT_TRUE(t.all_halted);

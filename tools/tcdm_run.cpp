@@ -4,16 +4,16 @@
 // requires a new binary.
 //
 //   tcdm_run list [--file F]... [glob...]      list suites and scenarios
-//   tcdm_run run [-j N] [--shard-threads N] [--stepping M] [--file F]...
+//   tcdm_run run [-j N] [--stepping M] [--file F]...
 //                [--no-builtin] [glob...]      run a selection; print tables
-//   tcdm_run emit [-j N] [--shard-threads N] [--stepping M] [--file F]...
+//   tcdm_run emit [-j N] [--stepping M] [--file F]...
 //                 [--no-builtin] --out <dir> (--all | suite|glob...)
 //                                              sweep suites, write <dir>/<suite>.json
 //   tcdm_run validate [file...|-]              load + expand + validate suite
 //                                              files (default: stdin)
 //   tcdm_run gen --seed N --count K [--out F]  emit a randomized, invariant-
 //                                              checked suite file (stdout)
-//   tcdm_run explore [-j N] [--shard-threads N] [--stepping M] [--objective NAME]
+//   tcdm_run explore [-j N] [--stepping M] [--objective NAME]
 //                    [--area-cap MGE] [--budget N] [--cache F] [--state F]
 //                    [--resume] [--no-prune] [--report F] [--stats-out F]
 //                    [--fail-after N] <suite.json>
@@ -25,13 +25,14 @@
 // builtins; `--no-builtin` starts from an empty registry instead, which
 // lets a file re-express a builtin suite under its own name. With `--file`
 // and no globs/suites, the file's suites are selected. Globs match full
-// scenario names (`*` crosses `/`). Parallel runs (-j) produce
-// byte-identical emissions and stdout tables to serial ones; --shard-threads
-// runs the clusters of a system scenario concurrently (bit-identical at any
-// count; 0 = hardware concurrency). `--stepping event|cycle|check`
-// selects how each cluster advances time (event-driven skipping, the
-// cycle-by-cycle reference loop, or the self-verifying cross-check mode —
-// all bit-identical; see docs/ARCHITECTURE.md).
+// scenario names (`*` crosses `/`); an argument starting with `-` that is
+// no known flag is a usage error, never a glob. Parallel runs (-j) produce
+// byte-identical emissions and stdout tables to serial ones, and each
+// scenario, a multi-cluster system included, runs on one thread.
+// `--stepping event|cycle|check` selects how each cluster advances time
+// (event-driven skipping, the cycle-by-cycle reference loop, or the
+// self-verifying cross-check mode — all bit-identical; see
+// docs/ARCHITECTURE.md).
 // Exit codes: 0 ok, 1 scenario/validation failure or empty selection,
 // 2 usage/IO errors (including unknown subcommands and corrupt explore
 // cache/checkpoint files), 3 injected --fail-after abort.
@@ -44,7 +45,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/analytics/report.hpp"
@@ -63,13 +63,13 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s list [--file F]... [glob...]\n"
-      "       %s run [-j N] [--shard-threads N] [--stepping M]\n"
+      "       %s run [-j N] [--stepping M]\n"
       "            [--file F]... [--no-builtin] [glob...]\n"
-      "       %s emit [-j N] [--shard-threads N] [--stepping M]\n"
+      "       %s emit [-j N] [--stepping M]\n"
       "            [--file F]... [--no-builtin] --out <dir> (--all | suite|glob...)\n"
       "       %s validate [file...|-]\n"
       "       %s gen [--seed N] [--count K] [--out <file>]\n"
-      "       %s explore [-j N] [--shard-threads N] [--stepping M]\n"
+      "       %s explore [-j N] [--stepping M]\n"
       "            [--objective NAME] [--area-cap MGE] [--budget N] [--cache F]\n"
       "            [--state F] [--resume] [--no-prune] [--report F] [--stats-out F]\n"
       "            [--fail-after N] <suite.json>\n"
@@ -77,11 +77,8 @@ int usage(const char* argv0) {
       "  --stepping M   time advance per cluster: event (skip quiet spans,\n"
       "                 default), cycle (reference loop), check (skip decisions\n"
       "                 verified cycle-by-cycle). All modes are bit-identical.\n"
-      "  -j N           run N scenarios at once (0 = hardware concurrency).\n"
-      "  --shard-threads N   system scenarios only: run the kernels of a\n"
-      "                 \"system\" block's clusters on N threads (0 = hardware\n"
-      "                 concurrency; default 1). Both are bit-identical to\n"
-      "                 serial at any value.\n"
+      "  -j N           run N scenarios at once (0 = hardware concurrency);\n"
+      "                 bit-identical to serial at any value.\n"
       "\n"
       "  Scenarios may scale out with a \"system\" block (N clusters over a\n"
       "  modeled L2/NoC with inter-cluster DMA bursts); its barrier_kind is\n"
@@ -93,10 +90,10 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Flags shared by list/run/emit: sweep and shard parallelism, the stepping
-/// mode, plus the data-driven registry sources.
+/// Flags shared by list/run/emit: sweep parallelism, the stepping mode,
+/// plus the data-driven registry sources.
 struct CommonOptions {
-  SweepOptions sweep;  // -j, --shard-threads, --stepping
+  SweepOptions sweep;  // -j, --stepping
   std::vector<std::string> files;
   bool no_builtin = false;
 };
@@ -130,7 +127,7 @@ bool parse_size(const std::string& value, std::size_t& out) {
   }
 }
 
-/// parse_size narrowed to `unsigned` (-j, --shard-threads).
+/// parse_size narrowed to `unsigned` (-j).
 bool parse_unsigned(const std::string& value, unsigned& out) {
   std::size_t wide = 0;
   if (!parse_size(value, wide) || wide > std::numeric_limits<unsigned>::max()) return false;
@@ -143,55 +140,36 @@ bool parse_unsigned(const std::string& value, unsigned& out) {
 bool parse_common(std::vector<std::string>& args, CommonOptions& opts) {
   std::vector<std::string> rest;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    std::string value;
-    unsigned* out = nullptr;
     if (args[i] == "-j" || args[i] == "--jobs") {
-      if (i + 1 >= args.size()) return false;
-      value = args[++i];
-      out = &opts.sweep.jobs;
+      if (i + 1 >= args.size() || !parse_unsigned(args[i + 1], opts.sweep.jobs)) return false;
+      ++i;
     } else if (args[i].rfind("-j", 0) == 0 && args[i].size() > 2) {
-      value = args[i].substr(2);
-      out = &opts.sweep.jobs;
-    } else if (args[i] == "--shard-threads") {
-      if (i + 1 >= args.size()) return false;
-      value = args[++i];
-      out = &opts.sweep.shard_threads;
-    } else if (args[i].rfind("--shard-threads=", 0) == 0) {
-      value = args[i].substr(16);
-      out = &opts.sweep.shard_threads;
+      if (!parse_unsigned(args[i].substr(2), opts.sweep.jobs)) return false;
     } else if (args[i] == "--stepping") {
       if (i + 1 >= args.size() || !parse_stepping(args[i + 1], opts.sweep.stepping)) {
         return false;
       }
       ++i;
-      continue;
     } else if (args[i].rfind("--stepping=", 0) == 0) {
       if (!parse_stepping(args[i].substr(11), opts.sweep.stepping)) return false;
-      continue;
     } else if (args[i] == "--file") {
       if (i + 1 >= args.size()) return false;
       opts.files.push_back(args[++i]);
-      continue;
     } else if (args[i].rfind("--file=", 0) == 0) {
       opts.files.push_back(args[i].substr(7));
-      continue;
     } else if (args[i] == "--no-builtin") {
       opts.no_builtin = true;
-      continue;
     } else {
       rest.push_back(args[i]);
-      continue;
-    }
-    if (!parse_unsigned(value, *out)) return false;
-    // SweepOptions uses 0 for "keep each spec's setting", so an explicit
-    // `--shard-threads 0` resolves to the hardware concurrency here.
-    if (out == &opts.sweep.shard_threads && opts.sweep.shard_threads == 0) {
-      opts.sweep.shard_threads = std::max(1u, std::thread::hardware_concurrency());
     }
   }
   args = std::move(rest);
   return true;
 }
+
+/// A selection argument starting with '-' is an unknown (or removed) flag:
+/// a usage error, not a glob that silently matches nothing.
+bool is_flag(const std::string& arg) { return arg.rfind('-', 0) == 0; }
 
 /// Populate the process registry from the builtins (unless --no-builtin)
 /// and every --file suite. Returns false after printing the error (a bad
@@ -256,7 +234,9 @@ std::vector<const ScenarioSpec*> suites_selection(
 
 int cmd_list(const char* argv0, std::vector<std::string> args) {
   CommonOptions opts;
-  if (!parse_common(args, opts)) return usage(argv0);
+  if (!parse_common(args, opts) || std::any_of(args.begin(), args.end(), is_flag)) {
+    return usage(argv0);
+  }
   std::vector<std::string> file_suites;
   if (!setup_registry(opts, file_suites)) return 2;
 
@@ -286,7 +266,9 @@ int cmd_list(const char* argv0, std::vector<std::string> args) {
 
 int cmd_run(const char* argv0, std::vector<std::string> args) {
   CommonOptions copts;
-  if (!parse_common(args, copts)) return usage(argv0);
+  if (!parse_common(args, copts) || std::any_of(args.begin(), args.end(), is_flag)) {
+    return usage(argv0);
+  }
   std::vector<std::string> file_suites;
   if (!setup_registry(copts, file_suites)) return 2;
   if (args.empty() && file_suites.empty()) return usage(argv0);
@@ -352,6 +334,8 @@ int cmd_emit(const char* argv0, std::vector<std::string> args) {
       out_dir = args[++i];
     } else if (args[i].rfind("--out=", 0) == 0) {
       out_dir = args[i].substr(6);
+    } else if (is_flag(args[i])) {
+      return usage(argv0);
     } else {
       wanted.push_back(args[i]);
     }
