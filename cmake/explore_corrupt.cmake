@@ -1,4 +1,4 @@
-# CTest script: corrupt or version-mismatched explore artifacts must be
+# CTest script: a corrupt or version-mismatched explore memo cache must be
 # refused with exit 2 (unusable input), and the error must name the
 # offending path — never a crash, never a silently restarted search.
 #
@@ -49,14 +49,4 @@ file(WRITE "${OUT_DIR}/vers-cache.jsonl"
 expect_refusal("vers-cache\\.jsonl:1.*schema_version"
                --cache "${OUT_DIR}/vers-cache.jsonl")
 
-# 3. Checkpoint that is not a state document at all.
-file(WRITE "${OUT_DIR}/bad-state.json" "{\"schema\":\"something-else\"}\n")
-expect_refusal("bad-state\\.json" --state "${OUT_DIR}/bad-state.json" --resume)
-
-# 4. Version-mismatched checkpoint.
-file(WRITE "${OUT_DIR}/vers-state.json"
-     "{\"schema\":\"tcdm-explore-state\",\"schema_version\":999}\n")
-expect_refusal("vers-state\\.json.*schema_version"
-               --state "${OUT_DIR}/vers-state.json" --resume)
-
-message(STATUS "corrupt cache/checkpoint artifacts are refused with exit 2")
+message(STATUS "corrupt cache artifacts are refused with exit 2")

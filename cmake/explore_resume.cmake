@@ -1,9 +1,8 @@
-# CTest script: crash-resume correctness for `tcdm_run explore`. Injects a
-# fault with --fail-after N (the CLI must exit 3 — an injected abort, not a
-# real failure), then resumes from the written checkpoint and requires the
-# final Pareto report to be byte-identical to an uninterrupted run's. Also
-# exercises the mismatched-checkpoint guard: resuming with a different
-# objective must fail with exit 2 and name the state file.
+# CTest script: resuming `tcdm_run explore` from its memo cache. A search
+# stopped by --budget 3 (exit 0, simulations=3) is run again with the same
+# --cache and no budget: its three simulations must come back as cache hits
+# (cache_hits=3) and its Pareto report must be byte-identical to an
+# uninterrupted run's. The cache is the only state a search persists.
 #
 # Variables (passed with -D):
 #   TCDM_RUN  path to the tcdm_run binary
@@ -42,28 +41,29 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "reference explore failed (exit ${rc})")
 endif()
 
-# Interrupted run: abort after 3 simulations. Exit code 3 distinguishes the
-# injected fault from a scenario failure (1) or an IO/usage error (2).
+# Stopped run: the budget ends the search gracefully after 3 simulations.
 execute_process(
-  COMMAND "${TCDM_RUN}" explore --cache "${OUT_DIR}/cache.jsonl"
-          --state "${OUT_DIR}/state.json" --fail-after 3 "${suite}"
-  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
-if(NOT rc EQUAL 3)
-  message(FATAL_ERROR "--fail-after run: expected exit 3, got ${rc}")
+  COMMAND "${TCDM_RUN}" explore --cache "${OUT_DIR}/cache.jsonl" --budget 3
+          "${suite}"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--budget 3 run: expected exit 0, got ${rc}")
 endif()
-if(NOT EXISTS "${OUT_DIR}/state.json")
-  message(FATAL_ERROR "aborted run left no checkpoint behind")
+if(NOT out MATCHES " simulations=3 .*budget_exhausted=1")
+  message(FATAL_ERROR "--budget 3 run did not stop after 3 simulations: ${out}")
 endif()
 
-# Resume: the cached simulations are reused and the search completes with a
-# frontier byte-identical to the uninterrupted run's.
+# Rerun with the same cache: the stopped run's simulations are free hits and
+# the search completes with the uninterrupted run's frontier.
 execute_process(
   COMMAND "${TCDM_RUN}" explore --cache "${OUT_DIR}/cache.jsonl"
-          --state "${OUT_DIR}/state.json" --resume
           --report "${OUT_DIR}/resumed.json" "${suite}"
-  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_QUIET)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "resumed explore failed (exit ${rc})")
+  message(FATAL_ERROR "rerun explore failed (exit ${rc})")
+endif()
+if(NOT out MATCHES " cache_hits=3 ")
+  message(FATAL_ERROR "rerun did not reuse the 3 cached simulations: ${out}")
 endif()
 
 execute_process(
@@ -74,18 +74,4 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "resumed frontier differs from the uninterrupted run")
 endif()
 
-# Checkpoint identity guard: the state file belongs to the pareto-area-bw
-# search above; resuming a min-cycles search from it must be refused (exit
-# 2) and the error must name the offending file.
-execute_process(
-  COMMAND "${TCDM_RUN}" explore --state "${OUT_DIR}/state.json" --resume
-          --objective min-cycles "${suite}"
-  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "mismatched checkpoint: expected exit 2, got ${rc}")
-endif()
-if(NOT err MATCHES "state\\.json")
-  message(FATAL_ERROR "mismatch error does not name the state file: ${err}")
-endif()
-
-message(STATUS "fail-after abort (exit 3) + resume reproduces the reference")
+message(STATUS "--budget 3 stop + rerun from the cache reproduces the reference")

@@ -34,8 +34,8 @@ set(expected_tokens
   # gen
   --seed --count
   # explore
-  --objective --area-cap --budget --cache --state --resume --no-prune
-  --report --stats-out --fail-after
+  --objective --area-cap --budget --cache --no-prune
+  --report --stats-out
   # --stepping mode values
   event cycle check
   # system-layer scenario surface: the scale-out block and its barrier kinds

@@ -76,8 +76,7 @@ struct MetricsDoc {
 };
 
 /// Full KernelMetrics / PowerBreakdown <-> JSON round trips, used wherever
-/// a complete simulation result is persisted (the explore memo cache and
-/// its checkpoints). Doubles serialize at shortest-round-trip precision, so
+/// a complete simulation result is persisted (the explore memo cache). Doubles serialize at shortest-round-trip precision, so
 /// from_json(to_json(m)) reproduces every field bit for bit — a cached
 /// result is indistinguishable from a fresh simulation. The parsers are
 /// strict: a missing or unknown field throws SchemaError naming the

@@ -23,41 +23,28 @@ double TimelineResult::avg_bw() const noexcept {
 
 TimelineResult record_timeline(Cluster& cluster, unsigned interval, Cycle max_cycles) {
   if (interval == 0) throw std::invalid_argument("timeline: interval must be positive");
-  cluster.require_program("timeline");
   TimelineResult out;
   out.interval = interval;
 
   double last_loaded = cluster.bytes_loaded();
   double last_stored = cluster.bytes_stored();
   double last_flops = cluster.total_flops();
-  const Cycle start = cluster.now();
-  Cycle in_interval = 0;
-  bool halted = false;
-
-  const auto emit = [&](Cycle at) {
+  // Cluster::run stops exactly at its budget in every stepping mode, so one
+  // run per interval samples at the same cycles as stepping would.
+  while (!out.all_halted && out.total_cycles < max_cycles) {
+    const RunOutcome run =
+        cluster.run(std::min<Cycle>(interval, max_cycles - out.total_cycles));
+    out.total_cycles += run.cycles;
+    out.all_halted = run.all_halted;
     const double loaded = cluster.bytes_loaded();
     const double stored = cluster.bytes_stored();
     const double flops = cluster.total_flops();
-    out.samples.push_back(TimelineSample{at, loaded - last_loaded, stored - last_stored,
-                                         flops - last_flops});
+    out.samples.push_back(TimelineSample{cluster.now(), loaded - last_loaded,
+                                         stored - last_stored, flops - last_flops});
     last_loaded = loaded;
     last_stored = stored;
     last_flops = flops;
-  };
-
-  while (cluster.now() - start < max_cycles) {
-    halted = cluster.step();
-    ++in_interval;
-    if (in_interval == interval) {
-      emit(cluster.now());
-      in_interval = 0;
-    }
-    if (halted) break;
   }
-  if (in_interval != 0) emit(cluster.now());  // final partial interval
-
-  out.total_cycles = cluster.now() - start;
-  out.all_halted = halted;
   return out;
 }
 

@@ -1,5 +1,6 @@
-// Bandwidth timeline recorder: drives a prepared cluster cycle by cycle and
-// samples the aggregate traffic/compute counters every `interval` cycles.
+// Bandwidth timeline recorder: runs a prepared cluster one `interval` at a
+// time through Cluster::run (so in its SteppingMode) and samples the
+// aggregate traffic/compute counters after each interval.
 // The resulting series shows *when* a kernel is memory-bound (per-interval
 // bandwidth pinned at the contended ceiling) versus compute-bound or
 // synchronization-bound (bandwidth troughs at barriers) — the temporal view
@@ -41,9 +42,9 @@ struct TimelineResult {
   [[nodiscard]] double avg_bw() const noexcept;
 };
 
-/// Step `cluster` to completion (or `max_cycles`), sampling every `interval`
+/// Run `cluster` to completion (or `max_cycles`), sampling every `interval`
 /// cycles. The caller has already loaded a program / run Kernel::setup;
-/// without one this throws std::logic_error, as Cluster::run does.
+/// without one Cluster::run throws std::logic_error.
 /// A final partial interval is recorded if the run ends mid-interval.
 [[nodiscard]] TimelineResult record_timeline(Cluster& cluster, unsigned interval,
                                              Cycle max_cycles = 50'000'000);

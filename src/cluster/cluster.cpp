@@ -257,12 +257,8 @@ void Cluster::skip_to(Cycle target) {
   clock_.advance_by(target - now);
 }
 
-void Cluster::require_program(const char* caller) const {
-  if (programs_.empty()) throw std::logic_error(std::string(caller) + ": no program loaded");
-}
-
 RunOutcome Cluster::run(Cycle max_cycles) {
-  require_program("run");
+  if (programs_.empty()) throw std::logic_error("run: no program loaded");
   RunOutcome out;
   const Cycle start = clock_.now();
   const Cycle budget_end = max_cycles > kNoCycle - start ? kNoCycle : start + max_cycles;

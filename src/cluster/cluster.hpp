@@ -94,13 +94,11 @@ class Cluster final : public RspSink {
   void reset();
 
   /// Advance one cycle; returns true when every hart has halted. Needs a
-  /// loaded program; time-advancing loops check it with require_program().
+  /// loaded program.
   bool step();
-  /// Throws std::logic_error("<caller>: no program loaded") unless a
-  /// program is loaded. run() and record_timeline call it first.
-  void require_program(const char* caller) const;
   /// Run to completion (all harts halted) or `max_cycles`; throws
-  /// DeadlockError if the watchdog fires. Advances time according to the
+  /// DeadlockError if the watchdog fires, std::logic_error when no program
+  /// is loaded. Advances time according to the
   /// configured SteppingMode; every mode reaches the same states at the
   /// same cycle numbers.
   RunOutcome run(Cycle max_cycles = 50'000'000);

@@ -1,7 +1,5 @@
 #include "src/cluster/kernel_runner.hpp"
 
-#include "src/cluster/cluster_cache.hpp"
-
 namespace tcdm {
 
 KernelMetrics run_kernel_on(Cluster& cluster, Kernel& kernel, const RunnerOptions& opts) {
@@ -34,12 +32,6 @@ KernelMetrics run_kernel_on(Cluster& cluster, Kernel& kernel, const RunnerOption
 
 KernelMetrics run_kernel(const ClusterConfig& cfg, Kernel& kernel, const RunnerOptions& opts) {
   Cluster cluster(cfg, opts.sim);
-  return run_kernel_on(cluster, kernel, opts);
-}
-
-KernelMetrics run_kernel(const ClusterConfig& cfg, Kernel& kernel, const RunnerOptions& opts,
-                         ClusterCache& cache) {
-  Cluster& cluster = cache.acquire(cfg, opts.sim);
   return run_kernel_on(cluster, kernel, opts);
 }
 

@@ -53,14 +53,6 @@ struct RunnerOptions {
 [[nodiscard]] KernelMetrics run_kernel(const ClusterConfig& cfg, Kernel& kernel,
                                        const RunnerOptions& opts = {});
 
-class ClusterCache;
-
-/// Run `kernel` on a cluster drawn from `cache` (constructed on first use
-/// per config shape, Cluster::reset() thereafter — bit-identical to a fresh
-/// cluster, see docs/ARCHITECTURE.md P2, minus the construction cost).
-[[nodiscard]] KernelMetrics run_kernel(const ClusterConfig& cfg, Kernel& kernel,
-                                       const RunnerOptions& opts, ClusterCache& cache);
-
 /// Run `kernel` on an existing cluster (already constructed; the runner
 /// calls setup/run/verify). Useful when the caller wants to inspect stats.
 [[nodiscard]] KernelMetrics run_kernel_on(Cluster& cluster, Kernel& kernel,

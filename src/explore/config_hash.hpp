@@ -7,10 +7,10 @@
 // proven not to affect results (the stepping mode) are excluded, so a
 // cache warmed under one setting answers queries under any other.
 //
-// The key is what the explore memo store (memo_store.hpp) and checkpoints
-// are keyed by; its stability across spellings is what makes "repeated
-// points are free" true for data-driven sweeps that reach the same corner
-// through different suite files.
+// The key is what the explore memo store (memo_store.hpp) is keyed by; its
+// stability across spellings is what makes "repeated points are free" true
+// for data-driven sweeps that reach the same corner through different suite
+// files.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,7 @@ namespace tcdm::explore {
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view s, std::uint64_t basis);
 
 /// 32 lowercase hex characters over two splitmix-finalized FNV-1a lanes —
-/// the digest both the per-point key and the whole-suite identity (resume
-/// validation) are built from.
+/// the digest the per-point key is built from.
 [[nodiscard]] std::string digest128(std::string_view text);
 
 /// The canonical JSON document the key hashes — exposed for tests and for

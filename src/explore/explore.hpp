@@ -9,17 +9,16 @@
 //            change the outcome), then memo lookup (hit = free) or
 //            simulation scheduling (miss);
 //   run    — the wave's misses simulate on the sweep runner (`-j`
-//            scenario-parallel);
-//   fold   — results commit into the Pareto frontier in candidate order;
-//   save   — the search state checkpoints via atomic write-then-rename.
+//            scenario-parallel) and append to the memo store;
+//   fold   — results commit into the Pareto frontier in candidate order.
 //
 // Wave size is a constant, so pruning decisions — and therefore the report,
 // byte for byte — are independent of `jobs`. The budget caps
-// *simulations* (cache hits are free); an exhausted budget checkpoints and
-// stops, and a later `--resume` (same suite, objective and settings)
-// continues from the frontier instead of from scratch. A run killed at any
-// point resumes the same way: the memo store already holds every completed
-// simulation, so re-covered ground costs nothing.
+// *simulations* (cache hits are free); an exhausted budget stops the
+// search. The memo store is the only state a search persists: to resume a
+// stopped or killed run, run it again with the same cache. Every simulated
+// point is then a free hit, and since the search starts again at candidate
+// 0 it takes the same waves and pruning decisions as an uninterrupted run.
 #pragma once
 
 #include <cstddef>
@@ -34,36 +33,22 @@
 
 namespace tcdm::explore {
 
-inline constexpr const char* kStateSchemaName = "tcdm-explore-state";
-inline constexpr int kStateSchemaVersion = 1;
 inline constexpr const char* kReportSchemaName = "tcdm-explore-report";
 inline constexpr int kReportSchemaVersion = 1;
 
 /// Candidates per wave. A constant (not derived from `jobs`) so that the
-/// prune/evaluate schedule, the checkpoint cadence and the final report are
-/// identical at any parallelism.
+/// prune/evaluate schedule and the final report are identical at any
+/// parallelism.
 inline constexpr std::size_t kWaveSize = 8;
-
-/// Thrown by the --fail-after fault-injection hook after the checkpoint is
-/// written; the CLI maps it to exit 3 so tests can tell an injected abort
-/// from a real failure.
-class ExploreAborted : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 struct ExploreOptions {
   Objective objective{};
   /// Maximum simulations this invocation may run (cache hits are free);
-  /// 0 = unlimited. Exhausting it checkpoints and returns with
-  /// budget_exhausted set, ready to --resume with a larger budget.
+  /// 0 = unlimited. Exhausting it returns with budget_exhausted set; a
+  /// rerun against the same cache_path continues the search.
   std::size_t budget = 0;
   /// JSON-lines memo store path; empty = memoize in memory only.
   std::string cache_path;
-  /// Checkpoint path (atomic write-then-rename per wave); empty = none.
-  std::string state_path;
-  /// Continue from state_path if it exists (fresh start when it does not).
-  bool resume = false;
   /// Exact dominance pruning. Off = pure exhaustive enumeration; the final
   /// frontier is identical either way (the differential suites prove it).
   bool prune = true;
@@ -71,9 +56,6 @@ struct ExploreOptions {
   /// run_explore installs its own on_done. Host knobs only: results, memo
   /// entries and reports are bit-identical at any jobs and stepping.
   scenario::SweepOptions sweep;
-  /// Fault injection: abort (ExploreAborted) once this many simulations
-  /// have completed and been checkpointed. 0 = disabled.
-  std::size_t fail_after = 0;
   std::ostream* log = nullptr;  // progress notes
 };
 
@@ -84,19 +66,17 @@ struct ExploreOutcome {
   std::size_t pruned_dominated = 0;
   std::size_t cache_hits = 0;
   std::size_t simulations = 0;
-  std::size_t failures = 0;       // simulated points that errored
-  std::size_t resumed_at = 0;     // first index this run processed
-  std::size_t checkpoints = 0;
+  std::size_t failures = 0;  // simulated points that errored
   bool budget_exhausted = false;
   /// Flat StatsRegistry dump of the counters above ("explore.cache_hits":
   /// ... etc.) — the machine-readable side channel the CI smoke leg greps.
   std::string stats_json;
 };
 
-/// Run the search. Throws ExploreFileError on corrupt/mismatched cache or
-/// state files, ExploreAborted from the fail-after hook, std::runtime_error
-/// on IO failures. Scenario-level failures do NOT throw: they are counted,
-/// cached and excluded from the frontier.
+/// Run the search. Throws ExploreFileError on a corrupt or
+/// version-mismatched cache file, std::runtime_error on IO failures.
+/// Scenario-level failures do NOT throw: they are counted, cached and
+/// excluded from the frontier.
 [[nodiscard]] ExploreOutcome run_explore(const scenario::LoadedSuite& suite,
                                          const ExploreOptions& opts);
 

@@ -2,8 +2,9 @@
 // file keyed by the canonical config hash (config_hash.hpp). Line 1 is a
 // version header; every further line is one complete simulation result
 // (metrics + power + error string). Repeated design points — across waves,
-// across resumed runs, across entirely different suite files that reach the
-// same corner — are answered from the store without simulating.
+// across reruns of a stopped search (the store is the only state a search
+// persists), across entirely different suite files that reach the same
+// corner — are answered from the store without simulating.
 //
 // File format (tcdm-explore-cache, version 1):
 //   {"schema":"tcdm-explore-cache","schema_version":1}
@@ -31,7 +32,7 @@ namespace tcdm::explore {
 inline constexpr const char* kCacheSchemaName = "tcdm-explore-cache";
 inline constexpr int kCacheSchemaVersion = 1;
 
-/// Corrupt or version-mismatched explore artifacts (cache, checkpoint).
+/// A corrupt or version-mismatched memo store file.
 /// The CLI maps this to exit 2, like other unusable-input errors.
 class ExploreFileError : public std::runtime_error {
  public:

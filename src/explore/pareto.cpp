@@ -1,6 +1,7 @@
 #include "src/explore/pareto.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -42,15 +43,32 @@ double Objective::value(double area_mge, const KernelMetrics& m) const {
   return 0.0;
 }
 
-double Objective::value_bound(double area_mge, const ClusterConfig& cfg) const {
+namespace {
+
+/// Ceiling on bw_bytes_per_cycle. No cluster moves more than every VLSU
+/// port's width every cycle; a System sums N clusters' kernel traffic plus
+/// the NoC payload, which streams at most min(L2 budget, N links) words
+/// per cycle.
+double peak_bw_bound(const ClusterConfig& cfg, const std::optional<SystemConfig>& system) {
+  if (!system || system->num_clusters <= 1) return cfg.cluster_peak_bw();
+  const std::uint64_t n = system->num_clusters;
+  const std::uint64_t noc_words =
+      std::min<std::uint64_t>(system->l2_bandwidth_words, n * system->noc_link_words);
+  return static_cast<double>(n) * cfg.cluster_peak_bw() +
+         static_cast<double>(kWordBytes * noc_words);
+}
+
+}  // namespace
+
+double Objective::value_bound(double area_mge, const ClusterConfig& cfg,
+                              const std::optional<SystemConfig>& system) const {
   switch (kind) {
     case ObjectiveKind::kParetoAreaBw:
-      // No run can move more than every VLSU port's width every cycle.
-      return cfg.cluster_peak_bw();
+      return peak_bw_bound(cfg, system);
     case ObjectiveKind::kMinCycles:
       return 0.0;  // -cycles <= 0 always: no useful pre-run bound
     case ObjectiveKind::kMaxBwPerArea:
-      return cfg.cluster_peak_bw() / area_mge;
+      return peak_bw_bound(cfg, system) / area_mge;
   }
   return 0.0;
 }

@@ -8,12 +8,14 @@
 //
 // The objectives also expose what can be known about a point *before*
 // simulating it: its logic area (closed-form model) and an upper bound on
-// its achievable value (peak bandwidth is an architectural ceiling). The
+// its achievable value (peak bandwidth is an architectural ceiling: N
+// clusters' VLSU ports plus the NoC payload the L2 can serve). The
 // driver uses these for exact early pruning — a candidate whose best
 // possible outcome is already weakly dominated by a frontier member can be
 // skipped without changing the final frontier by a single byte.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,9 +48,11 @@ struct Objective {
   /// Objective coordinates of a *simulated* point.
   [[nodiscard]] double cost(double area_mge) const;
   [[nodiscard]] double value(double area_mge, const KernelMetrics& m) const;
-  /// Upper bound on `value` knowable from the configuration alone; the
-  /// exact-pruning guarantee is value(...) <= value_bound(...) always.
-  [[nodiscard]] double value_bound(double area_mge, const ClusterConfig& cfg) const;
+  /// Upper bound on `value` knowable from the configuration alone (`system`
+  /// is the candidate's system block, if any); the exact-pruning guarantee
+  /// is value(...) <= value_bound(...) always.
+  [[nodiscard]] double value_bound(double area_mge, const ClusterConfig& cfg,
+                                   const std::optional<SystemConfig>& system) const;
 };
 
 /// One frontier member: identity, objective coordinates, and the full

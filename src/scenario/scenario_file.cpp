@@ -383,18 +383,22 @@ LoadedSuite load_suite_file(const std::string& path) {
   return parse_suite(doc, source);
 }
 
+ScenarioSpec to_scenario_spec(const std::string& suite_name, const FileScenario& sc) {
+  ScenarioSpec s;
+  s.name = suite_name + "/" + sc.rel;
+  s.config = [cfg = sc.config] { return cfg; };
+  s.kernel = [kernel = sc.kernel, cfg = sc.config] { return kernel.instantiate(cfg); };
+  s.opts = sc.opts;
+  s.expect_verified = sc.expect_verified;
+  if (sc.system) s.system = [sys = *sc.system] { return sys; };
+  return s;
+}
+
 void register_loaded_suite(ScenarioRegistry& reg, const LoadedSuite& suite) {
   SuiteSpec spec = suite.suite;  // print/emit_model stay unset: file suites
   reg.add_suite(std::move(spec));  // render the generic per-scenario table
   for (const FileScenario& sc : suite.scenarios) {
-    ScenarioSpec s;
-    s.name = suite.suite.name + "/" + sc.rel;
-    s.config = [cfg = sc.config] { return cfg; };
-    s.kernel = [kernel = sc.kernel, cfg = sc.config] { return kernel.instantiate(cfg); };
-    s.opts = sc.opts;
-    s.expect_verified = sc.expect_verified;
-    if (sc.system) s.system = [sys = *sc.system] { return sys; };
-    reg.add(std::move(s));
+    reg.add(to_scenario_spec(suite.suite.name, sc));
   }
 }
 

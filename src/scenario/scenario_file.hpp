@@ -104,6 +104,12 @@ struct LoadedSuite {
 /// (unreadable file, malformed JSON, schema violations).
 [[nodiscard]] LoadedSuite load_suite_file(const std::string& path);
 
+/// The runnable spec of one loaded scenario, named "<suite_name>/<rel>".
+/// Its factories copy the validated config/kernel/system specs, so the spec
+/// outlives the LoadedSuite.
+[[nodiscard]] ScenarioSpec to_scenario_spec(const std::string& suite_name,
+                                            const FileScenario& sc);
+
 /// Register a loaded suite into `reg`. Scenario factories copy the
 /// validated config/kernel specs, so registration outlives the LoadedSuite.
 /// Throws std::invalid_argument on duplicate suite/scenario names.

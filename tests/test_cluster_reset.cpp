@@ -145,8 +145,9 @@ TEST(ClusterCache, RunKernelThroughCacheMatchesFreshRuns) {
   AxpyKernel k2(768, 1.25f, 11);
   AxpyKernel k3(768, 1.25f, 11);
   const KernelMetrics fresh = run_kernel(cfg, k1, opts);
-  const KernelMetrics first = run_kernel(cfg, k2, opts, cache);   // cold
-  const KernelMetrics second = run_kernel(cfg, k3, opts, cache);  // reused
+  const KernelMetrics first = run_kernel_on(cache.acquire(cfg, opts.sim), k2, opts);  // cold
+  const KernelMetrics second =
+      run_kernel_on(cache.acquire(cfg, opts.sim), k3, opts);  // reused
   EXPECT_EQ(fresh.cycles, first.cycles);
   EXPECT_EQ(fresh.cycles, second.cycles);
   EXPECT_EQ(fresh.flops, second.flops);

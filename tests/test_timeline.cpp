@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "src/analytics/timeline.hpp"
 #include "src/kernels/dotp.hpp"
@@ -110,6 +111,37 @@ TEST(Timeline, ChromeTraceIsBalancedJsonArray) {
   }
   // Counter payloads nest one level: every event contributes {..{..}..}.
   EXPECT_EQ(events, t.samples.size());
+}
+
+TEST(Timeline, SamplesAreIdenticalInEverySteppingMode) {
+  // record_timeline runs the cluster through Cluster::run, so timelines
+  // follow the cluster's SteppingMode; every mode must sample the same
+  // bytes at the same cycles, both to completion and under a cycle budget
+  // that ends mid-interval.
+  for (const Cycle budget : {Cycle{333}, Cycle{50'000'000}}) {
+    std::vector<TimelineResult> runs;
+    for (const SteppingMode mode :
+         {SteppingMode::kEventDriven, SteppingMode::kCycleByCycle,
+          SteppingMode::kCrossCheck}) {
+      Cluster cluster(test::mp4_config().with_burst(4), SimOptions{mode});
+      DotpKernel dotp(512);
+      dotp.setup(cluster);
+      runs.push_back(record_timeline(cluster, 7, budget));
+    }
+    for (std::size_t m = 1; m < runs.size(); ++m) {
+      EXPECT_EQ(runs[m].total_cycles, runs[0].total_cycles) << "budget " << budget;
+      EXPECT_EQ(runs[m].all_halted, runs[0].all_halted) << "budget " << budget;
+      ASSERT_EQ(runs[m].samples.size(), runs[0].samples.size()) << "budget " << budget;
+      for (std::size_t i = 0; i < runs[0].samples.size(); ++i) {
+        const TimelineSample& a = runs[0].samples[i];
+        const TimelineSample& b = runs[m].samples[i];
+        EXPECT_EQ(b.cycle, a.cycle) << "mode " << m << " sample " << i;
+        EXPECT_EQ(b.bytes_loaded, a.bytes_loaded) << "mode " << m << " sample " << i;
+        EXPECT_EQ(b.bytes_stored, a.bytes_stored) << "mode " << m << " sample " << i;
+        EXPECT_EQ(b.flops, a.flops) << "mode " << m << " sample " << i;
+      }
+    }
+  }
 }
 
 TEST(Timeline, HonorsMaxCycles) {

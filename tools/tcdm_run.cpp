@@ -14,12 +14,12 @@
 //   tcdm_run gen --seed N --count K [--out F]  emit a randomized, invariant-
 //                                              checked suite file (stdout)
 //   tcdm_run explore [-j N] [--stepping M] [--objective NAME]
-//                    [--area-cap MGE] [--budget N] [--cache F] [--state F]
-//                    [--resume] [--no-prune] [--report F] [--stats-out F]
-//                    [--fail-after N] <suite.json>
+//                    [--area-cap MGE] [--budget N] [--cache F]
+//                    [--no-prune] [--report F] [--stats-out F] <suite.json>
 //                                              memoized design-space search
 //                                              over a suite file; prints the
-//                                              Pareto frontier
+//                                              Pareto frontier (rerun with
+//                                              the same --cache to resume)
 //
 // `--file` registers a tcdm-scenarios JSON suite (repeatable) next to the
 // builtins; `--no-builtin` starts from an empty registry instead, which
@@ -35,7 +35,7 @@
 // docs/ARCHITECTURE.md).
 // Exit codes: 0 ok, 1 scenario/validation failure or empty selection,
 // 2 usage/IO errors (including unknown subcommands and corrupt explore
-// cache/checkpoint files), 3 injected --fail-after abort.
+// cache files).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -71,8 +71,7 @@ int usage(const char* argv0) {
       "       %s gen [--seed N] [--count K] [--out <file>]\n"
       "       %s explore [-j N] [--stepping M]\n"
       "            [--objective NAME] [--area-cap MGE] [--budget N] [--cache F]\n"
-      "            [--state F] [--resume] [--no-prune] [--report F] [--stats-out F]\n"
-      "            [--fail-after N] <suite.json>\n"
+      "            [--no-prune] [--report F] [--stats-out F] <suite.json>\n"
       "\n"
       "  --stepping M   time advance per cluster: event (skip quiet spans,\n"
       "                 default), cycle (reference loop), check (skip decisions\n"
@@ -114,7 +113,7 @@ bool parse_stepping(const std::string& value, std::optional<SteppingMode>& out) 
 
 /// Strict non-negative decimal integer: digits only, so neither a sign
 /// ("-1" would wrap), leading blanks nor trailing junk ("2x") get through.
-/// 0 means unlimited for --budget and disabled for --fail-after.
+/// 0 means unlimited for --budget.
 bool parse_size(const std::string& value, std::size_t& out) {
   if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
     return false;
@@ -485,12 +484,8 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
   std::vector<std::string> rest;
   for (std::size_t i = 0; i < args.size(); ++i) {
     std::string value;
-    enum class Want { kObjective, kAreaCap, kBudget, kCache, kState, kReport,
-                      kStats, kFailAfter } want;
-    if (args[i] == "--resume") {
-      eopts.resume = true;
-      continue;
-    } else if (args[i] == "--no-prune") {
+    enum class Want { kObjective, kAreaCap, kBudget, kCache, kReport, kStats } want;
+    if (args[i] == "--no-prune") {
       eopts.prune = false;
       continue;
     } else if (args[i] == "--objective") {
@@ -501,14 +496,10 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
       want = Want::kBudget;
     } else if (args[i] == "--cache") {
       want = Want::kCache;
-    } else if (args[i] == "--state") {
-      want = Want::kState;
     } else if (args[i] == "--report") {
       want = Want::kReport;
     } else if (args[i] == "--stats-out") {
       want = Want::kStats;
-    } else if (args[i] == "--fail-after") {
-      want = Want::kFailAfter;
     } else if (args[i].rfind("--", 0) == 0 &&
                args[i].find('=') != std::string::npos) {
       const std::string flag = args[i].substr(0, args[i].find('='));
@@ -517,10 +508,8 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
       else if (flag == "--area-cap") want = Want::kAreaCap;
       else if (flag == "--budget") want = Want::kBudget;
       else if (flag == "--cache") want = Want::kCache;
-      else if (flag == "--state") want = Want::kState;
       else if (flag == "--report") want = Want::kReport;
       else if (flag == "--stats-out") want = Want::kStats;
-      else if (flag == "--fail-after") want = Want::kFailAfter;
       else return usage(argv0);
     } else {
       rest.push_back(args[i]);
@@ -557,22 +546,14 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
         if (!parse_size(value, eopts.budget)) return usage(argv0);
         break;
       case Want::kCache: eopts.cache_path = value; break;
-      case Want::kState: eopts.state_path = value; break;
       case Want::kReport: report_path = value; break;
       case Want::kStats: stats_path = value; break;
-      case Want::kFailAfter:
-        if (!parse_size(value, eopts.fail_after)) return usage(argv0);
-        break;
     }
   }
   // The search space is one suite file: either a positional path or --file
   // (but not both, and exactly one — explore does not span suites).
   for (const std::string& f : copts.files) rest.push_back(f);
   if (rest.size() != 1 || copts.no_builtin) return usage(argv0);
-  if (eopts.resume && eopts.state_path.empty()) {
-    std::fprintf(stderr, "explore: --resume requires --state\n");
-    return 2;
-  }
 
   LoadedSuite suite;
   try {
@@ -588,12 +569,6 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
   explore::ExploreOutcome outcome;
   try {
     outcome = explore::run_explore(suite, eopts);
-  } catch (const explore::ExploreAborted& e) {
-    std::fprintf(stderr, "explore: %s\n", e.what());
-    return 3;
-  } catch (const explore::ExploreFileError& e) {
-    std::fprintf(stderr, "explore: %s\n", e.what());
-    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "explore: %s\n", e.what());
     return 2;
