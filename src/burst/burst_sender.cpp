@@ -1,6 +1,8 @@
 #include "src/burst/burst_sender.hpp"
 
+#include <bitset>
 #include <cassert>
+#include <limits>
 
 namespace tcdm {
 
@@ -20,6 +22,7 @@ BurstSender::BurstSender(const BurstSenderConfig& cfg, unsigned num_ports)
       table_(cfg.table_size) {
   assert(num_ports_ >= 1);
   assert(cfg_.max_burst_len <= kMaxBurstLen);
+  assert(staging_.capacity() <= std::numeric_limits<std::uint16_t>::max());
   free_ids_.reserve(cfg_.table_size);
   for (unsigned i = 0; i < cfg_.table_size; ++i) {
     free_ids_.push_back(cfg_.table_size - 1 - i);
@@ -28,6 +31,7 @@ BurstSender::BurstSender(const BurstSenderConfig& cfg, unsigned num_ports)
 
 void BurstSender::reset() {
   staging_.clear();
+  class_staged_.fill(0);
   for (TableEntry& e : table_) e = TableEntry{};
   free_ids_.clear();
   for (unsigned i = 0; i < cfg_.table_size; ++i) {
@@ -80,18 +84,28 @@ bool BurstSender::try_extend_tail(const WordRequest* run, unsigned n, Addr base,
   return true;
 }
 
+void BurstSender::push_staged(const PendingItem& item) {
+  const bool ok = staging_.try_push(item);
+  assert(ok && "BurstSender staging capacity bound violated");
+  (void)ok;
+  if (!item.local) ++class_staged_[item.cls];
+}
+
 bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
-                              TileId home_tile) {
+                              const Topology& topo, TileId home_tile) {
   assert(can_accept_beat());
-  const auto push_staged = [this](const PendingItem& item) {
-    const bool ok = staging_.try_push(item);
-    assert(ok && "BurstSender staging capacity bound violated");
-    (void)ok;
-  };
-  const auto push_narrow = [&push_staged](const WordRequest& w) {
+  const auto push_narrow = [&](const WordRequest& w) {
+    const DecodedAddr dec = map.decode(w.addr);
     PendingItem item;
-    item.is_burst = false;
     item.word = w;
+    if (dec.tile == home_tile) {
+      item.local = true;
+      item.row = dec.row;
+      item.bank_in_tile = dec.bank_in_tile;
+    } else {
+      item.dst_tile = dec.tile;
+      item.cls = topo.class_of(home_tile, dec.tile);
+    }
     push_staged(item);
   };
 
@@ -144,6 +158,7 @@ bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
       item.len = static_cast<std::uint8_t>(run);
       item.stride = 1;
       item.dst_tile = dst;
+      item.cls = topo.class_of(home_tile, dst);
       for (std::size_t j = 0; j < run; ++j) item.wdata[j] = beat.words[i + j].wdata;
       push_staged(item);
     } else {
@@ -167,6 +182,7 @@ bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
         item.stride = static_cast<std::uint8_t>(stride);
         item.burst_id = *id;
         item.dst_tile = dst;
+        item.cls = topo.class_of(home_tile, dst);
         push_staged(item);
       }
     }
@@ -176,83 +192,96 @@ bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
   return true;
 }
 
-void BurstSender::dispatch(Cycle now, TileServices& tile) {
-  const AddressMap& map = tile.map();
+bool BurstSender::try_send(const PendingItem& item, Cycle now, TileServices& tile) {
   const TileId home = tile.tile_id();
-  HierNetwork& net = tile.net();
-  const Topology& topo = net.topology();
-
-  // Attempt every staged item once per cycle; items whose port or bank is
-  // busy stay for the next cycle. Later items may bypass blocked ones (the
-  // per-port ROBs make retirement order-independent; kernels never issue
-  // overlapping same-address accesses inside this small window).
-  // Pop-and-requeue over the ring: unsent items keep their relative order,
-  // exactly like the old deque middle-erase, without its element shuffling.
-  const std::size_t staged = staging_.size();
-  for (std::size_t k = 0; k < staged; ++k) {
-    PendingItem item = staging_.pop();
-    const PendingItem* it = &item;
-    bool sent = false;
-    if (!it->is_burst) {
-      const WordRequest& w = it->word;
-      const DecodedAddr dec = map.decode(w.addr);
-      const TileId dst = dec.tile;
-      if (dst == home) {
-        BankReq br;
-        br.row = dec.row;
-        br.write = w.write;
-        br.wdata = w.wdata;
-        br.route.kind = RouteKind::kLocalVector;
-        br.route.port = w.port;
-        br.route.rob_slot = w.rob_slot;
-        br.route.src_tile = home;
-        if (tile.try_local_push(dec.bank_in_tile, br)) {
-          local_words_.inc();
-          sent = true;
-        }
-      } else {
-        const std::uint8_t cls = topo.class_of(home, dst);
-        if (net.can_send_req(home, cls, now)) {
-          TcdmReq req;
-          req.addr = w.addr;
-          req.len = 1;
-          req.write = w.write;
-          req.wdata = w.wdata;
-          req.src_tile = home;
-          req.tag.owner = ReqOwner::kVecNarrow;
-          req.tag.port = w.port;
-          req.tag.rob_slot = w.rob_slot;
-          net.send_req(home, dst, req, now);
-          narrow_sent_.inc();
-          sent = true;
-        }
-      }
-    } else {
-      const std::uint8_t cls = topo.class_of(home, it->dst_tile);
-      if (net.can_send_req(home, cls, now)) {
-        TcdmReq req;
-        req.addr = it->base;
-        req.len = it->len;
-        req.stride = it->stride;
-        req.write = it->write;
-        req.src_tile = home;
-        req.tag.owner = ReqOwner::kBurst;
-        req.tag.id = it->burst_id;
-        if (it->write) req.burst_wdata = it->wdata;
-        net.send_req(home, it->dst_tile, req, now);
-        bursts_sent_.inc();
-        burst_words_.inc(it->len);
-        if (it->stride > 1) strided_bursts_sent_.inc();
-        if (it->write) store_bursts_sent_.inc();
-        sent = true;
-      }
-    }
-    if (!sent) {
-      const bool ok = staging_.try_push(std::move(item));
-      assert(ok);
-      (void)ok;
-    }
+  if (item.local) {
+    BankReq br;
+    br.row = item.row;
+    br.write = item.word.write;
+    br.wdata = item.word.wdata;
+    br.route.kind = RouteKind::kLocalVector;
+    br.route.port = item.word.port;
+    br.route.rob_slot = item.word.rob_slot;
+    br.route.src_tile = home;
+    if (!tile.try_local_push(item.bank_in_tile, br)) return false;
+    local_words_.inc();
+    return true;
   }
+  HierNetwork& net = tile.net();
+  if (!net.can_send_req(home, item.cls, now)) return false;
+  TcdmReq req;
+  req.src_tile = home;
+  if (!item.is_burst) {
+    const WordRequest& w = item.word;
+    req.addr = w.addr;
+    req.len = 1;
+    req.write = w.write;
+    req.wdata = w.wdata;
+    req.tag.owner = ReqOwner::kVecNarrow;
+    req.tag.port = w.port;
+    req.tag.rob_slot = w.rob_slot;
+    net.send_req(home, item.dst_tile, req, now);
+    narrow_sent_.inc();
+    return true;
+  }
+  req.addr = item.base;
+  req.len = item.len;
+  req.stride = item.stride;
+  req.write = item.write;
+  req.tag.owner = ReqOwner::kBurst;
+  req.tag.id = item.burst_id;
+  if (item.write) req.burst_wdata = item.wdata;
+  net.send_req(home, item.dst_tile, req, now);
+  bursts_sent_.inc();
+  burst_words_.inc(item.len);
+  if (item.stride > 1) strided_bursts_sent_.inc();
+  if (item.write) store_bursts_sent_.inc();
+  return true;
+}
+
+void BurstSender::dispatch(Cycle now, TileServices& tile) {
+  // Every staged item whose route is open gets one attempt per cycle, in
+  // staging order; items whose port or bank is busy stay for the next cycle.
+  // Later items may bypass blocked ones (the per-port ROBs make retirement
+  // order-independent; kernels never issue overlapping same-address accesses
+  // inside this small window).
+  //
+  // A class port takes at most one request per cycle, and once it has sent
+  // or refused it stays closed for the rest of this call: send_req() sets
+  // its free-at cycle past `now`, and nothing drains a master port during
+  // the core phase. So only the first staged item of each class is tried.
+  // Local words each get their own attempt at their bank.
+  const std::size_t staged = staging_.size();
+  std::size_t open_left = staged;  // unvisited items whose route is open
+  std::bitset<kMaxClasses> closed;
+  std::size_t sent = 0;
+  std::size_t last_sent = 0;
+  for (std::size_t k = 0; k < staged && open_left > 0; ++k) {
+    PendingItem& item = staging_.at(k);
+    if (item.local) {
+      --open_left;
+    } else {
+      if (closed[item.cls]) continue;
+      closed.set(item.cls);
+      assert(open_left >= class_staged_[item.cls]);
+      open_left -= class_staged_[item.cls];
+    }
+    if (!try_send(item, now, tile)) continue;
+    if (!item.local) --class_staged_[item.cls];
+    item.sent = true;
+    ++sent;
+    last_sent = k;
+  }
+  if (sent == 0) return;
+
+  // Close the gaps from the back: the unsent items in front of the last
+  // sent one shift up, in order, and the front `sent` slots are dropped.
+  std::size_t dst = last_sent;
+  for (std::size_t k = last_sent; k-- > 0;) {
+    PendingItem& item = staging_.at(k);
+    if (!item.sent) staging_.at(dst--) = item;
+  }
+  staging_.drop_front(sent);
 }
 
 BurstSender::BurstWord BurstSender::lookup(std::uint32_t id, unsigned word_offset) const {

@@ -21,8 +21,13 @@
 // dispatch() is called from the core phase; it may only use the calling
 // tile's TileServices (own banks, own master ports; remote sends go through
 // HierNetwork, see network.hpp).
+//
+// Each staged item is decoded once, when accept_beat() stages it: its local
+// bank and row, or its destination tile and class. dispatch() then walks the
+// staging ring in place and gives every open route one attempt per cycle.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -92,9 +97,10 @@ class BurstSender {
   }
 
   /// Stage a beat: coalesce burst-eligible runs, enqueue the rest narrow.
+  /// `map` and `topo` decode each staged item's route once, here.
   /// Returns false only if the burst table is exhausted (beat not accepted).
   [[nodiscard]] bool accept_beat(const BeatRequest& beat, const AddressMap& map,
-                                 TileId home_tile);
+                                 const Topology& topo, TileId home_tile);
 
   /// Drain staging into local banks and network master ports.
   void dispatch(Cycle now, TileServices& tile);
@@ -111,6 +117,8 @@ class BurstSender {
 
   [[nodiscard]] bool busy() const noexcept { return !staging_.empty() || live_bursts_ != 0; }
   [[nodiscard]] bool staging_empty() const noexcept { return staging_.empty(); }
+  /// Burst-table entries still waiting for their data.
+  [[nodiscard]] unsigned live_bursts() const noexcept { return live_bursts_; }
 
   /// Back to the just-constructed state (empty staging, all burst ids free).
   void reset();
@@ -118,15 +126,20 @@ class BurstSender {
  private:
   struct PendingItem {
     bool is_burst = false;
+    bool local = false;     // narrow word for one of the home tile's banks
+    bool sent = false;      // left staging in this dispatch() call
+    std::uint8_t cls = 0;   // destination class (remote items)
+    TileId dst_tile = 0;    // destination tile (remote items)
     // narrow:
     WordRequest word;
+    std::uint32_t row = 0;           // local words: decoded bank row
+    std::uint32_t bank_in_tile = 0;  // local words: bank within the home tile
     // burst:
     Addr base = 0;
     std::uint8_t len = 0;
     std::uint8_t stride = 1;  // element spacing in words (strided-burst ext.)
     bool write = false;       // write burst (store-burst ext.)
     std::uint32_t burst_id = 0;
-    TileId dst_tile = 0;
     std::array<Word, kMaxBurstLen> wdata{};  // write-burst payload
   };
 
@@ -138,6 +151,9 @@ class BurstSender {
   };
 
   [[nodiscard]] std::optional<std::uint32_t> alloc_burst();
+  void push_staged(const PendingItem& item);
+  /// Send one staged item if its route takes it this cycle.
+  [[nodiscard]] bool try_send(const PendingItem& item, Cycle now, TileServices& tile);
   /// Try to extend the most recent staged burst with a contiguous run of the
   /// same kind (stride and read/write must match).
   [[nodiscard]] bool try_extend_tail(const WordRequest* run, unsigned n, Addr base,
@@ -150,9 +166,15 @@ class BurstSender {
   // Ring, not deque: can_accept_beat() admits a beat only while
   // size() <= capacity_items_, and one beat stages at most kMaxPorts items,
   // so occupancy never exceeds capacity_items_ + kMaxPorts (ring capacity,
-  // asserted on push). dispatch() pops the whole ring and re-pushes unsent
-  // items, which preserves relative order exactly like the old middle-erase.
+  // asserted on push). dispatch() walks the ring in place, then closes the
+  // gaps its sends left by shifting the unsent items in front of the last
+  // sent one towards the tail and dropping the front: unsent items keep
+  // their order, and back() stays the youngest unsent item, the one
+  // try_extend_tail grows.
   BoundedQueue<PendingItem> staging_;
+  // Staged remote items per destination class: dispatch() stops its walk
+  // once every class that still has items has had its one attempt.
+  std::array<std::uint16_t, kMaxClasses> class_staged_{};
   std::vector<TableEntry> table_;
   std::vector<std::uint32_t> free_ids_;
   unsigned live_bursts_ = 0;

@@ -49,10 +49,14 @@ class BoundedQueue {
     return buf_[(wr_ == 0 ? buf_.size() : wr_) - 1];
   }
 
-  /// Element at FIFO position `i` (0 == front). For inspection/debug only.
+  /// Element at FIFO position `i` (0 == front).
+  [[nodiscard]] T& at(std::size_t i) {
+    assert(i < count_);
+    return buf_[slot(i)];
+  }
   [[nodiscard]] const T& at(std::size_t i) const {
     assert(i < count_);
-    return buf_[(rd_ + i) % buf_.size()];
+    return buf_[slot(i)];
   }
 
   T pop() {
@@ -63,6 +67,13 @@ class BoundedQueue {
     return item;
   }
 
+  /// Discard the `k` oldest elements.
+  void drop_front(std::size_t k) noexcept {
+    assert(k <= count_);
+    rd_ = slot(k);
+    count_ -= k;
+  }
+
   void clear() noexcept {
     rd_ = wr_ = 0;
     count_ = 0;
@@ -71,6 +82,11 @@ class BoundedQueue {
  private:
   [[nodiscard]] std::size_t next(std::size_t i) const noexcept {
     return (i + 1 == buf_.size()) ? 0 : i + 1;
+  }
+  /// Buffer index of FIFO position `i` (i <= capacity): one compare, no modulo.
+  [[nodiscard]] std::size_t slot(std::size_t i) const noexcept {
+    const std::size_t j = rd_ + i;
+    return j >= buf_.size() ? j - buf_.size() : j;
   }
 
   std::vector<T> buf_;

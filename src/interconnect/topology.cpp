@@ -38,7 +38,7 @@ Topology::Topology(std::vector<unsigned> level_sizes, std::vector<LevelLatency> 
       ++num_classes_;
     }
   }
-  if (num_classes_ > 255) throw std::invalid_argument("topology: too many classes");
+  if (num_classes_ > kMaxClasses) throw std::invalid_argument("topology: too many classes");
 
   // Precompute the src x dst class table.
   class_table_.assign(static_cast<std::size_t>(num_tiles_) * num_tiles_, 0);

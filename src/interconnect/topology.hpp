@@ -27,6 +27,10 @@
 
 namespace tcdm {
 
+/// Upper bound on destination classes (master ports per tile) of any
+/// topology; the constructor rejects larger hierarchies.
+inline constexpr unsigned kMaxClasses = 255;
+
 /// Per-hierarchy-level interconnect latencies (one-way pipe stages).
 struct LevelLatency {
   unsigned request = 1;

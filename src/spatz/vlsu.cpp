@@ -172,7 +172,8 @@ void Vlsu::issue(Cycle now, TileServices& tile, std::array<VInstr, kVInstrSlots>
         }
         beat.words.push_back(w);
       }
-      const bool accepted = sender_.accept_beat(beat, tile.map(), tile.tile_id());
+      const bool accepted =
+          sender_.accept_beat(beat, tile.map(), tile.net().topology(), tile.tile_id());
       assert(accepted);
       (void)accepted;
       beats_.inc();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <vector>
 
 #include "src/burst/burst_manager.hpp"
@@ -195,7 +196,7 @@ TEST(BurstSender, CoalescesRemoteUnitStrideLoad) {
   FakeTile tile(stats);
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
   // Tile 1's words: addresses 16..31 bytes (banks 4..7).
-  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), 0));
+  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0));
   sender.dispatch(0, tile);
   EXPECT_TRUE(tile.local_pushes.empty());
   EXPECT_EQ(stats.value("network.req_sent"), 1.0);   // one burst request
@@ -211,7 +212,7 @@ TEST(BurstSender, LocalBeatsBypassTheNetwork) {
   StatsRegistry stats;
   FakeTile tile(stats);
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
-  ASSERT_TRUE(sender.accept_beat(unit_beat(0, 4), tile.map(), 0));  // tile 0
+  ASSERT_TRUE(sender.accept_beat(unit_beat(0, 4), tile.map(), tile.topo_, 0));  // tile 0
   sender.dispatch(0, tile);
   EXPECT_EQ(tile.local_pushes.size(), 4u);
   EXPECT_EQ(stats.value("network.req_sent"), 0.0);
@@ -221,7 +222,7 @@ TEST(BurstSender, DisabledModeSendsNarrow) {
   StatsRegistry stats;
   FakeTile tile(stats);
   BurstSender sender({.enable_bursts = false}, 4);
-  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), 0));
+  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0));
   sender.dispatch(0, tile);   // class port limits to 1/cycle
   sender.dispatch(1, tile);
   sender.dispatch(2, tile);
@@ -236,7 +237,7 @@ TEST(BurstSender, StoresNeverBurst) {
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
   BeatRequest b = unit_beat(16, 4, /*load=*/false);
   b.unit_stride_load = false;  // stores are not burst-eligible
-  ASSERT_TRUE(sender.accept_beat(b, tile.map(), 0));
+  ASSERT_TRUE(sender.accept_beat(b, tile.map(), tile.topo_, 0));
   for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);
 }
@@ -246,7 +247,7 @@ TEST(BurstSender, SplitsAtTileBoundary) {
   FakeTile tile(stats);
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
   // Words 6..9 span tile 1 (banks 6,7) and tile 2 (banks 8,9).
-  ASSERT_TRUE(sender.accept_beat(unit_beat(24, 4), tile.map(), 0));
+  ASSERT_TRUE(sender.accept_beat(unit_beat(24, 4), tile.map(), tile.topo_, 0));
   sender.dispatch(0, tile);
   // Two bursts of two words each; distinct classes -> both sent in cycle 0.
   EXPECT_EQ(stats.value("network.req_sent"), 2.0);
@@ -261,8 +262,8 @@ TEST(BurstSender, ExtendsTailAcrossBeats) {
   BurstSender sender({.enable_bursts = true, .max_burst_len = 8}, 4);
   AddressMap map8(16, 8, 64);
   // Tile 1 = banks 8..15 -> words 8..15. Two contiguous 4-word beats.
-  ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), map8, 0));
-  ASSERT_TRUE(sender.accept_beat(unit_beat(48, 4), map8, 0));
+  ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), map8, tile.topo_, 0));
+  ASSERT_TRUE(sender.accept_beat(unit_beat(48, 4), map8, tile.topo_, 0));
   sender.dispatch(0, tile);  // FakeTile's own map differs; only count sends
   EXPECT_EQ(stats.value("network.req_sent"), 1.0);
   EXPECT_EQ(stats.value("network.req_words"), 8.0);
@@ -275,10 +276,146 @@ TEST(BurstSender, TableExhaustionDegradesToNarrow) {
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4, .table_size = 1,
                       .staging_beats = 8},
                      4);
-  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), 0));  // takes the entry
-  ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), tile.map(), 0));  // degrades
+  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0));  // takes the entry
+  ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), tile.map(), tile.topo_, 0));  // degrades
   for (Cycle c = 0; c < 8; ++c) sender.dispatch(c, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 5.0);  // 1 burst + 4 narrow
+}
+
+// ------------------------------------------------- dispatch semantics --
+// FakeTile's {1, 4} topology gives home tile 0 one class port per peer:
+// tile 1 -> class 1 (bytes 16..31 of each row), tile 2 -> class 2 (32..47),
+// tile 3 -> class 3 (48..63); bytes 0..15 are tile 0's own banks.
+
+/// A narrow (not burst-eligible) beat over arbitrary word addresses.
+BeatRequest narrow_beat(std::initializer_list<Addr> addrs) {
+  BeatRequest b;
+  std::uint16_t slot = 0;
+  for (const Addr a : addrs) {
+    WordRequest w;
+    w.addr = a;
+    w.port = static_cast<std::uint8_t>(slot % 4);
+    w.rob_slot = slot++;
+    b.words.push_back(w);
+  }
+  return b;
+}
+
+/// Occupy home tile 0's class port `cls` for cycle `now`.
+void block_class(FakeTile& tile, std::uint8_t cls, Cycle now) {
+  TcdmReq r;
+  r.addr = 16 * cls;  // first word of tile `cls`
+  r.src_tile = 0;
+  tile.net_.send_req(0, cls, r, now);
+}
+
+struct NullSink final : RspSink {
+  void deliver_rsp(const TcdmResp&, Cycle) override {}
+};
+
+/// Run the network until idle and return, per destination tile, the
+/// addresses of the requests that reached it, in arrival order.
+std::vector<std::vector<Addr>> drain_requests(FakeTile& tile, Cycle from) {
+  std::vector<std::vector<Addr>> got(tile.topo_.num_tiles());
+  NullSink sink;
+  for (Cycle c = from; c < from + 64; ++c) {
+    tile.net_.cycle(c, sink);
+    for (TileId dst = 0; dst < tile.topo_.num_tiles(); ++dst) {
+      for (std::uint8_t cls = 0; cls < tile.topo_.num_classes(); ++cls) {
+        while (!tile.net_.slave_empty(dst, cls)) {
+          got[dst].push_back(tile.net_.slave_pop(dst, cls).addr);
+        }
+      }
+    }
+  }
+  return got;
+}
+
+TEST(BurstSenderDispatch, BlockedClassDoesNotStopLaterItems) {
+  StatsRegistry stats;
+  FakeTile tile(stats);
+  BurstSender sender({}, 4);
+  sender.attach_stats(stats, "s");
+  // Class 1 first, then a local word, then a class-2 word.
+  ASSERT_TRUE(sender.accept_beat(narrow_beat({16, 20, 0, 32}), tile.map(), tile.topo_, 0));
+  block_class(tile, 1, 0);
+  sender.dispatch(0, tile);
+  EXPECT_EQ(tile.local_pushes.size(), 1u);  // the local word went past class 1
+  EXPECT_EQ(stats.value("s.narrow_remote_words"), 1.0);  // and so did class 2
+  EXPECT_FALSE(tile.net_.can_send_req(0, 2, 0));
+  EXPECT_FALSE(sender.staging_empty());
+  sender.dispatch(1, tile);  // class 1 reopens: its first word goes
+  sender.dispatch(2, tile);
+  EXPECT_TRUE(sender.staging_empty());
+  EXPECT_EQ(stats.value("s.narrow_remote_words"), 3.0);
+}
+
+TEST(BurstSenderDispatch, AtMostOneRequestPerClassPortPerCycle) {
+  StatsRegistry stats;
+  FakeTile tile(stats);
+  BurstSender sender({.staging_beats = 8}, 4);
+  ASSERT_TRUE(sender.accept_beat(narrow_beat({16, 20, 32, 24}), tile.map(), tile.topo_, 0));
+  ASSERT_TRUE(sender.accept_beat(narrow_beat({36, 48, 52, 28}), tile.map(), tile.topo_, 0));
+  ASSERT_TRUE(sender.accept_beat(narrow_beat({40, 56, 4, 44}), tile.map(), tile.topo_, 0));
+  // Staged per class: class 1 x4, class 2 x4, class 3 x3 (+1 local word).
+  Cycle c = 0;
+  for (; c < 16 && !sender.staging_empty(); ++c) {
+    const double before = stats.value("network.req_sent");
+    sender.dispatch(c, tile);
+    unsigned ports_used = 0;
+    for (std::uint8_t cls = 1; cls < 4; ++cls) {
+      ports_used += tile.net_.can_send_req(0, cls, c) ? 0 : 1;
+    }
+    EXPECT_EQ(stats.value("network.req_sent") - before, ports_used) << "cycle " << c;
+  }
+  EXPECT_TRUE(sender.staging_empty());
+  EXPECT_EQ(c, 4u);  // four words per busiest class, one per cycle
+  EXPECT_EQ(stats.value("network.req_sent"), 11.0);
+}
+
+TEST(BurstSenderDispatch, RequestsLeaveEachClassPortInStagingOrder) {
+  StatsRegistry stats;
+  FakeTile tile(stats);
+  BurstSender sender({.staging_beats = 8}, 4);
+  ASSERT_TRUE(sender.accept_beat(narrow_beat({28, 32, 20, 52}), tile.map(), tile.topo_, 0));
+  ASSERT_TRUE(sender.accept_beat(narrow_beat({44, 16, 48, 36}), tile.map(), tile.topo_, 0));
+  ASSERT_TRUE(sender.accept_beat(narrow_beat({24, 60, 40, 8}), tile.map(), tile.topo_, 0));
+  block_class(tile, 2, 0);  // one class starts a cycle late
+  Cycle c = 0;
+  for (; c < 16 && !sender.staging_empty(); ++c) sender.dispatch(c, tile);
+  ASSERT_TRUE(sender.staging_empty());
+  const auto got = drain_requests(tile, 0);
+  EXPECT_EQ(got[1], (std::vector<Addr>{28, 20, 16, 24}));
+  EXPECT_EQ(got[2], (std::vector<Addr>{32, 32, 44, 36, 40}));  // after the blocker
+  EXPECT_EQ(got[3], (std::vector<Addr>{52, 48, 60}));
+}
+
+TEST(BurstSenderDispatch, PartialDispatchExtendsTheLastUnsentBurst) {
+  StatsRegistry stats;
+  FakeTile tile(stats);
+  BurstSender sender({.enable_bursts = true, .max_burst_len = 8}, 4);
+  sender.attach_stats(stats, "s");
+  // 8 banks per tile: tile 1 holds bytes 32..63 of each 64-byte row.
+  AddressMap map8(16, 8, 64);
+  ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), map8, tile.topo_, 0));  // burst A, row 0
+  ASSERT_TRUE(sender.accept_beat(unit_beat(96, 4), map8, tile.topo_, 0));  // burst B, row 1
+  ASSERT_TRUE(sender.accept_beat(unit_beat(0, 4), map8, tile.topo_, 0));   // 4 local words
+  // Class 1 refuses A (and so skips B); the local words behind them go,
+  // which leaves the staging ring's youngest slot to burst B.
+  block_class(tile, 1, 0);
+  sender.dispatch(0, tile);
+  EXPECT_EQ(tile.local_pushes.size(), 4u);
+  EXPECT_EQ(stats.value("s.bursts_sent"), 0.0);
+  // The next beat continues B and must grow it, not start a new burst.
+  ASSERT_TRUE(sender.accept_beat(unit_beat(112, 4), map8, tile.topo_, 0));
+  sender.dispatch(1, tile);  // A
+  sender.dispatch(2, tile);  // B, now 8 words long
+  EXPECT_TRUE(sender.staging_empty());
+  EXPECT_EQ(stats.value("s.bursts_sent"), 2.0);
+  EXPECT_EQ(stats.value("s.burst_words"), 12.0);
+  EXPECT_EQ(sender.lookup(1, 7).rob_slot, 3u);  // B's table entry holds the new beat
+  const auto got = drain_requests(tile, 0);
+  EXPECT_EQ(got[1], (std::vector<Addr>{16, 32, 96}));  // blocker, A, B
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // on a dirtied-then-reset() cluster must be bit-identical — metrics, every
 // statistics counter, and the full TCDM image — to the same run on a
 // freshly constructed cluster, across baseline/GF2/GF4 presets and all
-// three stepping modes. This is the
+// three stepping modes, whether the dirtying run finished or was cut off
+// with words staged in the VLSUs and bursts outstanding. This is the
 // contract that lets the scenario runners keep one pooled cluster per
 // config shape (ClusterCache) instead of paying construction per scenario.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "src/cluster/kernel_runner.hpp"
 #include "src/kernels/axpy.hpp"
 #include "src/kernels/dotp.hpp"
+#include "src/kernels/probes.hpp"
 #include "tests/support/test_support.hpp"
 
 namespace tcdm {
@@ -84,6 +86,48 @@ void check_reset_identity(const ClusterConfig& cfg, const SimOptions& sim) {
   expect_identical(ref, got);
 }
 
+/// Any VLSU with staged words, and any with a live burst-table entry.
+struct SenderState {
+  bool staged = false;
+  bool live_bursts = false;
+};
+
+SenderState sender_state(Cluster& cluster) {
+  SenderState st;
+  for (TileId t = 0; t < cluster.num_tiles(); ++t) {
+    const BurstSender& s = cluster.tile(t).cc().spatz().vlsu().sender();
+    st.staged = st.staged || !s.staging_empty();
+    st.live_bursts = st.live_bursts || s.live_bursts() != 0;
+  }
+  return st;
+}
+
+void check_mid_run_reset_identity(const ClusterConfig& cfg, const SimOptions& sim) {
+  AxpyKernel fresh_kernel(768, 1.25f, 11);
+  Cluster fresh(cfg, sim);
+  const RunImage ref = capture(fresh, fresh_kernel);
+  ASSERT_FALSE(ref.metrics.timed_out);
+  ASSERT_TRUE(ref.metrics.verified);
+
+  // Interrupt a copy kernel (remote loads and stores keep the staging
+  // rings busy) while staging holds words and, with bursts on, the burst
+  // table holds entries: reset() must drop both.
+  Cluster reused(cfg, sim);
+  MemcpyKernel dirt(1024);
+  dirt.setup(reused);
+  bool caught = false;
+  for (int i = 0; i < 1'000'000 && !caught; ++i) {
+    if (reused.step()) break;
+    const SenderState st = sender_state(reused);
+    caught = st.staged && (st.live_bursts || !cfg.burst_enabled);
+  }
+  ASSERT_TRUE(caught) << "the dirtying run never had staged words in flight";
+  reused.reset();
+  AxpyKernel reused_kernel(768, 1.25f, 11);
+  const RunImage got = capture(reused, reused_kernel);
+  expect_identical(ref, got);
+}
+
 TEST_P(ResetIdentity, EventDriven) {
   check_reset_identity(config(), SimOptions{SteppingMode::kEventDriven});
 }
@@ -94,6 +138,18 @@ TEST_P(ResetIdentity, CycleByCycle) {
 
 TEST_P(ResetIdentity, CrossCheck) {
   check_reset_identity(config(), SimOptions{SteppingMode::kCrossCheck});
+}
+
+TEST_P(ResetIdentity, MidRunEventDriven) {
+  check_mid_run_reset_identity(config(), SimOptions{SteppingMode::kEventDriven});
+}
+
+TEST_P(ResetIdentity, MidRunCycleByCycle) {
+  check_mid_run_reset_identity(config(), SimOptions{SteppingMode::kCycleByCycle});
+}
+
+TEST_P(ResetIdentity, MidRunCrossCheck) {
+  check_mid_run_reset_identity(config(), SimOptions{SteppingMode::kCrossCheck});
 }
 
 TCDM_INSTANTIATE_BURST_SWEEP(ResetIdentity);

@@ -60,6 +60,25 @@ TEST(BoundedQueue, AtInspectsFifoPositions) {
   EXPECT_EQ(q.at(2), 30);
 }
 
+TEST(BoundedQueue, AtWritesAndDropFrontAcrossTheWrap) {
+  BoundedQueue<int> q(4);
+  for (int v : {1, 2, 3}) ASSERT_TRUE(q.try_push(v));
+  (void)q.pop();
+  (void)q.pop();
+  for (int v : {4, 5, 6}) ASSERT_TRUE(q.try_push(v));  // wraps: 3 4 5 6
+  q.at(3) = 60;
+  EXPECT_EQ(q.back(), 60);
+  q.drop_front(3);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.front(), 60);
+  ASSERT_TRUE(q.try_push(7));
+  EXPECT_EQ(q.at(1), 7);
+  q.drop_front(2);
+  EXPECT_TRUE(q.empty());
+  ASSERT_TRUE(q.try_push(8));
+  EXPECT_EQ(q.front(), 8);
+}
+
 TEST(TimedQueue, LatencyGatesVisibility) {
   TimedQueue<int> q(4);
   ASSERT_TRUE(q.try_push(42, 10));

@@ -93,12 +93,11 @@ TEST(HotPathAlloc, HookCountsAllocations) {
   EXPECT_GE(after - before, 1u);
 }
 
-TEST(HotPathAlloc, ClusterSteadyStateStepIsAllocationFree) {
-  // MP4Spatz4 with GF4 bursts: the full hot path — vector loads/stores,
-  // burst merge, hierarchical network, barriers — on a kernel big enough
-  // that thousands of steady-state cycles remain after warm-up.
-  Cluster cluster(test::mp4_config(4));
-  AxpyKernel kernel(4096);
+/// Warm `cfg` up on an AXPY of `n` elements, then count the heap
+/// allocations of 1000 steady-state step() calls: there must be none.
+void expect_steady_state_allocation_free(const ClusterConfig& cfg, unsigned n) {
+  Cluster cluster(cfg);
+  AxpyKernel kernel(n);
   cluster.set_watchdog_window(1'000'000);
   kernel.setup(cluster);
 
@@ -118,6 +117,22 @@ TEST(HotPathAlloc, ClusterSteadyStateStepIsAllocationFree) {
   // The run must still complete and verify — the window above was real work.
   while (!halted) halted = cluster.step();
   EXPECT_TRUE(kernel.verify(cluster));
+}
+
+TEST(HotPathAlloc, ClusterSteadyStateStepIsAllocationFree) {
+  // MP4Spatz4 with GF4 bursts: the full hot path — vector loads/stores,
+  // burst merge, hierarchical network, barriers — on a kernel big enough
+  // that thousands of steady-state cycles remain after warm-up.
+  expect_steady_state_allocation_free(test::mp4_config(4), 4096);
+}
+
+TEST(HotPathAlloc, BaselineMultiClassStepIsAllocationFree) {
+  // MP64Spatz4 baseline: narrow remote words over four destination classes
+  // (one intra-group port, three inter-group ports) keep every VLSU's
+  // staging backed up, so its per-class bookkeeping is live every cycle.
+  const ClusterConfig cfg = ClusterConfig::mp64spatz4();
+  ASSERT_GE(cfg.topology().num_classes(), 2u);
+  expect_steady_state_allocation_free(cfg, 16384);
 }
 
 TEST(HotPathAlloc, JsonDumpAllocationsStaySublinear) {

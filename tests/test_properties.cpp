@@ -121,12 +121,16 @@ TEST(RobProperty, RandomFillOrderAlwaysRetiresInOrder) {
 
 class SenderTile final : public TileServices {
  public:
+  /// `banks / bpt` tiles in pairs ({2, tiles / 2}): the pair peer is class 0
+  /// and every other pair a class of its own, so several ports compete.
   SenderTile(StatsRegistry& stats, unsigned banks, unsigned bpt)
       : map_(banks, bpt, 256),
-        topo_({1, banks / bpt}, {{1, 1}, {1, 1}}),
+        topo_({2, banks / bpt / 2}, {{1, 1}, {1, 1}}),
         net_(topo_, NetworkConfig{.master_extra_slots = 64, .slave_depth = 64}, stats) {}
 
+  /// Every third attempt finds its bank busy, so local words retry too.
   bool try_local_push(unsigned, const BankReq&) override {
+    if (++local_attempts % 3 == 0) return false;
     ++local_words;
     return true;
   }
@@ -134,10 +138,15 @@ class SenderTile final : public TileServices {
   const AddressMap& map() const override { return map_; }
   TileId tile_id() const override { return 0; }
 
+  unsigned local_attempts = 0;
   unsigned local_words = 0;
   AddressMap map_;
   Topology topo_;
   HierNetwork net_;
+};
+
+struct NullSink final : RspSink {
+  void deliver_rsp(const TcdmResp&, Cycle) override {}
 };
 
 TEST(BurstSenderProperty, RandomBeatsConserveWordsAndRespectTiles) {
@@ -145,7 +154,7 @@ TEST(BurstSenderProperty, RandomBeatsConserveWordsAndRespectTiles) {
   for (unsigned trial = 0; trial < 200; ++trial) {
     StatsRegistry stats;
     const unsigned bpt = 1u << rng.next_below(4);          // 1,2,4,8
-    const unsigned tiles = 2u << rng.next_below(3);        // 2,4,8
+    const unsigned tiles = 4u << rng.next_below(3);        // 4,8,16
     SenderTile tile(stats, bpt * tiles, bpt);
     const unsigned ports = 1 + rng.next_below(8);
     const unsigned max_len = 1 + rng.next_below(std::min(bpt, kMaxBurstLen));
@@ -154,30 +163,65 @@ TEST(BurstSenderProperty, RandomBeatsConserveWordsAndRespectTiles) {
                        ports);
     sender.attach_stats(stats, "s");
 
-    // Random unit-stride beat fully inside the address space.
-    const unsigned n = 1 + rng.next_below(ports);
-    const auto limit =
-        static_cast<std::uint32_t>(tile.map_.total_bytes() / kWordBytes - n);
-    BeatRequest beat;
-    beat.unit_stride_load = true;
-    const Addr base = static_cast<Addr>(rng.next_below(limit)) * kWordBytes;
-    for (unsigned i = 0; i < n; ++i) {
-      WordRequest w;
-      w.addr = base + i * kWordBytes;
-      w.port = static_cast<std::uint8_t>(i % ports);
-      w.rob_slot = static_cast<std::uint16_t>(i);
-      beat.words.push_back(w);
+    // Several random unit-stride beats fully inside the address space, half
+    // of them continuing the previous one (tail extension), with a cycle of
+    // dispatch between some of them (partially drained staging).
+    const unsigned beats = 2 + rng.next_below(5);
+    const auto words = static_cast<std::uint32_t>(tile.map_.total_bytes() / kWordBytes);
+    unsigned total = 0;
+    unsigned home_words = 0;
+    Addr next = 0;
+    Cycle c = 0;
+    for (unsigned b = 0; b < beats; ++b) {
+      const unsigned n = 1 + rng.next_below(ports);
+      Addr base = static_cast<Addr>(rng.next_below(words - n)) * kWordBytes;
+      if (b > 0 && rng.next_below(2) == 0 && next / kWordBytes + n <= words) base = next;
+      BeatRequest beat;
+      beat.unit_stride_load = true;
+      for (unsigned i = 0; i < n; ++i) {
+        WordRequest w;
+        w.addr = base + i * kWordBytes;
+        w.port = static_cast<std::uint8_t>(i % ports);
+        w.rob_slot = static_cast<std::uint16_t>(total + i);
+        beat.words.push_back(w);
+        if (tile.map_.decode(w.addr).tile == 0) ++home_words;
+      }
+      total += n;
+      next = base + n * kWordBytes;
+      ASSERT_TRUE(sender.can_accept_beat());
+      ASSERT_TRUE(sender.accept_beat(beat, tile.map_, tile.topo_, 0));
+      if (rng.next_below(2) == 0) sender.dispatch(c++, tile);
     }
-    ASSERT_TRUE(sender.accept_beat(beat, tile.map_, 0));
-    for (Cycle c = 0; c < 4 * n + 8; ++c) sender.dispatch(c, tile);
+    for (const Cycle end = c + 4 * total + 8; c < end; ++c) sender.dispatch(c, tile);
 
     // Conservation: every word went somewhere exactly once.
     const double sent = stats.value("s.local_words") +
                         stats.value("s.narrow_remote_words") +
                         stats.value("s.burst_words");
-    EXPECT_EQ(sent, n) << "bpt=" << bpt << " ports=" << ports << " n=" << n;
+    EXPECT_EQ(sent, total) << "bpt=" << bpt << " ports=" << ports << " words=" << total;
     EXPECT_EQ(tile.local_words, static_cast<unsigned>(stats.value("s.local_words")));
+    EXPECT_EQ(tile.local_words, home_words);
     EXPECT_TRUE(sender.staging_empty());
+
+    // Every request reaches the tile that owns all of its words, and no
+    // burst exceeds the configured length.
+    NullSink sink;
+    unsigned remote_words = 0;
+    for (Cycle d = 0; d < c + 2 * total + 8; ++d) {
+      tile.net_.cycle(d, sink);
+      for (TileId dst = 0; dst < tiles; ++dst) {
+        for (std::uint8_t cls = 0; cls < tile.topo_.num_classes(); ++cls) {
+          while (!tile.net_.slave_empty(dst, cls)) {
+            const TcdmReq req = tile.net_.slave_pop(dst, cls);
+            EXPECT_LE(req.len, max_len);
+            EXPECT_EQ(tile.map_.decode(req.addr).tile, dst);
+            EXPECT_EQ(tile.map_.decode(req.addr + (req.len - 1) * kWordBytes).tile, dst);
+            remote_words += req.len;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(remote_words, total - home_words);
   }
 }
 
