@@ -101,7 +101,6 @@ class Barrier {
     release_at_ = 0;
   }
 
- protected:
   /// Modeled latency between the last arrival and the release broadcast.
   /// Called once per generation (never on the per-arrival hot path beyond
   /// the completing arrival), so virtual dispatch costs nothing measurable.

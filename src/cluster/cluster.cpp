@@ -24,7 +24,7 @@ Cluster::Cluster(const ClusterConfig& cfg, const SimOptions& sim)
       map_(cfg.address_map()),
       barrier_(make_barrier(cfg.barrier_kind, cfg.num_cores(),
                             auto_barrier_latency(cfg, topo_), cfg.barrier_radix)),
-      watchdog_(100'000),
+      watchdog_(kDefaultWatchdogWindow),
       stepping_(sim.stepping) {
   cfg_.validate();
   NetworkConfig net_cfg = cfg_.net;
@@ -95,7 +95,7 @@ std::vector<float> Cluster::read_block_f32(Addr addr, std::size_t count) const {
 
 void Cluster::reset() {
   clock_.reset();
-  watchdog_.set_window(100'000);  // ctor default; undo set_watchdog_window
+  watchdog_.set_window(kDefaultWatchdogWindow);  // undo set_watchdog_window
   watchdog_.note_progress(0);
   stats_.reset();  // zero every slot; Counter handles remain valid
   barrier_->reset();

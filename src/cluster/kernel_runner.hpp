@@ -42,7 +42,7 @@ struct KernelMetrics {
 struct RunnerOptions {
   bool verify = true;
   Cycle max_cycles = 50'000'000;
-  Cycle watchdog_window = 100'000;
+  Cycle watchdog_window = kDefaultWatchdogWindow;
   /// Host-side simulation options (the stepping mode). Only
   /// consulted by run_kernel, which builds the cluster; run_kernel_on uses
   /// whatever the caller's cluster was constructed with.

@@ -34,9 +34,13 @@ class DeadlockError : public std::runtime_error {
   explicit DeadlockError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// No-progress window every Cluster and System starts with (and that
+/// RunnerOptions passes by default).
+inline constexpr Cycle kDefaultWatchdogWindow = 100'000;
+
 class Watchdog {
  public:
-  explicit Watchdog(Cycle window = 100000) : window_(window) {}
+  explicit Watchdog(Cycle window = kDefaultWatchdogWindow) : window_(window) {}
 
   void note_progress(Cycle now) noexcept { last_progress_ = now; }
 

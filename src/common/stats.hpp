@@ -4,8 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,7 +57,21 @@ class SkipPlan {
   std::vector<Entry> entries_;
 };
 
-/// Name -> value map with stable storage so Counter handles never dangle.
+/// Name -> value registry with stable storage so Counter handles never dangle.
+///
+/// Registering a counter makes no heap allocation of its own: values live in
+/// one chunked slab (a std::deque, so addresses stay stable as it grows) in
+/// registration order, names are appended to one character arena and kept as
+/// offsets, and an open-addressing index of slab positions finds a name
+/// without per-entry nodes. A component's counters are registered together,
+/// so they share cache lines on the hot path.
+///
+/// Reports that need name order (snapshot(), values(), slots(), to_json())
+/// walk a sorted permutation built on first use and kept until the next new
+/// name. Sums walk registration order: every counter holds an integer below
+/// 2^53 (EV2, docs/ARCHITECTURE.md), so the order of the additions cannot
+/// change a bit. Because const calls may build that cached permutation, a
+/// registry belongs to one thread (docs/CONCURRENCY.md).
 class StatsRegistry {
  public:
   StatsRegistry() = default;
@@ -66,10 +79,10 @@ class StatsRegistry {
   StatsRegistry& operator=(const StatsRegistry&) = delete;
 
   /// Returns a handle to the named counter, creating it (at 0) on first use.
-  [[nodiscard]] Counter counter(const std::string& name);
+  [[nodiscard]] Counter counter(std::string_view name);
 
   /// Value lookup; returns 0 for unknown names.
-  [[nodiscard]] double value(const std::string& name) const;
+  [[nodiscard]] double value(std::string_view name) const;
 
   /// Sum over all counters whose name starts with `prefix`.
   [[nodiscard]] double sum_prefix(std::string_view prefix) const;
@@ -94,10 +107,28 @@ class StatsRegistry {
   /// external analysis scripts.
   [[nodiscard]] std::string to_json() const;
 
+  /// Zero every counter; handles stay valid.
   void reset();
 
  private:
-  std::map<std::string, std::unique_ptr<double>> slots_;
+  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
+  [[nodiscard]] std::string_view name(std::uint32_t pos) const noexcept {
+    return {names_.data() + name_begin_[pos], name_begin_[pos + 1] - name_begin_[pos]};
+  }
+  /// Sum of the counters whose name satisfies `match`, in registration order.
+  template <typename Match>
+  [[nodiscard]] double sum_if(Match match) const;
+  /// Index slot holding `name`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t find_slot(std::string_view name) const noexcept;
+  void grow_index();
+  /// Slab positions in name order; rebuilt when a name was added since.
+  const std::vector<std::uint32_t>& sorted() const;
+
+  std::deque<double> values_;                   // slab, registration order
+  std::string names_;                           // arena: every name, back to back
+  std::vector<std::uint32_t> name_begin_{0};    // name i is [begin[i], begin[i+1])
+  std::vector<std::uint32_t> index_;            // slab position + 1; 0 = empty
+  mutable std::vector<std::uint32_t> order_;    // cached name-order permutation
 };
 
 }  // namespace tcdm

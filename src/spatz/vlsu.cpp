@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 
 namespace tcdm {
 

@@ -22,7 +22,7 @@ void fnv_word(std::uint64_t& h, Word w) {
 
 System::System(const SystemConfig& sys, const ClusterConfig& cluster_cfg,
                const SimOptions& sim)
-    : cfg_(sys), stepping_(sim.stepping), watchdog_(100'000) {
+    : cfg_(sys), stepping_(sim.stepping), watchdog_(kDefaultWatchdogWindow) {
   cfg_.validate();
   const unsigned tcdm_words = cluster_cfg.num_banks() * cluster_cfg.bank_words;
   if (cfg_.dma_words > tcdm_words) {
@@ -107,7 +107,7 @@ void System::reset() {
   done_ = false;
   words_delivered_ = 0;
   now_ = 0;
-  watchdog_.set_window(100'000);  // ctor default; undo set_watchdog_window
+  watchdog_.set_window(kDefaultWatchdogWindow);  // undo set_watchdog_window
   watchdog_.note_progress(0);
   last_progress_token_ = -1.0;
 }

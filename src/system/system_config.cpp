@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "src/common/bitutil.hpp"
+#include "src/common/sim_time.hpp"
 
 namespace tcdm {
 
@@ -39,6 +40,23 @@ void SystemConfig::validate() const {
   if (dma_burst_len == 0) {
     throw std::invalid_argument(name + ": dma_burst_len must be >= 1");
   }
+  if (num_clusters == 1) return;  // no DMA phase, no global barrier
+  const auto within_window = [this](Cycle latency, const std::string& what) {
+    if (latency >= kDefaultWatchdogWindow) {
+      throw std::invalid_argument(name + ": " + what + " of " + std::to_string(latency) +
+                                  " cycles reaches the " +
+                                  std::to_string(kDefaultWatchdogWindow) +
+                                  "-cycle watchdog window");
+    }
+  };
+  if (dma_words != 0) {
+    within_window(burst_header_latency(),
+                  "DMA header latency (2 * noc_hops * noc_hop_latency + l2_latency)");
+  }
+  within_window(
+      make_barrier(barrier_kind, num_clusters, barrier_link_latency, barrier_radix)
+          ->release_delay(),
+      "global barrier release delay (barrier_link_latency)");
 }
 
 Json SystemConfig::to_json() const {

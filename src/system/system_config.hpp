@@ -63,7 +63,10 @@ struct SystemConfig {
     return 2 * static_cast<Cycle>(noc_hops()) * noc_hop_latency + l2_latency;
   }
 
-  /// Throws std::invalid_argument when parameters are inconsistent.
+  /// Throws std::invalid_argument when parameters are inconsistent, or when
+  /// the DMA header latency (with the DMA phase on) or the global barrier's
+  /// release delay reaches kDefaultWatchdogWindow: nothing moves during
+  /// either wait, so the system watchdog would fire before it ends.
   void validate() const;
 
   /// Full serialization; from_json(to_json()) is the identity for any valid

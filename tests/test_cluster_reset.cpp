@@ -3,11 +3,15 @@
 // statistics counter, and the full TCDM image — to the same run on a
 // freshly constructed cluster, across baseline/GF2/GF4 presets and all
 // three stepping modes, whether the dirtying run finished or was cut off
-// with words staged in the VLSUs and bursts outstanding. This is the
+// with words staged in the VLSUs and bursts outstanding, and for every
+// point (System points too) of two generated suites. This is the
 // contract that lets the scenario runners keep one pooled cluster per
 // config shape (ClusterCache) instead of paying construction per scenario.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +21,10 @@
 #include "src/kernels/axpy.hpp"
 #include "src/kernels/dotp.hpp"
 #include "src/kernels/probes.hpp"
+#include "src/scenario/scenario_file.hpp"
+#include "src/scenario/scenario_gen.hpp"
+#include "src/system/system.hpp"
+#include "src/system/system_runner.hpp"
 #include "tests/support/test_support.hpp"
 
 namespace tcdm {
@@ -39,13 +47,31 @@ std::vector<Word> tcdm_image(const Cluster& cluster) {
   return image;
 }
 
-RunImage capture(Cluster& cluster, Kernel& kernel) {
+RunnerOptions default_opts() {
   RunnerOptions opts;
   opts.max_cycles = 5'000'000;
+  return opts;
+}
+
+RunImage capture(Cluster& cluster, Kernel& kernel, const RunnerOptions& opts = default_opts()) {
   RunImage img;
   img.metrics = run_kernel_on(cluster, kernel, opts);
   img.stats_json = cluster.stats().to_json();
   img.tcdm = tcdm_image(cluster);
+  return img;
+}
+
+/// A System run: its aggregate metrics, then every cluster's counters and
+/// TCDM image in cluster order.
+RunImage capture(System& system, const std::vector<std::unique_ptr<Kernel>>& kernels,
+                 const RunnerOptions& opts) {
+  RunImage img;
+  img.metrics = run_system_kernel(system, kernels, opts);
+  for (unsigned c = 0; c < system.num_clusters(); ++c) {
+    img.stats_json += system.cluster(c).stats().to_json();
+    const std::vector<Word> image = tcdm_image(system.cluster(c));
+    img.tcdm.insert(img.tcdm.end(), image.begin(), image.end());
+  }
   return img;
 }
 
@@ -153,6 +179,57 @@ TEST_P(ResetIdentity, MidRunCrossCheck) {
 }
 
 TCDM_INSTANTIATE_BURST_SWEEP(ResetIdentity);
+
+/// Seeds of the generated-suite leg: 3 and 42, or the one seed named by
+/// TCDM_GEN_SEED (the nightly CI job passes a fresh one).
+std::vector<std::uint64_t> generated_seeds() {
+  if (const char* env = std::getenv("TCDM_GEN_SEED"); env != nullptr && *env != '\0') {
+    return {std::stoull(env)};
+  }
+  return {3, 42};
+}
+
+std::vector<std::unique_ptr<Kernel>> system_kernels(const scenario::FileScenario& sc,
+                                                    unsigned clusters) {
+  std::vector<std::unique_ptr<Kernel>> kernels;
+  for (unsigned c = 0; c < clusters; ++c) kernels.push_back(sc.kernel.instantiate(sc.config));
+  return kernels;
+}
+
+/// Run `sc` on a fresh instance, then run it, reset() and run it again on a
+/// second one: the rerun must match the fresh run bit for bit.
+void check_generated_point(const scenario::FileScenario& sc) {
+  if (sc.system) {
+    System fresh(*sc.system, sc.config, sc.opts.sim);
+    const RunImage ref =
+        capture(fresh, system_kernels(sc, fresh.num_clusters()), sc.opts);
+    ASSERT_FALSE(ref.metrics.timed_out);
+    System reused(*sc.system, sc.config, sc.opts.sim);
+    (void)capture(reused, system_kernels(sc, reused.num_clusters()), sc.opts);
+    reused.reset();
+    expect_identical(ref, capture(reused, system_kernels(sc, reused.num_clusters()), sc.opts));
+  } else {
+    Cluster fresh(sc.config, sc.opts.sim);
+    const RunImage ref = capture(fresh, *sc.kernel.instantiate(sc.config), sc.opts);
+    ASSERT_FALSE(ref.metrics.timed_out);
+    Cluster reused(sc.config, sc.opts.sim);
+    (void)capture(reused, *sc.kernel.instantiate(sc.config), sc.opts);
+    reused.reset();
+    expect_identical(ref, capture(reused, *sc.kernel.instantiate(sc.config), sc.opts));
+  }
+}
+
+TEST(ResetIdentity, GeneratedPoints) {
+  for (const std::uint64_t seed : generated_seeds()) {
+    const scenario::LoadedSuite suite =
+        scenario::parse_suite(scenario::generate_suite({seed, 24}), "gen");
+    ASSERT_EQ(suite.scenarios.size(), 24u);
+    for (const scenario::FileScenario& sc : suite.scenarios) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ": " + sc.rel);
+      check_generated_point(sc);
+    }
+  }
+}
 
 // ------------------------------------------------------------- ClusterCache
 

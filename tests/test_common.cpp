@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <numeric>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/common/arbiter.hpp"
@@ -187,6 +190,116 @@ TEST(Stats, HandlesStableAcrossInsertions) {
   }
   a.inc(5);
   EXPECT_DOUBLE_EQ(reg.value("alpha"), 5.0);
+}
+
+/// Random dotted name of 1-4 segments over a small vocabulary, so names
+/// share prefixes and suffixes the way component counters do ("t3.cc1.vlsu",
+/// "t3.cc1", "t31.cc1").
+std::string random_dotted_name(Xoshiro128& rng) {
+  static const char* const kSegments[] = {"t", "cc", "vlsu", "bank", "net", "a", "ab", "b_"};
+  std::string name;
+  const unsigned depth = 1 + rng.next_below(4);
+  for (unsigned d = 0; d < depth; ++d) {
+    if (d != 0) name += '.';
+    name += kSegments[rng.next_below(8)];
+    if (rng.next_below(2) != 0) name += std::to_string(rng.next_below(40));
+  }
+  return name;
+}
+
+/// StatsRegistry::to_json() as std::map iteration renders it.
+std::string reference_json(const std::map<std::string, double>& ref) {
+  std::ostringstream os;
+  os.precision(17);
+  os << "{\n";
+  bool first = true;
+  for (const auto& [name, v] : ref) {
+    if (!first) os << ",\n";
+    first = false;
+    os << "  \"" << name << "\": " << v;
+  }
+  os << "\n}\n";
+  return os.str();
+}
+
+/// Every name-order and aggregate view of `reg` against the reference map.
+void expect_matches_reference(const StatsRegistry& reg,
+                              const std::map<std::string, double>& ref,
+                              const std::map<std::string, Counter>& handles) {
+  std::vector<std::pair<std::string, double>> want(ref.begin(), ref.end());
+  EXPECT_EQ(reg.snapshot(), want);
+  std::vector<double> values;
+  reg.values(values);
+  const std::vector<const double*> slots = reg.slots();
+  ASSERT_EQ(values.size(), ref.size());
+  ASSERT_EQ(slots.size(), ref.size());
+  std::size_t i = 0;
+  for (const auto& [name, v] : ref) {
+    EXPECT_EQ(values[i], v) << name;
+    EXPECT_EQ(slots[i], handles.at(name).slot()) << name;
+    EXPECT_EQ(reg.value(name), v) << name;
+    ++i;
+  }
+  EXPECT_EQ(reg.to_json(), reference_json(ref));
+  EXPECT_EQ(reg.value("not.registered"), 0.0);
+
+  for (const char* affix : {"", "t", "t1", "t1.", "cc", "a", "ab", "b_", "x", ".vlsu", "reads"}) {
+    const std::string_view a(affix);
+    double prefix = 0.0;
+    double suffix = 0.0;
+    for (const auto& [name, v] : ref) {
+      if (name.starts_with(a)) prefix += v;
+      if (name.ends_with(a)) suffix += v;
+    }
+    EXPECT_EQ(reg.sum_prefix(a), prefix) << affix;
+    EXPECT_EQ(reg.sum_suffix(a), suffix) << affix;
+  }
+}
+
+TEST(Stats, DifferentialAgainstOrderedMap) {
+  Xoshiro128 rng(20);
+  StatsRegistry reg;
+  std::map<std::string, double> ref;
+  std::map<std::string, Counter> handles;  // first handle of each name
+  std::vector<std::string> order;          // registration order
+  while (ref.size() < 5000) {
+    // One in five operations re-registers a known name and must get the
+    // slot it was first given.
+    const bool again = !order.empty() && rng.next_below(5) == 0;
+    const std::string name = again ? order[rng.next_below(static_cast<std::uint32_t>(order.size()))]
+                                   : random_dotted_name(rng);
+    Counter c = reg.counter(name);
+    const auto [it, fresh] = handles.emplace(name, c);
+    if (fresh) {
+      order.push_back(name);
+    } else {
+      ASSERT_EQ(c.slot(), it->second.slot()) << name;
+    }
+    const double delta = rng.next_below(1000);
+    c.inc(delta);
+    ref[name] += delta;
+  }
+  // Handles taken before the slab and the index grew still name their own
+  // counters.
+  for (const auto& [name, c] : handles) ASSERT_EQ(c.value(), ref.at(name)) << name;
+  expect_matches_reference(reg, ref, handles);
+
+  // A late name lands in order: the cached name order is rebuilt.
+  Counter late = reg.counter("b_late.middle");
+  late.inc(7);
+  handles.emplace("b_late.middle", late);
+  ref["b_late.middle"] += 7;
+  expect_matches_reference(reg, ref, handles);
+
+  // reset() zeroes every counter in place; old handles keep counting.
+  reg.reset();
+  for (auto& [name, v] : ref) v = 0.0;
+  expect_matches_reference(reg, ref, handles);
+  for (auto& [name, c] : handles) {
+    c.inc(static_cast<double>(name.size()));
+    ref[name] = static_cast<double>(name.size());
+  }
+  expect_matches_reference(reg, ref, handles);
 }
 
 TEST(Watchdog, FiresAfterWindow) {

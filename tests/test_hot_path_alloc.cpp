@@ -6,7 +6,9 @@
 //   * Json::dump()/dump_compact() allocate O(log n) buffers for an
 //     n-node document (single reserved output string, no per-node pads);
 //   * a warmed-up RingDeque really is allocation-free under sustained
-//     push/pop traffic.
+//     push/pop traffic;
+//   * StatsRegistry registration allocates per chunk, not per counter, and
+//     Cluster::reset() and a value() lookup allocate nothing.
 // The counter is process-global, so any background allocation would show
 // up here; tests run serially within the binary, which keeps the windows
 // attributable.
@@ -14,6 +16,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -21,6 +24,7 @@
 #include "src/cluster/cluster.hpp"
 #include "src/common/json.hpp"
 #include "src/common/ring_deque.hpp"
+#include "src/common/stats.hpp"
 #include "src/kernels/axpy.hpp"
 #include "tests/support/test_support.hpp"
 
@@ -167,6 +171,58 @@ TEST(HotPathAlloc, WarmRingDequeDoesNotAllocate) {
     q.push_back(i);
   }
   EXPECT_EQ(alloc_count() - before, 0u);
+}
+
+TEST(HotPathAlloc, StatsRegistrationAllocatesPerChunkNotPerCounter) {
+  // Names of at most 15 characters: a std::string copy of one would fit in
+  // its small buffer, so any allocation here is the registry's own storage.
+  // Registration may grow chunked storage, never allocate per counter.
+  constexpr unsigned kCounters = 4096;
+  char name[16];
+  const std::uint64_t before = alloc_count();
+  {
+    StatsRegistry reg;
+    for (unsigned i = 0; i < kCounters; ++i) {
+      const int len = std::snprintf(name, sizeof name, "t%02u.b%02u.reads", i / 64, i % 64);
+      ASSERT_LE(len, 15);
+      (void)reg.counter(std::string_view(name, static_cast<std::size_t>(len)));
+    }
+  }
+  const std::uint64_t allocs = alloc_count() - before;
+  EXPECT_LE(allocs, kCounters / 16) << allocs << " allocations to register " << kCounters
+                                    << " counters";
+}
+
+/// Dirty `cfg` with a finished AXPY, then count the heap allocations of
+/// Cluster::reset(): there must be none (P1, P2).
+void expect_reset_allocation_free(const ClusterConfig& cfg) {
+  Cluster cluster(cfg);
+  AxpyKernel kernel(1024);
+  cluster.set_watchdog_window(1'000'000);
+  kernel.setup(cluster);
+  while (!cluster.step()) {
+  }
+  ASSERT_GT(cluster.stats().sum_suffix(".vlsu.words_loaded"), 0.0);
+
+  const std::uint64_t before = alloc_count();
+  cluster.reset();
+  const std::uint64_t allocs = alloc_count() - before;
+  EXPECT_EQ(allocs, 0u) << allocs << " heap allocations in Cluster::reset()";
+  EXPECT_EQ(cluster.stats().sum_suffix(".vlsu.words_loaded"), 0.0);
+}
+
+TEST(HotPathAlloc, ClusterResetIsAllocationFree) {
+  expect_reset_allocation_free(test::mp4_config(0));
+  expect_reset_allocation_free(ClusterConfig::mp64spatz4().with_burst(4));
+}
+
+TEST(HotPathAlloc, StatsValueLookupIsAllocationFree) {
+  // estimate_power looks counters up by literal name at the end of a run.
+  Cluster cluster(test::mp4_config(4));
+  const std::uint64_t before = alloc_count();
+  const double hops = cluster.stats().value("network.req_hop_words");
+  EXPECT_EQ(alloc_count() - before, 0u);
+  EXPECT_EQ(hops, 0.0);
 }
 
 }  // namespace

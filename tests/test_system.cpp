@@ -184,6 +184,32 @@ TEST(SystemDma, RejectsPayloadBeyondTcdmCapacity) {
   EXPECT_THROW((System{sys_cfg, cfg, SimOptions{}}), std::invalid_argument);
 }
 
+TEST(SystemDma, RejectsLatenciesThatReachTheWatchdogWindow) {
+  // Nothing moves while a header or a release is pending, so the system
+  // watchdog would end the run: such configs are invalid.
+  SystemConfig header = small_system(2);
+  header.dma_words = 64;
+  header.l2_latency = static_cast<unsigned>(kDefaultWatchdogWindow) - 2 * header.noc_hop_latency;
+  EXPECT_THROW(header.validate(), std::invalid_argument);
+  --header.l2_latency;
+  EXPECT_NO_THROW(header.validate());
+  header.dma_words = 0;  // no DMA phase, no header wait
+  header.l2_latency = 1u << 31;
+  EXPECT_NO_THROW(header.validate());
+
+  SystemConfig release = small_system(4);
+  release.barrier_kind = BarrierKind::kButterfly;  // two stages
+  release.barrier_link_latency = static_cast<unsigned>(kDefaultWatchdogWindow) / 2;
+  EXPECT_THROW(release.validate(), std::invalid_argument);
+  --release.barrier_link_latency;
+  EXPECT_NO_THROW(release.validate());
+
+  SystemConfig single = small_system(1);  // no DMA phase, no global barrier
+  single.noc_hop_latency = 1u << 31;
+  single.barrier_link_latency = 1u << 31;
+  EXPECT_NO_THROW(single.validate());
+}
+
 // ----------------------------------------------------------- weak scaling ----
 
 TEST(SystemScaling, AggregateBandwidthIsMonotoneOneToEight) {
