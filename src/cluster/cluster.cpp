@@ -262,38 +262,7 @@ RunOutcome Cluster::run(Cycle max_cycles) {
   RunOutcome out;
   const Cycle start = clock_.now();
   const Cycle budget_end = max_cycles > kNoCycle - start ? kNoCycle : start + max_cycles;
-  while (clock_.now() < budget_end) {
-    if (step()) {
-      out.all_halted = true;
-      break;
-    }
-    if (stepping_ == SteppingMode::kCycleByCycle) continue;
-    const Cycle now = clock_.now();
-    if (now >= budget_end) break;
-    // O(1) gate before the O(tiles) probe: while any tile's memory stage is
-    // streaming beats, some tile has work next cycle too and the probe would
-    // answer "no skip" at full-scan cost — precisely the dense workloads
-    // where skipping cannot pay. The gate is purely a may-probe filter
-    // (missing a skip costs one extra stepped cycle, never correctness) and
-    // applies identically in kCrossCheck, so check mode validates exactly
-    // the decisions event mode takes.
-    if (mem_phase_active_) continue;
-
-    const Cycle event = next_event();
-    if (event <= now) continue;  // work this cycle — no skip
-    // Never jump past the watchdog deadline (the deadlock diagnostic must
-    // fire at the reference cycle) or the caller's cycle budget; declared
-    // stall rates still apply to the capped span, so a timed-out run's
-    // counters match the reference loop exactly.
-    const Cycle jump_to = std::min(std::min(event, watchdog_.deadline()), budget_end);
-    if (jump_to <= now) continue;
-
-    if (stepping_ == SteppingMode::kEventDriven) {
-      skip_to(jump_to);
-    } else {
-      cross_check_to(event, jump_to);
-    }
-  }
+  out.all_halted = advance(*this, budget_end, stepping_);
   out.cycles = clock_.now() - start;
   return out;
 }

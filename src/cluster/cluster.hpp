@@ -15,6 +15,7 @@
 // phase (docs/CONCURRENCY.md, D1).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -32,10 +33,11 @@ struct RunOutcome {
   bool all_halted = false;
 };
 
-/// How Cluster::run() advances time. All modes produce bit-identical
-/// simulations (same cycle counts, same statistics apart from the `sim.*`
-/// bookkeeping counters, same memory image); see docs/ARCHITECTURE.md for
-/// the wakeup contract that makes the event-driven mode provably exact.
+/// How advance() moves Cluster::run() and System::run() through time. All
+/// modes produce bit-identical simulations (same cycle counts, same
+/// statistics apart from the `sim.*` bookkeeping counters, same memory
+/// image); see docs/ARCHITECTURE.md for the wakeup contract that makes the
+/// event-driven mode provably exact.
 enum class SteppingMode : std::uint8_t {
   /// Next-event skipping (default): when every component agrees the next
   /// event is at cycle t+k, jump the clock by k and bulk-apply the declared
@@ -56,6 +58,46 @@ struct SimOptions {
   /// Time-advance strategy for run(); step() is always single-cycle.
   SteppingMode stepping = SteppingMode::kEventDriven;
 };
+
+/// The one time-advance loop, shared by Cluster::run and System::run: step
+/// `sim`, jumping quiet spans as `mode` says, until step() reports the run
+/// finished (returns true) or the clock reaches `budget_end` (returns
+/// false). `Sim` provides step(), now() and the composable wakeup/skip
+/// surface (mem_phase_active, next_event, watchdog_deadline, skip_to,
+/// cross_check_to) with the contract documented on Cluster's.
+template <class Sim>
+bool advance(Sim& sim, Cycle budget_end, SteppingMode mode) {
+  while (sim.now() < budget_end) {
+    if (sim.step()) return true;
+    if (mode == SteppingMode::kCycleByCycle) continue;
+    const Cycle now = sim.now();
+    if (now >= budget_end) break;
+    // O(1) gate before the O(tiles) probe: while any tile's memory stage is
+    // streaming beats, some tile has work next cycle too and the probe would
+    // answer "no skip" at full-scan cost — precisely the dense workloads
+    // where skipping cannot pay. The gate is purely a may-probe filter
+    // (missing a skip costs one extra stepped cycle, never correctness) and
+    // applies identically in kCrossCheck, so check mode validates exactly
+    // the decisions event mode takes.
+    if (sim.mem_phase_active()) continue;
+
+    const Cycle event = sim.next_event();
+    if (event <= now) continue;  // work this cycle — no skip
+    // Never jump past the watchdog deadline (the deadlock diagnostic must
+    // fire at the reference cycle) or the caller's cycle budget; declared
+    // stall rates still apply to the capped span, so a timed-out run's
+    // counters match the reference loop exactly.
+    const Cycle jump_to = std::min(std::min(event, sim.watchdog_deadline()), budget_end);
+    if (jump_to <= now) continue;
+
+    if (mode == SteppingMode::kEventDriven) {
+      sim.skip_to(jump_to);
+    } else {
+      sim.cross_check_to(event, jump_to);
+    }
+  }
+  return false;
+}
 
 class Cluster final : public RspSink {
  public:
@@ -89,8 +131,8 @@ class Cluster final : public RspSink {
   /// attached. After reset() + load_program() + preloads, a run is
   /// bit-identical to one on a freshly constructed Cluster with the same
   /// config and SimOptions (docs/ARCHITECTURE.md, P2). Runners reuse one
-  /// cluster per config shape through this entry point instead of paying
-  /// construction per scenario.
+  /// System per shape (System::reset() resets its clusters through this
+  /// entry point) instead of paying construction per scenario.
   void reset();
 
   /// Advance one cycle; returns true when every hart has halted. Needs a
@@ -119,10 +161,10 @@ class Cluster final : public RspSink {
   void set_watchdog_window(Cycle window) { watchdog_.set_window(window); }
 
   // ---- composable wakeup/skip surface ----
-  // The event-driven run() loop, factored so an outer loop can advance a
-  // cluster itself while the cluster keeps its own EV1–EV3 contract (the
-  // System parks a halted cluster with next_event() + skip_to()). The
-  // protocol per quiet-span decision is exactly run()'s:
+  // What advance() drives, public so an outer loop can also move a cluster
+  // itself while the cluster keeps its own EV1–EV3 contract (the System
+  // parks a halted cluster with next_event() + skip_to()). The protocol per
+  // quiet-span decision is exactly advance()'s:
   //
   //   step() … until it returns false and mem_phase_active() is false,
   //   e = next_event()            — fills the internal SkipPlan,
@@ -134,7 +176,7 @@ class Cluster final : public RspSink {
 
   /// True when the last step()'s memory phase had work: some tile streams
   /// beats next cycle too, so a skip probe cannot pay — callers use this as
-  /// the O(1) may-probe gate exactly as run() does.
+  /// the O(1) may-probe gate exactly as advance() does.
   [[nodiscard]] bool mem_phase_active() const noexcept { return mem_phase_active_; }
 
   /// Global next-event query at the current cycle, with the quiet span's

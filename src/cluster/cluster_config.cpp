@@ -1,7 +1,9 @@
 #include "src/cluster/cluster_config.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "src/common/bitutil.hpp"
 
@@ -70,6 +72,21 @@ void ClusterConfig::validate() const {
   }
   if (barrier_radix < 2) {
     throw std::invalid_argument(name + ": barrier_radix must be >= 2");
+  }
+  // Addr is 32-bit: past 2^32 bytes of TCDM, AddressMap::valid can no
+  // longer tell addresses apart. Compared in 64 bits without forming the
+  // (possibly wrapping) product: banks x bank_words x 4 > 2^32 exactly when
+  // bank_words > 2^30 / banks, rounded down.
+  const std::uint64_t banks = std::uint64_t{num_tiles} * banks_per_tile;
+  if (bank_words > (std::uint64_t{1} << 30) / banks) {
+    throw std::invalid_argument(name + ": bank_words " + std::to_string(bank_words) +
+                                " puts the " + std::to_string(banks) +
+                                "-bank TCDM past the 2^32-byte address space of a 32-bit Addr");
+  }
+  // ROB slot ids are std::uint16_t in TcdmReq, BankRoute and PendingItem.
+  if (rob_depth > 65536) {
+    throw std::invalid_argument(name + ": rob_depth " + std::to_string(rob_depth) +
+                                " exceeds the 65536 slots a 16-bit ROB slot id can name");
   }
 }
 

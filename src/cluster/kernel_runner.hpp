@@ -43,11 +43,23 @@ struct RunnerOptions {
   bool verify = true;
   Cycle max_cycles = 50'000'000;
   Cycle watchdog_window = kDefaultWatchdogWindow;
-  /// Host-side simulation options (the stepping mode). Only
-  /// consulted by run_kernel, which builds the cluster; run_kernel_on uses
-  /// whatever the caller's cluster was constructed with.
+  /// Host-side simulation options (the stepping mode). Consulted where
+  /// the runner builds what it runs on: run_kernel's cluster and the
+  /// scenario runner's System (scenario::run_scenario). run_kernel_on and
+  /// run_system_kernel use whatever the caller's instance was built with.
   SimOptions sim{};
 };
+
+/// The one KernelMetrics derivation, shared by run_kernel_on and
+/// run_system_kernel: a run of `out` over `clusters` clusters of `cfg` that
+/// executed `flops` and moved `bytes` of kernel traffic plus `noc_bytes` of
+/// inter-cluster DMA payload. fpu_util and bw_per_core are measured against
+/// all clusters' peaks; `verified` is left to the caller.
+[[nodiscard]] KernelMetrics derive_kernel_metrics(const ClusterConfig& cfg,
+                                                  const Kernel& kernel,
+                                                  const RunOutcome& out, unsigned clusters,
+                                                  double flops, double bytes,
+                                                  double noc_bytes = 0.0);
 
 /// Run `kernel` on a fresh cluster built from `cfg`.
 [[nodiscard]] KernelMetrics run_kernel(const ClusterConfig& cfg, Kernel& kernel,

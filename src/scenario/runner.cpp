@@ -8,7 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "src/cluster/cluster.hpp"
 #include "src/cluster/cluster_cache.hpp"
 #include "src/system/system.hpp"
 #include "src/system/system_runner.hpp"
@@ -54,30 +53,21 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const SweepOptions& opts,
     const ClusterConfig cfg = spec.config();
     SimOptions sim = spec.opts.sim;
     if (opts.stepping) sim.stepping = *opts.stepping;
-    if (spec.system) {
-      // System scenarios build fresh (no cache: a System owns N clusters and
-      // suites sweep the cluster count, so shape reuse buys little here).
-      const SystemConfig syscfg = spec.system();
-      System system(syscfg, cfg, sim);
-      std::vector<std::unique_ptr<Kernel>> kernels;
-      kernels.reserve(system.num_clusters());
-      for (unsigned c = 0; c < system.num_clusters(); ++c) {
-        kernels.push_back(spec.kernel());
-      }
-      r.metrics = run_system_kernel(system, kernels, spec.opts);
-      r.power = estimate_system_power(system, r.metrics.cycles, cfg.freq_tt_mhz);
-      r.sim_cycles_skipped = system.cycles_skipped();
-    } else {
-      const std::unique_ptr<Kernel> kernel = spec.kernel();
-      // Reuse a cached cluster for this config shape when the caller provides
-      // a cache (sweeps); the fallback local is for one-off calls.
-      std::optional<Cluster> local;
-      Cluster& cluster =
-          cache != nullptr ? cache->acquire(cfg, sim) : local.emplace(cfg, sim);
-      r.metrics = run_kernel_on(cluster, *kernel, spec.opts);
-      r.power = estimate_power(cluster, r.metrics.cycles, cfg.freq_tt_mhz);
-      r.sim_cycles_skipped = cluster.cycles_skipped();
-    }
+    // Every scenario runs as a System: a plain cluster scenario as the
+    // one-cluster System named after its config, which is exactly the bare
+    // cluster run (same cycles, stats, metrics and power bytes).
+    const SystemConfig syscfg = spec.system ? spec.system() : SystemConfig::single(cfg);
+    // Reuse a cached System for this shape when the caller provides a cache
+    // (sweeps); the fallback local is for one-off calls.
+    std::optional<System> local;
+    System& system =
+        cache != nullptr ? cache->acquire(syscfg, cfg, sim) : local.emplace(syscfg, cfg, sim);
+    std::vector<std::unique_ptr<Kernel>> kernels;
+    kernels.reserve(system.num_clusters());
+    for (unsigned c = 0; c < system.num_clusters(); ++c) kernels.push_back(spec.kernel());
+    r.metrics = run_system_kernel(system, kernels, spec.opts);
+    r.power = estimate_system_power(system, r.metrics.cycles, cfg.freq_tt_mhz);
+    r.sim_cycles_skipped = system.cycles_skipped();
     if (r.metrics.timed_out) {
       r.error = "timed out after " + std::to_string(r.metrics.cycles) + " cycles";
     } else if (spec.opts.verify && spec.expect_verified && !r.metrics.verified) {
@@ -96,7 +86,7 @@ std::vector<ScenarioResult> run_scenarios(const std::vector<const ScenarioSpec*>
   if (jobs == 0) jobs = 1;
   jobs = std::min<unsigned>(jobs, static_cast<unsigned>(specs.size()));
 
-  // One cluster cache per worker thread: scenarios of a suite cycle over a
+  // One System cache per worker thread: scenarios of a suite cycle over a
   // handful of config shapes, so reset-reuse removes per-scenario cluster
   // construction (bit-identical results, docs/ARCHITECTURE.md P2).
   if (jobs <= 1) {

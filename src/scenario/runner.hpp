@@ -1,9 +1,11 @@
 // SweepRunner: execute any selection of scenarios, serially or on a thread
-// pool (scenarios are independent; each worker reuses clusters per config
-// shape via ClusterCache + Cluster::reset(), which is bit-identical to a
-// fresh cluster per run — docs/ARCHITECTURE.md, P2). Results come back in
-// the selection's (registration) order regardless of worker count, so
-// serial and parallel sweeps are interchangeable byte for byte.
+// pool (scenarios are independent; every one runs as a System — a plain
+// cluster scenario as a one-cluster System — and each worker reuses
+// Systems per shape via ClusterCache + System::reset(), which is
+// bit-identical to a fresh System per run — docs/ARCHITECTURE.md, P2).
+// Results come back in the selection's (registration) order regardless of
+// worker count, so serial and parallel sweeps are interchangeable byte for
+// byte.
 #pragma once
 
 #include <functional>
@@ -32,12 +34,13 @@ struct SweepOptions {
   std::function<void(const ScenarioResult&)> on_done;
 };
 
-/// Run one scenario on a fresh cluster. Never throws: failures (exceptions,
-/// timeouts, failed expected verification) land in ScenarioResult::error.
-/// Of `opts`, only the `stepping` override applies. With a non-null
-/// `cache`, the cluster is drawn from it (reset-reuse per config shape —
-/// bit-identical results, docs/ARCHITECTURE.md P2) instead of constructed;
-/// the cache must not be shared across threads.
+/// Run one scenario on a fresh System (one cluster unless the spec has a
+/// system block). Never throws: failures (exceptions, timeouts, failed
+/// expected verification) land in ScenarioResult::error. Of `opts`, only
+/// the `stepping` override applies. With a non-null `cache`, the System is
+/// drawn from it (reset-reuse per shape — bit-identical results,
+/// docs/ARCHITECTURE.md P2) instead of constructed; the cache must not be
+/// shared across threads.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec,
                                           const SweepOptions& opts = {},
                                           ClusterCache* cache = nullptr);

@@ -110,6 +110,7 @@ void System::reset() {
   watchdog_.set_window(kDefaultWatchdogWindow);  // undo set_watchdog_window
   watchdog_.note_progress(0);
   last_progress_token_ = -1.0;
+  wakeup_bias_ = 0;
 }
 
 void System::set_watchdog_window(Cycle window) {
@@ -236,30 +237,7 @@ RunOutcome System::run(Cycle max_cycles) {
   const Cycle budget_end = max_cycles > kNoCycle - start ? kNoCycle : start + max_cycles;
   try {
     run_kernels(budget_end);
-    while (now_ < budget_end) {
-      if (step()) {
-        out.all_halted = true;
-        break;
-      }
-      if (stepping_ == SteppingMode::kCycleByCycle) continue;
-      const Cycle now = now_;
-      if (now >= budget_end) break;
-      // The system loop's events: a DMA engine streaming or its header
-      // completing, the next replayed arrival and a pending global barrier
-      // release. Clusters are no part of it: they have halted (parked) or
-      // run to the budget.
-      Cycle event = dma_next_event();
-      for (unsigned c = 0; kernels_running_ > 0 && c < num_clusters(); ++c) {
-        // An arrival due at `now` itself is still to be replayed.
-        if (halt_at_[c] >= now) event = std::min(event, halt_at_[c]);
-      }
-      if (global_barrier_->release_pending()) {
-        event = std::min(event, global_barrier_->release_at());
-      }
-      if (event <= now) continue;
-      const Cycle jump = std::min(std::min(event, watchdog_.deadline()), budget_end);
-      if (jump > now) now_ = jump;
-    }
+    out.all_halted = advance(*this, budget_end, stepping_);
   } catch (...) {
     unpark(/*check_quiet=*/false);  // the fault, not a parked event, is the report
     throw;
@@ -267,6 +245,39 @@ RunOutcome System::run(Cycle max_cycles) {
   unpark(/*check_quiet=*/true);
   out.cycles = now_ - start;
   return out;
+}
+
+Cycle System::next_event() const {
+  Cycle event = dma_next_event();
+  for (unsigned c = 0; kernels_running_ > 0 && c < num_clusters(); ++c) {
+    // An arrival due at `now` itself is still to be replayed.
+    if (halt_at_[c] >= now_) event = std::min(event, halt_at_[c]);
+  }
+  if (global_barrier_->release_pending()) {
+    event = std::min(event, global_barrier_->release_at());
+  }
+  if (wakeup_bias_ != 0 && event != kNoCycle) event += wakeup_bias_;
+  return event;
+}
+
+void System::cross_check_to(Cycle claimed_event, Cycle target) {
+  while (now_ < target) {
+    const Cycle at = now_;
+    if (step()) {
+      throw WakeupContractError(
+          "EV1 violation (quiet-span soundness, docs/ARCHITECTURE.md): the System loop "
+          "finished the run at cycle " + std::to_string(at) +
+          " inside a span claimed quiet until cycle " + std::to_string(claimed_event));
+    }
+    const Cycle replanned = next_event();
+    if (replanned != claimed_event) {
+      throw WakeupContractError(
+          "EV1 violation (quiet-span soundness, docs/ARCHITECTURE.md): stepping "
+          "claimed-quiet System loop cycle " + std::to_string(at) +
+          " moved the next event from " + std::to_string(claimed_event) + " to " +
+          std::to_string(replanned));
+    }
+  }
 }
 
 double System::total_flops() const {

@@ -20,7 +20,9 @@
 // advances only the DMA engines and the global barrier, in the serial
 // order arrivals replayed at h_c (by cycle, then cluster index) -> DMA/NoC
 // cycle -> global barrier -> watchdog: the in-cluster D1 phase contract
-// one level up, with L2 grants rotating by cycle number (D3). Halted
+// one level up, with L2 grants rotating by cycle number (D3). The same
+// advance() loop moves both levels through time, so --stepping check
+// steps and verifies the system loop's quiet spans too. Halted
 // clusters stay parked; at every exit, a throw included, their clocks catch
 // up with one skip_to, so parked spans count as `sim.cycles_skipped` in
 // every stepping mode.
@@ -88,7 +90,8 @@ class System {
   [[nodiscard]] double noc_bytes_transferred() const {
     return static_cast<double>(words_delivered_) * kWordBytes;
   }
-  /// Sum of the clusters' `sim.cycles_skipped` diagnostics.
+  /// Sum of the clusters' `sim.cycles_skipped` diagnostics (the system
+  /// loop's own jumps move no counter).
   [[nodiscard]] double cycles_skipped() const;
   /// End-to-end DMA integrity: every cluster's delivered-word checksum
   /// matches the golden checksum of its source range (guards the burst
@@ -97,6 +100,11 @@ class System {
   /// True once the run completed (generation-1 release seen; for N == 1,
   /// the cluster halted).
   [[nodiscard]] bool done() const noexcept { return done_; }
+
+  /// TEST-ONLY: offset the system loop's computed next event by `bias`, as
+  /// Cluster::debug_set_wakeup_bias does for a cluster's; kCrossCheck must
+  /// catch the too-late wakeup (EV1). Never use outside tests.
+  void debug_set_wakeup_bias(Cycle bias) noexcept { wakeup_bias_ = bias; }
 
  private:
   /// Per-cluster DMA gather engine. All timing state is kept as absolute
@@ -119,8 +127,25 @@ class System {
   /// S1 tripwire after cluster `c`'s kernel span ended without a fault: it
   /// has halted or reached `budget_end`.
   void check_kernel_span(unsigned c, Cycle budget_end) const;
+  // ---- advance() surface (Cluster's contract, one level up) ----
+  template <class Sim>
+  friend bool advance(Sim& sim, Cycle budget_end, SteppingMode mode);
   /// One system-loop cycle; returns true once the run is done.
   bool step();
+  /// The system loop has no streaming memory phase to gate probes on.
+  [[nodiscard]] bool mem_phase_active() const noexcept { return false; }
+  /// The system loop's next event: a DMA engine streaming or its header
+  /// completing, the next replayed arrival, a pending global barrier
+  /// release (plus the test-only bias). Clusters are no part of it: they
+  /// have halted (parked) or run to the budget.
+  [[nodiscard]] Cycle next_event() const;
+  [[nodiscard]] Cycle watchdog_deadline() const noexcept { return watchdog_.deadline(); }
+  /// Jump the system clock; no counter moves in a quiet system-loop span.
+  void skip_to(Cycle target) { now_ = target; }
+  /// kCrossCheck: step [now, target) one cycle at a time, throwing
+  /// WakeupContractError (EV1) when a step finishes the run or moves the
+  /// next event away from `claimed_event`.
+  void cross_check_to(Cycle claimed_event, Cycle target);
   /// Catch every parked (halted) cluster's clock up to now_; with
   /// `check_quiet`, a parked cluster with a pending event is a logic_error.
   void unpark(bool check_quiet);
@@ -141,6 +166,7 @@ class System {
   Cycle now_ = 0;
   Watchdog watchdog_;
   double last_progress_token_ = -1.0;
+  Cycle wakeup_bias_ = 0;  // test-only fault injection (debug_set_wakeup_bias)
 };
 
 }  // namespace tcdm

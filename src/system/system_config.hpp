@@ -63,6 +63,15 @@ struct SystemConfig {
     return 2 * static_cast<Cycle>(noc_hops()) * noc_hop_latency + l2_latency;
   }
 
+  /// The one-cluster System a plain cluster scenario runs as, named after
+  /// the cluster config so power breakdowns keep the cluster's name.
+  [[nodiscard]] static SystemConfig single(const ClusterConfig& cluster) {
+    SystemConfig sys;
+    sys.name = cluster.name;
+    sys.num_clusters = 1;
+    return sys;
+  }
+
   /// Throws std::invalid_argument when parameters are inconsistent, or when
   /// the DMA header latency (with the DMA phase on) or the global barrier's
   /// release delay reaches kDefaultWatchdogWindow: nothing moves during

@@ -11,33 +11,16 @@ KernelMetrics run_system_kernel(System& system,
   if (kernels.size() != n) {
     throw std::invalid_argument("run_system_kernel: need exactly one kernel per cluster");
   }
-  const ClusterConfig& cfg = system.cluster_config();
   system.set_watchdog_window(opts.watchdog_window);
   for (unsigned c = 0; c < n; ++c) kernels[c]->setup(system.cluster(c));
 
   const RunOutcome out = system.run(opts.max_cycles);
 
-  KernelMetrics m;
-  m.config = cfg.name;
-  m.kernel = kernels.front()->name();
-  m.size = kernels.front()->size_desc();
-  m.clusters = n;
-  m.cycles = out.cycles;
-  m.timed_out = !out.all_halted;
-  m.flops = system.total_flops();
-  for (unsigned c = 0; c < n; ++c) {
-    m.bytes += kernels[c]->traffic_bytes(system.cluster(c));
-  }
-  m.noc_bytes = system.noc_bytes_transferred();
-  if (out.cycles > 0) {
-    m.flops_per_cycle = m.flops / static_cast<double>(out.cycles);
-    m.fpu_util = m.flops_per_cycle / (n * cfg.peak_flops_per_cycle());
-    m.gflops_ss = m.flops_per_cycle * cfg.freq_ss_mhz / 1000.0;
-    m.gflops_tt = m.flops_per_cycle * cfg.freq_tt_mhz / 1000.0;
-    m.bw_bytes_per_cycle = (m.bytes + m.noc_bytes) / static_cast<double>(out.cycles);
-    m.bw_per_core = m.bw_bytes_per_cycle / (n * cfg.num_cores());
-  }
-  if (m.bytes > 0) m.arithmetic_intensity = m.flops / m.bytes;
+  double bytes = 0.0;
+  for (unsigned c = 0; c < n; ++c) bytes += kernels[c]->traffic_bytes(system.cluster(c));
+  KernelMetrics m = derive_kernel_metrics(system.cluster_config(), *kernels.front(), out, n,
+                                          system.total_flops(), bytes,
+                                          system.noc_bytes_transferred());
   if (opts.verify) {
     bool ok = system.dma_checksums_ok();
     for (unsigned c = 0; c < n; ++c) {

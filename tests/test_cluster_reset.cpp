@@ -5,8 +5,9 @@
 // three stepping modes, whether the dirtying run finished or was cut off
 // with words staged in the VLSUs and bursts outstanding, and for every
 // point (System points too) of two generated suites. This is the
-// contract that lets the scenario runners keep one pooled cluster per
-// config shape (ClusterCache) instead of paying construction per scenario.
+// contract that lets the scenario runners keep one pooled System per
+// shape (ClusterCache, capacity counted in clusters) instead of paying
+// construction per scenario.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -285,6 +286,85 @@ TEST(ClusterCache, RunKernelThroughCacheMatchesFreshRuns) {
   EXPECT_EQ(fresh.cycles, second.cycles);
   EXPECT_EQ(fresh.flops, second.flops);
   EXPECT_TRUE(second.verified);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+}
+
+// ---------------------------------------------- ClusterCache: System points
+
+SystemConfig halo_system(unsigned clusters) {
+  SystemConfig sys;
+  sys.name = "cachesys";
+  sys.num_clusters = clusters;
+  sys.dma_words = 256;
+  return sys;
+}
+
+std::vector<std::unique_ptr<Kernel>> axpy_kernels(unsigned n) {
+  std::vector<std::unique_ptr<Kernel>> kernels;
+  for (unsigned c = 0; c < n; ++c) {
+    kernels.push_back(std::make_unique<AxpyKernel>(768, 1.25f, 11));
+  }
+  return kernels;
+}
+
+TEST(ClusterCache, SystemPointIsReusedAndMatchesAFreshSystem) {
+  const ClusterConfig cfg = mp4_config(4);
+  const SystemConfig sys = halo_system(2);
+  const SimOptions sim;
+  System fresh(sys, cfg, sim);
+  const RunImage ref = capture(fresh, axpy_kernels(2), default_opts());
+  ASSERT_TRUE(ref.metrics.verified);
+
+  ClusterCache cache;
+  System& first = cache.acquire(sys, cfg, sim);
+  std::vector<std::unique_ptr<Kernel>> dirt;
+  for (unsigned c = 0; c < 2; ++c) dirt.push_back(std::make_unique<DotpKernel>(512));
+  (void)run_system_kernel(first, dirt, default_opts());
+  System& second = cache.acquire(sys, cfg, sim);
+  EXPECT_EQ(&first, &second);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  expect_identical(ref, capture(second, axpy_kernels(2), default_opts()));
+}
+
+TEST(ClusterCache, CapacityCountsClusters) {
+  ClusterCache cache;  // 4 clusters
+  const SimOptions sim;
+  const ClusterConfig shapes[] = {mp4_config(0), mp4_config(2), mp4_config(4)};
+  for (const ClusterConfig& cfg : shapes) (void)cache.acquire(cfg, sim);
+  ASSERT_EQ(cache.misses(), 3u);
+  // Three one-cluster entries plus four clusters cannot fit: all three go.
+  (void)cache.acquire(halo_system(4), mp4_config(4), sim);
+  for (const ClusterConfig& cfg : shapes) (void)cache.acquire(cfg, sim);
+  EXPECT_EQ(cache.misses(), 7u);
+  EXPECT_EQ(cache.hits(), 0u);
+}
+
+TEST(ClusterCache, SystemBeyondCapacityIsKeptAloneUntilTheNextMiss) {
+  ClusterCache cache;
+  const ClusterConfig cfg = mp4_config(4);
+  const SimOptions sim;
+  (void)cache.acquire(cfg, sim);
+  System& big = cache.acquire(halo_system(8), cfg, sim);  // evicts the 1-cluster entry
+  EXPECT_EQ(&cache.acquire(halo_system(8), cfg, sim), &big);
+  EXPECT_EQ(cache.hits(), 1u);
+  (void)cache.acquire(cfg, sim);  // miss: evicts the 8-cluster System
+  EXPECT_EQ(cache.misses(), 3u);
+  (void)cache.acquire(halo_system(8), cfg, sim);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST(ClusterCache, ClusterAcquireIsTheSingleClusterSystemEntry) {
+  ClusterCache cache;
+  const ClusterConfig cfg = mp4_config(2);
+  const SimOptions sim;
+  Cluster& cluster = cache.acquire(cfg, sim);
+  System& system = cache.acquire(SystemConfig::single(cfg), cfg, sim);
+  EXPECT_EQ(&cluster, &system.cluster(0));
+  EXPECT_EQ(system.num_clusters(), 1u);
+  EXPECT_EQ(system.config().name, cfg.name);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
 }

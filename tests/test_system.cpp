@@ -1,6 +1,7 @@
 // System layer (src/system/): N clusters over the modeled L2/NoC. Covers
-// the N == 1 degenerate identity with a bare Cluster run, bit-identical
-// determinism across all three stepping modes at N == 4, the P2
+// the N == 1 degenerate identity with a bare Cluster run (every emitted
+// byte), bit-identical determinism across all three stepping modes at
+// N == 4, check mode verifying the system loop's own skips, the P2
 // fresh-vs-reset identity, DMA payload accounting and checksums, the 64-bit
 // burst header latency, clusters halting at different cycles, the earliest
 // fault surfacing first (S3), monotone aggregate-bandwidth weak scaling
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "src/analytics/metrics_export.hpp"
 #include "src/cluster/kernel_runner.hpp"
 #include "src/common/sim_time.hpp"
 #include "src/kernels/axpy.hpp"
@@ -80,12 +82,16 @@ void expect_identical(const SystemImage& a, const SystemImage& b) {
 // ------------------------------------------------------------ degeneracy ----
 
 TEST(SystemDegenerate, SingleClusterMatchesBareClusterExactly) {
+  // A plain cluster scenario runs as SystemConfig::single(cfg), so every
+  // byte it emits must equal the bare cluster run's: the full metrics
+  // document (fpu_util, bw_per_core, GFLOPS, arithmetic intensity) and the
+  // power breakdown, config name included.
   const ClusterConfig cfg = mp4_config(4);
   AxpyKernel bare_kernel(768, 1.25f, 11);
   Cluster bare(cfg, SimOptions{});
   const KernelMetrics bare_m = run_kernel_on(bare, bare_kernel, capped_opts());
 
-  System system(small_system(1), cfg, SimOptions{});
+  System system(SystemConfig::single(cfg), cfg, SimOptions{});
   const SystemImage sys = run_image(system);
 
   EXPECT_EQ(sys.metrics.cycles, bare_m.cycles);
@@ -94,6 +100,12 @@ TEST(SystemDegenerate, SingleClusterMatchesBareClusterExactly) {
   EXPECT_EQ(sys.metrics.clusters, 1u);
   EXPECT_EQ(sys.metrics.noc_bytes, 0.0);  // no DMA phase at N == 1
   EXPECT_EQ(sys.stats_json.front(), bare.stats().to_json());
+  EXPECT_EQ(metrics::kernel_metrics_to_json(sys.metrics).dump(),
+            metrics::kernel_metrics_to_json(bare_m).dump());
+  EXPECT_EQ(
+      metrics::power_to_json(estimate_system_power(system, sys.metrics.cycles, cfg.freq_tt_mhz))
+          .dump(),
+      metrics::power_to_json(estimate_power(bare, bare_m.cycles, cfg.freq_tt_mhz)).dump());
 }
 
 // ---------------------------------------------------------- determinism ----
@@ -441,6 +453,38 @@ TEST(SystemFaults, EarliestFaultCycleSurfacesBeforeLowerIndex) {
     EXPECT_EQ(system.cluster(c).now(), system.now()) << "cluster " << c;
   }
   EXPECT_GT(system.cluster(1).now(), system.now());
+}
+
+// ------------------------------------------------------------ check mode ----
+
+TEST(SystemCrossCheck, TooLateSystemWakeupIsCaughtOnlyInCheckMode) {
+  // The system loop runs on the same advance() loop as a cluster, so
+  // kCrossCheck steps its quiet spans (arrival replays, DMA header waits,
+  // barrier releases) and must refuse a next event reported one cycle too
+  // late: EV1, named with the System loop.
+  const ClusterConfig cfg = mp4_config(4);
+  System checked(small_system(2), cfg, SimOptions{SteppingMode::kCrossCheck});
+  checked.debug_set_wakeup_bias(1);
+  try {
+    (void)run_system_kernel(checked, axpy_per_cluster(2), capped_opts());
+    FAIL() << "biased System wakeup was not detected";
+  } catch (const WakeupContractError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("EV1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("System loop"), std::string::npos) << msg;
+  }
+
+  // Event mode acts on the biased decision unverified, which is exactly why
+  // check mode exists: the run may mis-simulate, but no contract error.
+  System event(small_system(2), cfg, SimOptions{SteppingMode::kEventDriven});
+  event.debug_set_wakeup_bias(1);
+  try {
+    (void)run_system_kernel(event, axpy_per_cluster(2), capped_opts());
+  } catch (const WakeupContractError& e) {
+    FAIL() << "event mode verified a System-loop skip: " << e.what();
+  } catch (const std::exception&) {
+    // Any other failure of the mis-timed run is beside the point here.
+  }
 }
 
 // -------------------------------------------------------- barrier kinds ----
