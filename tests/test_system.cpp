@@ -82,28 +82,40 @@ void expect_identical(const SystemImage& a, const SystemImage& b) {
 // ------------------------------------------------------------ degeneracy ----
 
 TEST(SystemDegenerate, SingleClusterMatchesBareClusterExactly) {
-  // A plain cluster scenario runs as SystemConfig::single(cfg), so every
-  // byte it emits must equal the bare cluster run's: the full metrics
-  // document (fpu_util, bw_per_core, GFLOPS, arithmetic intensity) and the
-  // power breakdown, config name included.
+  // A one-cluster System must reproduce the bare cluster run exactly, with
+  // or without a DMA config (no DMA phase runs at N == 1). A plain cluster
+  // scenario runs as SystemConfig::single(cfg), so for that System every
+  // emitted byte must match too: the full metrics document (fpu_util,
+  // bw_per_core, GFLOPS, arithmetic intensity) and the power breakdown,
+  // config name included.
   const ClusterConfig cfg = mp4_config(4);
   AxpyKernel bare_kernel(768, 1.25f, 11);
   Cluster bare(cfg, SimOptions{});
   const KernelMetrics bare_m = run_kernel_on(bare, bare_kernel, capped_opts());
+  const std::string bare_stats = bare.stats().to_json();
+  const std::string bare_metrics = metrics::kernel_metrics_to_json(bare_m).dump();
 
-  System system(SystemConfig::single(cfg), cfg, SimOptions{});
-  const SystemImage sys = run_image(system);
+  for (const SystemConfig& sys_cfg : {small_system(1), SystemConfig::single(cfg)}) {
+    SCOPED_TRACE(sys_cfg.name);
+    System system(sys_cfg, cfg, SimOptions{});
+    const SystemImage sys = run_image(system);
 
-  EXPECT_EQ(sys.metrics.cycles, bare_m.cycles);
-  EXPECT_EQ(sys.metrics.flops, bare_m.flops);
-  EXPECT_EQ(sys.metrics.bytes, bare_m.bytes);
-  EXPECT_EQ(sys.metrics.clusters, 1u);
-  EXPECT_EQ(sys.metrics.noc_bytes, 0.0);  // no DMA phase at N == 1
-  EXPECT_EQ(sys.stats_json.front(), bare.stats().to_json());
-  EXPECT_EQ(metrics::kernel_metrics_to_json(sys.metrics).dump(),
-            metrics::kernel_metrics_to_json(bare_m).dump());
+    EXPECT_EQ(sys.metrics.cycles, bare_m.cycles);
+    EXPECT_EQ(sys.metrics.flops, bare_m.flops);
+    EXPECT_EQ(sys.metrics.bytes, bare_m.bytes);
+    EXPECT_EQ(sys.metrics.clusters, 1u);
+    EXPECT_EQ(sys.metrics.noc_bytes, 0.0);  // no DMA phase at N == 1
+    EXPECT_TRUE(system.dma_checksums_ok());
+    EXPECT_EQ(sys.stats_json.front(), bare_stats);
+    EXPECT_EQ(metrics::kernel_metrics_to_json(sys.metrics).dump(), bare_metrics);
+  }
+
+  // The power breakdown carries the System's name, so it matches the bare
+  // cluster's only for the System a plain cluster scenario runs on.
+  System single(SystemConfig::single(cfg), cfg, SimOptions{});
+  const SystemImage img = run_image(single);
   EXPECT_EQ(
-      metrics::power_to_json(estimate_system_power(system, sys.metrics.cycles, cfg.freq_tt_mhz))
+      metrics::power_to_json(estimate_system_power(single, img.metrics.cycles, cfg.freq_tt_mhz))
           .dump(),
       metrics::power_to_json(estimate_power(bare, bare_m.cycles, cfg.freq_tt_mhz)).dump());
 }
