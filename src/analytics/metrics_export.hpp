@@ -27,6 +27,49 @@
 #include "src/analytics/power_model.hpp"
 #include "src/cluster/kernel_runner.hpp"
 #include "src/common/json.hpp"
+#include "src/common/json_fields.hpp"
+
+namespace tcdm {
+
+/// Field lists of the persisted results (src/common/json_fields.hpp),
+/// here so that the explore memo entry can nest them.
+template <MaybeConst<KernelMetrics> S, class V>
+void fields(S& m, V& v) {
+  v("config", m.config);
+  v("kernel", m.kernel);
+  v("size", m.size);
+  v("cycles", m.cycles);
+  v("flops", m.flops);
+  v("bytes", m.bytes);
+  v("fpu_util", m.fpu_util);
+  v("flops_per_cycle", m.flops_per_cycle);
+  v("gflops_ss", m.gflops_ss);
+  v("gflops_tt", m.gflops_tt);
+  v("bw_bytes_per_cycle", m.bw_bytes_per_cycle);
+  v("bw_per_core", m.bw_per_core);
+  v("arithmetic_intensity", m.arithmetic_intensity);
+  v("verified", m.verified);
+  v("timed_out", m.timed_out);
+  // System dimension, off-default only: cluster-run documents stay
+  // byte-identical to the pre-system-layer writer.
+  v.off_default("clusters", m.clusters, 1u);
+  v.off_default("noc_bytes", m.noc_bytes, 0.0);
+}
+
+template <MaybeConst<PowerBreakdown> S, class V>
+void fields(S& p, V& v) {
+  v("config", p.config);
+  v("fpu_w", p.fpu_w);
+  v("vrf_w", p.vrf_w);
+  v("vlsu_w", p.vlsu_w);
+  v("snitch_w", p.snitch_w);
+  v("icn_w", p.icn_w);
+  v("banks_w", p.banks_w);
+  v("burst_w", p.burst_w);
+  v("static_w", p.static_w);
+}
+
+}  // namespace tcdm
 
 namespace tcdm::metrics {
 
@@ -41,10 +84,7 @@ inline constexpr double kModelRelTol = 1e-9;
 inline constexpr double kSimRelTol = 0.02;
 inline constexpr double kExactTol = 0.0;
 
-class SchemaError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+using tcdm::SchemaError;
 
 struct Metric {
   double value = 0.0;
@@ -76,12 +116,13 @@ struct MetricsDoc {
 };
 
 /// Full KernelMetrics / PowerBreakdown <-> JSON round trips, used wherever
-/// a complete simulation result is persisted (the explore memo cache). Doubles serialize at shortest-round-trip precision, so
+/// a complete simulation result is persisted (the explore memo cache).
+/// Doubles serialize at shortest-round-trip precision, so
 /// from_json(to_json(m)) reproduces every field bit for bit — a cached
 /// result is indistinguishable from a fresh simulation. The parsers are
-/// strict: a missing or unknown field throws SchemaError naming the
-/// `/`-joined path, so a corrupted store fails loudly instead of yielding a
-/// silently wrong result.
+/// strict (ReadPolicy::kPersisted): a missing or unknown field throws
+/// SchemaError naming the `/`-joined path, so a corrupted store fails
+/// loudly instead of yielding a silently wrong result.
 [[nodiscard]] Json kernel_metrics_to_json(const KernelMetrics& m);
 [[nodiscard]] KernelMetrics kernel_metrics_from_json(const Json& j,
                                                      const std::string& path);

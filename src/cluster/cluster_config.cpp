@@ -1,11 +1,11 @@
 #include "src/cluster/cluster_config.hpp"
 
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "src/common/bitutil.hpp"
+#include "src/common/json_fields.hpp"
 
 namespace tcdm {
 
@@ -171,169 +171,106 @@ ClusterConfig ClusterConfig::with_strided_bursts() const {
 
 // ------------------------------------------------------ JSON round trip ----
 
+// The field lists (src/common/json_fields.hpp): to_json and from_json both
+// run them, so each key is spelled here once.
+
+template <MaybeConst<LevelLatency> S, class V>
+void fields(S& l, V& v) {
+  v("request", l.request);
+  v("response", l.response);
+}
+
+template <MaybeConst<SnitchConfig> S, class V>
+void fields(S& s, V& v) {
+  v("max_scalar_loads", s.max_scalar_loads);
+  v("mul_latency", s.mul_latency);
+  v("fpu_latency", s.fpu_latency);
+  v("taken_branch_penalty", s.taken_branch_penalty);
+}
+
+template <MaybeConst<NetworkConfig> S, class V>
+void fields(S& n, V& v) {
+  v("grouping_factor", n.grouping_factor);
+  v("req_grouping_factor", n.req_grouping_factor);
+  v("master_extra_slots", n.master_extra_slots);
+  v("slave_depth", n.slave_depth);
+}
+
+template <MaybeConst<BurstManagerConfig> S, class V>
+void fields(S& b, V& v) {
+  v("grouping_factor", b.grouping_factor);
+  v("fifo_depth", b.fifo_depth);
+  v("merge_slots", b.merge_slots);
+  v("write_words_per_cycle", b.write_words_per_cycle);
+}
+
+template <MaybeConst<ClusterConfig> S, class V>
+void fields(S& c, V& v) {
+  v("name", c.name);
+  v("num_tiles", c.num_tiles);
+  v("vlsu_ports", c.vlsu_ports);
+  v("vlen_bits", c.vlen_bits);
+  v("banks_per_tile", c.banks_per_tile);
+  v("bank_words", c.bank_words);
+  v("level_sizes", c.level_sizes);
+  v("level_latency", c.level_latency);
+  v("rob_depth", c.rob_depth);
+  v("viq_depth", c.viq_depth);
+  v("fpu_latency", c.fpu_latency);
+  v("snitch", c.snitch);
+  v("bank_in_depth", c.bank_in_depth);
+  v("bank_out_depth", c.bank_out_depth);
+  v("net", c.net);
+  v("burst_enabled", c.burst_enabled);
+  v("grouping_factor", c.grouping_factor);
+  v("max_burst_len", c.max_burst_len);
+  v("strided_bursts", c.strided_bursts);
+  v("store_bursts", c.store_bursts);
+  v("bm", c.bm);
+  v("barrier_release_latency", c.barrier_release_latency);
+  // Off-default only: configs from before these fields keep their
+  // byte-exact spelling (ClusterCache keys, explore config hashes).
+  v.off_default("barrier_kind", c.barrier_kind, BarrierKind::kCentral);
+  v.off_default("barrier_radix", c.barrier_radix, 2u);
+  v("start_stagger_cycles", c.start_stagger_cycles);
+  v("freq_ss_mhz", c.freq_ss_mhz);
+  v("freq_tt_mhz", c.freq_tt_mhz);
+}
+
 namespace {
 
-[[noreturn]] void cfg_error(const std::string& path, const std::string& what) {
-  throw std::invalid_argument(path + ": " + what);
-}
+/// The `"burst": {"gf": G, ...}` sugar block of from_json.
+struct BurstSugar {
+  unsigned gf = 0;
+  unsigned max_burst_len = 0;
+  bool strided = false;
+  unsigned store_req_gf = 1;
+};
 
-unsigned json_uint(const Json& v, const std::string& path) {
-  if (!v.is_uint()) cfg_error(path, "expected a non-negative integer");
-  return static_cast<unsigned>(v.as_double());
-}
-
-double json_num(const Json& v, const std::string& path) {
-  if (!v.is_number()) cfg_error(path, "expected a number");
-  return v.as_double();
-}
-
-bool json_flag(const Json& v, const std::string& path) {
-  if (!v.is_bool()) cfg_error(path, "expected true or false");
-  return v.as_bool();
-}
-
-const std::string& json_str(const Json& v, const std::string& path) {
-  if (!v.is_string()) cfg_error(path, "expected a string");
-  return v.as_string();
-}
-
-const Json::Object& json_obj(const Json& v, const std::string& path) {
-  if (!v.is_object()) cfg_error(path, "expected an object");
-  return v.as_object();
-}
-
-Json latency_to_json(const LevelLatency& l) {
-  Json j;
-  j.set("request", l.request);
-  j.set("response", l.response);
-  return j;
-}
-
-SnitchConfig snitch_from_json(const Json& v, const std::string& path) {
-  SnitchConfig s;
-  for (const auto& [key, val] : json_obj(v, path)) {
-    const std::string p = path + "/" + key;
-    if (key == "max_scalar_loads") {
-      s.max_scalar_loads = json_uint(val, p);
-    } else if (key == "mul_latency") {
-      s.mul_latency = json_uint(val, p);
-    } else if (key == "fpu_latency") {
-      s.fpu_latency = json_uint(val, p);
-    } else if (key == "taken_branch_penalty") {
-      s.taken_branch_penalty = json_uint(val, p);
-    } else {
-      cfg_error(p, "unknown key");
-    }
-  }
-  return s;
-}
-
-NetworkConfig net_from_json(const Json& v, NetworkConfig n, const std::string& path) {
-  for (const auto& [key, val] : json_obj(v, path)) {
-    const std::string p = path + "/" + key;
-    if (key == "grouping_factor") {
-      n.grouping_factor = json_uint(val, p);
-    } else if (key == "req_grouping_factor") {
-      n.req_grouping_factor = json_uint(val, p);
-    } else if (key == "master_extra_slots") {
-      n.master_extra_slots = json_uint(val, p);
-    } else if (key == "slave_depth") {
-      n.slave_depth = json_uint(val, p);
-    } else {
-      cfg_error(p, "unknown key");
-    }
-  }
-  return n;
-}
-
-BurstManagerConfig bm_from_json(const Json& v, BurstManagerConfig b,
-                                const std::string& path) {
-  for (const auto& [key, val] : json_obj(v, path)) {
-    const std::string p = path + "/" + key;
-    if (key == "grouping_factor") {
-      b.grouping_factor = json_uint(val, p);
-    } else if (key == "fifo_depth") {
-      b.fifo_depth = json_uint(val, p);
-    } else if (key == "merge_slots") {
-      b.merge_slots = json_uint(val, p);
-    } else if (key == "write_words_per_cycle") {
-      b.write_words_per_cycle = json_uint(val, p);
-    } else {
-      cfg_error(p, "unknown key");
-    }
-  }
-  return b;
+template <MaybeConst<BurstSugar> S, class V>
+void fields(S& b, V& v) {
+  v("gf", b.gf);
+  v("max_burst_len", b.max_burst_len);
+  v("strided", b.strided);
+  v("store_req_gf", b.store_req_gf);
 }
 
 }  // namespace
 
-Json ClusterConfig::to_json() const {
-  Json j;
-  j.set("name", name);
-  j.set("num_tiles", num_tiles);
-  j.set("vlsu_ports", vlsu_ports);
-  j.set("vlen_bits", vlen_bits);
-  j.set("banks_per_tile", banks_per_tile);
-  j.set("bank_words", bank_words);
-  Json::Array sizes;
-  for (unsigned s : level_sizes) sizes.emplace_back(s);
-  j.set("level_sizes", std::move(sizes));
-  Json::Array lats;
-  for (const LevelLatency& l : level_latency) lats.push_back(latency_to_json(l));
-  j.set("level_latency", std::move(lats));
-  j.set("rob_depth", rob_depth);
-  j.set("viq_depth", viq_depth);
-  j.set("fpu_latency", fpu_latency);
-  Json sn;
-  sn.set("max_scalar_loads", snitch.max_scalar_loads);
-  sn.set("mul_latency", snitch.mul_latency);
-  sn.set("fpu_latency", snitch.fpu_latency);
-  sn.set("taken_branch_penalty", snitch.taken_branch_penalty);
-  j.set("snitch", std::move(sn));
-  j.set("bank_in_depth", bank_in_depth);
-  j.set("bank_out_depth", bank_out_depth);
-  Json nt;
-  nt.set("grouping_factor", net.grouping_factor);
-  nt.set("req_grouping_factor", net.req_grouping_factor);
-  nt.set("master_extra_slots", net.master_extra_slots);
-  nt.set("slave_depth", net.slave_depth);
-  j.set("net", std::move(nt));
-  j.set("burst_enabled", burst_enabled);
-  j.set("grouping_factor", grouping_factor);
-  j.set("max_burst_len", max_burst_len);
-  j.set("strided_bursts", strided_bursts);
-  j.set("store_bursts", store_bursts);
-  Json b;
-  b.set("grouping_factor", bm.grouping_factor);
-  b.set("fifo_depth", bm.fifo_depth);
-  b.set("merge_slots", bm.merge_slots);
-  b.set("write_words_per_cycle", bm.write_words_per_cycle);
-  j.set("bm", std::move(b));
-  j.set("barrier_release_latency", barrier_release_latency);
-  // Emitted only off-default: pre-existing configs keep their byte-exact
-  // serialization (ClusterCache keys, explore config hashes, baselines).
-  if (barrier_kind != BarrierKind::kCentral) {
-    j.set("barrier_kind", std::string(barrier_kind_name(barrier_kind)));
-  }
-  if (barrier_radix != 2) j.set("barrier_radix", barrier_radix);
-  j.set("start_stagger_cycles", start_stagger_cycles);
-  j.set("freq_ss_mhz", freq_ss_mhz);
-  j.set("freq_tt_mhz", freq_tt_mhz);
-  return j;
-}
+Json ClusterConfig::to_json() const { return write_fields(*this); }
 
 ClusterConfig ClusterConfig::from_json(const Json& j, const std::string& path) {
-  const Json::Object& obj = json_obj(j, path);
+  FieldReader r(j, path, ReadPolicy::kUserInput);
 
   ClusterConfig cfg;
   if (j.contains("preset")) {
-    const std::string& preset = json_str(j.at("preset"), path + "/preset");
+    const Json& preset = j.at("preset");
+    if (!preset.is_string()) r.fail(path + "/preset", "expected a string");
     try {
-      cfg = by_name(preset);
+      cfg = by_name(preset.as_string());
     } catch (const std::invalid_argument&) {
-      cfg_error(path + "/preset",
-                "unknown preset \"" + preset +
-                    "\" (known: mp4spatz4, mp64spatz4, mp128spatz8)");
+      r.fail(path + "/preset", "unknown preset \"" + preset.as_string() +
+                                   "\" (known: mp4spatz4, mp64spatz4, mp128spatz8)");
     }
   }
 
@@ -347,143 +284,49 @@ ClusterConfig ClusterConfig::from_json(const Json& j, const std::string& path) {
     for (const char* direct : {"burst_enabled", "grouping_factor", "max_burst_len",
                                "strided_bursts", "store_bursts"}) {
       if (j.contains(direct)) {
-        cfg_error(path + "/" + direct,
-                  "cannot combine the \"burst\" block with resolved burst fields");
+        r.fail(path + "/" + direct,
+               "cannot combine the \"burst\" block with resolved burst fields");
       }
     }
     for (const char* nested : {"net", "bm"}) {
-      if (j.contains(nested) && j.at(nested).is_object() &&
-          j.at(nested).contains("grouping_factor")) {
-        cfg_error(path + "/" + nested + "/grouping_factor",
-                  "cannot combine the \"burst\" block with an explicit "
-                  "grouping factor (the block sets it from \"gf\")");
+      if (j.contains(nested) && j.at(nested).contains("grouping_factor")) {
+        r.fail(path + "/" + nested + "/grouping_factor",
+               "cannot combine the \"burst\" block with an explicit "
+               "grouping factor (the block sets it from \"gf\")");
       }
     }
   }
 
-  for (const auto& [key, val] : obj) {
-    const std::string p = path + "/" + key;
-    if (key == "preset" || key == "burst") {
-      continue;  // handled out of band
-    } else if (key == "name") {
-      cfg.name = json_str(val, p);
-    } else if (key == "num_tiles") {
-      cfg.num_tiles = json_uint(val, p);
-    } else if (key == "vlsu_ports") {
-      cfg.vlsu_ports = json_uint(val, p);
-    } else if (key == "vlen_bits") {
-      cfg.vlen_bits = json_uint(val, p);
-    } else if (key == "banks_per_tile") {
-      cfg.banks_per_tile = json_uint(val, p);
-    } else if (key == "bank_words") {
-      cfg.bank_words = json_uint(val, p);
-    } else if (key == "level_sizes") {
-      if (!val.is_array()) cfg_error(p, "expected an array of level sizes");
-      cfg.level_sizes.clear();
-      for (std::size_t i = 0; i < val.as_array().size(); ++i) {
-        cfg.level_sizes.push_back(
-            json_uint(val.as_array()[i], p + "[" + std::to_string(i) + "]"));
-      }
-    } else if (key == "level_latency") {
-      if (!val.is_array()) cfg_error(p, "expected an array of {request, response}");
-      cfg.level_latency.clear();
-      for (std::size_t i = 0; i < val.as_array().size(); ++i) {
-        const std::string lp = p + "[" + std::to_string(i) + "]";
-        LevelLatency lat;
-        for (const auto& [lkey, lval] : json_obj(val.as_array()[i], lp)) {
-          if (lkey == "request") {
-            lat.request = json_uint(lval, lp + "/request");
-          } else if (lkey == "response") {
-            lat.response = json_uint(lval, lp + "/response");
-          } else {
-            cfg_error(lp + "/" + lkey, "unknown key");
-          }
-        }
-        cfg.level_latency.push_back(lat);
-      }
-    } else if (key == "rob_depth") {
-      cfg.rob_depth = json_uint(val, p);
-    } else if (key == "viq_depth") {
-      cfg.viq_depth = json_uint(val, p);
-    } else if (key == "fpu_latency") {
-      cfg.fpu_latency = json_uint(val, p);
-    } else if (key == "snitch") {
-      cfg.snitch = snitch_from_json(val, p);
-    } else if (key == "bank_in_depth") {
-      cfg.bank_in_depth = json_uint(val, p);
-    } else if (key == "bank_out_depth") {
-      cfg.bank_out_depth = json_uint(val, p);
-    } else if (key == "net") {
-      cfg.net = net_from_json(val, cfg.net, p);
-    } else if (key == "burst_enabled") {
-      cfg.burst_enabled = json_flag(val, p);
-    } else if (key == "grouping_factor") {
-      cfg.grouping_factor = json_uint(val, p);
-    } else if (key == "max_burst_len") {
-      cfg.max_burst_len = json_uint(val, p);
-    } else if (key == "strided_bursts") {
-      cfg.strided_bursts = json_flag(val, p);
-    } else if (key == "store_bursts") {
-      cfg.store_bursts = json_flag(val, p);
-    } else if (key == "bm") {
-      cfg.bm = bm_from_json(val, cfg.bm, p);
-    } else if (key == "barrier_release_latency") {
-      cfg.barrier_release_latency = json_uint(val, p);
-    } else if (key == "barrier_kind") {
-      try {
-        cfg.barrier_kind = barrier_kind_from_name(json_str(val, p));
-      } catch (const std::invalid_argument& e) {
-        cfg_error(p, e.what());
-      }
-    } else if (key == "barrier_radix") {
-      cfg.barrier_radix = json_uint(val, p);
-    } else if (key == "start_stagger_cycles") {
-      cfg.start_stagger_cycles = json_uint(val, p);
-    } else if (key == "freq_ss_mhz") {
-      cfg.freq_ss_mhz = json_num(val, p);
-    } else if (key == "freq_tt_mhz") {
-      cfg.freq_tt_mhz = json_num(val, p);
-    } else {
-      cfg_error(p, "unknown key");
-    }
-  }
+  r.skip("preset");
+  r.skip("burst");
+  fields(cfg, r);
+  r.finish(cfg);
 
   if (j.contains("burst")) {
     const std::string bp = path + "/burst";
-    const Json& b = j.at("burst");
-    (void)json_obj(b, bp);
-    if (!b.contains("gf")) cfg_error(bp + "/gf", "required (0 keeps the baseline)");
-    const unsigned gf = json_uint(b.at("gf"), bp + "/gf");
-    for (const auto& [bkey, bval] : b.as_object()) {
-      const std::string p = bp + "/" + bkey;
-      if (bkey != "gf" && bkey != "max_burst_len" && bkey != "strided" &&
-          bkey != "store_req_gf") {
-        cfg_error(p, "unknown key (burst block takes gf, max_burst_len, "
-                     "strided, store_req_gf)");
+    const Json& block = j.at("burst");
+    BurstSugar b;
+    b.max_burst_len = cfg.max_burst_len;
+    read_fields(block, bp, ReadPolicy::kUserInput, b);
+    if (!block.contains("gf")) r.fail(bp + "/gf", "required (0 keeps the baseline)");
+    for (const auto& [key, val] : block.as_object()) {
+      (void)val;
+      if (b.gf == 0 && key != "gf") {
+        r.fail(bp + "/" + key, "a baseline burst block (gf 0) takes no further parameters");
       }
-      if (gf == 0 && bkey != "gf") {
-        cfg_error(p, "a baseline burst block (gf 0) takes no further parameters");
-      }
-      (void)bval;
     }
-    if (gf > 0) {
-      cfg = cfg.with_burst(gf);
-      if (b.contains("max_burst_len")) {
-        cfg.max_burst_len = json_uint(b.at("max_burst_len"), bp + "/max_burst_len");
-      }
-      if (b.contains("strided") && json_flag(b.at("strided"), bp + "/strided")) {
-        cfg = cfg.with_strided_bursts();
-      }
-      if (b.contains("store_req_gf")) {
-        cfg = cfg.with_store_bursts(json_uint(b.at("store_req_gf"), bp + "/store_req_gf"));
-      }
+    if (b.gf > 0) {
+      cfg = cfg.with_burst(b.gf);
+      cfg.max_burst_len = b.max_burst_len;
+      if (b.strided) cfg = cfg.with_strided_bursts();
+      if (block.contains("store_req_gf")) cfg = cfg.with_store_bursts(b.store_req_gf);
     }
   }
 
   try {
     cfg.validate();
   } catch (const std::invalid_argument& e) {
-    cfg_error(path, std::string("invalid configuration: ") + e.what());
+    r.fail(path, std::string("invalid configuration: ") + e.what());
   }
   return cfg;
 }

@@ -18,6 +18,12 @@
 
 namespace tcdm {
 
+/// BarrierKind fields serialize by name (src/common/json_fields.hpp).
+inline const char* enum_name(BarrierKind kind) noexcept { return barrier_kind_name(kind); }
+inline void enum_from_name(const std::string& name, BarrierKind& out) {
+  out = barrier_kind_from_name(name);
+}
+
 struct ClusterConfig {
   std::string name = "custom";
 
@@ -41,6 +47,9 @@ struct ClusterConfig {
   // ---- memory / interconnect microarchitecture ----
   unsigned bank_in_depth = 2;
   unsigned bank_out_depth = 2;
+  /// net.grouping_factor is serialized only so memo keys stay stable:
+  /// construction overwrites it from burst_enabled/grouping_factor
+  /// (src/cluster/cluster.cpp). Dropping it changes every memo key.
   NetworkConfig net{};
 
   // ---- TCDM Burst extension ----
@@ -54,6 +63,10 @@ struct ClusterConfig {
   /// into write bursts whose payload crosses the request channel at
   /// net.req_grouping_factor words/cycle. Requires burst_enabled.
   bool store_bursts = false;
+  /// Likewise bm.grouping_factor and bm.write_words_per_cycle: tile
+  /// construction (src/cluster/tile.cpp) sets the first from
+  /// burst_enabled/grouping_factor and the second from
+  /// net.req_grouping_factor whenever store bursts, its only reader, are on.
   BurstManagerConfig bm{};
 
   // ---- synchronization ----
@@ -95,15 +108,17 @@ struct ClusterConfig {
   /// Throws std::invalid_argument when parameters are inconsistent.
   void validate() const;
 
-  /// Full serialization: every architectural field, nested sub-configs
-  /// (snitch/net/bm) as objects, level latencies as {request, response}
-  /// pairs. from_json(to_json()) is the identity for any valid config.
+  /// Full serialization through the field list in cluster_config.cpp:
+  /// every architectural field, nested sub-configs (snitch/net/bm) as
+  /// objects, level latencies as {request, response} pairs.
+  /// from_json(to_json()) is the identity for any valid config.
   [[nodiscard]] Json to_json() const;
 
-  /// Strict deserialization. The object may either spell out fields over
-  /// the defaults, or start from `"preset": "<name>"` and override. The
-  /// sugar block `"burst": {"gf": G, ...}` applies the same transforms as
-  /// with_burst / with_strided_bursts / with_store_bursts (G == 0 leaves
+  /// Strict deserialization (ReadPolicy::kUserInput). The object may either
+  /// spell out fields over the defaults, or start from `"preset": "<name>"`
+  /// and override; nested snitch/net/bm objects merge over those values.
+  /// The sugar block `"burst": {"gf": G, ...}` applies the same transforms
+  /// as with_burst / with_strided_bursts / with_store_bursts (G == 0 leaves
   /// the baseline untouched) and is mutually exclusive with the resolved
   /// burst fields. Unknown keys, wrong types and inconsistent values all
   /// throw std::invalid_argument naming the offending `/`-joined path

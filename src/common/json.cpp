@@ -16,12 +16,6 @@ namespace {
 
 }  // namespace
 
-bool Json::is_uint(double max) const {
-  if (!is_number()) return false;
-  const double d = std::get<double>(value_);
-  return d >= 0.0 && d == std::floor(d) && d <= max;
-}
-
 bool Json::as_bool() const {
   if (!is_bool()) kind_error("bool");
   return std::get<bool>(value_);

@@ -45,12 +45,6 @@ class Json {
   [[nodiscard]] bool is_array() const { return std::holds_alternative<Array>(value_); }
   [[nodiscard]] bool is_object() const { return std::holds_alternative<Object>(value_); }
 
-  /// True when this is a number holding a non-negative integer <= max —
-  /// the shared strictness test of every config parser (cluster config,
-  /// kernel specs, runner options), so bound/NaN handling cannot drift
-  /// between them.
-  [[nodiscard]] bool is_uint(double max = 4294967295.0) const;
-
   /// Checked accessors; throw JsonError on kind mismatch.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_double() const;

@@ -1,7 +1,6 @@
 #include "src/explore/memo_store.hpp"
 
 #include <filesystem>
-#include <sstream>
 #include <utility>
 
 #include "src/analytics/metrics_export.hpp"
@@ -35,47 +34,29 @@ void check_header(const Json& h, const std::string& path) {
   if (h.as_object().size() != 2) corrupt(path, 1, "unexpected keys in header");
 }
 
-Json entry_to_json(const std::string& key, const CachedResult& r) {
-  Json j;
-  j.set("key", key);
-  j.set("rel", r.rel);
-  j.set("error", r.error);
-  j.set("metrics", metrics::kernel_metrics_to_json(r.metrics));
-  j.set("power", metrics::power_to_json(r.power));
-  return j;
+/// One store line: the key and its result.
+struct Entry {
+  std::string key;
+  CachedResult result;
+};
+
+template <MaybeConst<Entry> S, class V>
+void fields(S& e, V& v) {
+  v("key", e.key);
+  v("rel", e.result.rel);
+  v("error", e.result.error);
+  v("metrics", e.result.metrics);
+  v("power", e.result.power);
 }
 
-std::pair<std::string, CachedResult> entry_from_json(const Json& j,
-                                                     const std::string& path,
-                                                     std::size_t line) {
-  if (!j.is_object()) corrupt(path, line, "expected an entry object");
-  for (const auto& [key, val] : j.as_object()) {
-    (void)val;
-    if (key != "key" && key != "rel" && key != "error" && key != "metrics" &&
-        key != "power") {
-      corrupt(path, line, "unknown entry field \"" + key + "\"");
-    }
-  }
-  for (const char* req : {"key", "rel", "error", "metrics", "power"}) {
-    if (!j.contains(req)) {
-      corrupt(path, line, std::string("entry field \"") + req + "\" missing");
-    }
-  }
-  if (!j.at("key").is_string() || !j.at("rel").is_string() ||
-      !j.at("error").is_string()) {
-    corrupt(path, line, "key/rel/error must be strings");
-  }
-  CachedResult r;
-  r.rel = j.at("rel").as_string();
-  r.error = j.at("error").as_string();
-  const std::string where = path + ":" + std::to_string(line);
+Entry entry_from_json(const Json& j, const std::string& path, std::size_t line) {
+  Entry e;
   try {
-    r.metrics = metrics::kernel_metrics_from_json(j.at("metrics"), where + "/metrics");
-    r.power = metrics::power_from_json(j.at("power"), where + "/power");
-  } catch (const metrics::SchemaError& e) {
-    throw ExploreFileError(e.what());
+    read_fields(j, path + ":" + std::to_string(line), ReadPolicy::kPersisted, e);
+  } catch (const SchemaError& err) {
+    throw ExploreFileError(err.what());
   }
-  return {j.at("key").as_string(), std::move(r)};
+  return e;
 }
 
 }  // namespace
@@ -109,8 +90,8 @@ MemoStore::MemoStore(const std::string& path) : path_(path) {
         header_seen = true;
         continue;
       }
-      auto [key, result] = entry_from_json(j, path, line_no);
-      entries_[std::move(key)] = std::move(result);
+      Entry e = entry_from_json(j, path, line_no);
+      entries_[std::move(e.key)] = std::move(e.result);
     }
     if (in.bad()) throw std::runtime_error(path + ": read failed");
     if (!header_seen && line_no > 0) corrupt(path, 1, "missing header line");
@@ -134,12 +115,13 @@ const CachedResult* MemoStore::lookup(const std::string& key) const {
 }
 
 void MemoStore::insert(const std::string& key, CachedResult result) {
+  Entry e{key, std::move(result)};
   if (append_.is_open()) {
-    append_ << entry_to_json(key, result).dump_compact() << '\n';
+    append_ << write_fields(e).dump_compact() << '\n';
     append_.flush();  // a killed run keeps every completed entry
     if (!append_) throw std::runtime_error(path_ + ": append failed");
   }
-  entries_[key] = std::move(result);
+  entries_[key] = std::move(e.result);
 }
 
 }  // namespace tcdm::explore

@@ -27,14 +27,18 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y) {
 void matmul(std::span<const float> a, std::span<const float> b, std::span<float> c,
             std::size_t n) {
   assert(a.size() == n * n && b.size() == n * n && c.size() == n * n);
+  // Row-streaming order: each acc[j] still sums k = 0..n-1 in order, so
+  // every element is bit-identical to the dot-product form, but B is read
+  // row by row. Walking B's columns touches one cache line per element, and
+  // its speed swung with the physical placement of B's pages.
+  std::vector<double> acc(n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        acc += static_cast<double>(a[i * n + k]) * b[k * n + j];
-      }
-      c[i * n + j] = static_cast<float>(acc);
+    std::fill(acc.begin(), acc.end(), 0.0);
+    for (std::size_t k = 0; k < n; ++k) {
+      const double aik = a[i * n + k];
+      for (std::size_t j = 0; j < n; ++j) acc[j] += aik * b[k * n + j];
     }
+    for (std::size_t j = 0; j < n; ++j) c[i * n + j] = static_cast<float>(acc[j]);
   }
 }
 

@@ -1,8 +1,6 @@
 #include "src/kernels/trace_replay.hpp"
 
-#include <istream>
-#include <ostream>
-#include <sstream>
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/common/rng.hpp"
@@ -66,38 +64,6 @@ std::vector<TraceEntry> synthetic_trace(const ClusterConfig& cluster_cfg,
       e.addr = static_cast<Addr>(base_word) * kWordBytes;
       trace.push_back(e);
     }
-  }
-  return trace;
-}
-
-void write_trace(std::ostream& os, const std::vector<TraceEntry>& trace) {
-  os << "# hart op addr len\n";
-  for (const TraceEntry& e : trace) {
-    os << e.hart << ' ' << (e.write ? 'W' : 'R') << ' ' << e.addr << ' ' << e.len
-       << '\n';
-  }
-}
-
-std::vector<TraceEntry> read_trace(std::istream& is) {
-  std::vector<TraceEntry> trace;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    TraceEntry e;
-    unsigned hart = 0;
-    char op = 'R';
-    std::uint64_t addr = 0;
-    if (!(ls >> hart >> op >> addr >> e.len)) {
-      throw std::runtime_error("trace parse error: '" + line + "'");
-    }
-    if (op != 'R' && op != 'W') {
-      throw std::runtime_error("trace parse error: bad op in '" + line + "'");
-    }
-    e.hart = static_cast<CoreId>(hart);
-    e.write = op == 'W';
-    e.addr = static_cast<Addr>(addr);
-    trace.push_back(e);
   }
   return trace;
 }

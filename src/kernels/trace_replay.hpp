@@ -5,12 +5,10 @@
 // serialization, hotspot contention, locality) can be isolated from
 // compute and synchronization behaviour.
 //
-// Traces are plain data: build them programmatically, generate them with
-// `synthetic_trace`, or round-trip them through the one-line-per-access
-// text format ("hart R|W addr len").
+// Traces are plain data: build them programmatically or generate them with
+// `synthetic_trace`.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -36,9 +34,15 @@ enum class TracePattern {
   kNeighbor,    // every hart streams from the next tile (ring)
 };
 
+/// Upper bound on TraceConfig::entries_per_hart accepted from scenario
+/// files. synthetic_trace reserves harts x entries up front and the replay
+/// program grows with it, so an unchecked value is an allocation of
+/// unbounded size. The builtin trace suites use 64.
+inline constexpr unsigned kMaxTraceEntriesPerHart = 4096;
+
 struct TraceConfig {
   TracePattern pattern = TracePattern::kUniform;
-  unsigned entries_per_hart = 64;
+  unsigned entries_per_hart = 64;  // at most kMaxTraceEntriesPerHart in files
   unsigned access_len = 0;        // words per access; 0 -> VLSU port count
   double hotspot_fraction = 0.8;  // kHotspot: share of accesses to the hot tile
   TileId hotspot_tile = 0;
@@ -49,10 +53,6 @@ struct TraceConfig {
 /// Generate a synthetic trace for `cfg` harts/addresses of `cluster_cfg`.
 [[nodiscard]] std::vector<TraceEntry> synthetic_trace(const ClusterConfig& cluster_cfg,
                                                       const TraceConfig& cfg);
-
-/// Text round-trip: "hart R|W addr len" per line, '#' comments ignored.
-void write_trace(std::ostream& os, const std::vector<TraceEntry>& trace);
-[[nodiscard]] std::vector<TraceEntry> read_trace(std::istream& is);
 
 /// Kernel that replays a trace. Each hart executes its own accesses in
 /// trace order (loads may overlap through the ROBs, as a real VLSU would);

@@ -8,8 +8,10 @@
 #include "src/scenario/scenario.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
+#include "src/common/json_fields.hpp"
 #include "src/kernels/axpy.hpp"
 #include "src/kernels/conv2d.hpp"
 #include "src/kernels/dotp.hpp"
@@ -23,6 +25,19 @@
 #include "src/kernels/trace_replay.hpp"
 #include "src/kernels/transpose.hpp"
 #include "src/scenario/builtin.hpp"
+
+namespace tcdm {
+
+/// The field list of RunnerOptions (src/common/json_fields.hpp). The
+/// host-side `sim` options are not scenario data and stay unlisted.
+template <MaybeConst<RunnerOptions> S, class V>
+void fields(S& o, V& v) {
+  v("verify", o.verify);
+  v("max_cycles", o.max_cycles);
+  v("watchdog_window", o.watchdog_window);
+}
+
+}  // namespace tcdm
 
 namespace tcdm::scenario {
 
@@ -78,63 +93,39 @@ std::string known_kinds_list() {
   return out;
 }
 
-/// Typed parameter accessors over KernelSpec::params.
+/// Typed parameter accessors over KernelSpec::params, with the config
+/// readers' type and range rules (ReadPolicy::kUserInput).
 class Params {
  public:
   Params(const Json::Object& params, const std::string& path)
-      : params_(params), path_(path) {}
+      : params_(params), path_(path), reader_(params, path, ReadPolicy::kUserInput) {}
 
-  [[nodiscard]] unsigned uint(const std::string& name) const {
-    const Json* v = find(name);
-    if (v == nullptr) spec_error(path_ + "/" + name, "required parameter missing");
-    return uint_of(*v, name);
-  }
-  [[nodiscard]] unsigned uint_or(const std::string& name, unsigned fallback) const {
-    const Json* v = find(name);
-    return v == nullptr ? fallback : uint_of(*v, name);
-  }
-  [[nodiscard]] double num_or(const std::string& name, double fallback) const {
-    const Json* v = find(name);
-    if (v == nullptr) return fallback;
-    if (!v->is_number()) spec_error(path_ + "/" + name, "expected a number");
-    return v->as_double();
-  }
-  [[nodiscard]] std::string str_or(const std::string& name,
-                                   const std::string& fallback) const {
-    const Json* v = find(name);
-    if (v == nullptr) return fallback;
-    if (!v->is_string()) spec_error(path_ + "/" + name, "expected a string");
-    return v->as_string();
-  }
-  /// Seeds are 64-bit in every kernel constructor; JSON numbers carry
-  /// integers exactly up to 2^53, which is the accepted range here.
-  [[nodiscard]] std::uint64_t seed_or(std::uint64_t fallback) const {
-    const Json* v = find("seed");
-    if (v == nullptr) return fallback;
-    if (!v->is_uint(9007199254740992.0)) {
-      spec_error(path_ + "/seed", "expected a non-negative integer");
-    }
-    return static_cast<std::uint64_t>(v->as_double());
+  /// `fallback` when absent, else the value checked like a config field
+  /// of type T.
+  template <class T>
+  [[nodiscard]] T get(const char* name, T fallback) {
+    reader_(name, fallback);
+    return fallback;
   }
   /// Required positive dimension.
-  [[nodiscard]] unsigned dim(const std::string& name) const {
-    const unsigned v = uint(name);
+  [[nodiscard]] unsigned dim(const char* name) {
+    if (params_.count(name) == 0) {
+      spec_error(path_ + "/" + name, "required parameter missing");
+    }
+    const unsigned v = get(name, 0u);
     if (v == 0) spec_error(path_ + "/" + name, "must be positive");
     return v;
   }
+  /// Seeds are 64-bit in every kernel constructor; read as std::uint64_t
+  /// they reach 2^53, where JSON integers stay exact.
+  [[nodiscard]] std::uint64_t seed_or(std::uint64_t fallback) {
+    return get("seed", fallback);
+  }
 
  private:
-  [[nodiscard]] const Json* find(const std::string& name) const {
-    const auto it = params_.find(name);
-    return it == params_.end() ? nullptr : &it->second;
-  }
-  [[nodiscard]] unsigned uint_of(const Json& v, const std::string& name) const {
-    if (!v.is_uint()) spec_error(path_ + "/" + name, "expected a non-negative integer");
-    return static_cast<unsigned>(v.as_double());
-  }
-
   const Json::Object& params_;
   const std::string& path_;
+  FieldReader reader_;
 };
 
 RandomProbeKernel::Pattern probe_pattern(const std::string& s, const std::string& path) {
@@ -204,24 +195,27 @@ std::unique_ptr<Kernel> KernelSpec::instantiate(const ClusterConfig& cfg,
     spec_error(path + "/kind", "unknown kernel kind \"" + kind +
                                    "\" (known: " + known_kinds_list() + ")");
   }
-  const Params p(params, path);
+  Params p(params, path);
   if (kind == "dotp") {
     return std::make_unique<DotpKernel>(p.dim("n"), p.seed_or(1));
   }
   if (kind == "axpy") {
-    return std::make_unique<AxpyKernel>(
-        p.dim("n"), static_cast<float>(p.num_or("alpha", 1.5)), p.seed_or(2));
+    const double alpha = p.get("alpha", 1.5);
+    if (std::fabs(alpha) > std::numeric_limits<float>::max()) {
+      spec_error(path + "/alpha", "outside the range of a float");
+    }
+    return std::make_unique<AxpyKernel>(p.dim("n"), static_cast<float>(alpha), p.seed_or(2));
   }
   if (kind == "fft") {
     return std::make_unique<FftKernel>(p.dim("instances"), p.dim("n"), p.seed_or(4));
   }
   if (kind == "matmul") {
-    return std::make_unique<MatmulKernel>(p.dim("n"), p.uint_or("row_block", 4),
+    return std::make_unique<MatmulKernel>(p.dim("n"), p.get("row_block", 4u),
                                           p.seed_or(3));
   }
   if (kind == "gemv") {
     return std::make_unique<GemvKernel>(p.dim("m"), p.dim("n"),
-                                        p.uint_or("row_block", 4), p.seed_or(11));
+                                        p.get("row_block", 4u), p.seed_or(11));
   }
   if (kind == "conv2d") {
     return std::make_unique<Conv2dKernel>(p.dim("h"), p.dim("w"), p.seed_or(12));
@@ -241,10 +235,10 @@ std::unique_ptr<Kernel> KernelSpec::instantiate(const ClusterConfig& cfg,
   if (kind == "random_probe") {
     // iters 0 / omitted -> the shared auto-scaled count, so file-defined
     // probes stay in lockstep with the builtin suites and their baselines.
-    unsigned iters = p.uint_or("iters", 0);
+    unsigned iters = p.get("iters", 0u);
     if (iters == 0) iters = builtin::probe_iters(cfg);
     return std::make_unique<RandomProbeKernel>(
-        iters, probe_pattern(p.str_or("pattern", "uniform"), path), p.seed_or(5));
+        iters, probe_pattern(p.get("pattern", std::string("uniform")), path), p.seed_or(5));
   }
   if (kind == "local_stream") {
     return std::make_unique<LocalStreamKernel>(p.dim("iters"));
@@ -259,43 +253,26 @@ std::unique_ptr<Kernel> KernelSpec::instantiate(const ClusterConfig& cfg,
   // trace_replay: the trace is generated for the concrete cluster config,
   // exactly as the builtin trace_patterns registrations do.
   TraceConfig tc;
-  tc.pattern = trace_pattern(p.str_or("pattern", "uniform"), path);
-  tc.entries_per_hart = p.uint_or("entries_per_hart", tc.entries_per_hart);
-  tc.access_len = p.uint_or("access_len", tc.access_len);
-  tc.hotspot_fraction = p.num_or("hotspot_fraction", tc.hotspot_fraction);
-  tc.hotspot_tile = p.uint_or("hotspot_tile", tc.hotspot_tile);
-  tc.write_fraction = p.num_or("write_fraction", tc.write_fraction);
+  tc.pattern = trace_pattern(p.get("pattern", std::string("uniform")), path);
+  tc.entries_per_hart = p.get("entries_per_hart", tc.entries_per_hart);
+  if (tc.entries_per_hart > kMaxTraceEntriesPerHart) {
+    spec_error(path + "/entries_per_hart",
+               std::to_string(tc.entries_per_hart) + " exceeds the limit of " +
+                   std::to_string(kMaxTraceEntriesPerHart) + " entries per hart");
+  }
+  tc.access_len = p.get("access_len", tc.access_len);
+  tc.hotspot_fraction = p.get("hotspot_fraction", tc.hotspot_fraction);
+  tc.hotspot_tile = p.get("hotspot_tile", tc.hotspot_tile);
+  tc.write_fraction = p.get("write_fraction", tc.write_fraction);
   tc.seed = p.seed_or(tc.seed);
   return std::make_unique<TraceReplayKernel>(synthetic_trace(cfg, tc));
 }
 
-Json runner_options_to_json(const RunnerOptions& o) {
-  Json j;
-  j.set("verify", o.verify);
-  j.set("max_cycles", static_cast<unsigned long long>(o.max_cycles));
-  j.set("watchdog_window", static_cast<unsigned long long>(o.watchdog_window));
-  return j;
-}
+Json runner_options_to_json(const RunnerOptions& o) { return write_fields(o); }
 
 RunnerOptions runner_options_from_json(const Json& j, const std::string& path) {
-  if (!j.is_object()) spec_error(path, "expected an options object");
   RunnerOptions o;
-  for (const auto& [key, val] : j.as_object()) {
-    const std::string p = path + "/" + key;
-    if (key == "verify") {
-      if (!val.is_bool()) spec_error(p, "expected true or false");
-      o.verify = val.as_bool();
-    } else if (key == "max_cycles" || key == "watchdog_window") {
-      if (!val.is_uint(9007199254740992.0)) {  // 2^53: exact-integer range
-        spec_error(p, "expected a non-negative integer");
-      }
-      (key == "max_cycles" ? o.max_cycles : o.watchdog_window) =
-          static_cast<Cycle>(val.as_double());
-    } else {
-      spec_error(p, "unknown key (options take verify, max_cycles, "
-                    "watchdog_window)");
-    }
-  }
+  read_fields(j, path, ReadPolicy::kUserInput, o);
   return o;
 }
 

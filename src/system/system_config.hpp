@@ -78,14 +78,16 @@ struct SystemConfig {
   /// either wait, so the system watchdog would fire before it ends.
   void validate() const;
 
-  /// Full serialization; from_json(to_json()) is the identity for any valid
-  /// config. Default-valued barrier_kind/barrier_radix are omitted, same
-  /// convention as ClusterConfig.
+  /// Full serialization through the field list in system_config.cpp;
+  /// from_json(to_json()) is the identity for any valid config.
+  /// Default-valued barrier_kind/barrier_radix are omitted, same convention
+  /// as ClusterConfig.
   [[nodiscard]] Json to_json() const;
 
-  /// Strict deserialization: unknown keys, wrong types and inconsistent
-  /// values throw std::invalid_argument naming the `/`-joined path (rooted
-  /// at `path`). The returned config has been validate()d.
+  /// Strict deserialization (ReadPolicy::kUserInput): unknown keys, wrong
+  /// types and inconsistent values throw std::invalid_argument naming the
+  /// `/`-joined path (rooted at `path`). The returned config has been
+  /// validate()d.
   static SystemConfig from_json(const Json& j, const std::string& path = "system");
 };
 

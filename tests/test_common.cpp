@@ -1,19 +1,21 @@
-// Unit tests for the simulation substrate: queues, arbiter, RNG, stats,
+// Unit tests for the simulation substrate: queues, RNG, stats, JSON field lists,
 // watchdog, bit utilities.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "src/common/arbiter.hpp"
 #include "src/common/bitutil.hpp"
 #include "src/common/bounded_queue.hpp"
 #include "src/common/json.hpp"
+#include "src/common/json_fields.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/sim_time.hpp"
 #include "src/common/stats.hpp"
@@ -100,33 +102,6 @@ TEST(TimedQueue, HeadBlocksLaterReadyEntries) {
   EXPECT_TRUE(q.front_ready(100));
   EXPECT_EQ(q.pop(), 1);
   EXPECT_TRUE(q.front_ready(50));
-}
-
-TEST(RoundRobinArbiter, RotatesGrants) {
-  RoundRobinArbiter arb(4);
-  const auto all = [](unsigned) { return true; };
-  EXPECT_EQ(arb.pick(all).value(), 0u);
-  EXPECT_EQ(arb.pick(all).value(), 1u);
-  EXPECT_EQ(arb.pick(all).value(), 2u);
-  EXPECT_EQ(arb.pick(all).value(), 3u);
-  EXPECT_EQ(arb.pick(all).value(), 0u);
-}
-
-TEST(RoundRobinArbiter, SkipsNotReadyAndIsFair) {
-  RoundRobinArbiter arb(3);
-  const auto only2 = [](unsigned i) { return i == 2; };
-  EXPECT_EQ(arb.pick(only2).value(), 2u);
-  EXPECT_EQ(arb.pick(only2).value(), 2u);
-  const auto none = [](unsigned) { return false; };
-  EXPECT_FALSE(arb.pick(none).has_value());
-}
-
-TEST(RoundRobinArbiter, LongRunFairnessUnderFullLoad) {
-  RoundRobinArbiter arb(5);
-  std::vector<unsigned> grants(5, 0);
-  const auto all = [](unsigned) { return true; };
-  for (unsigned i = 0; i < 1000; ++i) ++grants[arb.pick(all).value()];
-  for (unsigned g : grants) EXPECT_EQ(g, 200u);
 }
 
 TEST(Rng, DeterministicForSeed) {
@@ -400,6 +375,160 @@ TEST(Stats, ToJsonMapsNonFiniteCountersToNull) {
   EXPECT_TRUE(parsed.at("a.nan").is_null());
   EXPECT_TRUE(parsed.at("b.posinf").is_null());
   EXPECT_DOUBLE_EQ(parsed.at("d.fine").as_double(), 2.0);
+}
+
+// ------------------------------------------------------------ field lists ----
+
+enum class Shape { kRound, kSquare };
+const char* enum_name(Shape s) { return s == Shape::kRound ? "round" : "square"; }
+void enum_from_name(const std::string& name, Shape& out) {
+  if (name == "round") {
+    out = Shape::kRound;
+  } else if (name == "square") {
+    out = Shape::kSquare;
+  } else {
+    throw std::invalid_argument("unknown shape '" + name + "'");
+  }
+}
+
+struct Inner {
+  unsigned a = 1;
+  unsigned b = 2;
+};
+
+template <MaybeConst<Inner> S, class V>
+void fields(S& s, V& v) {
+  v("a", s.a);
+  v("b", s.b);
+}
+
+struct Outer {
+  std::string name = "o";
+  bool flag = false;
+  double ratio = 0.5;
+  std::uint64_t cycles = 10;
+  std::vector<unsigned> sizes{1, 4};
+  std::vector<Inner> inners{Inner{}};
+  Inner inner{};
+  Shape shape = Shape::kRound;
+  unsigned rare = 0;
+};
+
+template <MaybeConst<Outer> S, class V>
+void fields(S& s, V& v) {
+  v("name", s.name);
+  v("flag", s.flag);
+  v("ratio", s.ratio);
+  v("cycles", s.cycles);
+  v("sizes", s.sizes);
+  v("inners", s.inners);
+  v("inner", s.inner);
+  v("shape", s.shape);
+  v.off_default("rare", s.rare, 0u);
+}
+
+std::string user_error(const std::string& text, Outer start = {}) {
+  try {
+    read_fields(Json::parse(text), "cfg", ReadPolicy::kUserInput, start);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(FieldLists, WriterSpellsEveryFieldAndOmitsOffDefaultOnes) {
+  Outer o;
+  EXPECT_EQ(write_fields(o).dump_compact(),
+            R"({"cycles":10,"flag":false,"inner":{"a":1,"b":2},"inners":[{"a":1,"b":2}],)"
+            R"("name":"o","ratio":0.5,"shape":"round","sizes":[1,4]})");
+  o.rare = 3;
+  o.shape = Shape::kSquare;
+  const Json j = write_fields(o);
+  EXPECT_EQ(j.at("rare").as_double(), 3.0);
+  EXPECT_EQ(j.at("shape").as_string(), "square");
+}
+
+TEST(FieldLists, BothPoliciesRoundTripTheWriter) {
+  Outer o;
+  o.name = "x";
+  o.flag = true;
+  o.ratio = 0.1;
+  o.cycles = 9007199254740992ULL;  // 2^53
+  o.sizes = {8, 4, 4};
+  o.inners = {Inner{3, 4}, Inner{5, 6}};
+  o.inner = Inner{7, 8};
+  o.shape = Shape::kSquare;
+  o.rare = 4294967295u;
+  for (const ReadPolicy policy : {ReadPolicy::kUserInput, ReadPolicy::kPersisted}) {
+    Outer back;
+    read_fields(write_fields(o), "o", policy, back);
+    EXPECT_EQ(write_fields(back).dump(), write_fields(o).dump());
+  }
+}
+
+TEST(FieldLists, UserInputMergesOverCurrentValuesNestedObjectsToo) {
+  Outer start;
+  start.name = "kept";
+  start.inner = Inner{7, 8};
+  read_fields(Json::parse(R"({"inner": {"b": 9}, "ratio": 2})"), "cfg",
+              ReadPolicy::kUserInput, start);
+  EXPECT_EQ(start.name, "kept");
+  EXPECT_EQ(start.inner.a, 7u);  // merged, not restarted from Inner{}
+  EXPECT_EQ(start.inner.b, 9u);
+  EXPECT_EQ(start.ratio, 2.0);
+  // Arrays replace: each element starts from its default.
+  read_fields(Json::parse(R"({"inners": [{"b": 5}]})"), "cfg", ReadPolicy::kUserInput,
+              start);
+  ASSERT_EQ(start.inners.size(), 1u);
+  EXPECT_EQ(start.inners[0].a, 1u);
+  EXPECT_EQ(start.inners[0].b, 5u);
+}
+
+TEST(FieldLists, UserInputErrorsNameThePath) {
+  EXPECT_EQ(user_error(R"({"inner": {"c": 1}})"), "cfg/inner/c: unknown key (known: a, b)");
+  EXPECT_EQ(user_error(R"({"zzz": 1, "name": "n"})"),
+            "cfg/zzz: unknown key (known: name, flag, ratio, cycles, sizes, inners, inner, "
+            "shape, rare)");
+  EXPECT_EQ(user_error(R"({"flag": 1})"), "cfg/flag: expected true or false");
+  EXPECT_EQ(user_error(R"({"name": 1})"), "cfg/name: expected a string");
+  EXPECT_EQ(user_error(R"({"ratio": null})"), "cfg/ratio: expected a number");
+  EXPECT_EQ(user_error(R"({"ratio": 1e999})"), "cfg/ratio: expected a finite number");
+  EXPECT_EQ(user_error(R"({"shape": "oval"})"), "cfg/shape: unknown shape 'oval'");
+  EXPECT_EQ(user_error(R"({"sizes": 4})"), "cfg/sizes: expected an array");
+  EXPECT_EQ(user_error(R"({"inners": [{}, {"a": -1}]})"),
+            "cfg/inners[1]/a: expected a non-negative integer up to 4294967295");
+  EXPECT_EQ(user_error(R"([])"), "cfg: expected an object");
+}
+
+TEST(FieldLists, IntegerBoundsFollowTheFieldType) {
+  EXPECT_EQ(user_error(R"({"rare": 4294967295})"), "no error");
+  EXPECT_EQ(user_error(R"({"rare": 4294967296})"),
+            "cfg/rare: expected a non-negative integer up to 4294967295");
+  EXPECT_EQ(user_error(R"({"rare": 1.5})"),
+            "cfg/rare: expected a non-negative integer up to 4294967295");
+  EXPECT_EQ(user_error(R"({"cycles": 9007199254740992})"), "no error");
+  EXPECT_EQ(user_error(R"({"cycles": 9007199254740994})"),
+            "cfg/cycles: expected a non-negative integer up to 9007199254740992");
+}
+
+TEST(FieldLists, PersistedResultsRequireEveryFieldAndReadNullAsNaN) {
+  Json j = write_fields(Outer{});
+  j.set("ratio", Json(nullptr));
+  Outer back;
+  read_fields(j, "memo:2", ReadPolicy::kPersisted, back);
+  EXPECT_TRUE(std::isnan(back.ratio));
+  EXPECT_EQ(back.rare, 0u);  // off-default fields stay optional
+
+  j.as_object().erase("flag");
+  try {
+    read_fields(j, "memo:2", ReadPolicy::kPersisted, back);
+    FAIL() << "expected SchemaError";
+  } catch (const SchemaError& e) {
+    EXPECT_STREQ(e.what(), "memo:2/flag: required key missing");
+  }
+  Json nested = write_fields(Outer{});
+  nested.set("inner", Json::parse(R"({"a": 1})"));
+  EXPECT_THROW(read_fields(nested, "memo:2", ReadPolicy::kPersisted, back), SchemaError);
 }
 
 }  // namespace

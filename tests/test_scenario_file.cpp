@@ -51,6 +51,24 @@ TEST(ClusterConfigJson, PresetPlusBurstSugarMatchesTheCppTransforms) {
   EXPECT_EQ(from_file.to_json().dump(), from_cpp.to_json().dump());
 }
 
+/// Nested snitch/net/bm objects merge over the preset's values: a key they
+/// leave out keeps the preset's value rather than restarting from the
+/// sub-config's defaults.
+TEST(ClusterConfigJson, NestedObjectsMergeOverThePresetValues) {
+  for (const std::string& preset : {"mp4spatz4", "mp64spatz4", "mp128spatz8"}) {
+    const Json j = Json::parse(R"({"preset": ")" + preset + R"(",
+                                   "snitch": {"mul_latency": 7},
+                                   "net": {"slave_depth": 8},
+                                   "bm": {"fifo_depth": 2}})");
+    ClusterConfig want = ClusterConfig::by_name(preset);
+    want.snitch.mul_latency = 7;
+    want.net.slave_depth = 8;
+    want.bm.fifo_depth = 2;
+    EXPECT_EQ(ClusterConfig::from_json(j).to_json().dump(), want.to_json().dump())
+        << preset;
+  }
+}
+
 TEST(ClusterConfigJson, UnknownKeyNamesTheOffendingPath) {
   Json j;
   j.set("preset", "mp4spatz4");

@@ -1,43 +1,14 @@
-// Trace-replay tests: text-format round-trip, synthetic generator
-// invariants, setup validation, replay accounting (every trace word moves
-// exactly once) and the contention ordering the patterns are designed to
-// expose (local > neighbor > uniform > hotspot bandwidth).
+// Trace-replay tests: synthetic generator invariants, setup validation,
+// replay accounting (every trace word moves exactly once) and the
+// contention ordering the patterns are designed to expose (local > neighbor
+// > uniform > hotspot bandwidth).
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "src/kernels/trace_replay.hpp"
 #include "tests/support/test_support.hpp"
 
 namespace tcdm {
 namespace {
-
-TEST(TraceFormat, RoundTripsThroughText) {
-  std::vector<TraceEntry> trace{
-      {0, false, 0x40, 4},
-      {1, true, 0x100, 8},
-      {3, false, 0x0, 1},
-  };
-  std::stringstream ss;
-  write_trace(ss, trace);
-  const std::vector<TraceEntry> back = read_trace(ss);
-  ASSERT_EQ(back.size(), trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(back[i].hart, trace[i].hart);
-    EXPECT_EQ(back[i].write, trace[i].write);
-    EXPECT_EQ(back[i].addr, trace[i].addr);
-    EXPECT_EQ(back[i].len, trace[i].len);
-  }
-}
-
-TEST(TraceFormat, SkipsCommentsAndRejectsGarbage) {
-  std::stringstream good("# comment\n\n0 R 64 4\n");
-  EXPECT_EQ(read_trace(good).size(), 1u);
-  std::stringstream bad_op("0 X 64 4\n");
-  EXPECT_THROW((void)read_trace(bad_op), std::runtime_error);
-  std::stringstream short_line("0 R\n");
-  EXPECT_THROW((void)read_trace(short_line), std::runtime_error);
-}
 
 TEST(TraceGenerator, ProducesInBoundsEntriesForEveryPattern) {
   const ClusterConfig cfg = test::mp4_config();
