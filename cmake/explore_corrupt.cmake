@@ -56,4 +56,10 @@ file(WRITE "${OUT_DIR}/v1-cache.jsonl"
 expect_refusal("v1-cache\\.jsonl:1.*schema_version.*expected 2"
                --cache "${OUT_DIR}/v1-cache.jsonl")
 
+# 4. A header key of the wrong type: refused, file, line 1 and key named.
+file(WRITE "${OUT_DIR}/type-cache.jsonl"
+     "{\"schema\":1,\"schema_version\":2}\n")
+expect_refusal("type-cache\\.jsonl:1/schema: expected a string"
+               --cache "${OUT_DIR}/type-cache.jsonl")
+
 message(STATUS "corrupt cache artifacts are refused with exit 2")

@@ -25,8 +25,7 @@ void fields(S& m, V& v) {
   v("rel_tol", m.rel_tol);
 }
 
-/// The document's own keys; from_json checks "schema" and "schema_version"
-/// first.
+/// The document's own keys, after the schema header.
 template <MaybeConst<MetricsDoc> S, class V>
 void fields(S& d, V& v) {
   v("suite", d.suite);
@@ -34,35 +33,13 @@ void fields(S& d, V& v) {
   v("metrics", d.metrics);
 }
 
-Json MetricsDoc::to_json() const {
-  Json doc = write_fields(*this);
-  doc.set("schema", kSchemaName);
-  doc.set("schema_version", kSchemaVersion);
-  return doc;
-}
+Json MetricsDoc::to_json() const { return write_document(kSchemaName, kSchemaVersion, *this); }
 
 MetricsDoc MetricsDoc::from_json(const Json& j) {
-  if (!j.is_object()) throw SchemaError("metrics document is not a JSON object");
-  // Compared by spelling, so a value of the wrong type is refused too.
-  const auto spelled = [&j](const char* key) {
-    return j.contains(key) ? j.at(key).dump_compact() : std::string("(none)");
-  };
-  if (spelled("schema") != Json(kSchemaName).dump_compact()) {
-    throw SchemaError("unknown schema " + spelled("schema") + " (expected \"" + kSchemaName +
-                      "\")");
-  }
-  if (spelled("schema_version") != Json(kSchemaVersion).dump_compact()) {
-    throw SchemaError("unsupported schema_version " + spelled("schema_version") +
-                      " (expected " + std::to_string(kSchemaVersion) + ")");
-  }
   // Every entry is read through Metric's list at `metrics/<name>`, so an
   // error names the key, and a null value reads back as NaN.
   MetricsDoc doc;
-  FieldReader r(j, "", ReadPolicy::kPersisted);
-  r.skip("schema");
-  r.skip("schema_version");
-  fields(doc, r);
-  r.finish(doc);
+  read_document(j, "", ReadPolicy::kPersisted, kSchemaName, kSchemaVersion, doc);
   return doc;
 }
 

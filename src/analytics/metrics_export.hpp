@@ -72,7 +72,7 @@ void fields(S& p, V& v) {
 namespace tcdm::metrics {
 
 inline constexpr const char* kSchemaName = "tcdm-metrics";
-inline constexpr int kSchemaVersion = 1;
+inline constexpr unsigned kSchemaVersion = 1;
 
 /// Default relative tolerances by metric provenance. Closed-form model
 /// values must reproduce exactly (modulo float noise); simulated values are

@@ -164,12 +164,6 @@ TcdmResp BurstManager::take_beat(unsigned idx) {
   return resp;
 }
 
-void BurstManager::defer_slot(unsigned idx) {
-  // Nothing to do beyond rotation: the slot stays kReady and will be
-  // revisited after the other ready slots.
-  (void)idx;
-}
-
 void BurstManager::reset() {
   pending_.clear();
   for (MergeSlot& ms : slots_) ms = MergeSlot{};

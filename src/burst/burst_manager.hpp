@@ -72,13 +72,10 @@ class BurstManager {
   [[nodiscard]] TileId slot_requester(unsigned idx) const;
   /// Build the wide response beat and free the slot.
   [[nodiscard]] TcdmResp take_beat(unsigned idx);
-  /// Put a completed slot back to the end of the rotation (its response
-  /// port was busy this cycle).
-  void defer_slot(unsigned idx);
   /// Completed slots currently awaiting emission.
   [[nodiscard]] unsigned ready_count() const noexcept { return ready_map_.count(); }
   /// Advance the emission rotation by `steps` as if next_ready_slot() had
-  /// been called (and the slot deferred) that many times. Lets the tile
+  /// been called (and the slot left ready) that many times. Lets the tile
   /// collapse a provably all-blocked emission tail into one call while
   /// keeping rr_ — and hence future arbitration — bit-exact.
   void skip_rotation(unsigned steps) {

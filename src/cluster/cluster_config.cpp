@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -227,7 +228,7 @@ struct BurstSugar {
 
 template <MaybeConst<BurstSugar> S, class V>
 void fields(S& b, V& v) {
-  v("gf", b.gf);
+  v("gf", b.gf, kRequired);
   v("max_burst_len", b.max_burst_len);
   v("strided", b.strided);
   v("store_req_gf", b.store_req_gf);
@@ -241,13 +242,13 @@ ClusterConfig ClusterConfig::from_json(const Json& j, const std::string& path) {
   FieldReader r(j, path, ReadPolicy::kUserInput);
 
   ClusterConfig cfg;
-  if (j.contains("preset")) {
-    const Json& preset = j.at("preset");
-    if (!preset.is_string()) r.fail(path + "/preset", "expected a string");
+  std::optional<std::string> preset;
+  r("preset", preset);
+  if (preset) {
     try {
-      cfg = by_name(preset.as_string());
+      cfg = by_name(*preset);
     } catch (const std::invalid_argument&) {
-      r.fail(path + "/preset", "unknown preset \"" + preset.as_string() +
+      r.fail(path + "/preset", "unknown preset \"" + *preset +
                                    "\" (known: mp4spatz4, mp64spatz4, mp128spatz8)");
     }
   }
@@ -256,7 +257,9 @@ ClusterConfig ClusterConfig::from_json(const Json& j, const std::string& path) {
   // with the resolved burst fields would apply the extension twice.
   // (rob_depth stays combinable on purpose: the block doubles the swept
   // pre-burst depth, exactly like the C++ with_burst call.)
-  if (j.contains("burst")) {
+  const Json* burst = nullptr;
+  r("burst", burst);
+  if (burst) {
     for (const char* direct : {"burst_enabled", "grouping_factor", "max_burst_len",
                                "strided_bursts", "store_bursts", "req_grouping_factor"}) {
       if (j.contains(direct)) {
@@ -266,19 +269,15 @@ ClusterConfig ClusterConfig::from_json(const Json& j, const std::string& path) {
     }
   }
 
-  r.skip("preset");
-  r.skip("burst");
   fields(cfg, r);
-  r.finish(cfg);
+  r.finish();
 
-  if (j.contains("burst")) {
+  if (burst) {
     const std::string bp = path + "/burst";
-    const Json& block = j.at("burst");
     BurstSugar b;
     b.max_burst_len = cfg.max_burst_len;
-    read_fields(block, bp, ReadPolicy::kUserInput, b);
-    if (!block.contains("gf")) r.fail(bp + "/gf", "required (0 keeps the baseline)");
-    for (const auto& [key, val] : block.as_object()) {
+    read_fields(*burst, bp, ReadPolicy::kUserInput, b);
+    for (const auto& [key, val] : burst->as_object()) {
       (void)val;
       if (b.gf == 0 && key != "gf") {
         r.fail(bp + "/" + key, "a baseline burst block (gf 0) takes no further parameters");
@@ -288,7 +287,7 @@ ClusterConfig ClusterConfig::from_json(const Json& j, const std::string& path) {
       cfg = cfg.with_burst(b.gf);
       cfg.max_burst_len = b.max_burst_len;
       if (b.strided) cfg = cfg.with_strided_bursts();
-      if (block.contains("store_req_gf")) cfg = cfg.with_store_bursts(b.store_req_gf);
+      if (burst->contains("store_req_gf")) cfg = cfg.with_store_bursts(b.store_req_gf);
     }
   }
 

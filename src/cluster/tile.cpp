@@ -124,7 +124,8 @@ void Tile::emit_burst_beats(Cycle now) {
       net_.send_rsp(id_, bm_.take_beat(*slot), now);
       consecutive_defers = 0;
     } else {
-      bm_.defer_slot(*slot);  // its class port is busy; other classes go on
+      // Its class port is busy: the slot stays ready and the rotation moves
+      // on, so other classes go on.
       // A class blocked at cycle `now` stays blocked for the rest of this
       // call (sends only push free_at further out), and the ready set only
       // shrinks on sends — so a full no-send pass over the ready slots

@@ -63,14 +63,6 @@ const Json& Json::at(const std::string& key) const {
   return it->second;
 }
 
-double Json::get(const std::string& key, double fallback) const {
-  return contains(key) ? at(key).as_double() : fallback;
-}
-
-std::string Json::get(const std::string& key, const std::string& fallback) const {
-  return contains(key) ? at(key).as_string() : fallback;
-}
-
 void Json::set(const std::string& key, Json v) {
   if (is_null()) value_ = Object{};
   as_object()[key] = std::move(v);
@@ -122,36 +114,6 @@ void append_number(std::string& out, double d) {
   out += buf;
 }
 
-void dump_value_compact(std::string& out, const Json& v) {
-  if (v.is_null()) {
-    out += "null";
-  } else if (v.is_bool()) {
-    out += v.as_bool() ? "true" : "false";
-  } else if (v.is_number()) {
-    append_number(out, v.as_double());
-  } else if (v.is_string()) {
-    append_escaped(out, v.as_string());
-  } else if (v.is_array()) {
-    out += '[';
-    const Json::Array& arr = v.as_array();
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      if (i != 0) out += ',';
-      dump_value_compact(out, arr[i]);
-    }
-    out += ']';
-  } else {
-    out += '{';
-    std::size_t i = 0;
-    for (const auto& [key, val] : v.as_object()) {
-      if (i++ != 0) out += ',';
-      append_escaped(out, key);
-      out += ':';
-      dump_value_compact(out, val);
-    }
-    out += '}';
-  }
-}
-
 // Indentation appends directly into the output buffer. The previous version
 // built two fresh pad strings per node, i.e. O(nodes) heap allocations and
 // O(nodes * depth) copied bytes on top of the document itself — measurable
@@ -161,7 +123,16 @@ void append_pad(std::string& out, int depth) {
   out.append(2 * static_cast<std::size_t>(depth), ' ');
 }
 
-void dump_value(std::string& out, const Json& v, int depth) {
+/// Appends `v` at nesting `depth`: with `indent`, one element per line
+/// indented two spaces a level (dump); without, on one line with no
+/// whitespace (dump_compact).
+void dump_value(std::string& out, const Json& v, bool indent, int depth) {
+  // Before each element and before a non-empty container's closer.
+  const auto newline = [&](int d) {
+    if (!indent) return;
+    out += '\n';
+    append_pad(out, d);
+  };
   if (v.is_null()) {
     out += "null";
   } else if (v.is_bool()) {
@@ -172,36 +143,26 @@ void dump_value(std::string& out, const Json& v, int depth) {
     append_escaped(out, v.as_string());
   } else if (v.is_array()) {
     const Json::Array& arr = v.as_array();
-    if (arr.empty()) {
-      out += "[]";
-      return;
-    }
-    out += "[\n";
+    out += '[';
     for (std::size_t i = 0; i < arr.size(); ++i) {
-      append_pad(out, depth + 1);
-      dump_value(out, arr[i], depth + 1);
-      if (i + 1 < arr.size()) out += ',';
-      out += '\n';
+      if (i != 0) out += ',';
+      newline(depth + 1);
+      dump_value(out, arr[i], indent, depth + 1);
     }
-    append_pad(out, depth);
+    if (!arr.empty()) newline(depth);
     out += ']';
   } else {
     const Json::Object& obj = v.as_object();
-    if (obj.empty()) {
-      out += "{}";
-      return;
-    }
-    out += "{\n";
+    out += '{';
     std::size_t i = 0;
     for (const auto& [key, val] : obj) {
-      append_pad(out, depth + 1);
+      if (i++ != 0) out += ',';
+      newline(depth + 1);
       append_escaped(out, key);
-      out += ": ";
-      dump_value(out, val, depth + 1);
-      if (++i < obj.size()) out += ',';
-      out += '\n';
+      out += indent ? ": " : ":";
+      dump_value(out, val, indent, depth + 1);
     }
-    append_pad(out, depth);
+    if (!obj.empty()) newline(depth);
     out += '}';
   }
 }
@@ -211,7 +172,7 @@ void dump_value(std::string& out, const Json& v, int depth) {
 std::string Json::dump() const {
   std::string out;
   out.reserve(256);  // skip the first few doublings; growth stays amortized O(n)
-  dump_value(out, *this, 0);
+  dump_value(out, *this, true, 0);
   out += '\n';
   return out;
 }
@@ -219,7 +180,7 @@ std::string Json::dump() const {
 std::string Json::dump_compact() const {
   std::string out;
   out.reserve(256);
-  dump_value_compact(out, *this);
+  dump_value(out, *this, false, 0);
   return out;
 }
 

@@ -12,13 +12,21 @@
 // so the lists of nested structs are found by argument-dependent lookup.
 // write_fields runs it with a FieldWriter and read_fields with a
 // FieldReader, so to_json and from_json cannot disagree on a name, and a
-// new field is one line in its list.
+// new field is one line in its list. A third argument `kRequired` makes a
+// hand-written document spell the key too.
 //
 // Field types: bool, std::string, double, unsigned, std::uint64_t (Cycle),
 // enums (spelled by name through argument-dependent `enum_name(E)` and
-// `enum_from_name(const std::string&, E&)`), std::vector of those,
-// std::map from std::string to those (a JSON object of named entries), and
-// structs with a list of their own.
+// `enum_from_name(const std::string&, E&)`), `const Json*` (the raw value,
+// borrowed from the document being read and null when absent, for a value
+// parsed later such as a template holding placeholders), std::vector of
+// those, std::map from std::string to those (a JSON object of named
+// entries), std::optional of those (absent when unset), and structs with a
+// list of their own.
+//
+// A document (suite file, metrics document, memo store header) starts
+// with the keys `schema` and `schema_version`: FieldWriter::schema writes
+// them and FieldReader::schema checks them.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +35,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -55,6 +64,15 @@ template <class T>
 inline constexpr bool kIsMap = false;
 template <class T>
 inline constexpr bool kIsMap<std::map<std::string, T>> = true;
+template <class T>
+inline constexpr bool kIsOptional = false;
+template <class T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+
+/// The third argument of a field that hand-written input must spell too
+/// (persisted results require every field anyway).
+struct Required {};
+inline constexpr Required kRequired{};
 
 template <class S>
 [[nodiscard]] Json write_fields(const S& s);
@@ -62,15 +80,26 @@ template <class S>
 class FieldWriter {
  public:
   template <class T>
-  void operator()(const char* name, const T& field) {
-    out_.set(name, value(field));
+  void operator()(const char* name, const T& field, Required = {}) {
+    if constexpr (kIsOptional<T> || std::is_pointer_v<T>) {
+      if (field) out_.set(name, value(*field));
+    } else {
+      out_.set(name, value(field));
+    }
+  }
+  /// Writes the document header.
+  void schema(const char* name, unsigned version) {
+    (*this)("schema", std::string(name));
+    (*this)("schema_version", version);
   }
   [[nodiscard]] Json take() { return std::move(out_); }
 
  private:
   template <class T>
   static Json value(const T& field) {
-    if constexpr (std::is_same_v<T, std::uint64_t>) {
+    if constexpr (std::is_same_v<T, Json>) {
+      return field;
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
       return Json(static_cast<unsigned long long>(field));
     } else if constexpr (std::is_enum_v<T>) {
       return Json(enum_name(field));
@@ -99,14 +128,24 @@ Json write_fields(const S& s) {
   return w.take();
 }
 
+/// write_fields after the document header.
+template <class S>
+[[nodiscard]] Json write_document(const char* schema, unsigned version, const S& s) {
+  FieldWriter w;
+  w.schema(schema, version);
+  fields(s, w);
+  return w.take();
+}
+
 /// The two read policies. Both reject unknown keys, bound integers by the
 /// C++ field type (`unsigned` up to 2^32-1, `std::uint64_t` up to 2^53, the
 /// exact-integer range of a JSON number) and name the offending
 /// `/`-joined path in the message.
 enum class ReadPolicy {
-  /// Configs and options written by hand: every field is optional over its
-  /// current value (nested objects merge too; arrays and maps replace),
-  /// numbers must be finite, and errors throw std::invalid_argument.
+  /// Configs, options and suite files written by hand: every field not
+  /// marked kRequired is optional over its current value (nested objects
+  /// merge too; arrays and maps replace), numbers must be finite, and
+  /// errors throw std::invalid_argument.
   kUserInput,
   /// Results this program wrote: every field is required, null reads back
   /// as NaN (a non-finite number was written as null), and errors throw
@@ -124,51 +163,34 @@ class FieldReader {
 
   template <class T>
   void operator()(const char* name, T& field) {
+    read(name, field, policy_ == ReadPolicy::kPersisted);
+  }
+  template <class T>
+  void operator()(const char* name, T& field, Required) {
+    read(name, field, true);
+  }
+
+  /// Reads the document header, required under either policy: `schema`
+  /// must spell `name` and `schema_version` must equal `version`.
+  void schema(const char* name, unsigned version);
+
+  /// Rejects the first key that no read named, listing the keys that were.
+  void finish() const;
+
+  [[noreturn]] void fail(const std::string& path, const std::string& what) const;
+
+ private:
+  template <class T>
+  void read(const char* name, T& field, bool required) {
+    names_.emplace_back(name);
     const auto it = obj_.find(name);
     if (it == obj_.end()) {
-      if (policy_ == ReadPolicy::kPersisted) fail(child(name), "required key missing");
+      if (required) fail(child(name), "required key missing");
       return;
     }
     ++used_;
     value(it->second, field, [&] { return child(name); });
   }
-
-  /// Accepts `name` as a key the caller reads itself (config sugar blocks).
-  void skip(const char* name) {
-    skipped_.emplace_back(name);
-    if (obj_.find(name) != obj_.end()) ++used_;
-  }
-
-  /// Rejects the first key that neither `s`'s field list nor skip() named,
-  /// listing the keys that are known.
-  template <class S>
-  void finish(S& s) const {
-    if (used_ == obj_.size()) return;
-    NameList list{skipped_};
-    fields(s, list);
-    for (const auto& [key, val] : obj_) {
-      (void)val;
-      if (std::find(list.names.begin(), list.names.end(), key) == list.names.end()) {
-        std::string known;
-        for (const std::string_view name : list.names) {
-          known += known.empty() ? "" : ", ";
-          known += name;
-        }
-        fail(child(key), "unknown key (known: " + known + ")");
-      }
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& path, const std::string& what) const;
-
- private:
-  struct NameList {
-    std::vector<std::string_view> names;
-    template <class T>
-    void operator()(const char* name, T&) {
-      names.emplace_back(name);
-    }
-  };
 
   [[nodiscard]] std::string child(std::string_view name) const {
     std::string out = path_;
@@ -181,7 +203,11 @@ class FieldReader {
   /// for it.
   template <class T, class Where>
   void value(const Json& v, T& out, const Where& where) const {
-    if constexpr (std::is_same_v<T, bool>) {
+    if constexpr (std::is_same_v<T, const Json*>) {
+      out = &v;
+    } else if constexpr (kIsOptional<T>) {
+      value(v, out.emplace(), where);
+    } else if constexpr (std::is_same_v<T, bool>) {
       if (!v.is_bool()) fail(where(), "expected true or false");
       out = v.as_bool();
     } else if constexpr (std::is_same_v<T, std::string>) {
@@ -230,7 +256,7 @@ class FieldReader {
     } else {
       FieldReader nested(v, where(), policy_);
       fields(out, nested);
-      nested.finish(out);
+      nested.finish();
     }
   }
 
@@ -238,7 +264,7 @@ class FieldReader {
   std::string path_;
   ReadPolicy policy_;
   std::size_t used_ = 0;
-  std::vector<std::string_view> skipped_;
+  std::vector<std::string_view> names_;  // every key read
 };
 
 /// Reads `j` (rooted at `path`) into `s` through its field list.
@@ -246,7 +272,17 @@ template <class S>
 void read_fields(const Json& j, const std::string& path, ReadPolicy policy, S& s) {
   FieldReader r(j, path, policy);
   fields(s, r);
-  r.finish(s);
+  r.finish();
+}
+
+/// read_fields after checking the document header.
+template <class S>
+void read_document(const Json& j, const std::string& path, ReadPolicy policy,
+                   const char* schema, unsigned version, S& s) {
+  FieldReader r(j, path, policy);
+  r.schema(schema, version);
+  fields(s, r);
+  r.finish();
 }
 
 }  // namespace tcdm

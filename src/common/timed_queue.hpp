@@ -37,7 +37,6 @@ class TimedQueue {
 
   [[nodiscard]] T& front() { return q_.front().item; }
   [[nodiscard]] const T& front() const { return q_.front().item; }
-  [[nodiscard]] Cycle front_ready_at() const { return q_.front().ready_at; }
 
   /// Next cycle at which the head could become observable, or kNoCycle when
   /// empty. Because the queue is FIFO and in-order, the head's ready time is

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "src/analytics/metrics_export.hpp"
-#include "src/common/json.hpp"
+#include "src/common/json_fields.hpp"
 
 namespace tcdm::explore {
 
@@ -13,25 +13,6 @@ namespace {
 [[noreturn]] void corrupt(const std::string& path, std::size_t line,
                           const std::string& what) {
   throw ExploreFileError(path + ":" + std::to_string(line) + ": " + what);
-}
-
-Json header_json() {
-  Json h;
-  h.set("schema", kCacheSchemaName);
-  h.set("schema_version", kCacheSchemaVersion);
-  return h;
-}
-
-void check_header(const Json& h, const std::string& path) {
-  if (!h.is_object() || h.get("schema", std::string()) != kCacheSchemaName) {
-    corrupt(path, 1, "not a " + std::string(kCacheSchemaName) + " file");
-  }
-  if (h.get("schema_version", 0.0) != kCacheSchemaVersion) {
-    corrupt(path, 1,
-            "unsupported schema_version (expected " +
-                std::to_string(kCacheSchemaVersion) + ")");
-  }
-  if (h.as_object().size() != 2) corrupt(path, 1, "unexpected keys in header");
 }
 
 /// One store line: the key and its result.
@@ -49,16 +30,6 @@ void fields(S& e, V& v) {
   v("power", e.result.power);
 }
 
-Entry entry_from_json(const Json& j, const std::string& path, std::size_t line) {
-  Entry e;
-  try {
-    read_fields(j, path + ":" + std::to_string(line), ReadPolicy::kPersisted, e);
-  } catch (const SchemaError& err) {
-    throw ExploreFileError(err.what());
-  }
-  return e;
-}
-
 }  // namespace
 
 MemoStore::MemoStore(const std::string& path) : path_(path) {
@@ -66,11 +37,11 @@ MemoStore::MemoStore(const std::string& path) : path_(path) {
   if (std::filesystem::is_directory(path, ec)) {
     throw std::runtime_error(path + ": is a directory");
   }
+  std::size_t line_no = 0;
   if (std::filesystem::exists(path, ec)) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw std::runtime_error(path + ": cannot open cache file");
     std::string line;
-    std::size_t line_no = 0;
     bool header_seen = false;
     while (std::getline(in, line)) {
       ++line_no;
@@ -85,26 +56,31 @@ MemoStore::MemoStore(const std::string& path) : path_(path) {
         if (in.eof()) break;
         corrupt(path, line_no, e.what());
       }
-      if (!header_seen) {
-        check_header(j, path);
-        header_seen = true;
-        continue;
+      const std::string where = path + ":" + std::to_string(line_no);
+      try {
+        if (header_seen) {
+          Entry e;
+          read_fields(j, where, ReadPolicy::kPersisted, e);
+          entries_[std::move(e.key)] = std::move(e.result);
+        } else {
+          FieldReader header(j, where, ReadPolicy::kPersisted);
+          header.schema(kCacheSchemaName, kCacheSchemaVersion);
+          header.finish();
+          header_seen = true;
+        }
+      } catch (const SchemaError& err) {
+        throw ExploreFileError(err.what());
       }
-      Entry e = entry_from_json(j, path, line_no);
-      entries_[std::move(e.key)] = std::move(e.result);
     }
     if (in.bad()) throw std::runtime_error(path + ": read failed");
     if (!header_seen && line_no > 0) corrupt(path, 1, "missing header line");
-    append_.open(path, std::ios::binary | std::ios::app);
-    if (!append_) throw std::runtime_error(path + ": cannot open for appending");
-    if (line_no == 0) {  // existed but empty: write the header now
-      append_ << header_json().dump_compact() << '\n';
-      append_.flush();
-    }
-  } else {
-    append_.open(path, std::ios::binary | std::ios::app);
-    if (!append_) throw std::runtime_error(path + ": cannot open for appending");
-    append_ << header_json().dump_compact() << '\n';
+  }
+  append_.open(path, std::ios::binary | std::ios::app);
+  if (!append_) throw std::runtime_error(path + ": cannot open for appending");
+  if (line_no == 0) {  // new or empty: write the header now
+    FieldWriter header;
+    header.schema(kCacheSchemaName, kCacheSchemaVersion);
+    append_ << header.take().dump_compact() << '\n';
     append_.flush();
   }
 }

@@ -33,7 +33,7 @@ inline constexpr const char* kCacheSchemaName = "tcdm-explore-cache";
 /// Bumped whenever the canonical key spelling (config_hash.hpp) or the
 /// entry fields change: an older store would otherwise never hit, or fail
 /// on its first entry.
-inline constexpr int kCacheSchemaVersion = 2;
+inline constexpr unsigned kCacheSchemaVersion = 2;
 
 /// A corrupt or version-mismatched memo store file.
 /// The CLI maps this to exit 2, like other unusable-input errors.

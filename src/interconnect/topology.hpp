@@ -45,9 +45,6 @@ class Topology {
   Topology(std::vector<unsigned> level_sizes, std::vector<LevelLatency> latency);
 
   [[nodiscard]] unsigned num_tiles() const noexcept { return num_tiles_; }
-  [[nodiscard]] unsigned num_levels() const noexcept {
-    return static_cast<unsigned>(level_sizes_.size());
-  }
   [[nodiscard]] const std::vector<unsigned>& level_sizes() const noexcept {
     return level_sizes_;
   }
@@ -74,9 +71,6 @@ class Topology {
   [[nodiscard]] unsigned round_trip(std::uint8_t cls) const {
     return 1 + class_req_lat_[cls] + class_rsp_lat_[cls];
   }
-  [[nodiscard]] unsigned level_of_class(std::uint8_t cls) const {
-    return class_level_[cls];
-  }
 
   /// Human-readable class name for reports ("intra-L0", "L1-sib2", ...).
   [[nodiscard]] std::string class_name(std::uint8_t cls) const;
@@ -89,7 +83,6 @@ class Topology {
   std::vector<std::uint8_t> class_table_;  // [src * num_tiles + dst]
   std::vector<unsigned> class_req_lat_;
   std::vector<unsigned> class_rsp_lat_;
-  std::vector<unsigned> class_level_;
 };
 
 }  // namespace tcdm

@@ -88,28 +88,25 @@ std::vector<ScenarioResult> run_scenarios(const std::vector<const ScenarioSpec*>
 
   // One System cache per worker thread: scenarios of a suite cycle over a
   // handful of config shapes, so reset-reuse removes per-scenario cluster
-  // construction (bit-identical results, docs/ARCHITECTURE.md P2).
-  if (jobs <= 1) {
+  // construction (bit-identical results, docs/ARCHITECTURE.md P2). At one
+  // job the worker runs on the calling thread.
+  std::atomic<std::size_t> next{0};
+  std::mutex done_mutex;
+  const auto worker = [&] {
     ClusterCache cache;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= specs.size()) return;
       slots[i] = run_scenario(*specs[i], opts, &cache);
-      if (opts.on_done) opts.on_done(slots[i]);
-    }
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::mutex done_mutex;
-    const auto worker = [&] {
-      ClusterCache cache;
-      for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= specs.size()) return;
-        slots[i] = run_scenario(*specs[i], opts, &cache);
-        if (opts.on_done) {
-          const std::lock_guard<std::mutex> lock(done_mutex);
-          opts.on_done(slots[i]);
-        }
+      if (opts.on_done) {
+        const std::lock_guard<std::mutex> lock(done_mutex);
+        opts.on_done(slots[i]);
       }
-    };
+    }
+  };
+  if (jobs <= 1) {
+    worker();
+  } else {
     std::vector<std::thread> pool;
     pool.reserve(jobs);
     for (unsigned j = 0; j < jobs; ++j) pool.emplace_back(worker);

@@ -47,58 +47,13 @@ namespace {
   throw std::invalid_argument(path + ": " + what);
 }
 
-/// kind -> parameter names it accepts (construction-time checks enforce
-/// which of them are required and their ranges).
-struct KindInfo {
-  const char* kind;
-  std::vector<const char*> params;
-};
-
-const std::vector<KindInfo>& kind_table() {
-  static const std::vector<KindInfo> table = {
-      {"dotp", {"n", "seed"}},
-      {"axpy", {"n", "alpha", "seed"}},
-      {"fft", {"instances", "n", "seed"}},
-      {"matmul", {"n", "row_block", "seed"}},
-      {"gemv", {"m", "n", "row_block", "seed"}},
-      {"conv2d", {"h", "w", "seed"}},
-      {"jacobi2d", {"h", "w", "seed"}},
-      {"relu", {"n", "seed"}},
-      {"maxpool2x2", {"h", "w", "seed"}},
-      {"transpose", {"n", "seed"}},
-      {"random_probe", {"iters", "pattern", "seed"}},
-      {"local_stream", {"iters"}},
-      {"memcpy", {"n", "seed"}},
-      {"strided_copy", {"n", "stride_words", "seed"}},
-      {"trace_replay",
-       {"pattern", "entries_per_hart", "access_len", "hotspot_fraction",
-        "hotspot_tile", "write_fraction", "seed"}},
-  };
-  return table;
-}
-
-const KindInfo* find_kind(const std::string& kind) {
-  for (const KindInfo& k : kind_table()) {
-    if (kind == k.kind) return &k;
-  }
-  return nullptr;
-}
-
-std::string known_kinds_list() {
-  std::string out;
-  for (const std::string& k : KernelSpec::kinds()) {
-    if (!out.empty()) out += ", ";
-    out += k;
-  }
-  return out;
-}
-
 /// Typed parameter accessors over KernelSpec::params, with the config
-/// readers' type and range rules (ReadPolicy::kUserInput).
+/// readers' type and range rules (ReadPolicy::kUserInput). Each name a
+/// kind reads is recorded, so finish() refuses every other parameter.
 class Params {
  public:
   Params(const Json::Object& params, const std::string& path)
-      : params_(params), path_(path), reader_(params, path, ReadPolicy::kUserInput) {}
+      : path_(path), reader_(params, path, ReadPolicy::kUserInput) {}
 
   /// `fallback` when absent, else the value checked like a config field
   /// of type T.
@@ -109,11 +64,9 @@ class Params {
   }
   /// Required positive dimension.
   [[nodiscard]] unsigned dim(const char* name) {
-    if (params_.count(name) == 0) {
-      spec_error(path_ + "/" + name, "required parameter missing");
-    }
-    const unsigned v = get(name, 0u);
-    if (v == 0) spec_error(path_ + "/" + name, "must be positive");
+    unsigned v = 0;
+    reader_(name, v, kRequired);
+    if (v == 0) fail(name, "must be positive");
     return v;
   }
   /// Seeds are 64-bit in every kernel constructor; read as std::uint64_t
@@ -122,27 +75,146 @@ class Params {
     return get("seed", fallback);
   }
 
+  [[noreturn]] void fail(const char* name, const std::string& what) const {
+    spec_error(path_ + "/" + name, what);
+  }
+  /// Refuses a parameter the kind did not read.
+  void finish() const { reader_.finish(); }
+
  private:
-  const Json::Object& params_;
   const std::string& path_;
   FieldReader reader_;
 };
 
-RandomProbeKernel::Pattern probe_pattern(const std::string& s, const std::string& path) {
+RandomProbeKernel::Pattern probe_pattern(const Params& p, const std::string& s) {
   if (s == "uniform") return RandomProbeKernel::Pattern::kUniform;
   if (s == "remote") return RandomProbeKernel::Pattern::kRemoteOnly;
   if (s == "local") return RandomProbeKernel::Pattern::kLocalOnly;
-  spec_error(path + "/pattern", "unknown probe pattern \"" + s +
-                                    "\" (known: uniform, remote, local)");
+  p.fail("pattern", "unknown probe pattern \"" + s + "\" (known: uniform, remote, local)");
 }
 
-TracePattern trace_pattern(const std::string& s, const std::string& path) {
+TracePattern trace_pattern(const Params& p, const std::string& s) {
   if (s == "uniform") return TracePattern::kUniform;
   if (s == "hotspot") return TracePattern::kHotspot;
   if (s == "local") return TracePattern::kLocal;
   if (s == "neighbor") return TracePattern::kNeighbor;
-  spec_error(path + "/pattern", "unknown trace pattern \"" + s +
-                                    "\" (known: uniform, hotspot, local, neighbor)");
+  p.fail("pattern",
+         "unknown trace pattern \"" + s + "\" (known: uniform, hotspot, local, neighbor)");
+}
+
+/// Each kind and its construction: the parameters a kind takes are the ones
+/// its `build` function reads.
+struct KindInfo {
+  const char* kind;
+  std::unique_ptr<Kernel> (*build)(Params& p, const ClusterConfig& cfg);
+};
+
+const std::vector<KindInfo>& kind_table() {
+  static const std::vector<KindInfo> table = {
+      {"dotp",
+       [](Params& p, const ClusterConfig&) -> std::unique_ptr<Kernel> {
+         return std::make_unique<DotpKernel>(p.dim("n"), p.seed_or(1));
+       }},
+      {"axpy",
+       [](Params& p, const ClusterConfig&) -> std::unique_ptr<Kernel> {
+         const double alpha = p.get("alpha", 1.5);
+         if (std::fabs(alpha) > std::numeric_limits<float>::max()) {
+           p.fail("alpha", "outside the range of a float");
+         }
+         return std::make_unique<AxpyKernel>(p.dim("n"), static_cast<float>(alpha),
+                                             p.seed_or(2));
+       }},
+      {"fft",
+       [](Params& p, const ClusterConfig&) -> std::unique_ptr<Kernel> {
+         return std::make_unique<FftKernel>(p.dim("instances"), p.dim("n"), p.seed_or(4));
+       }},
+      {"matmul",
+       [](Params& p, const ClusterConfig&) -> std::unique_ptr<Kernel> {
+         return std::make_unique<MatmulKernel>(p.dim("n"), p.get("row_block", 4u),
+                                               p.seed_or(3));
+       }},
+      {"gemv",
+       [](Params& p, const ClusterConfig&) -> std::unique_ptr<Kernel> {
+         return std::make_unique<GemvKernel>(p.dim("m"), p.dim("n"), p.get("row_block", 4u),
+                                             p.seed_or(11));
+       }},
+      {"conv2d",
+       [](Params& p, const ClusterConfig&) -> std::unique_ptr<Kernel> {
+         return std::make_unique<Conv2dKernel>(p.dim("h"), p.dim("w"), p.seed_or(12));
+       }},
+      {"jacobi2d",
+       [](Params& p, const ClusterConfig&) -> std::unique_ptr<Kernel> {
+         return std::make_unique<Jacobi2dKernel>(p.dim("h"), p.dim("w"), p.seed_or(13));
+       }},
+      {"relu",
+       [](Params& p, const ClusterConfig&) -> std::unique_ptr<Kernel> {
+         return std::make_unique<ReluKernel>(p.dim("n"), p.seed_or(15));
+       }},
+      {"maxpool2x2",
+       [](Params& p, const ClusterConfig&) -> std::unique_ptr<Kernel> {
+         return std::make_unique<MaxPoolKernel>(p.dim("h"), p.dim("w"), p.seed_or(16));
+       }},
+      {"transpose",
+       [](Params& p, const ClusterConfig&) -> std::unique_ptr<Kernel> {
+         return std::make_unique<TransposeKernel>(p.dim("n"), p.seed_or(14));
+       }},
+      {"random_probe",
+       [](Params& p, const ClusterConfig& cfg) -> std::unique_ptr<Kernel> {
+         // iters 0 / omitted -> the shared auto-scaled count, so file-defined
+         // probes stay in lockstep with the builtin suites and their baselines.
+         unsigned iters = p.get("iters", 0u);
+         if (iters == 0) iters = builtin::probe_iters(cfg);
+         return std::make_unique<RandomProbeKernel>(
+             iters, probe_pattern(p, p.get("pattern", std::string("uniform"))),
+             p.seed_or(5));
+       }},
+      {"local_stream",
+       [](Params& p, const ClusterConfig&) -> std::unique_ptr<Kernel> {
+         return std::make_unique<LocalStreamKernel>(p.dim("iters"));
+       }},
+      {"memcpy",
+       [](Params& p, const ClusterConfig&) -> std::unique_ptr<Kernel> {
+         return std::make_unique<MemcpyKernel>(p.dim("n"), p.seed_or(6));
+       }},
+      {"strided_copy",
+       [](Params& p, const ClusterConfig&) -> std::unique_ptr<Kernel> {
+         return std::make_unique<StridedCopyKernel>(p.dim("n"), p.dim("stride_words"),
+                                                    p.seed_or(7));
+       }},
+      {"trace_replay",
+       [](Params& p, const ClusterConfig& cfg) -> std::unique_ptr<Kernel> {
+         // The trace is generated for the concrete cluster config, exactly
+         // as the builtin trace_patterns registrations do.
+         TraceConfig tc;
+         tc.pattern = trace_pattern(p, p.get("pattern", std::string("uniform")));
+         tc.entries_per_hart = p.get("entries_per_hart", tc.entries_per_hart);
+         if (tc.entries_per_hart > kMaxTraceEntriesPerHart) {
+           p.fail("entries_per_hart",
+                  std::to_string(tc.entries_per_hart) + " exceeds the limit of " +
+                      std::to_string(kMaxTraceEntriesPerHart) + " entries per hart");
+         }
+         tc.access_len = p.get("access_len", tc.access_len);
+         tc.hotspot_fraction = p.get("hotspot_fraction", tc.hotspot_fraction);
+         tc.hotspot_tile = p.get("hotspot_tile", tc.hotspot_tile);
+         tc.write_fraction = p.get("write_fraction", tc.write_fraction);
+         tc.seed = p.seed_or(tc.seed);
+         return std::make_unique<TraceReplayKernel>(synthetic_trace(cfg, tc));
+       }},
+  };
+  return table;
+}
+
+/// The kind's table entry; refuses an unknown kind at `path`/kind.
+const KindInfo& find_kind(const std::string& kind, const std::string& path) {
+  for (const KindInfo& k : kind_table()) {
+    if (kind == k.kind) return k;
+  }
+  std::string known;
+  for (const std::string& k : KernelSpec::kinds()) {
+    known += known.empty() ? "" : ", ";
+    known += k;
+  }
+  spec_error(path + "/kind", "unknown kernel kind \"" + kind + "\" (known: " + known + ")");
 }
 
 }  // namespace
@@ -165,107 +237,24 @@ Json KernelSpec::to_json() const {
 
 KernelSpec KernelSpec::from_json(const Json& j, const std::string& path) {
   if (!j.is_object()) spec_error(path, "expected a kernel object");
-  if (!j.contains("kind")) spec_error(path + "/kind", "required");
-  const Json& kind_v = j.at("kind");
-  if (!kind_v.is_string()) spec_error(path + "/kind", "expected a string");
-
   KernelSpec spec;
-  spec.kind = kind_v.as_string();
-  const KindInfo* info = find_kind(spec.kind);
-  if (info == nullptr) {
-    spec_error(path + "/kind", "unknown kernel kind \"" + spec.kind +
-                                   "\" (known: " + known_kinds_list() + ")");
-  }
-  for (const auto& [key, val] : j.as_object()) {
-    if (key == "kind") continue;
-    bool known = false;
-    for (const char* p : info->params) known = known || key == p;
-    if (!known) {
-      spec_error(path + "/" + key,
-                 "unknown parameter for kernel kind \"" + spec.kind + "\"");
-    }
-    spec.params[key] = val;
-  }
+  spec.params = j.as_object();
+  const auto kind = spec.params.find("kind");
+  if (kind == spec.params.end()) spec_error(path + "/kind", "required");
+  if (!kind->second.is_string()) spec_error(path + "/kind", "expected a string");
+  spec.kind = kind->second.as_string();
+  spec.params.erase(kind);
+  (void)find_kind(spec.kind, path);
   return spec;
 }
 
 std::unique_ptr<Kernel> KernelSpec::instantiate(const ClusterConfig& cfg,
                                                 const std::string& path) const {
-  if (find_kind(kind) == nullptr) {
-    spec_error(path + "/kind", "unknown kernel kind \"" + kind +
-                                   "\" (known: " + known_kinds_list() + ")");
-  }
+  const KindInfo& info = find_kind(kind, path);
   Params p(params, path);
-  if (kind == "dotp") {
-    return std::make_unique<DotpKernel>(p.dim("n"), p.seed_or(1));
-  }
-  if (kind == "axpy") {
-    const double alpha = p.get("alpha", 1.5);
-    if (std::fabs(alpha) > std::numeric_limits<float>::max()) {
-      spec_error(path + "/alpha", "outside the range of a float");
-    }
-    return std::make_unique<AxpyKernel>(p.dim("n"), static_cast<float>(alpha), p.seed_or(2));
-  }
-  if (kind == "fft") {
-    return std::make_unique<FftKernel>(p.dim("instances"), p.dim("n"), p.seed_or(4));
-  }
-  if (kind == "matmul") {
-    return std::make_unique<MatmulKernel>(p.dim("n"), p.get("row_block", 4u),
-                                          p.seed_or(3));
-  }
-  if (kind == "gemv") {
-    return std::make_unique<GemvKernel>(p.dim("m"), p.dim("n"),
-                                        p.get("row_block", 4u), p.seed_or(11));
-  }
-  if (kind == "conv2d") {
-    return std::make_unique<Conv2dKernel>(p.dim("h"), p.dim("w"), p.seed_or(12));
-  }
-  if (kind == "jacobi2d") {
-    return std::make_unique<Jacobi2dKernel>(p.dim("h"), p.dim("w"), p.seed_or(13));
-  }
-  if (kind == "relu") {
-    return std::make_unique<ReluKernel>(p.dim("n"), p.seed_or(15));
-  }
-  if (kind == "maxpool2x2") {
-    return std::make_unique<MaxPoolKernel>(p.dim("h"), p.dim("w"), p.seed_or(16));
-  }
-  if (kind == "transpose") {
-    return std::make_unique<TransposeKernel>(p.dim("n"), p.seed_or(14));
-  }
-  if (kind == "random_probe") {
-    // iters 0 / omitted -> the shared auto-scaled count, so file-defined
-    // probes stay in lockstep with the builtin suites and their baselines.
-    unsigned iters = p.get("iters", 0u);
-    if (iters == 0) iters = builtin::probe_iters(cfg);
-    return std::make_unique<RandomProbeKernel>(
-        iters, probe_pattern(p.get("pattern", std::string("uniform")), path), p.seed_or(5));
-  }
-  if (kind == "local_stream") {
-    return std::make_unique<LocalStreamKernel>(p.dim("iters"));
-  }
-  if (kind == "memcpy") {
-    return std::make_unique<MemcpyKernel>(p.dim("n"), p.seed_or(6));
-  }
-  if (kind == "strided_copy") {
-    return std::make_unique<StridedCopyKernel>(p.dim("n"), p.dim("stride_words"),
-                                               p.seed_or(7));
-  }
-  // trace_replay: the trace is generated for the concrete cluster config,
-  // exactly as the builtin trace_patterns registrations do.
-  TraceConfig tc;
-  tc.pattern = trace_pattern(p.get("pattern", std::string("uniform")), path);
-  tc.entries_per_hart = p.get("entries_per_hart", tc.entries_per_hart);
-  if (tc.entries_per_hart > kMaxTraceEntriesPerHart) {
-    spec_error(path + "/entries_per_hart",
-               std::to_string(tc.entries_per_hart) + " exceeds the limit of " +
-                   std::to_string(kMaxTraceEntriesPerHart) + " entries per hart");
-  }
-  tc.access_len = p.get("access_len", tc.access_len);
-  tc.hotspot_fraction = p.get("hotspot_fraction", tc.hotspot_fraction);
-  tc.hotspot_tile = p.get("hotspot_tile", tc.hotspot_tile);
-  tc.write_fraction = p.get("write_fraction", tc.write_fraction);
-  tc.seed = p.seed_or(tc.seed);
-  return std::make_unique<TraceReplayKernel>(synthetic_trace(cfg, tc));
+  std::unique_ptr<Kernel> kernel = info.build(p, cfg);
+  p.finish();
+  return kernel;
 }
 
 Json runner_options_to_json(const RunnerOptions& o) { return write_fields(o); }

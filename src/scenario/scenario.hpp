@@ -93,23 +93,23 @@ struct ScenarioSpec {
   }
 };
 
-/// Declarative kernel description: a kind tag plus its (already
-/// type-checked) parameters — the data-driven counterpart of the builtin
-/// suites' kernel factory lambdas. `instantiate` builds the kernel for a
-/// concrete cluster configuration, which supplies config-dependent defaults
-/// (auto-scaled probe iterations, synthetic trace generation).
+/// Declarative kernel description: a kind tag plus its parameters — the
+/// data-driven counterpart of the builtin suites' kernel factory lambdas.
+/// `instantiate` builds the kernel for a concrete cluster configuration,
+/// which supplies config-dependent defaults (auto-scaled probe iterations,
+/// synthetic trace generation), and checks the parameters.
 struct KernelSpec {
   std::string kind;
   Json::Object params;
 
   /// Flat object: {"kind": "...", <param>: <value>, ...}.
   [[nodiscard]] Json to_json() const;
-  /// Strict: requires a known "kind" and rejects parameters the kind does
-  /// not take, naming the offending `/`-joined path (rooted at `path`).
+  /// Requires a known "kind", naming the offending `/`-joined path (rooted
+  /// at `path`). The parameters are checked by instantiate.
   static KernelSpec from_json(const Json& j, const std::string& path = "kernel");
 
   /// Build the kernel; throws std::invalid_argument (path-prefixed) on
-  /// missing or out-of-range parameters.
+  /// missing, out-of-range or unknown parameters.
   [[nodiscard]] std::unique_ptr<Kernel> instantiate(
       const ClusterConfig& cfg, const std::string& path = "kernel") const;
 

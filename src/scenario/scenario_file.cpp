@@ -6,23 +6,27 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
+
+#include "src/common/json_fields.hpp"
 
 namespace tcdm::scenario {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& source, const std::string& what) {
-  throw ScenarioFileError(source + ": " + what);
+[[noreturn]] void fail(const std::string& path, const std::string& what) {
+  throw std::invalid_argument(path + ": " + what);
 }
 
 /// Scalar -> text for placeholder interpolation inside longer strings.
 /// Integral numbers print without a decimal point (so "len{len}" with
 /// len = 2 becomes "len2"), matching the JSON serializer's convention.
-std::string scalar_text(const Json& v, const std::string& source,
-                        const std::string& path) {
+std::string scalar_text(const Json& v, const std::string& path) {
   if (v.is_string()) return v.as_string();
   if (v.is_bool()) return v.as_bool() ? "true" : "false";
   if (v.is_number()) {
@@ -35,23 +39,23 @@ std::string scalar_text(const Json& v, const std::string& source,
     std::snprintf(buf, sizeof buf, "%.17g", d);
     return buf;
   }
-  fail(source, path + ": cannot interpolate an object/array/null into a string");
+  fail(path, "cannot interpolate an object/array/null into a string");
 }
 
 /// Resolve "{param}" or "{param.field}" against the sweep bindings.
 const Json& resolve_placeholder(const std::string& ref, const Json::Object& bindings,
-                                const std::string& source, const std::string& path) {
+                                const std::string& path) {
   const std::size_t dot = ref.find('.');
   const std::string param = dot == std::string::npos ? ref : ref.substr(0, dot);
   const auto it = bindings.find(param);
   if (it == bindings.end()) {
-    fail(source, path + ": placeholder {" + ref + "} names no sweep parameter");
+    fail(path, "placeholder {" + ref + "} names no sweep parameter");
   }
   if (dot == std::string::npos) return it->second;
   const std::string field = ref.substr(dot + 1);
   if (!it->second.is_object() || !it->second.contains(field)) {
-    fail(source, path + ": placeholder {" + ref + "}: sweep value of \"" + param +
-                     "\" has no field \"" + field + "\"");
+    fail(path, "placeholder {" + ref + "}: sweep value of \"" + param +
+                   "\" has no field \"" + field + "\"");
   }
   return it->second.at(field);
 }
@@ -59,14 +63,13 @@ const Json& resolve_placeholder(const std::string& ref, const Json::Object& bind
 /// Substitute every placeholder in `v` for one sweep point. A string that
 /// is exactly one placeholder becomes the bound value itself (type- and
 /// structure-preserving); otherwise placeholders interpolate textually.
-Json substitute(const Json& v, const Json::Object& bindings, const std::string& source,
-                const std::string& path) {
+Json substitute(const Json& v, const Json::Object& bindings, const std::string& path) {
   if (v.is_string()) {
     const std::string& s = v.as_string();
     if (s.size() >= 2 && s.front() == '{' && s.back() == '}' &&
         s.find('{', 1) == std::string::npos &&
         s.find('}') == s.size() - 1) {
-      return resolve_placeholder(s.substr(1, s.size() - 2), bindings, source, path);
+      return resolve_placeholder(s.substr(1, s.size() - 2), bindings, path);
     }
     std::string out;
     std::size_t pos = 0;
@@ -78,12 +81,12 @@ Json substitute(const Json& v, const Json::Object& bindings, const std::string& 
       }
       const std::size_t close = s.find('}', open);
       if (close == std::string::npos) {
-        fail(source, path + ": unterminated placeholder in \"" + s + "\"");
+        fail(path, "unterminated placeholder in \"" + s + "\"");
       }
       out += s.substr(pos, open - pos);
-      const Json& bound = resolve_placeholder(s.substr(open + 1, close - open - 1),
-                                              bindings, source, path);
-      out += scalar_text(bound, source, path);
+      const Json& bound =
+          resolve_placeholder(s.substr(open + 1, close - open - 1), bindings, path);
+      out += scalar_text(bound, path);
       pos = close + 1;
     }
     return Json(std::move(out));
@@ -91,7 +94,7 @@ Json substitute(const Json& v, const Json::Object& bindings, const std::string& 
   if (v.is_array()) {
     Json::Array out;
     for (std::size_t i = 0; i < v.as_array().size(); ++i) {
-      out.push_back(substitute(v.as_array()[i], bindings, source,
+      out.push_back(substitute(v.as_array()[i], bindings,
                                path + "[" + std::to_string(i) + "]"));
     }
     return Json(std::move(out));
@@ -99,77 +102,79 @@ Json substitute(const Json& v, const Json::Object& bindings, const std::string& 
   if (v.is_object()) {
     Json::Object out;
     for (const auto& [key, val] : v.as_object()) {
-      out[key] = substitute(val, bindings, source, path + "/" + key);
+      out[key] = substitute(val, bindings, path + "/" + key);
     }
     return Json(std::move(out));
   }
   return v;
 }
 
-double range_num(const Json& obj, const std::string& key, const std::string& source,
-                 const std::string& path) {
-  if (!obj.contains(key)) fail(source, path + "/" + key + ": required");
-  const Json& v = obj.at(key);
-  if (!v.is_number()) fail(source, path + "/" + key + ": expected a number");
-  return v.as_double();
+/// `{"range": {"from": F, "to": T, "step": S}}`, or with `"mul": M` for a
+/// geometric range.
+struct Range {
+  double from = 0.0;
+  double to = 0.0;
+  std::optional<double> step;
+  std::optional<double> mul;
+};
+
+template <MaybeConst<Range> S, class V>
+void fields(S& r, V& v) {
+  v("from", r.from, kRequired);
+  v("to", r.to, kRequired);
+  v("step", r.step);
+  v("mul", r.mul);
+}
+
+struct RangeSweep {
+  Range range;
+};
+
+template <MaybeConst<RangeSweep> S, class V>
+void fields(S& s, V& v) {
+  v("range", s.range, kRequired);
 }
 
 /// Expand one sweep value list: an explicit array, or a range object.
-std::vector<Json> sweep_values(const Json& v, const std::string& source,
-                               const std::string& path) {
+std::vector<Json> sweep_values(const Json& v, const std::string& path) {
   if (v.is_array()) {
-    if (v.as_array().empty()) fail(source, path + ": sweep list must be non-empty");
+    if (v.as_array().empty()) fail(path, "sweep list must be non-empty");
     return v.as_array();
   }
-  if (v.is_object() && v.contains("range")) {
-    if (v.as_object().size() != 1) {
-      fail(source, path + ": a range sweep takes exactly the \"range\" key");
-    }
-    const Json& r = v.at("range");
-    if (!r.is_object()) fail(source, path + "/range: expected an object");
-    const double from = range_num(r, "from", source, path + "/range");
-    const double to = range_num(r, "to", source, path + "/range");
-    const bool has_step = r.contains("step");
-    const bool has_mul = r.contains("mul");
-    if (has_step == has_mul) {
-      fail(source, path + "/range: exactly one of \"step\" or \"mul\" is required");
-    }
-    for (const auto& [key, val] : r.as_object()) {
-      (void)val;
-      if (key != "from" && key != "to" && key != "step" && key != "mul") {
-        fail(source, path + "/range/" + key + ": unknown key");
-      }
-    }
-    // Capped inside the loops: an over-wide (or typo'd) range must produce
-    // this diagnostic, not an OOM — and the cap also bounds the iteration
-    // count below the float plateau where `x += step` stops advancing.
-    const auto check_cap = [&](const std::vector<Json>& vals) {
-      if (vals.size() > kMaxScenariosPerSuite) {
-        fail(source, path + "/range: expands to more than " +
-                         std::to_string(kMaxScenariosPerSuite) + " values");
-      }
-    };
-    std::vector<Json> out;
-    if (has_step) {
-      const double step = range_num(r, "step", source, path + "/range");
-      if (step <= 0.0) fail(source, path + "/range/step: must be positive");
-      for (double x = from; x <= to + 1e-9; x += step) {
-        out.emplace_back(x);
-        check_cap(out);
-      }
-    } else {
-      const double mul = range_num(r, "mul", source, path + "/range");
-      if (mul <= 1.0) fail(source, path + "/range/mul: must be > 1");
-      if (from <= 0.0) fail(source, path + "/range/from: must be positive with mul");
-      for (double x = from; x <= to + 1e-9; x *= mul) {
-        out.emplace_back(x);
-        check_cap(out);
-      }
-    }
-    if (out.empty()) fail(source, path + "/range: expands to no values");
-    return out;
+  if (!v.is_object()) fail(path, "expected a value list or {\"range\": {...}}");
+  RangeSweep sweep;
+  read_fields(v, path, ReadPolicy::kUserInput, sweep);
+  const Range& r = sweep.range;
+  const std::string rpath = path + "/range";
+  if (r.step.has_value() == r.mul.has_value()) {
+    fail(rpath, "exactly one of \"step\" or \"mul\" is required");
   }
-  fail(source, path + ": expected a value list or {\"range\": {...}}");
+  // Capped inside the loops: an over-wide (or typo'd) range must produce
+  // this diagnostic, not an OOM — and the cap also bounds the iteration
+  // count below the float plateau where `x += step` stops advancing.
+  const auto check_cap = [&](const std::vector<Json>& vals) {
+    if (vals.size() > kMaxScenariosPerSuite) {
+      fail(rpath, "expands to more than " + std::to_string(kMaxScenariosPerSuite) +
+                      " values");
+    }
+  };
+  std::vector<Json> out;
+  if (r.step) {
+    if (*r.step <= 0.0) fail(rpath + "/step", "must be positive");
+    for (double x = r.from; x <= r.to + 1e-9; x += *r.step) {
+      out.emplace_back(x);
+      check_cap(out);
+    }
+  } else {
+    if (*r.mul <= 1.0) fail(rpath + "/mul", "must be > 1");
+    if (r.from <= 0.0) fail(rpath + "/from", "must be positive with mul");
+    for (double x = r.from; x <= r.to + 1e-9; x *= *r.mul) {
+      out.emplace_back(x);
+      check_cap(out);
+    }
+  }
+  if (out.empty()) fail(rpath, "expands to no values");
+  return out;
 }
 
 struct SweepParam {
@@ -177,173 +182,159 @@ struct SweepParam {
   std::vector<Json> values;
 };
 
-std::vector<SweepParam> parse_sweep(const Json& v, const std::string& source,
+std::vector<SweepParam> parse_sweep(const std::map<std::string, const Json*>& sweep,
                                     const std::string& path) {
-  if (!v.is_object()) fail(source, path + ": expected an object");
   std::vector<SweepParam> out;
-  for (const auto& [key, val] : v.as_object()) {
-    if (key.empty()) fail(source, path + ": empty sweep parameter name");
+  for (const auto& [key, val] : sweep) {
+    if (key.empty()) fail(path, "empty sweep parameter name");
     for (char c : key) {
       if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') {
-        fail(source, path + "/" + key +
-                         ": sweep parameter names are [A-Za-z0-9_] only");
+        fail(path + "/" + key, "sweep parameter names are [A-Za-z0-9_] only");
       }
     }
-    out.push_back({key, sweep_values(val, source, path + "/" + key)});
+    out.push_back({key, sweep_values(*val, path + "/" + key)});
   }
-  if (out.empty()) fail(source, path + ": sweep must define at least one parameter");
+  if (out.empty()) fail(path, "sweep must define at least one parameter");
   return out;
 }
 
-int schema_version_of(const Json& doc, const std::string& source) {
-  if (!doc.contains("schema") || !doc.at("schema").is_string() ||
-      doc.at("schema").as_string() != kScenarioSchemaName) {
-    fail(source, "schema: expected \"" + std::string(kScenarioSchemaName) + "\"");
+/// One scenario template as written. Every value but the name may hold
+/// placeholders, so it is read raw and parsed per sweep point.
+struct Template {
+  std::string name;
+  std::optional<std::map<std::string, const Json*>> sweep;
+  const Json* config = nullptr;
+  const Json* kernel = nullptr;
+  const Json* options = nullptr;
+  const Json* system = nullptr;
+  const Json* expect_verified = nullptr;
+};
+
+template <MaybeConst<Template> S, class V>
+void fields(S& t, V& v) {
+  v("name", t.name, kRequired);
+  v("sweep", t.sweep);
+  v("config", t.config, kRequired);
+  v("kernel", t.kernel, kRequired);
+  v("options", t.options);
+  v("system", t.system);
+  v("expect_verified", t.expect_verified);
+}
+
+/// A suite document's keys after the schema header. Its templates borrow
+/// from the document.
+struct SuiteFile {
+  std::string suite;
+  std::string description;
+  bool emit_by_default = true;
+  std::vector<Template> scenarios;
+};
+
+template <MaybeConst<SuiteFile> S, class V>
+void fields(S& f, V& v) {
+  v("suite", f.suite, kRequired);
+  v("description", f.description);
+  v("emit_by_default", f.emit_by_default);
+  v("scenarios", f.scenarios);  // absent reads as empty, refused below
+}
+
+/// Expands one template into `out`, one scenario per sweep point.
+void expand_template(const Template& tpl, const std::string& tpath,
+                     std::set<std::string>& seen, LoadedSuite& out) {
+  std::vector<SweepParam> sweep;
+  if (tpl.sweep) sweep = parse_sweep(*tpl.sweep, tpath + "/sweep");
+
+  // Odometer over the cartesian product, last parameter varying fastest.
+  std::vector<std::size_t> idx(sweep.size(), 0);
+  while (true) {
+    Json::Object bindings;
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      bindings[sweep[i].name] = sweep[i].values[idx[i]];
+    }
+
+    FileScenario sc;
+    const Json name_v = substitute(Json(tpl.name), bindings, tpath + "/name");
+    if (!name_v.is_string() || name_v.as_string().empty()) {
+      fail(tpath + "/name", "expands to an empty or non-string name");
+    }
+    sc.rel = name_v.as_string();
+    if (!seen.insert(sc.rel).second) {
+      fail(tpath + "/name", "duplicate expanded scenario name \"" + sc.rel +
+                                "\" (sweep parameters must appear in the name template)");
+    }
+    try {
+      sc.config = ClusterConfig::from_json(
+          substitute(*tpl.config, bindings, tpath + "/config"), tpath + "/config");
+      sc.kernel = KernelSpec::from_json(substitute(*tpl.kernel, bindings, tpath + "/kernel"),
+                                        tpath + "/kernel");
+      // Dry-run construction so parameter errors surface at load time,
+      // not mid-sweep.
+      (void)sc.kernel.instantiate(sc.config, tpath + "/kernel");
+      if (tpl.options) {
+        sc.opts = runner_options_from_json(
+            substitute(*tpl.options, bindings, tpath + "/options"), tpath + "/options");
+      }
+      if (tpl.system) {
+        sc.system = SystemConfig::from_json(
+            substitute(*tpl.system, bindings, tpath + "/system"), tpath + "/system");
+        // The System constructor's cross-field check, surfaced at load
+        // time with the scenario path instead.
+        sc.system->validate(sc.config, tpath + "/system");
+      }
+    } catch (const std::exception& e) {
+      throw std::invalid_argument(std::string(e.what()) + " (scenario \"" + sc.rel + "\")");
+    }
+    if (tpl.expect_verified) {
+      const Json ev =
+          substitute(*tpl.expect_verified, bindings, tpath + "/expect_verified");
+      if (!ev.is_bool()) fail(tpath + "/expect_verified", "expected true or false");
+      sc.expect_verified = ev.as_bool();
+    }
+    out.scenarios.push_back(std::move(sc));
+    if (out.scenarios.size() > kMaxScenariosPerSuite) {
+      fail("scenarios", "the suite expands to more than " +
+                            std::to_string(kMaxScenariosPerSuite) + " scenarios");
+    }
+
+    std::size_t i = sweep.size();
+    bool wrapped = true;
+    while (i > 0) {
+      --i;
+      if (++idx[i] < sweep[i].values.size()) {
+        wrapped = false;
+        break;
+      }
+      idx[i] = 0;
+    }
+    if (wrapped) break;  // product exhausted (also the sweep-less case)
   }
-  if (!doc.contains("schema_version") || !doc.at("schema_version").is_number()) {
-    fail(source, "schema_version: required");
-  }
-  const double v = doc.at("schema_version").as_double();
-  if (v != kScenarioSchemaVersion) {
-    fail(source, "schema_version: unsupported version " + scalar_text(
-                     doc.at("schema_version"), source, "schema_version"));
-  }
-  return kScenarioSchemaVersion;
 }
 
 }  // namespace
 
 LoadedSuite parse_suite(const Json& doc, const std::string& source) {
-  if (!doc.is_object()) fail(source, "expected a JSON object at top level");
-  (void)schema_version_of(doc, source);
-
-  LoadedSuite out;
-  out.suite.emit_by_default = true;
-  for (const auto& [key, val] : doc.as_object()) {
-    if (key == "schema" || key == "schema_version" || key == "scenarios") {
-      continue;
-    } else if (key == "suite") {
-      if (!val.is_string() || val.as_string().empty()) {
-        fail(source, "suite: expected a non-empty string");
-      }
-      out.suite.name = val.as_string();
-      if (out.suite.name.find('/') != std::string::npos) {
-        fail(source, "suite: name must not contain '/'");
-      }
-    } else if (key == "description") {
-      if (!val.is_string()) fail(source, "description: expected a string");
-      out.suite.description = val.as_string();
-    } else if (key == "emit_by_default") {
-      if (!val.is_bool()) fail(source, "emit_by_default: expected true or false");
-      out.suite.emit_by_default = val.as_bool();
-    } else {
-      fail(source, key + ": unknown top-level key");
+  try {
+    SuiteFile file;
+    read_document(doc, "", ReadPolicy::kUserInput, kScenarioSchemaName,
+                  kScenarioSchemaVersion, file);
+    if (file.suite.empty()) fail("suite", "expected a non-empty string");
+    if (file.suite.find('/') != std::string::npos) {
+      fail("suite", "name must not contain '/'");
     }
+    if (file.scenarios.empty()) fail("scenarios", "expected a non-empty array");
+
+    LoadedSuite out;
+    out.suite.name = file.suite;
+    out.suite.description = file.description;
+    out.suite.emit_by_default = file.emit_by_default;
+    std::set<std::string> seen;
+    for (std::size_t t = 0; t < file.scenarios.size(); ++t) {
+      expand_template(file.scenarios[t], "scenarios[" + std::to_string(t) + "]", seen, out);
+    }
+    return out;
+  } catch (const std::invalid_argument& e) {
+    throw ScenarioFileError(source + ": " + e.what());
   }
-  if (out.suite.name.empty()) fail(source, "suite: required");
-  if (!doc.contains("scenarios") || !doc.at("scenarios").is_array() ||
-      doc.at("scenarios").as_array().empty()) {
-    fail(source, "scenarios: expected a non-empty array");
-  }
-
-  std::set<std::string> seen;
-  const Json::Array& templates = doc.at("scenarios").as_array();
-  for (std::size_t t = 0; t < templates.size(); ++t) {
-    const std::string tpath = "scenarios[" + std::to_string(t) + "]";
-    const Json& tpl = templates[t];
-    if (!tpl.is_object()) fail(source, tpath + ": expected an object");
-    for (const auto& [key, val] : tpl.as_object()) {
-      (void)val;
-      if (key != "name" && key != "sweep" && key != "config" && key != "kernel" &&
-          key != "options" && key != "expect_verified" && key != "system") {
-        fail(source, tpath + "/" + key + ": unknown key");
-      }
-    }
-    for (const char* req : {"name", "config", "kernel"}) {
-      if (!tpl.contains(req)) fail(source, tpath + "/" + req + ": required");
-    }
-    if (!tpl.at("name").is_string()) fail(source, tpath + "/name: expected a string");
-
-    std::vector<SweepParam> sweep;
-    if (tpl.contains("sweep")) {
-      sweep = parse_sweep(tpl.at("sweep"), source, tpath + "/sweep");
-    }
-
-    // Odometer over the cartesian product, last parameter varying fastest.
-    std::vector<std::size_t> idx(sweep.size(), 0);
-    while (true) {
-      Json::Object bindings;
-      for (std::size_t i = 0; i < sweep.size(); ++i) {
-        bindings[sweep[i].name] = sweep[i].values[idx[i]];
-      }
-
-      FileScenario sc;
-      const Json name_v =
-          substitute(tpl.at("name"), bindings, source, tpath + "/name");
-      if (!name_v.is_string() || name_v.as_string().empty()) {
-        fail(source, tpath + "/name: expands to an empty or non-string name");
-      }
-      sc.rel = name_v.as_string();
-      if (!seen.insert(sc.rel).second) {
-        fail(source, tpath + "/name: duplicate expanded scenario name \"" + sc.rel +
-                         "\" (sweep parameters must appear in the name template)");
-      }
-      try {
-        sc.config = ClusterConfig::from_json(
-            substitute(tpl.at("config"), bindings, source, tpath + "/config"),
-            tpath + "/config");
-        sc.kernel = KernelSpec::from_json(
-            substitute(tpl.at("kernel"), bindings, source, tpath + "/kernel"),
-            tpath + "/kernel");
-        // Dry-run construction so parameter errors surface at load time,
-        // not mid-sweep.
-        (void)sc.kernel.instantiate(sc.config, tpath + "/kernel");
-        if (tpl.contains("options")) {
-          sc.opts = runner_options_from_json(
-              substitute(tpl.at("options"), bindings, source, tpath + "/options"),
-              tpath + "/options");
-        }
-        if (tpl.contains("system")) {
-          sc.system = SystemConfig::from_json(
-              substitute(tpl.at("system"), bindings, source, tpath + "/system"),
-              tpath + "/system");
-          // The System constructor's cross-field check, surfaced at load
-          // time with the scenario path instead.
-          sc.system->validate(sc.config, tpath + "/system");
-        }
-      } catch (const ScenarioFileError&) {
-        throw;
-      } catch (const std::exception& e) {
-        fail(source, std::string(e.what()) + " (scenario \"" + sc.rel + "\")");
-      }
-      if (tpl.contains("expect_verified")) {
-        const Json ev = substitute(tpl.at("expect_verified"), bindings, source,
-                                   tpath + "/expect_verified");
-        if (!ev.is_bool()) {
-          fail(source, tpath + "/expect_verified: expected true or false");
-        }
-        sc.expect_verified = ev.as_bool();
-      }
-      out.scenarios.push_back(std::move(sc));
-      if (out.scenarios.size() > kMaxScenariosPerSuite) {
-        fail(source, "suite expands to more than " +
-                         std::to_string(kMaxScenariosPerSuite) + " scenarios");
-      }
-
-      std::size_t i = sweep.size();
-      bool wrapped = true;
-      while (i > 0) {
-        --i;
-        if (++idx[i] < sweep[i].values.size()) {
-          wrapped = false;
-          break;
-        }
-        idx[i] = 0;
-      }
-      if (wrapped) break;  // product exhausted (also the sweep-less case)
-    }
-  }
-  return out;
 }
 
 LoadedSuite load_suite_file(const std::string& path) {

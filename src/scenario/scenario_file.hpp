@@ -56,7 +56,7 @@
 namespace tcdm::scenario {
 
 inline constexpr const char* kScenarioSchemaName = "tcdm-scenarios";
-inline constexpr int kScenarioSchemaVersion = 1;
+inline constexpr unsigned kScenarioSchemaVersion = 1;
 
 /// Expansion guard, applied per range sweep and to a suite's total: a
 /// sweep that multiplies out past this is almost certainly a typo'd

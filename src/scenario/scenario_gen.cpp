@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/cluster/cluster_config.hpp"
+#include "src/common/json_fields.hpp"
 #include "src/common/rng.hpp"
 #include "src/scenario/scenario_file.hpp"
 #include "src/system/system_config.hpp"
@@ -183,9 +184,9 @@ Json generate_suite(const GenOptions& opts) {
     scenarios.push_back(std::move(sc));
   }
 
-  Json doc;
-  doc.set("schema", kScenarioSchemaName);
-  doc.set("schema_version", kScenarioSchemaVersion);
+  FieldWriter header;
+  header.schema(kScenarioSchemaName, kScenarioSchemaVersion);
+  Json doc = header.take();
   doc.set("suite", "gen_seed" + std::to_string(opts.seed));
   doc.set("description",
           "Randomized scenario suite (seed " + std::to_string(opts.seed) + ", " +

@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -548,6 +549,83 @@ TEST(FieldLists, PersistedResultsRequireEveryFieldAndReadNullAsNaN) {
   Json nested = write_fields(Outer{});
   nested.set("inner", Json::parse(R"({"a": 1})"));
   EXPECT_THROW(read_fields(nested, "memo:2", ReadPolicy::kPersisted, back), SchemaError);
+}
+
+/// A hand-written document: a required key, a raw value and an optional
+/// one.
+struct Doc {
+  std::string title;
+  const Json* body = nullptr;
+  std::optional<unsigned> limit;
+};
+
+template <MaybeConst<Doc> S, class V>
+void fields(S& d, V& v) {
+  v("title", d.title, kRequired);
+  v("body", d.body);
+  v("limit", d.limit);
+}
+
+std::string doc_error(const std::string& text) {
+  Doc d;
+  try {
+    read_document(Json::parse(text), "doc", ReadPolicy::kUserInput, "tcdm-test", 3, d);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(FieldLists, RawOptionalAndRequiredFieldsRoundTrip) {
+  Doc d;
+  d.title = "t";
+  EXPECT_EQ(write_document("tcdm-test", 3, d).dump_compact(),
+            R"({"schema":"tcdm-test","schema_version":3,"title":"t"})");
+  const Json body = Json::parse(R"({"any": ["{placeholder}", 1]})");
+  d.body = &body;
+  d.limit = 0;
+  const Json j = write_document("tcdm-test", 3, d);
+  EXPECT_EQ(j.dump_compact(),
+            R"({"body":{"any":["{placeholder}",1]},"limit":0,"schema":"tcdm-test",)"
+            R"("schema_version":3,"title":"t"})");
+  Doc back;
+  read_document(j, "doc", ReadPolicy::kUserInput, "tcdm-test", 3, back);
+  EXPECT_EQ(back.body, &j.at("body"));  // borrowed, not copied
+  EXPECT_EQ(write_fields(back).dump(), write_fields(d).dump());
+  // A null value is present, not absent.
+  const Json with_null = Json::parse(
+      R"({"schema": "tcdm-test", "schema_version": 3, "title": "t", "body": null})");
+  Doc null_body;
+  read_document(with_null, "doc", ReadPolicy::kUserInput, "tcdm-test", 3, null_body);
+  ASSERT_NE(null_body.body, nullptr);
+  EXPECT_TRUE(null_body.body->is_null());
+}
+
+TEST(FieldLists, DocumentHeaderAndRequiredKeysNameTheKey) {
+  const std::string head = R"("schema": "tcdm-test", "schema_version": 3)";
+  EXPECT_EQ(doc_error("{" + head + R"(, "title": "t"})"), "no error");
+  EXPECT_EQ(doc_error("{" + head + "}"), "doc/title: required key missing");
+  EXPECT_EQ(doc_error("{" + head + R"(, "title": "t", "limit": -1})"),
+            "doc/limit: expected a non-negative integer up to 4294967295");
+  EXPECT_EQ(doc_error(R"({"schema_version": 3, "title": "t"})"),
+            "doc/schema: required key missing");
+  EXPECT_EQ(doc_error(R"({"schema": 1, "schema_version": 3, "title": "t"})"),
+            "doc/schema: expected a string");
+  EXPECT_EQ(doc_error(R"({"schema": "other", "schema_version": 3, "title": "t"})"),
+            "doc/schema: expected \"tcdm-test\", not \"other\"");
+  EXPECT_EQ(doc_error(R"({"schema": "tcdm-test", "title": "t"})"),
+            "doc/schema_version: required key missing");
+  EXPECT_EQ(doc_error(R"({"schema": "tcdm-test", "schema_version": "3", "title": "t"})"),
+            "doc/schema_version: expected a non-negative integer up to 4294967295");
+  EXPECT_EQ(doc_error(R"({"schema": "tcdm-test", "schema_version": 2, "title": "t"})"),
+            "doc/schema_version: unsupported version 2 (expected 3)");
+  EXPECT_EQ(doc_error("{" + head + R"(, "title": "t", "titel": 1})"),
+            "doc/titel: unknown key (known: schema, schema_version, title, body, limit)");
+  // The error type follows the policy.
+  Doc d;
+  EXPECT_THROW(read_document(Json::parse("{}"), "doc", ReadPolicy::kPersisted, "tcdm-test",
+                             3, d),
+               SchemaError);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Malformed-input mutation test. Every shipped scenario file, a small
 // explore memo store and a recorded metrics baseline are mutated leaf by
 // leaf (each leaf deleted, or replaced by a value of every JSON kind and
-// several out-of-range numbers) and truncated at a spread of offsets. Each
+// several out-of-range numbers) and truncated at a spread of offsets; the
+// memo store's header keys are deleted, retyped and truncated too. Each
 // mutant must either load or be refused with the loader's own error type —
 // ScenarioFileError, ExploreFileError or SchemaError — whose message names
 // the source and, where the key is read by a field list, the mutated key's
@@ -242,6 +243,49 @@ TEST(MemoStoreMutation, EveryMutantLoadsOrIsRefusedByPath) {
   for (const std::size_t cut : truncation_offsets(text.size())) {
     expect_store_loads_or_refuses(file, text.substr(0, cut), file,
                                   "truncated at " + std::to_string(cut));
+  }
+  std::filesystem::remove(file);
+}
+
+/// A store whose header line is `header` must be refused with an
+/// ExploreFileError naming `file:1/<key>`.
+void expect_header_refused(const std::string& file, const Json& header,
+                           const std::string& key, const std::string& what) {
+  write_text(file, header.dump_compact() + "\n");
+  try {
+    const explore::MemoStore store(file);
+    ADD_FAILURE() << what << ": loaded";
+  } catch (const explore::ExploreFileError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(file + ":1/" + key), std::string::npos)
+        << what << ": message does not name " << file << ":1/" << key << "\n" << msg;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": escaped as a non-ExploreFileError: " << e.what();
+  }
+}
+
+TEST(MemoStoreMutation, EveryHeaderMutantIsRefusedByKey) {
+  const std::string file = ::testing::TempDir() + "tcdm_mutant_memo_header.jsonl";
+  std::filesystem::remove(file);
+  { const explore::MemoStore store(file); }
+  const std::string text = read_text(file);
+  const Json header = Json::parse(text.substr(0, text.find('\n')));
+  ASSERT_EQ(header.as_object().size(), 2u) << text;
+
+  for (const auto& [key, value] : header.as_object()) {
+    Json mutant = header;
+    mutant.as_object().erase(key);
+    expect_header_refused(file, mutant, key, "delete " + key);
+    for (const Json& replacement : replacements()) {
+      mutant = header;
+      mutant.set(key, replacement);
+      expect_header_refused(file, mutant, key, key + " = " + replacement.dump_compact());
+    }
+    // A truncated key leaves the full one missing.
+    mutant = header;
+    mutant.as_object().erase(key);
+    mutant.set(key.substr(0, key.size() - 1), value);
+    expect_header_refused(file, mutant, key, "truncate " + key);
   }
   std::filesystem::remove(file);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -176,9 +177,11 @@ TEST(KernelSpecJson, UnknownKindListsTheSupportedKinds) {
 TEST(KernelSpecJson, UnknownParameterNamesThePath) {
   Json j;
   j.set("kind", "dotp");
+  j.set("n", 1024);
   j.set("size", 1024);  // the parameter is called n
   try {
-    (void)KernelSpec::from_json(j, "scenarios[0]/kernel");
+    (void)KernelSpec::from_json(j, "scenarios[0]/kernel")
+        .instantiate(ClusterConfig::mp4spatz4(), "scenarios[0]/kernel");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("scenarios[0]/kernel/size"),
@@ -335,7 +338,8 @@ TEST(ScenarioFile, MalformedDocumentsNameTheOffendingPath) {
        "suite: required"},
       {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
            "scenario": []})",
-       "scenario: unknown top-level key"},
+       "scenario: unknown key (known: schema, schema_version, suite, description, "
+       "emit_by_default, scenarios)"},
       {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
            "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
                           "kernel": {"kind": "dotp", "n": 64},
@@ -389,6 +393,59 @@ TEST(ScenarioFile, MalformedDocumentsNameTheOffendingPath) {
       const std::string msg = e.what();
       EXPECT_NE(msg.find("doc.json"), std::string::npos) << msg;
       EXPECT_NE(msg.find(c.expected), std::string::npos) << msg;
+    }
+  }
+}
+
+/// Each kind refuses every parameter its constructor call does not read,
+/// naming it by path when the suite loads. local_stream is the one kind
+/// that takes no seed.
+TEST(ScenarioFile, EveryKernelKindRefusesAParameterItDoesNotRead) {
+  const std::map<std::string, const char*> minimal = {
+      {"dotp", R"({"n": 64})"},
+      {"axpy", R"({"n": 64})"},
+      {"fft", R"({"instances": 4, "n": 64})"},
+      {"matmul", R"({"n": 16})"},
+      {"gemv", R"({"m": 16, "n": 16})"},
+      {"conv2d", R"({"h": 16, "w": 16})"},
+      {"jacobi2d", R"({"h": 16, "w": 16})"},
+      {"relu", R"({"n": 64})"},
+      {"maxpool2x2", R"({"h": 16, "w": 16})"},
+      {"transpose", R"({"n": 16})"},
+      {"random_probe", R"({})"},
+      {"local_stream", R"({"iters": 32})"},
+      {"memcpy", R"({"n": 64})"},
+      {"strided_copy", R"({"n": 64, "stride_words": 2})"},
+      {"trace_replay", R"({})"},
+  };
+  const auto suite_with = [](const Json& kernel) {
+    Json sc;
+    sc.set("name", "a");
+    sc.set("config", parse_text(R"({"preset": "mp4spatz4"})"));
+    sc.set("kernel", kernel);
+    Json doc = parse_text(R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x"})");
+    doc.set("scenarios", Json::Array{sc});
+    return doc;
+  };
+  for (const std::string& kind : KernelSpec::kinds()) {
+    ASSERT_EQ(minimal.count(kind), 1u) << kind << ": no minimal parameters listed";
+    Json kernel = parse_text(minimal.at(kind));
+    kernel.set("kind", kind);
+    EXPECT_NO_THROW((void)parse_suite(suite_with(kernel), "doc.json")) << kind;
+    std::vector<std::string> extras = {"bogus"};
+    if (kind == "local_stream") extras.emplace_back("seed");
+    for (const std::string& extra : extras) {
+      Json bad = kernel;
+      bad.set(extra, 1);
+      try {
+        (void)parse_suite(suite_with(bad), "doc.json");
+        ADD_FAILURE() << kind << " accepted " << extra;
+      } catch (const ScenarioFileError& e) {
+        EXPECT_NE(std::string(e.what()).find("doc.json: scenarios[0]/kernel/" + extra +
+                                             ": unknown key (known: "),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
 }
