@@ -22,8 +22,9 @@ if(NOT rc EQUAL 2)
 endif()
 set(usage "${out}${err}")
 
-# Canonical spellings only: the short aliases --jobs (for -j) and -o (for
-# --out) are accepted but deliberately undocumented.
+# One spelling per flag: the flag tables in tools/tcdm_run.cpp accept no
+# alias (`--name=V` is the same flag as `--name V`), so each flag
+# token is one table row.
 set(expected_tokens
   # subcommands
   list run emit validate gen explore
@@ -35,7 +36,7 @@ set(expected_tokens
   --seed --count
   # explore
   --objective --area-cap --budget --cache --no-prune
-  --report --stats-out
+  --report
   # --stepping mode values
   event cycle check
   # system-layer scenario surface: the scale-out block and its barrier kinds

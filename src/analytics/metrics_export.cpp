@@ -55,7 +55,15 @@ MetricsDoc MetricsDoc::read_file(const std::string& path) {
   if (!in) throw std::runtime_error("cannot read " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  return from_json(Json::parse(buf.str()));
+  // Rethrown as the same type, so callers' catches still tell a bad key
+  // from bad JSON, but naming the file.
+  try {
+    return from_json(Json::parse(buf.str()));
+  } catch (const SchemaError& e) {
+    throw SchemaError(path + ": " + e.what());
+  } catch (const JsonError& e) {
+    throw JsonError(path + ": " + e.what());
+  }
 }
 
 // ------------------------------------------- full-result serialization ----

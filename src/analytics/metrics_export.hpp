@@ -110,7 +110,7 @@ struct MetricsDoc {
 
   void write_file(const std::string& path) const;
   /// Throws std::runtime_error when unreadable, SchemaError/JsonError when
-  /// malformed.
+  /// malformed; every message names `path`.
   static MetricsDoc read_file(const std::string& path);
 };
 

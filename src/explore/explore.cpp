@@ -7,7 +7,6 @@
 #include "src/analytics/area_model.hpp"
 #include "src/analytics/metrics_export.hpp"
 #include "src/analytics/report.hpp"
-#include "src/common/stats.hpp"
 #include "src/scenario/runner.hpp"
 
 namespace tcdm::explore {
@@ -158,19 +157,6 @@ ExploreOutcome run_explore(const scenario::LoadedSuite& suite,
   }
 
   outcome.frontier = frontier.points();
-
-  StatsRegistry stats;
-  stats.counter("explore.budget_exhausted").inc(outcome.budget_exhausted ? 1.0 : 0.0);
-  stats.counter("explore.cache_hits").inc(static_cast<double>(outcome.cache_hits));
-  stats.counter("explore.candidates").inc(static_cast<double>(outcome.candidates));
-  stats.counter("explore.failures").inc(static_cast<double>(outcome.failures));
-  stats.counter("explore.frontier_size").inc(static_cast<double>(outcome.frontier.size()));
-  stats.counter("explore.pruned_area_cap")
-      .inc(static_cast<double>(outcome.pruned_area_cap));
-  stats.counter("explore.pruned_dominated")
-      .inc(static_cast<double>(outcome.pruned_dominated));
-  stats.counter("explore.simulations").inc(static_cast<double>(outcome.simulations));
-  outcome.stats_json = stats.to_json();
   return outcome;
 }
 

@@ -68,9 +68,6 @@ struct ExploreOutcome {
   std::size_t simulations = 0;
   std::size_t failures = 0;  // simulated points that errored
   bool budget_exhausted = false;
-  /// Flat StatsRegistry dump of the counters above ("explore.cache_hits":
-  /// ... etc.) — the machine-readable side channel the CI smoke leg greps.
-  std::string stats_json;
 };
 
 /// Run the search. Throws ExploreFileError on a corrupt or

@@ -100,7 +100,7 @@ void Snitch::fill_scalar(std::uint16_t id, Word data, Cycle now) {
   --pending_count_;
 }
 
-bool Snitch::exec_vector(const Instr& i, Cycle now, SpatzFrontend& spatz) {
+bool Snitch::exec_vector(const Instr& i, Cycle now, Spatz& spatz) {
   if (i.op == Opcode::kVsetvli) {
     if (!x_ready(i.rs1, now)) {
       stall_reg_.inc();
@@ -142,7 +142,7 @@ bool Snitch::exec_vector(const Instr& i, Cycle now, SpatzFrontend& spatz) {
   return true;
 }
 
-Cycle Snitch::earliest_wakeup(Cycle now, const SpatzFrontend& spatz,
+Cycle Snitch::earliest_wakeup(Cycle now, const Spatz& spatz,
                               const Barrier& barrier, SkipPlan& plan) const {
   if (halted_) return kNoCycle;
   if (now < stall_until_) return stall_until_;  // exact: cycle() is a no-op until then
@@ -173,7 +173,7 @@ Cycle Snitch::earliest_wakeup(Cycle now, const SpatzFrontend& spatz,
   }
 }
 
-void Snitch::cycle(Cycle now, TileServices& tile, SpatzFrontend& spatz,
+void Snitch::cycle(Cycle now, TileServices& tile, Spatz& spatz,
                    Barrier& barrier) {
   if (halted_ || now < stall_until_) return;
   assert(prog_ != nullptr && pc_ < prog_->size());

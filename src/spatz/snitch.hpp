@@ -15,7 +15,7 @@
 #include "src/cluster/barrier.hpp"
 #include "src/cluster/tile_services.hpp"
 #include "src/isa/program.hpp"
-#include "src/spatz/frontend.hpp"
+#include "src/spatz/spatz.hpp"
 
 namespace tcdm {
 
@@ -47,7 +47,7 @@ class Snitch {
     return static_cast<std::uint64_t>(instrs_.value());
   }
 
-  void cycle(Cycle now, TileServices& tile, SpatzFrontend& spatz, Barrier& barrier);
+  void cycle(Cycle now, TileServices& tile, Spatz& spatz, Barrier& barrier);
 
   /// Event-driven stepping (docs/ARCHITECTURE.md, EV1/EV2): earliest cycle at
   /// which cycle() could change state, absent external events. Barrier- and
@@ -55,7 +55,7 @@ class Snitch {
   /// Conservative by design: any actively-executing instruction reports
   /// `now` (a too-early wakeup only forfeits a skip; a too-late one would be
   /// a contract violation).
-  [[nodiscard]] Cycle earliest_wakeup(Cycle now, const SpatzFrontend& spatz,
+  [[nodiscard]] Cycle earliest_wakeup(Cycle now, const Spatz& spatz,
                                       const Barrier& barrier, SkipPlan& plan) const;
 
   // ---- memory response delivery ----
@@ -95,7 +95,7 @@ class Snitch {
                                      bool amo, Word wdata, std::uint16_t pending_id);
   [[nodiscard]] int alloc_pending();
 
-  bool exec_vector(const Instr& i, Cycle now, SpatzFrontend& spatz);
+  bool exec_vector(const Instr& i, Cycle now, Spatz& spatz);
 
   SnitchConfig cfg_;
   CoreId hartid_;

@@ -11,7 +11,6 @@
 #include "src/common/bounded_queue.hpp"
 #include "src/common/stats.hpp"
 #include "src/common/types.hpp"
-#include "src/spatz/frontend.hpp"
 #include "src/spatz/vfpu.hpp"
 #include "src/spatz/vinstr.hpp"
 #include "src/spatz/vlsu.hpp"
@@ -28,18 +27,19 @@ struct SpatzConfig {
   BurstSenderConfig sender;
 };
 
-class Spatz final : public SpatzFrontend, public VCompletionSink {
+class Spatz final : public VCompletionSink {
  public:
   explicit Spatz(const SpatzConfig& cfg);
 
   void attach_stats(StatsRegistry& reg, const std::string& prefix);
   void reset();
 
-  // ---- SpatzFrontend (Snitch side) ----
-  [[nodiscard]] bool viq_can_accept() const override { return !viq_.full(); }
-  void viq_push(const DispatchedV& d) override;
-  [[nodiscard]] unsigned vlmax(Lmul lmul) const override { return vrf_.vlmax(lmul); }
-  [[nodiscard]] bool fully_idle() const override;
+  // ---- Snitch side: dispatch, VLMAX for vsetvli, the barrier idle check ----
+  [[nodiscard]] bool viq_can_accept() const { return !viq_.full(); }
+  void viq_push(const DispatchedV& d);
+  [[nodiscard]] unsigned vlmax(Lmul lmul) const { return vrf_.vlmax(lmul); }
+  /// No queued, in-flight or outstanding vector work (memory fully drained).
+  [[nodiscard]] bool fully_idle() const;
 
   // ---- pipeline stages (called by the Core Complex each cycle) ----
   /// Retire memory responses first so watermarks are fresh for the FPU.

@@ -555,17 +555,5 @@ TEST(Explore, ReportIsIndependentOfJobsAndWaveScheduling) {
             report_json(suite, parallel, run_explore(suite, parallel)).dump());
 }
 
-TEST(Explore, StatsJsonCarriesTheCounters) {
-  const LoadedSuite suite = gen_suite(2, 6);
-  const ExploreOutcome out = run_explore(suite, ExploreOptions{});
-  const Json stats = Json::parse(out.stats_json);
-  EXPECT_EQ(stats.at("explore.candidates").as_double(),
-            static_cast<double>(out.candidates));
-  EXPECT_EQ(stats.at("explore.simulations").as_double(),
-            static_cast<double>(out.simulations));
-  EXPECT_EQ(stats.at("explore.frontier_size").as_double(),
-            static_cast<double>(out.frontier.size()));
-}
-
 }  // namespace
 }  // namespace tcdm::explore

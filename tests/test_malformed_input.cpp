@@ -293,7 +293,9 @@ TEST(MemoStoreMutation, EveryHeaderMutantIsRefusedByKey) {
 // ------------------------------------------------------ metrics baseline ----
 
 /// A mutated baseline loads or is refused with a SchemaError naming
-/// `must_name`; only a truncated one may instead fail to parse.
+/// `must_name`; only a truncated one may instead fail to parse. Every
+/// refusal names the file, so a caller reading two documents (a baseline
+/// and a fresh emission) can tell which one is malformed.
 void expect_doc_loads_or_refuses(const std::string& file, const std::string& text,
                                  const std::string& must_name, const std::string& what) {
   write_text(file, text);
@@ -303,8 +305,11 @@ void expect_doc_loads_or_refuses(const std::string& file, const std::string& tex
     const std::string msg = e.what();
     EXPECT_NE(msg.find(must_name), std::string::npos)
         << what << ": message does not name " << must_name << "\n" << msg;
+    EXPECT_NE(msg.find(file), std::string::npos) << what << ": file not named\n" << msg;
   } catch (const JsonError& e) {
-    EXPECT_TRUE(must_name.empty()) << what << ": unnamed JsonError: " << e.what();
+    const std::string msg = e.what();
+    EXPECT_TRUE(must_name.empty()) << what << ": unnamed JsonError: " << msg;
+    EXPECT_NE(msg.find(file), std::string::npos) << what << ": file not named\n" << msg;
   } catch (const std::exception& e) {
     ADD_FAILURE() << what << ": escaped as a non-SchemaError: " << e.what();
   }

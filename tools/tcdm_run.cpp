@@ -3,7 +3,8 @@
 // artifact (or exploring a brand-new one from a JSON suite file) never
 // requires a new binary.
 //
-//   tcdm_run list [--file F]... [glob...]      list suites and scenarios
+//   tcdm_run list [--file F]... [--no-builtin] [glob...]
+//                                              list suites and scenarios
 //   tcdm_run run [-j N] [--stepping M] [--file F]...
 //                [--no-builtin] [glob...]      run a selection; print tables
 //   tcdm_run emit [-j N] [--stepping M] [--file F]...
@@ -11,40 +12,53 @@
 //                                              sweep suites, write <dir>/<suite>.json
 //   tcdm_run validate [file...|-]              load + expand + validate suite
 //                                              files (default: stdin)
-//   tcdm_run gen --seed N --count K [--out F]  emit a randomized, invariant-
+//   tcdm_run gen [--seed N] [--count K] [--out F]
+//                                              emit a randomized, invariant-
 //                                              checked suite file (stdout)
 //   tcdm_run explore [-j N] [--stepping M] [--objective NAME]
 //                    [--area-cap MGE] [--budget N] [--cache F]
-//                    [--no-prune] [--report F] [--stats-out F] <suite.json>
+//                    [--no-prune] [--report F] <suite.json>
 //                                              memoized design-space search
 //                                              over a suite file; prints the
 //                                              Pareto frontier (rerun with
 //                                              the same --cache to resume)
 //
-// `--file` registers a tcdm-scenarios JSON suite (repeatable) next to the
-// builtins; `--no-builtin` starts from an empty registry instead, which
-// lets a file re-express a builtin suite under its own name. With `--file`
-// and no globs/suites, the file's suites are selected. Globs match full
-// scenario names (`*` crosses `/`); an argument starting with `-` that is
-// no known flag is a usage error, never a glob. Parallel runs (-j) produce
-// byte-identical emissions and stdout tables to serial ones, and each
-// scenario, a multi-cluster system included, runs on one thread.
+// One grammar for every subcommand, read from its flag table by
+// parse_flags: a value flag is `--name V` or `--name=V`, jobs is `-j N`,
+// `--file` may repeat, and any other token starting with `-` is a usage
+// error, never a glob (a lone `-` is positional: validate's stdin).
+// Integers are digits only and must fit their destination; --area-cap is
+// finite and above 0.
+//
+// `--file` registers a tcdm-scenarios JSON suite next to the builtins;
+// `--no-builtin` starts from an empty registry instead, which lets a file
+// re-express a builtin suite under its own name. With `--file` and no
+// globs/suites, the file's suites are selected. Globs match full scenario
+// names (`*` crosses `/`). Parallel runs (-j) produce byte-identical
+// emissions and stdout tables to serial ones, and each scenario, a
+// multi-cluster system included, runs on one thread.
 // `--stepping event|cycle|check` selects how each cluster advances time
 // (event-driven skipping, the cycle-by-cycle reference loop, or the
 // self-verifying cross-check mode — all bit-identical; see
 // docs/ARCHITECTURE.md).
 // Exit codes: 0 ok, 1 scenario/validation failure or empty selection,
-// 2 usage/IO errors (including unknown subcommands and corrupt explore
-// cache files).
+// 2 usage/IO errors (including unknown subcommands and flags, malformed
+// flag values and corrupt explore cache files).
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "src/analytics/report.hpp"
@@ -62,7 +76,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s list [--file F]... [glob...]\n"
+      "usage: %s list [--file F]... [--no-builtin] [glob...]\n"
       "       %s run [-j N] [--stepping M]\n"
       "            [--file F]... [--no-builtin] [glob...]\n"
       "       %s emit [-j N] [--stepping M]\n"
@@ -71,8 +85,9 @@ int usage(const char* argv0) {
       "       %s gen [--seed N] [--count K] [--out <file>]\n"
       "       %s explore [-j N] [--stepping M]\n"
       "            [--objective NAME] [--area-cap MGE] [--budget N] [--cache F]\n"
-      "            [--no-prune] [--report F] [--stats-out F] <suite.json>\n"
+      "            [--no-prune] [--report F] <suite.json>\n"
       "\n"
+      "  A value flag is --name V or --name=V; an unknown flag exits 2.\n"
       "  --stepping M   time advance per cluster: event (skip quiet spans,\n"
       "                 default), cycle (reference loop), check (skip decisions\n"
       "                 verified cycle-by-cycle). All modes are bit-identical.\n"
@@ -89,99 +104,173 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Flags shared by list/run/emit: sweep parallelism, the stepping mode,
-/// plus the data-driven registry sources.
-struct CommonOptions {
-  SweepOptions sweep;  // -j, --stepping
-  std::vector<std::string> files;
+/// Every value a flag can set, one member per destination; each
+/// subcommand reads the members its table names.
+struct Args {
+  unsigned jobs = SweepOptions{}.jobs;
+  std::optional<SteppingMode> stepping;
+  std::vector<std::string> files;  // --file, repeatable
   bool no_builtin = false;
+  bool all = false;
+  std::string out;  // emit's directory, gen's file
+  std::uint64_t seed = GenOptions{}.seed;
+  unsigned count = GenOptions{}.count;
+  explore::ObjectiveKind objective = explore::Objective{}.kind;
+  double area_cap = explore::Objective{}.area_cap_mge;
+  std::uint64_t budget = explore::ExploreOptions{}.budget;
+  std::string cache;
+  std::string report;
+  bool no_prune = false;
+  std::vector<std::string> positional;
+
+  [[nodiscard]] SweepOptions sweep() const {
+    SweepOptions s;
+    s.jobs = jobs;
+    s.stepping = stepping;
+    return s;
+  }
 };
 
-/// --stepping values; `check` maps to the self-verifying kCrossCheck mode.
-bool parse_stepping(const std::string& value, std::optional<SteppingMode>& out) {
-  if (value == "event") {
-    out = SteppingMode::kEventDriven;
-  } else if (value == "cycle") {
-    out = SteppingMode::kCycleByCycle;
-  } else if (value == "check") {
-    out = SteppingMode::kCrossCheck;
-  } else {
-    return false;
-  }
-  return true;
-}
+/// One row of a subcommand's flag table. The value kind is the
+/// destination's type: bool is a switch, std::string a string or path (a
+/// vector of them a repeatable one), unsigned and std::uint64_t an integer
+/// of that range, double a positive finite number, and the two enums a
+/// stepping mode and an objective.
+struct Flag {
+  std::string_view name;
+  std::variant<bool Args::*, std::string Args::*, std::vector<std::string> Args::*,
+               unsigned Args::*, std::uint64_t Args::*, double Args::*,
+               std::optional<SteppingMode> Args::*, explore::ObjectiveKind Args::*>
+      dest;
+};
 
-/// Strict non-negative decimal integer: digits only, so neither a sign
-/// ("-1" would wrap), leading blanks nor trailing junk ("2x") get through.
-/// 0 means unlimited for --budget.
-bool parse_size(const std::string& value, std::size_t& out) {
-  if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  try {
-    out = static_cast<std::size_t>(std::stoull(value));
-    return true;
-  } catch (const std::out_of_range&) {
-    return false;
-  }
-}
+constexpr Flag kListFlags[] = {
+    {"--file", &Args::files},
+    {"--no-builtin", &Args::no_builtin},
+};
+constexpr Flag kRunFlags[] = {
+    {"-j", &Args::jobs},
+    {"--stepping", &Args::stepping},
+    {"--file", &Args::files},
+    {"--no-builtin", &Args::no_builtin},
+};
+constexpr Flag kEmitFlags[] = {
+    {"-j", &Args::jobs},
+    {"--stepping", &Args::stepping},
+    {"--file", &Args::files},
+    {"--no-builtin", &Args::no_builtin},
+    {"--out", &Args::out},
+    {"--all", &Args::all},
+};
+constexpr Flag kGenFlags[] = {
+    {"--seed", &Args::seed},
+    {"--count", &Args::count},
+    {"--out", &Args::out},
+};
+constexpr Flag kExploreFlags[] = {
+    {"-j", &Args::jobs},
+    {"--stepping", &Args::stepping},
+    {"--file", &Args::files},
+    {"--objective", &Args::objective},
+    {"--area-cap", &Args::area_cap},
+    {"--budget", &Args::budget},
+    {"--cache", &Args::cache},
+    {"--no-prune", &Args::no_prune},
+    {"--report", &Args::report},
+};
 
-/// parse_size narrowed to `unsigned` (-j).
-bool parse_unsigned(const std::string& value, unsigned& out) {
-  std::size_t wide = 0;
-  if (!parse_size(value, wide) || wide > std::numeric_limits<unsigned>::max()) return false;
-  out = static_cast<unsigned>(wide);
-  return true;
-}
-
-/// Parses the common flags out of `args`; returns false on a malformed or
-/// valueless flag (caller prints usage).
-bool parse_common(std::vector<std::string>& args, CommonOptions& opts) {
-  std::vector<std::string> rest;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "-j" || args[i] == "--jobs") {
-      if (i + 1 >= args.size() || !parse_unsigned(args[i + 1], opts.sweep.jobs)) return false;
-      ++i;
-    } else if (args[i].rfind("-j", 0) == 0 && args[i].size() > 2) {
-      if (!parse_unsigned(args[i].substr(2), opts.sweep.jobs)) return false;
-    } else if (args[i] == "--stepping") {
-      if (i + 1 >= args.size() || !parse_stepping(args[i + 1], opts.sweep.stepping)) {
-        return false;
-      }
-      ++i;
-    } else if (args[i].rfind("--stepping=", 0) == 0) {
-      if (!parse_stepping(args[i].substr(11), opts.sweep.stepping)) return false;
-    } else if (args[i] == "--file") {
-      if (i + 1 >= args.size()) return false;
-      opts.files.push_back(args[++i]);
-    } else if (args[i].rfind("--file=", 0) == 0) {
-      opts.files.push_back(args[i].substr(7));
-    } else if (args[i] == "--no-builtin") {
-      opts.no_builtin = true;
+/// Stores `value` into `out`, or returns why it is not a value of the
+/// destination's kind. The CLI's one number reader: an integer is digits
+/// only (no sign, blank or trailing junk) and must fit its destination; a
+/// double must be finite and above 0.
+template <class T>
+std::string read_value(const std::string& value, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out = true;  // a switch: given is on
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out = value;
+  } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+    out.push_back(value);
+  } else if constexpr (std::is_same_v<T, std::optional<SteppingMode>>) {
+    if (value == "event") {
+      out = SteppingMode::kEventDriven;
+    } else if (value == "cycle") {
+      out = SteppingMode::kCycleByCycle;
+    } else if (value == "check") {
+      out = SteppingMode::kCrossCheck;  // the self-verifying mode
     } else {
-      rest.push_back(args[i]);
+      return "unknown stepping mode \"" + value + "\" (known: event, cycle, check)";
     }
+  } else if constexpr (std::is_same_v<T, explore::ObjectiveKind>) {
+    try {
+      out = explore::objective_by_name(value);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+  } else {
+    T parsed{};
+    const char* end = value.data() + value.size();
+    const auto [stop, ec] = std::from_chars(value.data(), end, parsed);
+    if constexpr (std::is_floating_point_v<T>) {
+      if (ec != std::errc() || stop != end || !std::isfinite(parsed) || parsed <= 0) {
+        return "\"" + value + "\" is not a finite number above 0";
+      }
+    } else if (ec != std::errc() || stop != end) {
+      return "\"" + value + "\" is not an integer from 0 to " +
+             std::to_string(std::numeric_limits<T>::max());
+    }
+    out = parsed;
   }
-  args = std::move(rest);
-  return true;
+  return "";
 }
 
-/// A selection argument starting with '-' is an unknown (or removed) flag:
-/// a usage error, not a glob that silently matches nothing.
-bool is_flag(const std::string& arg) { return arg.rfind('-', 0) == 0; }
+/// The one flag-reading loop. A value flag is `--name V` or `--name=V`
+/// (`-j N` for jobs) with a non-empty value, a switch takes none, and any
+/// other token starting with `-` is an error; the rest, a lone `-` (stdin)
+/// included, is positional. Returns the problem, or "" when all is read.
+std::string parse_flags(std::span<const Flag> table, const std::vector<std::string>& tokens,
+                        Args& args) {
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::string& token = tokens[i];
+    if (token.size() < 2 || token[0] != '-') {
+      args.positional.push_back(token);
+      continue;
+    }
+    const std::size_t eq = token.rfind("--", 0) == 0 ? token.find('=') : std::string::npos;
+    const std::string name = token.substr(0, eq);
+    const auto flag = std::find_if(table.begin(), table.end(),
+                                   [&](const Flag& f) { return f.name == name; });
+    if (flag == table.end()) return "unknown flag " + name;
+    std::string value;
+    if (std::holds_alternative<bool Args::*>(flag->dest)) {
+      if (eq != std::string::npos) return name + " takes no value";
+    } else {
+      if (eq != std::string::npos) {
+        value = token.substr(eq + 1);
+      } else if (i + 1 < tokens.size()) {
+        value = tokens[++i];
+      }
+      if (value.empty()) return name + " needs a value";
+    }
+    const std::string why =
+        std::visit([&](auto dest) { return read_value(value, args.*dest); }, flag->dest);
+    if (!why.empty()) return name + ": " + why;
+  }
+  return "";
+}
 
 /// Populate the process registry from the builtins (unless --no-builtin)
 /// and every --file suite. Returns false after printing the error (a bad
 /// scenario file is an IO/usage problem, exit 2). Registered file-suite
 /// names land in `file_suites`.
-bool setup_registry(const CommonOptions& opts, std::vector<std::string>& file_suites) {
-  if (!opts.no_builtin) {
+bool setup_registry(const Args& args, std::vector<std::string>& file_suites) {
+  if (!args.no_builtin) {
     register_builtin();
-  } else if (opts.files.empty()) {
+  } else if (args.files.empty()) {
     std::fprintf(stderr, "--no-builtin requires at least one --file\n");
     return false;
   }
-  for (const std::string& path : opts.files) {
+  for (const std::string& path : args.files) {
     try {
       file_suites.push_back(register_suite_file(ScenarioRegistry::instance(), path));
     } catch (const std::exception& e) {
@@ -231,57 +320,60 @@ std::vector<const ScenarioSpec*> suites_selection(
   return out;
 }
 
-int cmd_list(const char* argv0, std::vector<std::string> args) {
-  CommonOptions opts;
-  if (!parse_common(args, opts) || std::any_of(args.begin(), args.end(), is_flag)) {
-    return usage(argv0);
+/// Writes `text` to `path`; false after printing the error.
+bool write_file(const char* cmd, const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    std::fprintf(stderr, "%s: cannot open %s for writing\n", cmd, path.c_str());
+    return false;
   }
+  out << text;
+  out.flush();  // surface a full-disk/IO failure before the exit code
+  if (!out.good()) {
+    std::fprintf(stderr, "%s: write to %s failed\n", cmd, path.c_str());
+    return false;
+  }
+  return true;
+}
+
+int cmd_list(const char*, const Args& args) {
   std::vector<std::string> file_suites;
-  if (!setup_registry(opts, file_suites)) return 2;
+  if (!setup_registry(args, file_suites)) return 2;
 
   const ScenarioRegistry& reg = ScenarioRegistry::instance();
+  const std::vector<const ScenarioSpec*> shown =
+      reg.select_all(args.positional.empty() ? std::vector<std::string>{"*"} : args.positional);
   for (const SuiteSpec& suite : reg.suites()) {
-    const auto scenarios = reg.suite_scenarios(suite.name);
-    std::vector<const ScenarioSpec*> shown;
-    for (const ScenarioSpec* s : scenarios) {
-      if (args.empty()) {
-        shown.push_back(s);
-        continue;
+    bool header = false;
+    for (const ScenarioSpec* s : shown) {
+      if (s->suite() != suite.name) continue;
+      if (!header) {
+        std::printf("%s — %s%s\n", suite.name.c_str(), suite.description.c_str(),
+                    suite.emit_by_default ? "" : "  [not in emit --all]");
+        header = true;
       }
-      for (const std::string& g : args) {
-        if (glob_match(g, s->name)) {
-          shown.push_back(s);
-          break;
-        }
-      }
+      std::printf("  %s\n", s->name.c_str());
     }
-    if (shown.empty()) continue;
-    std::printf("%s — %s%s\n", suite.name.c_str(), suite.description.c_str(),
-                suite.emit_by_default ? "" : "  [not in emit --all]");
-    for (const ScenarioSpec* s : shown) std::printf("  %s\n", s->name.c_str());
   }
   return 0;
 }
 
-int cmd_run(const char* argv0, std::vector<std::string> args) {
-  CommonOptions copts;
-  if (!parse_common(args, copts) || std::any_of(args.begin(), args.end(), is_flag)) {
-    return usage(argv0);
-  }
+int cmd_run(const char* argv0, const Args& args) {
   std::vector<std::string> file_suites;
-  if (!setup_registry(copts, file_suites)) return 2;
-  if (args.empty() && file_suites.empty()) return usage(argv0);
+  if (!setup_registry(args, file_suites)) return 2;
+  if (args.positional.empty() && file_suites.empty()) return usage(argv0);
 
   const ScenarioRegistry& reg = ScenarioRegistry::instance();
   // With --file and no globs, the file's suites are the selection.
   const std::vector<const ScenarioSpec*> selection =
-      args.empty() ? suites_selection(reg, file_suites) : reg.select_all(args);
+      args.positional.empty() ? suites_selection(reg, file_suites)
+                              : reg.select_all(args.positional);
   if (selection.empty()) {
     std::fprintf(stderr, "no scenarios match\n");
     return 1;
   }
 
-  SweepOptions opts = copts.sweep;
+  SweepOptions opts = args.sweep();
   unsigned done = 0;
   opts.on_done = [&](const ScenarioResult& r) {
     ++done;
@@ -319,37 +411,19 @@ int cmd_run(const char* argv0, std::vector<std::string> args) {
   return failed ? 1 : 0;
 }
 
-int cmd_emit(const char* argv0, std::vector<std::string> args) {
-  CommonOptions copts;
-  bool all = false;
-  std::string out_dir;
-  if (!parse_common(args, copts)) return usage(argv0);
-  std::vector<std::string> wanted;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--all") {
-      all = true;
-    } else if (args[i] == "--out" || args[i] == "-o") {
-      if (i + 1 >= args.size()) return usage(argv0);
-      out_dir = args[++i];
-    } else if (args[i].rfind("--out=", 0) == 0) {
-      out_dir = args[i].substr(6);
-    } else if (is_flag(args[i])) {
-      return usage(argv0);
-    } else {
-      wanted.push_back(args[i]);
-    }
-  }
-  if (out_dir.empty() || (all && !wanted.empty())) return usage(argv0);
+int cmd_emit(const char* argv0, const Args& args) {
+  const std::vector<std::string>& wanted = args.positional;
+  if (args.out.empty() || (args.all && !wanted.empty())) return usage(argv0);
   std::vector<std::string> file_suites;
-  if (!setup_registry(copts, file_suites)) return 2;
-  if (!all && wanted.empty() && file_suites.empty()) return usage(argv0);
+  if (!setup_registry(args, file_suites)) return 2;
+  if (!args.all && wanted.empty() && file_suites.empty()) return usage(argv0);
 
   const ScenarioRegistry& reg = ScenarioRegistry::instance();
   // Resolve suite names/globs against the registry, keeping registration
   // order and deduplicating. With --file and no explicit selection, the
   // file's suites are emitted.
   std::vector<std::string> suites;
-  if (all) {
+  if (args.all) {
     suites = default_emit_suites(reg);
   } else if (wanted.empty()) {
     suites = file_suites;
@@ -362,8 +436,8 @@ int cmd_emit(const char* argv0, std::vector<std::string> args) {
   }
 
   EmitOptions opts;
-  opts.out_dir = out_dir;
-  opts.sweep = copts.sweep;
+  opts.out_dir = args.out;
+  opts.sweep = args.sweep();
   opts.log = &std::cerr;
   try {
     (void)emit_suites(reg, suites, opts);
@@ -374,10 +448,11 @@ int cmd_emit(const char* argv0, std::vector<std::string> args) {
   return 0;
 }
 
-int cmd_validate(std::vector<std::string> args) {
-  if (args.empty()) args.emplace_back("-");  // gen | validate pipelines
+int cmd_validate(const char*, const Args& args) {
+  std::vector<std::string> paths = args.positional;
+  if (paths.empty()) paths.emplace_back("-");  // gen | validate pipelines
   int rc = 0;  // worst outcome wins: 2 (unreadable, IO) > 1 (invalid content)
-  for (const std::string& path : args) {
+  for (const std::string& path : paths) {
     const std::string source = path == "-" ? "<stdin>" : path;
     try {
       const LoadedSuite suite = load_suite_file(path);
@@ -394,54 +469,9 @@ int cmd_validate(std::vector<std::string> args) {
   return rc;
 }
 
-int cmd_gen(const char* argv0, std::vector<std::string> args) {
-  GenOptions opts;
-  std::string out_path;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    std::string value;
-    if (args[i] == "--seed" || args[i] == "--count" || args[i] == "--out") {
-      if (i + 1 >= args.size()) return usage(argv0);
-      value = args[i + 1];
-    } else if (args[i].rfind("--seed=", 0) == 0) {
-      value = args[i].substr(7);
-    } else if (args[i].rfind("--count=", 0) == 0) {
-      value = args[i].substr(8);
-    } else if (args[i].rfind("--out=", 0) == 0) {
-      value = args[i].substr(6);
-    } else {
-      return usage(argv0);
-    }
-    const bool is_seed = args[i].rfind("--seed", 0) == 0;
-    const bool is_count = args[i].rfind("--count", 0) == 0;
-    if (args[i].find('=') == std::string::npos) ++i;
-    if (is_seed || is_count) {
-      // Strict: the whole value must be a non-negative integer. stoull
-      // alone would wrap "-1" and stop at trailing junk ("20x") — fatal
-      // for a tool whose point is seed-exact reproducibility.
-      try {
-        std::size_t pos = 0;
-        if (value.empty() || value[0] == '-' || value[0] == '+') throw std::invalid_argument(value);
-        const unsigned long long parsed = std::stoull(value, &pos);
-        if (pos != value.size()) throw std::invalid_argument(value);
-        if (is_seed) {
-          opts.seed = parsed;
-        } else if (parsed > 4294967295ULL) {
-          throw std::out_of_range(value);
-        } else {
-          opts.count = static_cast<unsigned>(parsed);
-        }
-      } catch (const std::exception&) {
-        return usage(argv0);
-      }
-    } else {
-      // `--out=` with an empty value (e.g. an unset shell variable) must
-      // not silently fall back to stdout, matching emit's --out handling.
-      if (value.empty()) return usage(argv0);
-      out_path = value;
-    }
-  }
-  if (opts.count == 0) return usage(argv0);
-  if (opts.count > kMaxScenariosPerSuite) {
+int cmd_gen(const char* argv0, const Args& args) {
+  if (!args.positional.empty() || args.count == 0) return usage(argv0);
+  if (args.count > kMaxScenariosPerSuite) {
     std::fprintf(stderr, "gen: --count is capped at %zu scenarios per suite\n",
                  kMaxScenariosPerSuite);
     return 2;
@@ -449,115 +479,37 @@ int cmd_gen(const char* argv0, std::vector<std::string> args) {
 
   std::string text;
   try {
-    text = generate_suite(opts).dump();
+    text = generate_suite(GenOptions{args.seed, args.count}).dump();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gen: internal error: %s\n", e.what());
     return 2;
   }
-  if (out_path.empty()) {
+  if (args.out.empty()) {
     std::fputs(text.c_str(), stdout);
     return 0;
   }
-  std::ofstream out(out_path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "gen: cannot open %s for writing\n", out_path.c_str());
-    return 2;
-  }
-  out << text;
-  out.flush();  // surface a full-disk/IO failure before the exit code
-  if (!out.good()) {
-    std::fprintf(stderr, "gen: write to %s failed\n", out_path.c_str());
-    return 2;
-  }
-  return 0;
+  return write_file("gen", args.out, text) ? 0 : 2;
 }
 
-int cmd_explore(const char* argv0, std::vector<std::string> args) {
-  CommonOptions copts;
-  if (!parse_common(args, copts)) return usage(argv0);
-
-  explore::ExploreOptions eopts;
-  eopts.sweep = copts.sweep;
-  eopts.log = &std::cerr;
-  std::string report_path;
-  std::string stats_path;
-  std::vector<std::string> rest;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    std::string value;
-    enum class Want { kObjective, kAreaCap, kBudget, kCache, kReport, kStats } want;
-    if (args[i] == "--no-prune") {
-      eopts.prune = false;
-      continue;
-    } else if (args[i] == "--objective") {
-      want = Want::kObjective;
-    } else if (args[i] == "--area-cap") {
-      want = Want::kAreaCap;
-    } else if (args[i] == "--budget") {
-      want = Want::kBudget;
-    } else if (args[i] == "--cache") {
-      want = Want::kCache;
-    } else if (args[i] == "--report") {
-      want = Want::kReport;
-    } else if (args[i] == "--stats-out") {
-      want = Want::kStats;
-    } else if (args[i].rfind("--", 0) == 0 &&
-               args[i].find('=') != std::string::npos) {
-      const std::string flag = args[i].substr(0, args[i].find('='));
-      value = args[i].substr(args[i].find('=') + 1);
-      if (flag == "--objective") want = Want::kObjective;
-      else if (flag == "--area-cap") want = Want::kAreaCap;
-      else if (flag == "--budget") want = Want::kBudget;
-      else if (flag == "--cache") want = Want::kCache;
-      else if (flag == "--report") want = Want::kReport;
-      else if (flag == "--stats-out") want = Want::kStats;
-      else return usage(argv0);
-    } else {
-      rest.push_back(args[i]);
-      continue;
-    }
-    if (value.empty()) {
-      if (args[i].find('=') == std::string::npos) {
-        if (i + 1 >= args.size()) return usage(argv0);
-        value = args[++i];
-      }
-      if (value.empty()) return usage(argv0);  // --flag= with nothing after
-    }
-    switch (want) {
-      case Want::kObjective:
-        try {
-          eopts.objective.kind = explore::objective_by_name(value);
-        } catch (const std::invalid_argument& e) {
-          std::fprintf(stderr, "explore: %s\n", e.what());
-          return 2;
-        }
-        break;
-      case Want::kAreaCap:
-        try {
-          std::size_t pos = 0;
-          eopts.objective.area_cap_mge = std::stod(value, &pos);
-          if (pos != value.size() || eopts.objective.area_cap_mge <= 0.0) {
-            return usage(argv0);
-          }
-        } catch (const std::exception&) {
-          return usage(argv0);
-        }
-        break;
-      case Want::kBudget:
-        if (!parse_size(value, eopts.budget)) return usage(argv0);
-        break;
-      case Want::kCache: eopts.cache_path = value; break;
-      case Want::kReport: report_path = value; break;
-      case Want::kStats: stats_path = value; break;
-    }
-  }
+int cmd_explore(const char* argv0, const Args& args) {
   // The search space is one suite file: either a positional path or --file
   // (but not both, and exactly one — explore does not span suites).
-  for (const std::string& f : copts.files) rest.push_back(f);
-  if (rest.size() != 1 || copts.no_builtin) return usage(argv0);
+  std::vector<std::string> paths = args.positional;
+  paths.insert(paths.end(), args.files.begin(), args.files.end());
+  if (paths.size() != 1) return usage(argv0);
+
+  explore::ExploreOptions eopts;
+  eopts.objective.kind = args.objective;
+  eopts.objective.area_cap_mge = args.area_cap;
+  eopts.budget = static_cast<std::size_t>(args.budget);
+  eopts.cache_path = args.cache;
+  eopts.prune = !args.no_prune;
+  eopts.sweep = args.sweep();
+  eopts.log = &std::cerr;
 
   LoadedSuite suite;
   try {
-    suite = load_suite_file(rest[0]);
+    suite = load_suite_file(paths[0]);
   } catch (const ScenarioFileIoError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
@@ -585,41 +537,43 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
       outcome.cache_hits, outcome.simulations, outcome.failures,
       outcome.frontier.size(), outcome.budget_exhausted ? 1 : 0);
 
-  const auto write_file = [](const std::string& path, const std::string& text) {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "explore: cannot open %s for writing\n", path.c_str());
-      return false;
-    }
-    out << text;
-    out.flush();
-    if (!out.good()) {
-      std::fprintf(stderr, "explore: write to %s failed\n", path.c_str());
-      return false;
-    }
-    return true;
-  };
-  if (!report_path.empty() &&
-      !write_file(report_path, explore::report_json(suite, eopts, outcome).dump())) {
+  if (!args.report.empty() &&
+      !write_file("explore", args.report, explore::report_json(suite, eopts, outcome).dump())) {
     return 2;
   }
-  if (!stats_path.empty() && !write_file(stats_path, outcome.stats_json)) return 2;
-
   return outcome.failures > 0 ? 1 : 0;
 }
 
+/// A subcommand: its flag table and what runs on the flags read from it.
+struct Subcommand {
+  std::string_view name;
+  std::span<const Flag> flags;
+  int (*run)(const char* argv0, const Args& args);
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"list", kListFlags, cmd_list},
+    {"run", kRunFlags, cmd_run},
+    {"emit", kEmitFlags, cmd_emit},
+    {"validate", {}, cmd_validate},
+    {"gen", kGenFlags, cmd_gen},
+    {"explore", kExploreFlags, cmd_explore},
+};
+
 int main_impl(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
-  const std::string cmd = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
-
-  if (cmd == "list") return cmd_list(argv[0], std::move(args));
-  if (cmd == "run") return cmd_run(argv[0], std::move(args));
-  if (cmd == "emit") return cmd_emit(argv[0], std::move(args));
-  if (cmd == "validate") return cmd_validate(std::move(args));
-  if (cmd == "gen") return cmd_gen(argv[0], std::move(args));
-  if (cmd == "explore") return cmd_explore(argv[0], std::move(args));
-  std::fprintf(stderr, "unknown subcommand '%s'\n", cmd.c_str());
+  const std::string_view cmd = argv[1];
+  for (const Subcommand& sub : kSubcommands) {
+    if (sub.name != cmd) continue;
+    Args args;
+    const std::string problem = parse_flags(sub.flags, {argv + 2, argv + argc}, args);
+    if (!problem.empty()) {
+      std::fprintf(stderr, "%s: %s\n", argv[1], problem.c_str());
+      return usage(argv[0]);
+    }
+    return sub.run(argv[0], args);
+  }
+  std::fprintf(stderr, "unknown subcommand '%s'\n", argv[1]);
   return usage(argv[0]);
 }
 
