@@ -28,7 +28,6 @@ struct AreaBreakdown {
     return snitch + spatz_fpu + spatz_vrf + spatz_misc + vlsu + interconnect + burst +
            banks_logic;
   }
-  [[nodiscard]] double mge(double ge) const { return ge / 1e6; }
 };
 
 [[nodiscard]] AreaBreakdown estimate_area(const ClusterConfig& cfg);

@@ -230,8 +230,16 @@ class Parser {
 
   Json parse_value() {
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+        }
+        ++depth_;
+        Json v = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -352,6 +360,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays and objects open around pos_
 };
 
 }  // namespace

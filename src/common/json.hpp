@@ -6,6 +6,7 @@
 // round trip instead of producing an unparsable file.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -19,6 +20,11 @@ class JsonError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// The deepest nesting of arrays and objects Json::parse accepts: far
+/// above any document the repo writes, far below where the recursive
+/// parser would exhaust the stack.
+inline constexpr std::size_t kMaxJsonDepth = 256;
 
 class Json {
  public:
@@ -69,7 +75,8 @@ class Json {
   /// exactly like parse(dump()).
   [[nodiscard]] std::string dump_compact() const;
 
-  /// Parse a complete JSON document; trailing garbage is an error.
+  /// Parse a complete JSON document; trailing garbage and nesting deeper
+  /// than kMaxJsonDepth are errors.
   static Json parse(std::string_view text);
 
  private:

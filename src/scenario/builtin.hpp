@@ -1,13 +1,15 @@
-// Builtin scenario registrations: every table, figure, ablation and study
-// the repo reproduces, expressed as registry entries. Split over three
-// translation units (tables / ablations / extensions) that mirror the old
-// one-binary-per-artifact layout they replaced.
+// Builtin suites: every table, figure, ablation and study the repo
+// reproduces, each built as a LoadedSuite — the value a suite file parses
+// into — and registered through register_loaded_suite. Split over four
+// translation units (tables / ablations / extensions / system); each
+// defines its points as (config, kernel spec, options) values plus the
+// suites' printers and emit hooks, and includes no kernel header.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "src/scenario/registry.hpp"
+#include "src/scenario/scenario_file.hpp"
 
 namespace tcdm::scenario {
 
@@ -17,21 +19,23 @@ void register_builtin();
 
 namespace builtin {
 
-/// The paper's three testbed presets, smallest first. Shared by every
-/// suite that sweeps the testbeds so a renamed or added preset propagates
-/// everywhere at once.
-[[nodiscard]] const std::vector<std::string>& testbed_presets();
+/// The builtin suites of each translation unit, in registration order.
+/// Built once per process; building them instantiates no kernel.
+/// table1, table2, fig3_roofline, fig5_breakdown:
+[[nodiscard]] const std::vector<LoadedSuite>& table_suites();
+/// ablation_{burst,gf,rob,store,stride}:
+[[nodiscard]] const std::vector<LoadedSuite>& ablation_suites();
+/// ext_kernels, pareto_area_bw, trace_patterns and the explorer and scaling
+/// studies:
+[[nodiscard]] const std::vector<LoadedSuite>& extension_suites();
+/// multi_cluster_scaling:
+[[nodiscard]] const std::vector<LoadedSuite>& system_suites();
 
-/// Random-probe iteration count for a configuration: scaled down on the
-/// 1024-FPU preset to bound sweep wall-clock. Shared by every suite that
-/// measures hierarchical-average bandwidth so the Table I, Fig. 3, Pareto
-/// and explorer probes (and their recorded baselines) stay in lockstep.
-[[nodiscard]] unsigned probe_iters(const ClusterConfig& cfg);
-
-void register_tables(ScenarioRegistry& reg);      // table1, table2, fig3, fig5
-void register_ablations(ScenarioRegistry& reg);   // ablation_{burst,gf,rob,store,stride}
-void register_extensions(ScenarioRegistry& reg);  // ext_kernels, pareto, traces, studies
-void register_system(ScenarioRegistry& reg);      // multi_cluster_scaling
+/// register_loaded_suite over the matching list above.
+void register_tables(ScenarioRegistry& reg);
+void register_ablations(ScenarioRegistry& reg);
+void register_extensions(ScenarioRegistry& reg);
+void register_system(ScenarioRegistry& reg);
 
 }  // namespace builtin
 }  // namespace tcdm::scenario

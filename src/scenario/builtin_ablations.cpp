@@ -3,16 +3,12 @@
 // All sweeps and sizes match the recorded baselines/ documents.
 #include <cstdio>
 #include <iostream>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/analytics/bandwidth_model.hpp"
 #include "src/analytics/report.hpp"
-#include "src/kernels/dotp.hpp"
-#include "src/kernels/probes.hpp"
-#include "src/kernels/transpose.hpp"
 #include "src/scenario/builtin.hpp"
+#include "src/scenario/builtin_points.hpp"
 
 namespace tcdm::scenario {
 namespace builtin {
@@ -43,39 +39,24 @@ void print_ablation_burst(const ResultSet& rs) {
               delta(static_cast<double>(mb.cycles) / mg.cycles - 1.0).c_str());
 }
 
-void register_ablation_burst(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "ablation_burst";
-  suite.description =
-      "Ablation: max burst length cap (MP4Spatz4-GF4 random probe) and "
-      "burst-eligible vs ineligible access patterns (memcpy baseline vs GF4)";
-  suite.print = print_ablation_burst;
-  reg.add_suite(std::move(suite));
-
+LoadedSuite ablation_burst() {
+  LoadedSuite s = make_suite(
+      "ablation_burst",
+      "Ablation: max burst length cap (MP4Spatz4-GF4 random probe) "
+      "and burst-eligible vs ineligible access patterns (memcpy "
+      "baseline vs GF4)",
+      print_ablation_burst);
   for (unsigned cap : {2u, 3u, 4u}) {
-    ScenarioSpec s;
-    s.name = "ablation_burst/maxlen" + std::to_string(cap);
-    s.config = [cap] {
-      ClusterConfig cfg = ClusterConfig::mp4spatz4().with_burst(4);
-      cfg.max_burst_len = cap;
-      return cfg;
-    };
-    s.kernel = [] { return std::make_unique<RandomProbeKernel>(256); };
-    s.opts.verify = false;
-    s.opts.max_cycles = 10'000'000;
-    reg.add(std::move(s));
+    ClusterConfig cfg = preset_config("mp4spatz4", 4);
+    cfg.max_burst_len = cap;
+    s.scenarios.push_back(point("maxlen" + std::to_string(cap), cfg,
+                                {"random_probe", {{"iters", 256}}}, 10'000'000, false));
   }
   for (unsigned gf : {0u, 4u}) {
-    ScenarioSpec s;
-    s.name = std::string("ablation_burst/memcpy/") + (gf ? "gf4" : "baseline");
-    s.config = [gf] {
-      ClusterConfig cfg = ClusterConfig::mp4spatz4();
-      return gf ? cfg.with_burst(gf) : cfg;
-    };
-    s.kernel = [] { return std::make_unique<MemcpyKernel>(4096); };
-    s.opts.max_cycles = 10'000'000;
-    reg.add(std::move(s));
+    s.scenarios.push_back(point("memcpy/" + variant_name(gf), preset_config("mp4spatz4", gf),
+                                {"memcpy", {{"n", 4096}}}, 10'000'000));
   }
+  return s;
 }
 
 // --------------------------------------------------------- ablation_gf ----
@@ -100,34 +81,23 @@ void print_ablation_gf(const ResultSet& rs) {
               "response channels cannot carry more than one burst's words per beat.\n");
 }
 
-void register_ablation_gf(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "ablation_gf";
-  suite.description =
-      "Ablation: grouping-factor sweep beyond the paper's GF2/GF4 on "
-      "MP64Spatz4 — analytical saturation at GF == K and its simulated track";
-  suite.print = print_ablation_gf;
-  reg.add_suite(std::move(suite));
-
-  for (const bool dotp : {false, true}) {
-    for (unsigned gf : {0u, 2u, 4u, 8u}) {
-      ScenarioSpec s;
-      s.name = std::string("ablation_gf/") + (dotp ? "dotp" : "probe") + "/gf" +
-               std::to_string(gf);
-      s.config = [gf] {
-        ClusterConfig cfg = ClusterConfig::mp64spatz4();
-        return gf > 0 ? cfg.with_burst(gf) : cfg;
-      };
-      s.opts.max_cycles = 10'000'000;
-      if (dotp) {
-        s.kernel = [] { return std::make_unique<DotpKernel>(65536); };
-      } else {
-        s.kernel = [] { return std::make_unique<RandomProbeKernel>(128); };
-        s.opts.verify = false;
-      }
-      reg.add(std::move(s));
-    }
+LoadedSuite ablation_gf() {
+  LoadedSuite s = make_suite(
+      "ablation_gf",
+      "Ablation: grouping-factor sweep beyond the paper's GF2/GF4 "
+      "on MP64Spatz4 — analytical saturation at GF == K and its "
+      "simulated track",
+      print_ablation_gf);
+  for (unsigned gf : {0u, 2u, 4u, 8u}) {
+    s.scenarios.push_back(point("probe/gf" + std::to_string(gf),
+                                preset_config("mp64spatz4", gf),
+                                {"random_probe", {{"iters", 128}}}, 10'000'000, false));
   }
+  for (unsigned gf : {0u, 2u, 4u, 8u}) {
+    s.scenarios.push_back(point("dotp/gf" + std::to_string(gf), preset_config("mp64spatz4", gf),
+                                {"dotp", {{"n", 65536}}}, 10'000'000));
+  }
+  return s;
 }
 
 // -------------------------------------------------------- ablation_rob ----
@@ -145,31 +115,22 @@ void print_ablation_rob(const ResultSet& rs) {
               "response bandwidth busy — the reason the paper doubles the ROB.\n");
 }
 
-void register_ablation_rob(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "ablation_rob";
-  suite.description =
-      "Ablation: per-port ROB depth sweep (latency tolerance) for baseline "
-      "and GF4 on MP64Spatz4";
-  suite.print = print_ablation_rob;
-  reg.add_suite(std::move(suite));
-
+LoadedSuite ablation_rob() {
+  LoadedSuite s = make_suite(
+      "ablation_rob",
+      "Ablation: per-port ROB depth sweep (latency tolerance) for "
+      "baseline and GF4 on MP64Spatz4",
+      print_ablation_rob);
   for (unsigned rob : {4u, 8u, 16u, 32u}) {
     for (unsigned gf : {0u, 4u}) {
-      ScenarioSpec s;
-      s.name = "ablation_rob/rob" + std::to_string(rob) + "/gf" + std::to_string(gf);
-      s.config = [rob, gf] {
-        ClusterConfig cfg = ClusterConfig::mp64spatz4();
-        if (gf > 0) cfg = cfg.with_burst(gf);
-        cfg.rob_depth = rob;  // override (with_burst already doubled the default)
-        return cfg;
-      };
-      s.kernel = [] { return std::make_unique<RandomProbeKernel>(128); };
-      s.opts.verify = false;
-      s.opts.max_cycles = 10'000'000;
-      reg.add(std::move(s));
+      ClusterConfig cfg = preset_config("mp64spatz4", gf);
+      cfg.rob_depth = rob;  // override (with_burst already doubled the default)
+      s.scenarios.push_back(point("rob" + std::to_string(rob) + "/gf" + std::to_string(gf),
+                                  cfg, {"random_probe", {{"iters", 128}}}, 10'000'000,
+                                  false));
     }
   }
+  return s;
 }
 
 // ------------------------------------------------------ ablation_store ----
@@ -206,34 +167,26 @@ void print_ablation_store(const ResultSet& rs) {
       "Transpose's strided stores never coalesce in any configuration.\n");
 }
 
-void register_ablation_store(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "ablation_store";
-  suite.description =
-      "Ablation: store-burst extension on MP64Spatz4-GF4 — narrow vs "
-      "widened request channel, unit-stride (memcpy) vs strided (transpose) "
-      "stores";
-  suite.print = print_ablation_store;
-  reg.add_suite(std::move(suite));
-
-  for (const bool transpose : {false, true}) {
+LoadedSuite ablation_store() {
+  LoadedSuite s = make_suite(
+      "ablation_store",
+      "Ablation: store-burst extension on MP64Spatz4-GF4 — narrow "
+      "vs widened request channel, unit-stride (memcpy) vs "
+      "strided (transpose) stores",
+      print_ablation_store);
+  const std::pair<const char*, KernelSpec> kernels[] = {
+      {"memcpy", {"memcpy", {{"n", kStoreCopyElems}}}},
+      {"transpose", {"transpose", {{"n", kStoreTransposeN}}}},
+  };
+  for (const auto& [name, spec] : kernels) {
     for (unsigned req_gf : {0u, 1u, 2u, 4u}) {
-      ScenarioSpec s;
-      s.name = std::string("ablation_store/") + (transpose ? "transpose" : "memcpy") +
-               "/st" + std::to_string(req_gf);
-      s.config = [req_gf] {
-        ClusterConfig cfg = ClusterConfig::mp64spatz4().with_burst(4);
-        return req_gf > 0 ? cfg.with_store_bursts(req_gf) : cfg;
-      };
-      if (transpose) {
-        s.kernel = [] { return std::make_unique<TransposeKernel>(kStoreTransposeN); };
-      } else {
-        s.kernel = [] { return std::make_unique<MemcpyKernel>(kStoreCopyElems); };
-      }
-      s.opts.max_cycles = 20'000'000;
-      reg.add(std::move(s));
+      ClusterConfig cfg = preset_config("mp64spatz4", 4);
+      if (req_gf > 0) cfg = cfg.with_store_bursts(req_gf);
+      s.scenarios.push_back(
+          point(std::string(name) + "/st" + std::to_string(req_gf), cfg, spec, 20'000'000));
     }
   }
+  return s;
 }
 
 // ----------------------------------------------------- ablation_stride ----
@@ -269,41 +222,41 @@ void print_ablation_stride(const ResultSet& rs) {
       "tile and the extension correctly degrades to narrow behaviour.\n");
 }
 
-void register_ablation_stride(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "ablation_stride";
-  suite.description =
-      "Ablation: strided-burst extension (future work beyond paper §II-C) — "
-      "strided-copy stride sweep on MP64Spatz4, baseline / GF4 / GF4+strided";
-  suite.print = print_ablation_stride;
-  reg.add_suite(std::move(suite));
-
+LoadedSuite ablation_stride() {
+  LoadedSuite s = make_suite(
+      "ablation_stride",
+      "Ablation: strided-burst extension (future work beyond paper "
+      "§II-C) — strided-copy stride sweep on MP64Spatz4, baseline / "
+      "GF4 / GF4+strided",
+      print_ablation_stride);
+  const ClusterConfig gf4 = preset_config("mp64spatz4", 4);
+  const std::pair<const char*, ClusterConfig> variants[] = {
+      {"/base", preset_config("mp64spatz4", 0)},
+      {"/gf4", gf4},
+      {"/gf4sb", gf4.with_strided_bursts()},
+  };
   for (unsigned stride : {1u, 2u, 3u, 4u, 8u}) {
-    for (int mode : {0, 1, 2}) {
-      ScenarioSpec s;
-      const char* tag = mode == 0 ? "base" : (mode == 1 ? "gf4" : "gf4sb");
-      s.name = "ablation_stride/s" + std::to_string(stride) + "/" + tag;
-      s.config = [mode] {
-        ClusterConfig cfg = ClusterConfig::mp64spatz4();
-        if (mode >= 1) cfg = cfg.with_burst(4);
-        if (mode == 2) cfg = cfg.with_strided_bursts();
-        return cfg;
-      };
-      s.kernel = [stride] { return std::make_unique<StridedCopyKernel>(kStrideElems, stride); };
-      s.opts.max_cycles = 20'000'000;
-      reg.add(std::move(s));
+    // Split concatenation sidesteps a GCC-12 -Wrestrict false positive on
+    // chained operator+ over std::to_string temporaries.
+    std::string prefix = "s";
+    prefix += std::to_string(stride);
+    for (const auto& [tag, cfg] : variants) {
+      s.scenarios.push_back(
+          point(prefix + tag, cfg,
+                {"strided_copy", {{"n", kStrideElems}, {"stride_words", stride}}},
+                20'000'000));
     }
   }
+  return s;
 }
 
 }  // namespace
 
-void register_ablations(ScenarioRegistry& reg) {
-  register_ablation_burst(reg);
-  register_ablation_gf(reg);
-  register_ablation_rob(reg);
-  register_ablation_store(reg);
-  register_ablation_stride(reg);
+const std::vector<LoadedSuite>& ablation_suites() {
+  static const std::vector<LoadedSuite> suites = {ablation_burst(), ablation_gf(),
+                                                  ablation_rob(), ablation_store(),
+                                                  ablation_stride()};
+  return suites;
 }
 
 }  // namespace builtin

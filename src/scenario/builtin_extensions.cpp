@@ -6,23 +6,14 @@
 // exploration tools, not gated claims.
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/analytics/area_model.hpp"
 #include "src/analytics/bandwidth_model.hpp"
 #include "src/analytics/report.hpp"
-#include "src/kernels/conv2d.hpp"
-#include "src/kernels/dotp.hpp"
-#include "src/kernels/gemv.hpp"
-#include "src/kernels/maxpool.hpp"
-#include "src/kernels/probes.hpp"
-#include "src/kernels/relu.hpp"
-#include "src/kernels/stencil.hpp"
-#include "src/kernels/trace_replay.hpp"
-#include "src/kernels/transpose.hpp"
 #include "src/scenario/builtin.hpp"
+#include "src/scenario/builtin_points.hpp"
 
 namespace tcdm::scenario {
 namespace builtin {
@@ -30,35 +21,27 @@ namespace {
 
 // -------------------------------------------------------- ext_kernels -----
 
-std::unique_ptr<Kernel> make_ext_kernel(const std::string& name, bool big) {
-  if (name == "gemv") {
-    // A must fit TCDM: 256x512 fp32 = 512 KiB of MP64's 1 MiB; 32x128 =
-    // 16 KiB of MP4's 64 KiB.
-    return big ? std::make_unique<GemvKernel>(256, 512)
-               : std::make_unique<GemvKernel>(32, 128);
-  }
-  if (name == "conv2d") {
-    return big ? std::make_unique<Conv2dKernel>(130, 130)
-               : std::make_unique<Conv2dKernel>(34, 66);
-  }
-  if (name == "jacobi2d") {
-    return big ? std::make_unique<Jacobi2dKernel>(130, 130)
-               : std::make_unique<Jacobi2dKernel>(34, 66);
-  }
-  if (name == "relu") {
-    return big ? std::make_unique<ReluKernel>(65536) : std::make_unique<ReluKernel>(4096);
-  }
-  if (name == "maxpool2x2") {
-    return big ? std::make_unique<MaxPoolKernel>(64, 128)
-               : std::make_unique<MaxPoolKernel>(16, 48);
-  }
-  return big ? std::make_unique<TransposeKernel>(128)
-             : std::make_unique<TransposeKernel>(48);
-}
+/// An extension kernel at its MP4Spatz4 and MP64Spatz4 sizes.
+struct ExtKernel {
+  std::string name;
+  KernelSpec small, big;
+};
 
-const std::vector<std::string>& ext_kernels() {
-  static const std::vector<std::string> k = {"gemv",     "conv2d",     "jacobi2d",
-                                             "relu",     "maxpool2x2", "transpose"};
+const std::vector<ExtKernel>& ext_kernels() {
+  // GEMV's A must fit TCDM: 256x512 fp32 = 512 KiB of MP64's 1 MiB; 32x128
+  // = 16 KiB of MP4's 64 KiB.
+  static const std::vector<ExtKernel> k = {
+      {"gemv", {"gemv", {{"m", 32}, {"n", 128}}}, {"gemv", {{"m", 256}, {"n", 512}}}},
+      {"conv2d", {"conv2d", {{"h", 34}, {"w", 66}}}, {"conv2d", {{"h", 130}, {"w", 130}}}},
+      {"jacobi2d",
+       {"jacobi2d", {{"h", 34}, {"w", 66}}},
+       {"jacobi2d", {{"h", 130}, {"w", 130}}}},
+      {"relu", {"relu", {{"n", 4096}}}, {"relu", {{"n", 65536}}}},
+      {"maxpool2x2",
+       {"maxpool2x2", {{"h", 16}, {"w", 48}}},
+       {"maxpool2x2", {{"h", 64}, {"w", 128}}}},
+      {"transpose", {"transpose", {{"n", 48}}}, {"transpose", {{"n", 128}}}},
+  };
   return k;
 }
 
@@ -69,7 +52,8 @@ void print_ext_kernels(const ResultSet& rs) {
     TableWriter tw({"kernel", "size", "AI [FLOP/B]", "base [cyc]", "GF4 [cyc]",
                     "speedup", "base BW [B/cyc/core]", "GF4 BW [B/cyc/core]",
                     "GF4 FPU util"});
-    for (const std::string& kernel : ext_kernels()) {
+    for (const ExtKernel& k : ext_kernels()) {
+      const std::string& kernel = k.name;
       const std::string tag = kernel + (big ? "/mp64" : "/mp4");
       const KernelMetrics& b = rs.metrics(tag + "/base");
       const KernelMetrics& g = rs.metrics(tag + "/gf4");
@@ -89,49 +73,37 @@ void print_ext_kernels(const ResultSet& rs) {
       "strided stores serialize unchanged).\n");
 }
 
-void register_ext_kernels(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "ext_kernels";
-  suite.description =
-      "Extension kernels (GEMV, Conv2D, Jacobi2D, ReLU, MaxPool, Transpose) "
-      "on MP4Spatz4 and MP64Spatz4, baseline vs GF4 — the memory-bound "
-      "roofline region the paper does not evaluate";
-  suite.print = print_ext_kernels;
-  reg.add_suite(std::move(suite));
-
-  for (const std::string& kernel : ext_kernels()) {
+LoadedSuite ext_kernels_suite() {
+  LoadedSuite s = make_suite(
+      "ext_kernels",
+      "Extension kernels (GEMV, Conv2D, Jacobi2D, ReLU, MaxPool, "
+      "Transpose) on MP4Spatz4 and MP64Spatz4, baseline vs GF4 — "
+      "the memory-bound roofline region the paper does not evaluate",
+      print_ext_kernels);
+  for (const ExtKernel& k : ext_kernels()) {
     for (const bool big : {false, true}) {
-      for (const bool burst : {false, true}) {
-        ScenarioSpec s;
-        s.name = "ext_kernels/" + kernel + (big ? "/mp64" : "/mp4") +
-                 (burst ? "/gf4" : "/base");
-        s.config = [big, burst] {
-          ClusterConfig cfg =
-              big ? ClusterConfig::mp64spatz4() : ClusterConfig::mp4spatz4();
-          return burst ? cfg.with_burst(4) : cfg;
-        };
-        s.kernel = [kernel, big] { return make_ext_kernel(kernel, big); };
-        s.opts.max_cycles = 20'000'000;
-        reg.add(std::move(s));
+      for (unsigned gf : {0u, 4u}) {
+        s.scenarios.push_back(point(k.name + (big ? "/mp64" : "/mp4") + (gf ? "/gf4" : "/base"),
+                                    preset_config(big ? "mp64spatz4" : "mp4spatz4", gf),
+                                    big ? k.big : k.small, 20'000'000));
       }
     }
   }
+  return s;
 }
 
 // ----------------------------------------------------- pareto_area_bw -----
-
-const std::vector<std::string>& pareto_presets() { return testbed_presets(); }
 
 void print_pareto(const ResultSet& rs) {
   std::printf("\n=== Ablation: area vs bandwidth Pareto across grouping factors ===\n");
   TableWriter tw({"config", "GF", "probe BW [B/cyc/core]", "logic area [MGE]",
                   "area overhead", "BW gain per +MGE"});
-  for (const std::string& preset : pareto_presets()) {
+  for (const std::string preset : kTestbeds) {
     const ClusterConfig base_cfg = ClusterConfig::by_name(preset);
     const AreaBreakdown base_area = estimate_area(base_cfg);
     const double base_bw = rs.metrics(preset + "/gf0").bw_per_core;
     for (unsigned gf : {0u, 2u, 4u, 8u}) {
-      const ClusterConfig cfg = gf == 0 ? base_cfg : base_cfg.with_burst(gf);
+      const ClusterConfig cfg = preset_config(preset, gf);
       const AreaBreakdown area = estimate_area(cfg);
       const KernelMetrics& m = rs.metrics(preset + "/gf" + std::to_string(gf));
       const double extra_mge = (area.total() - base_area.total()) / 1e6;
@@ -156,58 +128,38 @@ void print_pareto(const ResultSet& rs) {
       "fidelity limit of the substitution (DESIGN.md section 1).\n");
 }
 
-void register_pareto(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "pareto_area_bw";
-  suite.description =
-      "Ablation: area-bandwidth Pareto front across grouping factors — "
-      "random-probe bandwidth vs modeled logic area per cluster scale";
-  suite.emit_model = [](metrics::MetricsDoc& doc) {
-    for (const std::string& preset : pareto_presets()) {
-      const ClusterConfig base_cfg = ClusterConfig::by_name(preset);
-      for (unsigned gf : {0u, 2u, 4u, 8u}) {
-        const ClusterConfig cfg = gf == 0 ? base_cfg : base_cfg.with_burst(gf);
-        doc.add(preset + "/gf" + std::to_string(gf) + "/model/area_mge",
-                estimate_area(cfg).total() / 1e6, metrics::kModelRelTol);
-      }
-    }
-  };
-  suite.print = print_pareto;
-  reg.add_suite(std::move(suite));
-
-  for (const std::string& preset : pareto_presets()) {
+/// Each variant's modeled logic area, then each probe's kernel metrics.
+void emit_pareto(const ResultSet& rs, metrics::MetricsDoc& doc) {
+  for (const std::string preset : kTestbeds) {
     for (unsigned gf : {0u, 2u, 4u, 8u}) {
-      ScenarioSpec s;
-      s.name = "pareto_area_bw/" + preset + "/gf" + std::to_string(gf);
-      s.config = [preset, gf] {
-        ClusterConfig cfg = ClusterConfig::by_name(preset);
-        return gf > 0 ? cfg.with_burst(gf) : cfg;
-      };
-      s.kernel = [preset, gf] {
-        ClusterConfig cfg = ClusterConfig::by_name(preset);
-        if (gf > 0) cfg = cfg.with_burst(gf);
-        return std::make_unique<RandomProbeKernel>(probe_iters(cfg));
-      };
-      s.opts.verify = false;
-      s.opts.max_cycles = 10'000'000;
-      reg.add(std::move(s));
+      doc.add(preset + "/gf" + std::to_string(gf) + "/model/area_mge",
+              estimate_area(preset_config(preset, gf)).total() / 1e6, metrics::kModelRelTol);
     }
   }
+  for (const ScenarioResult& r : rs.all()) doc.add_kernel_metrics(r.rel, r.metrics);
+}
+
+LoadedSuite pareto() {
+  LoadedSuite s = make_suite(
+      "pareto_area_bw",
+      "Ablation: area-bandwidth Pareto front across grouping "
+      "factors — random-probe bandwidth vs modeled logic area per "
+      "cluster scale",
+      print_pareto, emit_pareto);
+  for (const std::string preset : kTestbeds) {
+    for (unsigned gf : {0u, 2u, 4u, 8u}) {
+      // No "iters": the probe runs the kind's auto-scaled count.
+      s.scenarios.push_back(point(preset + "/gf" + std::to_string(gf),
+                                  preset_config(preset, gf), {"random_probe", {}}, 10'000'000,
+                                  false));
+    }
+  }
+  return s;
 }
 
 // ----------------------------------------------------- trace_patterns -----
 
-struct PatternCase {
-  const char* name;
-  TracePattern pattern;
-};
-
-constexpr PatternCase kTracePatterns[] = {
-    {"local", TracePattern::kLocal},
-    {"neighbor", TracePattern::kNeighbor},
-    {"uniform", TracePattern::kUniform},
-    {"hotspot", TracePattern::kHotspot},
-};
+constexpr const char* kTracePatterns[] = {"local", "neighbor", "uniform", "hotspot"};
 
 void print_trace_patterns(const ResultSet& rs) {
   std::printf(
@@ -215,10 +167,10 @@ void print_trace_patterns(const ResultSet& rs) {
       "accesses/hart) ===\n");
   TableWriter tw({"pattern", "base BW [B/cyc/core]", "GF4 BW [B/cyc/core]",
                   "burst gain", "base cycles", "GF4 cycles"});
-  for (const PatternCase& pc : kTracePatterns) {
-    const KernelMetrics& b = rs.metrics(std::string(pc.name) + "/base");
-    const KernelMetrics& g = rs.metrics(std::string(pc.name) + "/gf4");
-    tw.add_row({pc.name, fmt(b.bw_per_core), fmt(g.bw_per_core),
+  for (const std::string pattern : kTracePatterns) {
+    const KernelMetrics& b = rs.metrics(pattern + "/base");
+    const KernelMetrics& g = rs.metrics(pattern + "/gf4");
+    tw.add_row({pattern, fmt(b.bw_per_core), fmt(g.bw_per_core),
                 delta(g.bw_per_core / b.bw_per_core - 1.0), std::to_string(b.cycles),
                 std::to_string(g.cycles)});
   }
@@ -233,37 +185,21 @@ void print_trace_patterns(const ResultSet& rs) {
       "bottleneck.\n");
 }
 
-void register_trace_patterns(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "trace_patterns";
-  suite.description =
-      "Synthetic traffic study: local/neighbor/uniform/hotspot trace replay "
-      "on MP64Spatz4, baseline vs GF4";
-  suite.print = print_trace_patterns;
-  reg.add_suite(std::move(suite));
-
-  for (const PatternCase& pc : kTracePatterns) {
-    for (const bool burst : {false, true}) {
-      ScenarioSpec s;
-      s.name = std::string("trace_patterns/") + pc.name + (burst ? "/gf4" : "/base");
-      s.config = [burst] {
-        ClusterConfig cfg = ClusterConfig::mp64spatz4();
-        return burst ? cfg.with_burst(4) : cfg;
-      };
-      s.kernel = [pattern = pc.pattern, burst] {
-        ClusterConfig cfg = ClusterConfig::mp64spatz4();
-        if (burst) cfg = cfg.with_burst(4);
-        TraceConfig tc;
-        tc.pattern = pattern;
-        tc.entries_per_hart = 64;
-        tc.seed = 31;
-        return std::make_unique<TraceReplayKernel>(synthetic_trace(cfg, tc));
-      };
-      s.opts.verify = false;
-      s.opts.max_cycles = 20'000'000;
-      reg.add(std::move(s));
+LoadedSuite trace_patterns() {
+  LoadedSuite s = make_suite(
+      "trace_patterns",
+      "Synthetic traffic study: local/neighbor/uniform/hotspot "
+      "trace replay on MP64Spatz4, baseline vs GF4",
+      print_trace_patterns);
+  for (const std::string pattern : kTracePatterns) {
+    for (unsigned gf : {0u, 4u}) {
+      s.scenarios.push_back(
+          point(pattern + (gf ? "/gf4" : "/base"), preset_config("mp64spatz4", gf),
+                {"trace_replay", {{"pattern", pattern}, {"entries_per_hart", 64}, {"seed", 31}}},
+                20'000'000, false));
     }
   }
+  return s;
 }
 
 // ----------------------------------------------------------- explorer -----
@@ -271,23 +207,7 @@ void register_trace_patterns(ScenarioRegistry& reg) {
 // GF8 rides along for parity with the ablation_gf sweep.
 constexpr unsigned kExplorerGfs[] = {0u, 2u, 4u, 8u};
 
-constexpr struct {
-  const char* name;
-  RandomProbeKernel::Pattern pattern;
-} kExplorerPatterns[] = {
-    {"uniform", RandomProbeKernel::Pattern::kUniform},
-    {"remote", RandomProbeKernel::Pattern::kRemoteOnly},
-    {"local", RandomProbeKernel::Pattern::kLocalOnly},
-};
-
-std::string explorer_variant(unsigned gf) {
-  return gf == 0 ? "baseline" : "gf" + std::to_string(gf);
-}
-
-ClusterConfig explorer_config(const std::string& preset, unsigned gf) {
-  const ClusterConfig cfg = ClusterConfig::by_name(preset);
-  return gf > 0 ? cfg.with_burst(gf) : cfg;
-}
+constexpr const char* kExplorerPatterns[] = {"uniform", "remote", "local"};
 
 /// Measured bandwidth per probe pattern next to the hierarchical-average
 /// model (eq. 5), each cell as B/cycle/core and its share of the VLSU peak.
@@ -302,14 +222,14 @@ void print_explorer(const ResultSet& rs) {
     s += ")";
     return s;
   };
-  for (const std::string& preset : testbed_presets()) {
-    if (preset != testbed_presets().front()) tw.add_separator();
+  for (const std::string preset : kTestbeds) {
+    if (preset != kTestbeds[0]) tw.add_separator();
     for (const unsigned gf : kExplorerGfs) {
-      const ClusterConfig cfg = explorer_config(preset, gf);
-      const std::string variant = explorer_variant(gf);
+      const ClusterConfig cfg = preset_config(preset, gf);
+      const std::string variant = variant_name(gf);
       std::vector<std::string> row = {preset, variant};
-      for (const auto& p : kExplorerPatterns) {
-        const double bw = rs.metrics(preset + "/" + variant + "/" + p.name).bw_per_core;
+      for (const char* pattern : kExplorerPatterns) {
+        const double bw = rs.metrics(preset + "/" + variant + "/" + pattern).bw_per_core;
         row.push_back(cell(bw, bw / cfg.vlsu_peak_bw()));
       }
       const unsigned eff_gf = cfg.burst_enabled ? cfg.grouping_factor : 1;
@@ -325,32 +245,25 @@ void print_explorer(const ResultSet& rs) {
       "model's hierarchical average does.\n");
 }
 
-void register_explorer(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "explorer";
-  suite.description =
-      "Bandwidth explorer: per-preset hierarchical-average bandwidth under "
-      "uniform / remote-only / local-only probe traffic (interactive study)";
-  suite.emit_by_default = false;
-  suite.print = print_explorer;
-  reg.add_suite(std::move(suite));
-
-  for (const std::string& preset : testbed_presets()) {
+LoadedSuite explorer() {
+  LoadedSuite s = make_suite(
+      "explorer",
+      "Bandwidth explorer: per-preset hierarchical-average "
+      "bandwidth under uniform / remote-only / local-only probe "
+      "traffic (interactive study)",
+      print_explorer);
+  s.suite.emit_by_default = false;
+  for (const std::string preset : kTestbeds) {
     for (const unsigned gf : kExplorerGfs) {
-      for (const auto& p : kExplorerPatterns) {
-        ScenarioSpec s;
-        s.name = "explorer/" + preset + "/" + explorer_variant(gf) + "/" + p.name;
-        s.config = [preset, gf] { return explorer_config(preset, gf); };
-        s.kernel = [preset, pattern = p.pattern] {
-          const ClusterConfig cfg = ClusterConfig::by_name(preset);
-          return std::make_unique<RandomProbeKernel>(probe_iters(cfg), pattern);
-        };
-        s.opts.verify = false;
-        s.opts.max_cycles = 5'000'000;
-        reg.add(std::move(s));
+      for (const char* pattern : kExplorerPatterns) {
+        s.scenarios.push_back(point(preset + "/" + variant_name(gf) + "/" + pattern,
+                                    preset_config(preset, gf),
+                                    {"random_probe", {{"pattern", pattern}}}, 5'000'000,
+                                    false));
       }
     }
   }
+  return s;
 }
 
 // ------------------------------------------------------------ scaling -----
@@ -403,41 +316,31 @@ void print_scaling(const ResultSet& rs) {
       "scalability argument in one sweep.\n");
 }
 
-void register_scaling(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "scaling";
-  suite.description =
-      "Scaling study: DotP with a constant per-core working set on 4 -> 128 "
-      "tiles (16 -> 512 FPUs), baseline vs GF4 (interactive study)";
-  suite.emit_by_default = false;
-  suite.print = print_scaling;
-  reg.add_suite(std::move(suite));
-
+LoadedSuite scaling() {
+  LoadedSuite s = make_suite(
+      "scaling",
+      "Scaling study: DotP with a constant per-core working set on "
+      "4 -> 128 tiles (16 -> 512 FPUs), baseline vs GF4 "
+      "(interactive study)",
+      print_scaling);
+  s.suite.emit_by_default = false;
   for (unsigned tiles : kScalingTiles) {
-    for (const bool burst : {false, true}) {
-      ScenarioSpec s;
-      s.name = "scaling/t" + std::to_string(tiles) + (burst ? "/gf4" : "/baseline");
-      s.config = [tiles, burst] {
-        const ClusterConfig cfg = scaled_config(tiles);
-        return burst ? cfg.with_burst(4) : cfg;
-      };
-      s.kernel = [tiles] {
-        return std::make_unique<DotpKernel>(1024 * scaled_config(tiles).num_cores());
-      };
-      s.opts.max_cycles = 20'000'000;
-      reg.add(std::move(s));
-    }
+    const ClusterConfig cfg = scaled_config(tiles);
+    const KernelSpec dotp{"dotp", {{"n", 1024 * cfg.num_cores()}}};
+    std::string prefix = "t";
+    prefix += std::to_string(tiles);
+    s.scenarios.push_back(point(prefix + "/baseline", cfg, dotp, 20'000'000));
+    s.scenarios.push_back(point(prefix + "/gf4", cfg.with_burst(4), dotp, 20'000'000));
   }
+  return s;
 }
 
 }  // namespace
 
-void register_extensions(ScenarioRegistry& reg) {
-  register_ext_kernels(reg);
-  register_pareto(reg);
-  register_trace_patterns(reg);
-  register_explorer(reg);
-  register_scaling(reg);
+const std::vector<LoadedSuite>& extension_suites() {
+  static const std::vector<LoadedSuite> suites = {ext_kernels_suite(), pareto(),
+                                                  trace_patterns(), explorer(), scaling()};
+  return suites;
 }
 
 }  // namespace builtin

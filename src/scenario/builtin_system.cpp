@@ -5,13 +5,11 @@
 // single-cluster scaling study.
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
-#include <utility>
 
 #include "src/analytics/report.hpp"
-#include "src/kernels/dotp.hpp"
 #include "src/scenario/builtin.hpp"
+#include "src/scenario/builtin_points.hpp"
 #include "src/system/system_config.hpp"
 
 namespace tcdm::scenario {
@@ -84,38 +82,41 @@ void print_multi_cluster(const ResultSet& rs) {
       "longer DMA bursts amortize the per-burst NoC header.\n");
 }
 
-}  // namespace
+/// Default per-scenario metrics plus the aggregate-bandwidth gate the
+/// scaling claim rests on (monotone in n; checked by tests and CI).
+void emit_multi_cluster(const ResultSet& rs, metrics::MetricsDoc& doc) {
+  for (const ScenarioResult& r : rs.all()) {
+    doc.add_kernel_metrics(r.rel, r.metrics);
+    doc.add(r.rel + "/agg_bw", r.metrics.bw_bytes_per_cycle, metrics::kSimRelTol);
+  }
+}
 
-void register_system(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "multi_cluster_scaling";
-  suite.description =
-      "Multi-cluster weak scaling: 1-8 mp4spatz4 clusters under the system "
-      "layer, sweeping global-barrier kind (central/tree/butterfly) and "
-      "inter-cluster DMA burst length over the modeled L2/NoC";
-  suite.print = print_multi_cluster;
-  reg.add_suite(std::move(suite));
-
+LoadedSuite multi_cluster_scaling() {
+  LoadedSuite s = make_suite(
+      "multi_cluster_scaling",
+      "Multi-cluster weak scaling: 1-8 mp4spatz4 clusters under the "
+      "system layer, sweeping global-barrier kind "
+      "(central/tree/butterfly) and inter-cluster DMA burst length "
+      "over the modeled L2/NoC",
+      print_multi_cluster, emit_multi_cluster);
   for (const unsigned n : kClusterCounts) {
     for (const BarrierKind kind : kBarrierKinds) {
       for (const unsigned burst_len : kDmaBurstLens) {
-        ScenarioSpec s;
-        s.name = "multi_cluster_scaling/" + rel_name(n, kind, burst_len);
-        s.config = [] { return ClusterConfig::mp4spatz4(); };
-        s.kernel = [] { return std::make_unique<DotpKernel>(kDotpElems); };
-        s.system = [n, kind, burst_len] { return system_config(n, kind, burst_len); };
-        s.opts.max_cycles = 20'000'000;
-        // Default per-scenario metrics plus the aggregate-bandwidth gate the
-        // scaling claim rests on (monotone in n; checked by tests and CI).
-        s.emit = [](const ScenarioResult& r, metrics::MetricsDoc& doc) {
-          doc.add_kernel_metrics(r.rel, r.metrics);
-          doc.add(r.rel + "/agg_bw", r.metrics.bw_bytes_per_cycle,
-                  metrics::kSimRelTol);
-        };
-        reg.add(std::move(s));
+        FileScenario p = point(rel_name(n, kind, burst_len), ClusterConfig::mp4spatz4(),
+                               {"dotp", {{"n", kDotpElems}}}, 20'000'000);
+        p.system = system_config(n, kind, burst_len);
+        s.scenarios.push_back(std::move(p));
       }
     }
   }
+  return s;
+}
+
+}  // namespace
+
+const std::vector<LoadedSuite>& system_suites() {
+  static const std::vector<LoadedSuite> suites = {multi_cluster_scaling()};
+  return suites;
 }
 
 }  // namespace builtin

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -15,11 +14,8 @@
 #include "src/analytics/bandwidth_model.hpp"
 #include "src/analytics/report.hpp"
 #include "src/analytics/roofline.hpp"
-#include "src/kernels/dotp.hpp"
-#include "src/kernels/fft.hpp"
-#include "src/kernels/matmul.hpp"
-#include "src/kernels/probes.hpp"
 #include "src/scenario/builtin.hpp"
+#include "src/scenario/builtin_points.hpp"
 
 namespace tcdm::scenario {
 
@@ -36,59 +32,52 @@ void register_builtin() {
 
 namespace builtin {
 
-const std::vector<std::string>& testbed_presets() {
-  static const std::vector<std::string> p = {"mp4spatz4", "mp64spatz4", "mp128spatz8"};
-  return p;
+namespace {
+
+void register_all(ScenarioRegistry& reg, const std::vector<LoadedSuite>& suites) {
+  for (const LoadedSuite& suite : suites) register_loaded_suite(reg, suite);
 }
 
-unsigned probe_iters(const ClusterConfig& cfg) {
-  return cfg.num_cores() >= 128 ? 64 : 128;
-}
+}  // namespace
+
+void register_tables(ScenarioRegistry& reg) { register_all(reg, table_suites()); }
+void register_ablations(ScenarioRegistry& reg) { register_all(reg, ablation_suites()); }
+void register_extensions(ScenarioRegistry& reg) { register_all(reg, extension_suites()); }
+void register_system(ScenarioRegistry& reg) { register_all(reg, system_suites()); }
 
 namespace {
 
-const std::vector<std::string>& presets() { return testbed_presets(); }
+/// A testbed's burst design point and its Table II / Fig. 3 kernel points,
+/// whose problem sizes scale with the cluster.
+struct Testbed {
+  std::string preset;
+  /// GF4, except GF2 on the 1024-FPU cluster (routing congestion, §III-B).
+  unsigned design_gf;
+  std::vector<std::pair<std::string, KernelSpec>> kernels;
+};
 
-std::string variant_name(unsigned gf) {
-  return gf == 0 ? "baseline" : "gf" + std::to_string(gf);
-}
-
-ClusterConfig preset_config(const std::string& preset, unsigned gf) {
-  ClusterConfig cfg = ClusterConfig::by_name(preset);
-  return gf == 0 ? cfg : cfg.with_burst(gf);
-}
-
-/// The paper's burst design point per testbed: GF4, except GF2 on the
-/// 1024-FPU cluster (routing congestion, §III-B).
-unsigned design_gf(const std::string& preset) {
-  return preset == "mp128spatz8" ? 2 : 4;
-}
-
-/// Table II / Fig. 3 kernel points (problem sizes scale with the cluster).
-std::unique_ptr<Kernel> make_point_kernel(const std::string& preset,
-                                          const std::string& which) {
-  if (preset == "mp4spatz4") {
-    if (which == "dotp") return std::make_unique<DotpKernel>(4096);
-    if (which == "fft") return std::make_unique<FftKernel>(1, 512);
-    if (which == "matmul-s") return std::make_unique<MatmulKernel>(16, 4);
-    if (which == "matmul-l") return std::make_unique<MatmulKernel>(64, 8);
-  } else if (preset == "mp64spatz4") {
-    if (which == "dotp") return std::make_unique<DotpKernel>(65536);
-    if (which == "fft") return std::make_unique<FftKernel>(4, 2048);
-    if (which == "matmul-s") return std::make_unique<MatmulKernel>(64, 4);
-    if (which == "matmul-l") return std::make_unique<MatmulKernel>(256, 8);
-  } else if (preset == "mp128spatz8") {
-    if (which == "dotp") return std::make_unique<DotpKernel>(131072);
-    if (which == "fft") return std::make_unique<FftKernel>(8, 4096);
-    if (which == "matmul-s") return std::make_unique<MatmulKernel>(128, 4);
-    if (which == "matmul-l") return std::make_unique<MatmulKernel>(256, 8);
-  }
-  throw std::invalid_argument("unknown kernel point: " + preset + "/" + which);
-}
-
-const std::vector<std::string>& point_kernels() {
-  static const std::vector<std::string> k = {"dotp", "fft", "matmul-s", "matmul-l"};
-  return k;
+const std::vector<Testbed>& testbeds() {
+  static const std::vector<Testbed> t = {
+      {"mp4spatz4",
+       4,
+       {{"dotp", {"dotp", {{"n", 4096}}}},
+        {"fft", {"fft", {{"instances", 1}, {"n", 512}}}},
+        {"matmul-s", {"matmul", {{"n", 16}, {"row_block", 4}}}},
+        {"matmul-l", {"matmul", {{"n", 64}, {"row_block", 8}}}}}},
+      {"mp64spatz4",
+       4,
+       {{"dotp", {"dotp", {{"n", 65536}}}},
+        {"fft", {"fft", {{"instances", 4}, {"n", 2048}}}},
+        {"matmul-s", {"matmul", {{"n", 64}, {"row_block", 4}}}},
+        {"matmul-l", {"matmul", {{"n", 256}, {"row_block", 8}}}}}},
+      {"mp128spatz8",
+       2,
+       {{"dotp", {"dotp", {{"n", 131072}}}},
+        {"fft", {"fft", {{"instances", 8}, {"n", 4096}}}},
+        {"matmul-s", {"matmul", {{"n", 128}, {"row_block", 4}}}},
+        {"matmul-l", {"matmul", {{"n", 256}, {"row_block", 8}}}}}},
+  };
+  return t;
 }
 
 // ------------------------------------------------------------- Table I ----
@@ -106,7 +95,7 @@ void print_table1(const ResultSet& rs) {
 
   std::printf("\n=== Table I: calculated memory bandwidth vs simulated random probe ===\n");
   TableWriter tw({"config", "row", "peak", "baseline", "2xRsp (GF2)", "4xRsp (GF4)"});
-  for (const std::string& preset : presets()) {
+  for (const std::string preset : kTestbeds) {
     const ClusterConfig cfg = ClusterConfig::by_name(preset);
     const auto col = model::table1_column(cfg);
     tw.add_row({preset, "model BW [B/cyc]", fmt(col.peak), fmt(col.baseline_bw),
@@ -137,70 +126,62 @@ void print_table1(const ResultSet& rs) {
       "hierarchical-average lines do.\n");
 }
 
-void register_table1(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "table1";
-  suite.description =
-      "Table I: closed-form bandwidth model (eqs. 1-5) and simulated "
-      "random-probe bandwidth, per-VLSU B/cycle";
-  suite.emit_model = [](metrics::MetricsDoc& doc) {
-    for (const std::string& p : presets()) {
-      const auto col = model::table1_column(ClusterConfig::by_name(p));
-      doc.add(p + "/model/peak", col.peak, metrics::kModelRelTol);
-      doc.add(p + "/model/baseline_bw", col.baseline_bw, metrics::kModelRelTol);
-      doc.add(p + "/model/gf2_bw", col.gf2_bw, metrics::kModelRelTol);
-      doc.add(p + "/model/gf4_bw", col.gf4_bw, metrics::kModelRelTol);
-      doc.add(p + "/model/gf2_improvement", col.gf2_improvement, metrics::kModelRelTol);
-      doc.add(p + "/model/gf4_improvement", col.gf4_improvement, metrics::kModelRelTol);
-    }
-  };
-  suite.print = print_table1;
-  reg.add_suite(std::move(suite));
+/// The closed-form columns per testbed, then each probe's simulated
+/// bandwidth and cycles.
+void emit_table1(const ResultSet& rs, metrics::MetricsDoc& doc) {
+  for (const std::string p : kTestbeds) {
+    const auto col = model::table1_column(ClusterConfig::by_name(p));
+    doc.add(p + "/model/peak", col.peak, metrics::kModelRelTol);
+    doc.add(p + "/model/baseline_bw", col.baseline_bw, metrics::kModelRelTol);
+    doc.add(p + "/model/gf2_bw", col.gf2_bw, metrics::kModelRelTol);
+    doc.add(p + "/model/gf4_bw", col.gf4_bw, metrics::kModelRelTol);
+    doc.add(p + "/model/gf2_improvement", col.gf2_improvement, metrics::kModelRelTol);
+    doc.add(p + "/model/gf4_improvement", col.gf4_improvement, metrics::kModelRelTol);
+  }
+  for (const ScenarioResult& r : rs.all()) {
+    doc.add(r.rel + "/sim/bw_per_core", r.metrics.bw_per_core, metrics::kSimRelTol);
+    doc.add(r.rel + "/sim/cycles", static_cast<double>(r.metrics.cycles),
+            metrics::kSimRelTol);
+  }
+}
 
-  for (const std::string& preset : presets()) {
+LoadedSuite table1() {
+  LoadedSuite s = make_suite(
+      "table1",
+      "Table I: closed-form bandwidth model (eqs. 1-5) and "
+      "simulated random-probe bandwidth, per-VLSU B/cycle",
+      print_table1, emit_table1);
+  for (const std::string preset : kTestbeds) {
     for (unsigned gf : {0u, 2u, 4u}) {
-      ScenarioSpec s;
-      s.name = "table1/" + preset + "/" + variant_name(gf);
-      s.config = [preset, gf] { return preset_config(preset, gf); };
-      s.kernel = [preset, gf] {
-        return std::make_unique<RandomProbeKernel>(probe_iters(preset_config(preset, gf)));
-      };
-      s.opts.verify = false;
-      s.opts.max_cycles = 3'000'000;
-      s.emit = [rel = preset + "/" + variant_name(gf)](const ScenarioResult& r,
-                                                       metrics::MetricsDoc& doc) {
-        doc.add(rel + "/sim/bw_per_core", r.metrics.bw_per_core, metrics::kSimRelTol);
-        doc.add(rel + "/sim/cycles", static_cast<double>(r.metrics.cycles),
-                metrics::kSimRelTol);
-      };
-      reg.add(std::move(s));
+      // No "iters": the probe runs the kind's auto-scaled count.
+      s.scenarios.push_back(point(preset + "/" + variant_name(gf), preset_config(preset, gf),
+                                  {"random_probe", {}}, 3'000'000, false));
     }
   }
+  return s;
 }
 
 // ------------------------------------------------------------ Table II ----
 
 void print_table2(const ResultSet& rs) {
-  const std::vector<std::pair<std::string, unsigned>> configs = {
-      {"mp4spatz4", 4u}, {"mp64spatz4", 4u}, {"mp128spatz8", 2u}};
-
   std::printf("\n=== Table II: kernel performance and energy efficiency ===\n");
   TableWriter tw({"config", "kernel", "size", "AI [F/B]", "FPU util", "GFLOPS@ss",
                   "GFLOPS@tt", "Power@tt [W]", "GFLOPS/W", "eff. vs base", "ok"});
-  for (const auto& [preset, gf] : configs) {
-    for (const std::string& k : point_kernels()) {
-      const std::string kb = preset + "/baseline/" + k;
-      const std::string kg = preset + "/gf" + std::to_string(gf) + "/" + k;
+  for (const Testbed& t : testbeds()) {
+    const std::string gf = std::to_string(t.design_gf);
+    for (const auto& [k, spec] : t.kernels) {
+      const std::string kb = t.preset + "/baseline/" + k;
+      const std::string kg = t.preset + "/gf" + gf + "/" + k;
       const KernelMetrics& mb = rs.metrics(kb);
       const KernelMetrics& mg = rs.metrics(kg);
       const PowerBreakdown& pb = rs.power(kb);
       const PowerBreakdown& pg = rs.power(kg);
       const double eff_b = energy_efficiency(mb.gflops_tt, pb);
       const double eff_g = energy_efficiency(mg.gflops_tt, pg);
-      tw.add_row({preset + " base", mb.kernel, mb.size, fmt(mb.arithmetic_intensity),
+      tw.add_row({t.preset + " base", mb.kernel, mb.size, fmt(mb.arithmetic_intensity),
                   pct(mb.fpu_util), fmt(mb.gflops_ss), fmt(mb.gflops_tt),
                   fmt(pb.total()), fmt(eff_b), "-", mb.verified ? "OK" : "FAIL"});
-      tw.add_row({preset + " GF" + std::to_string(gf), mg.kernel, mg.size,
+      tw.add_row({t.preset + " GF" + gf, mg.kernel, mg.size,
                   fmt(mg.arithmetic_intensity), pct(mg.fpu_util), fmt(mg.gflops_ss),
                   fmt(mg.gflops_tt), fmt(pg.total()), fmt(eff_g),
                   delta(eff_g / eff_b - 1.0), mg.verified ? "OK" : "FAIL"});
@@ -209,12 +190,12 @@ void print_table2(const ResultSet& rs) {
   }
   tw.print(std::cout);
   std::printf("Performance improvements (GF vs baseline, simulated):\n");
-  for (const auto& [preset, gf] : configs) {
-    for (const std::string& k : point_kernels()) {
-      const KernelMetrics& mb = rs.metrics(preset + "/baseline/" + k);
-      const KernelMetrics& mg = rs.metrics(preset + "/gf" + std::to_string(gf) + "/" + k);
+  for (const Testbed& t : testbeds()) {
+    for (const auto& [k, spec] : t.kernels) {
+      const KernelMetrics& mb = rs.metrics(t.preset + "/baseline/" + k);
+      const KernelMetrics& mg = rs.metrics(t.preset + "/" + variant_name(t.design_gf) + "/" + k);
       if (mb.cycles == 0) continue;
-      std::printf("  %-12s %-9s %s\n", preset.c_str(), k.c_str(),
+      std::printf("  %-12s %-9s %s\n", t.preset.c_str(), k.c_str(),
                   delta(mg.flops_per_cycle / mb.flops_per_cycle - 1.0).c_str());
     }
   }
@@ -224,45 +205,42 @@ void print_table2(const ResultSet& rs) {
       "MP4Spatz4/MP64Spatz4/MP128Spatz8 respectively.\n");
 }
 
-void register_table2(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "table2";
-  suite.description =
-      "Table II: kernel performance and energy efficiency, baseline vs TCDM "
-      "Burst (GF4 on MP4/MP64, GF2 on MP128)";
-  suite.print = print_table2;
-  reg.add_suite(std::move(suite));
+/// Each run's kernel metrics plus its tt-corner throughput, power and
+/// energy efficiency.
+void emit_table2(const ResultSet& rs, metrics::MetricsDoc& doc) {
+  for (const ScenarioResult& r : rs.all()) {
+    doc.add_kernel_metrics(r.rel, r.metrics);
+    doc.add(r.rel + "/gflops_tt", r.metrics.gflops_tt, metrics::kSimRelTol);
+    doc.add(r.rel + "/power_w", r.power.total(), metrics::kSimRelTol);
+    doc.add(r.rel + "/gflops_per_w", energy_efficiency(r.metrics.gflops_tt, r.power),
+            metrics::kSimRelTol);
+  }
+}
 
-  for (const std::string& preset : presets()) {
-    const unsigned design = design_gf(preset);
-    for (const std::string& kernel : point_kernels()) {
-      for (unsigned gf : {0u, design}) {
-        ScenarioSpec s;
-        const std::string rel = preset + "/" + variant_name(gf) + "/" + kernel;
-        s.name = "table2/" + rel;
-        s.config = [preset, gf] { return preset_config(preset, gf); };
-        s.kernel = [preset, kernel] { return make_point_kernel(preset, kernel); };
-        s.opts.max_cycles = 50'000'000;
-        s.emit = [rel](const ScenarioResult& r, metrics::MetricsDoc& doc) {
-          doc.add_kernel_metrics(rel, r.metrics);
-          doc.add(rel + "/gflops_tt", r.metrics.gflops_tt, metrics::kSimRelTol);
-          doc.add(rel + "/power_w", r.power.total(), metrics::kSimRelTol);
-          doc.add(rel + "/gflops_per_w", energy_efficiency(r.metrics.gflops_tt, r.power),
-                  metrics::kSimRelTol);
-        };
-        reg.add(std::move(s));
+LoadedSuite table2() {
+  LoadedSuite s = make_suite(
+      "table2",
+      "Table II: kernel performance and energy efficiency, "
+      "baseline vs TCDM Burst (GF4 on MP4/MP64, GF2 on MP128)",
+      print_table2, emit_table2);
+  for (const Testbed& t : testbeds()) {
+    for (const auto& [k, spec] : t.kernels) {
+      for (unsigned gf : {0u, t.design_gf}) {
+        s.scenarios.push_back(point(t.preset + "/" + variant_name(gf) + "/" + k,
+                                    preset_config(t.preset, gf), spec, 50'000'000));
       }
     }
   }
+  return s;
 }
 
 // -------------------------------------------------------------- Fig. 3 ----
 
 void print_fig3(const ResultSet& rs) {
-  for (const std::string& preset : presets()) {
+  for (const Testbed& t : testbeds()) {
+    const std::string& preset = t.preset;
     const ClusterConfig cfg = ClusterConfig::by_name(preset);
-    const unsigned gf = design_gf(preset);
-    const std::string gfv = variant_name(gf);
+    const std::string gfv = variant_name(t.design_gf);
     const KernelMetrics& probe_base = rs.metrics(preset + "/probe/baseline");
     const KernelMetrics& probe_gf = rs.metrics(preset + "/probe/" + gfv);
 
@@ -272,21 +250,20 @@ void print_fig3(const ResultSet& rs) {
     const Roofline rl_gf = make_roofline(cfg, probe_gf.bw_bytes_per_cycle);
     std::printf("peak %.1f GFLOPS | ideal BW %.1f GB/s | hier-avg BW: baseline %.1f GB/s "
                 "(dashed), GF%u %.1f GB/s (dashed)\n",
-                rl_base.peak_gflops, rl_base.ideal_bw_gbps, rl_base.measured_bw_gbps, gf,
-                rl_gf.measured_bw_gbps);
+                rl_base.peak_gflops, rl_base.ideal_bw_gbps, rl_base.measured_bw_gbps,
+                t.design_gf, rl_gf.measured_bw_gbps);
 
     TableWriter tw({"kernel", "AI [F/B]", "GFLOPS base", "GFLOPS GF", "speedup",
                     "roofline bound (meas. BW)"});
     std::vector<RooflineSample> samples;
-    for (const std::string& which : point_kernels()) {
+    for (const auto& [which, spec] : t.kernels) {
       const KernelMetrics& mb = rs.metrics(preset + "/" + which + "/baseline");
       const KernelMetrics& mg = rs.metrics(preset + "/" + which + "/" + gfv);
       tw.add_row({which, fmt(mb.arithmetic_intensity), fmt(mb.gflops_ss),
                   fmt(mg.gflops_ss), delta(mg.gflops_ss / mb.gflops_ss - 1.0),
                   fmt(rl_gf.attainable_measured(mg.arithmetic_intensity))});
       samples.push_back({which + "-base", mb.arithmetic_intensity, mb.gflops_ss});
-      samples.push_back({which + "-gf" + std::to_string(gf), mg.arithmetic_intensity,
-                         mg.gflops_ss});
+      samples.push_back({which + "-" + gfv, mg.arithmetic_intensity, mg.gflops_ss});
     }
     tw.print(std::cout);
     std::printf("--- CSV (plot with tools/plot_roofline.py or any CSV grapher) ---\n%s",
@@ -294,70 +271,59 @@ void print_fig3(const ResultSet& rs) {
   }
 }
 
-void register_fig3(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "fig3_roofline";
-  suite.description =
-      "Fig. 3: roofline roofs (FPU peak, ideal and measured hierarchical-"
-      "average bandwidth) and kernel sample points, baseline vs burst";
-  suite.emit_model = [](metrics::MetricsDoc& doc) {
-    for (const std::string& p : presets()) {
-      // The compute and ideal-bandwidth roofs depend only on the preset;
-      // only the measured (dashed) roof differs between baseline and burst.
-      const Roofline roofs = make_roofline(ClusterConfig::by_name(p));
-      doc.add(p + "/roofline/peak_gflops", roofs.peak_gflops, metrics::kModelRelTol);
-      doc.add(p + "/roofline/ideal_bw_gbps", roofs.ideal_bw_gbps, metrics::kModelRelTol);
+/// The preset-only roofs (FPU peak, ideal bandwidth), each probe's
+/// measured (dashed) roof, and each kernel's roofline sample.
+void emit_fig3(const ResultSet& rs, metrics::MetricsDoc& doc) {
+  for (const std::string p : kTestbeds) {
+    const Roofline roofs = make_roofline(ClusterConfig::by_name(p));
+    doc.add(p + "/roofline/peak_gflops", roofs.peak_gflops, metrics::kModelRelTol);
+    doc.add(p + "/roofline/ideal_bw_gbps", roofs.ideal_bw_gbps, metrics::kModelRelTol);
+  }
+  for (const ScenarioResult& r : rs.all()) {
+    const std::string preset = r.rel.substr(0, r.rel.find('/'));
+    const std::string probe = preset + "/probe/";
+    if (r.rel.starts_with(probe)) {
+      const Roofline rl =
+          make_roofline(ClusterConfig::by_name(preset), r.metrics.bw_bytes_per_cycle);
+      doc.add(preset + "/roofline/" + r.rel.substr(probe.size()) + "/measured_bw_gbps",
+              rl.measured_bw_gbps, metrics::kSimRelTol);
+      continue;
     }
-  };
-  suite.print = print_fig3;
-  reg.add_suite(std::move(suite));
+    doc.add(r.rel + "/gflops_ss", r.metrics.gflops_ss, metrics::kSimRelTol);
+    doc.add(r.rel + "/arithmetic_intensity", r.metrics.arithmetic_intensity,
+            metrics::kSimRelTol);
+    doc.add(r.rel + "/verified", r.metrics.verified ? 1.0 : 0.0, metrics::kExactTol);
+  }
+}
 
-  const std::vector<std::string> points = {"probe", "dotp", "fft", "matmul-s",
-                                           "matmul-l"};
-  for (const std::string& preset : presets()) {
-    for (const std::string& which : points) {
-      for (unsigned gf : {0u, design_gf(preset)}) {
-        ScenarioSpec s;
-        const std::string variant = variant_name(gf);
-        s.name = "fig3_roofline/" + preset + "/" + which + "/" + variant;
-        s.config = [preset, gf] { return preset_config(preset, gf); };
-        s.opts.max_cycles = 50'000'000;
-        if (which == "probe") {
-          s.kernel = [preset, gf] {
-            return std::make_unique<RandomProbeKernel>(
-                probe_iters(preset_config(preset, gf)));
-          };
-          s.opts.verify = false;
-          s.emit = [preset, variant](const ScenarioResult& r, metrics::MetricsDoc& doc) {
-            const Roofline rl = make_roofline(ClusterConfig::by_name(preset),
-                                              r.metrics.bw_bytes_per_cycle);
-            doc.add(preset + "/roofline/" + variant + "/measured_bw_gbps",
-                    rl.measured_bw_gbps, metrics::kSimRelTol);
-          };
-        } else {
-          s.kernel = [preset, which] { return make_point_kernel(preset, which); };
-          s.emit = [rel = preset + "/" + which + "/" + variant](
-                       const ScenarioResult& r, metrics::MetricsDoc& doc) {
-            doc.add(rel + "/gflops_ss", r.metrics.gflops_ss, metrics::kSimRelTol);
-            doc.add(rel + "/arithmetic_intensity", r.metrics.arithmetic_intensity,
-                    metrics::kSimRelTol);
-            doc.add(rel + "/verified", r.metrics.verified ? 1.0 : 0.0,
-                    metrics::kExactTol);
-          };
-        }
-        reg.add(std::move(s));
+LoadedSuite fig3() {
+  LoadedSuite s = make_suite(
+      "fig3_roofline",
+      "Fig. 3: roofline roofs (FPU peak, ideal and measured "
+      "hierarchical-average bandwidth) and kernel sample points, "
+      "baseline vs burst",
+      print_fig3, emit_fig3);
+  for (const Testbed& t : testbeds()) {
+    for (unsigned gf : {0u, t.design_gf}) {
+      s.scenarios.push_back(point(t.preset + "/probe/" + variant_name(gf),
+                                  preset_config(t.preset, gf), {"random_probe", {}}, 50'000'000,
+                                  false));
+    }
+    for (const auto& [k, spec] : t.kernels) {
+      for (unsigned gf : {0u, t.design_gf}) {
+        s.scenarios.push_back(point(t.preset + "/" + k + "/" + variant_name(gf),
+                                    preset_config(t.preset, gf), spec, 50'000'000));
       }
     }
   }
+  return s;
 }
 
 // -------------------------------------------------------------- Fig. 5 ----
 
 void print_fig5(const ResultSet& rs) {
-  const ClusterConfig base_cfg = ClusterConfig::mp64spatz4();
-  const ClusterConfig gf4_cfg = base_cfg.with_burst(4);
-  const AreaBreakdown ab = estimate_area(base_cfg);
-  const AreaBreakdown ag = estimate_area(gf4_cfg);
+  const AreaBreakdown ab = estimate_area(preset_config("mp64spatz4", 0));
+  const AreaBreakdown ag = estimate_area(preset_config("mp64spatz4", 4));
 
   std::printf("\n=== Fig. 5 (left): logic area breakdown, MP64Spatz4 [MGE] ===\n");
   TableWriter ta({"component", "baseline", "GF4", "delta"});
@@ -408,66 +374,62 @@ void print_fig5(const ResultSet& rs) {
               mb.gflops_tt, pb.total(), mg.gflops_tt, pg.total());
 }
 
-void register_fig5(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "fig5_breakdown";
-  suite.description =
-      "Fig. 5: logic-area breakdown (calibrated gate-count model) and "
-      "activity-based power breakdown for MP64Spatz4 GF4, MatMul 256^3 @tt";
-  suite.emit_model = [](metrics::MetricsDoc& doc) {
-    for (unsigned gf : {0u, 4u}) {
-      const ClusterConfig cfg = preset_config("mp64spatz4", gf);
-      const AreaBreakdown a = estimate_area(cfg);
-      const std::string p = "area/" + variant_name(gf);
-      doc.add(p + "/snitch_ge", a.snitch, metrics::kModelRelTol);
-      doc.add(p + "/spatz_fpu_ge", a.spatz_fpu, metrics::kModelRelTol);
-      doc.add(p + "/spatz_vrf_ge", a.spatz_vrf, metrics::kModelRelTol);
-      doc.add(p + "/spatz_misc_ge", a.spatz_misc, metrics::kModelRelTol);
-      doc.add(p + "/vlsu_ge", a.vlsu, metrics::kModelRelTol);
-      doc.add(p + "/interconnect_ge", a.interconnect, metrics::kModelRelTol);
-      doc.add(p + "/burst_ge", a.burst, metrics::kModelRelTol);
-      doc.add(p + "/banks_logic_ge", a.banks_logic, metrics::kModelRelTol);
-      doc.add(p + "/total_ge", a.total(), metrics::kModelRelTol);
-    }
-    doc.add("area/gf4_overhead",
-            area_overhead(estimate_area(preset_config("mp64spatz4", 0)),
-                          estimate_area(preset_config("mp64spatz4", 4))),
-            metrics::kModelRelTol);
-  };
-  suite.print = print_fig5;
-  reg.add_suite(std::move(suite));
-
+/// The area model's breakdown of both variants and the GF4 overhead, then
+/// each run's kernel metrics, tt-corner throughput and power breakdown.
+void emit_fig5(const ResultSet& rs, metrics::MetricsDoc& doc) {
   for (unsigned gf : {0u, 4u}) {
-    ScenarioSpec s;
-    const std::string rel = "matmul256/" + variant_name(gf);
-    s.name = "fig5_breakdown/" + rel;
-    s.config = [gf] { return preset_config("mp64spatz4", gf); };
-    s.kernel = [] { return std::make_unique<MatmulKernel>(256, 8); };
-    s.opts.max_cycles = 50'000'000;
-    s.emit = [rel](const ScenarioResult& r, metrics::MetricsDoc& doc) {
-      doc.add_kernel_metrics(rel, r.metrics);
-      doc.add(rel + "/gflops_tt", r.metrics.gflops_tt, metrics::kSimRelTol);
-      doc.add(rel + "/power/fpu_w", r.power.fpu_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/vrf_w", r.power.vrf_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/vlsu_w", r.power.vlsu_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/snitch_w", r.power.snitch_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/icn_w", r.power.icn_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/banks_w", r.power.banks_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/burst_w", r.power.burst_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/static_w", r.power.static_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/total_w", r.power.total(), metrics::kSimRelTol);
-    };
-    reg.add(std::move(s));
+    const AreaBreakdown a = estimate_area(preset_config("mp64spatz4", gf));
+    const std::string p = "area/" + variant_name(gf);
+    doc.add(p + "/snitch_ge", a.snitch, metrics::kModelRelTol);
+    doc.add(p + "/spatz_fpu_ge", a.spatz_fpu, metrics::kModelRelTol);
+    doc.add(p + "/spatz_vrf_ge", a.spatz_vrf, metrics::kModelRelTol);
+    doc.add(p + "/spatz_misc_ge", a.spatz_misc, metrics::kModelRelTol);
+    doc.add(p + "/vlsu_ge", a.vlsu, metrics::kModelRelTol);
+    doc.add(p + "/interconnect_ge", a.interconnect, metrics::kModelRelTol);
+    doc.add(p + "/burst_ge", a.burst, metrics::kModelRelTol);
+    doc.add(p + "/banks_logic_ge", a.banks_logic, metrics::kModelRelTol);
+    doc.add(p + "/total_ge", a.total(), metrics::kModelRelTol);
   }
+  doc.add("area/gf4_overhead",
+          area_overhead(estimate_area(preset_config("mp64spatz4", 0)),
+                        estimate_area(preset_config("mp64spatz4", 4))),
+          metrics::kModelRelTol);
+  for (const ScenarioResult& r : rs.all()) {
+    const std::string& rel = r.rel;
+    doc.add_kernel_metrics(rel, r.metrics);
+    doc.add(rel + "/gflops_tt", r.metrics.gflops_tt, metrics::kSimRelTol);
+    doc.add(rel + "/power/fpu_w", r.power.fpu_w, metrics::kSimRelTol);
+    doc.add(rel + "/power/vrf_w", r.power.vrf_w, metrics::kSimRelTol);
+    doc.add(rel + "/power/vlsu_w", r.power.vlsu_w, metrics::kSimRelTol);
+    doc.add(rel + "/power/snitch_w", r.power.snitch_w, metrics::kSimRelTol);
+    doc.add(rel + "/power/icn_w", r.power.icn_w, metrics::kSimRelTol);
+    doc.add(rel + "/power/banks_w", r.power.banks_w, metrics::kSimRelTol);
+    doc.add(rel + "/power/burst_w", r.power.burst_w, metrics::kSimRelTol);
+    doc.add(rel + "/power/static_w", r.power.static_w, metrics::kSimRelTol);
+    doc.add(rel + "/power/total_w", r.power.total(), metrics::kSimRelTol);
+  }
+}
+
+LoadedSuite fig5() {
+  LoadedSuite s = make_suite(
+      "fig5_breakdown",
+      "Fig. 5: logic-area breakdown (calibrated gate-count model) "
+      "and activity-based power breakdown for MP64Spatz4 GF4, "
+      "MatMul 256^3 @tt",
+      print_fig5, emit_fig5);
+  for (unsigned gf : {0u, 4u}) {
+    s.scenarios.push_back(point("matmul256/" + variant_name(gf),
+                                preset_config("mp64spatz4", gf),
+                                {"matmul", {{"n", 256}, {"row_block", 8}}}, 50'000'000));
+  }
+  return s;
 }
 
 }  // namespace
 
-void register_tables(ScenarioRegistry& reg) {
-  register_table1(reg);
-  register_table2(reg);
-  register_fig3(reg);
-  register_fig5(reg);
+const std::vector<LoadedSuite>& table_suites() {
+  static const std::vector<LoadedSuite> suites = {table1(), table2(), fig3(), fig5()};
+  return suites;
 }
 
 }  // namespace builtin

@@ -9,20 +9,19 @@ namespace tcdm::scenario {
 metrics::MetricsDoc build_doc(const ScenarioRegistry& reg, const std::string& suite,
                               const ResultSet& results) {
   const SuiteSpec& spec = reg.suite(suite);
-  metrics::MetricsDoc doc;
-  doc.suite = spec.name;
-  doc.description = spec.description;
-  if (spec.emit_model) spec.emit_model(doc);
   for (const ScenarioSpec* s : reg.suite_scenarios(suite)) {
     const ScenarioResult& r = results.at(s->rel());
     if (!r.ok()) {
       throw std::runtime_error("scenario " + r.name + " failed: " + r.error);
     }
-    if (s->emit) {
-      s->emit(r, doc);
-    } else {
-      doc.add_kernel_metrics(r.rel, r.metrics);
-    }
+  }
+  metrics::MetricsDoc doc;
+  doc.suite = spec.name;
+  doc.description = spec.description;
+  if (spec.emit) {
+    spec.emit(results, doc);
+  } else {
+    for (const ScenarioResult& r : results.all()) doc.add_kernel_metrics(r.rel, r.metrics);
   }
   return doc;
 }

@@ -15,10 +15,10 @@
 namespace tcdm::scenario {
 
 /// Build the suite's metrics document from a full sweep of its scenarios:
-/// header from the SuiteSpec, model-only metrics first, then every
-/// scenario's emission in registration order. Throws std::runtime_error if
-/// any contributing result carries an error (a gate must never record a
-/// half-failed sweep), or std::out_of_range when a registered scenario of
+/// header from the SuiteSpec, metrics from its emit hook (or each result's
+/// kernel metrics when it has none). Throws std::runtime_error if any
+/// registered scenario's result carries an error (a gate must never record
+/// a half-failed sweep), or std::out_of_range when a registered scenario of
 /// the suite is missing from `results`.
 [[nodiscard]] metrics::MetricsDoc build_doc(const ScenarioRegistry& reg,
                                             const std::string& suite,

@@ -3,8 +3,9 @@
 // {"kind": ..., params...} object, so scenario files (scenario_file.hpp)
 // and the randomized generator (scenario_gen.hpp) can describe workloads
 // without C++ factories. Parameter names and defaults mirror the kernel
-// constructors exactly; a builtin suite re-expressed as JSON therefore
-// simulates bit-identically.
+// constructors exactly. The builtin suites (builtin.hpp) are built from the
+// same specs, so a builtin point written out as JSON simulates
+// bit-identically.
 #include "src/scenario/scenario.hpp"
 
 #include <cmath>
@@ -24,7 +25,6 @@
 #include "src/kernels/stencil.hpp"
 #include "src/kernels/trace_replay.hpp"
 #include "src/kernels/transpose.hpp"
-#include "src/scenario/builtin.hpp"
 
 namespace tcdm {
 
@@ -102,6 +102,12 @@ TracePattern trace_pattern(const Params& p, const std::string& s) {
          "unknown trace pattern \"" + s + "\" (known: uniform, hotspot, local, neighbor)");
 }
 
+/// The auto-scaled random-probe iteration count of a random_probe kernel
+/// without "iters": scaled down on the 1024-FPU preset to bound sweep
+/// wall-clock. The Table I, Fig. 3, Pareto and explorer probes and their
+/// recorded baselines rest on it.
+unsigned probe_iters(const ClusterConfig& cfg) { return cfg.num_cores() >= 128 ? 64 : 128; }
+
 /// Each kind and its construction: the parameters a kind takes are the ones
 /// its `build` function reads.
 struct KindInfo {
@@ -160,10 +166,9 @@ const std::vector<KindInfo>& kind_table() {
        }},
       {"random_probe",
        [](Params& p, const ClusterConfig& cfg) -> std::unique_ptr<Kernel> {
-         // iters 0 / omitted -> the shared auto-scaled count, so file-defined
-         // probes stay in lockstep with the builtin suites and their baselines.
+         // iters 0 / omitted -> the auto-scaled count.
          unsigned iters = p.get("iters", 0u);
-         if (iters == 0) iters = builtin::probe_iters(cfg);
+         if (iters == 0) iters = probe_iters(cfg);
          return std::make_unique<RandomProbeKernel>(
              iters, probe_pattern(p, p.get("pattern", std::string("uniform"))),
              p.seed_or(5));
@@ -183,8 +188,7 @@ const std::vector<KindInfo>& kind_table() {
        }},
       {"trace_replay",
        [](Params& p, const ClusterConfig& cfg) -> std::unique_ptr<Kernel> {
-         // The trace is generated for the concrete cluster config, exactly
-         // as the builtin trace_patterns registrations do.
+         // The trace is generated for the concrete cluster config.
          TraceConfig tc;
          tc.pattern = trace_pattern(p, p.get("pattern", std::string("uniform")));
          tc.entries_per_hart = p.get("entries_per_hart", tc.entries_per_hart);

@@ -1,11 +1,13 @@
 // Declarative experiment scenarios: every paper table, figure, ablation and
-// extension sweep is a ScenarioSpec — a named (config, kernel, options)
-// triple with an optional custom metrics-emission rule — grouped into a
-// SuiteSpec per artifact. The registry (registry.hpp) holds them all, the
-// SweepRunner (runner.hpp) executes any selection on a thread pool, and
-// emit.hpp turns a suite's results into the versioned metrics JSON the
-// regression gate consumes. Adding a workload is a ~10-line registration,
-// not a new binary.
+// extension sweep is a suite of named points, each a (config, kernel,
+// options[, system]) value — the FileScenario of scenario_file.hpp — with one
+// SuiteSpec per artifact carrying the document header, the suite's emission
+// rule and its console printer. Builtin suites (builtin.hpp) and suite files
+// build the same values and register them the same way. The registry
+// (registry.hpp) holds them all, the SweepRunner (runner.hpp) executes any
+// selection on a thread pool, and emit.hpp turns a suite's results into the
+// versioned metrics JSON the regression gate consumes. Adding a workload is
+// a suite file or a list of point values, not a new binary.
 #pragma once
 
 #include <functional>
@@ -63,10 +65,11 @@ class ResultSet {
   std::map<std::string, std::size_t> index_;  // rel -> position
 };
 
-/// One registered experiment point. The factories are called per run, so a
-/// scenario can execute concurrently with any other (each run builds its
-/// own ClusterConfig, Kernel and Cluster; the simulator holds no global
-/// mutable state).
+/// One registered experiment point, as the runner consumes it. The
+/// factories are built from a point's values by to_scenario_spec
+/// (scenario_file.hpp) and called per run, so a scenario can execute
+/// concurrently with any other (each run builds its own ClusterConfig,
+/// Kernel and Cluster; the simulator holds no global mutable state).
 struct ScenarioSpec {
   /// Hierarchical name: first `/`-component is the owning suite, e.g.
   /// "table1/mp4spatz4/gf4" or "ablation_burst/maxlen2".
@@ -82,9 +85,6 @@ struct ScenarioSpec {
   /// When opts.verify is on, a run that completes but fails golden
   /// verification becomes an error unless this is cleared.
   bool expect_verified = true;
-  /// Adds this scenario's metrics to the suite document. Defaults to
-  /// MetricsDoc::add_kernel_metrics under the suite-relative name.
-  std::function<void(const ScenarioResult&, metrics::MetricsDoc&)> emit;
 
   [[nodiscard]] std::string suite() const { return name.substr(0, name.find('/')); }
   [[nodiscard]] std::string rel() const {
@@ -93,11 +93,11 @@ struct ScenarioSpec {
   }
 };
 
-/// Declarative kernel description: a kind tag plus its parameters — the
-/// data-driven counterpart of the builtin suites' kernel factory lambdas.
-/// `instantiate` builds the kernel for a concrete cluster configuration,
-/// which supplies config-dependent defaults (auto-scaled probe iterations,
-/// synthetic trace generation), and checks the parameters.
+/// Declarative kernel description: a kind tag plus its parameters, e.g.
+/// {"matmul", {{"n", 256}, {"row_block", 8}}}. `instantiate` builds the
+/// kernel for a concrete cluster configuration, which supplies
+/// config-dependent defaults (auto-scaled probe iterations, synthetic trace
+/// generation), and checks the parameters.
 struct KernelSpec {
   std::string kind;
   Json::Object params;
@@ -124,17 +124,19 @@ struct KernelSpec {
     const Json& j, const std::string& path = "options");
 
 /// A paper artifact (table, figure, ablation, study): naming, the metrics
-/// document header, model-only metrics that do not come from a run, and the
-/// console table renderer.
+/// document header, the suite's emission rule and the console table
+/// renderer.
 struct SuiteSpec {
   std::string name;
   std::string description;
   /// Included in `tcdm_run emit --all` and the CI regression sweep. The
   /// interactive studies (explorer, scaling) opt out.
   bool emit_by_default = true;
-  /// Adds closed-form model metrics (e.g. Table I's analytical columns) to
-  /// the suite document before the per-scenario emissions.
-  std::function<void(metrics::MetricsDoc&)> emit_model;
+  /// Adds the suite's metrics to its document from a complete sweep: the
+  /// per-scenario rows plus closed-form model rows that no run produces
+  /// (e.g. Table I's analytical columns). Unset, every result adds
+  /// MetricsDoc::add_kernel_metrics under its suite-relative name.
+  std::function<void(const ResultSet&, metrics::MetricsDoc&)> emit;
   /// Renders the suite's console table(s) from a full (or partial) sweep.
   std::function<void(const ResultSet&)> print;
 };

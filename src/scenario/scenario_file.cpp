@@ -377,8 +377,7 @@ ScenarioSpec to_scenario_spec(const std::string& suite_name, const FileScenario&
 }
 
 void register_loaded_suite(ScenarioRegistry& reg, const LoadedSuite& suite) {
-  SuiteSpec spec = suite.suite;  // print/emit_model stay unset: file suites
-  reg.add_suite(std::move(spec));  // render the generic per-scenario table
+  reg.add_suite(suite.suite);
   for (const FileScenario& sc : suite.scenarios) {
     reg.add(to_scenario_spec(suite.suite.name, sc));
   }

@@ -1,8 +1,10 @@
 // Data-driven scenario suites: a JSON document describes a SuiteSpec plus
-// scenario templates with parameter-sweep expansion, and registers into the
-// same ScenarioRegistry the builtin suites use — so `tcdm_run run/emit`,
-// the SweepRunner, build_doc and the regression gate all work on file
-// suites unchanged.
+// scenario templates with parameter-sweep expansion. It loads into a
+// LoadedSuite, the value every builtin suite is built as too (builtin.hpp),
+// and registers through the same register_loaded_suite — so `tcdm_run
+// run/emit`, the SweepRunner, build_doc and the regression gate treat file
+// and builtin suites alike. A file suite has no emit hook or printer: it
+// emits each scenario's kernel metrics and prints the generic table.
 //
 // Schema (tcdm-scenarios, version 1):
 //   {
@@ -89,7 +91,8 @@ struct FileScenario {
   std::optional<SystemConfig> system;
 };
 
-/// A parsed suite file: the suite header plus its expanded scenarios.
+/// A suite as values: the suite header plus its expanded scenarios, parsed
+/// from a suite file or built in C++ by the builtin suites.
 struct LoadedSuite {
   SuiteSpec suite;
   std::vector<FileScenario> scenarios;
@@ -104,15 +107,15 @@ struct LoadedSuite {
 /// (unreadable file, malformed JSON, schema violations).
 [[nodiscard]] LoadedSuite load_suite_file(const std::string& path);
 
-/// The runnable spec of one loaded scenario, named "<suite_name>/<rel>".
-/// Its factories copy the validated config/kernel/system specs, so the spec
-/// outlives the LoadedSuite.
+/// The runnable spec of one scenario, named "<suite_name>/<rel>": the one
+/// place a point becomes factories. They copy the config/kernel/system
+/// values, so the spec outlives the LoadedSuite.
 [[nodiscard]] ScenarioSpec to_scenario_spec(const std::string& suite_name,
                                             const FileScenario& sc);
 
-/// Register a loaded suite into `reg`. Scenario factories copy the
-/// validated config/kernel specs, so registration outlives the LoadedSuite.
-/// Throws std::invalid_argument on duplicate suite/scenario names.
+/// Register a suite into `reg` through to_scenario_spec, which builds no
+/// kernel. Registration outlives the LoadedSuite. Throws
+/// std::invalid_argument on duplicate suite/scenario names.
 void register_loaded_suite(ScenarioRegistry& reg, const LoadedSuite& suite);
 
 /// load_suite_file + register_loaded_suite; returns the suite name.

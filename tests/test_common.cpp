@@ -439,6 +439,21 @@ std::string user_error(const std::string& text, Outer start = {}) {
   return "no error";
 }
 
+TEST(Json, ParseRefusesNestingPastTheDepthLimit) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  Json at_limit = Json::parse(nested(kMaxJsonDepth));
+  for (std::size_t d = 1; d < kMaxJsonDepth; ++d) at_limit = Json(at_limit.as_array().at(0));
+  EXPECT_TRUE(at_limit.as_array().empty());
+  try {
+    (void)Json::parse(nested(kMaxJsonDepth + 1));
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_STREQ(e.what(), "JSON parse error at offset 256: nesting deeper than 256 levels");
+  }
+}
+
 TEST(FieldLists, WriterSpellsEveryField) {
   Outer o;
   EXPECT_EQ(write_fields(o).dump_compact(),

@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "src/common/bitutil.hpp"
+#include "src/explore/config_hash.hpp"
 #include "src/scenario/builtin.hpp"
 #include "src/scenario/runner.hpp"
 #include "src/scenario/scenario_file.hpp"
@@ -207,12 +208,9 @@ TEST(KernelSpecJson, AutoProbeItersFollowTheBuiltinRule) {
   const KernelSpec spec = KernelSpec::from_json(j);
   const auto small = spec.instantiate(ClusterConfig::mp4spatz4());
   const auto big = spec.instantiate(ClusterConfig::mp128spatz8());
-  EXPECT_EQ(small->size_desc(),
-            std::to_string(builtin::probe_iters(ClusterConfig::mp4spatz4())) +
-                "-uniform");
-  EXPECT_EQ(big->size_desc(),
-            std::to_string(builtin::probe_iters(ClusterConfig::mp128spatz8())) +
-                "-uniform");
+  // 128 iterations, scaled down to 64 on the 1024-FPU preset.
+  EXPECT_EQ(small->size_desc(), "128-uniform");
+  EXPECT_EQ(big->size_desc(), "64-uniform");
 }
 
 // ---------------------------------------------- RunnerOptions round trip ----
@@ -485,6 +483,44 @@ TEST(ScenarioFile, ShippedTracePatternsFileMirrorsTheBuiltinSuite) {
               runner_options_to_json(b->opts).dump())
         << sc.rel;
     EXPECT_EQ(sc.expect_verified, b->expect_verified);
+  }
+}
+
+/// Every builtin point can be written as a suite file: one template per
+/// point, spelled as explore::canonical_point_json plus its name, loads back
+/// through parse_suite (which validates each config and dry-runs each
+/// kernel) as the same design points in the same order. Registration builds
+/// no kernel, so this is where the builtin kernels' parameters are checked.
+TEST(BuiltinSuites, EveryPointRoundTripsThroughASuiteFile) {
+  for (const auto* group : {&builtin::table_suites(), &builtin::ablation_suites(),
+                            &builtin::extension_suites(), &builtin::system_suites()}) {
+    for (const LoadedSuite& suite : *group) {
+      SCOPED_TRACE(suite.suite.name);
+      Json::Array templates;
+      for (const FileScenario& point : suite.scenarios) {
+        Json t = explore::canonical_point_json(point);
+        t.set("name", point.rel);
+        templates.push_back(std::move(t));
+      }
+      Json doc;
+      doc.set("schema", kScenarioSchemaName);
+      doc.set("schema_version", kScenarioSchemaVersion);
+      doc.set("suite", suite.suite.name);
+      doc.set("description", suite.suite.description);
+      doc.set("emit_by_default", suite.suite.emit_by_default);
+      doc.set("scenarios", Json(std::move(templates)));
+
+      const LoadedSuite back = parse_suite(Json::parse(doc.dump()), suite.suite.name);
+      EXPECT_EQ(back.suite.description, suite.suite.description);
+      EXPECT_EQ(back.suite.emit_by_default, suite.suite.emit_by_default);
+      ASSERT_EQ(back.scenarios.size(), suite.scenarios.size());
+      for (std::size_t i = 0; i < suite.scenarios.size(); ++i) {
+        EXPECT_EQ(back.scenarios[i].rel, suite.scenarios[i].rel);
+        EXPECT_EQ(explore::canonical_key(back.scenarios[i]),
+                  explore::canonical_key(suite.scenarios[i]))
+            << suite.scenarios[i].rel;
+      }
+    }
   }
 }
 

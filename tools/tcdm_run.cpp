@@ -104,6 +104,12 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// A usage error: `<subcommand>: <problem>`, then the usage text.
+int usage_error(const char* argv0, const char* cmd, const std::string& problem) {
+  std::fprintf(stderr, "%s: %s\n", cmd, problem.c_str());
+  return usage(argv0);
+}
+
 /// Every value a flag can set, one member per destination; each
 /// subcommand reads the members its table names.
 struct Args {
@@ -361,7 +367,9 @@ int cmd_list(const char*, const Args& args) {
 int cmd_run(const char* argv0, const Args& args) {
   std::vector<std::string> file_suites;
   if (!setup_registry(args, file_suites)) return 2;
-  if (args.positional.empty() && file_suites.empty()) return usage(argv0);
+  if (args.positional.empty() && file_suites.empty()) {
+    return usage_error(argv0, "run", "name a scenario glob or a --file suite");
+  }
 
   const ScenarioRegistry& reg = ScenarioRegistry::instance();
   // With --file and no globs, the file's suites are the selection.
@@ -413,10 +421,15 @@ int cmd_run(const char* argv0, const Args& args) {
 
 int cmd_emit(const char* argv0, const Args& args) {
   const std::vector<std::string>& wanted = args.positional;
-  if (args.out.empty() || (args.all && !wanted.empty())) return usage(argv0);
+  if (args.out.empty()) return usage_error(argv0, "emit", "--out <dir> is required");
+  if (args.all && !wanted.empty()) {
+    return usage_error(argv0, "emit", "--all takes no suite names");
+  }
   std::vector<std::string> file_suites;
   if (!setup_registry(args, file_suites)) return 2;
-  if (!args.all && wanted.empty() && file_suites.empty()) return usage(argv0);
+  if (!args.all && wanted.empty() && file_suites.empty()) {
+    return usage_error(argv0, "emit", "name a suite or glob, --all or a --file suite");
+  }
 
   const ScenarioRegistry& reg = ScenarioRegistry::instance();
   // Resolve suite names/globs against the registry, keeping registration
@@ -470,7 +483,10 @@ int cmd_validate(const char*, const Args& args) {
 }
 
 int cmd_gen(const char* argv0, const Args& args) {
-  if (!args.positional.empty() || args.count == 0) return usage(argv0);
+  if (!args.positional.empty()) {
+    return usage_error(argv0, "gen", "unexpected argument " + args.positional.front());
+  }
+  if (args.count == 0) return usage_error(argv0, "gen", "--count must be at least 1");
   if (args.count > kMaxScenariosPerSuite) {
     std::fprintf(stderr, "gen: --count is capped at %zu scenarios per suite\n",
                  kMaxScenariosPerSuite);
@@ -496,7 +512,10 @@ int cmd_explore(const char* argv0, const Args& args) {
   // (but not both, and exactly one — explore does not span suites).
   std::vector<std::string> paths = args.positional;
   paths.insert(paths.end(), args.files.begin(), args.files.end());
-  if (paths.size() != 1) return usage(argv0);
+  if (paths.size() != 1) {
+    return usage_error(argv0, "explore",
+                       "expected one suite file, got " + std::to_string(paths.size()));
+  }
 
   explore::ExploreOptions eopts;
   eopts.objective.kind = args.objective;
@@ -567,10 +586,7 @@ int main_impl(int argc, char** argv) {
     if (sub.name != cmd) continue;
     Args args;
     const std::string problem = parse_flags(sub.flags, {argv + 2, argv + argc}, args);
-    if (!problem.empty()) {
-      std::fprintf(stderr, "%s: %s\n", argv[1], problem.c_str());
-      return usage(argv[0]);
-    }
+    if (!problem.empty()) return usage_error(argv[0], argv[1], problem);
     return sub.run(argv[0], args);
   }
   std::fprintf(stderr, "unknown subcommand '%s'\n", argv[1]);
