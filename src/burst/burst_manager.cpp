@@ -16,10 +16,10 @@ BurstManager::BurstManager(const BurstManagerConfig& cfg, const AddressMap& map,
 }
 
 void BurstManager::attach_stats(StatsRegistry& reg, const std::string& prefix) {
-  bursts_accepted_ = reg.counter(prefix + ".bursts_accepted");
-  bank_reqs_issued_ = reg.counter(prefix + ".bank_reqs_issued");
-  beats_merged_ = reg.counter(prefix + ".beats_merged");
-  fifo_full_events_ = reg.counter(prefix + ".fifo_full_events");
+  static constexpr std::string_view kStats[] = {".bursts_accepted", ".bank_reqs_issued",
+                                                ".beats_merged", ".fifo_full_events"};
+  reg.block(prefix, kStats,
+            {&bursts_accepted_, &bank_reqs_issued_, &beats_merged_, &fifo_full_events_});
 }
 
 bool BurstManager::try_accept(const TcdmReq& req) {

@@ -41,13 +41,12 @@ void BurstSender::reset() {
 }
 
 void BurstSender::attach_stats(StatsRegistry& reg, const std::string& prefix) {
-  bursts_sent_ = reg.counter(prefix + ".bursts_sent");
-  burst_words_ = reg.counter(prefix + ".burst_words");
-  strided_bursts_sent_ = reg.counter(prefix + ".strided_bursts_sent");
-  store_bursts_sent_ = reg.counter(prefix + ".store_bursts_sent");
-  narrow_sent_ = reg.counter(prefix + ".narrow_remote_words");
-  local_words_ = reg.counter(prefix + ".local_words");
-  coalesce_splits_ = reg.counter(prefix + ".tile_boundary_splits");
+  static constexpr std::string_view kStats[] = {
+      ".bursts_sent",         ".burst_words", ".strided_bursts_sent", ".store_bursts_sent",
+      ".narrow_remote_words", ".local_words", ".tile_boundary_splits"};
+  reg.block(prefix, kStats,
+            {&bursts_sent_, &burst_words_, &strided_bursts_sent_, &store_bursts_sent_,
+             &narrow_sent_, &local_words_, &coalesce_splits_});
 }
 
 std::optional<std::uint32_t> BurstSender::alloc_burst() {

@@ -40,8 +40,8 @@ Cluster::Cluster(const ClusterConfig& cfg, const SimOptions& sim)
   for (TileId t = 0; t < cfg_.num_tiles; ++t) {
     tiles_.push_back(std::make_unique<Tile>(cfg_, t, *net_, map_, *barrier_, stats_));
   }
-  cycles_skipped_ = stats_.counter("sim.cycles_skipped");
-  cycles_simulated_ = stats_.counter("sim.cycles_simulated");
+  static constexpr std::string_view kStats[] = {".cycles_skipped", ".cycles_simulated"};
+  stats_.block("sim", kStats, {&cycles_skipped_, &cycles_simulated_});
 }
 
 void Cluster::load_program(Program program) {
@@ -64,38 +64,57 @@ void Cluster::load_programs(std::vector<Program> programs) {
   }
 }
 
-void Cluster::write_word(Addr addr, Word value) {
-  if (!map_.valid(addr) || addr % kWordBytes != 0) {
-    throw std::out_of_range("write_word: bad TCDM address");
+template <typename Self, typename Fn>
+void Cluster::for_each_word(Self& self, Addr addr, std::size_t count, const char* what,
+                            Fn fn) {
+  if (count == 0) return;
+  const AddressMap& map = self.map_;
+  if (!map.valid(addr) || addr % kWordBytes != 0 ||
+      count > (map.total_bytes() - addr) / kWordBytes) {
+    throw std::out_of_range(std::string(what) + ": bad TCDM address");
   }
-  tiles_[map_.tile_of(addr)]->bank(map_.bank_in_tile(addr)).write_row(map_.row_of(addr), value);
+  // Words interleave across the banks of every tile in turn; after the last
+  // bank of the last tile the walk wraps to the next row.
+  const DecodedAddr at = map.decode(addr);
+  TileId tile = at.tile;
+  unsigned bank = at.bank_in_tile;
+  std::uint32_t row = at.row;
+  for (std::size_t i = 0; i < count; ++i) {
+    fn(i, self.tiles_[tile]->bank(bank).rows()[row]);
+    if (++bank == map.banks_per_tile()) {
+      bank = 0;
+      if (++tile == map.num_tiles()) {
+        tile = 0;
+        ++row;
+      }
+    }
+  }
+}
+
+void Cluster::write_word(Addr addr, Word value) {
+  for_each_word(*this, addr, 1, "write_word", [&](std::size_t, Word& w) { w = value; });
 }
 
 Word Cluster::read_word(Addr addr) const {
-  if (!map_.valid(addr) || addr % kWordBytes != 0) {
-    throw std::out_of_range("read_word: bad TCDM address");
-  }
-  return tiles_[map_.tile_of(addr)]->bank(map_.bank_in_tile(addr)).read_row(map_.row_of(addr));
+  Word value = 0;
+  for_each_word(*this, addr, 1, "read_word", [&](std::size_t, const Word& w) { value = w; });
+  return value;
 }
 
 void Cluster::write_block(Addr addr, std::span<const Word> words) {
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    write_word(addr + static_cast<Addr>(i * kWordBytes), words[i]);
-  }
+  for_each_word(*this, addr, words.size(), "write_word",
+                [&](std::size_t i, Word& w) { w = words[i]; });
 }
 
 void Cluster::write_block_f32(Addr addr, std::span<const float> values) {
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    write_f32(addr + static_cast<Addr>(i * kWordBytes), values[i]);
-  }
+  for_each_word(*this, addr, values.size(), "write_word",
+                [&](std::size_t i, Word& w) { w = f32_to_word(values[i]); });
 }
 
 std::vector<float> Cluster::read_block_f32(Addr addr, std::size_t count) const {
-  std::vector<float> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(read_f32(addr + static_cast<Addr>(i * kWordBytes)));
-  }
+  std::vector<float> out(count);
+  for_each_word(*this, addr, count, "read_word",
+                [&](std::size_t i, const Word& w) { out[i] = word_to_f32(w); });
   return out;
 }
 

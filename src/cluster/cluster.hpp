@@ -231,6 +231,13 @@ class Cluster final : public RspSink {
   /// this cycle (the plan is then meaningless and discarded by the caller).
   Cycle earliest_event(SkipPlan& plan);
 
+  /// Host block I/O: checks once that the `count` words from `addr` lie in
+  /// the TCDM, else throws std::out_of_range("<what>: bad TCDM address")
+  /// before touching any, then calls fn(i, storage of word i) for each.
+  /// `Self` is Cluster or const Cluster.
+  template <typename Self, typename Fn>
+  static void for_each_word(Self& self, Addr addr, std::size_t count, const char* what, Fn fn);
+
   ClusterConfig cfg_;
   Topology topo_;
   AddressMap map_;

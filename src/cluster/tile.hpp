@@ -3,6 +3,7 @@
 // glue between banks, the core and the hierarchical network.
 #pragma once
 
+#include <cassert>
 #include <memory>
 #include <vector>
 
@@ -31,7 +32,10 @@ class Tile final : public TileServices {
 
   [[nodiscard]] CoreComplex& cc() noexcept { return *cc_; }
   [[nodiscard]] const CoreComplex& cc() const noexcept { return *cc_; }
-  [[nodiscard]] SpmBank& bank(unsigned b) { return banks_.at(b); }
+  [[nodiscard]] SpmBank& bank(unsigned b) {
+    assert(b < banks_.size());
+    return banks_[b];
+  }
   [[nodiscard]] bool memory_busy() const;
   /// True when cycle_memory(now) would be a strict no-op: no queued bank or
   /// burst-manager work and nothing waiting on this tile's slave ports. The

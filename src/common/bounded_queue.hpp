@@ -13,7 +13,9 @@ namespace tcdm {
 template <typename T>
 class BoundedQueue {
  public:
-  explicit BoundedQueue(std::size_t capacity) : buf_(capacity) { assert(capacity > 0); }
+  /// Capacity 0 gives a queue that is always full and never holds anything
+  /// (a network wait-list no tile can reach).
+  explicit BoundedQueue(std::size_t capacity) : buf_(capacity) {}
 
   [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
   [[nodiscard]] std::size_t size() const noexcept { return count_; }

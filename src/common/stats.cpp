@@ -4,45 +4,135 @@
 #include <cassert>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 namespace tcdm {
 
-std::size_t StatsRegistry::find_slot(std::string_view name) const noexcept {
+namespace {
+/// The suffix list of a single counter() name: the prefix is the name.
+constexpr std::string_view kWhole[] = {""};
+
+/// a.ends_with(b), trying b's first character before the rest: a suffix
+/// starts with a dot, so most mismatches show at that character.
+bool ends_with(std::string_view a, std::string_view b) noexcept {
+  return b.size() <= a.size() &&
+         (b.empty() || (a[a.size() - b.size()] == b.front() && a.ends_with(b)));
+}
+}  // namespace
+
+std::size_t StatsRegistry::home(std::string_view key) const noexcept {
+  return std::hash<std::string_view>{}(key) & (index_.size() - 1);
+}
+
+std::size_t StatsRegistry::probe(std::string_view key, std::size_t i) const noexcept {
   const std::size_t mask = index_.size() - 1;
-  std::size_t i = std::hash<std::string_view>{}(name) & mask;
   // Linear probing; the index is at most half full, so an empty slot ends
   // every probe sequence.
-  while (index_[i] != 0 && this->name(index_[i] - 1) != name) i = (i + 1) & mask;
+  while (index_[i] != 0 && this->key(blocks_[index_[i] - 1]) != key) i = (i + 1) & mask;
   return i;
 }
 
+void StatsRegistry::insert(std::uint32_t pos) {
+  std::size_t i = home(key(blocks_[pos]));
+  while (index_[i] != 0) i = (i + 1) & (index_.size() - 1);
+  index_[i] = pos + 1;
+}
+
 void StatsRegistry::grow_index() {
-  std::vector<std::uint32_t> old = std::move(index_);
-  index_.assign(old.empty() ? 64 : 2 * old.size(), 0);
-  for (const std::uint32_t entry : old) {
-    if (entry != 0) index_[find_slot(name(entry - 1))] = entry;
+  index_.assign(index_.empty() ? 64 : 2 * index_.size(), 0);
+  for (std::uint32_t pos = 0; pos < blocks_.size(); ++pos) insert(pos);
+}
+
+std::int64_t StatsRegistry::member(const Block& b, std::string_view rest) const noexcept {
+  // A single name keeps the part after its last dot in the arena, a block
+  // in its suffix list; one of the two is empty.
+  const std::string_view tail = prefix(b).substr(b.key_size);
+  if (!rest.starts_with(tail)) return -1;
+  rest.remove_prefix(tail.size());
+  for (std::size_t j = 0; j < b.suffixes.size(); ++j) {
+    if (b.suffixes[j] == rest) return b.first + static_cast<std::int64_t>(j);
   }
+  return -1;
+}
+
+std::int64_t StatsRegistry::find(std::string_view key, std::string_view rest,
+                                 std::size_t start) const noexcept {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = probe(key, start); index_[i] != 0; i = probe(key, (i + 1) & mask)) {
+    const std::int64_t pos = member(blocks_[index_[i] - 1], rest);
+    if (pos >= 0) return pos;
+  }
+  return -1;
+}
+
+std::int64_t StatsRegistry::find(std::string_view name) const noexcept {
+  if (index_.empty()) return -1;
+  // Every suffix is a dot and one dot-free segment, so the last dot of a
+  // full name ends its block's key.
+  const std::size_t dot = name.rfind('.');
+  const std::size_t key_size = dot == std::string_view::npos ? 0 : dot;
+  const std::string_view key = name.substr(0, key_size);
+  return find(key, name.substr(key_size), home(key));
+}
+
+std::uint32_t StatsRegistry::add(std::string_view prefix, std::size_t key_size,
+                                 std::span<const std::string_view> suffixes) {
+  assert(names_.size() + prefix.size() <= std::numeric_limits<std::uint32_t>::max());
+  assert(size() + suffixes.size() <= std::numeric_limits<std::uint32_t>::max());
+  if (2 * (blocks_.size() + 1) > index_.size()) grow_index();
+  const auto first = static_cast<std::uint32_t>(size());
+  blocks_.push_back(Block{suffixes, first, static_cast<std::uint32_t>(names_.size()),
+                          static_cast<std::uint32_t>(prefix.size()),
+                          static_cast<std::uint32_t>(key_size)});
+  names_.append(prefix);
+  values_.resize(size() + suffixes.size(), 0.0);
+  insert(static_cast<std::uint32_t>(blocks_.size() - 1));
+  return first;
+}
+
+std::uint32_t StatsRegistry::add_block(std::string_view prefix,
+                                       std::span<const std::string_view> suffixes) {
+  for (const std::string_view s : suffixes) {
+    (void)s;
+    assert(s.size() > 1 && s[0] == '.' && s.find('.', 1) == std::string_view::npos);
+    assert(std::count(suffixes.begin(), suffixes.end(), s) == 1);
+  }
+  if (!index_.empty()) {
+    // Only a block with the same key can hold one of these names.
+    const std::size_t start = home(prefix);
+    for (const std::string_view s : suffixes) {
+      if (find(prefix, s, start) >= 0) {
+        std::string full(prefix);
+        full += s;
+        throw std::logic_error("stats: counter '" + full + "' is already registered");
+      }
+    }
+  }
+  return add(prefix, prefix.size(), suffixes);
 }
 
 Counter StatsRegistry::counter(std::string_view name) {
-  if (2 * (size() + 1) > index_.size()) grow_index();
-  const std::size_t slot = find_slot(name);
-  if (index_[slot] == 0) {
-    assert(names_.size() + name.size() <= std::numeric_limits<std::uint32_t>::max());
-    values_.push_back(0.0);
-    names_.append(name);
-    name_begin_.push_back(static_cast<std::uint32_t>(names_.size()));
-    index_[slot] = static_cast<std::uint32_t>(size());
+  std::int64_t pos = find(name);
+  if (pos < 0) {
+    const std::size_t dot = name.rfind('.');
+    pos = add(name, dot == std::string_view::npos ? 0 : dot, kWhole);
   }
-  return Counter(&values_[index_[slot] - 1]);
+  return Counter(&values_[static_cast<std::size_t>(pos)]);
 }
 
 double StatsRegistry::value(std::string_view name) const {
-  if (index_.empty()) return 0.0;
-  const std::uint32_t entry = index_[find_slot(name)];
-  return entry == 0 ? 0.0 : values_[entry - 1];
+  const std::int64_t pos = find(name);
+  return pos < 0 ? 0.0 : values_[static_cast<std::size_t>(pos)];
+}
+
+StatsRegistry::Name StatsRegistry::name(std::uint32_t pos) const {
+  const auto b = std::prev(std::upper_bound(
+      blocks_.begin(), blocks_.end(), pos,
+      [](std::uint32_t p, const Block& blk) { return p < blk.first; }));
+  return Name{prefix(*b), b->suffixes[pos - b->first]};
 }
 
 // Sums walk registration order. Every counter holds an integer below 2^53,
@@ -52,27 +142,45 @@ template <typename Match>
 double StatsRegistry::sum_if(Match match) const {
   double total = 0.0;
   auto v = values_.begin();
-  for (std::uint32_t i = 0; i < size(); ++i, ++v) {
-    if (match(name(i))) total += *v;
+  for (const Block& b : blocks_) {
+    const std::string_view p = prefix(b);
+    for (const std::string_view s : b.suffixes) {
+      if (match(p, s)) total += *v;
+      ++v;
+    }
   }
   return total;
 }
 
-double StatsRegistry::sum_prefix(std::string_view prefix) const {
-  return sum_if([prefix](std::string_view n) { return n.starts_with(prefix); });
+double StatsRegistry::sum_prefix(std::string_view affix) const {
+  return sum_if([affix](std::string_view p, std::string_view s) {
+    if (affix.size() <= p.size()) return p.starts_with(affix);
+    return affix.starts_with(p) && s.starts_with(affix.substr(p.size()));
+  });
 }
 
-double StatsRegistry::sum_suffix(std::string_view suffix) const {
-  return sum_if([suffix](std::string_view n) { return n.ends_with(suffix); });
+double StatsRegistry::sum_suffix(std::string_view affix) const {
+  return sum_if([affix](std::string_view p, std::string_view s) {
+    if (affix.size() <= s.size()) return ends_with(s, affix);
+    return ends_with(affix, s) && ends_with(p, affix.substr(0, affix.size() - s.size()));
+  });
 }
 
 const std::vector<std::uint32_t>& StatsRegistry::sorted() const {
   // Names are only ever added, so a permutation of the right length is current.
   if (order_.size() != size()) {
+    std::vector<std::pair<std::string, std::uint32_t>> named;
+    named.reserve(size());
+    for (const Block& b : blocks_) {
+      for (std::uint32_t j = 0; j < b.suffixes.size(); ++j) {
+        std::string full(prefix(b));
+        full += b.suffixes[j];
+        named.emplace_back(std::move(full), b.first + j);
+      }
+    }
+    std::sort(named.begin(), named.end());
     order_.resize(size());
-    for (std::uint32_t i = 0; i < size(); ++i) order_[i] = i;
-    std::sort(order_.begin(), order_.end(),
-              [this](std::uint32_t a, std::uint32_t b) { return name(a) < name(b); });
+    for (std::size_t i = 0; i < named.size(); ++i) order_[i] = named[i].second;
   }
   return order_;
 }
@@ -80,7 +188,12 @@ const std::vector<std::uint32_t>& StatsRegistry::sorted() const {
 std::vector<std::pair<std::string, double>> StatsRegistry::snapshot() const {
   std::vector<std::pair<std::string, double>> out;
   out.reserve(size());
-  for (const std::uint32_t i : sorted()) out.emplace_back(name(i), values_[i]);
+  for (const std::uint32_t i : sorted()) {
+    const Name n = name(i);
+    std::string full(n.head);
+    full += n.tail;
+    out.emplace_back(std::move(full), values_[i]);
+  }
   return out;
 }
 
@@ -110,7 +223,8 @@ std::string StatsRegistry::to_json() const {
   for (const std::uint32_t i : sorted()) {
     if (!first) os << ",\n";
     first = false;
-    os << "  \"" << name(i) << "\": ";
+    const Name n = name(i);
+    os << "  \"" << n.head << n.tail << "\": ";
     if (std::isfinite(values_[i])) {
       os << values_[i];
     } else {

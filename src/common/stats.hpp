@@ -1,10 +1,13 @@
-// Lightweight statistics registry. Components create named counters once at
-// construction and bump them through a raw-pointer handle on the hot path;
-// reports walk the registry by name at the end of a run.
+// Lightweight statistics registry. Components register their counters once
+// at construction, as one block each, and bump them through a raw-pointer
+// handle on the hot path; reports walk the registry by name at the end of a
+// run.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,26 +62,54 @@ class SkipPlan {
 
 /// Name -> value registry with stable storage so Counter handles never dangle.
 ///
-/// Registering a counter makes no heap allocation of its own: values live in
-/// one chunked slab (a std::deque, so addresses stay stable as it grows) in
-/// registration order, names are appended to one character arena and kept as
-/// offsets, and an open-addressing index of slab positions finds a name
-/// without per-entry nodes. A component's counters are registered together,
-/// so they share cache lines on the hot path.
+/// A component registers its counters as one block: a prefix naming the
+/// instance and a static list of suffixes naming its counters, each a dot
+/// and one dot-free segment. The full name of counter i is prefix +
+/// suffixes[i]. To add a counter to a component, append its suffix to the
+/// component's list and its handle to the matching position of its
+/// block() call:
 ///
+///   static constexpr std::string_view kStats[] = {".reads", ".writes"};
+///   void Bank::attach_stats(StatsRegistry& reg, const std::string& prefix) {
+///     reg.block(prefix, kStats, {&reads_, &writes_});
+///   }
+///
+/// A block reserves consecutive slots of one chunked slab (a std::deque, so
+/// addresses stay stable as it grows) and records its prefix once in a
+/// character arena; the suffix list is borrowed, so it must outlive the
+/// registry (a static list does). Registration thus composes no name and
+/// makes no allocation or hash per counter: an open-addressing index finds
+/// a block by its prefix. A single counter() name is a block of one whose
+/// prefix is the whole name. A component's counters sit next to each
+/// other, so they share cache lines on the hot path.
+///
+/// Full names are composed only where something reads them. Lookups split a
+/// name at its last dot and probe the index once for the part before it.
 /// Reports that need name order (snapshot(), values(), slots(), to_json())
 /// walk a sorted permutation built on first use and kept until the next new
-/// name. Sums walk registration order: every counter holds an integer below
-/// 2^53 (EV2, docs/ARCHITECTURE.md), so the order of the additions cannot
-/// change a bit. Because const calls may build that cached permutation, a
-/// registry belongs to one thread (docs/CONCURRENCY.md).
+/// name. Sums match each block's prefix and suffixes against the affix and
+/// walk registration order: every counter holds an integer below 2^53 (EV2,
+/// docs/ARCHITECTURE.md), so the order of the additions cannot change a bit.
+/// Because const calls may build that cached permutation, a registry belongs
+/// to one thread (docs/CONCURRENCY.md).
 class StatsRegistry {
  public:
   StatsRegistry() = default;
   StatsRegistry(const StatsRegistry&) = delete;
   StatsRegistry& operator=(const StatsRegistry&) = delete;
 
+  /// Registers the counters prefix + suffixes[i] and points *out[i] at the
+  /// i-th. Throws std::logic_error naming the first full name that is
+  /// already registered (nothing is registered then).
+  template <std::size_t N>
+  void block(std::string_view prefix, const std::string_view (&suffixes)[N],
+             Counter* const (&out)[N]) {
+    const std::uint32_t first = add_block(prefix, suffixes);
+    for (std::size_t i = 0; i < N; ++i) *out[i] = Counter(&values_[first + i]);
+  }
+
   /// Returns a handle to the named counter, creating it (at 0) on first use.
+  /// A block member is found by its full name.
   [[nodiscard]] Counter counter(std::string_view name);
 
   /// Value lookup; returns 0 for unknown names.
@@ -111,24 +142,66 @@ class StatsRegistry {
   void reset();
 
  private:
+  /// Counters prefix + suffixes[i] at slab positions first + i. Blocks are
+  /// kept in registration order, so their slots tile the slab.
+  struct Block {
+    std::span<const std::string_view> suffixes;
+    std::uint32_t first;     // slab position of suffixes[0]
+    std::uint32_t begin;     // arena offset of the prefix
+    std::uint32_t size;      // prefix length
+    std::uint32_t key_size;  // length of the prefix up to its members' last dot
+  };
+  /// One full name, as the two pieces it is made of.
+  struct Name {
+    std::string_view head;
+    std::string_view tail;
+  };
+
   [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
-  [[nodiscard]] std::string_view name(std::uint32_t pos) const noexcept {
-    return {names_.data() + name_begin_[pos], name_begin_[pos + 1] - name_begin_[pos]};
+  [[nodiscard]] std::string_view prefix(const Block& b) const noexcept {
+    return {names_.data() + b.begin, b.size};
   }
-  /// Sum of the counters whose name satisfies `match`, in registration order.
+  /// Index key of a block: the part of its members' names before their
+  /// last dot.
+  [[nodiscard]] std::string_view key(const Block& b) const noexcept {
+    return {names_.data() + b.begin, b.key_size};
+  }
+  /// Name of the counter at slab position `pos`.
+  [[nodiscard]] Name name(std::uint32_t pos) const;
+  /// Slab position of `name`, or -1 when it is not registered.
+  [[nodiscard]] std::int64_t find(std::string_view name) const noexcept;
+  /// Slab position of the counter named `key` + `rest` whose block is keyed
+  /// `key`, or -1; `start` is home(key).
+  [[nodiscard]] std::int64_t find(std::string_view key, std::string_view rest,
+                                  std::size_t start) const noexcept;
+  /// Member of block `b` whose name is key(b) + `rest`, or -1.
+  [[nodiscard]] std::int64_t member(const Block& b, std::string_view rest) const noexcept;
+  /// Registers a block whose members' key is the first `key_size` characters
+  /// of `prefix`; returns the slab position of its first counter.
+  std::uint32_t add(std::string_view prefix, std::size_t key_size,
+                    std::span<const std::string_view> suffixes);
+  /// block() without the handles: refuses a registered name, then add()s.
+  std::uint32_t add_block(std::string_view prefix, std::span<const std::string_view> suffixes);
+  /// Sum of the counters whose name matches, in registration order:
+  /// `match(prefix, suffix)` tells for one member.
   template <typename Match>
   [[nodiscard]] double sum_if(Match match) const;
-  /// Index slot holding `name`, or the empty slot where it would go.
-  [[nodiscard]] std::size_t find_slot(std::string_view name) const noexcept;
+  /// Index slot of the first block keyed `key` at or after probe position
+  /// `i`, or the empty slot that ends the probe sequence.
+  [[nodiscard]] std::size_t probe(std::string_view key, std::size_t i) const noexcept;
+  /// Index slot where the probe sequence of `key` starts.
+  [[nodiscard]] std::size_t home(std::string_view key) const noexcept;
+  /// Enters block `pos` into the index.
+  void insert(std::uint32_t pos);
   void grow_index();
   /// Slab positions in name order; rebuilt when a name was added since.
   const std::vector<std::uint32_t>& sorted() const;
 
-  std::deque<double> values_;                   // slab, registration order
-  std::string names_;                           // arena: every name, back to back
-  std::vector<std::uint32_t> name_begin_{0};    // name i is [begin[i], begin[i+1])
-  std::vector<std::uint32_t> index_;            // slab position + 1; 0 = empty
-  mutable std::vector<std::uint32_t> order_;    // cached name-order permutation
+  std::deque<double> values_;                 // slab, registration order
+  std::vector<Block> blocks_;                 // registration order
+  std::string names_;                         // arena: every prefix, back to back
+  std::vector<std::uint32_t> index_;          // block position + 1; 0 = empty
+  mutable std::vector<std::uint32_t> order_;  // cached name-order permutation
 };
 
 }  // namespace tcdm

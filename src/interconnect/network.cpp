@@ -15,14 +15,23 @@ HierNetwork::HierNetwork(const Topology& topo, const NetworkConfig& cfg, StatsRe
   req_slave_.reserve(ports);
   req_wait_.reserve(ports);
   rsp_wait_.reserve(ports);
-  for (std::size_t p = 0; p < ports; ++p) {
-    const auto cls = static_cast<std::uint8_t>(p % num_classes_);
-    req_master_.emplace_back(topo.req_latency(cls) + cfg_.master_extra_slots);
-    rsp_master_.emplace_back(topo.rsp_latency(cls) + cfg_.master_extra_slots);
-    req_slave_.emplace_back(cfg_.slave_depth);
-    // A waitlist can at worst hold every tile in the cluster.
-    req_wait_.emplace_back(num_tiles_);
-    rsp_wait_.emplace_back(num_tiles_);
+  // The (dst, cls) wait-lists hold at most one entry per tile whose traffic
+  // to dst travels in class cls: each master port registers only its head.
+  // Classes are numbered from the sender's side, so at a given dst some
+  // classes have no sender and their lists no slot.
+  std::vector<unsigned> senders(num_classes_);
+  for (TileId dst = 0; dst < num_tiles_; ++dst) {
+    std::fill(senders.begin(), senders.end(), 0u);
+    for (TileId src = 0; src < num_tiles_; ++src) {
+      if (src != dst) ++senders[topo.class_of(src, dst)];
+    }
+    for (std::uint8_t cls = 0; cls < num_classes_; ++cls) {
+      req_master_.emplace_back(topo.req_latency(cls) + cfg_.master_extra_slots);
+      rsp_master_.emplace_back(topo.rsp_latency(cls) + cfg_.master_extra_slots);
+      req_slave_.emplace_back(cfg_.slave_depth);
+      req_wait_.emplace_back(senders[cls]);
+      rsp_wait_.emplace_back(senders[cls]);
+    }
   }
   assert(cfg_.req_grouping_factor >= 1 && cfg_.req_grouping_factor <= kMaxGroupingFactor);
   req_master_free_at_.assign(ports, 0);
@@ -36,13 +45,13 @@ HierNetwork::HierNetwork(const Topology& topo, const NetworkConfig& cfg, StatsRe
   rsp_wait_cls_cnt_.assign(num_tiles_, 0);
   acks_map_.init(num_tiles_);
 
-  req_sent_ = stats.counter("network.req_sent");
-  req_words_ = stats.counter("network.req_words");
-  rsp_beats_ = stats.counter("network.rsp_beats");
-  rsp_words_ = stats.counter("network.rsp_words");
-  req_hop_words_ = stats.counter("network.req_hop_words");
-  rsp_hop_words_ = stats.counter("network.rsp_hop_words");
-  egress_blocked_ = stats.counter("network.egress_blocked_cycles");
+  static constexpr std::string_view kStats[] = {
+      ".req_sent",      ".req_words",     ".rsp_beats",
+      ".rsp_words",     ".req_hop_words", ".rsp_hop_words",
+      ".egress_blocked_cycles"};
+  stats.block("network", kStats,
+              {&req_sent_, &req_words_, &rsp_beats_, &rsp_words_, &req_hop_words_,
+               &rsp_hop_words_, &egress_blocked_});
 }
 
 void HierNetwork::send_req(TileId src, TileId dst, const TcdmReq& req, Cycle now) {

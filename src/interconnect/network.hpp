@@ -122,6 +122,12 @@ class HierNetwork {
     return req_slave_[port_index(dst, cls)].pop();
   }
 
+  /// Slots of the request and of the response wait-list of (dst, cls): the
+  /// number of other tiles whose traffic to dst travels in class cls.
+  [[nodiscard]] std::size_t wait_capacity(TileId dst, std::uint8_t cls) const {
+    return req_wait_[port_index(dst, cls)].capacity();
+  }
+
   /// Any transaction still inside the network (drain check for barriers/tests).
   [[nodiscard]] bool busy() const;
 

@@ -8,10 +8,9 @@ SpmBank::SpmBank(unsigned words, unsigned in_depth, unsigned out_depth)
     : data_(words, 0), in_(in_depth), out_(out_depth) {}
 
 void SpmBank::attach_stats(StatsRegistry& reg, const std::string& prefix) {
-  reads_ = reg.counter(prefix + ".reads");
-  writes_ = reg.counter(prefix + ".writes");
-  conflict_cycles_ = reg.counter(prefix + ".conflict_cycles");
-  stall_cycles_ = reg.counter(prefix + ".stall_cycles");
+  static constexpr std::string_view kStats[] = {".reads", ".writes", ".conflict_cycles",
+                                                ".stall_cycles"};
+  reg.block(prefix, kStats, {&reads_, &writes_, &conflict_cycles_, &stall_cycles_});
 }
 
 }  // namespace tcdm

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,7 @@ class SpmBank {
   [[nodiscard]] Word read_row(std::uint32_t row) const { return data_.at(row); }
   void write_row(std::uint32_t row, Word value) { data_.at(row) = value; }
   [[nodiscard]] unsigned words() const noexcept { return static_cast<unsigned>(data_.size()); }
+  [[nodiscard]] std::span<Word> rows() noexcept { return data_; }
 
   /// True if the bank still holds queued work (used by drain checks).
   [[nodiscard]] bool busy() const noexcept { return !in_.empty() || !out_.empty(); }

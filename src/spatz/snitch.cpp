@@ -11,14 +11,12 @@ Snitch::Snitch(const SnitchConfig& cfg, CoreId hartid, unsigned num_harts)
 }
 
 void Snitch::attach_stats(StatsRegistry& reg, const std::string& prefix) {
-  instrs_ = reg.counter(prefix + ".instrs");
-  scalar_flops_ = reg.counter(prefix + ".scalar_flops");
-  load_words_ = reg.counter(prefix + ".load_words");
-  store_words_ = reg.counter(prefix + ".store_words");
-  stall_viq_ = reg.counter(prefix + ".stall_viq_cycles");
-  stall_reg_ = reg.counter(prefix + ".stall_reg_cycles");
-  stall_mem_ = reg.counter(prefix + ".stall_mem_cycles");
-  barrier_wait_cycles_ = reg.counter(prefix + ".barrier_wait_cycles");
+  static constexpr std::string_view kStats[] = {
+      ".instrs",           ".scalar_flops",     ".load_words",       ".store_words",
+      ".stall_viq_cycles", ".stall_reg_cycles", ".stall_mem_cycles", ".barrier_wait_cycles"};
+  reg.block(prefix, kStats,
+            {&instrs_, &scalar_flops_, &load_words_, &store_words_, &stall_viq_, &stall_reg_,
+             &stall_mem_, &barrier_wait_cycles_});
 }
 
 void Snitch::load_program(const Program* prog, Cycle start_cycle) {

@@ -14,8 +14,8 @@ Spatz::Spatz(const SpatzConfig& cfg)
 void Spatz::attach_stats(StatsRegistry& reg, const std::string& prefix) {
   vfpu_.attach_stats(reg, prefix + ".vfpu");
   vlsu_.attach_stats(reg, prefix + ".vlsu");
-  issued_ = reg.counter(prefix + ".vinstrs_issued");
-  issue_hazard_stalls_ = reg.counter(prefix + ".issue_hazard_stalls");
+  static constexpr std::string_view kStats[] = {".vinstrs_issued", ".issue_hazard_stalls"};
+  reg.block(prefix, kStats, {&issued_, &issue_hazard_stalls_});
 }
 
 void Spatz::reset() {

@@ -14,9 +14,9 @@ Vfpu::Vfpu(unsigned lanes, unsigned latency)
 }
 
 void Vfpu::attach_stats(StatsRegistry& reg, const std::string& prefix) {
-  flops_ = reg.counter(prefix + ".flops");
-  busy_cycles_ = reg.counter(prefix + ".busy_cycles");
-  stall_cycles_ = reg.counter(prefix + ".chain_stall_cycles");
+  static constexpr std::string_view kStats[] = {".flops", ".busy_cycles",
+                                                ".chain_stall_cycles"};
+  reg.block(prefix, kStats, {&flops_, &busy_cycles_, &stall_cycles_});
 }
 
 void Vfpu::start(unsigned slot) {

@@ -19,10 +19,9 @@ Vlsu::Vlsu(unsigned ports, unsigned rob_depth, const BurstSenderConfig& sender_c
 }
 
 void Vlsu::attach_stats(StatsRegistry& reg, const std::string& prefix) {
-  words_loaded_ = reg.counter(prefix + ".words_loaded");
-  words_stored_ = reg.counter(prefix + ".words_stored");
-  beats_ = reg.counter(prefix + ".beats");
-  issue_stall_cycles_ = reg.counter(prefix + ".issue_stall_cycles");
+  static constexpr std::string_view kStats[] = {".words_loaded", ".words_stored", ".beats",
+                                                ".issue_stall_cycles"};
+  reg.block(prefix, kStats, {&words_loaded_, &words_stored_, &beats_, &issue_stall_cycles_});
   sender_.attach_stats(reg, prefix + ".sender");
 }
 

@@ -3,6 +3,10 @@
 // MP4Spatz4 preset, baseline and burst.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
 #include "src/cluster/cluster.hpp"
 #include "src/isa/program.hpp"
 #include "tests/support/test_support.hpp"
@@ -275,6 +279,59 @@ TEST(Cluster, WatchdogDetectsLostBarrier) {
   cluster.load_program(pb.build());
   cluster.set_watchdog_window(2'000);
   EXPECT_THROW((void)cluster.run(1'000'000), DeadlockError);
+}
+
+/// 64-bit FNV-1a over the sorted counter names, each closed by a NUL.
+std::uint64_t counter_name_hash(const StatsRegistry& stats) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](unsigned char c) {
+    h ^= c;
+    h *= 1099511628211ull;
+  };
+  for (const auto& [name, value] : stats.snapshot()) {
+    for (const char c : name) mix(static_cast<unsigned char>(c));
+    mix(0);
+  }
+  return h;
+}
+
+TEST(Cluster, CounterNamesArePinned) {
+  // Recorded from per-name registration: registering by component block
+  // must not rename, drop or add a counter on any preset or extension.
+  struct Pin {
+    ClusterConfig cfg;
+    std::size_t count;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {ClusterConfig::mp4spatz4(), 185, 10194144858358841721ull},
+      {ClusterConfig::mp64spatz4(), 2825, 18192725233544338017ull},
+      {ClusterConfig::mp128spatz8(), 7689, 11651489737874789033ull},
+      {ClusterConfig::mp4spatz4().with_burst(4).with_strided_bursts().with_store_bursts(4), 185,
+       10194144858358841721ull},
+  };
+  for (const Pin& pin : pins) {
+    const Cluster cluster(pin.cfg);
+    EXPECT_EQ(cluster.stats().snapshot().size(), pin.count) << pin.cfg.name;
+    EXPECT_EQ(counter_name_hash(cluster.stats()), pin.hash) << pin.cfg.name;
+  }
+}
+
+TEST(Cluster, HostBlockStraddlingTheEndThrowsBeforeWriting) {
+  Cluster cluster(tiny_config());
+  const Addr end = static_cast<Addr>(cluster.map().total_bytes());
+  const Addr start = end - 2 * kWordBytes;
+  const std::vector<Word> words = {1, 2, 3};
+  EXPECT_THROW(cluster.write_block(start, words), std::out_of_range);
+  EXPECT_THROW(cluster.write_block_f32(start, std::vector<float>{1, 2, 3}), std::out_of_range);
+  EXPECT_THROW((void)cluster.read_block_f32(start, 3), std::out_of_range);
+  EXPECT_EQ(cluster.read_word(start), 0u);
+  EXPECT_EQ(cluster.read_word(start + kWordBytes), 0u);
+  // Misaligned blocks are refused the same way; the two words that fit do not.
+  EXPECT_THROW(cluster.write_block(start + 1, std::span(words).first(1)), std::out_of_range);
+  cluster.write_block(start, std::span(words).first(2));
+  EXPECT_EQ(cluster.read_block_f32(start, 2),
+            (std::vector<float>{word_to_f32(1), word_to_f32(2)}));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // watchdog, bit utilities.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -40,6 +41,17 @@ TEST(BoundedQueue, FifoOrderAndCapacity) {
   EXPECT_EQ(q.pop(), 3);
   EXPECT_EQ(q.pop(), 4);
   EXPECT_TRUE(q.empty());
+}
+
+TEST(BoundedQueue, ZeroCapacityIsAlwaysFull) {
+  BoundedQueue<int> q(0);
+  EXPECT_EQ(q.capacity(), 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(q.full());
+  EXPECT_FALSE(q.try_push(1));
+  EXPECT_TRUE(q.empty());
+  q.clear();
+  EXPECT_TRUE(q.full());
 }
 
 TEST(BoundedQueue, WrapAroundManyTimes) {
@@ -219,7 +231,12 @@ void expect_matches_reference(const StatsRegistry& reg,
   EXPECT_EQ(reg.to_json(), reference_json(ref));
   EXPECT_EQ(reg.value("not.registered"), 0.0);
 
-  for (const char* affix : {"", "t", "t1", "t1.", "cc", "a", "ab", "b_", "x", ".vlsu", "reads"}) {
+  // Affixes shorter than, equal to and straddling a block's prefix/suffix
+  // split ("cc3.vlsu" + ".words_loaded" against ".vlsu.words_loaded").
+  for (const char* affix :
+       {"", "t", "t1", "t1.", "cc", "a", "ab", "b_", "x", ".vlsu", "reads", ".reads", "s",
+        ".vlsu.words_loaded", "vlsu.words_loaded", "u.words_loaded", "_loaded", ".beats",
+        "vlsu.beats", "t1.reads", "cc1.vlsu.w", "cc1.vlsu.words_", "a.t1", ".t1", "b_.a"}) {
     const std::string_view a(affix);
     double prefix = 0.0;
     double suffix = 0.0;
@@ -232,16 +249,73 @@ void expect_matches_reference(const StatsRegistry& reg,
   }
 }
 
+// Suffix lists for the differential test's blocks; segments overlap the
+// vocabulary of random_dotted_name, so block members collide with single
+// names and other blocks' members.
+constexpr std::string_view kVlsuStats[] = {".words_loaded", ".words_stored", ".beats"};
+constexpr std::string_view kBankStats[] = {".reads", ".writes", ".a", ".t1"};
+constexpr std::string_view kOneStat[] = {".vlsu"};
+
 TEST(Stats, DifferentialAgainstOrderedMap) {
   Xoshiro128 rng(20);
   StatsRegistry reg;
   std::map<std::string, double> ref;
   std::map<std::string, Counter> handles;  // first handle of each name
   std::vector<std::string> order;          // registration order
+  unsigned blocks = 0;
+  unsigned refused = 0;
+
+  // Registers `prefix` + `suffixes` as one block, or expects it refused
+  // (registering nothing) when one of its names exists already.
+  const auto add_block = [&]<std::size_t N>(const std::string& prefix,
+                                            const std::string_view(&suffixes)[N]) {
+    std::string taken;
+    for (const std::string_view s : suffixes) {
+      const std::string name = prefix + std::string(s);
+      if (taken.empty() && handles.contains(name)) taken = name;
+    }
+    std::array<Counter, N> c;
+    Counter* out[N];
+    for (std::size_t i = 0; i < N; ++i) out[i] = &c[i];
+    if (!taken.empty()) {
+      try {
+        reg.block(prefix, suffixes, out);
+        ADD_FAILURE() << "duplicate " << taken << " accepted";
+      } catch (const std::logic_error& e) {
+        EXPECT_NE(std::string(e.what()).find("'" + taken + "'"), std::string::npos) << e.what();
+      }
+      for (const Counter& h : c) EXPECT_FALSE(h.valid());
+      ++refused;
+      return;
+    }
+    reg.block(prefix, suffixes, out);
+    ++blocks;
+    for (std::size_t i = 0; i < N; ++i) {
+      const std::string name = prefix + std::string(suffixes[i]);
+      // A block member is found by its full name, at the same slot.
+      ASSERT_EQ(reg.counter(name).slot(), c[i].slot()) << name;
+      handles.emplace(name, c[i]);
+      order.push_back(name);
+      const double delta = rng.next_below(1000);
+      c[i].inc(delta);
+      ref[name] += delta;
+    }
+  };
+
   while (ref.size() < 5000) {
     // One in five operations re-registers a known name and must get the
-    // slot it was first given.
-    const bool again = !order.empty() && rng.next_below(5) == 0;
+    // slot it was first given; one in four registers a block.
+    const unsigned op = rng.next_below(20);
+    if (op < 5 && !order.empty()) {
+      const std::string prefix = random_dotted_name(rng);
+      switch (rng.next_below(3)) {
+        case 0: add_block(prefix, kVlsuStats); break;
+        case 1: add_block(prefix, kBankStats); break;
+        default: add_block(prefix, kOneStat); break;
+      }
+      continue;
+    }
+    const bool again = !order.empty() && op < 9;
     const std::string name = again ? order[rng.next_below(static_cast<std::uint32_t>(order.size()))]
                                    : random_dotted_name(rng);
     Counter c = reg.counter(name);
@@ -255,6 +329,8 @@ TEST(Stats, DifferentialAgainstOrderedMap) {
     c.inc(delta);
     ref[name] += delta;
   }
+  EXPECT_GT(blocks, 100u);
+  EXPECT_GT(refused, 10u);
   // Handles taken before the slab and the index grew still name their own
   // counters.
   for (const auto& [name, c] : handles) ASSERT_EQ(c.value(), ref.at(name)) << name;

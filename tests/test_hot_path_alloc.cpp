@@ -7,8 +7,10 @@
 //     n-node document (single reserved output string, no per-node pads);
 //   * a warmed-up RingDeque really is allocation-free under sustained
 //     push/pop traffic;
-//   * StatsRegistry registration allocates per chunk, not per counter, and
-//     Cluster::reset() and a value() lookup allocate nothing.
+//   * StatsRegistry registration allocates per chunk, not per counter,
+//     constructing MP64 stays within an allocation budget (no counter-name
+//     temporaries), and Cluster::reset() and a value() lookup allocate
+//     nothing.
 // The counter is process-global, so any background allocation would show
 // up here; tests run serially within the binary, which keeps the windows
 // attributable.
@@ -92,6 +94,9 @@ namespace {
 TEST(HotPathAlloc, HookCountsAllocations) {
   const std::uint64_t before = alloc_count();
   auto* p = new int(42);
+  // Uses the pointer where the optimizer cannot see, so the new/delete
+  // pair cannot be elided.
+  asm volatile("" : : "r"(p) : "memory");
   const std::uint64_t after = alloc_count();
   delete p;
   EXPECT_GE(after - before, 1u);
@@ -214,6 +219,18 @@ void expect_reset_allocation_free(const ClusterConfig& cfg) {
 TEST(HotPathAlloc, ClusterResetIsAllocationFree) {
   expect_reset_allocation_free(test::mp4_config(0));
   expect_reset_allocation_free(ClusterConfig::mp64spatz4().with_burst(4));
+}
+
+TEST(HotPathAlloc, ClusterConstructionMakesNoNameTemporaries) {
+  // Each component registers its counters as one block: constructing MP64
+  // composes none of its 2,825 counter names. Per-name registration built
+  // each one as a heap string (every name is longer than the small-string
+  // buffer) and took 7,024 allocations in all.
+  const ClusterConfig cfg = ClusterConfig::mp64spatz4();
+  const std::uint64_t before = alloc_count();
+  { const Cluster cluster(cfg); }
+  const std::uint64_t allocs = alloc_count() - before;
+  EXPECT_LE(allocs, 4400u) << allocs << " heap allocations to construct " << cfg.name;
 }
 
 TEST(HotPathAlloc, StatsValueLookupIsAllocationFree) {

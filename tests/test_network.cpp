@@ -3,8 +3,10 @@
 // egress fairness, backpressure, and store-ack out-of-band delivery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "src/cluster/cluster_config.hpp"
 #include "src/interconnect/network.hpp"
 #include "tests/support/test_support.hpp"
 
@@ -216,6 +218,49 @@ TEST_F(NetworkTest, BusyReflectsInFlightTraffic) {
   net_.cycle(1, sink_);
   (void)net_.slave_pop(1, topo_.class_of(0, 1));
   EXPECT_FALSE(net_.busy());
+}
+
+TEST(NetworkWaitLists, SizedByTheTilesThatCanReachThem) {
+  // A (dst, cls) wait-list holds at most the tiles whose traffic to dst
+  // travels in class cls, so the lists at a tile split the other tiles.
+  for (const ClusterConfig& cfg : {ClusterConfig::mp4spatz4(), ClusterConfig::mp64spatz4(),
+                                   ClusterConfig::mp128spatz8()}) {
+    const Topology topo = cfg.topology();
+    StatsRegistry stats;
+    const HierNetwork net(topo, NetworkConfig{}, stats);
+    for (TileId dst = 0; dst < topo.num_tiles(); ++dst) {
+      std::size_t total = 0;
+      for (unsigned cls = 0; cls < topo.num_classes(); ++cls) {
+        total += net.wait_capacity(dst, static_cast<std::uint8_t>(cls));
+      }
+      ASSERT_EQ(total, topo.num_tiles() - 1) << cfg.name << " tile " << dst;
+    }
+  }
+}
+
+TEST(NetworkWaitLists, EveryTileCanWaitOnOneDestinationAtOnce) {
+  // The worst case each list is sized for: every other tile sends to tile 0
+  // in the same cycle, and every request reaches tile 0's slave queues.
+  const Topology topo = ClusterConfig::mp64spatz4().topology();
+  StatsRegistry stats;
+  HierNetwork net(topo, NetworkConfig{}, stats);
+  CollectSink sink;
+  for (TileId src = 1; src < topo.num_tiles(); ++src) {
+    TcdmReq req;
+    req.src_tile = src;
+    net.send_req(src, 0, req, 0);
+  }
+  std::vector<TileId> arrived;
+  for (Cycle c = 0; c < 1000 && net.busy(); ++c) {
+    net.cycle(c, sink);
+    for (unsigned cls = 0; cls < topo.num_classes(); ++cls) {
+      const auto k = static_cast<std::uint8_t>(cls);
+      while (!net.slave_empty(0, k)) arrived.push_back(net.slave_pop(0, k).src_tile);
+    }
+  }
+  std::sort(arrived.begin(), arrived.end());
+  ASSERT_EQ(arrived.size(), topo.num_tiles() - 1);
+  for (TileId i = 0; i < arrived.size(); ++i) EXPECT_EQ(arrived[i], i + 1);
 }
 
 }  // namespace
