@@ -35,8 +35,7 @@ set(expected_tokens
   # gen
   --seed --count
   # explore
-  --objective --area-cap --budget --cache --no-prune
-  --report
+  --area-cap --budget --cache --no-prune --report
   # --stepping mode values
   event cycle check
   # system-layer scenario surface: the scale-out block and its barrier kinds

@@ -66,22 +66,4 @@ MetricsDoc MetricsDoc::read_file(const std::string& path) {
   }
 }
 
-// ------------------------------------------- full-result serialization ----
-
-Json kernel_metrics_to_json(const KernelMetrics& m) { return write_fields(m); }
-
-KernelMetrics kernel_metrics_from_json(const Json& j, const std::string& path) {
-  KernelMetrics m;
-  read_fields(j, path, ReadPolicy::kPersisted, m);
-  return m;
-}
-
-Json power_to_json(const PowerBreakdown& p) { return write_fields(p); }
-
-PowerBreakdown power_from_json(const Json& j, const std::string& path) {
-  PowerBreakdown p;
-  read_fields(j, path, ReadPolicy::kPersisted, p);
-  return p;
-}
-
 }  // namespace tcdm::metrics

@@ -32,7 +32,7 @@
 namespace tcdm {
 
 /// Field lists of the persisted results (src/common/json_fields.hpp),
-/// here so that the explore memo entry can nest them.
+/// here so that explore's memo entries and frontier points can nest them.
 template <MaybeConst<KernelMetrics> S, class V>
 void fields(S& m, V& v) {
   v("config", m.config);
@@ -113,19 +113,5 @@ struct MetricsDoc {
   /// malformed; every message names `path`.
   static MetricsDoc read_file(const std::string& path);
 };
-
-/// Full KernelMetrics / PowerBreakdown <-> JSON round trips, used wherever
-/// a complete simulation result is persisted (the explore memo cache).
-/// Doubles serialize at shortest-round-trip precision, so
-/// from_json(to_json(m)) reproduces every field bit for bit — a cached
-/// result is indistinguishable from a fresh simulation. The parsers are
-/// strict (ReadPolicy::kPersisted): a missing or unknown field throws
-/// SchemaError naming the `/`-joined path, so a corrupted store fails
-/// loudly instead of yielding a silently wrong result.
-[[nodiscard]] Json kernel_metrics_to_json(const KernelMetrics& m);
-[[nodiscard]] KernelMetrics kernel_metrics_from_json(const Json& j,
-                                                     const std::string& path);
-[[nodiscard]] Json power_to_json(const PowerBreakdown& p);
-[[nodiscard]] PowerBreakdown power_from_json(const Json& j, const std::string& path);
 
 }  // namespace tcdm::metrics

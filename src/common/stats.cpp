@@ -12,9 +12,6 @@
 namespace tcdm {
 
 namespace {
-/// The suffix list of a single counter() name: the prefix is the name.
-constexpr std::string_view kWhole[] = {""};
-
 /// a.ends_with(b), trying b's first character before the rest: a suffix
 /// starts with a dot, so most mismatches show at that character.
 bool ends_with(std::string_view a, std::string_view b) noexcept {
@@ -23,20 +20,20 @@ bool ends_with(std::string_view a, std::string_view b) noexcept {
 }
 }  // namespace
 
-std::size_t StatsRegistry::home(std::string_view key) const noexcept {
-  return std::hash<std::string_view>{}(key) & (index_.size() - 1);
+std::size_t StatsRegistry::home(std::string_view prefix) const noexcept {
+  return std::hash<std::string_view>{}(prefix) & (index_.size() - 1);
 }
 
-std::size_t StatsRegistry::probe(std::string_view key, std::size_t i) const noexcept {
+std::size_t StatsRegistry::probe(std::string_view prefix, std::size_t i) const noexcept {
   const std::size_t mask = index_.size() - 1;
   // Linear probing; the index is at most half full, so an empty slot ends
   // every probe sequence.
-  while (index_[i] != 0 && this->key(blocks_[index_[i] - 1]) != key) i = (i + 1) & mask;
+  while (index_[i] != 0 && this->prefix(blocks_[index_[i] - 1]) != prefix) i = (i + 1) & mask;
   return i;
 }
 
 void StatsRegistry::insert(std::uint32_t pos) {
-  std::size_t i = home(key(blocks_[pos]));
+  std::size_t i = home(prefix(blocks_[pos]));
   while (index_[i] != 0) i = (i + 1) & (index_.size() - 1);
   index_[i] = pos + 1;
 }
@@ -46,51 +43,26 @@ void StatsRegistry::grow_index() {
   for (std::uint32_t pos = 0; pos < blocks_.size(); ++pos) insert(pos);
 }
 
-std::int64_t StatsRegistry::member(const Block& b, std::string_view rest) const noexcept {
-  // A single name keeps the part after its last dot in the arena, a block
-  // in its suffix list; one of the two is empty.
-  const std::string_view tail = prefix(b).substr(b.key_size);
-  if (!rest.starts_with(tail)) return -1;
-  rest.remove_prefix(tail.size());
-  for (std::size_t j = 0; j < b.suffixes.size(); ++j) {
-    if (b.suffixes[j] == rest) return b.first + static_cast<std::int64_t>(j);
-  }
-  return -1;
-}
-
-std::int64_t StatsRegistry::find(std::string_view key, std::string_view rest,
+std::int64_t StatsRegistry::find(std::string_view prefix, std::string_view suffix,
                                  std::size_t start) const noexcept {
   const std::size_t mask = index_.size() - 1;
-  for (std::size_t i = probe(key, start); index_[i] != 0; i = probe(key, (i + 1) & mask)) {
-    const std::int64_t pos = member(blocks_[index_[i] - 1], rest);
-    if (pos >= 0) return pos;
+  for (std::size_t i = probe(prefix, start); index_[i] != 0;
+       i = probe(prefix, (i + 1) & mask)) {
+    const Block& b = blocks_[index_[i] - 1];
+    for (std::size_t j = 0; j < b.suffixes.size(); ++j) {
+      if (b.suffixes[j] == suffix) return b.first + static_cast<std::int64_t>(j);
+    }
   }
   return -1;
 }
 
 std::int64_t StatsRegistry::find(std::string_view name) const noexcept {
-  if (index_.empty()) return -1;
   // Every suffix is a dot and one dot-free segment, so the last dot of a
-  // full name ends its block's key.
+  // full name ends its block's prefix.
   const std::size_t dot = name.rfind('.');
-  const std::size_t key_size = dot == std::string_view::npos ? 0 : dot;
-  const std::string_view key = name.substr(0, key_size);
-  return find(key, name.substr(key_size), home(key));
-}
-
-std::uint32_t StatsRegistry::add(std::string_view prefix, std::size_t key_size,
-                                 std::span<const std::string_view> suffixes) {
-  assert(names_.size() + prefix.size() <= std::numeric_limits<std::uint32_t>::max());
-  assert(size() + suffixes.size() <= std::numeric_limits<std::uint32_t>::max());
-  if (2 * (blocks_.size() + 1) > index_.size()) grow_index();
-  const auto first = static_cast<std::uint32_t>(size());
-  blocks_.push_back(Block{suffixes, first, static_cast<std::uint32_t>(names_.size()),
-                          static_cast<std::uint32_t>(prefix.size()),
-                          static_cast<std::uint32_t>(key_size)});
-  names_.append(prefix);
-  values_.resize(size() + suffixes.size(), 0.0);
-  insert(static_cast<std::uint32_t>(blocks_.size() - 1));
-  return first;
+  if (index_.empty() || dot == std::string_view::npos) return -1;
+  const std::string_view prefix = name.substr(0, dot);
+  return find(prefix, name.substr(dot), home(prefix));
 }
 
 std::uint32_t StatsRegistry::add_block(std::string_view prefix,
@@ -101,7 +73,6 @@ std::uint32_t StatsRegistry::add_block(std::string_view prefix,
     assert(std::count(suffixes.begin(), suffixes.end(), s) == 1);
   }
   if (!index_.empty()) {
-    // Only a block with the same key can hold one of these names.
     const std::size_t start = home(prefix);
     for (const std::string_view s : suffixes) {
       if (find(prefix, s, start) >= 0) {
@@ -111,14 +82,22 @@ std::uint32_t StatsRegistry::add_block(std::string_view prefix,
       }
     }
   }
-  return add(prefix, prefix.size(), suffixes);
+  assert(names_.size() + prefix.size() <= std::numeric_limits<std::uint32_t>::max());
+  assert(size() + suffixes.size() <= std::numeric_limits<std::uint32_t>::max());
+  if (2 * (blocks_.size() + 1) > index_.size()) grow_index();
+  const auto first = static_cast<std::uint32_t>(size());
+  blocks_.push_back(Block{suffixes, first, static_cast<std::uint32_t>(names_.size()),
+                          static_cast<std::uint32_t>(prefix.size())});
+  names_.append(prefix);
+  values_.resize(size() + suffixes.size(), 0.0);
+  insert(static_cast<std::uint32_t>(blocks_.size() - 1));
+  return first;
 }
 
 Counter StatsRegistry::counter(std::string_view name) {
-  std::int64_t pos = find(name);
+  const std::int64_t pos = find(name);
   if (pos < 0) {
-    const std::size_t dot = name.rfind('.');
-    pos = add(name, dot == std::string_view::npos ? 0 : dot, kWhole);
+    throw std::logic_error("stats: no counter '" + std::string(name) + "' is registered");
   }
   return Counter(&values_[static_cast<std::size_t>(pos)]);
 }
@@ -135,35 +114,25 @@ StatsRegistry::Name StatsRegistry::name(std::uint32_t pos) const {
   return Name{prefix(*b), b->suffixes[pos - b->first]};
 }
 
-// Sums walk registration order. Every counter holds an integer below 2^53,
-// so each partial sum is exact and the order of the additions cannot change
-// the result (NaN and inf propagate the same way in any order).
-template <typename Match>
-double StatsRegistry::sum_if(Match match) const {
+// The sum walks registration order. Every counter holds an integer below
+// 2^53, so each partial sum is exact and the order of the additions cannot
+// change the result (NaN and inf propagate the same way in any order).
+double StatsRegistry::sum_suffix(std::string_view affix) const {
   double total = 0.0;
   auto v = values_.begin();
   for (const Block& b : blocks_) {
     const std::string_view p = prefix(b);
     for (const std::string_view s : b.suffixes) {
-      if (match(p, s)) total += *v;
+      // An affix longer than the suffix spills into the prefix.
+      const bool match =
+          affix.size() <= s.size()
+              ? ends_with(s, affix)
+              : ends_with(affix, s) && ends_with(p, affix.substr(0, affix.size() - s.size()));
+      if (match) total += *v;
       ++v;
     }
   }
   return total;
-}
-
-double StatsRegistry::sum_prefix(std::string_view affix) const {
-  return sum_if([affix](std::string_view p, std::string_view s) {
-    if (affix.size() <= p.size()) return p.starts_with(affix);
-    return affix.starts_with(p) && s.starts_with(affix.substr(p.size()));
-  });
-}
-
-double StatsRegistry::sum_suffix(std::string_view affix) const {
-  return sum_if([affix](std::string_view p, std::string_view s) {
-    if (affix.size() <= s.size()) return ends_with(s, affix);
-    return ends_with(affix, s) && ends_with(p, affix.substr(0, affix.size() - s.size()));
-  });
 }
 
 const std::vector<std::uint32_t>& StatsRegistry::sorted() const {

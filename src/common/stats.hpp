@@ -79,19 +79,19 @@ class SkipPlan {
 /// character arena; the suffix list is borrowed, so it must outlive the
 /// registry (a static list does). Registration thus composes no name and
 /// makes no allocation or hash per counter: an open-addressing index finds
-/// a block by its prefix. A single counter() name is a block of one whose
-/// prefix is the whole name. A component's counters sit next to each
-/// other, so they share cache lines on the hot path.
+/// a block by its prefix. block() is the only way to create a counter, and
+/// a component's counters sit next to each other, so they share cache lines
+/// on the hot path.
 ///
 /// Full names are composed only where something reads them. Lookups split a
-/// name at its last dot and probe the index once for the part before it.
+/// name at its last dot and probe the index once for the prefix before it.
 /// Reports that need name order (snapshot(), values(), slots(), to_json())
 /// walk a sorted permutation built on first use and kept until the next new
-/// name. Sums match each block's prefix and suffixes against the affix and
-/// walk registration order: every counter holds an integer below 2^53 (EV2,
-/// docs/ARCHITECTURE.md), so the order of the additions cannot change a bit.
-/// Because const calls may build that cached permutation, a registry belongs
-/// to one thread (docs/CONCURRENCY.md).
+/// block. sum_suffix() matches each block's prefix and suffixes against the
+/// affix and walks registration order: every counter holds an integer below
+/// 2^53 (EV2, docs/ARCHITECTURE.md), so the order of the additions cannot
+/// change a bit. Because const calls may build that cached permutation, a
+/// registry belongs to one thread (docs/CONCURRENCY.md).
 class StatsRegistry {
  public:
   StatsRegistry() = default;
@@ -108,15 +108,12 @@ class StatsRegistry {
     for (std::size_t i = 0; i < N; ++i) *out[i] = Counter(&values_[first + i]);
   }
 
-  /// Returns a handle to the named counter, creating it (at 0) on first use.
-  /// A block member is found by its full name.
+  /// Handle to the registered counter `name` (a block prefix plus one of
+  /// its suffixes); throws std::logic_error naming an unknown one.
   [[nodiscard]] Counter counter(std::string_view name);
 
   /// Value lookup; returns 0 for unknown names.
   [[nodiscard]] double value(std::string_view name) const;
-
-  /// Sum over all counters whose name starts with `prefix`.
-  [[nodiscard]] double sum_prefix(std::string_view prefix) const;
 
   /// Sum over all counters whose name ends with `suffix` (e.g. ".vfpu.flops"
   /// across every core).
@@ -146,10 +143,9 @@ class StatsRegistry {
   /// kept in registration order, so their slots tile the slab.
   struct Block {
     std::span<const std::string_view> suffixes;
-    std::uint32_t first;     // slab position of suffixes[0]
-    std::uint32_t begin;     // arena offset of the prefix
-    std::uint32_t size;      // prefix length
-    std::uint32_t key_size;  // length of the prefix up to its members' last dot
+    std::uint32_t first;  // slab position of suffixes[0]
+    std::uint32_t begin;  // arena offset of the prefix
+    std::uint32_t size;   // prefix length
   };
   /// One full name, as the two pieces it is made of.
   struct Name {
@@ -161,40 +157,26 @@ class StatsRegistry {
   [[nodiscard]] std::string_view prefix(const Block& b) const noexcept {
     return {names_.data() + b.begin, b.size};
   }
-  /// Index key of a block: the part of its members' names before their
-  /// last dot.
-  [[nodiscard]] std::string_view key(const Block& b) const noexcept {
-    return {names_.data() + b.begin, b.key_size};
-  }
   /// Name of the counter at slab position `pos`.
   [[nodiscard]] Name name(std::uint32_t pos) const;
   /// Slab position of `name`, or -1 when it is not registered.
   [[nodiscard]] std::int64_t find(std::string_view name) const noexcept;
-  /// Slab position of the counter named `key` + `rest` whose block is keyed
-  /// `key`, or -1; `start` is home(key).
-  [[nodiscard]] std::int64_t find(std::string_view key, std::string_view rest,
+  /// Slab position of the counter `prefix` + `suffix`, or -1; `start` is
+  /// home(prefix).
+  [[nodiscard]] std::int64_t find(std::string_view prefix, std::string_view suffix,
                                   std::size_t start) const noexcept;
-  /// Member of block `b` whose name is key(b) + `rest`, or -1.
-  [[nodiscard]] std::int64_t member(const Block& b, std::string_view rest) const noexcept;
-  /// Registers a block whose members' key is the first `key_size` characters
-  /// of `prefix`; returns the slab position of its first counter.
-  std::uint32_t add(std::string_view prefix, std::size_t key_size,
-                    std::span<const std::string_view> suffixes);
-  /// block() without the handles: refuses a registered name, then add()s.
+  /// block() without the handles: refuses a registered name, then registers
+  /// the block; returns the slab position of its first counter.
   std::uint32_t add_block(std::string_view prefix, std::span<const std::string_view> suffixes);
-  /// Sum of the counters whose name matches, in registration order:
-  /// `match(prefix, suffix)` tells for one member.
-  template <typename Match>
-  [[nodiscard]] double sum_if(Match match) const;
-  /// Index slot of the first block keyed `key` at or after probe position
-  /// `i`, or the empty slot that ends the probe sequence.
-  [[nodiscard]] std::size_t probe(std::string_view key, std::size_t i) const noexcept;
-  /// Index slot where the probe sequence of `key` starts.
-  [[nodiscard]] std::size_t home(std::string_view key) const noexcept;
+  /// Index slot of the first block with `prefix` at or after probe
+  /// position `i`, or the empty slot that ends the probe sequence.
+  [[nodiscard]] std::size_t probe(std::string_view prefix, std::size_t i) const noexcept;
+  /// Index slot where the probe sequence of `prefix` starts.
+  [[nodiscard]] std::size_t home(std::string_view prefix) const noexcept;
   /// Enters block `pos` into the index.
   void insert(std::uint32_t pos);
   void grow_index();
-  /// Slab positions in name order; rebuilt when a name was added since.
+  /// Slab positions in name order; rebuilt when a block was added since.
   const std::vector<std::uint32_t>& sorted() const;
 
   std::deque<double> values_;                 // slab, registration order

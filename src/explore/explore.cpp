@@ -11,22 +11,6 @@
 
 namespace tcdm::explore {
 
-namespace {
-
-Json point_to_json(const FrontierPoint& p) {
-  Json j;
-  j.set("rel", p.rel);
-  j.set("key", p.key);
-  j.set("area_mge", p.area_mge);
-  j.set("cost", p.cost);
-  j.set("value", p.value);
-  j.set("metrics", metrics::kernel_metrics_to_json(p.metrics));
-  j.set("power", metrics::power_to_json(p.power));
-  return j;
-}
-
-}  // namespace
-
 ExploreOutcome run_explore(const scenario::LoadedSuite& suite,
                            const ExploreOptions& opts) {
   const std::vector<scenario::FileScenario>& cands = suite.scenarios;
@@ -63,14 +47,12 @@ ExploreOutcome run_explore(const scenario::LoadedSuite& suite,
     std::size_t processed_end = wave_end;
     for (std::size_t i = wave_start; i < wave_end; ++i) {
       const scenario::FileScenario& c = cands[i];
-      if (!opts.objective.admissible(areas[i])) {
+      if (opts.area_cap_mge > 0.0 && areas[i] > opts.area_cap_mge) {
         disp.push_back(Disp::kPrunedCap);
         continue;
       }
       if (opts.prune &&
-          !frontier.would_admit(
-              opts.objective.cost(areas[i]),
-              opts.objective.value_bound(areas[i], c.config, c.system))) {
+          !frontier.would_admit(areas[i], peak_bw_bound(c.config, c.system))) {
         disp.push_back(Disp::kPrunedDom);
         continue;
       }
@@ -145,8 +127,8 @@ ExploreOutcome run_explore(const scenario::LoadedSuite& suite,
           p.rel = cands[i].rel;
           p.key = keys[i];
           p.area_mge = areas[i];
-          p.cost = opts.objective.cost(areas[i]);
-          p.value = opts.objective.value(areas[i], r->metrics);
+          p.cost = areas[i];
+          p.value = r->metrics.bw_bytes_per_cycle;
           p.metrics = r->metrics;
           p.power = r->power;
           frontier.insert(std::move(p));
@@ -166,20 +148,20 @@ Json report_json(const scenario::LoadedSuite& suite, const ExploreOptions& opts,
   doc.set("schema", kReportSchemaName);
   doc.set("schema_version", kReportSchemaVersion);
   doc.set("suite", suite.suite.name);
-  doc.set("objective", objective_name(opts.objective.kind));
-  doc.set("area_cap_mge", opts.objective.area_cap_mge);
+  doc.set("objective", kObjectiveName);
+  doc.set("area_cap_mge", opts.area_cap_mge);
   Json::Array pts;
   pts.reserve(outcome.frontier.size());
-  for (const FrontierPoint& p : outcome.frontier) pts.push_back(point_to_json(p));
+  for (const FrontierPoint& p : outcome.frontier) pts.push_back(write_fields(p));
   doc.set("frontier", Json(std::move(pts)));
   return doc;
 }
 
 void print_frontier(std::ostream& os, const ExploreOptions& opts,
                     const ExploreOutcome& outcome) {
-  os << "Pareto frontier — objective " << objective_name(opts.objective.kind);
-  if (opts.objective.area_cap_mge > 0.0) {
-    os << ", area cap " << fmt(opts.objective.area_cap_mge, 2) << " MGE";
+  os << "Pareto frontier — objective " << kObjectiveName;
+  if (opts.area_cap_mge > 0.0) {
+    os << ", area cap " << fmt(opts.area_cap_mge, 2) << " MGE";
   }
   os << " (" << outcome.frontier.size() << " of " << outcome.candidates
      << " candidates)\n";

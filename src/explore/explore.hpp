@@ -5,7 +5,7 @@
 //
 //   scan   — per candidate: canonical key (config_hash), closed-form area,
 //            admissibility (area cap), exact dominance pruning against the
-//            committed frontier (value upper bound, so pruning can never
+//            committed frontier (bandwidth upper bound, so pruning can never
 //            change the outcome), then memo lookup (hit = free) or
 //            simulation scheduling (miss);
 //   run    — the wave's misses simulate on the sweep runner (`-j`
@@ -42,7 +42,10 @@ inline constexpr int kReportSchemaVersion = 1;
 inline constexpr std::size_t kWaveSize = 8;
 
 struct ExploreOptions {
-  Objective objective{};
+  /// Logic-area cap in MGE; 0 = uncapped. Points over the cap are
+  /// inadmissible and are dropped before simulation (the cap is a property
+  /// of the closed-form area model, not of the run).
+  double area_cap_mge = 0.0;
   /// Maximum simulations this invocation may run (cache hits are free);
   /// 0 = unlimited. Exhausting it returns with budget_exhausted set; a
   /// rerun against the same cache_path continues the search.

@@ -1,62 +1,40 @@
-// Objectives and incremental Pareto-frontier maintenance for the explore
-// driver. Every objective maps a design point to a (cost, value) pair —
-// cost is minimized, value is maximized — and the frontier is the set of
-// points no other point weakly dominates. Scalar objectives (min cycles,
-// max bandwidth/area) use a constant cost, so their frontier degenerates to
-// the single best point; the headline pareto-area-bw objective reproduces
-// the paper's area-vs-bandwidth trade-off curve over any scenario space.
+// The explore driver's one objective and incremental Pareto-frontier
+// maintenance. A design point's cost is its logic area [MGE] (minimized)
+// and its value its aggregate bandwidth [B/cycle] (maximized): the paper's
+// area-vs-bandwidth trade-off, over any scenario space. The frontier is the
+// set of points no other point weakly dominates.
 //
-// The objectives also expose what can be known about a point *before*
-// simulating it: its logic area (closed-form model) and an upper bound on
-// its achievable value (peak bandwidth is an architectural ceiling: N
-// clusters' VLSU ports plus the NoC payload the L2 can serve). The
-// driver uses these for exact early pruning — a candidate whose best
-// possible outcome is already weakly dominated by a frontier member can be
-// skipped without changing the final frontier by a single byte.
+// Two things are known about a point *before* simulating it: its logic
+// area (closed-form model) and an upper bound on its bandwidth (peak
+// bandwidth is an architectural ceiling: N clusters' VLSU ports plus the
+// NoC payload the L2 can serve). The driver uses these for exact early
+// pruning — a candidate whose best possible outcome is already weakly
+// dominated by a frontier member can be skipped without changing the final
+// frontier by a single byte.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/analytics/metrics_export.hpp"
 #include "src/explore/memo_store.hpp"
 #include "src/scenario/scenario_file.hpp"
 
 namespace tcdm::explore {
 
-enum class ObjectiveKind {
-  kParetoAreaBw,   // cost = logic area [MGE], value = aggregate BW [B/cycle]
-  kMinCycles,      // scalar: fewest cycles (value = -cycles), under the cap
-  kMaxBwPerArea,   // scalar: best BW/area [B/cycle/MGE], under the cap
-};
+/// The objective's name in the report.
+inline constexpr const char* kObjectiveName = "pareto-area-bw";
 
-[[nodiscard]] const char* objective_name(ObjectiveKind kind);
-/// Parses "pareto-area-bw", "min-cycles", "max-bw-per-area"; throws
-/// std::invalid_argument listing the known names.
-[[nodiscard]] ObjectiveKind objective_by_name(const std::string& name);
+/// Upper bound on bw_bytes_per_cycle knowable from the configuration alone
+/// (`system` is the candidate's system block, if any); the exact-pruning
+/// guarantee is that no simulation of the point exceeds it.
+[[nodiscard]] double peak_bw_bound(const ClusterConfig& cfg,
+                                   const std::optional<SystemConfig>& system);
 
-struct Objective {
-  ObjectiveKind kind = ObjectiveKind::kParetoAreaBw;
-  /// Logic-area cap in MGE; 0 = uncapped. Points over the cap are
-  /// inadmissible and are dropped before simulation (the cap is a property
-  /// of the closed-form area model, not of the run).
-  double area_cap_mge = 0.0;
-
-  [[nodiscard]] bool admissible(double area_mge) const {
-    return area_cap_mge <= 0.0 || area_mge <= area_cap_mge;
-  }
-  /// Objective coordinates of a *simulated* point.
-  [[nodiscard]] double cost(double area_mge) const;
-  [[nodiscard]] double value(double area_mge, const KernelMetrics& m) const;
-  /// Upper bound on `value` knowable from the configuration alone (`system`
-  /// is the candidate's system block, if any); the exact-pruning guarantee
-  /// is value(...) <= value_bound(...) always.
-  [[nodiscard]] double value_bound(double area_mge, const ClusterConfig& cfg,
-                                   const std::optional<SystemConfig>& system) const;
-};
-
-/// One frontier member: identity, objective coordinates, and the full
-/// result (so reports need no second lookup).
+/// One frontier member: identity, objective coordinates (cost = area_mge,
+/// value = metrics.bw_bytes_per_cycle), and the full result (so reports
+/// need no second lookup).
 struct FrontierPoint {
   std::string rel;   // scenario name within the explored suite
   std::string key;   // canonical config hash
@@ -66,6 +44,17 @@ struct FrontierPoint {
   KernelMetrics metrics;
   PowerBreakdown power;
 };
+
+template <MaybeConst<FrontierPoint> S, class V>
+void fields(S& p, V& v) {
+  v("rel", p.rel);
+  v("key", p.key);
+  v("area_mge", p.area_mge);
+  v("cost", p.cost);
+  v("value", p.value);
+  v("metrics", p.metrics);
+  v("power", p.power);
+}
 
 /// Weak dominance: a is at least as good on both axes.
 [[nodiscard]] bool dominates(double cost_a, double value_a, double cost_b,

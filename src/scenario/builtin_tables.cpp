@@ -266,7 +266,8 @@ void print_fig3(const ResultSet& rs) {
       samples.push_back({which + "-" + gfv, mg.arithmetic_intensity, mg.gflops_ss});
     }
     tw.print(std::cout);
-    std::printf("--- CSV (plot with tools/plot_roofline.py or any CSV grapher) ---\n%s",
+    std::printf("--- CSV (as examples/roofline_csv.cpp prints it; plot with any CSV "
+                "grapher) ---\n%s",
                 roofline_csv(rl_gf, samples).c_str());
   }
 }

@@ -79,14 +79,6 @@ const ScenarioSpec* ScenarioRegistry::find(const std::string& name) const {
   return nullptr;
 }
 
-std::vector<const ScenarioSpec*> ScenarioRegistry::select(std::string_view glob) const {
-  std::vector<const ScenarioSpec*> out;
-  for (const ScenarioSpec& s : scenarios_) {
-    if (glob_match(glob, s.name)) out.push_back(&s);
-  }
-  return out;
-}
-
 std::vector<const ScenarioSpec*> ScenarioRegistry::select_all(
     const std::vector<std::string>& globs) const {
   std::vector<const ScenarioSpec*> out;

@@ -36,8 +36,6 @@ class ScenarioRegistry {
   [[nodiscard]] const std::vector<ScenarioSpec>& scenarios() const { return scenarios_; }
   [[nodiscard]] const ScenarioSpec* find(const std::string& name) const;
 
-  /// All scenarios matching the glob, in registration order.
-  [[nodiscard]] std::vector<const ScenarioSpec*> select(std::string_view glob) const;
   /// Union over several globs, deduplicated, in registration order.
   [[nodiscard]] std::vector<const ScenarioSpec*> select_all(
       const std::vector<std::string>& globs) const;

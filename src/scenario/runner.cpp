@@ -32,18 +32,6 @@ const ScenarioResult* ResultSet::find(const std::string& rel) const {
   return it == index_.end() ? nullptr : &ordered_[it->second];
 }
 
-const KernelMetrics& ResultSet::metrics(const std::string& rel) const {
-  static const KernelMetrics kEmpty{};
-  const ScenarioResult* r = find(rel);
-  return r == nullptr ? kEmpty : r->metrics;
-}
-
-const PowerBreakdown& ResultSet::power(const std::string& rel) const {
-  static const PowerBreakdown kEmpty{};
-  const ScenarioResult* r = find(rel);
-  return r == nullptr ? kEmpty : r->power;
-}
-
 ScenarioResult run_scenario(const ScenarioSpec& spec, const SweepOptions& opts,
                             ClusterCache* cache) {
   ScenarioResult r;

@@ -44,9 +44,8 @@ struct ScenarioResult {
 };
 
 /// Registration-ordered result collection with lookup by suite-relative
-/// name. `metrics`/`power` return zeroed defaults for missing keys (the
-/// printers tolerate partial runs); `at` throws and is what emission uses,
-/// where completeness is required.
+/// name. Printers and emission only ever see complete suites, so `at`,
+/// `metrics` and `power` throw std::out_of_range for a missing name.
 class ResultSet {
  public:
   /// Appends; throws std::invalid_argument on a duplicate relative name.
@@ -54,8 +53,12 @@ class ResultSet {
 
   [[nodiscard]] const ScenarioResult& at(const std::string& rel) const;
   [[nodiscard]] const ScenarioResult* find(const std::string& rel) const;
-  [[nodiscard]] const KernelMetrics& metrics(const std::string& rel) const;
-  [[nodiscard]] const PowerBreakdown& power(const std::string& rel) const;
+  [[nodiscard]] const KernelMetrics& metrics(const std::string& rel) const {
+    return at(rel).metrics;
+  }
+  [[nodiscard]] const PowerBreakdown& power(const std::string& rel) const {
+    return at(rel).power;
+  }
   [[nodiscard]] const std::vector<ScenarioResult>& all() const { return ordered_; }
   [[nodiscard]] bool empty() const { return ordered_.empty(); }
   [[nodiscard]] std::size_t size() const { return ordered_.size(); }

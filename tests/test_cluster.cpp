@@ -3,8 +3,10 @@
 // MP4Spatz4 preset, baseline and burst.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "src/cluster/cluster.hpp"
@@ -314,6 +316,36 @@ TEST(Cluster, CounterNamesArePinned) {
     const Cluster cluster(pin.cfg);
     EXPECT_EQ(cluster.stats().snapshot().size(), pin.count) << pin.cfg.name;
     EXPECT_EQ(counter_name_hash(cluster.stats()), pin.hash) << pin.cfg.name;
+  }
+}
+
+TEST(Cluster, EveryCounterNameTheSimulatorReadsIsRegistered) {
+  // The names the cluster, the power model and the probe and trace kernels
+  // pass to sum_suffix and value. An unregistered name sums to 0 silently,
+  // so a renamed counter would zero a metric without failing anything else.
+  const char* const kSuffixes[] = {
+      ".vlsu.words_loaded", ".vlsu.words_stored", ".vfpu.flops",        ".scalar_flops",
+      ".snitch.load_words", ".snitch.store_words", ".snitch.instrs",    ".reads",
+      ".writes",            ".bm.beats_merged",   ".sender.bursts_sent"};
+  const char* const kNames[] = {"network.req_hop_words", "network.rsp_hop_words"};
+  for (const char* preset : {"mp4spatz4", "mp64spatz4", "mp128spatz8"}) {
+    const ClusterConfig base = ClusterConfig::by_name(preset);
+    for (const ClusterConfig& cfg :
+         {base, base.with_burst(4), base.with_burst(4).with_strided_bursts(),
+          base.with_burst(4).with_store_bursts(4)}) {
+      const Cluster cluster(cfg);
+      const auto names = cluster.stats().snapshot();
+      for (const std::string_view suffix : kSuffixes) {
+        EXPECT_TRUE(std::any_of(names.begin(), names.end(),
+                                [&](const auto& n) { return n.first.ends_with(suffix); }))
+            << cfg.name << ": no counter ends with " << suffix;
+      }
+      for (const std::string_view name : kNames) {
+        EXPECT_TRUE(std::any_of(names.begin(), names.end(),
+                                [&](const auto& n) { return n.first == name; }))
+            << cfg.name << ": no counter " << name;
+      }
+    }
   }
 }
 

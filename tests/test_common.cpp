@@ -154,30 +154,56 @@ TEST_F(RngFixture, FixtureStreamsAreReproducible) {
   }
 }
 
+constexpr std::string_view kFlopsStat[] = {".flops"};
+constexpr std::string_view kWordsStat[] = {".words"};
+
 TEST(Stats, CountersAccumulateAndAggregate) {
   StatsRegistry reg;
-  Counter a = reg.counter("cc0.flops");
-  Counter b = reg.counter("cc1.flops");
-  Counter c = reg.counter("net.words");
+  Counter a;
+  Counter b;
+  Counter c;
+  reg.block("cc0", kFlopsStat, {&a});
+  reg.block("cc1", kFlopsStat, {&b});
+  reg.block("net", kWordsStat, {&c});
   a.inc(3);
   b.inc(4);
   c.inc();
   EXPECT_DOUBLE_EQ(reg.value("cc0.flops"), 3.0);
-  EXPECT_DOUBLE_EQ(reg.sum_prefix("cc"), 7.0);
   EXPECT_DOUBLE_EQ(reg.sum_suffix(".flops"), 7.0);
   EXPECT_DOUBLE_EQ(reg.value("missing"), 0.0);
+  EXPECT_EQ(reg.counter("cc1.flops").slot(), b.slot());
   reg.reset();
-  EXPECT_DOUBLE_EQ(reg.sum_prefix("cc"), 0.0);
+  EXPECT_DOUBLE_EQ(reg.sum_suffix(".flops"), 0.0);
+}
+
+TEST(Stats, CounterLooksUpAndNeverCreates) {
+  StatsRegistry reg;
+  EXPECT_THROW((void)reg.counter("cc0.flops"), std::logic_error);  // empty registry
+  Counter a;
+  reg.block("cc0", kFlopsStat, {&a});
+  for (const char* unknown : {"cc0.words", "cc1.flops", "cc0", "flops", "", "cc0.flops.x"}) {
+    try {
+      (void)reg.counter(unknown);
+      ADD_FAILURE() << "unknown counter '" << unknown << "' was created";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + std::string(unknown) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(reg.snapshot().size(), 1u);
 }
 
 TEST(Stats, HandlesStableAcrossInsertions) {
   StatsRegistry reg;
-  Counter a = reg.counter("alpha");
+  Counter a;
+  reg.block("alpha", kFlopsStat, {&a});
   for (int i = 0; i < 100; ++i) {
-    (void)reg.counter("name" + std::to_string(i));
+    Counter c;
+    reg.block("name" + std::to_string(i), kWordsStat, {&c});
   }
   a.inc(5);
-  EXPECT_DOUBLE_EQ(reg.value("alpha"), 5.0);
+  EXPECT_DOUBLE_EQ(reg.value("alpha.flops"), 5.0);
 }
 
 /// Random dotted name of 1-4 segments over a small vocabulary, so names
@@ -230,40 +256,40 @@ void expect_matches_reference(const StatsRegistry& reg,
   }
   EXPECT_EQ(reg.to_json(), reference_json(ref));
   EXPECT_EQ(reg.value("not.registered"), 0.0);
+  EXPECT_EQ(reg.value("unregistered"), 0.0);
 
-  // Affixes shorter than, equal to and straddling a block's prefix/suffix
+  // Suffixes shorter than, equal to and straddling a block's prefix/suffix
   // split ("cc3.vlsu" + ".words_loaded" against ".vlsu.words_loaded").
   for (const char* affix :
        {"", "t", "t1", "t1.", "cc", "a", "ab", "b_", "x", ".vlsu", "reads", ".reads", "s",
         ".vlsu.words_loaded", "vlsu.words_loaded", "u.words_loaded", "_loaded", ".beats",
         "vlsu.beats", "t1.reads", "cc1.vlsu.w", "cc1.vlsu.words_", "a.t1", ".t1", "b_.a"}) {
     const std::string_view a(affix);
-    double prefix = 0.0;
     double suffix = 0.0;
     for (const auto& [name, v] : ref) {
-      if (name.starts_with(a)) prefix += v;
       if (name.ends_with(a)) suffix += v;
     }
-    EXPECT_EQ(reg.sum_prefix(a), prefix) << affix;
     EXPECT_EQ(reg.sum_suffix(a), suffix) << affix;
   }
 }
 
 // Suffix lists for the differential test's blocks; segments overlap the
-// vocabulary of random_dotted_name, so block members collide with single
-// names and other blocks' members.
+// vocabulary of random_dotted_name, so block members share names with other
+// blocks' prefixes, and two lists of one prefix may overlap or not.
 constexpr std::string_view kVlsuStats[] = {".words_loaded", ".words_stored", ".beats"};
 constexpr std::string_view kBankStats[] = {".reads", ".writes", ".a", ".t1"};
 constexpr std::string_view kOneStat[] = {".vlsu"};
+constexpr std::string_view kReadStat[] = {".reads"};
 
 TEST(Stats, DifferentialAgainstOrderedMap) {
   Xoshiro128 rng(20);
   StatsRegistry reg;
   std::map<std::string, double> ref;
-  std::map<std::string, Counter> handles;  // first handle of each name
+  std::map<std::string, Counter> handles;  // the handle of each name
   std::vector<std::string> order;          // registration order
   unsigned blocks = 0;
   unsigned refused = 0;
+  unsigned unknown = 0;
 
   // Registers `prefix` + `suffixes` as one block, or expects it refused
   // (registering nothing) when one of its names exists already.
@@ -292,8 +318,6 @@ TEST(Stats, DifferentialAgainstOrderedMap) {
     ++blocks;
     for (std::size_t i = 0; i < N; ++i) {
       const std::string name = prefix + std::string(suffixes[i]);
-      // A block member is found by its full name, at the same slot.
-      ASSERT_EQ(reg.counter(name).slot(), c[i].slot()) << name;
       handles.emplace(name, c[i]);
       order.push_back(name);
       const double delta = rng.next_below(1000);
@@ -303,44 +327,48 @@ TEST(Stats, DifferentialAgainstOrderedMap) {
   };
 
   while (ref.size() < 5000) {
-    // One in five operations re-registers a known name and must get the
-    // slot it was first given; one in four registers a block.
-    const unsigned op = rng.next_below(20);
-    if (op < 5 && !order.empty()) {
+    // Half the operations register a block; the rest look a name up: a
+    // known one must give the slot it was registered at, an unknown one
+    // must throw and register nothing.
+    const unsigned op = rng.next_below(8);
+    if (op < 4 || order.empty()) {
       const std::string prefix = random_dotted_name(rng);
-      switch (rng.next_below(3)) {
+      switch (op) {
         case 0: add_block(prefix, kVlsuStats); break;
         case 1: add_block(prefix, kBankStats); break;
+        case 2: add_block(prefix, kReadStat); break;
         default: add_block(prefix, kOneStat); break;
       }
       continue;
     }
-    const bool again = !order.empty() && op < 9;
-    const std::string name = again ? order[rng.next_below(static_cast<std::uint32_t>(order.size()))]
-                                   : random_dotted_name(rng);
-    Counter c = reg.counter(name);
-    const auto [it, fresh] = handles.emplace(name, c);
-    if (fresh) {
-      order.push_back(name);
-    } else {
-      ASSERT_EQ(c.slot(), it->second.slot()) << name;
+    const std::string name = op < 7 ? order[rng.next_below(static_cast<std::uint32_t>(order.size()))]
+                                     : random_dotted_name(rng);
+    const auto it = handles.find(name);
+    if (it == handles.end()) {
+      EXPECT_THROW((void)reg.counter(name), std::logic_error) << name;
+      ++unknown;
+      continue;
     }
+    Counter c = reg.counter(name);
+    ASSERT_EQ(c.slot(), it->second.slot()) << name;
     const double delta = rng.next_below(1000);
     c.inc(delta);
     ref[name] += delta;
   }
-  EXPECT_GT(blocks, 100u);
+  EXPECT_GT(blocks, 1000u);
   EXPECT_GT(refused, 10u);
+  EXPECT_GT(unknown, 100u);
   // Handles taken before the slab and the index grew still name their own
   // counters.
   for (const auto& [name, c] : handles) ASSERT_EQ(c.value(), ref.at(name)) << name;
   expect_matches_reference(reg, ref, handles);
 
-  // A late name lands in order: the cached name order is rebuilt.
-  Counter late = reg.counter("b_late.middle");
+  // A late block lands in order: the cached name order is rebuilt.
+  Counter late;
+  reg.block("b_late", kOneStat, {&late});
   late.inc(7);
-  handles.emplace("b_late.middle", late);
-  ref["b_late.middle"] += 7;
+  handles.emplace("b_late.vlsu", late);
+  ref["b_late.vlsu"] += 7;
   expect_matches_reference(reg, ref, handles);
 
   // reset() zeroes every counter in place; old handles keep counting.
@@ -410,10 +438,18 @@ TEST(Types, FloatWordRoundTrip) {
 }
 
 TEST(Stats, ToJsonIsSortedAndComplete) {
+  static constexpr std::string_view kSecond[] = {".second"};
+  static constexpr std::string_view kFirst[] = {".first"};
+  static constexpr std::string_view kZero[] = {".zero"};
   StatsRegistry reg;
-  reg.counter("b.second").inc(2.5);
-  reg.counter("a.first").inc(1.0);
-  (void)reg.counter("c.zero");  // never incremented, still reported
+  Counter first;
+  Counter second;
+  Counter zero;  // never incremented, still reported
+  reg.block("b", kSecond, {&second});
+  reg.block("a", kFirst, {&first});
+  reg.block("c", kZero, {&zero});
+  second.inc(2.5);
+  first.inc(1.0);
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"a.first\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"b.second\": 2.5"), std::string::npos);
@@ -436,22 +472,28 @@ TEST(Stats, ToJsonMapsNonFiniteCountersToNull) {
   // JSON has no NaN/Infinity literals; a poisoned counter must serialize as
   // null (same convention as tcdm::Json) instead of corrupting the dump
   // with bare `nan`/`inf` tokens.
+  static constexpr std::string_view kValues[] = {".nan", ".posinf", ".neginf", ".fine"};
   StatsRegistry reg;
-  reg.counter("a.nan").inc(std::numeric_limits<double>::quiet_NaN());
-  reg.counter("b.posinf").inc(std::numeric_limits<double>::infinity());
-  reg.counter("c.neginf").inc(-std::numeric_limits<double>::infinity());
-  reg.counter("d.fine").inc(2.0);
+  Counter quiet_nan;
+  Counter posinf;
+  Counter neginf;
+  Counter fine;
+  reg.block("x", kValues, {&quiet_nan, &posinf, &neginf, &fine});
+  quiet_nan.inc(std::numeric_limits<double>::quiet_NaN());
+  posinf.inc(std::numeric_limits<double>::infinity());
+  neginf.inc(-std::numeric_limits<double>::infinity());
+  fine.inc(2.0);
   const std::string json = reg.to_json();
-  EXPECT_NE(json.find("\"a.nan\": null"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"b.posinf\": null"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"c.neginf\": null"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"d.fine\": 2"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"x.nan\": null"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"x.posinf\": null"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"x.neginf\": null"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"x.fine\": 2"), std::string::npos) << json;
   // The dump must round-trip through the strict JSON parser (which rejects
   // the bare `nan`/`inf` tokens the old formatter emitted).
   const Json parsed = Json::parse(json);
-  EXPECT_TRUE(parsed.at("a.nan").is_null());
-  EXPECT_TRUE(parsed.at("b.posinf").is_null());
-  EXPECT_DOUBLE_EQ(parsed.at("d.fine").as_double(), 2.0);
+  EXPECT_TRUE(parsed.at("x.nan").is_null());
+  EXPECT_TRUE(parsed.at("x.posinf").is_null());
+  EXPECT_DOUBLE_EQ(parsed.at("x.fine").as_double(), 2.0);
 }
 
 // ------------------------------------------------------------ field lists ----

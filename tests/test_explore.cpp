@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "src/analytics/area_model.hpp"
 #include "src/explore/explore.hpp"
 #include "src/scenario/runner.hpp"
 #include "src/scenario/scenario_file.hpp"
@@ -251,45 +250,20 @@ TEST(Pareto, DominatingInsertEvictsEveryDominatedMember) {
   ASSERT_EQ(f.size(), 1u);
 }
 
-TEST(Pareto, ScalarObjectiveDegeneratesToTheSingleBestPoint) {
-  Objective obj;
-  obj.kind = ObjectiveKind::kMinCycles;
-  ParetoFrontier f;
-  KernelMetrics m;
-  for (const std::uint64_t cycles : {900u, 500u, 700u, 501u}) {
-    FrontierPoint p;
-    p.rel = "c" + std::to_string(cycles);
-    m.cycles = cycles;
-    p.cost = obj.cost(1.0);
-    p.value = obj.value(1.0, m);
-    f.insert(std::move(p));
-  }
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f.points()[0].rel, "c500");
-}
-
-TEST(Pareto, ValueBoundDominatesAchievedValue) {
-  // The exact-pruning guarantee: for every objective and any simulated
-  // metrics, value(area, m) <= value_bound(area, cfg, system).
-  const auto expect_bounded = [](const std::string& name, double area,
-                                 const ClusterConfig& cfg,
+TEST(Pareto, BandwidthBoundDominatesAchievedBandwidth) {
+  // The exact-pruning guarantee: for any simulated metrics,
+  // bw_bytes_per_cycle <= peak_bw_bound(cfg, system).
+  const auto expect_bounded = [](const std::string& name, const ClusterConfig& cfg,
                                  const std::optional<SystemConfig>& system,
                                  const KernelMetrics& m) {
-    for (const ObjectiveKind kind :
-         {ObjectiveKind::kParetoAreaBw, ObjectiveKind::kMinCycles,
-          ObjectiveKind::kMaxBwPerArea}) {
-      Objective obj;
-      obj.kind = kind;
-      EXPECT_LE(obj.value(area, m), obj.value_bound(area, cfg, system))
-          << name << ": " << objective_name(kind);
-    }
+    EXPECT_LE(m.bw_bytes_per_cycle, peak_bw_bound(cfg, system)) << name;
   };
 
   const ClusterConfig cfg = ClusterConfig::by_name("mp4spatz4");
   KernelMetrics best;
   best.cycles = 1000;
   best.bw_bytes_per_cycle = cfg.cluster_peak_bw();  // best physically possible
-  expect_bounded("peak", 3.0, cfg, std::nullopt, best);
+  expect_bounded("peak", cfg, std::nullopt, best);
 
   // Every simulated point of a generated suite, System points included: a
   // System's bandwidth sums N clusters plus the NoC payload, far past one
@@ -309,8 +283,7 @@ TEST(Pareto, ValueBoundDominatesAchievedValue) {
     const FileScenario& sc = suite.scenarios[i];
     ASSERT_TRUE(results[i].ok()) << sc.rel << ": " << results[i].error;
     if (sc.system && sc.system->num_clusters > 1) ++systems;
-    expect_bounded(sc.rel, estimate_area(sc.config).total() / 1e6, sc.config,
-                   sc.system, results[i].metrics);
+    expect_bounded(sc.rel, sc.config, sc.system, results[i].metrics);
   }
   EXPECT_GT(systems, 0u);
 }
@@ -516,8 +489,8 @@ TEST(Explore, BudgetStopsGracefullyAndARerunFromTheCacheFinishes) {
 
 TEST(Explore, ACacheFromAnotherSearchCannotChangeTheReport) {
   // Memo keys are content hashes of the resolved design point, so a cache
-  // filled by another suite under another objective answers exactly the
-  // points it simulated: the report equals a cold search's.
+  // filled by another suite answers exactly the points it simulated: the
+  // report equals a cold search's.
   const std::string cache = scratch("foreign_cache.jsonl");
   std::remove(cache.c_str());
   ExploreOptions fill;
@@ -525,8 +498,7 @@ TEST(Explore, ACacheFromAnotherSearchCannotChangeTheReport) {
   (void)run_explore(gen_suite(13, 6), fill);
 
   const LoadedSuite other = gen_suite(13, 12);  // shares the first points
-  ExploreOptions cold;
-  cold.objective.kind = ObjectiveKind::kMinCycles;
+  const ExploreOptions cold;
   ExploreOptions warm = cold;
   warm.cache_path = cache;
   const ExploreOutcome warm_out = run_explore(other, warm);
@@ -538,7 +510,7 @@ TEST(Explore, ACacheFromAnotherSearchCannotChangeTheReport) {
 TEST(Explore, AreaCapMakesEveryCandidateInadmissible) {
   const LoadedSuite suite = gen_suite(21, 6);
   ExploreOptions opts;
-  opts.objective.area_cap_mge = 1e-9;  // nothing is this small
+  opts.area_cap_mge = 1e-9;  // nothing is this small
   const ExploreOutcome out = run_explore(suite, opts);
   EXPECT_EQ(out.pruned_area_cap, out.candidates);
   EXPECT_EQ(out.simulations, 0u);

@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <string_view>
 
 #include "src/cluster/cluster.hpp"
 #include "src/common/json.hpp"
@@ -179,23 +180,28 @@ TEST(HotPathAlloc, WarmRingDequeDoesNotAllocate) {
 }
 
 TEST(HotPathAlloc, StatsRegistrationAllocatesPerChunkNotPerCounter) {
-  // Names of at most 15 characters: a std::string copy of one would fit in
-  // its small buffer, so any allocation here is the registry's own storage.
-  // Registration may grow chunked storage, never allocate per counter.
-  constexpr unsigned kCounters = 4096;
-  char name[16];
+  // Prefixes of at most 15 characters: a std::string copy of one would fit
+  // in its small buffer, so any allocation here is the registry's own
+  // storage. Registration may grow chunked storage, never allocate per
+  // counter or per block.
+  static constexpr std::string_view kBankStats[] = {".reads", ".writes"};
+  constexpr unsigned kBlocks = 2048;
+  char prefix[16];
   const std::uint64_t before = alloc_count();
   {
     StatsRegistry reg;
-    for (unsigned i = 0; i < kCounters; ++i) {
-      const int len = std::snprintf(name, sizeof name, "t%02u.b%02u.reads", i / 64, i % 64);
+    for (unsigned i = 0; i < kBlocks; ++i) {
+      const int len = std::snprintf(prefix, sizeof prefix, "t%02u.b%02u", i / 64, i % 64);
       ASSERT_LE(len, 15);
-      (void)reg.counter(std::string_view(name, static_cast<std::size_t>(len)));
+      Counter reads;
+      Counter writes;
+      reg.block(std::string_view(prefix, static_cast<std::size_t>(len)), kBankStats,
+                {&reads, &writes});
     }
   }
   const std::uint64_t allocs = alloc_count() - before;
-  EXPECT_LE(allocs, kCounters / 16) << allocs << " allocations to register " << kCounters
-                                    << " counters";
+  EXPECT_LE(allocs, kBlocks / 8) << allocs << " allocations to register " << 2 * kBlocks
+                                 << " counters";
 }
 
 /// Dirty `cfg` with a finished AXPY, then count the heap allocations of

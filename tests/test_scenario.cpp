@@ -78,10 +78,10 @@ TEST(ScenarioRegistry, LookupAndGlobSelection) {
   const ScenarioRegistry& reg = ScenarioRegistry::instance();
   ASSERT_NE(reg.find("table1/mp4spatz4/gf4"), nullptr);
   EXPECT_EQ(reg.find("table1/nonexistent"), nullptr);
-  EXPECT_EQ(reg.select("table1/*").size(), 9u);
-  EXPECT_EQ(reg.select("table2/*").size(), 24u);
-  EXPECT_EQ(reg.select("fig3_roofline/*").size(), 30u);
-  EXPECT_EQ(reg.select("no/such/thing").size(), 0u);
+  EXPECT_EQ(reg.select_all({"table1/*"}).size(), 9u);
+  EXPECT_EQ(reg.select_all({"table2/*"}).size(), 24u);
+  EXPECT_EQ(reg.select_all({"fig3_roofline/*"}).size(), 30u);
+  EXPECT_EQ(reg.select_all({"no/such/thing"}).size(), 0u);
   // Union selection dedups and keeps registration order.
   const auto both = reg.select_all({"table1/mp4spatz4/*", "table1/*"});
   EXPECT_EQ(both.size(), 9u);
@@ -90,7 +90,7 @@ TEST(ScenarioRegistry, LookupAndGlobSelection) {
 
 TEST(ScenarioRegistry, SelectionPreservesRegistrationOrder) {
   register_builtin();
-  const auto sel = ScenarioRegistry::instance().select("table1/*");
+  const auto sel = ScenarioRegistry::instance().select_all({"table1/*"});
   ASSERT_EQ(sel.size(), 9u);
   std::vector<std::string> names;
   for (const ScenarioSpec* s : sel) names.push_back(s->name);
@@ -157,9 +157,34 @@ TEST(SweepRunner, ResultSetLookupSemantics) {
   EXPECT_EQ(set.at("a").metrics.cycles, 42u);
   EXPECT_EQ(set.metrics("a").cycles, 42u);
   EXPECT_THROW((void)set.at("missing"), std::out_of_range);
-  EXPECT_EQ(set.metrics("missing").cycles, 0u);  // printer-friendly default
+  EXPECT_THROW((void)set.metrics("missing"), std::out_of_range);
+  EXPECT_THROW((void)set.power("missing"), std::out_of_range);
   EXPECT_THROW(set.add(ok), std::invalid_argument);  // duplicate rel
   EXPECT_EQ(set.size(), 1u);
+}
+
+TEST(SweepRunner, EveryBuiltinPrinterNamesOnlyItsSuitesPoints) {
+  // A printer looks its points up by name, and a missing name throws: give
+  // each builtin printer a complete suite of default results (no
+  // simulation), so a name its suite lacks fails here, not in `tcdm_run run`.
+  register_builtin();
+  const ScenarioRegistry& reg = ScenarioRegistry::instance();
+  std::size_t printed = 0;
+  for (const SuiteSpec& suite : reg.suites()) {
+    if (!suite.print) continue;
+    ResultSet set;
+    for (const ScenarioSpec* spec : reg.suite_scenarios(suite.name)) {
+      ScenarioResult r;
+      r.name = spec->name;
+      r.rel = spec->rel();
+      set.add(std::move(r));
+    }
+    testing::internal::CaptureStdout();
+    EXPECT_NO_THROW(suite.print(set)) << suite.name;
+    (void)testing::internal::GetCapturedStdout();
+    ++printed;
+  }
+  EXPECT_GE(printed, 15u);  // every builtin suite has a printer
 }
 
 TEST(SweepRunner, GroupBySuiteSplitsMixedSelections) {

@@ -93,7 +93,7 @@ TEST(SystemDegenerate, SingleClusterMatchesBareClusterExactly) {
   Cluster bare(cfg, SimOptions{});
   const KernelMetrics bare_m = run_kernel_on(bare, bare_kernel, capped_opts());
   const std::string bare_stats = bare.stats().to_json();
-  const std::string bare_metrics = metrics::kernel_metrics_to_json(bare_m).dump();
+  const std::string bare_metrics = write_fields(bare_m).dump();
 
   for (const SystemConfig& sys_cfg : {small_system(1), SystemConfig::single(cfg)}) {
     SCOPED_TRACE(sys_cfg.name);
@@ -107,17 +107,17 @@ TEST(SystemDegenerate, SingleClusterMatchesBareClusterExactly) {
     EXPECT_EQ(sys.metrics.noc_bytes, 0.0);  // no DMA phase at N == 1
     EXPECT_TRUE(system.dma_checksums_ok());
     EXPECT_EQ(sys.stats_json.front(), bare_stats);
-    EXPECT_EQ(metrics::kernel_metrics_to_json(sys.metrics).dump(), bare_metrics);
+    EXPECT_EQ(write_fields(sys.metrics).dump(), bare_metrics);
   }
 
   // The power breakdown carries the System's name, so it matches the bare
   // cluster's only for the System a plain cluster scenario runs on.
   System single(SystemConfig::single(cfg), cfg, SimOptions{});
   const SystemImage img = run_image(single);
-  EXPECT_EQ(
-      metrics::power_to_json(estimate_system_power(single, img.metrics.cycles, cfg.freq_tt_mhz))
-          .dump(),
-      metrics::power_to_json(estimate_power(bare, bare_m.cycles, cfg.freq_tt_mhz)).dump());
+  const PowerBreakdown sys_power =
+      estimate_system_power(single, img.metrics.cycles, cfg.freq_tt_mhz);
+  EXPECT_EQ(write_fields(sys_power).dump(),
+            write_fields(estimate_power(bare, bare_m.cycles, cfg.freq_tt_mhz)).dump());
 }
 
 // ---------------------------------------------------------- determinism ----

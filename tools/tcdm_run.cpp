@@ -15,13 +15,14 @@
 //   tcdm_run gen [--seed N] [--count K] [--out F]
 //                                              emit a randomized, invariant-
 //                                              checked suite file (stdout)
-//   tcdm_run explore [-j N] [--stepping M] [--objective NAME]
-//                    [--area-cap MGE] [--budget N] [--cache F]
-//                    [--no-prune] [--report F] <suite.json>
+//   tcdm_run explore [-j N] [--stepping M] [--area-cap MGE]
+//                    [--budget N] [--cache F] [--no-prune]
+//                    [--report F] <suite.json>
 //                                              memoized design-space search
 //                                              over a suite file; prints the
-//                                              Pareto frontier (rerun with
-//                                              the same --cache to resume)
+//                                              area-bandwidth Pareto frontier
+//                                              (rerun with the same --cache
+//                                              to resume)
 //
 // One grammar for every subcommand, read from its flag table by
 // parse_flags: a value flag is `--name V` or `--name=V`, jobs is `-j N`,
@@ -84,7 +85,7 @@ int usage(const char* argv0) {
       "       %s validate [file...|-]\n"
       "       %s gen [--seed N] [--count K] [--out <file>]\n"
       "       %s explore [-j N] [--stepping M]\n"
-      "            [--objective NAME] [--area-cap MGE] [--budget N] [--cache F]\n"
+      "            [--area-cap MGE] [--budget N] [--cache F]\n"
       "            [--no-prune] [--report F] <suite.json>\n"
       "\n"
       "  A value flag is --name V or --name=V; an unknown flag exits 2.\n"
@@ -121,8 +122,7 @@ struct Args {
   std::string out;  // emit's directory, gen's file
   std::uint64_t seed = GenOptions{}.seed;
   unsigned count = GenOptions{}.count;
-  explore::ObjectiveKind objective = explore::Objective{}.kind;
-  double area_cap = explore::Objective{}.area_cap_mge;
+  double area_cap = explore::ExploreOptions{}.area_cap_mge;
   std::uint64_t budget = explore::ExploreOptions{}.budget;
   std::string cache;
   std::string report;
@@ -140,13 +140,13 @@ struct Args {
 /// One row of a subcommand's flag table. The value kind is the
 /// destination's type: bool is a switch, std::string a string or path (a
 /// vector of them a repeatable one), unsigned and std::uint64_t an integer
-/// of that range, double a positive finite number, and the two enums a
-/// stepping mode and an objective.
+/// of that range, double a positive finite number, and the optional enum a
+/// stepping mode.
 struct Flag {
   std::string_view name;
   std::variant<bool Args::*, std::string Args::*, std::vector<std::string> Args::*,
                unsigned Args::*, std::uint64_t Args::*, double Args::*,
-               std::optional<SteppingMode> Args::*, explore::ObjectiveKind Args::*>
+               std::optional<SteppingMode> Args::*>
       dest;
 };
 
@@ -177,7 +177,6 @@ constexpr Flag kExploreFlags[] = {
     {"-j", &Args::jobs},
     {"--stepping", &Args::stepping},
     {"--file", &Args::files},
-    {"--objective", &Args::objective},
     {"--area-cap", &Args::area_cap},
     {"--budget", &Args::budget},
     {"--cache", &Args::cache},
@@ -206,12 +205,6 @@ std::string read_value(const std::string& value, T& out) {
       out = SteppingMode::kCrossCheck;  // the self-verifying mode
     } else {
       return "unknown stepping mode \"" + value + "\" (known: event, cycle, check)";
-    }
-  } else if constexpr (std::is_same_v<T, explore::ObjectiveKind>) {
-    try {
-      out = explore::objective_by_name(value);
-    } catch (const std::invalid_argument& e) {
-      return e.what();
     }
   } else {
     T parsed{};
@@ -518,8 +511,7 @@ int cmd_explore(const char* argv0, const Args& args) {
   }
 
   explore::ExploreOptions eopts;
-  eopts.objective.kind = args.objective;
-  eopts.objective.area_cap_mge = args.area_cap;
+  eopts.area_cap_mge = args.area_cap;
   eopts.budget = static_cast<std::size_t>(args.budget);
   eopts.cache_path = args.cache;
   eopts.prune = !args.no_prune;
