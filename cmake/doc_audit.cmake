@@ -2,10 +2,12 @@
 # contract surface. Every invariant name (D1, EV2, P1, S3, ...) the docs
 # cite must still appear somewhere in the first-party sources, every
 # tests/test_*.cpp file the docs name as an invariant's enforcing test must
-# exist, and every --flag the docs mention must still be spelled somewhere
-# in the CLI/tooling surface (tools, cmake scripts, CI workflows). A doc
-# that outlives a rename fails here instead of drifting silently — the
-# mirror image of usage_audit.cmake, which checks the code side.
+# exist, every --flag the docs mention must still be spelled by a parser
+# (src/, tools/, examples/, benchmark/src/), and every backticked
+# `Type::member` must name a member that the code of src/ or tools/ still
+# spells outside comments. A doc that outlives a rename fails here instead
+# of drifting silently — the mirror image of usage_audit.cmake, which
+# checks the code side.
 #
 # Variables (passed with -D):
 #   SOURCE_DIR  repository root
@@ -43,23 +45,34 @@ foreach(f ${code_files})
   string(APPEND code "${content}")
 endforeach()
 
-# Flag corpus: where documented --flags must be spelled. CLI parsers live
-# in src/ as well as tools/ (check_regression forwards to
-# src/analytics/metrics_regression.cpp), examples carry their own flags,
-# and the cmake scripts / CI workflows exercise the documented surface.
-file(GLOB extra_flag_files
+# Flag corpus: the parsers only. Tests, cmake scripts and CI spell removed
+# flags on purpose (to check that they are refused), so they do not count.
+file(GLOB_RECURSE parser_files
+  "${SOURCE_DIR}/src/*.hpp" "${SOURCE_DIR}/src/*.cpp" "${SOURCE_DIR}/tools/*.cpp"
   "${SOURCE_DIR}/examples/*.cpp"
-  "${SOURCE_DIR}/cmake/*.cmake" "${SOURCE_DIR}/.github/workflows/*.yml")
-list(APPEND extra_flag_files "${SOURCE_DIR}/CMakeLists.txt")
-set(flags_corpus "${code}")
-foreach(f ${extra_flag_files})
+  "${SOURCE_DIR}/benchmark/src/*.hpp" "${SOURCE_DIR}/benchmark/src/*.cpp")
+set(flags_corpus "")
+foreach(f ${parser_files})
   file(READ "${f}" content)
   string(APPEND flags_corpus "${content}")
 endforeach()
 
-# Flags owned by third-party tools the docs legitimately mention (their
-# spelling is not this repo's to keep in sync).
-set(external_flags --output-on-failure)
+# Flags of cmake and ctest the docs legitimately mention (their spelling is
+# not this repo's to keep in sync).
+set(external_flags --build --output-on-failure)
+
+# Declaration corpus: the identifiers of src/ and tools/ code, comments
+# stripped, so a comment naming a deleted member does not keep it alive.
+file(GLOB_RECURSE decl_files
+  "${SOURCE_DIR}/src/*.hpp" "${SOURCE_DIR}/src/*.cpp" "${SOURCE_DIR}/tools/*.cpp")
+set(decl "")
+foreach(f ${decl_files})
+  file(READ "${f}" content)
+  string(APPEND decl "${content}")
+endforeach()
+string(REGEX REPLACE "//[^\n]*" "" decl "${decl}")
+string(REGEX MATCHALL "[A-Za-z_][A-Za-z0-9_]*" decl_ids "${decl}")
+list(REMOVE_DUPLICATES decl_ids)
 
 # ---- check 1: invariant names ------------------------------------------
 # Split the docs on non-alphanumerics so adjacent citations ("S1-S3",
@@ -122,12 +135,39 @@ foreach(flag ${doc_flags})
 endforeach()
 if(missing)
   message(FATAL_ERROR
-          "doc_audit: the docs cite flags that appear nowhere in src/, "
-          "tests/, tools/, examples/, cmake/, CMakeLists.txt or the "
-          "CI workflows: ${missing}")
+          "doc_audit: the docs cite flags that no parser in src/, tools/, "
+          "examples/ or benchmark/src/ spells: ${missing}")
 endif()
 list(LENGTH doc_flags n_flags)
 
+# ---- check 4: cited members -------------------------------------------
+# `Type::member` (or `ns::function`) inside backticks; the last segment
+# must be an identifier of the declaration corpus. std:: names are not
+# this repo's.
+string(REGEX MATCHALL "`[^`]*`" doc_spans "${docs}")
+string(JOIN " " doc_spans ${doc_spans})
+string(REGEX MATCHALL "[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+" doc_members
+       "${doc_spans}")
+list(REMOVE_DUPLICATES doc_members)
+list(SORT doc_members)
+set(missing "")
+set(n_members 0)
+foreach(cite ${doc_members})
+  if(cite MATCHES "^std::")
+    continue()
+  endif()
+  string(REGEX REPLACE "^.*::" "" member "${cite}")
+  if(NOT member IN_LIST decl_ids)
+    list(APPEND missing "${cite}")
+  endif()
+  math(EXPR n_members "${n_members} + 1")
+endforeach()
+if(missing)
+  message(FATAL_ERROR
+          "doc_audit: the docs cite members that the code of src/ and tools/ "
+          "no longer declares: ${missing}")
+endif()
+
 message(STATUS
-        "doc_audit: ${n_inv} invariant names, ${n_tests} cited test files "
-        "and ${n_flags} cited flags all resolve")
+        "doc_audit: ${n_inv} invariant names, ${n_tests} cited test files, "
+        "${n_flags} cited flags and ${n_members} cited members all resolve")

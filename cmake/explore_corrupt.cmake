@@ -40,7 +40,7 @@ endfunction()
 
 # 1. Unparsable cache line (not the final line): refused, path:line named.
 file(WRITE "${OUT_DIR}/bad-cache.jsonl"
-     "{\"schema\":\"tcdm-explore-cache\",\"schema_version\":2}\nnot json\n{}\n")
+     "{\"schema\":\"tcdm-explore-cache\",\"schema_version\":3}\nnot json\n{}\n")
 expect_refusal("bad-cache\\.jsonl:2" --cache "${OUT_DIR}/bad-cache.jsonl")
 
 # 2. Version-mismatched cache header: refused, version named.
@@ -49,16 +49,20 @@ file(WRITE "${OUT_DIR}/vers-cache.jsonl"
 expect_refusal("vers-cache\\.jsonl:1.*schema_version"
                --cache "${OUT_DIR}/vers-cache.jsonl")
 
-# 3. A version-1 store (keys hashed from the older config spelling, which
-#    would never hit): refused, version named, so the user starts a new one.
-file(WRITE "${OUT_DIR}/v1-cache.jsonl"
-     "{\"schema\":\"tcdm-explore-cache\",\"schema_version\":1}\n")
-expect_refusal("v1-cache\\.jsonl:1.*schema_version.*expected 2"
-               --cache "${OUT_DIR}/v1-cache.jsonl")
+# 3. Older stores (keys hashed from an older config spelling, which would
+#    never hit; version 2 keyed System points by the since-removed link,
+#    L2 and barrier latency fields): refused, version named, so the user
+#    starts a new one.
+foreach(version 1 2)
+  file(WRITE "${OUT_DIR}/v${version}-cache.jsonl"
+       "{\"schema\":\"tcdm-explore-cache\",\"schema_version\":${version}}\n")
+  expect_refusal("v${version}-cache\\.jsonl:1.*schema_version.*expected 3"
+                 --cache "${OUT_DIR}/v${version}-cache.jsonl")
+endforeach()
 
 # 4. A header key of the wrong type: refused, file, line 1 and key named.
 file(WRITE "${OUT_DIR}/type-cache.jsonl"
-     "{\"schema\":1,\"schema_version\":2}\n")
+     "{\"schema\":1,\"schema_version\":3}\n")
 expect_refusal("type-cache\\.jsonl:1/schema: expected a string"
                --cache "${OUT_DIR}/type-cache.jsonl")
 

@@ -26,8 +26,8 @@ set(usage "${out}${err}")
 # alias (`--name=V` is the same flag as `--name V`), so each flag
 # token is one table row.
 set(expected_tokens
-  # subcommands
-  list run emit validate gen explore
+  # subcommands (check is the regression gate; it takes no flags)
+  list run emit validate gen explore check
   # common flags (list/run/emit/explore)
   -j --stepping --file --no-builtin
   # emit

@@ -5,7 +5,7 @@
 //   $ ./bandwidth_timeline [out_dir]
 //
 // Writes <out_dir>/timeline_{baseline,gf4}.{csv,json} (default: cwd) and
-// prints a summary. The timeline makes the paper's Fig. 1 serialization
+// prints a summary; a file it cannot write exits 2 and names the path. The timeline makes the paper's Fig. 1 serialization
 // visible over time: the baseline trace is pinned at the contended
 // bandwidth, the burst trace at several times that, with a trough at the
 // end-of-kernel barrier in both.
@@ -19,8 +19,7 @@
 
 namespace {
 
-tcdm::TimelineResult run_one(const tcdm::ClusterConfig& cfg, const std::string& stem,
-                             const std::string& dir) {
+tcdm::TimelineResult run_one(const tcdm::ClusterConfig& cfg, const std::string& stem) {
   tcdm::Cluster cluster(cfg);
   tcdm::DotpKernel dotp(4096);
   dotp.setup(cluster);
@@ -28,24 +27,45 @@ tcdm::TimelineResult run_one(const tcdm::ClusterConfig& cfg, const std::string& 
   if (!timeline.all_halted || !dotp.verify(cluster)) {
     std::fprintf(stderr, "%s: run failed to complete/verify\n", stem.c_str());
   }
-
-  std::ofstream csv(dir + "/timeline_" + stem + ".csv");
-  tcdm::write_timeline_csv(csv, timeline);
-  std::ofstream json(dir + "/timeline_" + stem + ".json");
-  tcdm::write_timeline_chrome_trace(json, timeline, "tcdm_bw_" + stem);
   return timeline;
+}
+
+/// Writes `path` through `write`; false after naming the path.
+template <class Write>
+bool write_file(const std::string& path, Write write) {
+  std::ofstream out(path);
+  write(out);
+  out.flush();
+  if (out) return true;
+  std::fprintf(stderr, "bandwidth_timeline: cannot write %s\n", path.c_str());
+  return false;
+}
+
+/// Writes one run's CSV and trace-event JSON.
+bool write_one(const tcdm::TimelineResult& timeline, const std::string& stem,
+               const std::string& dir) {
+  const std::string path = dir + "/timeline_" + stem;
+  return write_file(path + ".csv",
+                    [&](std::ostream& os) { tcdm::write_timeline_csv(os, timeline); }) &&
+         write_file(path + ".json", [&](std::ostream& os) {
+           tcdm::write_timeline_chrome_trace(os, timeline, "tcdm_bw_" + stem);
+         });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace tcdm;
+  if (argc > 2) {
+    std::fprintf(stderr, "usage: %s [out_dir]\n", argv[0]);
+    return 2;
+  }
   const std::string dir = argc > 1 ? argv[1] : ".";
 
   std::printf("Recording DotP(4096) bandwidth timelines on MP4Spatz4...\n");
-  const TimelineResult base = run_one(ClusterConfig::mp4spatz4(), "baseline", dir);
-  const TimelineResult gf4 =
-      run_one(ClusterConfig::mp4spatz4().with_burst(4), "gf4", dir);
+  const TimelineResult base = run_one(ClusterConfig::mp4spatz4(), "baseline");
+  const TimelineResult gf4 = run_one(ClusterConfig::mp4spatz4().with_burst(4), "gf4");
+  if (!write_one(base, "baseline", dir) || !write_one(gf4, "gf4", dir)) return 2;
 
   std::printf("\n%-24s %12s %12s\n", "", "baseline", "gf4");
   std::printf("%-24s %12lu %12lu\n", "cycles",

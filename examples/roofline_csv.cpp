@@ -2,9 +2,15 @@
 // the ideal and measured bandwidth roofs plus the three paper kernels as
 // sample points. Pipe the output into your favourite plotting tool.
 //
+//   $ ./roofline_csv [preset] [gf] > roofline.csv
 //   $ ./roofline_csv mp4spatz4 4 > roofline.csv
+//
+// A bad argument (an unknown preset, a grouping factor that is not an
+// integer or out of range) exits 2 and names it.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "src/analytics/roofline.hpp"
@@ -16,10 +22,29 @@
 
 int main(int argc, char** argv) {
   using namespace tcdm;
+  if (argc > 3) {
+    std::fprintf(stderr, "usage: %s [preset] [gf]\n", argv[0]);
+    return 2;
+  }
   const std::string preset = argc > 1 ? argv[1] : "mp4spatz4";
-  const unsigned gf = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 0;
-  ClusterConfig cfg = ClusterConfig::by_name(preset);
-  if (gf > 0) cfg = cfg.with_burst(gf);
+  const std::string gf_arg = argc > 2 ? argv[2] : "0";
+  ClusterConfig cfg;
+  try {
+    cfg = ClusterConfig::by_name(preset);
+    unsigned gf = 0;
+    const char* end = gf_arg.data() + gf_arg.size();
+    const auto [stop, ec] = std::from_chars(gf_arg.data(), end, gf);
+    if (ec != std::errc() || stop != end) {
+      throw std::invalid_argument("grouping factor \"" + gf_arg +
+                                  "\" is not an integer from 0 to " +
+                                  std::to_string(std::numeric_limits<unsigned>::max()));
+    }
+    if (gf > 0) cfg = cfg.with_burst(gf);
+    cfg.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "roofline_csv: %s\n", e.what());
+    return 2;
+  }
 
   RunnerOptions opts;
   opts.max_cycles = 50'000'000;

@@ -1,6 +1,6 @@
 // Structured export of simulated paper metrics (Table I / Table II / Fig. 3
 // results) to a stable, versioned JSON schema — the wire format between
-// `tcdm_run emit`, the recorded baselines/ files, and the check_regression
+// `tcdm_run emit`, the recorded baselines/ files, and the `tcdm_run check`
 // comparator.
 //
 // Schema (version 1):

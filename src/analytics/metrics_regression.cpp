@@ -1,8 +1,8 @@
 #include "src/analytics/metrics_regression.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "src/analytics/report.hpp"
@@ -24,15 +24,13 @@ const char* status_label(DiffStatus s) {
 
 }  // namespace
 
-CompareResult compare(const MetricsDoc& baseline, const MetricsDoc& current,
-                      const CompareOptions& opts) {
+CompareResult compare(const MetricsDoc& baseline, const MetricsDoc& current) {
   CompareResult result;
-  result.new_metrics_fail = opts.fail_on_new;
   for (const auto& [name, base] : baseline.metrics) {
     MetricDiff d;
     d.name = name;
     d.baseline = base.value;
-    d.rel_tol = base.rel_tol * opts.tol_scale;
+    d.rel_tol = base.rel_tol;
     const auto it = current.metrics.find(name);
     if (it == current.metrics.end()) {
       d.status = DiffStatus::kMissing;
@@ -48,8 +46,8 @@ CompareResult compare(const MetricsDoc& baseline, const MetricsDoc& current,
         d.status = DiffStatus::kNotFinite;
         ++result.num_not_finite;
       } else if (!std::isfinite(d.rel_tol) || std::fabs(d.rel_delta) > d.rel_tol) {
-        // A NaN/inf tolerance (hand-edited baseline, bad --tol-scale) would
-        // otherwise make every comparison pass vacuously; fail instead.
+        // A NaN/inf tolerance (a hand-edited baseline) would otherwise make
+        // every comparison pass vacuously; fail instead.
         d.status = DiffStatus::kOutOfTolerance;
         ++result.num_out_of_tolerance;
       } else {
@@ -65,7 +63,7 @@ CompareResult compare(const MetricsDoc& baseline, const MetricsDoc& current,
     d.name = name;
     d.baseline = std::nan("");
     d.current = cur.value;
-    d.rel_tol = cur.rel_tol * opts.tol_scale;
+    d.rel_tol = cur.rel_tol;
     // A poisoned value is a failure even before the metric is recorded —
     // kNew's warning-only default must not let NaN slip into a baseline.
     if (!std::isfinite(cur.value)) {
@@ -80,11 +78,11 @@ CompareResult compare(const MetricsDoc& baseline, const MetricsDoc& current,
   return result;
 }
 
-std::string render_delta_table(const CompareResult& result, bool verbose) {
+std::string render_delta_table(const CompareResult& result) {
   TableWriter tw({"metric", "baseline", "current", "delta", "tol", "status"});
   unsigned shown = 0;
   for (const MetricDiff& d : result.diffs) {
-    if (!verbose && d.status == DiffStatus::kOk) continue;
+    if (d.status == DiffStatus::kOk) continue;
     const bool has_base = std::isfinite(d.baseline);
     const bool has_cur = std::isfinite(d.current);
     tw.add_row({d.name, has_base ? fmt(d.baseline, 6) : "-",
@@ -101,58 +99,22 @@ std::string render_delta_table(const CompareResult& result, bool verbose) {
   return os.str();
 }
 
-int run_check_cli(int argc, const char* const* argv) {
-  CompareOptions opts;
-  bool verbose = false;
-  std::vector<std::string> files;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fail-on-new") {
-      opts.fail_on_new = true;
-    } else if (arg == "--verbose") {
-      verbose = true;
-    } else if (arg == "--tol-scale") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "check_regression: --tol-scale needs a value\n");
-        return 2;
-      }
-      char* end = nullptr;
-      opts.tol_scale = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || !std::isfinite(opts.tol_scale) ||
-          opts.tol_scale <= 0.0) {
-        std::fprintf(stderr, "check_regression: bad --tol-scale value '%s'\n", argv[i]);
-        return 2;
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "check_regression: unknown option '%s'\n", arg.c_str());
-      return 2;
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (files.empty() || files.size() % 2 != 0) {
-    std::fprintf(stderr,
-                 "usage: check_regression [--tol-scale <x>] [--fail-on-new] [--verbose]\n"
-                 "                        <baseline.json> <current.json> [<b2> <c2> ...]\n");
-    return 2;
-  }
-
+int check_pairs(const std::vector<std::string>& paths, std::ostream& out) {
+  assert(!paths.empty() && paths.size() % 2 == 0);
   bool all_passed = true;
-  for (std::size_t i = 0; i < files.size(); i += 2) {
+  for (std::size_t i = 0; i + 1 < paths.size(); i += 2) {
     MetricsDoc baseline, current;
     try {
-      baseline = MetricsDoc::read_file(files[i]);
-      current = MetricsDoc::read_file(files[i + 1]);
+      baseline = MetricsDoc::read_file(paths[i]);
+      current = MetricsDoc::read_file(paths[i + 1]);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "check_regression: %s\n", e.what());
+      std::fprintf(stderr, "check: %s\n", e.what());
       return 2;
     }
-    const CompareResult result = compare(baseline, current, opts);
-    std::printf("=== %s: %s vs %s ===\n",
-                baseline.suite.empty() ? "(unnamed suite)" : baseline.suite.c_str(),
-                files[i].c_str(), files[i + 1].c_str());
-    std::fputs(render_delta_table(result, verbose).c_str(), stdout);
-    std::printf("%s\n", result.passed() ? "PASS" : "FAIL");
+    const CompareResult result = compare(baseline, current);
+    out << "=== " << (baseline.suite.empty() ? "(unnamed suite)" : baseline.suite) << ": "
+        << paths[i] << " vs " << paths[i + 1] << " ===\n"
+        << render_delta_table(result) << (result.passed() ? "PASS" : "FAIL") << "\n";
     all_passed = all_passed && result.passed();
   }
   return all_passed ? 0 : 1;

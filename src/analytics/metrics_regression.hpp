@@ -1,10 +1,11 @@
 // Regression gate over exported metrics documents: diff a freshly emitted
 // MetricsDoc against a recorded baseline, judge every metric against its
 // per-metric relative tolerance, and render a human-readable delta table.
-// tools/check_regression.cpp is a thin wrapper around run_check_cli so the
-// CLI's behaviour (argument parsing, exit codes) is unit-testable in-process.
+// `tcdm_run check` forwards its file arguments to check_pairs, so the
+// gate's output and exit codes are unit-testable in-process.
 #pragma once
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,7 @@ enum class DiffStatus {
   kOutOfTolerance,  // |delta| exceeds the baseline's rel_tol
   kNotFinite,       // current value is NaN/Inf — always a failure
   kMissing,         // in the baseline but absent from the current export
-  kNew,             // emitted but not recorded — a warning unless fail_on_new
+  kNew,             // emitted but not recorded — a warning
 };
 
 struct MetricDiff {
@@ -29,15 +30,6 @@ struct MetricDiff {
   DiffStatus status = DiffStatus::kOk;
 };
 
-struct CompareOptions {
-  /// Scales every baseline tolerance (e.g. 2.0 doubles the allowed drift);
-  /// useful for platform-variance escape hatches without editing baselines.
-  double tol_scale = 1.0;
-  /// Treat metrics missing from the baseline as failures instead of
-  /// warnings (use when a baseline is meant to be exhaustive).
-  bool fail_on_new = false;
-};
-
 struct CompareResult {
   std::vector<MetricDiff> diffs;  // baseline order, then new metrics
   unsigned num_ok = 0;
@@ -45,28 +37,24 @@ struct CompareResult {
   unsigned num_not_finite = 0;
   unsigned num_missing = 0;
   unsigned num_new = 0;
-  bool new_metrics_fail = false;
 
+  /// Unrecorded metrics warn; only a recorded metric can fail the gate.
   [[nodiscard]] bool passed() const {
-    return num_out_of_tolerance == 0 && num_not_finite == 0 && num_missing == 0 &&
-           (!new_metrics_fail || num_new == 0);
+    return num_out_of_tolerance == 0 && num_not_finite == 0 && num_missing == 0;
   }
 };
 
-[[nodiscard]] CompareResult compare(const MetricsDoc& baseline, const MetricsDoc& current,
-                                    const CompareOptions& opts = {});
+/// Judges every metric of `current` against `baseline`'s own rel_tol.
+[[nodiscard]] CompareResult compare(const MetricsDoc& baseline, const MetricsDoc& current);
 
 /// Delta table (TableWriter format) of every non-OK metric plus summary
-/// counts; `verbose` includes in-tolerance rows too.
-[[nodiscard]] std::string render_delta_table(const CompareResult& result,
-                                             bool verbose = false);
+/// counts.
+[[nodiscard]] std::string render_delta_table(const CompareResult& result);
 
-/// The check_regression command line:
-///   check_regression [options] <baseline.json> <current.json> [<b2> <c2> ...]
-///     --tol-scale <x>   scale all tolerances
-///     --fail-on-new     fail when the current export has unrecorded metrics
-///     --verbose         print in-tolerance rows too
-/// Returns 0 when every pair passes, 1 on regression, 2 on usage/IO errors.
-[[nodiscard]] int run_check_cli(int argc, const char* const* argv);
+/// The gate over `paths` = baseline, current[, baseline, current ...] (a
+/// non-empty, even-length list): prints each pair's delta table and verdict
+/// to `out`. Returns 0 when every pair passes, 1 on a regression, and 2
+/// after naming an unreadable or malformed file on stderr.
+[[nodiscard]] int check_pairs(const std::vector<std::string>& paths, std::ostream& out);
 
 }  // namespace tcdm::metrics

@@ -6,8 +6,12 @@
 
 namespace tcdm {
 
+namespace {
+constexpr unsigned kFifoDepth = 4;  // pending burst requests held at the manager
+}  // namespace
+
 BurstManager::BurstManager(const BurstManagerConfig& cfg, const AddressMap& map, TileId tile)
-    : cfg_(cfg), map_(map), tile_(tile), pending_(cfg.fifo_depth), slots_(cfg.merge_slots) {
+    : cfg_(cfg), map_(map), tile_(tile), pending_(kFifoDepth), slots_(cfg.merge_slots) {
   assert(cfg_.grouping_factor >= 1 && cfg_.grouping_factor <= kMaxGroupingFactor);
   assert(cfg_.merge_slots >= 1);
   free_map_.init(slots_.size());

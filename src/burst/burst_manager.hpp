@@ -36,7 +36,6 @@ class SpmBank;
 
 struct BurstManagerConfig {
   unsigned grouping_factor = 4;  // words merged per response beat (GF)
-  unsigned fifo_depth = 4;       // pending burst requests held at the manager
   unsigned merge_slots = 16;     // concurrent in-flight segment buffers
   /// Store-burst extension: a write burst's payload arrives over the request
   /// channel at req_grouping_factor words/cycle, so bank writes are issued

@@ -11,18 +11,18 @@
 
 namespace tcdm {
 
-CoreConfig ClusterConfig::core_config() const {
-  CoreConfig cc;
-  cc.spatz.vlen_bits = vlen_bits;
-  cc.spatz.lanes = vlsu_ports;
-  cc.spatz.rob_depth = rob_depth;
-  cc.spatz.fpu_latency = fpu_latency;
-  cc.spatz.viq_depth = viq_depth;
-  cc.spatz.sender.enable_bursts = burst_enabled;
-  cc.spatz.sender.enable_strided_bursts = strided_bursts;
-  cc.spatz.sender.enable_store_bursts = store_bursts;
-  cc.spatz.sender.max_burst_len = effective_max_burst_len();
-  return cc;
+SpatzConfig ClusterConfig::spatz_config() const {
+  SpatzConfig sc;
+  sc.vlen_bits = vlen_bits;
+  sc.lanes = vlsu_ports;
+  sc.rob_depth = rob_depth;
+  sc.fpu_latency = fpu_latency;
+  sc.viq_depth = viq_depth;
+  sc.sender.enable_bursts = burst_enabled;
+  sc.sender.enable_strided_bursts = strided_bursts;
+  sc.sender.enable_store_bursts = store_bursts;
+  sc.sender.max_burst_len = effective_max_burst_len();
+  return sc;
 }
 
 void ClusterConfig::validate() const {

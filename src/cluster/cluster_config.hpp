@@ -14,7 +14,7 @@
 #include "src/common/json.hpp"
 #include "src/interconnect/topology.hpp"
 #include "src/memory/address_map.hpp"
-#include "src/spatz/core_complex.hpp"
+#include "src/spatz/spatz.hpp"
 
 namespace tcdm {
 
@@ -77,7 +77,7 @@ struct ClusterConfig {
   [[nodiscard]] AddressMap address_map() const {
     return AddressMap(num_banks(), banks_per_tile, bank_words);
   }
-  [[nodiscard]] CoreConfig core_config() const;
+  [[nodiscard]] SpatzConfig spatz_config() const;
   [[nodiscard]] unsigned effective_max_burst_len() const noexcept {
     return max_burst_len == 0 ? vlsu_ports : max_burst_len;
   }

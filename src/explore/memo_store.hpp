@@ -6,8 +6,8 @@
 // persists), across entirely different suite files that reach the same
 // corner — are answered from the store without simulating.
 //
-// File format (tcdm-explore-cache, version 2):
-//   {"schema":"tcdm-explore-cache","schema_version":2}
+// File format (tcdm-explore-cache, version 3):
+//   {"schema":"tcdm-explore-cache","schema_version":3}
 //   {"key":"<32 hex>","rel":"c3/dotp","error":"","metrics":{...},"power":{...}}
 //   ...
 //
@@ -33,7 +33,7 @@ inline constexpr const char* kCacheSchemaName = "tcdm-explore-cache";
 /// Bumped whenever the canonical key spelling (config_hash.hpp) or the
 /// entry fields change: an older store would otherwise never hit, or fail
 /// on its first entry.
-inline constexpr unsigned kCacheSchemaVersion = 2;
+inline constexpr unsigned kCacheSchemaVersion = 3;
 
 /// A corrupt or version-mismatched memo store file.
 /// The CLI maps this to exit 2, like other unusable-input errors.

@@ -13,7 +13,7 @@ double peak_bw_bound(const ClusterConfig& cfg, const std::optional<SystemConfig>
   if (!system || system->num_clusters <= 1) return cfg.cluster_peak_bw();
   const std::uint64_t n = system->num_clusters;
   const std::uint64_t noc_words =
-      std::min<std::uint64_t>(system->l2_bandwidth_words, n * system->noc_link_words);
+      std::min<std::uint64_t>(kL2BandwidthWords, n * kNocLinkWords);
   return static_cast<double>(n) * cfg.cluster_peak_bw() +
          static_cast<double>(kWordBytes * noc_words);
 }

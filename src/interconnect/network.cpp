@@ -18,7 +18,7 @@ HierNetwork::HierNetwork(const Topology& topo, const NetworkConfig& cfg, StatsRe
   // The (dst, cls) wait-lists hold at most one entry per tile whose traffic
   // to dst travels in class cls: each master port registers only its head.
   // Classes are numbered from the sender's side, so at a given dst some
-  // classes have no sender and their lists no slot.
+  // classes have no sender: their lists and slave queue get no slot.
   std::vector<unsigned> senders(num_classes_);
   for (TileId dst = 0; dst < num_tiles_; ++dst) {
     std::fill(senders.begin(), senders.end(), 0u);
@@ -28,7 +28,7 @@ HierNetwork::HierNetwork(const Topology& topo, const NetworkConfig& cfg, StatsRe
     for (std::uint8_t cls = 0; cls < num_classes_; ++cls) {
       req_master_.emplace_back(topo.req_latency(cls) + cfg_.master_extra_slots);
       rsp_master_.emplace_back(topo.rsp_latency(cls) + cfg_.master_extra_slots);
-      req_slave_.emplace_back(cfg_.slave_depth);
+      req_slave_.emplace_back(senders[cls] == 0 ? 0 : cfg_.slave_depth);
       req_wait_.emplace_back(senders[cls]);
       rsp_wait_.emplace_back(senders[cls]);
     }

@@ -17,14 +17,9 @@
 
 namespace tcdm {
 
-struct CoreConfig {
-  SnitchConfig snitch;
-  SpatzConfig spatz;
-};
-
 class CoreComplex {
  public:
-  CoreComplex(const CoreConfig& cfg, CoreId hartid, unsigned num_harts,
+  CoreComplex(const SpatzConfig& cfg, CoreId hartid, unsigned num_harts,
               Barrier& barrier);
 
   void attach_stats(StatsRegistry& reg, const std::string& prefix);

@@ -19,16 +19,9 @@
 
 namespace tcdm {
 
-struct SnitchConfig {
-  unsigned max_scalar_loads = 4;   // outstanding scalar loads / AMOs
-  unsigned mul_latency = 3;        // integer multiply result latency
-  unsigned fpu_latency = 4;        // scalar float op result latency
-  unsigned taken_branch_penalty = 1;  // bubble cycles after a taken branch
-};
-
 class Snitch {
  public:
-  Snitch(const SnitchConfig& cfg, CoreId hartid, unsigned num_harts);
+  Snitch(CoreId hartid, unsigned num_harts) : hartid_(hartid), num_harts_(num_harts) {}
 
   void attach_stats(StatsRegistry& reg, const std::string& prefix);
 
@@ -97,7 +90,9 @@ class Snitch {
 
   bool exec_vector(const Instr& i, Cycle now, Spatz& spatz);
 
-  SnitchConfig cfg_;
+  /// Outstanding scalar loads / AMOs (one pending_ entry each).
+  static constexpr unsigned kMaxScalarLoads = 4;
+
   CoreId hartid_;
   unsigned num_harts_;
   const Program* prog_ = nullptr;
@@ -107,7 +102,7 @@ class Snitch {
   std::array<float, kNumFRegs> f_{};
   std::array<Cycle, kNumXRegs> x_ready_{};
   std::array<Cycle, kNumFRegs> f_ready_{};
-  std::array<PendingLoad, 8> pending_{};
+  std::array<PendingLoad, kMaxScalarLoads> pending_{};
   unsigned pending_count_ = 0;
   unsigned outstanding_stores_ = 0;
   Cycle stall_until_ = 0;

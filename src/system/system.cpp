@@ -29,7 +29,7 @@ System::System(const SystemConfig& sys, const ClusterConfig& cluster_cfg,
     clusters_.push_back(std::make_unique<Cluster>(cluster_cfg, sim));
   }
   global_barrier_ = make_barrier(cfg_.barrier_kind, cfg_.num_clusters,
-                                 cfg_.barrier_link_latency, cfg_.barrier_radix);
+                                 kBarrierLinkLatency, cfg_.barrier_radix);
   dma_.resize(cfg_.num_clusters);
   halt_at_.assign(cfg_.num_clusters, kNoCycle);
 }
@@ -137,7 +137,7 @@ void System::dma_cycle(Cycle now) {
   // One shared L2 budget per cycle; grant priority rotates with the cycle
   // number (cycle-derived arbitration, the in-cluster D3 idiom) so no
   // cluster starves and the outcome is a pure function of (now, state).
-  unsigned budget = cfg_.l2_bandwidth_words;
+  unsigned budget = kL2BandwidthWords;
   const unsigned n = num_clusters();
   for (unsigned k = 0; k < n; ++k) {
     const unsigned c = (static_cast<unsigned>(now % n) + k) % n;
@@ -148,7 +148,7 @@ void System::dma_cycle(Cycle now) {
     if (d.state != DmaEngine::State::kStream || budget == 0) continue;
     const unsigned src = (c + 1) % n;
     const unsigned in_burst = cfg_.dma_burst_len - (d.words_done % cfg_.dma_burst_len);
-    unsigned grant = std::min(std::min(budget, cfg_.noc_link_words),
+    unsigned grant = std::min(std::min(budget, kNocLinkWords),
                               std::min(in_burst, cfg_.dma_words - d.words_done));
     budget -= grant;
     while (grant-- > 0) {

@@ -16,35 +16,23 @@ void SystemConfig::validate() const {
   if (barrier_radix < 2) {
     throw std::invalid_argument(name + ": barrier_radix must be >= 2");
   }
-  if (barrier_link_latency == 0) {
-    throw std::invalid_argument(name + ": barrier_link_latency must be >= 1");
+  if (noc_hop_latency == 0) {
+    throw std::invalid_argument(name + ": noc_hop_latency must be >= 1");
   }
-  if (noc_hop_latency == 0 || noc_link_words == 0) {
-    throw std::invalid_argument(name + ": NoC hop latency and link width must be >= 1");
-  }
-  if (l2_latency == 0 || l2_bandwidth_words == 0) {
-    throw std::invalid_argument(name + ": L2 latency and bandwidth must be >= 1");
+  if (l2_latency == 0) {
+    throw std::invalid_argument(name + ": l2_latency must be >= 1");
   }
   if (dma_burst_len == 0) {
     throw std::invalid_argument(name + ": dma_burst_len must be >= 1");
   }
-  if (num_clusters == 1) return;  // no DMA phase, no global barrier
-  const auto within_window = [this](Cycle latency, const std::string& what) {
-    if (latency >= kDefaultWatchdogWindow) {
-      throw std::invalid_argument(name + ": " + what + " of " + std::to_string(latency) +
-                                  " cycles reaches the " +
-                                  std::to_string(kDefaultWatchdogWindow) +
-                                  "-cycle watchdog window");
-    }
-  };
-  if (dma_words != 0) {
-    within_window(burst_header_latency(),
-                  "DMA header latency (2 * noc_hops * noc_hop_latency + l2_latency)");
+  if (num_clusters == 1 || dma_words == 0) return;  // no DMA phase
+  const Cycle header = burst_header_latency();
+  if (header >= kDefaultWatchdogWindow) {
+    throw std::invalid_argument(
+        name + ": DMA header latency (2 * noc_hops * noc_hop_latency + l2_latency) of " +
+        std::to_string(header) + " cycles reaches the " +
+        std::to_string(kDefaultWatchdogWindow) + "-cycle watchdog window");
   }
-  within_window(
-      make_barrier(barrier_kind, num_clusters, barrier_link_latency, barrier_radix)
-          ->release_delay(),
-      "global barrier release delay (barrier_link_latency)");
 }
 
 void SystemConfig::validate(const ClusterConfig& cluster, const std::string& path) const {
@@ -66,11 +54,8 @@ void fields(S& s, V& v) {
   v("num_clusters", s.num_clusters);
   v("barrier_kind", s.barrier_kind);
   v("barrier_radix", s.barrier_radix);
-  v("barrier_link_latency", s.barrier_link_latency);
   v("noc_hop_latency", s.noc_hop_latency);
-  v("noc_link_words", s.noc_link_words);
   v("l2_latency", s.l2_latency);
-  v("l2_bandwidth_words", s.l2_bandwidth_words);
   v("dma_burst_len", s.dma_burst_len);
   v("dma_words", s.dma_words);
 }

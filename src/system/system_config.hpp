@@ -19,6 +19,15 @@ inline void enum_from_name(const std::string& name, BarrierKind& out) {
   out = barrier_kind_from_name(name);
 }
 
+/// Latency unit of the global barrier: the central kind's release latency,
+/// the per-link latency of the tree/butterfly kinds.
+inline constexpr unsigned kBarrierLinkLatency = 8;
+/// Payload words per cycle one cluster's NoC link can stream.
+inline constexpr unsigned kNocLinkWords = 4;
+/// Global L2 words/cycle budget shared by all concurrently streaming
+/// clusters (per-cycle grants rotate with the cycle number).
+inline constexpr unsigned kL2BandwidthWords = 32;
+
 struct SystemConfig {
   std::string name = "system";
 
@@ -29,21 +38,13 @@ struct SystemConfig {
   // ---- global barrier (inter-cluster synchronization) ----
   BarrierKind barrier_kind = BarrierKind::kCentral;
   unsigned barrier_radix = 2;        // tree kind only (>= 2)
-  /// Latency unit of the global barrier: the central kind's release
-  /// latency, the per-link latency of the tree/butterfly kinds.
-  unsigned barrier_link_latency = 8;
 
   // ---- NoC / L2 model ----
   /// Cycles per NoC hop; a DMA burst header pays a round trip through the
   /// radix tree to the L2 (2 * hops * this) before data flows.
   unsigned noc_hop_latency = 4;
-  /// Payload words per cycle one cluster's NoC link can stream.
-  unsigned noc_link_words = 4;
   /// L2 access latency added to every DMA burst header.
   unsigned l2_latency = 16;
-  /// Global L2 words/cycle budget shared by all concurrently streaming
-  /// clusters (per-cycle grants rotate with the cycle number).
-  unsigned l2_bandwidth_words = 32;
 
   // ---- inter-cluster DMA phase ----
   /// Words per DMA burst (each burst pays one header).
@@ -79,9 +80,10 @@ struct SystemConfig {
   }
 
   /// Throws std::invalid_argument when parameters are inconsistent, or when
-  /// the DMA header latency (with the DMA phase on) or the global barrier's
-  /// release delay reaches kDefaultWatchdogWindow: nothing moves during
-  /// either wait, so the system watchdog would fire before it ends.
+  /// the DMA header latency (with the DMA phase on) reaches
+  /// kDefaultWatchdogWindow: nothing moves while a header is pending, so the
+  /// system watchdog would fire before it ends. (The global barrier's
+  /// release takes at most 2 * 6 * kBarrierLinkLatency = 96 cycles.)
   void validate() const;
   /// validate(), and the DMA exchange fits the TCDM of one `cluster`. The
   /// capacity error names `path` + "/dma_words" and the cluster config.

@@ -161,7 +161,7 @@ class StridedManagerTest : public ::testing::Test {
 };
 
 TEST_F(StridedManagerTest, Gf4MergesStride2PairsIntoOneBeat) {
-  BurstManager bm(BurstManagerConfig{4, 4, 8}, map_, 1);
+  BurstManager bm(BurstManagerConfig{.grouping_factor = 4, .merge_slots = 8}, map_, 1);
   TcdmReq req;
   req.addr = addr_of(0, 5);
   req.len = 2;
@@ -186,7 +186,7 @@ TEST_F(StridedManagerTest, Gf4MergesStride2PairsIntoOneBeat) {
 }
 
 TEST_F(StridedManagerTest, Gf2DegradesStride2ToOneWordBeats) {
-  BurstManager bm(BurstManagerConfig{2, 4, 8}, map_, 1);
+  BurstManager bm(BurstManagerConfig{.grouping_factor = 2, .merge_slots = 8}, map_, 1);
   TcdmReq req;
   req.addr = addr_of(0, 3);
   req.len = 2;
@@ -207,7 +207,7 @@ TEST_F(StridedManagerTest, Gf2DegradesStride2ToOneWordBeats) {
 }
 
 TEST_F(StridedManagerTest, WriteBurstFansOutAndWritesBanks) {
-  BurstManager bm(BurstManagerConfig{4, 4, 8}, map_, 1);
+  BurstManager bm(BurstManagerConfig{.grouping_factor = 4, .merge_slots = 8}, map_, 1);
   TcdmReq req;
   req.addr = addr_of(0, 7);
   req.len = 4;

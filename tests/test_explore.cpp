@@ -87,7 +87,7 @@ TEST(ConfigHash, HostSimOptionsDoNotAffectTheKey) {
 TEST(ConfigHash, KeysMatchTheRecordedSpelling) {
   // Memo stores on disk are keyed by these digests, so a change to the
   // canonical spelling orphans every one of them and must come with a
-  // kCacheSchemaVersion bump. Recorded at cache schema version 2.
+  // kCacheSchemaVersion bump. Recorded at cache schema version 3.
   FileScenario cluster_point;
   cluster_point.rel = "pinned";
   cluster_point.config = ClusterConfig::by_name("mp4spatz4");
@@ -106,7 +106,7 @@ TEST(ConfigHash, KeysMatchTheRecordedSpelling) {
   system_point.system = sys;
 
   EXPECT_EQ(canonical_key(cluster_point), "3c0de26456c1d39f59372cf10ef220ed");
-  EXPECT_EQ(canonical_key(system_point), "59c82c7bd39fbe6831562496a0983c4d");
+  EXPECT_EQ(canonical_key(system_point), "2325c91f27e4c0bb6658ee9739b77308");
 }
 
 TEST(ConfigHash, EverySimulationRelevantFieldChangesTheKey) {

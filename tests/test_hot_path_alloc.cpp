@@ -10,7 +10,9 @@
 //   * StatsRegistry registration allocates per chunk, not per counter,
 //     constructing MP64 stays within an allocation budget (no counter-name
 //     temporaries), and Cluster::reset() and a value() lookup allocate
-//     nothing.
+//     nothing;
+//   * the network allocates no request slave queue for a port no tile can
+//     send to.
 // The counter is process-global, so any background allocation would show
 // up here; tests run serially within the binary, which keeps the windows
 // attributable.
@@ -28,6 +30,7 @@
 #include "src/common/json.hpp"
 #include "src/common/ring_deque.hpp"
 #include "src/common/stats.hpp"
+#include "src/interconnect/network.hpp"
 #include "src/kernels/axpy.hpp"
 #include "tests/support/test_support.hpp"
 
@@ -237,6 +240,33 @@ TEST(HotPathAlloc, ClusterConstructionMakesNoNameTemporaries) {
   { const Cluster cluster(cfg); }
   const std::uint64_t allocs = alloc_count() - before;
   EXPECT_LE(allocs, 4400u) << allocs << " heap allocations to construct " << cfg.name;
+}
+
+TEST(HotPathAlloc, UnreachableSlaveQueuesAllocateNothing) {
+  // Classes are numbered from the sender's side, so 384 of MP128's 896
+  // (dst, cls) ports have no sender; only the others buffer requests.
+  const Topology topo = ClusterConfig::mp128spatz8().topology();
+  const auto construct_allocs = [&](unsigned slave_depth) {
+    NetworkConfig cfg;
+    cfg.slave_depth = slave_depth;
+    StatsRegistry stats;
+    const std::uint64_t before = alloc_count();
+    { const HierNetwork net(topo, cfg, stats); }
+    return alloc_count() - before;
+  };
+  StatsRegistry stats;
+  const HierNetwork net(topo, NetworkConfig{}, stats);
+  std::uint64_t unreachable = 0;
+  for (TileId dst = 0; dst < topo.num_tiles(); ++dst) {
+    for (unsigned cls = 0; cls < topo.num_classes(); ++cls) {
+      if (net.wait_capacity(dst, static_cast<std::uint8_t>(cls)) == 0) ++unreachable;
+    }
+  }
+  const std::uint64_t ports = std::uint64_t{topo.num_tiles()} * topo.num_classes();
+  ASSERT_EQ(ports, 896u);
+  ASSERT_EQ(unreachable, 384u);
+  EXPECT_EQ(construct_allocs(NetworkConfig{}.slave_depth) - construct_allocs(0),
+            ports - unreachable);
 }
 
 TEST(HotPathAlloc, StatsValueLookupIsAllocationFree) {

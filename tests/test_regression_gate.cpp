@@ -1,12 +1,16 @@
 // Regression-gate tests: tolerance comparator edge cases (missing metric,
 // new metric, NaN, zero baselines, exact metrics), delta-table rendering,
-// and the check_regression CLI contract — including the injected-regression
-// case that must exit non-zero naming the offending metric.
+// and the file loop behind `tcdm_run check` — including the
+// injected-regression case that must exit non-zero naming the offending
+// metric. The command line's argument errors are CTests (CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/analytics/metrics_regression.hpp"
 #include "tests/support/test_support.hpp"
@@ -14,7 +18,6 @@
 namespace tcdm {
 namespace {
 
-using metrics::CompareOptions;
 using metrics::CompareResult;
 using metrics::DiffStatus;
 using metrics::MetricsDoc;
@@ -85,16 +88,13 @@ TEST(RegressionGate, MissingMetricFails) {
   EXPECT_EQ(diff_named(r, "a/sim/bw_per_core").status, DiffStatus::kMissing);
 }
 
-TEST(RegressionGate, NewMetricWarnsByDefaultFailsOnRequest) {
+TEST(RegressionGate, NewMetricWarns) {
   MetricsDoc cur = base_doc();
   cur.add("a/sim/brand_new", 1.0, 0.02);
-  const CompareResult lenient = metrics::compare(base_doc(), cur);
-  EXPECT_TRUE(lenient.passed());
-  EXPECT_EQ(lenient.num_new, 1u);
-  EXPECT_EQ(diff_named(lenient, "a/sim/brand_new").status, DiffStatus::kNew);
-  CompareOptions strict;
-  strict.fail_on_new = true;
-  EXPECT_FALSE(metrics::compare(base_doc(), cur, strict).passed());
+  const CompareResult r = metrics::compare(base_doc(), cur);
+  EXPECT_TRUE(r.passed());
+  EXPECT_EQ(r.num_new, 1u);
+  EXPECT_EQ(diff_named(r, "a/sim/brand_new").status, DiffStatus::kNew);
 }
 
 TEST(RegressionGate, NanInUnrecordedMetricFailsDespiteLenientNewPolicy) {
@@ -140,15 +140,6 @@ TEST(RegressionGate, NonFiniteToleranceFailsInsteadOfPassingVacuously) {
   }
 }
 
-TEST(RegressionGate, TolScaleWidensEveryBudget) {
-  MetricsDoc cur = base_doc();
-  cur.metrics["a/sim/bw_per_core"].value = 9.7;  // -3% vs 2% budget
-  EXPECT_FALSE(metrics::compare(base_doc(), cur).passed());
-  CompareOptions wide;
-  wide.tol_scale = 2.0;  // 4% budget
-  EXPECT_TRUE(metrics::compare(base_doc(), cur, wide).passed());
-}
-
 TEST(RegressionGate, DeltaTableNamesOffendersAndCounts) {
   MetricsDoc cur = base_doc();
   cur.metrics["a/sim/bw_per_core"].value = 9.0;
@@ -160,16 +151,13 @@ TEST(RegressionGate, DeltaTableNamesOffendersAndCounts) {
   EXPECT_NE(table.find("MISSING"), std::string::npos);
   EXPECT_NE(table.find("1 out of tolerance"), std::string::npos);
   EXPECT_NE(table.find("1 missing"), std::string::npos);
-  // Passing rows stay out of the table unless verbose.
+  // Passing rows stay out of the table.
   EXPECT_EQ(table.find("a/sim/verified"), std::string::npos);
-  const std::string verbose =
-      metrics::render_delta_table(metrics::compare(base_doc(), cur), /*verbose=*/true);
-  EXPECT_NE(verbose.find("a/sim/verified"), std::string::npos);
 }
 
-// ------------------------------------------------------------------- CLI ---
+// ----------------------------------------------------------- file loop ---
 
-class CheckRegressionCli : public ::testing::Test {
+class CheckPairs : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::path(::testing::TempDir()) / "regression_gate";
@@ -178,59 +166,51 @@ class CheckRegressionCli : public ::testing::Test {
     current_path_ = (dir_ / "current.json").string();
   }
 
-  int run(std::vector<const char*> args) {
-    args.insert(args.begin(), "check_regression");
-    return metrics::run_check_cli(static_cast<int>(args.size()), args.data());
+  int run(const std::vector<std::string>& paths) {
+    out_.str("");
+    return metrics::check_pairs(paths, out_);
   }
 
   std::filesystem::path dir_;
   std::string baseline_path_;
   std::string current_path_;
+  std::ostringstream out_;
 };
 
-TEST_F(CheckRegressionCli, CleanTreePassesWithExitZero) {
+TEST_F(CheckPairs, CleanTreePassesWithExitZero) {
   base_doc().write_file(baseline_path_);
   base_doc().write_file(current_path_);
-  EXPECT_EQ(run({baseline_path_.c_str(), current_path_.c_str()}), 0);
+  EXPECT_EQ(run({baseline_path_, current_path_}), 0);
+  EXPECT_EQ(out_.str(), "=== table1: " + baseline_path_ + " vs " + current_path_ +
+                            " ===\n3 ok, 0 out of tolerance, 0 non-finite, 0 missing, "
+                            "0 new\nPASS\n");
 }
 
-TEST_F(CheckRegressionCli, InjectedRegressionExitsNonZero) {
+TEST_F(CheckPairs, InjectedRegressionExitsOneNamingTheMetric) {
   base_doc().write_file(baseline_path_);
   MetricsDoc cur = base_doc();
   cur.metrics["a/sim/bw_per_core"].value *= 0.90;  // perturb a bandwidth figure
   cur.write_file(current_path_);
-  EXPECT_EQ(run({baseline_path_.c_str(), current_path_.c_str()}), 1);
-  // Escape hatch: scaling tolerances 10x lets the same drift pass.
-  EXPECT_EQ(run({"--tol-scale", "10", baseline_path_.c_str(), current_path_.c_str()}), 0);
+  EXPECT_EQ(run({baseline_path_, current_path_}), 1);
+  EXPECT_NE(out_.str().find("a/sim/bw_per_core"), std::string::npos);
+  EXPECT_NE(out_.str().find("FAIL"), std::string::npos);
 }
 
-TEST_F(CheckRegressionCli, SecondPairFailingFailsTheWholeRun) {
+TEST_F(CheckPairs, SecondPairFailingFailsTheWholeRun) {
   base_doc().write_file(baseline_path_);
   base_doc().write_file(current_path_);
   const std::string bad = (dir_ / "bad.json").string();
   MetricsDoc cur = base_doc();
   cur.metrics.erase("a/model/peak");
   cur.write_file(bad);
-  EXPECT_EQ(run({baseline_path_.c_str(), current_path_.c_str(), baseline_path_.c_str(),
-                 bad.c_str()}),
-            1);
+  EXPECT_EQ(run({baseline_path_, current_path_, baseline_path_, bad}), 1);
 }
 
-TEST_F(CheckRegressionCli, UsageAndIoErrorsExitTwo) {
-  EXPECT_EQ(run({}), 2);                                // no files
+TEST_F(CheckPairs, UnreadableFilesExitTwo) {
   base_doc().write_file(baseline_path_);
-  EXPECT_EQ(run({baseline_path_.c_str()}), 2);          // odd file count
-  EXPECT_EQ(run({baseline_path_.c_str(), (dir_ / "absent.json").string().c_str()}), 2);
-  EXPECT_EQ(run({"--bogus-flag", baseline_path_.c_str(), baseline_path_.c_str()}), 2);
-  EXPECT_EQ(run({"--tol-scale", "zero", baseline_path_.c_str(), baseline_path_.c_str()}),
-            2);
-  // Non-finite scales would vacuously pass every metric; reject them.
-  EXPECT_EQ(run({"--tol-scale", "nan", baseline_path_.c_str(), baseline_path_.c_str()}),
-            2);
-  EXPECT_EQ(run({"--tol-scale", "inf", baseline_path_.c_str(), baseline_path_.c_str()}),
-            2);
+  EXPECT_EQ(run({baseline_path_, (dir_ / "absent.json").string()}), 2);
   std::ofstream(dir_ / "garbage.json") << "not json at all";
-  EXPECT_EQ(run({baseline_path_.c_str(), (dir_ / "garbage.json").string().c_str()}), 2);
+  EXPECT_EQ(run({baseline_path_, (dir_ / "garbage.json").string()}), 2);
 }
 
 }  // namespace

@@ -23,6 +23,10 @@
 //                                              area-bandwidth Pareto frontier
 //                                              (rerun with the same --cache
 //                                              to resume)
+//   tcdm_run check <baseline> <current> [<b2> <c2> ...]
+//                                              regression gate: judge each
+//                                              emitted metrics document
+//                                              against its recorded baseline
 //
 // One grammar for every subcommand, read from its flag table by
 // parse_flags: a value flag is `--name V` or `--name=V`, jobs is `-j N`,
@@ -42,9 +46,10 @@
 // (event-driven skipping, the cycle-by-cycle reference loop, or the
 // self-verifying cross-check mode — all bit-identical; see
 // docs/ARCHITECTURE.md).
-// Exit codes: 0 ok, 1 scenario/validation failure or empty selection,
-// 2 usage/IO errors (including unknown subcommands and flags, malformed
-// flag values and corrupt explore cache files).
+// Exit codes: 0 ok, 1 scenario/validation failure, empty selection or a
+// metric outside its baseline tolerance, 2 usage/IO errors (including
+// unknown subcommands and flags, malformed flag values, unreadable metrics
+// documents and corrupt explore cache files).
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -62,6 +67,7 @@
 #include <variant>
 #include <vector>
 
+#include "src/analytics/metrics_regression.hpp"
 #include "src/analytics/report.hpp"
 #include "src/common/json.hpp"
 #include "src/explore/explore.hpp"
@@ -87,6 +93,7 @@ int usage(const char* argv0) {
       "       %s explore [-j N] [--stepping M]\n"
       "            [--area-cap MGE] [--budget N] [--cache F]\n"
       "            [--no-prune] [--report F] <suite.json>\n"
+      "       %s check <baseline.json> <current.json> [<b2> <c2> ...]\n"
       "\n"
       "  A value flag is --name V or --name=V; an unknown flag exits 2.\n"
       "  --stepping M   time advance per cluster: event (skip quiet spans,\n"
@@ -100,8 +107,12 @@ int usage(const char* argv0) {
       "  one of: central, tree, butterfly, and its dma_words must fit the\n"
       "  cluster TCDM (banks x bank_words — `validate` names the offending\n"
       "  cluster config and the resolved capacity). `gen` emits such points\n"
-      "  too.\n",
-      argv0, argv0, argv0, argv0, argv0, argv0);
+      "  too.\n"
+      "\n"
+      "  check compares each emitted metrics document with its recorded\n"
+      "  baseline under the baseline's per-metric tolerances; it exits 1\n"
+      "  when a recorded metric drifts, goes missing or is not finite.\n",
+      argv0, argv0, argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -555,6 +566,16 @@ int cmd_explore(const char* argv0, const Args& args) {
   return outcome.failures > 0 ? 1 : 0;
 }
 
+int cmd_check(const char* argv0, const Args& args) {
+  const std::vector<std::string>& paths = args.positional;
+  if (paths.empty() || paths.size() % 2 != 0) {
+    return usage_error(argv0, "check",
+                       "expected <baseline> <current> pairs, got " +
+                           std::to_string(paths.size()) + " files");
+  }
+  return metrics::check_pairs(paths, std::cout);
+}
+
 /// A subcommand: its flag table and what runs on the flags read from it.
 struct Subcommand {
   std::string_view name;
@@ -569,6 +590,7 @@ constexpr Subcommand kSubcommands[] = {
     {"validate", {}, cmd_validate},
     {"gen", kGenFlags, cmd_gen},
     {"explore", kExploreFlags, cmd_explore},
+    {"check", {}, cmd_check},
 };
 
 int main_impl(int argc, char** argv) {
