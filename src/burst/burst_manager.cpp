@@ -68,8 +68,8 @@ void BurstManager::issue(std::vector<SpmBank>& banks) {
         br.row = map_.row_of(ab.req.addr + ab.next_word * stride * kWordBytes);
         br.write = true;
         br.wdata = ab.req.burst_wdata[ab.next_word];
+        br.route.tag.owner = ReqOwner::kVecNarrow;
         br.route.kind = RouteKind::kRemoteNarrow;
-        br.route.owner = ReqOwner::kVecNarrow;
         br.route.write = true;
         br.route.src_tile = ab.req.src_tile;
         if (!banks[bank_in_tile].try_push(br)) return;  // bank busy: retry next cycle
@@ -108,10 +108,10 @@ void BurstManager::issue(std::vector<SpmBank>& banks) {
       BankReq br;
       br.row = map_.row_of(ab.req.addr + ab.next_word * stride * kWordBytes);
       br.write = false;
+      br.route.tag = ab.req.tag;
+      br.route.tag.word_offset = static_cast<std::uint8_t>(ab.next_word);
       br.route.kind = RouteKind::kBurstSegment;
       br.route.seg = static_cast<std::uint8_t>(ab.cur_slot);
-      br.route.word_offset = static_cast<std::uint8_t>(ab.next_word);
-      br.route.id = ab.req.tag.id;
       br.route.src_tile = ab.req.src_tile;
       if (!banks[bank_in_tile].try_push(br)) return;  // bank busy: retry next cycle
       bank_reqs_issued_.inc();
@@ -125,8 +125,8 @@ void BurstManager::fill(const BankRoute& route, Word data) {
   assert(route.seg < slots_.size());
   MergeSlot& ms = slots_[route.seg];
   assert(ms.state == SlotState::kFilling);
-  assert(ms.burst_id == route.id);
-  const unsigned idx = route.word_offset - ms.first_offset;
+  assert(ms.burst_id == route.tag.id);
+  const unsigned idx = route.tag.word_offset - ms.first_offset;
   assert(idx < ms.expected);
   ms.data[idx] = data;
   if (++ms.received == ms.expected) {

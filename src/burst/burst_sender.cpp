@@ -90,7 +90,7 @@ void BurstSender::push_staged(const PendingItem& item) {
   if (!item.local) ++class_staged_[item.cls];
 }
 
-bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
+void BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
                               const Topology& topo, TileId home_tile) {
   assert(can_accept_beat());
   const auto push_narrow = [&](const WordRequest& w) {
@@ -119,7 +119,7 @@ bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
       cfg_.enable_bursts && cfg_.enable_store_bursts && beat.unit_stride_store;
   if (!unit_load && !strided_load && !unit_store) {
     for (const WordRequest& w : beat.words) push_narrow(w);
-    return true;
+    return;
   }
   const unsigned stride = strided_load ? beat.stride_words : 1;
   const bool write = unit_store;
@@ -188,19 +188,21 @@ bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
     i += run;
   }
   if (split_seen) coalesce_splits_.inc();
-  return true;
 }
 
 bool BurstSender::try_send(const PendingItem& item, Cycle now, TileServices& tile) {
   const TileId home = tile.tile_id();
+  const WordRequest& w = item.word;
+  ReqTag tag;  // a narrow word's tag, on its local and its remote route alike
+  tag.owner = ReqOwner::kVecNarrow;
+  tag.port = w.port;
+  tag.rob_slot = w.rob_slot;
   if (item.local) {
     BankReq br;
     br.row = item.row;
-    br.write = item.word.write;
-    br.wdata = item.word.wdata;
-    br.route.kind = RouteKind::kLocalVector;
-    br.route.port = item.word.port;
-    br.route.rob_slot = item.word.rob_slot;
+    br.write = w.write;
+    br.wdata = w.wdata;
+    br.route.tag = tag;
     br.route.src_tile = home;
     if (!tile.try_local_push(item.bank_in_tile, br)) return false;
     local_words_.inc();
@@ -211,14 +213,11 @@ bool BurstSender::try_send(const PendingItem& item, Cycle now, TileServices& til
   TcdmReq req;
   req.src_tile = home;
   if (!item.is_burst) {
-    const WordRequest& w = item.word;
     req.addr = w.addr;
     req.len = 1;
     req.write = w.write;
     req.wdata = w.wdata;
-    req.tag.owner = ReqOwner::kVecNarrow;
-    req.tag.port = w.port;
-    req.tag.rob_slot = w.rob_slot;
+    req.tag = tag;
     net.send_req(home, item.dst_tile, req, now);
     narrow_sent_.inc();
     return true;

@@ -97,9 +97,9 @@ class BurstSender {
   }
 
   /// Stage a beat: coalesce burst-eligible runs, enqueue the rest narrow.
-  /// `map` and `topo` decode each staged item's route once, here.
-  /// Returns false only if the burst table is exhausted (beat not accepted).
-  [[nodiscard]] bool accept_beat(const BeatRequest& beat, const AddressMap& map,
+  /// `map` and `topo` decode each staged item's route once, here. Every
+  /// beat is taken: a run that finds the burst table full goes narrow.
+  void accept_beat(const BeatRequest& beat, const AddressMap& map,
                                  const Topology& topo, TileId home_tile);
 
   /// Drain staging into local banks and network master ports.

@@ -37,31 +37,21 @@ BarrierKind barrier_kind_from_name(const std::string& name) {
                               "' (expected central, tree, or butterfly)");
 }
 
-TreeBarrier::TreeBarrier(unsigned num_cores, unsigned link_latency, unsigned radix)
-    : Barrier(num_cores), link_latency_(link_latency), radix_(radix) {
-  if (radix_ < 2) {
-    throw std::invalid_argument("tree barrier radix must be >= 2, got " +
-                                std::to_string(radix_));
-  }
-  levels_ = ceil_log(num_cores, radix_);
-}
-
-ButterflyBarrier::ButterflyBarrier(unsigned num_cores, unsigned link_latency)
-    : Barrier(num_cores), link_latency_(link_latency) {
-  stages_ = ceil_log(num_cores, 2);
-}
-
-std::unique_ptr<Barrier> make_barrier(BarrierKind kind, unsigned num_cores,
-                                      unsigned latency, unsigned radix) {
+Cycle barrier_release_delay(BarrierKind kind, unsigned num_cores, unsigned latency,
+                            unsigned radix) {
   switch (kind) {
     case BarrierKind::kCentral:
-      return std::make_unique<CentralBarrier>(num_cores, latency);
+      return latency;
     case BarrierKind::kTree:
-      return std::make_unique<TreeBarrier>(num_cores, latency, radix);
+      if (radix < 2) {
+        throw std::invalid_argument("tree barrier radix must be >= 2, got " +
+                                    std::to_string(radix));
+      }
+      return 2 * static_cast<Cycle>(ceil_log(num_cores, radix)) * latency;
     case BarrierKind::kButterfly:
-      return std::make_unique<ButterflyBarrier>(num_cores, latency);
+      return static_cast<Cycle>(ceil_log(num_cores, 2)) * latency;
   }
-  return std::make_unique<CentralBarrier>(num_cores, latency);
+  return latency;
 }
 
 }  // namespace tcdm

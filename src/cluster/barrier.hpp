@@ -4,24 +4,23 @@
 // kind-specific latency, and the global generation counter advances.
 // Members wait for the generation they targeted.
 //
-// The abstract Barrier owns all synchronization state and the (non-virtual)
-// hot-path entry points; a concrete kind only supplies release_delay() —
-// the modeled latency between the last arrival and the release broadcast:
+// The kinds differ only in that latency — the modeled delay between the
+// last arrival and the release broadcast — which barrier_release_delay()
+// computes once, at construction:
 //
-//   CentralBarrier    flat broadcast over the interconnect: delay = the
-//                     given release latency (a cluster's barrier: the
-//                     topology's worst-case round-trip).
-//   TreeBarrier       radix-r reduction tree + broadcast (Bertuletti et
-//                     al.): delay = 2 * ceil(log_r(n)) * link latency.
-//   ButterflyBarrier  log2(n) all-to-all dissemination stages, no separate
-//                     broadcast: delay = ceil(log2(n)) * link latency.
+//   central    flat broadcast over the interconnect: delay = the given
+//              latency (a cluster's barrier: the topology's worst-case
+//              round-trip), regardless of member count.
+//   tree       radix-r reduction tree + broadcast back down (Bertuletti et
+//              al.): delay = 2 * ceil(log_r(n)) * link latency.
+//   butterfly  ceil(log2(n)) pairwise dissemination stages, no separate
+//              broadcast: delay = ceil(log2(n)) * link latency.
 //
 // Members arrive during the core phase; generation() only changes in
 // cycle(), which runs after it, so members read a stable value all phase.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -46,10 +45,18 @@ enum class BarrierKind : std::uint8_t { kCentral, kTree, kButterfly };
 /// Throws std::invalid_argument naming the known kinds.
 [[nodiscard]] BarrierKind barrier_kind_from_name(const std::string& name);
 
+/// Modeled latency between the last of `num_cores` arrivals and the release
+/// broadcast. `latency` is the central kind's release latency and the
+/// per-link latency of the tree and butterfly kinds; `radix` only applies
+/// to the tree, which throws std::invalid_argument for a radix below 2.
+/// 64-bit, so a product of large per-link latencies cannot wrap.
+[[nodiscard]] Cycle barrier_release_delay(BarrierKind kind, unsigned num_cores,
+                                          unsigned latency, unsigned radix = 2);
+
 class Barrier {
  public:
-  explicit Barrier(unsigned num_cores) : num_cores_(num_cores) {}
-  virtual ~Barrier() = default;
+  Barrier(BarrierKind kind, unsigned num_cores, Cycle release_delay)
+      : kind_(kind), num_cores_(num_cores), release_delay_(release_delay) {}
   Barrier(const Barrier&) = delete;
   Barrier& operator=(const Barrier&) = delete;
 
@@ -61,14 +68,14 @@ class Barrier {
     const unsigned count = ++arrived_;
     if (count > num_cores_) {
       throw BarrierContractError(
-          std::string(barrier_kind_name(kind())) +
+          std::string(barrier_kind_name(kind_)) +
           " barrier over-arrival: hart=" + std::to_string(hart) +
           " arrived with all " + std::to_string(num_cores_) +
           " members already present in generation " + std::to_string(generation_) +
           " (arrive-once per generation violated)");
     }
     if (count == num_cores_) {
-      release_at_ = now + release_delay();
+      release_at_ = now + release_delay_;
       release_pending_ = true;
     }
   }
@@ -82,7 +89,7 @@ class Barrier {
     }
   }
 
-  [[nodiscard]] virtual BarrierKind kind() const noexcept = 0;
+  [[nodiscard]] BarrierKind kind() const noexcept { return kind_; }
   [[nodiscard]] unsigned generation() const noexcept { return generation_; }
   [[nodiscard]] unsigned arrived() const noexcept { return arrived_; }
   [[nodiscard]] unsigned num_cores() const noexcept { return num_cores_; }
@@ -101,92 +108,14 @@ class Barrier {
     release_at_ = 0;
   }
 
-  /// Modeled latency between the last arrival and the release broadcast.
-  /// Called once per generation (never on the per-arrival hot path beyond
-  /// the completing arrival), so virtual dispatch costs nothing measurable.
-  /// 64-bit, so a product of large per-link latencies cannot wrap.
-  [[nodiscard]] virtual Cycle release_delay() const noexcept = 0;
-
  private:
+  BarrierKind kind_;
   unsigned num_cores_;
+  Cycle release_delay_;
   unsigned arrived_ = 0;
   unsigned generation_ = 0;
   bool release_pending_ = false;
   Cycle release_at_ = 0;
 };
-
-/// The single shared barrier register of the original design: every member
-/// polls one location and the release is broadcast flat, so the delay is
-/// one worst-case interconnect round-trip regardless of member count.
-class CentralBarrier final : public Barrier {
- public:
-  CentralBarrier(unsigned num_cores, unsigned release_latency)
-      : Barrier(num_cores), release_latency_(release_latency) {}
-
-  [[nodiscard]] BarrierKind kind() const noexcept override {
-    return BarrierKind::kCentral;
-  }
-  [[nodiscard]] unsigned release_latency() const noexcept { return release_latency_; }
-
- protected:
-  [[nodiscard]] Cycle release_delay() const noexcept override {
-    return release_latency_;
-  }
-
- private:
-  unsigned release_latency_;
-};
-
-/// Radix-r reduction tree: arrivals combine up ceil(log_r(n)) levels, then
-/// the release broadcasts back down the same tree — two traversals at one
-/// link latency per level.
-class TreeBarrier final : public Barrier {
- public:
-  TreeBarrier(unsigned num_cores, unsigned link_latency, unsigned radix = 2);
-
-  [[nodiscard]] BarrierKind kind() const noexcept override { return BarrierKind::kTree; }
-  [[nodiscard]] unsigned radix() const noexcept { return radix_; }
-  [[nodiscard]] unsigned levels() const noexcept { return levels_; }
-
- protected:
-  [[nodiscard]] Cycle release_delay() const noexcept override {
-    return 2 * static_cast<Cycle>(levels_) * link_latency_;
-  }
-
- private:
-  unsigned link_latency_;
-  unsigned radix_;
-  unsigned levels_;
-};
-
-/// Butterfly (dissemination) barrier: ceil(log2(n)) pairwise exchange
-/// stages after which every member has seen every arrival — no separate
-/// broadcast pass, so half the tree's traversal count.
-class ButterflyBarrier final : public Barrier {
- public:
-  ButterflyBarrier(unsigned num_cores, unsigned link_latency);
-
-  [[nodiscard]] BarrierKind kind() const noexcept override {
-    return BarrierKind::kButterfly;
-  }
-  [[nodiscard]] unsigned stages() const noexcept { return stages_; }
-
- protected:
-  [[nodiscard]] Cycle release_delay() const noexcept override {
-    return static_cast<Cycle>(stages_) * link_latency_;
-  }
-
- private:
-  unsigned link_latency_;
-  unsigned stages_;
-};
-
-/// Build a barrier of the requested kind. `latency` is the central kind's
-/// release latency and the per-link latency of the tree/butterfly kinds;
-/// `radix` only applies to the tree (and must be >= 2 there).
-[[nodiscard]] std::unique_ptr<Barrier> make_barrier(BarrierKind kind,
-                                                    unsigned num_cores,
-                                                    unsigned latency,
-                                                    unsigned radix = 2);
 
 }  // namespace tcdm

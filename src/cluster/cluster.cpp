@@ -29,7 +29,7 @@ Cluster::Cluster(const ClusterConfig& cfg, const SimOptions& sim)
     : cfg_(validated(cfg)),
       topo_(cfg.topology()),
       map_(cfg.address_map()),
-      barrier_(std::make_unique<CentralBarrier>(cfg.num_cores(), worst_round_trip(topo_))),
+      barrier_(BarrierKind::kCentral, cfg.num_cores(), worst_round_trip(topo_)),
       watchdog_(kDefaultWatchdogWindow),
       stepping_(sim.stepping) {
   NetworkConfig net_cfg;
@@ -38,10 +38,8 @@ Cluster::Cluster(const ClusterConfig& cfg, const SimOptions& sim)
   net_ = std::make_unique<HierNetwork>(topo_, net_cfg, stats_);
   tiles_.reserve(cfg_.num_tiles);
   for (TileId t = 0; t < cfg_.num_tiles; ++t) {
-    tiles_.push_back(std::make_unique<Tile>(cfg_, t, *net_, map_, *barrier_, stats_));
+    tiles_.push_back(std::make_unique<Tile>(cfg_, t, *net_, map_, barrier_, stats_));
   }
-  static constexpr std::string_view kStats[] = {".cycles_skipped", ".cycles_simulated"};
-  stats_.block("sim", kStats, {&cycles_skipped_, &cycles_simulated_});
 }
 
 void Cluster::load_program(Program program) {
@@ -123,7 +121,7 @@ void Cluster::reset() {
   watchdog_.set_window(kDefaultWatchdogWindow);  // undo set_watchdog_window
   watchdog_.note_progress(0);
   stats_.reset();  // zero every slot; Counter handles remain valid
-  barrier_->reset();
+  barrier_.reset();
   net_->reset();
   for (auto& tile : tiles_) tile->reset();
   programs_.clear();
@@ -132,18 +130,19 @@ void Cluster::reset() {
   scan_hint_ = 0;
   mem_phase_active_ = false;
   wakeup_bias_ = 0;
+  cycles_skipped_ = 0;
   xc_expected_.clear();
   xc_after_.clear();
   xc_slots_.clear();
 }
 
 void Cluster::deliver_rsp(const TcdmResp& rsp, Cycle now) {
-  tiles_.at(rsp.dst_tile)->cc().deliver_remote(rsp, now);
+  tiles_.at(rsp.dst_tile)->cc().deliver(rsp.tag, rsp.write_ack, {rsp.data.data(), rsp.num_words},
+                                       now);
 }
 
 bool Cluster::step() {
   const Cycle now = clock_.now();
-  cycles_simulated_.inc();
 
   // Phase 1 — core/VLSU issue, per tile. A halted core complex is fully
   // drained (the Snitch only halts after drained() && fully_idle()), so its
@@ -166,7 +165,7 @@ bool Cluster::step() {
   }
 
   // Phase 4 — barrier release, watchdog and halt detection (serial).
-  barrier_->cycle(now);
+  barrier_.cycle(now);
 
   double token = 0.0;
   bool all_halted = true;
@@ -210,8 +209,8 @@ Cycle Cluster::earliest_event(SkipPlan& plan) {
   const Cycle net_wake = net_->earliest_wakeup(now);
   if (net_wake <= now) return now;
   wake = std::min(wake, net_wake);
-  if (barrier_->release_pending()) {
-    const Cycle release = barrier_->release_at();
+  if (barrier_.release_pending()) {
+    const Cycle release = barrier_.release_at();
     if (release <= now) return now;
     wake = std::min(wake, release);
   }
@@ -231,13 +230,11 @@ void Cluster::cross_check_to(Cycle claimed_event, Cycle target) {
   while (clock_.now() < target) {
     const Cycle at = clock_.now();
     // Expected registry state after one reference step of a claimed-quiet
-    // cycle: exactly the declared per-cycle rates (EV2), plus the step's own
-    // simulated-cycle accounting.
+    // cycle: exactly the declared per-cycle rates (EV2).
     stats_.values(xc_expected_);
     for (const SkipPlan::Entry& e : plan_.entries()) {
       xc_expected_[index_of(e.counter.slot())] += e.per_cycle;
     }
-    xc_expected_[index_of(cycles_simulated_.slot())] += 1.0;
 
     const bool halted = step();
     stats_.values(xc_after_);
@@ -276,9 +273,8 @@ Cycle Cluster::next_event() {
 void Cluster::skip_to(Cycle target) {
   const Cycle now = clock_.now();
   assert(target > now);
-  const auto skipped = static_cast<double>(target - now);
-  plan_.apply(skipped);
-  cycles_skipped_.inc(skipped);
+  plan_.apply(static_cast<double>(target - now));
+  cycles_skipped_ += target - now;
   clock_.advance_by(target - now);
 }
 

@@ -35,8 +35,8 @@ struct RunOutcome {
 
 /// How advance() moves Cluster::run() and System::run() through time. All
 /// modes produce bit-identical simulations (same cycle counts, same
-/// statistics apart from the `sim.*` bookkeeping counters, same memory
-/// image); see docs/ARCHITECTURE.md for the wakeup contract that makes the
+/// statistics registry, same memory image); only the host-side
+/// Cluster::cycles_skipped() differs. See docs/ARCHITECTURE.md for the wakeup contract that makes the
 /// event-driven mode provably exact.
 enum class SteppingMode : std::uint8_t {
   /// Next-event skipping (default): when every component agrees the next
@@ -146,10 +146,13 @@ class Cluster final : public RspSink {
   RunOutcome run(Cycle max_cycles = 50'000'000);
 
   [[nodiscard]] SteppingMode stepping() const noexcept { return stepping_; }
-  /// Quiet cycles jumped over by skip_to() so far (the `sim.cycles_skipped`
-  /// counter). 0 for a bare run in kCycleByCycle/kCrossCheck modes; a
-  /// System also counts the span a halted cluster stays parked.
-  [[nodiscard]] double cycles_skipped() const noexcept { return cycles_skipped_.value(); }
+  /// Quiet cycles jumped over by skip_to() since construction or reset().
+  /// 0 for a bare run in kCycleByCycle/kCrossCheck modes; a System also
+  /// counts the span a halted cluster stays parked. A host-side diagnostic,
+  /// not a registry counter, so the registry is identical in every mode.
+  [[nodiscard]] double cycles_skipped() const noexcept {
+    return static_cast<double>(cycles_skipped_);
+  }
 
   /// TEST-ONLY: offset every computed earliest-event cycle by `bias` before
   /// acting on it. A positive bias fabricates exactly the bug class the
@@ -210,7 +213,7 @@ class Cluster final : public RspSink {
   [[nodiscard]] unsigned num_tiles() const noexcept {
     return static_cast<unsigned>(tiles_.size());
   }
-  [[nodiscard]] Barrier& barrier() noexcept { return *barrier_; }
+  [[nodiscard]] Barrier& barrier() noexcept { return barrier_; }
   [[nodiscard]] HierNetwork& network() noexcept { return *net_; }
 
   // ---- aggregate metrics (over the whole run so far) ----
@@ -242,7 +245,7 @@ class Cluster final : public RspSink {
   Topology topo_;
   AddressMap map_;
   StatsRegistry stats_;
-  std::unique_ptr<Barrier> barrier_;
+  Barrier barrier_;
   std::unique_ptr<HierNetwork> net_;
   std::vector<std::unique_ptr<Tile>> tiles_;
   std::vector<Program> programs_;
@@ -259,8 +262,7 @@ class Cluster final : public RspSink {
                             // result — the plan's counter sums commute)
   Cycle wakeup_bias_ = 0;   // test-only fault injection (debug_set_wakeup_bias)
   bool mem_phase_active_ = false;  // last step had memory-phase work (probe gate)
-  Counter cycles_skipped_;
-  Counter cycles_simulated_;
+  Cycle cycles_skipped_ = 0;  // cycles_skipped()
   // Cross-check scratch (lazily sized; kCrossCheck only).
   std::vector<double> xc_expected_;
   std::vector<double> xc_after_;

@@ -52,11 +52,8 @@ void Tile::accept_slave_requests(Cycle now) {
     br.write = req.write;
     br.amo_add = req.amo_add;
     br.wdata = req.wdata;
+    br.route.tag = req.tag;
     br.route.kind = RouteKind::kRemoteNarrow;
-    br.route.owner = req.tag.owner;
-    br.route.port = req.tag.port;
-    br.route.rob_slot = req.tag.rob_slot;
-    br.route.id = req.tag.id;
     br.route.src_tile = req.src_tile;
     if (banks_[dec.bank_in_tile].try_push(br)) {
       (void)net_.slave_pop(id_, cls);
@@ -75,9 +72,8 @@ void Tile::route_bank_responses(Cycle now) {
     if (!bank.resp_ready()) continue;
     const BankResp& resp = bank.resp_front();
     switch (resp.route.kind) {
-      case RouteKind::kLocalVector:
-      case RouteKind::kLocalScalar:
-        cc_->deliver_local(resp, now);
+      case RouteKind::kLocal:
+        cc_->deliver(resp.route.tag, resp.route.write, {&resp.data, 1}, now);
         (void)bank.resp_pop();
         break;
       case RouteKind::kBurstSegment:
@@ -88,7 +84,7 @@ void Tile::route_bank_responses(Cycle now) {
         const TileId requester = resp.route.src_tile;
         if (resp.route.write) {
           // Posted store: out-of-band completion credit, no response beat.
-          net_.send_store_ack(id_, requester, resp.route.owner, now);
+          net_.send_store_ack(id_, requester, resp.route.tag.owner, now);
           (void)bank.resp_pop();
           break;
         }
@@ -98,10 +94,7 @@ void Tile::route_bank_responses(Cycle now) {
         out.num_words = 1;
         out.data[0] = resp.data;
         out.dst_tile = requester;
-        out.tag.owner = resp.route.owner;
-        out.tag.port = resp.route.port;
-        out.tag.rob_slot = resp.route.rob_slot;
-        out.tag.id = resp.route.id;
+        out.tag = resp.route.tag;
         net_.send_rsp(id_, out, now);
         (void)bank.resp_pop();
         break;

@@ -9,7 +9,9 @@
 //  * BankReq / BankResp — what a single SPM bank sees: always one word.
 //    The `BankRoute` it echoes back tells the owning tile where the word
 //    must be delivered (local core, remote narrow response, or a Burst
-//    Manager merge buffer).
+//    Manager merge buffer) and carries the requester's `ReqTag` unchanged,
+//    so one record follows a single-word access from requester to bank
+//    and back.
 #pragma once
 
 #include <array>
@@ -70,22 +72,17 @@ struct TcdmResp {
 
 /// Where a bank's single-word response must be delivered by its tile.
 enum class RouteKind : std::uint8_t {
-  kLocalVector,   // straight to the local CC's VLSU port ROB
-  kLocalScalar,   // to the local Snitch
+  kLocal,         // straight to the local CC, which dispatches on tag.owner
   kRemoteNarrow,  // narrow beat onto the response network
   kBurstSegment,  // into a Burst Manager merge buffer
 };
 
 struct BankRoute {
-  RouteKind kind = RouteKind::kLocalScalar;
-  ReqOwner owner = ReqOwner::kScalar;  // restored into the response tag (remote narrow)
-  std::uint8_t port = 0;         // VLSU port (vector routes)
-  std::uint16_t rob_slot = 0;    // ROB slot / scalar id
-  std::uint32_t id = 0;          // burst id / scalar id
-  std::uint8_t word_offset = 0;  // word position within burst
-  std::uint8_t seg = 0;          // Burst Manager merge-slot index
-  TileId src_tile = 0;           // requester tile
-  bool write = false;            // store (ack only, no data)
+  ReqTag tag;  // the requester's tag; a burst segment's word sets its offset
+  RouteKind kind = RouteKind::kLocal;
+  std::uint8_t seg = 0;  // Burst Manager merge-slot index
+  bool write = false;    // store (ack only, no data)
+  TileId src_tile = 0;   // requester tile
 };
 
 /// One-word request at a bank's input port.

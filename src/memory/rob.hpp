@@ -1,9 +1,11 @@
 // Per-VLSU-port Reorder Buffer.
 //
 // The VLSU allocates one slot per outstanding element *in program order* at
-// issue time; memory responses fill slots out of order (remote responses
-// overtake local ones); the head is retired strictly in order so the vector
-// register file always observes elements in element order. ROB depth is the
+// issue time, tagged with the element it belongs to (instruction slot and
+// element index); memory responses fill slots out of order (remote
+// responses overtake local ones); the head is retired strictly in order, with
+// its element, so the vector register file always observes elements in
+// element order. ROB depth is the
 // latency-tolerance knob the paper doubles for burst configurations
 // (§III-A): it bounds outstanding transactions per port.
 //
@@ -32,14 +34,24 @@ class ReorderBuffer {
     return static_cast<unsigned>(ring_.size()) - count_;
   }
 
-  /// Allocate the next in-order slot. Precondition: !full().
-  [[nodiscard]] std::uint16_t alloc() {
+  /// What pop_head() retires: the response data and the element it fills.
+  struct Retired {
+    Word data = 0;
+    std::uint8_t instr = 0;  // owning instruction's pool slot
+    std::uint32_t elem = 0;  // element index within that instruction
+  };
+
+  /// Allocate the next in-order slot for element `elem` of the instruction
+  /// in pool slot `instr`. Precondition: !full().
+  [[nodiscard]] std::uint16_t alloc(std::uint8_t instr, std::uint32_t elem) {
     assert(!full());
     const unsigned slot = tail_;
     Entry& e = ring_[slot];
     assert(!e.valid);
     e.valid = true;
     e.filled = false;
+    e.instr = instr;
+    e.elem = elem;
     tail_ = (tail_ + 1 == ring_.size()) ? 0 : tail_ + 1;
     ++count_;
     return static_cast<std::uint16_t>(slot);
@@ -58,15 +70,15 @@ class ReorderBuffer {
   [[nodiscard]] bool head_ready() const noexcept { return count_ > 0 && ring_[head_].filled; }
 
   /// Retire the oldest slot (in allocation order). Precondition: head_ready().
-  Word pop_head() {
+  Retired pop_head() {
     assert(head_ready());
     Entry& e = ring_[head_];
-    const Word data = e.data;
+    const Retired out{e.data, e.instr, e.elem};
     e.valid = false;
     e.filled = false;
     head_ = (head_ + 1 == ring_.size()) ? 0 : head_ + 1;
     --count_;
-    return data;
+    return out;
   }
 
   void clear() {
@@ -78,6 +90,8 @@ class ReorderBuffer {
   struct Entry {
     bool valid = false;   // allocated
     bool filled = false;  // response arrived
+    std::uint8_t instr = 0;
+    std::uint32_t elem = 0;
     Word data = 0;
   };
   std::vector<Entry> ring_;

@@ -35,8 +35,8 @@ struct ScenarioResult {
   KernelMetrics metrics;
   PowerBreakdown power;
   std::string error;
-  /// Quiet cycles the event-driven stepping loop jumped over (the cluster's
-  /// `sim.cycles_skipped` counter). Host-side diagnostics only — never part
+  /// Quiet cycles the event-driven stepping loop jumped over
+  /// (System::cycles_skipped()). Host-side diagnostics only — never part
   /// of emitted metrics, so baselines stay byte-identical across modes.
   double sim_cycles_skipped = 0.0;
 

@@ -27,52 +27,33 @@ void CoreComplex::cycle(Cycle now, TileServices& tile) {
   spatz_.cycle_exec(now, tile);
 }
 
-void CoreComplex::deliver_remote(const TcdmResp& rsp, Cycle now) {
-  switch (rsp.tag.owner) {
+void CoreComplex::deliver(const ReqTag& tag, bool write_ack, std::span<const Word> data,
+                          Cycle now) {
+  switch (tag.owner) {
     case ReqOwner::kScalar:
-      if (rsp.write_ack) {
+      if (write_ack) {
         snitch_.store_ack();
       } else {
-        snitch_.fill_scalar(rsp.tag.rob_slot, rsp.data[0], now);
+        snitch_.fill_scalar(tag.rob_slot, data[0], now);
       }
       break;
     case ReqOwner::kVecNarrow:
-      if (rsp.write_ack) {
+      if (write_ack) {
         spatz_.vlsu().store_ack();
       } else {
-        spatz_.vlsu().fill(rsp.tag.port, rsp.tag.rob_slot, rsp.data[0]);
+        spatz_.vlsu().fill(tag.port, tag.rob_slot, data[0]);
       }
       break;
     case ReqOwner::kBurst: {
+      assert(!write_ack && "write bursts are acknowledged per word as narrow stores");
       BurstSender& sender = spatz_.vlsu().sender();
-      for (unsigned j = 0; j < rsp.num_words; ++j) {
-        const auto w = sender.lookup(rsp.tag.id, rsp.tag.word_offset + j);
-        spatz_.vlsu().fill(w.port, w.rob_slot, rsp.data[j]);
+      for (unsigned j = 0; j < data.size(); ++j) {
+        const auto w = sender.lookup(tag.id, tag.word_offset + j);
+        spatz_.vlsu().fill(w.port, w.rob_slot, data[j]);
       }
-      sender.note_resolved(rsp.tag.id, rsp.num_words);
+      sender.note_resolved(tag.id, static_cast<unsigned>(data.size()));
       break;
     }
-  }
-}
-
-void CoreComplex::deliver_local(const BankResp& rsp, Cycle now) {
-  switch (rsp.route.kind) {
-    case RouteKind::kLocalScalar:
-      if (rsp.route.write) {
-        snitch_.store_ack();
-      } else {
-        snitch_.fill_scalar(rsp.route.rob_slot, rsp.data, now);
-      }
-      break;
-    case RouteKind::kLocalVector:
-      if (rsp.route.write) {
-        spatz_.vlsu().store_ack();
-      } else {
-        spatz_.vlsu().fill(rsp.route.port, rsp.route.rob_slot, rsp.data);
-      }
-      break;
-    default:
-      assert(false && "non-local route delivered to core");
   }
 }
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "src/common/stats.hpp"
@@ -48,9 +49,12 @@ class CoreComplex {
     return std::min(ws, spatz_.earliest_wakeup(now, plan));
   }
 
-  // ---- response delivery ----
-  void deliver_remote(const TcdmResp& rsp, Cycle now);
-  void deliver_local(const BankResp& rsp, Cycle now);
+  /// Response delivery, from the network and from this tile's own banks
+  /// alike: the tag's owner picks the sink. A scalar word fills the
+  /// Snitch's pending load, a narrow vector word its VLSU port's ROB slot,
+  /// and a burst beat's `data` words fan out through the Burst Sender's
+  /// table. A `write_ack` carries no data and acknowledges one store.
+  void deliver(const ReqTag& tag, bool write_ack, std::span<const Word> data, Cycle now);
 
   /// Monotone activity token for the cluster watchdog.
   [[nodiscard]] double progress_token() const;

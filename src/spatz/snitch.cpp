@@ -61,14 +61,16 @@ bool Snitch::send_scalar_mem(Cycle now, TileServices& tile, Addr addr, bool writ
   }
   const TileId home = tile.tile_id();
   const TileId dst = map.tile_of(addr);
+  ReqTag tag;
+  tag.owner = ReqOwner::kScalar;
+  tag.rob_slot = pending_id;
   if (dst == home) {
     BankReq br;
     br.row = map.row_of(addr);
     br.write = write;
     br.amo_add = amo;
     br.wdata = wdata;
-    br.route.kind = RouteKind::kLocalScalar;
-    br.route.rob_slot = pending_id;
+    br.route.tag = tag;
     br.route.src_tile = home;
     return tile.try_local_push(map.bank_in_tile(addr), br);
   }
@@ -82,8 +84,7 @@ bool Snitch::send_scalar_mem(Cycle now, TileServices& tile, Addr addr, bool writ
   req.amo_add = amo;
   req.wdata = wdata;
   req.src_tile = home;
-  req.tag.owner = ReqOwner::kScalar;
-  req.tag.rob_slot = pending_id;
+  req.tag = tag;
   net.send_req(home, dst, req, now);
   return true;
 }

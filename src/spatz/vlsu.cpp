@@ -11,11 +11,7 @@ Vlsu::Vlsu(unsigned ports, unsigned rob_depth, const BurstSenderConfig& sender_c
     : ports_(ports), sender_(sender_cfg, ports) {
   assert(ports_ >= 1 && ports_ <= kMaxPorts);
   rob_.reserve(ports_);
-  meta_.reserve(ports_);
-  for (unsigned p = 0; p < ports_; ++p) {
-    rob_.emplace_back(rob_depth);
-    meta_.emplace_back(rob_depth);
-  }
+  for (unsigned p = 0; p < ports_; ++p) rob_.emplace_back(rob_depth);
 }
 
 void Vlsu::attach_stats(StatsRegistry& reg, const std::string& prefix) {
@@ -30,11 +26,6 @@ void Vlsu::start(unsigned slot, std::array<VInstr, kVInstrSlots>& pool) {
   assert(pool[slot].valid);
   (void)pool;
   active_ = static_cast<int>(slot);
-}
-
-unsigned Vlsu::ready_elems(const Scoreboard& sb, unsigned vs, unsigned n,
-                           const std::array<VInstr, kVInstrSlots>& pool) {
-  return sb.ready_elems(vs, n, pool);
 }
 
 void Vlsu::update_watermark(VInstr& instr) const {
@@ -60,21 +51,20 @@ void Vlsu::retire(std::array<VInstr, kVInstrSlots>& pool, VectorRegFile& vrf,
   unsigned touched = 0;  // bitmask over VInstr pool slots
   for (unsigned p = 0; p < ports_; ++p) {
     if (!rob_[p].head_ready()) continue;
-    const Word data = rob_[p].pop_head();
-    const RobMeta m = meta_[p].pop();
-    VInstr& instr = pool[m.slot];
+    const ReorderBuffer::Retired r = rob_[p].pop_head();
+    VInstr& instr = pool[r.instr];
     assert(instr.valid);
-    vrf.write(instr.d.vd, m.elem, data);
+    vrf.write(instr.d.vd, r.elem, r.data);
     ++instr.port_retired[p];
     ++instr.retired;
     words_loaded_.inc();
     if (instr.retired == instr.d.vl && instr.issuing_done) {
       // Fully retired load: drop from the retiring set and complete.
-      retiring_.erase(std::find(retiring_.begin(), retiring_.end(), m.slot));
-      sink.vinstr_complete(m.slot);  // resets the VInstr; no watermark update
-      touched &= ~(1u << m.slot);
+      retiring_.erase(std::find(retiring_.begin(), retiring_.end(), r.instr));
+      sink.vinstr_complete(r.instr);  // resets the VInstr; no watermark update
+      touched &= ~(1u << r.instr);
     } else {
-      touched |= 1u << m.slot;
+      touched |= 1u << r.instr;
     }
   }
   while (touched != 0) {
@@ -100,7 +90,7 @@ void Vlsu::issue(Cycle now, TileServices& tile, std::array<VInstr, kVInstrSlots>
     bool can_issue = sender_.can_accept_beat();
     if (can_issue && !is_store) {
       for (unsigned j = 0; j < n; ++j) {
-        if (rob_[(e0 + j) % ports_].full() || meta_[(e0 + j) % ports_].full()) {
+        if (rob_[(e0 + j) % ports_].full()) {
           can_issue = false;
           break;
         }
@@ -109,10 +99,10 @@ void Vlsu::issue(Cycle now, TileServices& tile, std::array<VInstr, kVInstrSlots>
     // Chaining: store data and gather/scatter indices must be produced
     // before this beat's elements can be issued.
     if (can_issue && is_store) {
-      can_issue = ready_elems(sb, d.vd, group, pool) >= e0 + n;
+      can_issue = sb.ready_elems(d.vd, group, pool) >= e0 + n;
     }
     if (can_issue && indexed) {
-      can_issue = can_issue && ready_elems(sb, d.vs2, group, pool) >= e0 + n;
+      can_issue = can_issue && sb.ready_elems(d.vs2, group, pool) >= e0 + n;
     }
 
     if (can_issue) {
@@ -164,18 +154,11 @@ void Vlsu::issue(Cycle now, TileServices& tile, std::array<VInstr, kVInstrSlots>
           ++outstanding_stores_;
           words_stored_.inc();
         } else {
-          w.rob_slot = rob_[p].alloc();
-          const bool ok =
-              meta_[p].try_push(RobMeta{static_cast<std::uint8_t>(active_), e});
-          assert(ok);
-          (void)ok;
+          w.rob_slot = rob_[p].alloc(static_cast<std::uint8_t>(active_), e);
         }
         beat.words.push_back(w);
       }
-      const bool accepted =
-          sender_.accept_beat(beat, tile.map(), tile.net().topology(), tile.tile_id());
-      assert(accepted);
-      (void)accepted;
+      sender_.accept_beat(beat, tile.map(), tile.net().topology(), tile.tile_id());
       beats_.inc();
       instr.issued = e0 + n;
       if (instr.issued >= d.vl) {

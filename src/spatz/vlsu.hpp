@@ -20,11 +20,9 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "src/common/bounded_queue.hpp"
 #include "src/common/stats.hpp"
 #include "src/common/types.hpp"
 #include "src/burst/burst_sender.hpp"
@@ -89,26 +87,17 @@ class Vlsu {
     active_ = -1;
     retiring_.clear();
     for (ReorderBuffer& r : rob_) r.clear();
-    for (auto& m : meta_) m.clear();
     sender_.reset();
     outstanding_stores_ = 0;
   }
 
  private:
-  struct RobMeta {
-    std::uint8_t slot = 0;   // VInstr pool slot
-    std::uint32_t elem = 0;  // element index within the instruction
-  };
-
-  [[nodiscard]] static unsigned ready_elems(const Scoreboard& sb, unsigned vs, unsigned n,
-                                            const std::array<VInstr, kVInstrSlots>& pool);
   void update_watermark(VInstr& instr) const;
 
   unsigned ports_;
   int active_ = -1;
   std::vector<unsigned> retiring_;  // fully-issued loads awaiting responses
   std::vector<ReorderBuffer> rob_;
-  std::vector<BoundedQueue<RobMeta>> meta_;
   BurstSender sender_;
   unsigned outstanding_stores_ = 0;
   Counter words_loaded_;

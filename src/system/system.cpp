@@ -18,18 +18,27 @@ void fnv_word(std::uint64_t& h, Word w) {
   }
 }
 
+/// Validated before any member is built from it: the global barrier's
+/// delay needs a legal radix.
+const SystemConfig& validated(const SystemConfig& sys, const ClusterConfig& cluster_cfg) {
+  sys.validate(cluster_cfg, sys.name);
+  return sys;
+}
+
 }  // namespace
 
 System::System(const SystemConfig& sys, const ClusterConfig& cluster_cfg,
                const SimOptions& sim)
-    : cfg_(sys), stepping_(sim.stepping), watchdog_(kDefaultWatchdogWindow) {
-  cfg_.validate(cluster_cfg, cfg_.name);
+    : cfg_(validated(sys, cluster_cfg)),
+      stepping_(sim.stepping),
+      global_barrier_(cfg_.barrier_kind, cfg_.num_clusters,
+                      barrier_release_delay(cfg_.barrier_kind, cfg_.num_clusters,
+                                            kBarrierLinkLatency, cfg_.barrier_radix)),
+      watchdog_(kDefaultWatchdogWindow) {
   clusters_.reserve(cfg_.num_clusters);
   for (unsigned c = 0; c < cfg_.num_clusters; ++c) {
     clusters_.push_back(std::make_unique<Cluster>(cluster_cfg, sim));
   }
-  global_barrier_ = make_barrier(cfg_.barrier_kind, cfg_.num_clusters,
-                                 kBarrierLinkLatency, cfg_.barrier_radix);
   dma_.resize(cfg_.num_clusters);
   halt_at_.assign(cfg_.num_clusters, kNoCycle);
 }
@@ -90,7 +99,7 @@ void System::unpark(bool check_quiet) {
 
 void System::reset() {
   for (auto& c : clusters_) c->reset();
-  global_barrier_->reset();
+  global_barrier_.reset();
   std::fill(dma_.begin(), dma_.end(), DmaEngine{});
   std::fill(halt_at_.begin(), halt_at_.end(), kNoCycle);
   kernels_running_ = 0;
@@ -116,7 +125,7 @@ void System::start_dma(Cycle now) {
     DmaEngine& d = dma_[c];
     if (cfg_.dma_words == 0) {
       d.state = DmaEngine::State::kDone;
-      global_barrier_->arrive(c, now);
+      global_barrier_.arrive(c, now);
       continue;
     }
     // Golden checksum of the source range, read up front: the source
@@ -159,7 +168,7 @@ void System::dma_cycle(Cycle now) {
     }
     if (d.words_done == cfg_.dma_words) {
       d.state = DmaEngine::State::kDone;
-      global_barrier_->arrive(c, now);
+      global_barrier_.arrive(c, now);
     } else if (d.words_done % cfg_.dma_burst_len == 0) {
       d.state = DmaEngine::State::kHeader;
       d.header_done_at = now + cfg_.burst_header_latency();
@@ -184,7 +193,7 @@ bool System::step() {
   // phases below).
   for (unsigned c = 0; kernels_running_ > 0 && c < num_clusters(); ++c) {
     if (halt_at_[c] == now) {
-      global_barrier_->arrive(c, now);
+      global_barrier_.arrive(c, now);
       --kernels_running_;
     }
   }
@@ -193,16 +202,16 @@ bool System::step() {
   dma_cycle(now);
 
   // Phase 3 — global barrier release, run-phase transitions, watchdog.
-  global_barrier_->cycle(now);
-  if (!dma_started_ && global_barrier_->generation() == 1) start_dma(now);
-  if (global_barrier_->generation() >= 2) done_ = true;
+  global_barrier_.cycle(now);
+  if (!dma_started_ && global_barrier_.generation() == 1) start_dma(now);
+  if (global_barrier_.generation() >= 2) done_ = true;
 
   // The system watchdog guards the sync/DMA machinery once every cluster
   // halted (halted clusters stop checking their own); while any cluster
   // runs, its in-cluster watchdog owns deadlock detection.
   const double token = static_cast<double>(words_delivered_) +
-                       1048576.0 * global_barrier_->generation() +
-                       1024.0 * global_barrier_->arrived();
+                       1048576.0 * global_barrier_.generation() +
+                       1024.0 * global_barrier_.arrived();
   if (kernels_running_ > 0 || token != last_progress_token_) {
     last_progress_token_ = token;
     watchdog_.note_progress(now);
@@ -244,8 +253,8 @@ Cycle System::next_event() const {
     // An arrival due at `now` itself is still to be replayed.
     if (halt_at_[c] >= now_) event = std::min(event, halt_at_[c]);
   }
-  if (global_barrier_->release_pending()) {
-    event = std::min(event, global_barrier_->release_at());
+  if (global_barrier_.release_pending()) {
+    event = std::min(event, global_barrier_.release_at());
   }
   if (wakeup_bias_ != 0 && event != kNoCycle) event += wakeup_bias_;
   return event;

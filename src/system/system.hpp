@@ -24,7 +24,7 @@
 // advance() loop moves both levels through time, so --stepping check
 // steps and verifies the system loop's quiet spans too. Halted
 // clusters stay parked; at every exit, a throw included, their clocks catch
-// up with one skip_to, so parked spans count as `sim.cycles_skipped` in
+// up with one skip_to, so parked spans count in cycles_skipped() in
 // every stepping mode.
 // Results are bit-identical to stepping every cluster every cycle.
 //
@@ -60,7 +60,7 @@ class System {
   }
   [[nodiscard]] Cluster& cluster(unsigned i) { return *clusters_.at(i); }
   [[nodiscard]] const Cluster& cluster(unsigned i) const { return *clusters_.at(i); }
-  [[nodiscard]] Barrier& global_barrier() noexcept { return *global_barrier_; }
+  [[nodiscard]] Barrier& global_barrier() noexcept { return global_barrier_; }
   [[nodiscard]] Cycle now() const noexcept { return now_; }
   [[nodiscard]] SteppingMode stepping() const noexcept { return stepping_; }
 
@@ -74,8 +74,8 @@ class System {
   /// `max_cycles`; throws DeadlockError when a cluster or the system-level
   /// watchdog fires. Each cluster runs to its halt alone, then the system
   /// loop advances the DMA engines and the global barrier (see the header
-  /// comment); all modes are bit-identical (apart from `sim.*` bookkeeping
-  /// counters). On return every cluster's clock equals now(). On a throw,
+  /// comment); all modes are bit-identical (apart from the host-side
+  /// cycles_skipped()). On return every cluster's clock equals now(). On a throw,
   /// now() is the faulting cycle and every cluster parked before it has
   /// caught up to it.
   RunOutcome run(Cycle max_cycles = 50'000'000);
@@ -90,7 +90,7 @@ class System {
   [[nodiscard]] double noc_bytes_transferred() const {
     return static_cast<double>(words_delivered_) * kWordBytes;
   }
-  /// Sum of the clusters' `sim.cycles_skipped` diagnostics (the system
+  /// Sum of the clusters' cycles_skipped() diagnostics (the system
   /// loop's own jumps move no counter).
   [[nodiscard]] double cycles_skipped() const;
   /// End-to-end DMA integrity: every cluster's delivered-word checksum
@@ -156,7 +156,7 @@ class System {
   SystemConfig cfg_;
   SteppingMode stepping_ = SteppingMode::kEventDriven;
   std::vector<std::unique_ptr<Cluster>> clusters_;
-  std::unique_ptr<Barrier> global_barrier_;
+  Barrier global_barrier_;
   std::vector<DmaEngine> dma_;
   std::vector<Cycle> halt_at_;  // per cluster: halt cycle, kNoCycle while running
   unsigned kernels_running_ = 0;  // clusters not yet arrived

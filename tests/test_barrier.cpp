@@ -1,11 +1,10 @@
 // Barrier kinds (central / tree / butterfly): release-delay models,
-// generation protocol, the named over-arrival contract error, factory and
-// name round trips. A cluster always synchronizes its harts with the
+// generation protocol, the named over-arrival contract error and name
+// round trips. A cluster always synchronizes its harts with the
 // central kind; the System's global barrier uses all three
 // (tests/test_system.cpp runs every kind end to end).
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 
 #include "src/cluster/barrier.hpp"
@@ -13,7 +12,7 @@
 namespace tcdm {
 namespace {
 
-// ------------------------------------------------------- names & factory ----
+// ---------------------------------------------------------------- names ----
 
 TEST(BarrierKindNames, RoundTrip) {
   for (const BarrierKind kind :
@@ -26,25 +25,21 @@ TEST(BarrierKindNames, RoundTrip) {
   EXPECT_THROW((void)barrier_kind_from_name("ring"), std::invalid_argument);
 }
 
-TEST(BarrierFactory, BuildsTheRequestedKind) {
-  const auto central = make_barrier(BarrierKind::kCentral, 8, 5);
-  const auto tree = make_barrier(BarrierKind::kTree, 8, 5, 4);
-  const auto butterfly = make_barrier(BarrierKind::kButterfly, 8, 5);
-  EXPECT_EQ(central->kind(), BarrierKind::kCentral);
-  EXPECT_EQ(tree->kind(), BarrierKind::kTree);
-  EXPECT_EQ(butterfly->kind(), BarrierKind::kButterfly);
-  EXPECT_EQ(dynamic_cast<TreeBarrier&>(*tree).radix(), 4u);
-}
-
-TEST(BarrierFactory, TreeRejectsRadixBelowTwo) {
-  EXPECT_THROW((void)make_barrier(BarrierKind::kTree, 8, 5, 1),
+TEST(BarrierDelay, TreeRejectsRadixBelowTwo) {
+  EXPECT_THROW((void)barrier_release_delay(BarrierKind::kTree, 8, 5, 1),
                std::invalid_argument);
 }
 
 // -------------------------------------------------------- release delays ----
 
+/// A barrier of `kind` over `n` members at `latency`, with the release delay
+/// its kind models.
+Barrier make(BarrierKind kind, unsigned n, unsigned latency, unsigned radix = 2) {
+  return Barrier(kind, n, barrier_release_delay(kind, n, latency, radix));
+}
+
 /// Drive `n` arrivals at `now` and report when the release lands.
-Cycle release_cycle(Barrier& b, unsigned n, Cycle now) {
+Cycle release_cycle(Barrier&& b, unsigned n, Cycle now) {
   for (unsigned h = 0; h < n; ++h) b.arrive(h, now);
   EXPECT_TRUE(b.release_pending());
   return b.release_at();
@@ -52,44 +47,44 @@ Cycle release_cycle(Barrier& b, unsigned n, Cycle now) {
 
 TEST(BarrierDelay, CentralIsTheConfiguredLatencyRegardlessOfSize) {
   for (unsigned n : {2u, 16u, 256u}) {
-    CentralBarrier b(n, 7);
-    EXPECT_EQ(release_cycle(b, n, 100), 107u) << n;
+    EXPECT_EQ(barrier_release_delay(BarrierKind::kCentral, n, 7), 7u) << n;
+    EXPECT_EQ(release_cycle(make(BarrierKind::kCentral, n, 7), n, 100), 107u) << n;
   }
 }
 
 TEST(BarrierDelay, TreeIsTwoTraversalsOfTheReductionTree) {
   // 16 members radix 2: 4 levels, up + down at link latency 3 -> 24.
-  TreeBarrier r2(16, 3, 2);
-  EXPECT_EQ(r2.levels(), 4u);
-  EXPECT_EQ(release_cycle(r2, 16, 100), 124u);
+  EXPECT_EQ(barrier_release_delay(BarrierKind::kTree, 16, 3, 2), 24u);
+  EXPECT_EQ(release_cycle(make(BarrierKind::kTree, 16, 3, 2), 16, 100), 124u);
   // Radix 4 halves the level count: ceil(log4(16)) = 2 -> 12.
-  TreeBarrier r4(16, 3, 4);
-  EXPECT_EQ(r4.levels(), 2u);
-  EXPECT_EQ(release_cycle(r4, 16, 100), 112u);
-  // Non-power sizes round up: 5 members radix 2 -> 3 levels.
-  EXPECT_EQ(TreeBarrier(5, 1, 2).levels(), 3u);
+  EXPECT_EQ(release_cycle(make(BarrierKind::kTree, 16, 3, 4), 16, 100), 112u);
+  // Non-power sizes round up: 5 members radix 2 -> 3 levels -> 6 links.
+  EXPECT_EQ(barrier_release_delay(BarrierKind::kTree, 5, 1, 2), 6u);
+  // The radix only applies to the tree.
+  EXPECT_EQ(barrier_release_delay(BarrierKind::kButterfly, 16, 3, 4), 12u);
 }
 
 TEST(BarrierDelay, ButterflyIsOneDisseminationPass) {
   // ceil(log2(16)) = 4 stages at link latency 3 -> 12: half the tree cost.
-  ButterflyBarrier b(16, 3);
-  EXPECT_EQ(b.stages(), 4u);
-  EXPECT_EQ(release_cycle(b, 16, 100), 112u);
+  EXPECT_EQ(barrier_release_delay(BarrierKind::kButterfly, 16, 3), 12u);
+  EXPECT_EQ(release_cycle(make(BarrierKind::kButterfly, 16, 3), 16, 100), 112u);
+  // Non-power sizes round up: 5 members -> 3 stages.
+  EXPECT_EQ(barrier_release_delay(BarrierKind::kButterfly, 5, 1), 3u);
 }
 
 TEST(BarrierDelay, LargeLinkLatenciesDoNotWrapAt32Bits) {
   // 2 levels (4 members, radix 2) x 2 traversals x 2^31 = 2^33 cycles.
-  TreeBarrier tree(4, 1u << 31, 2);
-  EXPECT_EQ(release_cycle(tree, 4, 100), (Cycle{1} << 33) + 100);
+  EXPECT_EQ(release_cycle(make(BarrierKind::kTree, 4, 1u << 31, 2), 4, 100),
+            (Cycle{1} << 33) + 100);
   // 2 stages x 2^31 = 2^32 cycles.
-  ButterflyBarrier butterfly(4, 1u << 31);
-  EXPECT_EQ(release_cycle(butterfly, 4, 100), (Cycle{1} << 32) + 100);
+  EXPECT_EQ(release_cycle(make(BarrierKind::kButterfly, 4, 1u << 31), 4, 100),
+            (Cycle{1} << 32) + 100);
 }
 
 // --------------------------------------------------- generation protocol ----
 
 TEST(BarrierProtocol, GenerationAdvancesOnReleaseAndCountsClear) {
-  CentralBarrier b(4, 2);
+  Barrier b(BarrierKind::kCentral, 4, 2);
   EXPECT_EQ(b.generation(), 0u);
   for (unsigned h = 0; h < 4; ++h) b.arrive(h, 10);
   b.cycle(11);  // before release_at: nothing happens
@@ -102,7 +97,7 @@ TEST(BarrierProtocol, GenerationAdvancesOnReleaseAndCountsClear) {
 }
 
 TEST(BarrierProtocol, OverArrivalNamesTheOffendingHart) {
-  CentralBarrier b(2, 2);
+  Barrier b(BarrierKind::kCentral, 2, 2);
   b.arrive(0, 5);
   b.arrive(1, 5);
   try {
@@ -117,7 +112,7 @@ TEST(BarrierProtocol, OverArrivalNamesTheOffendingHart) {
 }
 
 TEST(BarrierProtocol, ResetRestoresTheConstructedState) {
-  ButterflyBarrier b(4, 3);
+  Barrier b(BarrierKind::kButterfly, 4, barrier_release_delay(BarrierKind::kButterfly, 4, 3));
   for (unsigned h = 0; h < 4; ++h) b.arrive(h, 10);
   b.cycle(b.release_at());
   ASSERT_EQ(b.generation(), 1u);

@@ -196,7 +196,7 @@ TEST(BurstSender, CoalescesRemoteUnitStrideLoad) {
   FakeTile tile(stats);
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
   // Tile 1's words: addresses 16..31 bytes (banks 4..7).
-  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0));
+  sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0);
   sender.dispatch(0, tile);
   EXPECT_TRUE(tile.local_pushes.empty());
   EXPECT_EQ(stats.value("network.req_sent"), 1.0);   // one burst request
@@ -212,7 +212,7 @@ TEST(BurstSender, LocalBeatsBypassTheNetwork) {
   StatsRegistry stats;
   FakeTile tile(stats);
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
-  ASSERT_TRUE(sender.accept_beat(unit_beat(0, 4), tile.map(), tile.topo_, 0));  // tile 0
+  sender.accept_beat(unit_beat(0, 4), tile.map(), tile.topo_, 0);  // tile 0
   sender.dispatch(0, tile);
   EXPECT_EQ(tile.local_pushes.size(), 4u);
   EXPECT_EQ(stats.value("network.req_sent"), 0.0);
@@ -222,7 +222,7 @@ TEST(BurstSender, DisabledModeSendsNarrow) {
   StatsRegistry stats;
   FakeTile tile(stats);
   BurstSender sender({.enable_bursts = false}, 4);
-  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0));
+  sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0);
   sender.dispatch(0, tile);   // class port limits to 1/cycle
   sender.dispatch(1, tile);
   sender.dispatch(2, tile);
@@ -237,7 +237,7 @@ TEST(BurstSender, StoresNeverBurst) {
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
   BeatRequest b = unit_beat(16, 4, /*load=*/false);
   b.unit_stride_load = false;  // stores are not burst-eligible
-  ASSERT_TRUE(sender.accept_beat(b, tile.map(), tile.topo_, 0));
+  sender.accept_beat(b, tile.map(), tile.topo_, 0);
   for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);
 }
@@ -247,7 +247,7 @@ TEST(BurstSender, SplitsAtTileBoundary) {
   FakeTile tile(stats);
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
   // Words 6..9 span tile 1 (banks 6,7) and tile 2 (banks 8,9).
-  ASSERT_TRUE(sender.accept_beat(unit_beat(24, 4), tile.map(), tile.topo_, 0));
+  sender.accept_beat(unit_beat(24, 4), tile.map(), tile.topo_, 0);
   sender.dispatch(0, tile);
   // Two bursts of two words each; distinct classes -> both sent in cycle 0.
   EXPECT_EQ(stats.value("network.req_sent"), 2.0);
@@ -262,8 +262,8 @@ TEST(BurstSender, ExtendsTailAcrossBeats) {
   BurstSender sender({.enable_bursts = true, .max_burst_len = 8}, 4);
   AddressMap map8(16, 8, 64);
   // Tile 1 = banks 8..15 -> words 8..15. Two contiguous 4-word beats.
-  ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), map8, tile.topo_, 0));
-  ASSERT_TRUE(sender.accept_beat(unit_beat(48, 4), map8, tile.topo_, 0));
+  sender.accept_beat(unit_beat(32, 4), map8, tile.topo_, 0);
+  sender.accept_beat(unit_beat(48, 4), map8, tile.topo_, 0);
   sender.dispatch(0, tile);  // FakeTile's own map differs; only count sends
   EXPECT_EQ(stats.value("network.req_sent"), 1.0);
   EXPECT_EQ(stats.value("network.req_words"), 8.0);
@@ -276,8 +276,8 @@ TEST(BurstSender, TableExhaustionDegradesToNarrow) {
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4, .table_size = 1,
                       .staging_beats = 8},
                      4);
-  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0));  // takes the entry
-  ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), tile.map(), tile.topo_, 0));  // degrades
+  sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0);  // takes the entry
+  sender.accept_beat(unit_beat(32, 4), tile.map(), tile.topo_, 0);  // degrades
   for (Cycle c = 0; c < 8; ++c) sender.dispatch(c, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 5.0);  // 1 burst + 4 narrow
 }
@@ -337,7 +337,7 @@ TEST(BurstSenderDispatch, BlockedClassDoesNotStopLaterItems) {
   BurstSender sender({}, 4);
   sender.attach_stats(stats, "s");
   // Class 1 first, then a local word, then a class-2 word.
-  ASSERT_TRUE(sender.accept_beat(narrow_beat({16, 20, 0, 32}), tile.map(), tile.topo_, 0));
+  sender.accept_beat(narrow_beat({16, 20, 0, 32}), tile.map(), tile.topo_, 0);
   block_class(tile, 1, 0);
   sender.dispatch(0, tile);
   EXPECT_EQ(tile.local_pushes.size(), 1u);  // the local word went past class 1
@@ -354,9 +354,9 @@ TEST(BurstSenderDispatch, AtMostOneRequestPerClassPortPerCycle) {
   StatsRegistry stats;
   FakeTile tile(stats);
   BurstSender sender({.staging_beats = 8}, 4);
-  ASSERT_TRUE(sender.accept_beat(narrow_beat({16, 20, 32, 24}), tile.map(), tile.topo_, 0));
-  ASSERT_TRUE(sender.accept_beat(narrow_beat({36, 48, 52, 28}), tile.map(), tile.topo_, 0));
-  ASSERT_TRUE(sender.accept_beat(narrow_beat({40, 56, 4, 44}), tile.map(), tile.topo_, 0));
+  sender.accept_beat(narrow_beat({16, 20, 32, 24}), tile.map(), tile.topo_, 0);
+  sender.accept_beat(narrow_beat({36, 48, 52, 28}), tile.map(), tile.topo_, 0);
+  sender.accept_beat(narrow_beat({40, 56, 4, 44}), tile.map(), tile.topo_, 0);
   // Staged per class: class 1 x4, class 2 x4, class 3 x3 (+1 local word).
   Cycle c = 0;
   for (; c < 16 && !sender.staging_empty(); ++c) {
@@ -377,9 +377,9 @@ TEST(BurstSenderDispatch, RequestsLeaveEachClassPortInStagingOrder) {
   StatsRegistry stats;
   FakeTile tile(stats);
   BurstSender sender({.staging_beats = 8}, 4);
-  ASSERT_TRUE(sender.accept_beat(narrow_beat({28, 32, 20, 52}), tile.map(), tile.topo_, 0));
-  ASSERT_TRUE(sender.accept_beat(narrow_beat({44, 16, 48, 36}), tile.map(), tile.topo_, 0));
-  ASSERT_TRUE(sender.accept_beat(narrow_beat({24, 60, 40, 8}), tile.map(), tile.topo_, 0));
+  sender.accept_beat(narrow_beat({28, 32, 20, 52}), tile.map(), tile.topo_, 0);
+  sender.accept_beat(narrow_beat({44, 16, 48, 36}), tile.map(), tile.topo_, 0);
+  sender.accept_beat(narrow_beat({24, 60, 40, 8}), tile.map(), tile.topo_, 0);
   block_class(tile, 2, 0);  // one class starts a cycle late
   Cycle c = 0;
   for (; c < 16 && !sender.staging_empty(); ++c) sender.dispatch(c, tile);
@@ -397,9 +397,9 @@ TEST(BurstSenderDispatch, PartialDispatchExtendsTheLastUnsentBurst) {
   sender.attach_stats(stats, "s");
   // 8 banks per tile: tile 1 holds bytes 32..63 of each 64-byte row.
   AddressMap map8(16, 8, 64);
-  ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), map8, tile.topo_, 0));  // burst A, row 0
-  ASSERT_TRUE(sender.accept_beat(unit_beat(96, 4), map8, tile.topo_, 0));  // burst B, row 1
-  ASSERT_TRUE(sender.accept_beat(unit_beat(0, 4), map8, tile.topo_, 0));   // 4 local words
+  sender.accept_beat(unit_beat(32, 4), map8, tile.topo_, 0);  // burst A, row 0
+  sender.accept_beat(unit_beat(96, 4), map8, tile.topo_, 0);  // burst B, row 1
+  sender.accept_beat(unit_beat(0, 4), map8, tile.topo_, 0);   // 4 local words
   // Class 1 refuses A (and so skips B); the local words behind them go,
   // which leaves the staging ring's youngest slot to burst B.
   block_class(tile, 1, 0);
@@ -407,7 +407,7 @@ TEST(BurstSenderDispatch, PartialDispatchExtendsTheLastUnsentBurst) {
   EXPECT_EQ(tile.local_pushes.size(), 4u);
   EXPECT_EQ(stats.value("s.bursts_sent"), 0.0);
   // The next beat continues B and must grow it, not start a new burst.
-  ASSERT_TRUE(sender.accept_beat(unit_beat(112, 4), map8, tile.topo_, 0));
+  sender.accept_beat(unit_beat(112, 4), map8, tile.topo_, 0);
   sender.dispatch(1, tile);  // A
   sender.dispatch(2, tile);  // B, now 8 words long
   EXPECT_TRUE(sender.staging_empty());

@@ -76,7 +76,7 @@ TEST(StridedBurstSender, CoalescesStride2AcrossTwoTiles) {
   BurstSender sender(
       {.enable_bursts = true, .enable_strided_bursts = true, .max_burst_len = 4}, 4);
   // Elements at words 4,6,8,10: banks 4,6 (tile 1) and 8,10 (tile 2).
-  ASSERT_TRUE(sender.accept_beat(strided_beat(16, 4, 2), tile.map(), tile.topo_, 0));
+  sender.accept_beat(strided_beat(16, 4, 2), tile.map(), tile.topo_, 0);
   sender.dispatch(0, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 2.0);  // one burst per tile
   EXPECT_EQ(stats.value("network.req_words"), 4.0);
@@ -91,7 +91,7 @@ TEST(StridedBurstSender, DisabledFlagFallsBackToNarrow) {
   StatsRegistry stats;
   FakeTile tile(stats);
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
-  ASSERT_TRUE(sender.accept_beat(strided_beat(16, 4, 2), tile.map(), tile.topo_, 0));
+  sender.accept_beat(strided_beat(16, 4, 2), tile.map(), tile.topo_, 0);
   for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);  // serialized narrow
 }
@@ -102,7 +102,7 @@ TEST(StridedBurstSender, StrideAtTileSpanStaysNarrow) {
   BurstSender sender(
       {.enable_bursts = true, .enable_strided_bursts = true, .max_burst_len = 4}, 4);
   // stride 4 == banks_per_tile: every element lands in a different tile.
-  ASSERT_TRUE(sender.accept_beat(strided_beat(16, 3, 4), tile.map(), tile.topo_, 0));
+  sender.accept_beat(strided_beat(16, 3, 4), tile.map(), tile.topo_, 0);
   for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 3.0);
   EXPECT_EQ(stats.value("network.req_words"), 3.0);
@@ -113,7 +113,7 @@ TEST(StoreBurstSender, CoalescesRemoteUnitStrideStore) {
   FakeTile tile(stats);
   BurstSender sender(
       {.enable_bursts = true, .enable_store_bursts = true, .max_burst_len = 4}, 4);
-  ASSERT_TRUE(sender.accept_beat(store_beat(16, 4), tile.map(), tile.topo_, 0));
+  sender.accept_beat(store_beat(16, 4), tile.map(), tile.topo_, 0);
   sender.dispatch(0, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 1.0);
   EXPECT_EQ(stats.value("network.req_words"), 4.0);
@@ -124,7 +124,7 @@ TEST(StoreBurstSender, DisabledFlagKeepsStoresNarrow) {
   StatsRegistry stats;
   FakeTile tile(stats);
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
-  ASSERT_TRUE(sender.accept_beat(store_beat(16, 4), tile.map(), tile.topo_, 0));
+  sender.accept_beat(store_beat(16, 4), tile.map(), tile.topo_, 0);
   for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);
 }
@@ -134,7 +134,7 @@ TEST(StoreBurstSender, LocalStoresStayNarrowLocal) {
   FakeTile tile(stats);
   BurstSender sender(
       {.enable_bursts = true, .enable_store_bursts = true, .max_burst_len = 4}, 4);
-  ASSERT_TRUE(sender.accept_beat(store_beat(0, 4), tile.map(), tile.topo_, 0));  // tile 0 = home
+  sender.accept_beat(store_beat(0, 4), tile.map(), tile.topo_, 0);  // tile 0 = home
   sender.dispatch(0, tile);
   EXPECT_EQ(tile.local_pushes.size(), 4u);
   EXPECT_EQ(stats.value("network.req_sent"), 0.0);

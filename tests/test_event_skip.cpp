@@ -1,7 +1,7 @@
 // Event-driven stepping contract suite (docs/ARCHITECTURE.md): the
 // next-event skip loop must be bit-identical to the cycle-by-cycle
-// reference — same metrics, same statistics registry (apart from the sim.*
-// bookkeeping counters), same final TCDM memory image — across the
+// reference — same metrics, the whole statistics registry, same final
+// TCDM memory image — across the
 // baseline/GF2/GF4 interconnects, including the deadlock-diagnostic and
 // max-cycles-timeout exits. The kCrossCheck mode is the suite's fault
 // detector: a fabricated too-late earliest_wakeup (exactly the bug class
@@ -21,15 +21,6 @@ namespace tcdm {
 namespace {
 
 using test::mp4_config;
-
-/// Registry snapshot without the sim.* bookkeeping counters — the only
-/// counters the stepping contract exempts from identity (the whole point
-/// of skipping is that cycles_simulated/cycles_skipped differ).
-std::vector<std::pair<std::string, double>> model_stats(const Cluster& c) {
-  std::vector<std::pair<std::string, double>> snap = c.stats().snapshot();
-  std::erase_if(snap, [](const auto& kv) { return kv.first.rfind("sim.", 0) == 0; });
-  return snap;
-}
 
 /// Full TCDM contents via the host backdoor.
 std::vector<Word> memory_image(const Cluster& c) {
@@ -54,7 +45,7 @@ ModeRun run_dotp(const ClusterConfig& cfg, SteppingMode mode) {
   RunnerOptions opts;
   ModeRun r;
   r.metrics = run_kernel_on(cluster, k, opts);
-  r.stats = model_stats(cluster);
+  r.stats = cluster.stats().snapshot();
   r.memory = memory_image(cluster);
   r.skipped = cluster.cycles_skipped();
   r.end_cycle = cluster.now();
@@ -155,7 +146,7 @@ TEST(EventSkip, DeadlockFiresAtTheReferenceCycle) {
       message = e.what();
     }
     return std::make_tuple(message, cluster.now(), cluster.cycles_skipped(),
-                           model_stats(cluster));
+                           cluster.stats().snapshot());
   };
   const auto event = deadlock(SteppingMode::kEventDriven);
   const auto cycle = deadlock(SteppingMode::kCycleByCycle);
@@ -191,7 +182,7 @@ TEST(EventSkip, MaxCyclesTimeoutIsCycleIdentical) {
     cluster.load_programs(std::move(programs));
     const RunOutcome out = cluster.run(/*max_cycles=*/20'000);
     return std::make_tuple(out.cycles, out.all_halted, cluster.now(),
-                           cluster.cycles_skipped(), model_stats(cluster));
+                           cluster.cycles_skipped(), cluster.stats().snapshot());
   };
   const auto event = timeout(SteppingMode::kEventDriven);
   const auto cycle = timeout(SteppingMode::kCycleByCycle);

@@ -119,33 +119,43 @@ TEST(SpmBank, StallsWhenOutputFull) {
 
 TEST(Rob, InOrderRetirementWithOutOfOrderFills) {
   ReorderBuffer rob(4);
-  const auto s0 = rob.alloc();
-  const auto s1 = rob.alloc();
-  const auto s2 = rob.alloc();
+  const auto s0 = rob.alloc(0, 4);
+  const auto s1 = rob.alloc(0, 8);
+  const auto s2 = rob.alloc(3, 0);  // the next instruction's first element
   rob.fill(s2, 30);  // youngest returns first
   EXPECT_FALSE(rob.head_ready());
   rob.fill(s0, 10);
   EXPECT_TRUE(rob.head_ready());
-  EXPECT_EQ(rob.pop_head(), 10u);
+  const ReorderBuffer::Retired r0 = rob.pop_head();
+  EXPECT_EQ(r0.data, 10u);
+  EXPECT_EQ(r0.instr, 0u);
+  EXPECT_EQ(r0.elem, 4u);
   EXPECT_FALSE(rob.head_ready());  // s1 still outstanding
   rob.fill(s1, 20);
-  EXPECT_EQ(rob.pop_head(), 20u);
-  EXPECT_EQ(rob.pop_head(), 30u);
+  const ReorderBuffer::Retired r1 = rob.pop_head();
+  EXPECT_EQ(r1.data, 20u);
+  EXPECT_EQ(r1.elem, 8u);
+  const ReorderBuffer::Retired r2 = rob.pop_head();
+  EXPECT_EQ(r2.data, 30u);
+  EXPECT_EQ(r2.instr, 3u);
+  EXPECT_EQ(r2.elem, 0u);
   EXPECT_TRUE(rob.empty());
 }
 
 TEST(Rob, FullAndWrapAround) {
   ReorderBuffer rob(2);
-  const auto a = rob.alloc();
-  const auto b = rob.alloc();
+  const auto a = rob.alloc(1, 0);
+  const auto b = rob.alloc(1, 1);
   EXPECT_TRUE(rob.full());
   rob.fill(a, 1);
-  EXPECT_EQ(rob.pop_head(), 1u);
-  const auto c = rob.alloc();  // wraps to slot a's ring position
+  EXPECT_EQ(rob.pop_head().data, 1u);
+  const auto c = rob.alloc(2, 0);  // wraps to slot a's ring position
   rob.fill(b, 2);
   rob.fill(c, 3);
-  EXPECT_EQ(rob.pop_head(), 2u);
-  EXPECT_EQ(rob.pop_head(), 3u);
+  EXPECT_EQ(rob.pop_head().elem, 1u);
+  const ReorderBuffer::Retired last = rob.pop_head();
+  EXPECT_EQ(last.data, 3u);
+  EXPECT_EQ(last.instr, 2u);  // the wrapped slot carries its own element
 }
 
 TEST(Rob, LongRandomizedSequence) {
@@ -153,7 +163,10 @@ TEST(Rob, LongRandomizedSequence) {
   std::vector<std::uint16_t> slots;
   unsigned next_val = 0, expect = 0;
   for (unsigned round = 0; round < 500; ++round) {
-    while (!rob.full()) slots.push_back(rob.alloc());
+    while (!rob.full()) {
+      slots.push_back(rob.alloc(static_cast<std::uint8_t>(round % 8),
+                                static_cast<std::uint32_t>(slots.size())));
+    }
     // Fill in reverse order (worst case), retire everything.
     for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
       rob.fill(*it, next_val++);
@@ -163,7 +176,10 @@ TEST(Rob, LongRandomizedSequence) {
     const unsigned base = next_val - static_cast<unsigned>(slots.size());
     for (unsigned i = 0; i < slots.size(); ++i) {
       ASSERT_TRUE(rob.head_ready());
-      ASSERT_EQ(rob.pop_head(), next_val - 1 - i);
+      const ReorderBuffer::Retired r = rob.pop_head();
+      ASSERT_EQ(r.data, next_val - 1 - i);
+      ASSERT_EQ(r.instr, round % 8);
+      ASSERT_EQ(r.elem, i);
     }
     expect = base;
     (void)expect;

@@ -95,7 +95,7 @@ TEST(RobProperty, RandomFillOrderAlwaysRetiresInOrder) {
     const unsigned depth = 2 + rng.next_below(14);
     ReorderBuffer rob(depth);
     std::vector<std::uint16_t> slots;
-    for (unsigned i = 0; i < depth; ++i) slots.push_back(rob.alloc());
+    for (unsigned i = 0; i < depth; ++i) slots.push_back(rob.alloc(0, i));
     ASSERT_TRUE(rob.full());
     // Fill in a random permutation; value = 1000 + allocation index.
     std::vector<unsigned> order(depth);
@@ -108,7 +108,9 @@ TEST(RobProperty, RandomFillOrderAlwaysRetiresInOrder) {
       rob.fill(slots[idx], 1000 + idx);
       // Retire everything that became head-ready.
       while (rob.head_ready()) {
-        EXPECT_EQ(rob.pop_head(), 1000 + retired);
+        const ReorderBuffer::Retired r = rob.pop_head();
+        EXPECT_EQ(r.data, 1000 + retired);
+        EXPECT_EQ(r.elem, retired);
         ++retired;
       }
     }
@@ -189,7 +191,7 @@ TEST(BurstSenderProperty, RandomBeatsConserveWordsAndRespectTiles) {
       total += n;
       next = base + n * kWordBytes;
       ASSERT_TRUE(sender.can_accept_beat());
-      ASSERT_TRUE(sender.accept_beat(beat, tile.map_, tile.topo_, 0));
+      sender.accept_beat(beat, tile.map_, tile.topo_, 0);
       if (rng.next_below(2) == 0) sender.dispatch(c++, tile);
     }
     for (const Cycle end = c + 4 * total + 8; c < end; ++c) sender.dispatch(c, tile);

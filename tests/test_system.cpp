@@ -136,10 +136,10 @@ TEST(SystemDeterminism, BitIdenticalAcrossSteppingModes) {
        {SteppingMode::kEventDriven, SteppingMode::kCycleByCycle, SteppingMode::kCrossCheck}) {
     System sys(sys_cfg, cfg, SimOptions{mode});
     const SystemImage img = run_image(sys);
-    // Full per-cluster stats differ only in the `sim.*` bookkeeping
-    // counters across modes (EV1-EV3), so the cross-mode identity is
-    // asserted on the simulated state: metrics, payloads, verification.
+    // Every registry counter is modelled state (EV1-EV3), so the full
+    // per-cluster stats match across modes too.
     EXPECT_EQ(img.metrics.cycles, ref_img.metrics.cycles) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(img.stats_json, ref_img.stats_json) << "mode " << static_cast<int>(mode);
     EXPECT_EQ(img.metrics.flops, ref_img.metrics.flops);
     EXPECT_EQ(img.metrics.noc_bytes, ref_img.metrics.noc_bytes);
     EXPECT_EQ(img.metrics.verified, ref_img.metrics.verified);
@@ -249,14 +249,6 @@ TEST(SystemScaling, AggregateBandwidthIsMonotoneOneToEight) {
 
 // ------------------------------------------------------ staggered halts ----
 
-/// A cluster's registry without the `sim.*` bookkeeping namespace: the
-/// modelled state, which must not depend on how time was advanced.
-std::vector<std::pair<std::string, double>> model_stats(const Cluster& cluster) {
-  std::vector<std::pair<std::string, double>> snap = cluster.stats().snapshot();
-  std::erase_if(snap, [](const auto& kv) { return kv.first.rfind("sim.", 0) == 0; });
-  return snap;
-}
-
 TEST(SystemStaggered, ClustersHaltingApartMatchBareClustersAndLockstep) {
   // One dotp size per cluster, so the four kernels halt at four different
   // cycles and reach the global barrier one by one; every other System
@@ -270,7 +262,7 @@ TEST(SystemStaggered, ClustersHaltingApartMatchBareClustersAndLockstep) {
     Cluster bare(cfg, SimOptions{});
     DotpKernel kernel(size);
     ASSERT_TRUE(run_kernel_on(bare, kernel, capped_opts()).verified) << size;
-    bare_stats.push_back(model_stats(bare));
+    bare_stats.push_back(bare.stats().snapshot());
   }
 
   for (const SteppingMode mode :
@@ -287,7 +279,7 @@ TEST(SystemStaggered, ClustersHaltingApartMatchBareClustersAndLockstep) {
     EXPECT_EQ(m.noc_bytes, 4096.0);
     for (unsigned c = 0; c < 4; ++c) {
       EXPECT_EQ(system.cluster(c).now(), system.now()) << "cluster " << c;
-      EXPECT_EQ(model_stats(system.cluster(c)), bare_stats[c]) << "cluster " << c;
+      EXPECT_EQ(system.cluster(c).stats().snapshot(), bare_stats[c]) << "cluster " << c;
     }
   }
 }
@@ -375,7 +367,7 @@ TEST(SystemStaggered, RunSplitAtAnyBudgetMatchesOneRun) {
     img.cycles += rest.cycles;
     img.halted = rest.all_halted;
     img.noc_bytes = system.noc_bytes_transferred();
-    for (unsigned c = 0; c < 4; ++c) img.stats.push_back(model_stats(system.cluster(c)));
+    for (unsigned c = 0; c < 4; ++c) img.stats.push_back(system.cluster(c).stats().snapshot());
     return img;
   };
 
