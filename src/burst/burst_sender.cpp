@@ -21,7 +21,7 @@ BurstSender::BurstSender(const BurstSenderConfig& cfg, unsigned num_ports)
       staging_(staging_capacity_items(cfg, num_ports) + kMaxPorts),
       table_(cfg.table_size) {
   assert(num_ports_ >= 1);
-  assert(cfg_.max_burst_len <= kMaxBurstLen);
+  assert(cfg_.max_burst_len <= kMaxBurstWords);
   assert(staging_.capacity() <= std::numeric_limits<std::uint16_t>::max());
   free_ids_.reserve(cfg_.table_size);
   for (unsigned i = 0; i < cfg_.table_size; ++i) {

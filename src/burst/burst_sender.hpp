@@ -43,10 +43,6 @@
 
 namespace tcdm {
 
-/// Longest burst any configuration can produce (= deepest banks-per-tile we
-/// support; bursts never cross tiles).
-inline constexpr unsigned kMaxBurstLen = kMaxBurstWords;
-
 struct BurstSenderConfig {
   bool enable_bursts = false;
   /// Extension (paper future work): coalesce constant-stride vector loads
@@ -140,14 +136,14 @@ class BurstSender {
     std::uint8_t stride = 1;  // element spacing in words (strided-burst ext.)
     bool write = false;       // write burst (store-burst ext.)
     std::uint32_t burst_id = 0;
-    std::array<Word, kMaxBurstLen> wdata{};  // write-burst payload
+    std::array<Word, kMaxBurstWords> wdata{};  // write-burst payload
   };
 
   struct TableEntry {
     bool valid = false;
     std::uint8_t len = 0;
     std::uint8_t resolved = 0;
-    std::array<BurstWord, kMaxBurstLen> words{};
+    std::array<BurstWord, kMaxBurstWords> words{};
   };
 
   [[nodiscard]] std::optional<std::uint32_t> alloc_burst();

@@ -67,8 +67,8 @@ void ClusterConfig::validate() const {
     if (effective_max_burst_len() > banks_per_tile) {
       throw std::invalid_argument(name + ": burst length exceeds banks per tile");
     }
-    if (effective_max_burst_len() > kMaxBurstLen) {
-      throw std::invalid_argument(name + ": burst length exceeds kMaxBurstLen");
+    if (effective_max_burst_len() > kMaxBurstWords) {
+      throw std::invalid_argument(name + ": burst length exceeds kMaxBurstWords");
     }
   } else if (grouping_factor != 1) {
     throw std::invalid_argument(name + ": GF > 1 requires burst_enabled");

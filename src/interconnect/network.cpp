@@ -134,8 +134,11 @@ void HierNetwork::register_rsp_head(TileId responder, std::uint8_t cls) {
 }
 
 void HierNetwork::cycle(Cycle now, RspSink& sink) {
-  // Deliver due store-ack credits (out-of-band; see send_store_ack). Acks
-  // are enqueued in ready order per tile, so only the head needs checking.
+  // Deliver due store-ack credits (out-of-band; see send_store_ack). Each
+  // requester tile's credits form one FIFO in send order, and a credit is
+  // delivered only once it and every credit ahead of it are due. Response
+  // latency differs per class, so a near credit can wait behind a far one
+  // sent earlier; only the head needs checking.
   // The bitmaps enumerate exactly the active tiles/ports in the ascending
   // order the old full scans used, so the walk costs O(active), not
   // O(tiles x classes).

@@ -16,112 +16,79 @@ std::string v(unsigned i) { return reg('v', i); }
 }  // namespace
 
 std::string disasm(const Instr& i) {
+  const OpInfo& info = op_info(i.op);
   std::ostringstream o;
-  o << opcode_name(i.op) << " ";
-  switch (i.op) {
-    case Opcode::kNop:
-    case Opcode::kBarrier:
-    case Opcode::kHalt:
+  o << info.name << " ";
+  switch (info.form) {
+    case Form::kNone:
       break;
-    case Opcode::kLi:
+    case Form::kXI:
       o << x(i.rd) << ", " << i.imm;
       break;
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kMul:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kXor:
-    case Opcode::kSlt:
-    case Opcode::kSltu:
+    case Form::kXXX:
       o << x(i.rd) << ", " << x(i.rs1) << ", " << x(i.rs2);
       break;
-    case Opcode::kAddi:
-    case Opcode::kSlli:
-    case Opcode::kSrli:
-    case Opcode::kSrai:
-    case Opcode::kAndi:
-    case Opcode::kOri:
-    case Opcode::kXori:
-    case Opcode::kSlti:
+    case Form::kXXI:
       o << x(i.rd) << ", " << x(i.rs1) << ", " << i.imm;
       break;
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-    case Opcode::kBltu:
-    case Opcode::kBgeu:
+    case Form::kBranch:
       o << x(i.rs1) << ", " << x(i.rs2) << ", @" << i.imm;
       break;
-    case Opcode::kJal:
+    case Form::kJump:
       o << "@" << i.imm;
       break;
-    case Opcode::kLw:
+    case Form::kLoadX:
       o << x(i.rd) << ", " << i.imm << "(" << x(i.rs1) << ")";
       break;
-    case Opcode::kSw:
+    case Form::kStoreX:
       o << x(i.rs2) << ", " << i.imm << "(" << x(i.rs1) << ")";
       break;
-    case Opcode::kFlw:
+    case Form::kLoadF:
       o << f(i.rd) << ", " << i.imm << "(" << x(i.rs1) << ")";
       break;
-    case Opcode::kFsw:
+    case Form::kStoreF:
       o << f(i.rs2) << ", " << i.imm << "(" << x(i.rs1) << ")";
       break;
-    case Opcode::kAmoaddW:
+    case Form::kAmo:
       o << x(i.rd) << ", " << x(i.rs2) << ", (" << x(i.rs1) << ")";
       break;
-    case Opcode::kFaddS:
-    case Opcode::kFsubS:
-    case Opcode::kFmulS:
+    case Form::kFFF:
       o << f(i.rd) << ", " << f(i.rs1) << ", " << f(i.rs2);
       break;
-    case Opcode::kFmaddS:
+    case Form::kFFFF:
       o << f(i.rd) << ", " << f(i.rs1) << ", " << f(i.rs2) << ", " << f(i.rs3);
       break;
-    case Opcode::kFmvWX:
+    case Form::kFX:
       o << f(i.rd) << ", " << x(i.rs1);
       break;
-    case Opcode::kFmvXW:
+    case Form::kXF:
       o << x(i.rd) << ", " << f(i.rs1);
       break;
-    case Opcode::kVsetvli:
+    case Form::kVset:
       o << x(i.rd) << ", " << x(i.rs1) << ", e32, m" << static_cast<int>(i.lmul);
       break;
-    case Opcode::kVle32:
+    case Form::kVLoad:
+    case Form::kVStore:
       o << v(i.rd) << ", (" << x(i.rs1) << ")";
       break;
-    case Opcode::kVse32:
-      o << v(i.rd) << ", (" << x(i.rs1) << ")";
-      break;
-    case Opcode::kVlse32:
-    case Opcode::kVsse32:
+    case Form::kVLoadS:
+    case Form::kVStoreS:
       o << v(i.rd) << ", (" << x(i.rs1) << "), " << x(i.rs2);
       break;
-    case Opcode::kVluxei32:
-    case Opcode::kVsuxei32:
+    case Form::kVLoadIdx:
+    case Form::kVStoreIdx:
       o << v(i.rd) << ", (" << x(i.rs1) << "), " << v(i.rs2);
       break;
-    case Opcode::kVfaddVV:
-    case Opcode::kVfsubVV:
-    case Opcode::kVfmulVV:
-    case Opcode::kVfmaccVV:
-    case Opcode::kVfnmsacVV:
-    case Opcode::kVfmaxVV:
-    case Opcode::kVfminVV:
+    case Form::kVVV:
       o << v(i.rd) << ", " << v(i.rs1) << ", " << v(i.rs2);
       break;
-    case Opcode::kVfaddVF:
-    case Opcode::kVfmulVF:
-    case Opcode::kVfmaccVF:
-    case Opcode::kVfmaxVF:
+    case Form::kVFV:
       o << v(i.rd) << ", " << f(i.rs1) << ", " << v(i.rs2);
       break;
-    case Opcode::kVfmvVF:
+    case Form::kVF:
       o << v(i.rd) << ", " << f(i.rs1);
       break;
-    case Opcode::kVfredusum:
+    case Form::kVRed:
       o << v(i.rd) << ", " << v(i.rs2) << ", " << v(i.rs1);
       break;
   }

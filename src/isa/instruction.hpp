@@ -5,8 +5,9 @@
 // level, while staying independent of binary encodings.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <iterator>
 
 #include "src/common/types.hpp"
 
@@ -124,12 +125,94 @@ struct Instr {
   Lmul lmul = Lmul::m1;  // kVsetvli payload
 };
 
-/// Classification helpers used by the Snitch dispatcher and the tests.
-[[nodiscard]] bool is_vector(Opcode op) noexcept;
-[[nodiscard]] bool is_vector_memory(Opcode op) noexcept;
-[[nodiscard]] bool is_vector_arith(Opcode op) noexcept;
-[[nodiscard]] bool is_branch(Opcode op) noexcept;
-[[nodiscard]] bool is_scalar_memory(Opcode op) noexcept;
-[[nodiscard]] const char* opcode_name(Opcode op) noexcept;
+/// Operand form: which of an instruction's rd/rs1/rs2/rs3 fields it uses,
+/// and as which register file (X integer, F float, V vector) or immediate
+/// (I). The vector forms come last, from kVset on, and the vector memory
+/// forms carry the addressing mode the Burst Sender keys on (only a
+/// unit-stride load coalesces into bursts).
+enum class Form : std::uint8_t {
+  kNone,      // nop, barrier, halt
+  kXI,        // li       rd, imm
+  kXXX,       // add      rd, rs1, rs2
+  kXXI,       // addi     rd, rs1, imm
+  kBranch,    // beq      rs1, rs2, @imm
+  kJump,      // jal      @imm
+  kLoadX,     // lw       rd, imm(rs1)
+  kStoreX,    // sw       rs2, imm(rs1)
+  kLoadF,     // flw      f[rd], imm(rs1)
+  kStoreF,    // fsw      f[rs2], imm(rs1)
+  kAmo,       // amoadd.w rd, rs2, (rs1)
+  kFFF,       // fadd.s   f[rd], f[rs1], f[rs2]
+  kFFFF,      // fmadd.s  f[rd], f[rs1], f[rs2], f[rs3]
+  kFX,        // fmv.w.x  f[rd], rs1
+  kXF,        // fmv.x.w  rd, f[rs1]
+  kVset,      // vsetvli  rd, rs1, lmul
+  kVLoad,     // vle32    vd, (rs1)             unit stride
+  kVStore,    // vse32    vs3, (rs1)
+  kVLoadS,    // vlse32   vd, (rs1), rs2        byte stride in x[rs2]
+  kVStoreS,   // vsse32   vs3, (rs1), rs2
+  kVLoadIdx,  // vluxei32 vd, (rs1), vs2        byte offsets in vs2
+  kVStoreIdx, // vsuxei32 vs3, (rs1), vs2
+  kVVV,       // vfadd.vv vd, vs1, vs2
+  kVFV,       // vfadd.vf vd, f[rs1], vs2
+  kVF,        // vfmv.v.f vd, f[rs1]
+  kVRed,      // vfredusum.vs vd, vs2, vs1      vd and vs1 single registers
+};
+
+struct OpInfo {
+  const char* name;
+  Form form;
+};
+
+/// One row per opcode, in Opcode order.
+inline constexpr OpInfo kOpTable[] = {
+    {"nop", Form::kNone},          {"li", Form::kXI},
+    {"add", Form::kXXX},           {"sub", Form::kXXX},
+    {"mul", Form::kXXX},           {"addi", Form::kXXI},
+    {"slli", Form::kXXI},          {"srli", Form::kXXI},
+    {"srai", Form::kXXI},          {"and", Form::kXXX},
+    {"or", Form::kXXX},            {"xor", Form::kXXX},
+    {"andi", Form::kXXI},          {"ori", Form::kXXI},
+    {"xori", Form::kXXI},          {"slt", Form::kXXX},
+    {"sltu", Form::kXXX},          {"slti", Form::kXXI},
+    {"beq", Form::kBranch},        {"bne", Form::kBranch},
+    {"blt", Form::kBranch},        {"bge", Form::kBranch},
+    {"bltu", Form::kBranch},       {"bgeu", Form::kBranch},
+    {"jal", Form::kJump},          {"lw", Form::kLoadX},
+    {"sw", Form::kStoreX},         {"flw", Form::kLoadF},
+    {"fsw", Form::kStoreF},        {"amoadd.w", Form::kAmo},
+    {"fadd.s", Form::kFFF},        {"fsub.s", Form::kFFF},
+    {"fmul.s", Form::kFFF},        {"fmadd.s", Form::kFFFF},
+    {"fmv.w.x", Form::kFX},        {"fmv.x.w", Form::kXF},
+    {"barrier", Form::kNone},      {"halt", Form::kNone},
+    {"vsetvli", Form::kVset},      {"vle32.v", Form::kVLoad},
+    {"vse32.v", Form::kVStore},    {"vlse32.v", Form::kVLoadS},
+    {"vsse32.v", Form::kVStoreS},  {"vluxei32.v", Form::kVLoadIdx},
+    {"vsuxei32.v", Form::kVStoreIdx}, {"vfadd.vv", Form::kVVV},
+    {"vfsub.vv", Form::kVVV},      {"vfmul.vv", Form::kVVV},
+    {"vfmacc.vv", Form::kVVV},     {"vfnmsac.vv", Form::kVVV},
+    {"vfmax.vv", Form::kVVV},      {"vfmin.vv", Form::kVVV},
+    {"vfadd.vf", Form::kVFV},      {"vfmul.vf", Form::kVFV},
+    {"vfmacc.vf", Form::kVFV},     {"vfmax.vf", Form::kVFV},
+    {"vfmv.v.f", Form::kVF},       {"vfredusum.vs", Form::kVRed},
+};
+static_assert(std::size(kOpTable) == static_cast<std::size_t>(Opcode::kVfredusum) + 1,
+              "kOpTable needs one row per opcode");
+
+[[nodiscard]] constexpr const OpInfo& op_info(Opcode op) noexcept {
+  return kOpTable[static_cast<std::size_t>(op)];
+}
+[[nodiscard]] constexpr const char* opcode_name(Opcode op) noexcept { return op_info(op).name; }
+
+[[nodiscard]] constexpr bool is_vector(Opcode op) noexcept {
+  return op_info(op).form >= Form::kVset;
+}
+[[nodiscard]] constexpr bool is_vector_memory(Opcode op) noexcept {
+  const Form f = op_info(op).form;
+  return f >= Form::kVLoad && f <= Form::kVStoreIdx;
+}
+[[nodiscard]] constexpr bool is_vector_store(Form f) noexcept {
+  return f == Form::kVStore || f == Form::kVStoreS || f == Form::kVStoreIdx;
+}
 
 }  // namespace tcdm

@@ -28,7 +28,7 @@ bool coin(Xoshiro128& rng, unsigned num, unsigned den) {
 /// construction (the caller still runs validate() as a belt-and-braces
 /// check): power-of-two tiles/banks, level sizes multiplying to the tile
 /// count, banks_per_tile >= vlsu_ports, VLEN >= one word per lane, burst
-/// lengths within the bank fan-out and kMaxBurstLen, GF within
+/// lengths within the bank fan-out and kMaxBurstWords, GF within
 /// kMaxGroupingFactor, strided/store bursts only on top of with_burst.
 ClusterConfig random_config(Xoshiro128& rng, unsigned index) {
   ClusterConfig cfg;

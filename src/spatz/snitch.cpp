@@ -116,12 +116,11 @@ bool Snitch::exec_vector(const Instr& i, Cycle now, Spatz& spatz) {
   }
 
   // Scalar operands a vector instruction captures at dispatch.
-  const bool needs_rs1 = is_vector_memory(i.op);
-  const bool needs_rs2 = i.op == Opcode::kVlse32 || i.op == Opcode::kVsse32;
-  const bool needs_f = i.op == Opcode::kVfaddVF || i.op == Opcode::kVfmulVF ||
-                       i.op == Opcode::kVfmaccVF || i.op == Opcode::kVfmaxVF ||
-                       i.op == Opcode::kVfmvVF;
-  if ((needs_rs1 && !x_ready(i.rs1, now)) || (needs_rs2 && !x_ready(i.rs2, now)) ||
+  const Form form = op_info(i.op).form;
+  const bool needs_base = is_vector_memory(i.op);
+  const bool needs_stride = form == Form::kVLoadS || form == Form::kVStoreS;
+  const bool needs_f = form == Form::kVFV || form == Form::kVF;
+  if ((needs_base && !x_ready(i.rs1, now)) || (needs_stride && !x_ready(i.rs2, now)) ||
       (needs_f && !f_ready(i.rs1, now))) {
     stall_reg_.inc();
     return false;
@@ -137,10 +136,22 @@ bool Snitch::exec_vector(const Instr& i, Cycle now, Spatz& spatz) {
   d.vs1 = i.rs1;
   d.vs2 = i.rs2;
   d.fvalue = needs_f ? f_[i.rs1] : 0.0f;
-  d.base = needs_rs1 ? x_[i.rs1] : 0;
-  d.stride = needs_rs2 ? static_cast<std::int32_t>(x_[i.rs2]) : 0;
+  d.base = needs_base ? x_[i.rs1] : 0;
+  d.stride = needs_stride ? static_cast<std::int32_t>(x_[i.rs2]) : 0;
   d.vl = vl_;
   d.lmul = lmul_;
+  for_each_group(d, [&](unsigned first, unsigned n, bool) {
+    if (first + n <= kNumVRegs) return;
+    std::string msg = "vector register group past v31: ";
+    msg += op_info(i.op).name;
+    msg += " v";
+    msg += std::to_string(first);
+    msg += "..v";
+    msg += std::to_string(first + n - 1);
+    msg += " hart=";
+    msg += std::to_string(hartid_);
+    throw std::runtime_error(msg);
+  });
   spatz.viq_push(d);
   return true;
 }

@@ -36,58 +36,7 @@ void Spatz::viq_push(const DispatchedV& d) {
   (void)ok;
 }
 
-template <typename Fn>
-void Spatz::for_each_access(const DispatchedV& d, Fn&& fn) {
-  const unsigned g = static_cast<unsigned>(d.lmul);
-  switch (d.op) {
-    case Opcode::kVle32:
-    case Opcode::kVlse32:
-      fn(d.vd, g, true);
-      break;
-    case Opcode::kVluxei32:
-      fn(d.vd, g, true);
-      fn(d.vs2, g, false);
-      break;
-    case Opcode::kVse32:
-    case Opcode::kVsse32:
-      fn(d.vd, g, false);  // vs3 data source
-      break;
-    case Opcode::kVsuxei32:
-      fn(d.vd, g, false);
-      fn(d.vs2, g, false);
-      break;
-    case Opcode::kVfaddVV:
-    case Opcode::kVfsubVV:
-    case Opcode::kVfmulVV:
-    case Opcode::kVfmaccVV:
-    case Opcode::kVfnmsacVV:
-    case Opcode::kVfmaxVV:
-    case Opcode::kVfminVV:
-      fn(d.vd, g, true);
-      fn(d.vs1, g, false);
-      fn(d.vs2, g, false);
-      break;
-    case Opcode::kVfaddVF:
-    case Opcode::kVfmulVF:
-    case Opcode::kVfmaccVF:
-    case Opcode::kVfmaxVF:
-      fn(d.vd, g, true);
-      fn(d.vs2, g, false);
-      break;
-    case Opcode::kVfmvVF:
-      fn(d.vd, g, true);
-      break;
-    case Opcode::kVfredusum:
-      fn(d.vd, 1, true);
-      fn(d.vs2, g, false);
-      fn(d.vs1, 1, false);
-      break;
-    default:
-      assert(false && "non-vector opcode dispatched to Spatz");
-  }
-}
-
-void Spatz::cycle_retire() { vlsu_.retire(pool_, vrf_, *this); }
+void Spatz::cycle_retire() { vlsu_.retire(pool_, vrf_, sb_); }
 
 void Spatz::cycle_issue() {
   if (viq_.empty()) return;
@@ -98,11 +47,7 @@ void Spatz::cycle_issue() {
 
   // Hazard check: destination group must be fully idle (no renaming);
   // sources are fine even mid-write (chaining reads the watermark).
-  bool dest_ok = true;
-  for_each_access(d, [&](unsigned reg, unsigned n, bool is_write) {
-    if (is_write && !sb_.dest_free(reg, n)) dest_ok = false;
-  });
-  if (!dest_ok) {
+  if (!sb_.dests_free(d)) {
     issue_hazard_stalls_.inc();
     return;
   }
@@ -123,13 +68,7 @@ void Spatz::cycle_issue() {
   instr.reset();
   instr.valid = true;
   instr.d = d;
-  for_each_access(d, [&](unsigned reg, unsigned n, bool is_write) {
-    if (is_write) {
-      sb_.acquire_write(reg, n, slot);
-    } else {
-      sb_.acquire_read(reg, n);
-    }
-  });
+  sb_.acquire(d, static_cast<unsigned>(slot));
 
   if (is_mem) {
     vlsu_.start(static_cast<unsigned>(slot), pool_);
@@ -141,21 +80,8 @@ void Spatz::cycle_issue() {
 }
 
 void Spatz::cycle_exec(Cycle now, TileServices& tile) {
-  vfpu_.cycle(now, pool_, vrf_, sb_, *this);
-  vlsu_.issue(now, tile, pool_, vrf_, sb_, *this);
-}
-
-void Spatz::vinstr_complete(unsigned slot) {
-  VInstr& instr = pool_.at(slot);
-  assert(instr.valid);
-  for_each_access(instr.d, [&](unsigned reg, unsigned n, bool is_write) {
-    if (is_write) {
-      sb_.release_write(reg, n);
-    } else {
-      sb_.release_read(reg, n);
-    }
-  });
-  instr.reset();
+  vfpu_.cycle(now, pool_, vrf_, sb_);
+  vlsu_.issue(now, tile, pool_, vrf_, sb_);
 }
 
 bool Spatz::fully_idle() const {

@@ -27,7 +27,7 @@ struct SpatzConfig {
   BurstSenderConfig sender;
 };
 
-class Spatz final : public VCompletionSink {
+class Spatz {
  public:
   explicit Spatz(const SpatzConfig& cfg);
 
@@ -49,9 +49,6 @@ class Spatz final : public VCompletionSink {
   /// Execute: FPU batches, VLSU beat generation and request dispatch.
   void cycle_exec(Cycle now, TileServices& tile);
 
-  // ---- VCompletionSink ----
-  void vinstr_complete(unsigned slot) override;
-
   /// Event-driven stepping (docs/ARCHITECTURE.md, EV1): earliest cycle any
   /// pipeline stage could change state, absent external responses. A
   /// non-empty VIQ issues (or counts a hazard stall) every cycle; otherwise
@@ -69,11 +66,6 @@ class Spatz final : public VCompletionSink {
   [[nodiscard]] const VectorRegFile& vrf() const noexcept { return vrf_; }
 
  private:
-  /// Enumerate the register groups an instruction touches:
-  /// fn(first_reg, group_len, is_write).
-  template <typename Fn>
-  static void for_each_access(const DispatchedV& d, Fn&& fn);
-
   SpatzConfig cfg_;
   VectorRegFile vrf_;
   Scoreboard sb_;

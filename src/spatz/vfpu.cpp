@@ -24,18 +24,6 @@ void Vfpu::start(unsigned slot) {
   active_ = static_cast<int>(slot);
 }
 
-unsigned Vfpu::src_ready(const Scoreboard& sb, unsigned vs, unsigned n,
-                         const std::array<VInstr, kVInstrSlots>& pool, int self_slot) {
-  unsigned ready = Scoreboard::kAllReady;
-  for (unsigned r = vs; r < vs + n; ++r) {
-    const int w = sb.writer(r);
-    if (w >= 0 && w != self_slot) {
-      ready = std::min(ready, pool[static_cast<unsigned>(w)].watermark);
-    }
-  }
-  return ready;
-}
-
 void Vfpu::exec_batch(VInstr& instr, VectorRegFile& vrf, unsigned e0, unsigned n) {
   const DispatchedV& d = instr.d;
   double batch_flops = 0.0;
@@ -99,7 +87,7 @@ void Vfpu::exec_batch(VInstr& instr, VectorRegFile& vrf, unsigned e0, unsigned n
 }
 
 void Vfpu::cycle(Cycle now, std::array<VInstr, kVInstrSlots>& pool, VectorRegFile& vrf,
-                 const Scoreboard& sb, VCompletionSink& sink) {
+                 Scoreboard& sb) {
   // Drain the pipeline: watermarks written `latency_` cycles after issue.
   while (!pipe_.empty() && pipe_.front().done <= now) {
     const PipeEntry pe = pipe_.pop();
@@ -107,10 +95,8 @@ void Vfpu::cycle(Cycle now, std::array<VInstr, kVInstrSlots>& pool, VectorRegFil
     assert(instr.valid);
     instr.watermark = std::max(instr.watermark, pe.upto);
     instr.retired = instr.watermark;
-    const unsigned target = instr.d.op == Opcode::kVfredusum ? 1u : instr.d.vl;
-    if (instr.watermark >= target && instr.issuing_done) {
-      sink.vinstr_complete(pe.slot);
-    }
+    const unsigned target = op_info(instr.d.op).form == Form::kVRed ? 1u : instr.d.vl;
+    if (instr.watermark >= target && instr.issuing_done) sb.release(instr);
   }
 
   if (active_ < 0) return;
@@ -124,11 +110,10 @@ void Vfpu::cycle(Cycle now, std::array<VInstr, kVInstrSlots>& pool, VectorRegFil
   const DispatchedV& d = instr.d;
   const unsigned group = static_cast<unsigned>(d.lmul);
 
-  if (d.op == Opcode::kVfredusum) {
+  if (op_info(d.op).form == Form::kVRed) {
     // Needs the whole source vector (no partial chaining through a tree).
-    const unsigned rdy2 = src_ready(sb, d.vs2, group, pool, active_);
-    const unsigned rdy1 = src_ready(sb, d.vs1, 1, pool, active_);
-    if (rdy2 < d.vl || rdy1 < 1) {
+    if (sb.ready_elems(d.vs2, group, pool, active_) < d.vl ||
+        sb.ready_elems(d.vs1, 1, pool, active_) < 1) {
       stall_cycles_.inc();
       return;
     }
@@ -154,31 +139,7 @@ void Vfpu::cycle(Cycle now, std::array<VInstr, kVInstrSlots>& pool, VectorRegFil
   const unsigned e0 = instr.issued;
   const unsigned n = std::min(lanes_, d.vl - e0);
   const unsigned need = e0 + n;
-  bool ready = true;
-  switch (d.op) {
-    case Opcode::kVfaddVV:
-    case Opcode::kVfsubVV:
-    case Opcode::kVfmulVV:
-    case Opcode::kVfmaccVV:
-    case Opcode::kVfnmsacVV:
-    case Opcode::kVfmaxVV:
-    case Opcode::kVfminVV:
-      ready = src_ready(sb, d.vs1, group, pool, active_) >= need &&
-              src_ready(sb, d.vs2, group, pool, active_) >= need;
-      break;
-    case Opcode::kVfaddVF:
-    case Opcode::kVfmulVF:
-    case Opcode::kVfmaccVF:
-    case Opcode::kVfmaxVF:
-      ready = src_ready(sb, d.vs2, group, pool, active_) >= need;
-      break;
-    case Opcode::kVfmvVF:
-      ready = true;
-      break;
-    default:
-      assert(false && "non-FPU opcode in VFPU");
-  }
-  if (!ready) {
+  if (!sb.sources_ready(d, need, pool, active_)) {
     stall_cycles_.inc();
     return;
   }

@@ -20,14 +20,6 @@
 
 namespace tcdm {
 
-/// Completion callback: Spatz frees the pool slot and releases scoreboard
-/// holds when a unit reports an instruction fully done.
-class VCompletionSink {
- public:
-  virtual ~VCompletionSink() = default;
-  virtual void vinstr_complete(unsigned slot) = 0;
-};
-
 class Vfpu {
  public:
   Vfpu(unsigned lanes, unsigned latency);
@@ -39,8 +31,10 @@ class Vfpu {
   [[nodiscard]] bool can_start() const noexcept { return active_ < 0; }
   void start(unsigned slot);
 
+  /// Drain the pipe (a fully retired instruction releases its scoreboard
+  /// groups and pool slot), then issue the next batch or reduction.
   void cycle(Cycle now, std::array<VInstr, kVInstrSlots>& pool, VectorRegFile& vrf,
-             const Scoreboard& sb, VCompletionSink& sink);
+             Scoreboard& sb);
 
   [[nodiscard]] bool idle() const noexcept { return active_ < 0 && pipe_.empty(); }
   [[nodiscard]] double flops() const noexcept { return flops_.value(); }
@@ -73,12 +67,6 @@ class Vfpu {
     std::uint8_t slot = 0;
     std::uint32_t upto = 0;  // watermark value once `done` is reached
   };
-
-  /// Leading ready elements of source group [vs, vs+n), treating the
-  /// instruction's own slot as ready (it holds the write lock on vd).
-  [[nodiscard]] static unsigned src_ready(const Scoreboard& sb, unsigned vs, unsigned n,
-                                          const std::array<VInstr, kVInstrSlots>& pool,
-                                          int self_slot);
 
   void exec_batch(VInstr& instr, VectorRegFile& vrf, unsigned e0, unsigned n);
 

@@ -7,6 +7,7 @@
 // vector register to its current writer so consumers can query readiness.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdint>
@@ -50,6 +51,52 @@ struct VInstr {
   void reset() { *this = VInstr{}; }
 };
 
+/// Enumerate the vector register groups `d` touches, as fn(first_reg,
+/// group_len, is_write), from its opcode's operand form. Stores read their
+/// data group from the vd (vs3) field; a reduction's vd and vs1 are single
+/// registers.
+template <typename Fn>
+void for_each_group(const DispatchedV& d, Fn&& fn) {
+  const unsigned g = static_cast<unsigned>(d.lmul);
+  switch (op_info(d.op).form) {
+    case Form::kVLoad:
+    case Form::kVLoadS:
+      fn(d.vd, g, true);
+      break;
+    case Form::kVLoadIdx:
+      fn(d.vd, g, true);
+      fn(d.vs2, g, false);
+      break;
+    case Form::kVStore:
+    case Form::kVStoreS:
+      fn(d.vd, g, false);
+      break;
+    case Form::kVStoreIdx:
+      fn(d.vd, g, false);
+      fn(d.vs2, g, false);
+      break;
+    case Form::kVVV:
+      fn(d.vd, g, true);
+      fn(d.vs1, g, false);
+      fn(d.vs2, g, false);
+      break;
+    case Form::kVFV:
+      fn(d.vd, g, true);
+      fn(d.vs2, g, false);
+      break;
+    case Form::kVF:
+      fn(d.vd, g, true);
+      break;
+    case Form::kVRed:
+      fn(d.vd, 1, true);
+      fn(d.vs2, g, false);
+      fn(d.vs1, 1, false);
+      break;
+    default:
+      assert(false && "non-vector opcode dispatched to Spatz");
+  }
+}
+
 /// Register scoreboard over the 32 architectural vector registers.
 /// Tracks, per register, the in-flight writer (for chaining + WAW) and the
 /// number of in-flight readers (for WAR).
@@ -62,50 +109,73 @@ class Scoreboard {
     readers_.fill(0);
   }
 
-  /// Can an instruction writing group [vd, vd+n) and reading the listed
-  /// source groups be issued? Destination must be fully idle (no WAW/WAR
+  /// Can `d` issue? Every group it writes must be fully idle (no WAW/WAR
   /// renaming in Spatz); sources may have active writers (chaining).
-  [[nodiscard]] bool dest_free(unsigned vd, unsigned n) const {
-    for (unsigned r = vd; r < vd + n; ++r) {
-      if (writer_[r] >= 0 || readers_[r] > 0) return false;
-    }
-    return true;
+  [[nodiscard]] bool dests_free(const DispatchedV& d) const {
+    bool ok = true;
+    for_each_group(d, [&](unsigned first, unsigned n, bool is_write) {
+      if (!is_write) return;
+      for (unsigned r = first; r < first + n; ++r) {
+        if (writer_[r] >= 0 || readers_[r] > 0) ok = false;
+      }
+    });
+    return ok;
   }
 
-  void acquire_write(unsigned vd, unsigned n, int slot) {
-    for (unsigned r = vd; r < vd + n; ++r) {
-      assert(writer_[r] < 0);
-      writer_[r] = static_cast<std::int8_t>(slot);
-    }
-  }
-  void release_write(unsigned vd, unsigned n) {
-    for (unsigned r = vd; r < vd + n; ++r) writer_[r] = -1;
-  }
-  void acquire_read(unsigned vs, unsigned n) {
-    for (unsigned r = vs; r < vs + n; ++r) ++readers_[r];
-  }
-  void release_read(unsigned vs, unsigned n) {
-    for (unsigned r = vs; r < vs + n; ++r) {
-      assert(readers_[r] > 0);
-      --readers_[r];
-    }
+  /// Hold `d`'s groups for the instruction in pool slot `slot`.
+  void acquire(const DispatchedV& d, unsigned slot) {
+    for_each_group(d, [&](unsigned first, unsigned n, bool is_write) {
+      for (unsigned r = first; r < first + n; ++r) {
+        if (is_write) {
+          assert(writer_[r] < 0);
+          writer_[r] = static_cast<std::int8_t>(slot);
+        } else {
+          ++readers_[r];
+        }
+      }
+    });
   }
 
-  /// Slot of the in-flight writer of `vreg`, or -1.
-  [[nodiscard]] int writer(unsigned vreg) const { return writer_[vreg]; }
+  /// Release the groups a completed instruction holds and free its slot.
+  void release(VInstr& instr) {
+    assert(instr.valid);
+    for_each_group(instr.d, [&](unsigned first, unsigned n, bool is_write) {
+      for (unsigned r = first; r < first + n; ++r) {
+        if (is_write) {
+          writer_[r] = -1;
+        } else {
+          assert(readers_[r] > 0);
+          --readers_[r];
+        }
+      }
+    });
+    instr.reset();
+  }
 
   /// How many leading elements of group [vs, vs+n) a consumer may read,
   /// given the instruction pool (kAllReady when no writer is in flight).
-  template <typename Pool>
-  [[nodiscard]] unsigned ready_elems(unsigned vs, unsigned n, const Pool& pool) const {
+  /// A writer in slot `self` counts as ready: the VFPU's active instruction
+  /// holds the write lock on its own vd.
+  [[nodiscard]] unsigned ready_elems(unsigned vs, unsigned n,
+                                     const std::array<VInstr, kVInstrSlots>& pool,
+                                     int self = -1) const {
     unsigned ready = kAllReady;
     for (unsigned r = vs; r < vs + n; ++r) {
-      if (writer_[r] >= 0) {
-        const unsigned w = pool[static_cast<unsigned>(writer_[r])].watermark;
-        if (w < ready) ready = w;
-      }
+      const int w = writer_[r];
+      if (w >= 0 && w != self) ready = std::min(ready, pool[static_cast<unsigned>(w)].watermark);
     }
     return ready;
+  }
+
+  /// Have all groups `d` reads at least `need` leading ready elements?
+  [[nodiscard]] bool sources_ready(const DispatchedV& d, unsigned need,
+                                   const std::array<VInstr, kVInstrSlots>& pool,
+                                   int self = -1) const {
+    bool ok = true;
+    for_each_group(d, [&](unsigned first, unsigned n, bool is_write) {
+      if (!is_write && ready_elems(first, n, pool, self) < need) ok = false;
+    });
+    return ok;
   }
 
  private:

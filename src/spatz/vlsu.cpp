@@ -39,7 +39,7 @@ void Vlsu::update_watermark(VInstr& instr) const {
 }
 
 void Vlsu::retire(std::array<VInstr, kVInstrSlots>& pool, VectorRegFile& vrf,
-                  VCompletionSink& sink) {
+                  Scoreboard& sb) {
   // Watermarks are recomputed once per touched instruction after the port
   // loop, not once per retired element: nothing reads them mid-loop, and the
   // watermark is a pure (monotone) function of the final port_retired
@@ -61,7 +61,7 @@ void Vlsu::retire(std::array<VInstr, kVInstrSlots>& pool, VectorRegFile& vrf,
     if (instr.retired == instr.d.vl && instr.issuing_done) {
       // Fully retired load: drop from the retiring set and complete.
       retiring_.erase(std::find(retiring_.begin(), retiring_.end(), r.instr));
-      sink.vinstr_complete(r.instr);  // resets the VInstr; no watermark update
+      sb.release(instr);  // resets the VInstr; no watermark update
       touched &= ~(1u << r.instr);
     } else {
       touched |= 1u << r.instr;
@@ -75,17 +75,15 @@ void Vlsu::retire(std::array<VInstr, kVInstrSlots>& pool, VectorRegFile& vrf,
 }
 
 void Vlsu::issue(Cycle now, TileServices& tile, std::array<VInstr, kVInstrSlots>& pool,
-                 VectorRegFile& vrf, const Scoreboard& sb, VCompletionSink& sink) {
+                 VectorRegFile& vrf, Scoreboard& sb) {
   if (active_ >= 0) {
     VInstr& instr = pool[static_cast<unsigned>(active_)];
     assert(instr.valid);
     const DispatchedV& d = instr.d;
-    const unsigned group = static_cast<unsigned>(d.lmul);
+    const Form form = op_info(d.op).form;
     const unsigned e0 = instr.issued;
     const unsigned n = std::min(ports_, d.vl - e0);
-    const bool is_store = d.op == Opcode::kVse32 || d.op == Opcode::kVsuxei32 ||
-                          d.op == Opcode::kVsse32;
-    const bool indexed = d.op == Opcode::kVluxei32 || d.op == Opcode::kVsuxei32;
+    const bool is_store = is_vector_store(form);
 
     bool can_issue = sender_.can_accept_beat();
     if (can_issue && !is_store) {
@@ -98,39 +96,34 @@ void Vlsu::issue(Cycle now, TileServices& tile, std::array<VInstr, kVInstrSlots>
     }
     // Chaining: store data and gather/scatter indices must be produced
     // before this beat's elements can be issued.
-    if (can_issue && is_store) {
-      can_issue = sb.ready_elems(d.vd, group, pool) >= e0 + n;
-    }
-    if (can_issue && indexed) {
-      can_issue = can_issue && sb.ready_elems(d.vs2, group, pool) >= e0 + n;
-    }
+    if (can_issue) can_issue = sb.sources_ready(d, e0 + n, pool);
 
     if (can_issue) {
       BeatRequest beat;
-      beat.unit_stride_load = d.op == Opcode::kVle32;
+      beat.unit_stride_load = form == Form::kVLoad;
       // Strided-burst extension: positive word-aligned strides qualify; the
       // Burst Sender decides whether the stride fits its tile's bank span.
-      beat.strided_load = d.op == Opcode::kVlse32 && d.stride > 0 &&
+      beat.strided_load = form == Form::kVLoadS && d.stride > 0 &&
                           d.stride % static_cast<std::int32_t>(kWordBytes) == 0 &&
                           d.stride / static_cast<std::int32_t>(kWordBytes) <= 0xff;
       beat.stride_words =
           beat.strided_load ? static_cast<unsigned>(d.stride) / kWordBytes : 1;
-      beat.unit_stride_store = d.op == Opcode::kVse32;
+      beat.unit_stride_store = form == Form::kVStore;
       for (unsigned j = 0; j < n; ++j) {
         const unsigned e = e0 + j;
         const unsigned p = e % ports_;
         WordRequest w;
-        switch (d.op) {
-          case Opcode::kVle32:
-          case Opcode::kVse32:
+        switch (form) {
+          case Form::kVLoad:
+          case Form::kVStore:
             w.addr = d.base + e * kWordBytes;
             break;
-          case Opcode::kVlse32:
-          case Opcode::kVsse32:
+          case Form::kVLoadS:
+          case Form::kVStoreS:
             w.addr = d.base + static_cast<Addr>(static_cast<std::int64_t>(e) * d.stride);
             break;
-          case Opcode::kVluxei32:
-          case Opcode::kVsuxei32:
+          case Form::kVLoadIdx:
+          case Form::kVStoreIdx:
             w.addr = d.base + vrf.read(d.vs2, e);
             break;
           default:
@@ -168,9 +161,7 @@ void Vlsu::issue(Cycle now, TileServices& tile, std::array<VInstr, kVInstrSlots>
         if (is_store) {
           // Posted stores: the instruction completes at last-beat issue;
           // memory-drain tracking continues via outstanding_stores_.
-          instr.retired = d.vl;
-          instr.watermark = d.vl;
-          sink.vinstr_complete(slot);
+          sb.release(instr);
         } else {
           retiring_.push_back(slot);
         }

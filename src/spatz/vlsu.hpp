@@ -27,7 +27,6 @@
 #include "src/common/types.hpp"
 #include "src/burst/burst_sender.hpp"
 #include "src/memory/rob.hpp"
-#include "src/spatz/vfpu.hpp"  // VCompletionSink
 #include "src/spatz/vinstr.hpp"
 #include "src/spatz/vrf.hpp"
 
@@ -43,14 +42,15 @@ class Vlsu {
   void start(unsigned slot, std::array<VInstr, kVInstrSlots>& pool);
 
   /// Retire phase (run first in the core cycle so watermark updates are
-  /// visible to the FPU in the same cycle): pop ready ROB heads.
-  void retire(std::array<VInstr, kVInstrSlots>& pool, VectorRegFile& vrf,
-              VCompletionSink& sink);
+  /// visible to the FPU in the same cycle): pop ready ROB heads. A fully
+  /// retired load releases its scoreboard groups and pool slot.
+  void retire(std::array<VInstr, kVInstrSlots>& pool, VectorRegFile& vrf, Scoreboard& sb);
 
   /// Issue phase: generate at most one beat for the active instruction and
-  /// drain the Burst Sender into banks/network.
+  /// drain the Burst Sender into banks/network. A store releases its groups
+  /// and pool slot once its last beat is issued.
   void issue(Cycle now, TileServices& tile, std::array<VInstr, kVInstrSlots>& pool,
-             VectorRegFile& vrf, const Scoreboard& sb, VCompletionSink& sink);
+             VectorRegFile& vrf, Scoreboard& sb);
 
   // ---- response delivery (from tile / network) ----
   void fill(unsigned port, std::uint16_t rob_slot, Word data);

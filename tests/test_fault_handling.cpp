@@ -152,6 +152,28 @@ TEST_P(VectorFaultSweep, RemoteTileFaultIsAttributedToItsHart) {
   }
 }
 
+TEST_P(VectorFaultSweep, VectorRegisterGroupPastV31Throws) {
+  // An LMUL=8 group based at v28 would span v28..v35: the core must refuse
+  // the instruction instead of indexing past the 32 architectural registers.
+  Cluster cluster(config());
+  cluster.set_watchdog_window(2000);
+  ProgramBuilder pb("group_past_v31");
+  pb.li(t0, 0);
+  pb.li(t1, 8);
+  pb.vsetvli(t2, t1, Lmul::m8);
+  pb.vle32(VReg{28}, t0);
+  cluster.load_program(with_epilogue(pb));
+  try {
+    (void)cluster.run(100'000);
+    FAIL() << "expected a register-group fault";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("vle32.v"), std::string::npos) << what;
+    EXPECT_NE(what.find("v28..v35"), std::string::npos) << what;
+    EXPECT_NE(what.find("hart="), std::string::npos) << what;
+  }
+}
+
 TCDM_INSTANTIATE_BURST_SWEEP(VectorFaultSweep);
 
 TEST(FaultHandling, RunawayLoopIsBoundedByMaxCycles) {

@@ -2,6 +2,8 @@
 // helpers, disassembler round-trips.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "src/cluster/cluster.hpp"
 #include "src/isa/disasm.hpp"
 #include "src/isa/instruction.hpp"
@@ -86,17 +88,6 @@ TEST(IsaClassification, VectorPredicates) {
   EXPECT_TRUE(is_vector_memory(Opcode::kVsse32));
   EXPECT_TRUE(is_vector_memory(Opcode::kVsuxei32));
   EXPECT_FALSE(is_vector_memory(Opcode::kVfaddVV));
-
-  EXPECT_TRUE(is_vector_arith(Opcode::kVfmaccVV));
-  EXPECT_TRUE(is_vector_arith(Opcode::kVfmvVF));
-  EXPECT_FALSE(is_vector_arith(Opcode::kVle32));
-
-  EXPECT_TRUE(is_branch(Opcode::kBgeu));
-  EXPECT_TRUE(is_branch(Opcode::kJal));
-  EXPECT_FALSE(is_branch(Opcode::kHalt));
-
-  EXPECT_TRUE(is_scalar_memory(Opcode::kAmoaddW));
-  EXPECT_FALSE(is_scalar_memory(Opcode::kVle32));
 }
 
 TEST(IsaClassification, EveryOpcodeHasName) {
@@ -116,6 +107,139 @@ TEST(Disasm, RendersRepresentativeInstructions) {
   EXPECT_EQ(disasm(p.at(1)), "lw x5, 8(x12)");
   EXPECT_EQ(disasm(p.at(2)), "vsse32.v v2, (x16), x9");
   EXPECT_EQ(disasm(p.at(3)), "barrier ");
+}
+
+TEST(Disasm, EveryOpcodeRendersAsRecorded) {
+  // One instruction per opcode, in Opcode order, with distinct register
+  // numbers so that every operand field shows where it is rendered.
+  ProgramBuilder pb("every_opcode");
+  Label top = pb.make_label();
+  pb.bind(top);
+  pb.nop();
+  pb.li(a2, -42);
+  pb.add(t0, t1, t2);
+  pb.sub(t0, t1, t2);
+  pb.mul(t0, t1, t2);
+  pb.addi(t0, t1, -7);
+  pb.slli(t0, t1, 3);
+  pb.srli(t0, t1, 4);
+  pb.srai(t0, t1, 5);
+  pb.and_(t0, t1, t2);
+  pb.or_(t0, t1, t2);
+  pb.xor_(t0, t1, t2);
+  pb.andi(t0, t1, 255);
+  pb.ori(t0, t1, 16);
+  pb.xori(t0, t1, -1);
+  pb.slt(t0, t1, t2);
+  pb.sltu(t0, t1, t2);
+  pb.slti(t0, t1, 9);
+  pb.beq(a0, a1, top);
+  pb.bne(a0, a1, top);
+  pb.blt(a0, a1, top);
+  pb.bge(a0, a1, top);
+  pb.bltu(a0, a1, top);
+  pb.bgeu(a0, a1, top);
+  pb.j(top);
+  pb.lw(s2, a3, 12);
+  pb.sw(s3, a4, -8);
+  pb.flw(ft2, a5, 20);
+  pb.fsw(ft4, a6, 24);
+  pb.amoadd_w(s4, a7, s5);
+  pb.fadd_s(ft0, ft1, ft2);
+  pb.fsub_s(ft0, ft1, ft2);
+  pb.fmul_s(ft0, ft1, ft2);
+  pb.fmadd_s(ft0, ft1, ft2, ft3);
+  pb.fmv_w_x(fa0, s6);
+  pb.fmv_x_w(s7, fa1);
+  pb.barrier();
+  pb.halt();
+  pb.vsetvli(t3, t4, Lmul::m4);
+  pb.vle32(VReg{8}, a0);
+  pb.vse32(VReg{9}, a1);
+  pb.vlse32(VReg{10}, a2, a3);
+  pb.vsse32(VReg{11}, a4, a5);
+  pb.vluxei32(VReg{12}, a6, VReg{20});
+  pb.vsuxei32(VReg{13}, a7, VReg{21});
+  pb.vfadd_vv(VReg{1}, VReg{2}, VReg{3});
+  pb.vfsub_vv(VReg{1}, VReg{2}, VReg{3});
+  pb.vfmul_vv(VReg{1}, VReg{2}, VReg{3});
+  pb.vfmacc_vv(VReg{1}, VReg{2}, VReg{3});
+  pb.vfnmsac_vv(VReg{1}, VReg{2}, VReg{3});
+  pb.vfmax_vv(VReg{1}, VReg{2}, VReg{3});
+  pb.vfmin_vv(VReg{1}, VReg{2}, VReg{3});
+  pb.vfadd_vf(VReg{4}, ft5, VReg{6});
+  pb.vfmul_vf(VReg{4}, ft5, VReg{6});
+  pb.vfmacc_vf(VReg{4}, ft5, VReg{6});
+  pb.vfmax_vf(VReg{4}, ft5, VReg{6});
+  pb.vfmv_v_f(VReg{7}, ft6);
+  pb.vfredusum(VReg{14}, VReg{16}, VReg{15});
+  const Program p = pb.build();
+  const char* const kExpected[] = {
+      "nop ",
+      "li x12, -42",
+      "add x5, x6, x7",
+      "sub x5, x6, x7",
+      "mul x5, x6, x7",
+      "addi x5, x6, -7",
+      "slli x5, x6, 3",
+      "srli x5, x6, 4",
+      "srai x5, x6, 5",
+      "and x5, x6, x7",
+      "or x5, x6, x7",
+      "xor x5, x6, x7",
+      "andi x5, x6, 255",
+      "ori x5, x6, 16",
+      "xori x5, x6, -1",
+      "slt x5, x6, x7",
+      "sltu x5, x6, x7",
+      "slti x5, x6, 9",
+      "beq x10, x11, @0",
+      "bne x10, x11, @0",
+      "blt x10, x11, @0",
+      "bge x10, x11, @0",
+      "bltu x10, x11, @0",
+      "bgeu x10, x11, @0",
+      "jal @0",
+      "lw x18, 12(x13)",
+      "sw x19, -8(x14)",
+      "flw f2, 20(x15)",
+      "fsw f4, 24(x16)",
+      "amoadd.w x20, x21, (x17)",
+      "fadd.s f0, f1, f2",
+      "fsub.s f0, f1, f2",
+      "fmul.s f0, f1, f2",
+      "fmadd.s f0, f1, f2, f3",
+      "fmv.w.x f10, x22",
+      "fmv.x.w x23, f11",
+      "barrier ",
+      "halt ",
+      "vsetvli x28, x29, e32, m4",
+      "vle32.v v8, (x10)",
+      "vse32.v v9, (x11)",
+      "vlse32.v v10, (x12), x13",
+      "vsse32.v v11, (x14), x15",
+      "vluxei32.v v12, (x16), v20",
+      "vsuxei32.v v13, (x17), v21",
+      "vfadd.vv v1, v2, v3",
+      "vfsub.vv v1, v2, v3",
+      "vfmul.vv v1, v2, v3",
+      "vfmacc.vv v1, v2, v3",
+      "vfnmsac.vv v1, v2, v3",
+      "vfmax.vv v1, v2, v3",
+      "vfmin.vv v1, v2, v3",
+      "vfadd.vf v4, f5, v6",
+      "vfmul.vf v4, f5, v6",
+      "vfmacc.vf v4, f5, v6",
+      "vfmax.vf v4, f5, v6",
+      "vfmv.v.f v7, f6",
+      "vfredusum.vs v14, v16, v15",
+  };
+  ASSERT_EQ(p.size(), std::size(kExpected));
+  ASSERT_EQ(p.size(), static_cast<std::size_t>(Opcode::kVfredusum) + 1);
+  for (std::size_t pc = 0; pc < p.size(); ++pc) {
+    EXPECT_EQ(static_cast<std::size_t>(p.at(pc).op), pc) << "builder order at " << pc;
+    EXPECT_EQ(disasm(p.at(pc)), kExpected[pc]);
+  }
 }
 
 TEST(Disasm, ProgramListingContainsAllLines) {

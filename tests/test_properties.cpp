@@ -159,7 +159,7 @@ TEST(BurstSenderProperty, RandomBeatsConserveWordsAndRespectTiles) {
     const unsigned tiles = 4u << rng.next_below(3);        // 4,8,16
     SenderTile tile(stats, bpt * tiles, bpt);
     const unsigned ports = 1 + rng.next_below(8);
-    const unsigned max_len = 1 + rng.next_below(std::min(bpt, kMaxBurstLen));
+    const unsigned max_len = 1 + rng.next_below(std::min(bpt, kMaxBurstWords));
     BurstSender sender({.enable_bursts = true, .max_burst_len = max_len,
                         .staging_beats = 16},
                        ports);
