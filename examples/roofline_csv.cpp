@@ -1,24 +1,24 @@
 // Emit a roofline CSV (Fig. 3 style) for a chosen cluster configuration:
-// the ideal and measured bandwidth roofs plus the three paper kernels as
-// sample points. Pipe the output into your favourite plotting tool.
+// the ideal and measured bandwidth roofs plus the paper's kernels as sample
+// points. The probe and the kernel points are the baseline points of the
+// builtin fig3_roofline suite, run on the chosen grouping factor. Pipe the
+// output into your favourite plotting tool.
 //
 //   $ ./roofline_csv [preset] [gf] > roofline.csv
 //   $ ./roofline_csv mp4spatz4 4 > roofline.csv
 //
 // A bad argument (an unknown preset, a grouping factor that is not an
 // integer or out of range) exits 2 and names it.
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/analytics/roofline.hpp"
-#include "src/cluster/kernel_runner.hpp"
-#include "src/kernels/dotp.hpp"
-#include "src/kernels/fft.hpp"
-#include "src/kernels/matmul.hpp"
-#include "src/kernels/probes.hpp"
+#include "src/scenario/builtin.hpp"
 
 int main(int argc, char** argv) {
   using namespace tcdm;
@@ -46,37 +46,23 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  RunnerOptions opts;
-  opts.max_cycles = 50'000'000;
-
-  // Dashed line: hierarchical average bandwidth from the random probe.
-  RandomProbeKernel probe(cfg.num_cores() >= 128 ? 64 : 128);
-  RunnerOptions popts = opts;
-  popts.verify = false;
-  const KernelMetrics pm = run_kernel(cfg, probe, popts);
-  const Roofline rl = make_roofline(cfg, pm.bw_bytes_per_cycle);
-
+  // The suite's baseline points of this preset: "<preset>/probe/baseline"
+  // and "<preset>/<kernel>/baseline".
+  const auto& suites = scenario::builtin::table_suites();
+  const auto fig3 = std::find_if(suites.begin(), suites.end(), [](const auto& s) {
+    return s.suite.name == "fig3_roofline";
+  });
+  double probe_bw = 0.0;
   std::vector<RooflineSample> samples;
-  const auto add = [&](Kernel&& k) {
-    const KernelMetrics m = run_kernel(cfg, k, opts);
-    samples.push_back({m.kernel + "-" + m.size, m.arithmetic_intensity, m.gflops_ss});
-  };
-  if (preset == "mp4spatz4") {
-    add(DotpKernel(4096));
-    add(FftKernel(1, 512));
-    add(MatmulKernel(16, 4));
-    add(MatmulKernel(64, 8));
-  } else if (preset == "mp64spatz4") {
-    add(DotpKernel(65536));
-    add(FftKernel(4, 2048));
-    add(MatmulKernel(64, 4));
-    add(MatmulKernel(256, 8));
-  } else {
-    add(DotpKernel(131072));
-    add(FftKernel(8, 4096));
-    add(MatmulKernel(128, 4));
-    add(MatmulKernel(256, 8));
+  for (const scenario::FileScenario& sc : fig3->scenarios) {
+    if (!sc.rel.starts_with(preset + "/") || !sc.rel.ends_with("/baseline")) continue;
+    const KernelMetrics m = run_kernel(cfg, *sc.kernel.instantiate(cfg), sc.opts);
+    if (sc.rel == preset + "/probe/baseline") {
+      probe_bw = m.bw_bytes_per_cycle;  // dashed line: hierarchical average bandwidth
+    } else {
+      samples.push_back({m.kernel + "-" + m.size, m.arithmetic_intensity, m.gflops_ss});
+    }
   }
-  std::fputs(roofline_csv(rl, samples).c_str(), stdout);
+  std::fputs(roofline_csv(make_roofline(cfg, probe_bw), samples).c_str(), stdout);
   return 0;
 }

@@ -1,5 +1,7 @@
 #include "src/analytics/area_model.hpp"
 
+#include "src/isa/instruction.hpp"
+
 namespace tcdm {
 
 namespace {

@@ -6,14 +6,15 @@
 
 namespace tcdm {
 
-namespace {
-constexpr unsigned kFifoDepth = 4;  // pending burst requests held at the manager
-}  // namespace
-
-BurstManager::BurstManager(const BurstManagerConfig& cfg, const AddressMap& map, TileId tile)
-    : cfg_(cfg), map_(map), tile_(tile), pending_(kFifoDepth), slots_(cfg.merge_slots) {
-  assert(cfg_.grouping_factor >= 1 && cfg_.grouping_factor <= kMaxGroupingFactor);
-  assert(cfg_.merge_slots >= 1);
+BurstManager::BurstManager(unsigned grouping_factor, unsigned write_words_per_cycle,
+                           const AddressMap& map, TileId tile)
+    : grouping_factor_(grouping_factor),
+      write_words_per_cycle_(write_words_per_cycle),
+      map_(map),
+      tile_(tile),
+      pending_(kFifoDepth),
+      slots_(kMergeSlots) {
+  assert(grouping_factor_ >= 1 && grouping_factor_ <= kMaxGroupingFactor);
   free_map_.init(slots_.size());
   ready_map_.init(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) free_map_.set(i);
@@ -49,7 +50,7 @@ std::int16_t BurstManager::alloc_slot() {
 void BurstManager::issue(std::vector<SpmBank>& banks) {
   // Issue the FIFO head; if it completes this cycle, continue with the next
   // burst (distinct GF-segments operate in parallel in the RTL).
-  unsigned write_budget = cfg_.write_words_per_cycle;
+  unsigned write_budget = write_words_per_cycle_;
   while (!pending_.empty()) {
     ActiveBurst& ab = pending_.front();
     const unsigned len = ab.req.len;
@@ -90,8 +91,7 @@ void BurstManager::issue(std::vector<SpmBank>& banks) {
         if (slot < 0) return;  // merge buffers exhausted: stall issue
         ab.cur_slot = slot;
         MergeSlot& ms = slots_[slot];
-        const unsigned room_banks =
-            cfg_.grouping_factor - bank_in_tile % cfg_.grouping_factor;
+        const unsigned room_banks = grouping_factor_ - bank_in_tile % grouping_factor_;
         const unsigned seg_room = (room_banks + stride - 1) / stride;
         ms.state = SlotState::kFilling;
         free_map_.clear(static_cast<std::size_t>(slot));

@@ -34,19 +34,21 @@ namespace tcdm {
 
 class SpmBank;
 
-struct BurstManagerConfig {
-  unsigned grouping_factor = 4;  // words merged per response beat (GF)
-  unsigned merge_slots = 16;     // concurrent in-flight segment buffers
-  /// Store-burst extension: a write burst's payload arrives over the request
-  /// channel at req_grouping_factor words/cycle, so bank writes are issued
-  /// at the same rate. Read bursts are unaffected (the request is a single
-  /// header beat; banks respond in parallel by design).
-  unsigned write_words_per_cycle = kMaxGroupingFactor;
-};
-
 class BurstManager {
  public:
-  BurstManager(const BurstManagerConfig& cfg, const AddressMap& map, TileId tile);
+  /// Pending burst requests held at the manager.
+  static constexpr unsigned kFifoDepth = 4;
+  /// Concurrent in-flight segment (merge) buffers.
+  static constexpr unsigned kMergeSlots = 16;
+
+  /// `grouping_factor`: words merged per response beat (GF).
+  /// `write_words_per_cycle` (store-burst extension): a write burst's
+  /// payload arrives over the request channel at this many words per
+  /// cycle, so its bank writes issue at the same rate. Read bursts are
+  /// unaffected (the request is a single header beat; banks respond in
+  /// parallel by design).
+  BurstManager(unsigned grouping_factor, unsigned write_words_per_cycle, const AddressMap& map,
+               TileId tile);
 
   void attach_stats(StatsRegistry& reg, const std::string& prefix);
 
@@ -84,7 +86,6 @@ class BurstManager {
   /// O(1): live occupancy counts make this a pair of integer tests, not a
   /// slot sweep (it runs in every tile's quiescence check every cycle).
   [[nodiscard]] bool busy() const noexcept { return !pending_.empty() || used_slots_ != 0; }
-  [[nodiscard]] unsigned grouping_factor() const noexcept { return cfg_.grouping_factor; }
 
   /// Back to the just-constructed state (empty FIFO, all slots free).
   void reset();
@@ -111,7 +112,8 @@ class BurstManager {
 
   [[nodiscard]] std::int16_t alloc_slot();
 
-  BurstManagerConfig cfg_;
+  unsigned grouping_factor_;
+  unsigned write_words_per_cycle_;
   const AddressMap& map_;
   TileId tile_;
   BoundedQueue<ActiveBurst> pending_;

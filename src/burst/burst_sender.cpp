@@ -4,29 +4,23 @@
 #include <cassert>
 #include <limits>
 
+#include "src/cluster/cluster_config.hpp"
+
 namespace tcdm {
 
-namespace {
-std::size_t staging_capacity_items(const BurstSenderConfig& cfg, unsigned num_ports) {
-  // can_accept_beat() is checked before staging a beat of up to K words.
-  return static_cast<std::size_t>(cfg.staging_beats > 0 ? cfg.staging_beats - 1 : 0) *
-         num_ports;
-}
-}  // namespace
-
-BurstSender::BurstSender(const BurstSenderConfig& cfg, unsigned num_ports)
-    : cfg_(cfg),
-      num_ports_(num_ports),
-      capacity_items_(staging_capacity_items(cfg, num_ports)),
-      staging_(staging_capacity_items(cfg, num_ports) + kMaxPorts),
-      table_(cfg.table_size) {
-  assert(num_ports_ >= 1);
-  assert(cfg_.max_burst_len <= kMaxBurstWords);
+BurstSender::BurstSender(const ClusterConfig& cfg)
+    : bursts_(cfg.burst_enabled),
+      strided_bursts_(cfg.strided_bursts),
+      store_bursts_(cfg.store_bursts),
+      max_burst_len_(cfg.effective_max_burst_len()),
+      // can_accept_beat() is checked before staging a beat of up to K words.
+      capacity_items_(std::size_t{kStagingBeats - 1} * cfg.vlsu_ports),
+      staging_(capacity_items_ + kMaxPorts),
+      table_(kTableSize) {
+  assert(max_burst_len_ <= kMaxBurstWords);
   assert(staging_.capacity() <= std::numeric_limits<std::uint16_t>::max());
-  free_ids_.reserve(cfg_.table_size);
-  for (unsigned i = 0; i < cfg_.table_size; ++i) {
-    free_ids_.push_back(cfg_.table_size - 1 - i);
-  }
+  free_ids_.reserve(kTableSize);
+  for (unsigned i = 0; i < kTableSize; ++i) free_ids_.push_back(kTableSize - 1 - i);
 }
 
 void BurstSender::reset() {
@@ -34,9 +28,7 @@ void BurstSender::reset() {
   class_staged_.fill(0);
   for (TableEntry& e : table_) e = TableEntry{};
   free_ids_.clear();
-  for (unsigned i = 0; i < cfg_.table_size; ++i) {
-    free_ids_.push_back(cfg_.table_size - 1 - i);
-  }
+  for (unsigned i = 0; i < kTableSize; ++i) free_ids_.push_back(kTableSize - 1 - i);
   live_bursts_ = 0;
 }
 
@@ -64,7 +56,7 @@ bool BurstSender::try_extend_tail(const WordRequest* run, unsigned n, Addr base,
   if (!tail.is_burst || tail.dst_tile != dst) return false;
   if (tail.stride != stride || tail.write != write) return false;
   if (tail.base + static_cast<Addr>(tail.len) * stride * kWordBytes != base) return false;
-  if (tail.len + n > cfg_.max_burst_len) return false;
+  if (tail.len + n > max_burst_len_) return false;
   // The extended span's last element must still land inside the tile.
   if (map.bank_in_tile(tail.base) + (tail.len + n - 1) * stride >= map.banks_per_tile()) {
     return false;
@@ -111,12 +103,11 @@ void BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
   // A 1-word-stride vlse32 is semantically a vle32; the extension detects
   // it and rides the plain unit-stride burst path (the paper's baseline
   // design keys on the VLE opcode only).
-  const bool unit_load = cfg_.enable_bursts && beat.unit_stride_load;
-  const bool strided_load = cfg_.enable_bursts && cfg_.enable_strided_bursts &&
+  const bool unit_load = bursts_ && beat.unit_stride_load;
+  const bool strided_load = bursts_ && strided_bursts_ &&
                             beat.strided_load && beat.stride_words >= 1 &&
                             beat.stride_words < map.banks_per_tile();
-  const bool unit_store =
-      cfg_.enable_bursts && cfg_.enable_store_bursts && beat.unit_stride_store;
+  const bool unit_store = bursts_ && store_bursts_ && beat.unit_stride_store;
   if (!unit_load && !strided_load && !unit_store) {
     for (const WordRequest& w : beat.words) push_narrow(w);
     return;
@@ -134,7 +125,7 @@ void BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
     const DecodedAddr dec = map.decode(base);
     const TileId dst = dec.tile;
     std::size_t run = 1;
-    while (i + run < n && run < cfg_.max_burst_len &&
+    while (i + run < n && run < max_burst_len_ &&
            dec.bank_in_tile + run * stride < map.banks_per_tile()) {
       assert(beat.words[i + run].addr == base + run * stride * kWordBytes);
       ++run;

@@ -43,22 +43,7 @@
 
 namespace tcdm {
 
-struct BurstSenderConfig {
-  bool enable_bursts = false;
-  /// Extension (paper future work): coalesce constant-stride vector loads
-  /// into strided bursts (base, len, stride). Request-side win is identical
-  /// to unit-stride bursts; the response-side merge degrades gracefully as
-  /// the stride spreads elements over GF-bank segments.
-  bool enable_strided_bursts = false;
-  /// Extension (design-space ablation): coalesce unit-stride vector stores
-  /// into write bursts. The payload still crosses the narrow request channel
-  /// at req_grouping_factor words/cycle, which is why the paper leaves
-  /// stores narrow — this knob exists to quantify that choice.
-  bool enable_store_bursts = false;
-  unsigned max_burst_len = 4;   // usually K; capped by banks_per_tile
-  unsigned table_size = 64;     // outstanding bursts
-  unsigned staging_beats = 4;   // staging capacity in units of K-word beats
-};
+struct ClusterConfig;
 
 /// One element access prepared by the VLSU.
 struct WordRequest {
@@ -83,7 +68,14 @@ struct BeatRequest {
 
 class BurstSender {
  public:
-  BurstSender(const BurstSenderConfig& cfg, unsigned num_ports);
+  /// Outstanding bursts the table can resolve.
+  static constexpr unsigned kTableSize = 64;
+  /// Staging capacity in units of K-word beats.
+  static constexpr unsigned kStagingBeats = 4;
+
+  /// Reads the config's burst switches (`burst_enabled`, `strided_bursts`,
+  /// `store_bursts`), its burst length and its VLSU port count K.
+  explicit BurstSender(const ClusterConfig& cfg);
 
   void attach_stats(StatsRegistry& reg, const std::string& prefix);
 
@@ -156,8 +148,18 @@ class BurstSender {
                                      TileId dst, unsigned stride, bool write,
                                      const AddressMap& map);
 
-  BurstSenderConfig cfg_;
-  unsigned num_ports_;
+  bool bursts_;
+  /// Extension (paper future work): coalesce constant-stride vector loads
+  /// into strided bursts (base, len, stride). Request-side win is identical
+  /// to unit-stride bursts; the response-side merge degrades gracefully as
+  /// the stride spreads elements over GF-bank segments.
+  bool strided_bursts_;
+  /// Extension (design-space ablation): coalesce unit-stride vector stores
+  /// into write bursts. The payload still crosses the narrow request
+  /// channel at req_grouping_factor words/cycle, which is why the paper
+  /// leaves stores narrow.
+  bool store_bursts_;
+  unsigned max_burst_len_;  // usually K; capped by banks_per_tile
   std::size_t capacity_items_;
   // Ring, not deque: can_accept_beat() admits a beat only while
   // size() <= capacity_items_, and one beat stages at most kMaxPorts items,

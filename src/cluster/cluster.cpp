@@ -32,10 +32,7 @@ Cluster::Cluster(const ClusterConfig& cfg, const SimOptions& sim)
       barrier_(BarrierKind::kCentral, cfg.num_cores(), worst_round_trip(topo_)),
       watchdog_(kDefaultWatchdogWindow),
       stepping_(sim.stepping) {
-  NetworkConfig net_cfg;
-  net_cfg.grouping_factor = cfg_.burst_enabled ? cfg_.grouping_factor : 1;
-  net_cfg.req_grouping_factor = cfg_.req_grouping_factor;
-  net_ = std::make_unique<HierNetwork>(topo_, net_cfg, stats_);
+  net_ = std::make_unique<HierNetwork>(topo_, cfg_.req_grouping_factor, stats_);
   tiles_.reserve(cfg_.num_tiles);
   for (TileId t = 0; t < cfg_.num_tiles; ++t) {
     tiles_.push_back(std::make_unique<Tile>(cfg_, t, *net_, map_, barrier_, stats_));

@@ -5,25 +5,14 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/common/bitutil.hpp"
 #include "src/common/json_fields.hpp"
+#include "src/memory/mem_types.hpp"
+#include "src/spatz/vinstr.hpp"
 
 namespace tcdm {
-
-SpatzConfig ClusterConfig::spatz_config() const {
-  SpatzConfig sc;
-  sc.vlen_bits = vlen_bits;
-  sc.lanes = vlsu_ports;
-  sc.rob_depth = rob_depth;
-  sc.fpu_latency = fpu_latency;
-  sc.viq_depth = viq_depth;
-  sc.sender.enable_bursts = burst_enabled;
-  sc.sender.enable_strided_bursts = strided_bursts;
-  sc.sender.enable_store_bursts = store_bursts;
-  sc.sender.max_burst_len = effective_max_burst_len();
-  return sc;
-}
 
 void ClusterConfig::validate() const {
   if (level_sizes.empty() ||
@@ -59,6 +48,18 @@ void ClusterConfig::validate() const {
   }
   if (vlen_bits % 32 != 0 || vlen_bits < 32) {
     throw std::invalid_argument(name + ": vlen_bits must be a multiple of 32");
+  }
+  // RVV caps VLEN at 2^16 bits, which also keeps a port's retired-element
+  // count (VInstr::port_retired, 16 bits) exact.
+  if (vlen_bits > 65536) {
+    throw std::invalid_argument(name + ": vlen_bits " + std::to_string(vlen_bits) +
+                                " exceeds RVV's VLEN limit of 65536");
+  }
+  // A zero-depth ROB or VIQ deadlocks the core, and zero-word banks hold no data.
+  for (const auto& [key, value] : {std::pair{"rob_depth", rob_depth},
+                                   std::pair{"viq_depth", viq_depth},
+                                   std::pair{"bank_words", bank_words}}) {
+    if (value == 0) throw std::invalid_argument(name + ": " + key + " must be at least 1");
   }
   if (burst_enabled) {
     if (grouping_factor < 1 || grouping_factor > kMaxGroupingFactor) {

@@ -3,18 +3,18 @@
 // the TCDM Burst extension), plus the three preset scales evaluated in the
 // paper and the `with_burst(GF)` transform that applies the extension
 // (burst-enabled Sender, GF-wide response channel, doubled ROBs — §III).
-// Bank queues, network slots, burst-manager buffers and the scalar core
-// stay at their component defaults (MemPool's fixed microarchitecture).
+// Bank registers, network port queues, Burst Manager and Burst Sender
+// buffers and the scalar core are MemPool's fixed microarchitecture: named
+// constants next to each component (docs/ARCHITECTURE.md, "Fixed
+// microarchitecture"), built from this config and nothing else.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "src/burst/burst_sender.hpp"
 #include "src/common/json.hpp"
 #include "src/interconnect/topology.hpp"
 #include "src/memory/address_map.hpp"
-#include "src/spatz/spatz.hpp"
 
 namespace tcdm {
 
@@ -77,7 +77,6 @@ struct ClusterConfig {
   [[nodiscard]] AddressMap address_map() const {
     return AddressMap(num_banks(), banks_per_tile, bank_words);
   }
-  [[nodiscard]] SpatzConfig spatz_config() const;
   [[nodiscard]] unsigned effective_max_burst_len() const noexcept {
     return max_burst_len == 0 ? vlsu_ports : max_burst_len;
   }

@@ -5,18 +5,9 @@
 
 namespace tcdm {
 
-namespace {
-BurstManagerConfig bm_config(const ClusterConfig& cfg) {
-  BurstManagerConfig bm;
-  bm.grouping_factor = cfg.burst_enabled ? cfg.grouping_factor : 1;
-  if (cfg.store_bursts) bm.write_words_per_cycle = cfg.req_grouping_factor;
-  return bm;
-}
-}  // namespace
-
 Tile::Tile(const ClusterConfig& cfg, TileId id, HierNetwork& net, const AddressMap& map,
            Barrier& barrier, StatsRegistry& stats)
-    : id_(id), net_(net), map_(map), bm_(bm_config(cfg), map, id) {
+    : id_(id), net_(net), map_(map), bm_(cfg.grouping_factor, cfg.req_grouping_factor, map, id) {
   banks_.reserve(cfg.banks_per_tile);
   const std::string prefix = "tile" + std::to_string(id);
   for (unsigned b = 0; b < cfg.banks_per_tile; ++b) {
@@ -25,7 +16,7 @@ Tile::Tile(const ClusterConfig& cfg, TileId id, HierNetwork& net, const AddressM
     banks_.back().attach_busy_counter(&busy_banks_);
   }
   bm_.attach_stats(stats, prefix + ".bm");
-  cc_ = std::make_unique<CoreComplex>(cfg.spatz_config(), id, cfg.num_cores(), barrier);
+  cc_ = std::make_unique<CoreComplex>(cfg, id, barrier);
   cc_->attach_stats(stats, "cc" + std::to_string(id));
 }
 

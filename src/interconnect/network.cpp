@@ -5,9 +5,13 @@
 
 namespace tcdm {
 
-HierNetwork::HierNetwork(const Topology& topo, const NetworkConfig& cfg, StatsRegistry& stats)
-    : topo_(topo), cfg_(cfg), num_classes_(topo.num_classes()), num_tiles_(topo.num_tiles()) {
-  assert(cfg_.grouping_factor >= 1 && cfg_.grouping_factor <= kMaxGroupingFactor);
+HierNetwork::HierNetwork(const Topology& topo, unsigned req_grouping_factor,
+                         StatsRegistry& stats)
+    : topo_(topo),
+      req_grouping_factor_(req_grouping_factor),
+      num_classes_(topo.num_classes()),
+      num_tiles_(topo.num_tiles()) {
+  assert(req_grouping_factor_ >= 1 && req_grouping_factor_ <= kMaxGroupingFactor);
   const std::size_t ports = static_cast<std::size_t>(num_tiles_) * num_classes_;
 
   req_master_.reserve(ports);
@@ -26,14 +30,13 @@ HierNetwork::HierNetwork(const Topology& topo, const NetworkConfig& cfg, StatsRe
       if (src != dst) ++senders[topo.class_of(src, dst)];
     }
     for (std::uint8_t cls = 0; cls < num_classes_; ++cls) {
-      req_master_.emplace_back(topo.req_latency(cls) + cfg_.master_extra_slots);
-      rsp_master_.emplace_back(topo.rsp_latency(cls) + cfg_.master_extra_slots);
-      req_slave_.emplace_back(senders[cls] == 0 ? 0 : cfg_.slave_depth);
+      req_master_.emplace_back(topo.req_latency(cls) + kMasterExtraSlots);
+      rsp_master_.emplace_back(topo.rsp_latency(cls) + kMasterExtraSlots);
+      req_slave_.emplace_back(senders[cls] == 0 ? 0 : kSlaveDepth);
       req_wait_.emplace_back(senders[cls]);
       rsp_wait_.emplace_back(senders[cls]);
     }
   }
-  assert(cfg_.req_grouping_factor >= 1 && cfg_.req_grouping_factor <= kMaxGroupingFactor);
   req_master_free_at_.assign(ports, 0);
   rsp_master_last_push_.assign(ports, kNoCycle);
   req_registered_.assign(ports, 0);
@@ -62,7 +65,7 @@ void HierNetwork::send_req(TileId src, TileId dst, const TcdmReq& req, Cycle now
   // across the request-channel data field over ceil(len / req_gf) cycles.
   const Cycle beats =
       req.write && req.len > 1
-          ? (req.len + cfg_.req_grouping_factor - 1) / cfg_.req_grouping_factor
+          ? (req.len + req_grouping_factor_ - 1) / req_grouping_factor_
           : 1;
   const bool ok = req_master_[p].try_push(ReqEntry{req, dst},
                                           now + topo_.req_latency(cls) + beats - 1);

@@ -45,20 +45,6 @@
 
 namespace tcdm {
 
-struct NetworkConfig {
-  /// Response-channel grouping factor: words per response beat (paper's GF).
-  unsigned grouping_factor = 1;
-  /// Request-channel data width in words (store-burst extension). A write
-  /// burst of L words occupies its master port for ceil(L / this) cycles —
-  /// with the default of 1 a store burst saves nothing over narrow stores,
-  /// which is precisely the paper's argument for bursting loads only.
-  unsigned req_grouping_factor = 1;
-  /// Master-port FIFO slots beyond the pipe latency (output register depth).
-  unsigned master_extra_slots = 2;
-  /// Request slave queue depth per (tile, class).
-  unsigned slave_depth = 4;
-};
-
 /// Consumer of delivered response beats (implemented by the cluster, which
 /// forwards to the requesting Core Complex). Delivery always succeeds: every
 /// response fills a pre-allocated slot (ROB entry, scalar pending register or
@@ -71,10 +57,20 @@ class RspSink {
 
 class HierNetwork {
  public:
-  HierNetwork(const Topology& topo, const NetworkConfig& cfg, StatsRegistry& stats);
+  /// Master-port FIFO slots beyond the class's pipe latency (the port's
+  /// output register stages).
+  static constexpr unsigned kMasterExtraSlots = 2;
+  /// Request slave queue depth per reachable (tile, class).
+  static constexpr unsigned kSlaveDepth = 4;
+
+  /// `req_grouping_factor`: request-channel data width in words (the
+  /// store-burst extension). A write burst of L words occupies its master
+  /// port for ceil(L / req_grouping_factor) cycles, so at 1 a store burst
+  /// saves nothing over narrow stores — the paper's argument for bursting
+  /// loads only.
+  HierNetwork(const Topology& topo, unsigned req_grouping_factor, StatsRegistry& stats);
 
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
-  [[nodiscard]] unsigned grouping_factor() const noexcept { return cfg_.grouping_factor; }
 
   // ---- request ingress (cores stage; at most one per (src, class) per cycle) ----
   // One request per (tile, class) master port per cycle. A K-element
@@ -161,7 +157,7 @@ class HierNetwork {
   };
 
   const Topology& topo_;
-  NetworkConfig cfg_;
+  unsigned req_grouping_factor_;
   unsigned num_classes_ = 0;
   unsigned num_tiles_ = 0;
 

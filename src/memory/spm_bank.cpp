@@ -4,8 +4,7 @@
 
 namespace tcdm {
 
-SpmBank::SpmBank(unsigned words, unsigned in_depth, unsigned out_depth)
-    : data_(words, 0), in_(in_depth), out_(out_depth) {}
+SpmBank::SpmBank(unsigned words) : data_(words, 0), in_(kInDepth), out_(kOutDepth) {}
 
 void SpmBank::attach_stats(StatsRegistry& reg, const std::string& prefix) {
   static constexpr std::string_view kStats[] = {".reads", ".writes", ".conflict_cycles",

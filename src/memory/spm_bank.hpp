@@ -22,10 +22,14 @@ namespace tcdm {
 
 class SpmBank {
  public:
-  /// `words`: storage capacity. `in_depth`: request input queue (the RTL has
-  /// a register + arbitration stage; depth 2 models request pipelining
-  /// without unbounded buffering).
-  SpmBank(unsigned words, unsigned in_depth = 2, unsigned out_depth = 2);
+  /// Request input queue: the RTL has a register + arbitration stage; depth
+  /// 2 models request pipelining without unbounded buffering.
+  static constexpr unsigned kInDepth = 2;
+  /// Response output register.
+  static constexpr unsigned kOutDepth = 2;
+
+  /// `words`: storage capacity.
+  explicit SpmBank(unsigned words);
 
   void attach_stats(StatsRegistry& reg, const std::string& prefix);
 

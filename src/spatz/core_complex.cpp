@@ -2,11 +2,12 @@
 
 #include <cassert>
 
+#include "src/cluster/cluster_config.hpp"
+
 namespace tcdm {
 
-CoreComplex::CoreComplex(const SpatzConfig& cfg, CoreId hartid, unsigned num_harts,
-                         Barrier& barrier)
-    : hartid_(hartid), barrier_(barrier), snitch_(hartid, num_harts), spatz_(cfg) {}
+CoreComplex::CoreComplex(const ClusterConfig& cfg, CoreId hartid, Barrier& barrier)
+    : hartid_(hartid), barrier_(barrier), snitch_(hartid, cfg.num_cores()), spatz_(cfg) {}
 
 void CoreComplex::attach_stats(StatsRegistry& reg, const std::string& prefix) {
   snitch_.attach_stats(reg, prefix + ".snitch");

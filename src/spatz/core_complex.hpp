@@ -18,10 +18,12 @@
 
 namespace tcdm {
 
+struct ClusterConfig;
+
 class CoreComplex {
  public:
-  CoreComplex(const SpatzConfig& cfg, CoreId hartid, unsigned num_harts,
-              Barrier& barrier);
+  /// Hart `hartid` of the config's `num_cores()`.
+  CoreComplex(const ClusterConfig& cfg, CoreId hartid, Barrier& barrier);
 
   void attach_stats(StatsRegistry& reg, const std::string& prefix);
   void load_program(const Program* prog, Cycle start_cycle = 0);

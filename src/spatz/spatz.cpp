@@ -2,14 +2,15 @@
 
 #include <cassert>
 
+#include "src/cluster/cluster_config.hpp"
+
 namespace tcdm {
 
-Spatz::Spatz(const SpatzConfig& cfg)
-    : cfg_(cfg),
-      vrf_(cfg.vlen_bits),
+Spatz::Spatz(const ClusterConfig& cfg)
+    : vrf_(cfg.vlen_bits),
       viq_(cfg.viq_depth),
-      vfpu_(cfg.lanes, cfg.fpu_latency),
-      vlsu_(cfg.lanes, cfg.rob_depth, cfg.sender) {}
+      vfpu_(cfg.vlsu_ports, cfg.fpu_latency),
+      vlsu_(cfg) {}
 
 void Spatz::attach_stats(StatsRegistry& reg, const std::string& prefix) {
   vfpu_.attach_stats(reg, prefix + ".vfpu");

@@ -18,18 +18,13 @@
 
 namespace tcdm {
 
-struct SpatzConfig {
-  unsigned vlen_bits = 256;
-  unsigned lanes = 4;  // K: FPUs == VLSU ports
-  unsigned rob_depth = 8;
-  unsigned fpu_latency = 3;
-  unsigned viq_depth = 4;
-  BurstSenderConfig sender;
-};
+struct ClusterConfig;
 
 class Spatz {
  public:
-  explicit Spatz(const SpatzConfig& cfg);
+  /// Reads the config's VLEN, K (`vlsu_ports`: FPUs == VLSU ports), queue
+  /// depths, FPU latency and burst switches.
+  explicit Spatz(const ClusterConfig& cfg);
 
   void attach_stats(StatsRegistry& reg, const std::string& prefix);
   void reset();
@@ -66,7 +61,6 @@ class Spatz {
   [[nodiscard]] const VectorRegFile& vrf() const noexcept { return vrf_; }
 
  private:
-  SpatzConfig cfg_;
   VectorRegFile vrf_;
   Scoreboard sb_;
   std::array<VInstr, kVInstrSlots> pool_{};

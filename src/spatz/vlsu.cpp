@@ -5,13 +5,14 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "src/cluster/cluster_config.hpp"
+
 namespace tcdm {
 
-Vlsu::Vlsu(unsigned ports, unsigned rob_depth, const BurstSenderConfig& sender_cfg)
-    : ports_(ports), sender_(sender_cfg, ports) {
+Vlsu::Vlsu(const ClusterConfig& cfg) : ports_(cfg.vlsu_ports), sender_(cfg) {
   assert(ports_ >= 1 && ports_ <= kMaxPorts);
   rob_.reserve(ports_);
-  for (unsigned p = 0; p < ports_; ++p) rob_.emplace_back(rob_depth);
+  for (unsigned p = 0; p < ports_; ++p) rob_.emplace_back(cfg.rob_depth);
 }
 
 void Vlsu::attach_stats(StatsRegistry& reg, const std::string& prefix) {

@@ -32,9 +32,13 @@
 
 namespace tcdm {
 
+struct ClusterConfig;
+
 class Vlsu {
  public:
-  Vlsu(unsigned ports, unsigned rob_depth, const BurstSenderConfig& sender_cfg);
+  /// K = `vlsu_ports` ports with a `rob_depth`-slot ROB each; the Burst
+  /// Sender reads its switches from the same config.
+  explicit Vlsu(const ClusterConfig& cfg);
 
   void attach_stats(StatsRegistry& reg, const std::string& prefix);
 

@@ -63,6 +63,26 @@ std::vector<SpmBank> patterned_banks(unsigned num_banks, unsigned rows) {
   return banks;
 }
 
+FakeTile::FakeTile(StatsRegistry& stats)
+    : arrived(4), map_(small_address_map()), topo_(flat4_topology()), net_(topo_, 1, stats) {}
+
+bool FakeTile::try_local_push(unsigned bank, const BankReq& req) {
+  local_pushes.push_back({bank, req});
+  return accept_local;
+}
+
+void FakeTile::drain(Cycle now) {
+  struct NullSink final : RspSink {
+    void deliver_rsp(const TcdmResp&, Cycle) override {}
+  } sink;
+  net_.cycle(now, sink);
+  for (TileId dst = 0; dst < topo_.num_tiles(); ++dst) {
+    for (std::uint8_t cls = 0; cls < topo_.num_classes(); ++cls) {
+      while (!net_.slave_empty(dst, cls)) arrived[dst].push_back(net_.slave_pop(dst, cls).addr);
+    }
+  }
+}
+
 // ------------------------------------------------------ kernel run helpers --
 
 KernelMetrics run_capped(const ClusterConfig& cfg, Kernel& k, Cycle max_cycles) {

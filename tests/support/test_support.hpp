@@ -21,7 +21,9 @@
 
 #include "src/cluster/cluster_config.hpp"
 #include "src/cluster/kernel_runner.hpp"
+#include "src/cluster/tile_services.hpp"
 #include "src/common/rng.hpp"
+#include "src/interconnect/network.hpp"
 #include "src/interconnect/topology.hpp"
 #include "src/memory/address_map.hpp"
 #include "src/memory/spm_bank.hpp"
@@ -80,6 +82,33 @@ class BurstSweepTest : public ::testing::TestWithParam<unsigned> {
 /// so merged burst beats can be checked for word placement at a glance.
 [[nodiscard]] std::vector<SpmBank> patterned_banks(unsigned num_banks = 4,
                                                    unsigned rows = 64);
+
+/// Home tile 0 of flat4_topology() over small_address_map() for the Burst
+/// Sender suites: its remote path is a real HierNetwork, its local banks a
+/// record of the pushes (refused while `accept_local` is false). In
+/// flat4_topology() tile 0 reaches each peer through its own class port:
+/// tile 1 -> class 1, tile 2 -> class 2, tile 3 -> class 3.
+class FakeTile final : public TileServices {
+ public:
+  explicit FakeTile(StatsRegistry& stats);
+
+  bool try_local_push(unsigned bank, const BankReq& req) override;
+  HierNetwork& net() override { return net_; }
+  const AddressMap& map() const override { return map_; }
+  TileId tile_id() const override { return 0; }
+
+  /// The network cycle at `now` that Cluster::step runs after the core
+  /// phase. Each request it moves into a slave queue is popped there and
+  /// its address appended to `arrived[destination tile]`.
+  void drain(Cycle now);
+
+  std::vector<std::pair<unsigned, BankReq>> local_pushes;
+  bool accept_local = true;
+  std::vector<std::vector<Addr>> arrived;
+  AddressMap map_;
+  Topology topo_;
+  HierNetwork net_;
+};
 
 // ------------------------------------------------------ kernel run helpers --
 

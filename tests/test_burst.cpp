@@ -19,7 +19,7 @@ class BurstManagerTest : public ::testing::Test {
  protected:
   BurstManagerTest()
       : map_(test::small_address_map()),
-        bm_(BurstManagerConfig{.grouping_factor = 4, .merge_slots = 8}, map_, 1),
+        bm_(4, kMaxGroupingFactor, map_, 1),
         banks_(test::patterned_banks()) {}
 
   /// Byte address of (bank-in-tile, row) for tile 1.
@@ -61,7 +61,7 @@ TEST_F(BurstManagerTest, SplitsBurstAcrossBanksAndMergesOneBeat) {
 }
 
 TEST_F(BurstManagerTest, Gf2ProducesTwoBeats) {
-  BurstManager bm2(BurstManagerConfig{.grouping_factor = 2, .merge_slots = 8}, map_, 1);
+  BurstManager bm2(2, kMaxGroupingFactor, map_, 1);
   TcdmReq req;
   req.addr = addr_of(0, 9);
   req.len = 4;
@@ -88,7 +88,7 @@ TEST_F(BurstManagerTest, Gf2ProducesTwoBeats) {
 
 TEST_F(BurstManagerTest, UnalignedBurstSpansSegments) {
   // Burst of 3 starting at bank 1 with GF2: segments [1], [2,3].
-  BurstManager bm2(BurstManagerConfig{.grouping_factor = 2, .merge_slots = 8}, map_, 1);
+  BurstManager bm2(2, kMaxGroupingFactor, map_, 1);
   TcdmReq req;
   req.addr = addr_of(1, 0);
   req.len = 3;
@@ -112,8 +112,46 @@ TEST_F(BurstManagerTest, FifoBackpressureWhenFull) {
   TcdmReq req;
   req.addr = addr_of(0, 0);
   req.len = 4;
-  for (unsigned i = 0; i < 4; ++i) EXPECT_TRUE(bm_.try_accept(req));
-  EXPECT_FALSE(bm_.try_accept(req));  // FIFO depth 4
+  for (unsigned i = 0; i < BurstManager::kFifoDepth; ++i) EXPECT_TRUE(bm_.try_accept(req));
+  EXPECT_FALSE(bm_.try_accept(req));
+}
+
+TEST_F(BurstManagerTest, MergeSlotExhaustionStallsIssue) {
+  // Each aligned 4-word burst fills one GF4 merge slot. Fill every slot and
+  // take no beat: the slots stay ready and hold their data.
+  const auto issue_and_fill = [&](Addr addr) {
+    TcdmReq req;
+    req.addr = addr;
+    req.len = 4;
+    ASSERT_TRUE(bm_.try_accept(req));
+    bm_.issue(banks_);
+    for (unsigned b = 0; b < 4; ++b) {
+      banks_[b].cycle();
+      ASSERT_TRUE(banks_[b].resp_ready());
+      const BankResp r = banks_[b].resp_pop();
+      bm_.fill(r.route, r.data);
+    }
+  };
+  for (unsigned i = 0; i < BurstManager::kMergeSlots; ++i) issue_and_fill(addr_of(0, i));
+  ASSERT_EQ(bm_.ready_count(), BurstManager::kMergeSlots);
+
+  // The next burst finds no free slot: no bank sees a request.
+  TcdmReq req;
+  req.addr = addr_of(0, BurstManager::kMergeSlots);
+  req.len = 4;
+  ASSERT_TRUE(bm_.try_accept(req));
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    bm_.issue(banks_);
+    for (unsigned b = 0; b < 4; ++b) EXPECT_FALSE(banks_[b].has_request()) << "bank " << b;
+  }
+  EXPECT_TRUE(bm_.busy());
+
+  // Emitting one beat frees its slot, and the stalled burst issues.
+  const auto slot = bm_.next_ready_slot();
+  ASSERT_TRUE(slot.has_value());
+  (void)bm_.take_beat(*slot);
+  bm_.issue(banks_);
+  for (unsigned b = 0; b < 4; ++b) EXPECT_TRUE(banks_[b].has_request()) << "bank " << b;
 }
 
 TEST_F(BurstManagerTest, StalledBankRetriesNextCycle) {
@@ -153,29 +191,15 @@ TEST_F(BurstManagerTest, StalledBankRetriesNextCycle) {
 
 // ----------------------------------------------------------------- sender --
 
-class FakeTile final : public TileServices {
- public:
-  FakeTile(StatsRegistry& stats)
-      : map_(test::small_address_map()),
-        topo_(test::flat4_topology()),
-        // Deep master FIFOs: these tests dispatch without running the
-        // network cycle that would normally drain the ports.
-        net_(topo_, NetworkConfig{.master_extra_slots = 8}, stats) {}
+using test::FakeTile;
 
-  bool try_local_push(unsigned bank, const BankReq& req) override {
-    local_pushes.push_back({bank, req});
-    return accept_local;
-  }
-  HierNetwork& net() override { return net_; }
-  const AddressMap& map() const override { return map_; }
-  TileId tile_id() const override { return 0; }
-
-  std::vector<std::pair<unsigned, BankReq>> local_pushes;
-  bool accept_local = true;
-  AddressMap map_;
-  Topology topo_;
-  HierNetwork net_;
-};
+/// MP4Spatz4 (K = 4) with TCDM Burst at GF4 and bursts of up to `max_len`
+/// words; test::mp4_config(0) is its narrow baseline.
+ClusterConfig bursting(unsigned max_len = 4) {
+  ClusterConfig cfg = test::mp4_config(4);
+  cfg.max_burst_len = max_len;
+  return cfg;
+}
 
 BeatRequest unit_beat(Addr base, unsigned n, bool load = true) {
   BeatRequest b;
@@ -194,7 +218,7 @@ BeatRequest unit_beat(Addr base, unsigned n, bool load = true) {
 TEST(BurstSender, CoalescesRemoteUnitStrideLoad) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender(bursting());
   // Tile 1's words: addresses 16..31 bytes (banks 4..7).
   sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0);
   sender.dispatch(0, tile);
@@ -211,7 +235,7 @@ TEST(BurstSender, CoalescesRemoteUnitStrideLoad) {
 TEST(BurstSender, LocalBeatsBypassTheNetwork) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender(bursting());
   sender.accept_beat(unit_beat(0, 4), tile.map(), tile.topo_, 0);  // tile 0
   sender.dispatch(0, tile);
   EXPECT_EQ(tile.local_pushes.size(), 4u);
@@ -221,12 +245,14 @@ TEST(BurstSender, LocalBeatsBypassTheNetwork) {
 TEST(BurstSender, DisabledModeSendsNarrow) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = false}, 4);
+  BurstSender sender(test::mp4_config(0));
   sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0);
-  sender.dispatch(0, tile);   // class port limits to 1/cycle
-  sender.dispatch(1, tile);
-  sender.dispatch(2, tile);
-  sender.dispatch(3, tile);
+  for (Cycle c = 0; c < 4; ++c) {
+    sender.dispatch(c, tile);  // class port limits to 1/cycle
+    EXPECT_EQ(stats.value("network.req_sent"), c + 1.0);
+    tile.drain(c);
+  }
+  EXPECT_TRUE(sender.staging_empty());
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);  // serialized narrow words
   EXPECT_EQ(stats.value("network.req_words"), 4.0);
 }
@@ -234,18 +260,21 @@ TEST(BurstSender, DisabledModeSendsNarrow) {
 TEST(BurstSender, StoresNeverBurst) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender(bursting());
   BeatRequest b = unit_beat(16, 4, /*load=*/false);
   b.unit_stride_load = false;  // stores are not burst-eligible
   sender.accept_beat(b, tile.map(), tile.topo_, 0);
-  for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
+  for (Cycle c = 0; c < 4; ++c) {
+    sender.dispatch(c, tile);
+    tile.drain(c);
+  }
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);
 }
 
 TEST(BurstSender, SplitsAtTileBoundary) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender(bursting());
   // Words 6..9 span tile 1 (banks 6,7) and tile 2 (banks 8,9).
   sender.accept_beat(unit_beat(24, 4), tile.map(), tile.topo_, 0);
   sender.dispatch(0, tile);
@@ -259,7 +288,7 @@ TEST(BurstSender, ExtendsTailAcrossBeats) {
   FakeTile tile(stats);
   // Allow 8-word bursts (banks_per_tile is 4 in FakeTile, so use a map with
   // 8 banks/tile to permit extension).
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 8}, 4);
+  BurstSender sender(bursting(8));
   AddressMap map8(16, 8, 64);
   // Tile 1 = banks 8..15 -> words 8..15. Two contiguous 4-word beats.
   sender.accept_beat(unit_beat(32, 4), map8, tile.topo_, 0);
@@ -273,13 +302,28 @@ TEST(BurstSender, ExtendsTailAcrossBeats) {
 TEST(BurstSender, TableExhaustionDegradesToNarrow) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 4, .table_size = 1,
-                      .staging_beats = 8},
-                     4);
-  sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0);  // takes the entry
-  sender.accept_beat(unit_beat(32, 4), tile.map(), tile.topo_, 0);  // degrades
-  for (Cycle c = 0; c < 8; ++c) sender.dispatch(c, tile);
-  EXPECT_EQ(stats.value("network.req_sent"), 5.0);  // 1 burst + 4 narrow
+  BurstSender sender(bursting());
+  sender.attach_stats(stats, "s");
+  // Nothing resolves, so each burst keeps its table entry: fill them all.
+  Cycle c = 0;
+  for (unsigned i = 0; i < BurstSender::kTableSize; ++i, ++c) {
+    sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0);
+    sender.dispatch(c, tile);
+    tile.drain(c);
+  }
+  ASSERT_TRUE(sender.staging_empty());
+  ASSERT_EQ(sender.live_bursts(), BurstSender::kTableSize);
+  ASSERT_EQ(stats.value("s.bursts_sent"), BurstSender::kTableSize);
+  // The next burst-eligible beat finds no free entry and goes narrow.
+  sender.accept_beat(unit_beat(32, 4), tile.map(), tile.topo_, 0);
+  for (const Cycle end = c + 8; c < end; ++c) {
+    sender.dispatch(c, tile);
+    tile.drain(c);
+  }
+  EXPECT_TRUE(sender.staging_empty());
+  EXPECT_EQ(stats.value("s.bursts_sent"), BurstSender::kTableSize);
+  EXPECT_EQ(stats.value("s.narrow_remote_words"), 4.0);
+  EXPECT_EQ(stats.value("network.req_sent"), BurstSender::kTableSize + 4.0);
 }
 
 // ------------------------------------------------- dispatch semantics --
@@ -309,32 +353,10 @@ void block_class(FakeTile& tile, std::uint8_t cls, Cycle now) {
   tile.net_.send_req(0, cls, r, now);
 }
 
-struct NullSink final : RspSink {
-  void deliver_rsp(const TcdmResp&, Cycle) override {}
-};
-
-/// Run the network until idle and return, per destination tile, the
-/// addresses of the requests that reached it, in arrival order.
-std::vector<std::vector<Addr>> drain_requests(FakeTile& tile, Cycle from) {
-  std::vector<std::vector<Addr>> got(tile.topo_.num_tiles());
-  NullSink sink;
-  for (Cycle c = from; c < from + 64; ++c) {
-    tile.net_.cycle(c, sink);
-    for (TileId dst = 0; dst < tile.topo_.num_tiles(); ++dst) {
-      for (std::uint8_t cls = 0; cls < tile.topo_.num_classes(); ++cls) {
-        while (!tile.net_.slave_empty(dst, cls)) {
-          got[dst].push_back(tile.net_.slave_pop(dst, cls).addr);
-        }
-      }
-    }
-  }
-  return got;
-}
-
 TEST(BurstSenderDispatch, BlockedClassDoesNotStopLaterItems) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({}, 4);
+  BurstSender sender(test::mp4_config(0));
   sender.attach_stats(stats, "s");
   // Class 1 first, then a local word, then a class-2 word.
   sender.accept_beat(narrow_beat({16, 20, 0, 32}), tile.map(), tile.topo_, 0);
@@ -344,7 +366,9 @@ TEST(BurstSenderDispatch, BlockedClassDoesNotStopLaterItems) {
   EXPECT_EQ(stats.value("s.narrow_remote_words"), 1.0);  // and so did class 2
   EXPECT_FALSE(tile.net_.can_send_req(0, 2, 0));
   EXPECT_FALSE(sender.staging_empty());
+  tile.drain(0);
   sender.dispatch(1, tile);  // class 1 reopens: its first word goes
+  tile.drain(1);
   sender.dispatch(2, tile);
   EXPECT_TRUE(sender.staging_empty());
   EXPECT_EQ(stats.value("s.narrow_remote_words"), 3.0);
@@ -353,7 +377,7 @@ TEST(BurstSenderDispatch, BlockedClassDoesNotStopLaterItems) {
 TEST(BurstSenderDispatch, AtMostOneRequestPerClassPortPerCycle) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.staging_beats = 8}, 4);
+  BurstSender sender(test::mp4_config(0));
   sender.accept_beat(narrow_beat({16, 20, 32, 24}), tile.map(), tile.topo_, 0);
   sender.accept_beat(narrow_beat({36, 48, 52, 28}), tile.map(), tile.topo_, 0);
   sender.accept_beat(narrow_beat({40, 56, 4, 44}), tile.map(), tile.topo_, 0);
@@ -367,6 +391,7 @@ TEST(BurstSenderDispatch, AtMostOneRequestPerClassPortPerCycle) {
       ports_used += tile.net_.can_send_req(0, cls, c) ? 0 : 1;
     }
     EXPECT_EQ(stats.value("network.req_sent") - before, ports_used) << "cycle " << c;
+    tile.drain(c);
   }
   EXPECT_TRUE(sender.staging_empty());
   EXPECT_EQ(c, 4u);  // four words per busiest class, one per cycle
@@ -376,24 +401,27 @@ TEST(BurstSenderDispatch, AtMostOneRequestPerClassPortPerCycle) {
 TEST(BurstSenderDispatch, RequestsLeaveEachClassPortInStagingOrder) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.staging_beats = 8}, 4);
+  BurstSender sender(test::mp4_config(0));
   sender.accept_beat(narrow_beat({28, 32, 20, 52}), tile.map(), tile.topo_, 0);
   sender.accept_beat(narrow_beat({44, 16, 48, 36}), tile.map(), tile.topo_, 0);
   sender.accept_beat(narrow_beat({24, 60, 40, 8}), tile.map(), tile.topo_, 0);
   block_class(tile, 2, 0);  // one class starts a cycle late
   Cycle c = 0;
-  for (; c < 16 && !sender.staging_empty(); ++c) sender.dispatch(c, tile);
+  for (; c < 16 && !sender.staging_empty(); ++c) {
+    sender.dispatch(c, tile);
+    tile.drain(c);
+  }
   ASSERT_TRUE(sender.staging_empty());
-  const auto got = drain_requests(tile, 0);
-  EXPECT_EQ(got[1], (std::vector<Addr>{28, 20, 16, 24}));
-  EXPECT_EQ(got[2], (std::vector<Addr>{32, 32, 44, 36, 40}));  // after the blocker
-  EXPECT_EQ(got[3], (std::vector<Addr>{52, 48, 60}));
+  for (; tile.net_.busy(); ++c) tile.drain(c);
+  EXPECT_EQ(tile.arrived[1], (std::vector<Addr>{28, 20, 16, 24}));
+  EXPECT_EQ(tile.arrived[2], (std::vector<Addr>{32, 32, 44, 36, 40}));  // after the blocker
+  EXPECT_EQ(tile.arrived[3], (std::vector<Addr>{52, 48, 60}));
 }
 
 TEST(BurstSenderDispatch, PartialDispatchExtendsTheLastUnsentBurst) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 8}, 4);
+  BurstSender sender(bursting(8));
   sender.attach_stats(stats, "s");
   // 8 banks per tile: tile 1 holds bytes 32..63 of each 64-byte row.
   AddressMap map8(16, 8, 64);
@@ -404,18 +432,20 @@ TEST(BurstSenderDispatch, PartialDispatchExtendsTheLastUnsentBurst) {
   // which leaves the staging ring's youngest slot to burst B.
   block_class(tile, 1, 0);
   sender.dispatch(0, tile);
+  tile.drain(0);
   EXPECT_EQ(tile.local_pushes.size(), 4u);
   EXPECT_EQ(stats.value("s.bursts_sent"), 0.0);
   // The next beat continues B and must grow it, not start a new burst.
   sender.accept_beat(unit_beat(112, 4), map8, tile.topo_, 0);
   sender.dispatch(1, tile);  // A
+  tile.drain(1);
   sender.dispatch(2, tile);  // B, now 8 words long
   EXPECT_TRUE(sender.staging_empty());
   EXPECT_EQ(stats.value("s.bursts_sent"), 2.0);
   EXPECT_EQ(stats.value("s.burst_words"), 12.0);
   EXPECT_EQ(sender.lookup(1, 7).rob_slot, 3u);  // B's table entry holds the new beat
-  const auto got = drain_requests(tile, 0);
-  EXPECT_EQ(got[1], (std::vector<Addr>{16, 32, 96}));  // blocker, A, B
+  for (Cycle c = 2; tile.net_.busy(); ++c) tile.drain(c);
+  EXPECT_EQ(tile.arrived[1], (std::vector<Addr>{16, 32, 96}));  // blocker, A, B
 }
 
 }  // namespace

@@ -19,28 +19,7 @@ namespace {
 
 // ----------------------------------------------------------------- sender --
 
-class FakeTile final : public TileServices {
- public:
-  explicit FakeTile(StatsRegistry& stats)
-      : map_(16, 4, 64),
-        topo_({1, 4}, {{1, 1}, {1, 1}}),
-        // Deep master FIFOs: these tests dispatch without running the
-        // network cycle that would normally drain the ports.
-        net_(topo_, NetworkConfig{.master_extra_slots = 8}, stats) {}
-
-  bool try_local_push(unsigned bank, const BankReq& req) override {
-    local_pushes.push_back({bank, req});
-    return true;
-  }
-  HierNetwork& net() override { return net_; }
-  const AddressMap& map() const override { return map_; }
-  TileId tile_id() const override { return 0; }
-
-  std::vector<std::pair<unsigned, BankReq>> local_pushes;
-  AddressMap map_;
-  Topology topo_;
-  HierNetwork net_;
-};
+using test::FakeTile;
 
 BeatRequest strided_beat(Addr base, unsigned n, unsigned stride_words) {
   BeatRequest b;
@@ -73,8 +52,7 @@ BeatRequest store_beat(Addr base, unsigned n) {
 TEST(StridedBurstSender, CoalescesStride2AcrossTwoTiles) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender(
-      {.enable_bursts = true, .enable_strided_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender(test::mp4_config(4).with_strided_bursts());
   // Elements at words 4,6,8,10: banks 4,6 (tile 1) and 8,10 (tile 2).
   sender.accept_beat(strided_beat(16, 4, 2), tile.map(), tile.topo_, 0);
   sender.dispatch(0, tile);
@@ -90,20 +68,25 @@ TEST(StridedBurstSender, CoalescesStride2AcrossTwoTiles) {
 TEST(StridedBurstSender, DisabledFlagFallsBackToNarrow) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender(test::mp4_config(4));
   sender.accept_beat(strided_beat(16, 4, 2), tile.map(), tile.topo_, 0);
-  for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
+  for (Cycle c = 0; c < 4; ++c) {
+    sender.dispatch(c, tile);
+    tile.drain(c);
+  }
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);  // serialized narrow
 }
 
 TEST(StridedBurstSender, StrideAtTileSpanStaysNarrow) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender(
-      {.enable_bursts = true, .enable_strided_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender(test::mp4_config(4).with_strided_bursts());
   // stride 4 == banks_per_tile: every element lands in a different tile.
   sender.accept_beat(strided_beat(16, 3, 4), tile.map(), tile.topo_, 0);
-  for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
+  for (Cycle c = 0; c < 4; ++c) {
+    sender.dispatch(c, tile);
+    tile.drain(c);
+  }
   EXPECT_EQ(stats.value("network.req_sent"), 3.0);
   EXPECT_EQ(stats.value("network.req_words"), 3.0);
 }
@@ -111,8 +94,7 @@ TEST(StridedBurstSender, StrideAtTileSpanStaysNarrow) {
 TEST(StoreBurstSender, CoalescesRemoteUnitStrideStore) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender(
-      {.enable_bursts = true, .enable_store_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender(test::mp4_config(4).with_store_bursts(1));
   sender.accept_beat(store_beat(16, 4), tile.map(), tile.topo_, 0);
   sender.dispatch(0, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 1.0);
@@ -123,17 +105,19 @@ TEST(StoreBurstSender, CoalescesRemoteUnitStrideStore) {
 TEST(StoreBurstSender, DisabledFlagKeepsStoresNarrow) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender(test::mp4_config(4));
   sender.accept_beat(store_beat(16, 4), tile.map(), tile.topo_, 0);
-  for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
+  for (Cycle c = 0; c < 4; ++c) {
+    sender.dispatch(c, tile);
+    tile.drain(c);
+  }
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);
 }
 
 TEST(StoreBurstSender, LocalStoresStayNarrowLocal) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender(
-      {.enable_bursts = true, .enable_store_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender(test::mp4_config(4).with_store_bursts(1));
   sender.accept_beat(store_beat(0, 4), tile.map(), tile.topo_, 0);  // tile 0 = home
   sender.dispatch(0, tile);
   EXPECT_EQ(tile.local_pushes.size(), 4u);
@@ -161,7 +145,7 @@ class StridedManagerTest : public ::testing::Test {
 };
 
 TEST_F(StridedManagerTest, Gf4MergesStride2PairsIntoOneBeat) {
-  BurstManager bm(BurstManagerConfig{.grouping_factor = 4, .merge_slots = 8}, map_, 1);
+  BurstManager bm(4, kMaxGroupingFactor, map_, 1);
   TcdmReq req;
   req.addr = addr_of(0, 5);
   req.len = 2;
@@ -186,7 +170,7 @@ TEST_F(StridedManagerTest, Gf4MergesStride2PairsIntoOneBeat) {
 }
 
 TEST_F(StridedManagerTest, Gf2DegradesStride2ToOneWordBeats) {
-  BurstManager bm(BurstManagerConfig{.grouping_factor = 2, .merge_slots = 8}, map_, 1);
+  BurstManager bm(2, kMaxGroupingFactor, map_, 1);
   TcdmReq req;
   req.addr = addr_of(0, 3);
   req.len = 2;
@@ -207,7 +191,7 @@ TEST_F(StridedManagerTest, Gf2DegradesStride2ToOneWordBeats) {
 }
 
 TEST_F(StridedManagerTest, WriteBurstFansOutAndWritesBanks) {
-  BurstManager bm(BurstManagerConfig{.grouping_factor = 4, .merge_slots = 8}, map_, 1);
+  BurstManager bm(4, kMaxGroupingFactor, map_, 1);
   TcdmReq req;
   req.addr = addr_of(0, 7);
   req.len = 4;
@@ -234,9 +218,7 @@ TEST_F(StridedManagerTest, WriteBurstFansOutAndWritesBanks) {
 TEST(StoreBurstNetwork, PayloadHoldsRequestPort) {
   StatsRegistry stats;
   Topology topo({1, 4}, {{1, 1}, {1, 1}});
-  NetworkConfig cfg;
-  cfg.req_grouping_factor = 2;
-  HierNetwork net(topo, cfg, stats);
+  HierNetwork net(topo, /*req_grouping_factor=*/2, stats);
   TcdmReq req;
   req.addr = 4 * kWordBytes;  // tile 1
   req.len = 4;
@@ -252,7 +234,7 @@ TEST(StoreBurstNetwork, PayloadHoldsRequestPort) {
 TEST(StoreBurstNetwork, ReadBurstIsSingleHeaderBeat) {
   StatsRegistry stats;
   Topology topo({1, 4}, {{1, 1}, {1, 1}});
-  HierNetwork net(topo, NetworkConfig{}, stats);
+  HierNetwork net(topo, 1, stats);
   TcdmReq req;
   req.addr = 4 * kWordBytes;
   req.len = 4;  // read burst

@@ -249,16 +249,10 @@ TEST(HotPathAlloc, UnreachableSlaveQueuesAllocateNothing) {
   // Classes are numbered from the sender's side, so 384 of MP128's 896
   // (dst, cls) ports have no sender; only the others buffer requests.
   const Topology topo = ClusterConfig::mp128spatz8().topology();
-  const auto construct_allocs = [&](unsigned slave_depth) {
-    NetworkConfig cfg;
-    cfg.slave_depth = slave_depth;
-    StatsRegistry stats;
-    const std::uint64_t before = alloc_count();
-    { const HierNetwork net(topo, cfg, stats); }
-    return alloc_count() - before;
-  };
   StatsRegistry stats;
-  const HierNetwork net(topo, NetworkConfig{}, stats);
+  const std::uint64_t before = alloc_count();
+  const HierNetwork net(topo, 1, stats);
+  const std::uint64_t allocs = alloc_count() - before;
   std::uint64_t unreachable = 0;
   for (TileId dst = 0; dst < topo.num_tiles(); ++dst) {
     for (unsigned cls = 0; cls < topo.num_classes(); ++cls) {
@@ -268,8 +262,11 @@ TEST(HotPathAlloc, UnreachableSlaveQueuesAllocateNothing) {
   const std::uint64_t ports = std::uint64_t{topo.num_tiles()} * topo.num_classes();
   ASSERT_EQ(ports, 896u);
   ASSERT_EQ(unreachable, 384u);
-  EXPECT_EQ(construct_allocs(NetworkConfig{}.slave_depth) - construct_allocs(0),
-            ports - unreachable);
+  // Every port: a request and a response master FIFO. Every reachable
+  // port: a slave queue and a request and a response wait-list. Every
+  // tile: a store-ack credit ring. Then 19 per-network tables. One
+  // allocation per unreachable port would add 384.
+  EXPECT_EQ(allocs, 2 * ports + 3 * (ports - unreachable) + topo.num_tiles() + 19);
 }
 
 TEST(HotPathAlloc, StatsValueLookupIsAllocationFree) {

@@ -104,16 +104,25 @@ TEST(SpmBank, AmoAddReturnsOldValue) {
 }
 
 TEST(SpmBank, StallsWhenOutputFull) {
-  SpmBank bank(16, 2, 1);  // output register of depth 1
-  BankReq r0, r1;
-  r0.row = 0;
-  r1.row = 1;
-  ASSERT_TRUE(bank.try_push(r0));
-  ASSERT_TRUE(bank.try_push(r1));
-  bank.cycle();           // serves r0
-  bank.cycle();           // output full -> r1 must wait
+  SpmBank bank(16);
+  StatsRegistry stats;
+  bank.attach_stats(stats, "b");
+  // Serve requests without popping a response until the output is full.
+  for (unsigned row = 0; row < SpmBank::kOutDepth; ++row) {
+    BankReq r;
+    r.row = row;
+    ASSERT_TRUE(bank.try_push(r));
+    bank.cycle();
+  }
+  BankReq last;
+  last.row = SpmBank::kOutDepth;
+  ASSERT_TRUE(bank.try_push(last));
+  bank.cycle();  // output full -> `last` must wait
+  EXPECT_TRUE(bank.has_request());
+  EXPECT_EQ(stats.value("b.stall_cycles"), 1.0);
   EXPECT_EQ(bank.resp_pop().data, bank.read_row(0));
-  bank.cycle();           // now serves r1
+  bank.cycle();  // now serves `last`
+  EXPECT_FALSE(bank.has_request());
   EXPECT_TRUE(bank.resp_ready());
 }
 

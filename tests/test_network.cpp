@@ -28,7 +28,7 @@ class NetworkTest : public ::testing::Test {
  protected:
   NetworkTest()
       : topo_(test::two_pair_topology()),  // 4 tiles: pairs with RT3 / RT5
-        net_(topo_, NetworkConfig{}, stats_) {}
+        net_(topo_, 1, stats_) {}
 
   TcdmReq make_req(TileId src, Addr addr = 0, unsigned len = 1) {
     TcdmReq r;
@@ -196,18 +196,15 @@ TEST_F(NetworkTest, StoreAcksDoNotConsumeResponseBeats) {
 }
 
 TEST_F(NetworkTest, WideBeatCarriesGroupedWords) {
-  StatsRegistry stats2;
-  HierNetwork wide(topo_, NetworkConfig{.grouping_factor = 4}, stats2);
   TcdmResp beat;
   beat.dst_tile = 3;
   beat.num_words = 4;
   beat.data = {1, 2, 3, 4, 0, 0, 0, 0};
-  CollectSink sink;
-  wide.send_rsp(0, beat, 0);
-  for (Cycle c = 0; c <= 3; ++c) wide.cycle(c, sink);
-  ASSERT_EQ(sink.items.size(), 1u);
-  EXPECT_EQ(sink.items[0].rsp.num_words, 4u);
-  EXPECT_EQ(sink.items[0].rsp.data[3], 4u);
+  net_.send_rsp(0, beat, 0);
+  for (Cycle c = 0; c <= 3; ++c) net_.cycle(c, sink_);
+  ASSERT_EQ(sink_.items.size(), 1u);
+  EXPECT_EQ(sink_.items[0].rsp.num_words, 4u);
+  EXPECT_EQ(sink_.items[0].rsp.data[3], 4u);
 }
 
 TEST_F(NetworkTest, BusyReflectsInFlightTraffic) {
@@ -227,7 +224,7 @@ TEST(NetworkWaitLists, SizedByTheTilesThatCanReachThem) {
                                    ClusterConfig::mp128spatz8()}) {
     const Topology topo = cfg.topology();
     StatsRegistry stats;
-    const HierNetwork net(topo, NetworkConfig{}, stats);
+    const HierNetwork net(topo, 1, stats);
     for (TileId dst = 0; dst < topo.num_tiles(); ++dst) {
       std::size_t total = 0;
       for (unsigned cls = 0; cls < topo.num_classes(); ++cls) {
@@ -243,7 +240,7 @@ TEST(NetworkWaitLists, EveryTileCanWaitOnOneDestinationAtOnce) {
   // in the same cycle, and every request reaches tile 0's slave queues.
   const Topology topo = ClusterConfig::mp64spatz4().topology();
   StatsRegistry stats;
-  HierNetwork net(topo, NetworkConfig{}, stats);
+  HierNetwork net(topo, 1, stats);
   CollectSink sink;
   for (TileId src = 1; src < topo.num_tiles(); ++src) {
     TcdmReq req;

@@ -128,7 +128,7 @@ class SenderTile final : public TileServices {
   SenderTile(StatsRegistry& stats, unsigned banks, unsigned bpt)
       : map_(banks, bpt, 256),
         topo_({2, banks / bpt / 2}, {{1, 1}, {1, 1}}),
-        net_(topo_, NetworkConfig{.master_extra_slots = 64, .slave_depth = 64}, stats) {}
+        net_(topo_, 1, stats) {}
 
   /// Every third attempt finds its bank busy, so local words retry too.
   bool try_local_push(unsigned, const BankReq&) override {
@@ -160,20 +160,45 @@ TEST(BurstSenderProperty, RandomBeatsConserveWordsAndRespectTiles) {
     SenderTile tile(stats, bpt * tiles, bpt);
     const unsigned ports = 1 + rng.next_below(8);
     const unsigned max_len = 1 + rng.next_below(std::min(bpt, kMaxBurstWords));
-    BurstSender sender({.enable_bursts = true, .max_burst_len = max_len,
-                        .staging_beats = 16},
-                       ports);
+    ClusterConfig cfg;
+    cfg.vlsu_ports = ports;
+    cfg.burst_enabled = true;
+    cfg.max_burst_len = max_len;
+    BurstSender sender(cfg);
     sender.attach_stats(stats, "s");
 
+    // One cycle as Cluster::step runs it: dispatch, the network cycle, and
+    // the destination tiles popping their slave queues. Every request must
+    // reach the tile that owns all of its words, within the burst length.
+    NullSink sink;
+    Cycle c = 0;
+    unsigned remote_words = 0;
+    const auto step = [&] {
+      sender.dispatch(c, tile);
+      tile.net_.cycle(c, sink);
+      for (TileId dst = 0; dst < tiles; ++dst) {
+        for (std::uint8_t cls = 0; cls < tile.topo_.num_classes(); ++cls) {
+          while (!tile.net_.slave_empty(dst, cls)) {
+            const TcdmReq req = tile.net_.slave_pop(dst, cls);
+            EXPECT_LE(req.len, max_len);
+            EXPECT_EQ(tile.map_.decode(req.addr).tile, dst);
+            EXPECT_EQ(tile.map_.decode(req.addr + (req.len - 1) * kWordBytes).tile, dst);
+            remote_words += req.len;
+          }
+        }
+      }
+      ++c;
+    };
+
     // Several random unit-stride beats fully inside the address space, half
-    // of them continuing the previous one (tail extension), with a cycle of
-    // dispatch between some of them (partially drained staging).
+    // of them continuing the previous one (tail extension), with a cycle
+    // between some of them (partially drained staging). A full staging
+    // ring takes cycles until the next beat fits.
     const unsigned beats = 2 + rng.next_below(5);
     const auto words = static_cast<std::uint32_t>(tile.map_.total_bytes() / kWordBytes);
     unsigned total = 0;
     unsigned home_words = 0;
     Addr next = 0;
-    Cycle c = 0;
     for (unsigned b = 0; b < beats; ++b) {
       const unsigned n = 1 + rng.next_below(ports);
       Addr base = static_cast<Addr>(rng.next_below(words - n)) * kWordBytes;
@@ -190,11 +215,11 @@ TEST(BurstSenderProperty, RandomBeatsConserveWordsAndRespectTiles) {
       }
       total += n;
       next = base + n * kWordBytes;
-      ASSERT_TRUE(sender.can_accept_beat());
+      while (!sender.can_accept_beat()) step();
       sender.accept_beat(beat, tile.map_, tile.topo_, 0);
-      if (rng.next_below(2) == 0) sender.dispatch(c++, tile);
+      if (rng.next_below(2) == 0) step();
     }
-    for (const Cycle end = c + 4 * total + 8; c < end; ++c) sender.dispatch(c, tile);
+    for (const Cycle end = c + 4 * total + 8; c < end;) step();
 
     // Conservation: every word went somewhere exactly once.
     const double sent = stats.value("s.local_words") +
@@ -204,25 +229,7 @@ TEST(BurstSenderProperty, RandomBeatsConserveWordsAndRespectTiles) {
     EXPECT_EQ(tile.local_words, static_cast<unsigned>(stats.value("s.local_words")));
     EXPECT_EQ(tile.local_words, home_words);
     EXPECT_TRUE(sender.staging_empty());
-
-    // Every request reaches the tile that owns all of its words, and no
-    // burst exceeds the configured length.
-    NullSink sink;
-    unsigned remote_words = 0;
-    for (Cycle d = 0; d < c + 2 * total + 8; ++d) {
-      tile.net_.cycle(d, sink);
-      for (TileId dst = 0; dst < tiles; ++dst) {
-        for (std::uint8_t cls = 0; cls < tile.topo_.num_classes(); ++cls) {
-          while (!tile.net_.slave_empty(dst, cls)) {
-            const TcdmReq req = tile.net_.slave_pop(dst, cls);
-            EXPECT_LE(req.len, max_len);
-            EXPECT_EQ(tile.map_.decode(req.addr).tile, dst);
-            EXPECT_EQ(tile.map_.decode(req.addr + (req.len - 1) * kWordBytes).tile, dst);
-            remote_words += req.len;
-          }
-        }
-      }
-    }
+    while (tile.net_.busy()) step();
     EXPECT_EQ(remote_words, total - home_words);
   }
 }

@@ -54,8 +54,9 @@ TEST(ClusterConfigJson, PresetPlusBurstSugarMatchesTheCppTransforms) {
 }
 
 /// The bank, network, burst-manager and scalar-core knobs and the
-/// cluster barrier's kind, radix and latency are component defaults, not
-/// config keys: spelling one under a scenario's config is refused by path.
+/// cluster barrier's kind, radix and latency are constants of their
+/// components, not config keys: spelling one under a scenario's config is
+/// refused by path.
 TEST(ClusterConfigJson, RemovedKeysAreRefusedByPath) {
   for (const char* key : {"snitch", "net", "bm", "bank_in_depth", "bank_out_depth",
                           "barrier_release_latency", "barrier_kind", "barrier_radix"}) {
