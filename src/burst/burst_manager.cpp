@@ -135,19 +135,14 @@ void BurstManager::fill(const BankRoute& route, Word data) {
   }
 }
 
-std::optional<unsigned> BurstManager::next_ready_slot() {
+int BurstManager::next_ready_slot() {
   // First ready slot at or after rr_, wrapping — the same rotation the
   // former linear scan produced, in O(bitmap words).
   int idx = ready_map_.first_set_at_or_after(rr_);
   if (idx < 0) idx = ready_map_.first_set_at_or_after(0);
-  if (idx < 0) return std::nullopt;
+  if (idx < 0) return -1;
   rr_ = (static_cast<unsigned>(idx) + 1) % static_cast<unsigned>(slots_.size());
-  return static_cast<unsigned>(idx);
-}
-
-TileId BurstManager::slot_requester(unsigned idx) const {
-  assert(slots_.at(idx).state == SlotState::kReady);
-  return slots_[idx].requester;
+  return idx;
 }
 
 TcdmResp BurstManager::take_beat(unsigned idx) {
@@ -166,6 +161,34 @@ TcdmResp BurstManager::take_beat(unsigned idx) {
   --used_slots_;
   beats_merged_.inc();
   return resp;
+}
+
+void BurstManager::emit_beats(HierNetwork& net, Cycle now) {
+  constexpr unsigned kMaxAttempts = 64;
+  unsigned consecutive_defers = 0;
+  for (unsigned i = 0; i < kMaxAttempts; ++i) {
+    const int slot = next_ready_slot();
+    if (slot < 0) return;
+    const auto idx = static_cast<unsigned>(slot);
+    if (net.can_send_rsp(tile_, slots_[idx].requester, now)) {
+      net.send_rsp(tile_, take_beat(idx), now);
+      consecutive_defers = 0;
+      continue;
+    }
+    // Its class port is busy: the slot stays ready and the rotation moves
+    // on, so other classes go on. A class blocked at cycle `now` stays
+    // blocked for the rest of this call (sends only push free_at further
+    // out), and the ready set only shrinks on sends — so a full no-send
+    // pass over the ready slots proves every remaining attempt would defer
+    // too. Collapse that tail into the rotation those attempts would have
+    // left behind (identical future arbitration).
+    if (++consecutive_defers >= ready_map_.count()) {
+      for (unsigned k = (kMaxAttempts - 1 - i) % consecutive_defers; k > 0; --k) {
+        (void)next_ready_slot();
+      }
+      return;
+    }
+  }
 }
 
 void BurstManager::reset() {

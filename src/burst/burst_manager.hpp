@@ -8,7 +8,8 @@
 //  * Response side: collects the banks' single-word responses in per-segment
 //    merge buffers — one segment covers GF consecutive banks ("this block is
 //    needed for every GF number of SPM banks") — and emits one GF-word wide
-//    beat per completed segment onto the widened response channel.
+//    beat per completed segment onto the widened response channel, each on
+//    its requester's class port (emit_beats).
 //
 // A burst of len L therefore produces ceil(L / GF) response beats instead of
 // L narrow beats, which is where the bandwidth gain comes from. Merge slots
@@ -19,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,6 +27,7 @@
 #include "src/common/bounded_queue.hpp"
 #include "src/common/stats.hpp"
 #include "src/common/types.hpp"
+#include "src/interconnect/network.hpp"
 #include "src/memory/address_map.hpp"
 #include "src/memory/mem_types.hpp"
 
@@ -66,22 +67,11 @@ class BurstManager {
   /// merge slot was reserved at issue).
   void fill(const BankRoute& route, Word data);
 
-  // ---- emission: completed segments, drained by the tile ----
-  /// Next completed merge slot in rotating order, or nullopt.
-  [[nodiscard]] std::optional<unsigned> next_ready_slot();
-  /// Requester tile of a completed slot (for response-class lookup).
-  [[nodiscard]] TileId slot_requester(unsigned idx) const;
-  /// Build the wide response beat and free the slot.
-  [[nodiscard]] TcdmResp take_beat(unsigned idx);
-  /// Completed slots currently awaiting emission.
-  [[nodiscard]] unsigned ready_count() const noexcept { return ready_map_.count(); }
-  /// Advance the emission rotation by `steps` as if next_ready_slot() had
-  /// been called (and the slot left ready) that many times. Lets the tile
-  /// collapse a provably all-blocked emission tail into one call while
-  /// keeping rr_ — and hence future arbitration — bit-exact.
-  void skip_rotation(unsigned steps) {
-    for (unsigned i = 0; i < steps; ++i) (void)next_ready_slot();
-  }
+  /// Emission: send completed segments as wide beats, each on its
+  /// requester's response class port at `net`, in rotating slot order. A
+  /// busy class port only defers its own slots; they stay ready for a later
+  /// call. At most 64 slot visits per call.
+  void emit_beats(HierNetwork& net, Cycle now);
 
   /// O(1): live occupancy counts make this a pair of integer tests, not a
   /// slot sweep (it runs in every tile's quiescence check every cycle).
@@ -111,6 +101,10 @@ class BurstManager {
   };
 
   [[nodiscard]] std::int16_t alloc_slot();
+  /// Next completed merge slot in rotating order, or -1.
+  [[nodiscard]] int next_ready_slot();
+  /// Build the wide response beat and free the slot.
+  [[nodiscard]] TcdmResp take_beat(unsigned idx);
 
   unsigned grouping_factor_;
   unsigned write_words_per_cycle_;
@@ -123,7 +117,7 @@ class BurstManager {
   // Slot-state bitmaps, maintained at every state transition: alloc_slot and
   // next_ready_slot become a couple of word operations instead of linear
   // slot scans (next_ready_slot was the top profile entry on burst-heavy
-  // workloads — emit_burst_beats polls it up to 64x per tile-cycle).
+  // workloads — emit_beats polls it up to 64x per tile-cycle).
   ActiveBitmap free_map_;   // bit set <=> slot kFree
   ActiveBitmap ready_map_;  // bit set <=> slot kReady
   Counter bursts_accepted_;

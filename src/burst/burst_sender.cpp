@@ -41,33 +41,34 @@ void BurstSender::attach_stats(StatsRegistry& reg, const std::string& prefix) {
              &narrow_sent_, &local_words_, &coalesce_splits_});
 }
 
-std::optional<std::uint32_t> BurstSender::alloc_burst() {
-  if (free_ids_.empty()) return std::nullopt;
+std::uint32_t BurstSender::alloc_burst() {
+  assert(!free_ids_.empty());
   const std::uint32_t id = free_ids_.back();
   free_ids_.pop_back();
   ++live_bursts_;
   return id;
 }
 
-bool BurstSender::try_extend_tail(const WordRequest* run, unsigned n, Addr base, TileId dst,
+bool BurstSender::try_extend_tail(const WordAccess* run, unsigned n, Addr base, TileId dst,
                                   unsigned stride, bool write, const AddressMap& map) {
   if (staging_.empty()) return false;
   PendingItem& tail = staging_.back();
-  if (!tail.is_burst || tail.dst_tile != dst) return false;
-  if (tail.stride != stride || tail.write != write) return false;
-  if (tail.base + static_cast<Addr>(tail.len) * stride * kWordBytes != base) return false;
+  if (!tail.is_burst || tail.route.dst_tile != dst) return false;
+  const Addr tail_base = tail.access.addr;
+  if (tail.stride != stride || tail.access.write != write) return false;
+  if (tail_base + static_cast<Addr>(tail.len) * stride * kWordBytes != base) return false;
   if (tail.len + n > max_burst_len_) return false;
   // The extended span's last element must still land inside the tile.
-  if (map.bank_in_tile(tail.base) + (tail.len + n - 1) * stride >= map.banks_per_tile()) {
+  if (map.bank_in_tile(tail_base) + (tail.len + n - 1) * stride >= map.banks_per_tile()) {
     return false;
   }
   if (write) {
     for (unsigned i = 0; i < n; ++i) tail.wdata[tail.len + i] = run[i].wdata;
   } else {
-    TableEntry& e = table_[tail.burst_id];
+    TableEntry& e = table_[tail.access.tag.id];
     assert(e.valid);
     for (unsigned i = 0; i < n; ++i) {
-      e.words[tail.len + i] = BurstWord{run[i].port, run[i].rob_slot};
+      e.words[tail.len + i] = BurstWord{run[i].tag.port, run[i].tag.rob_slot};
     }
     e.len = static_cast<std::uint8_t>(tail.len + n);
   }
@@ -79,40 +80,38 @@ void BurstSender::push_staged(const PendingItem& item) {
   const bool ok = staging_.try_push(item);
   assert(ok && "BurstSender staging capacity bound violated");
   (void)ok;
-  if (!item.local) ++class_staged_[item.cls];
+  if (!item.route.local) ++class_staged_[item.route.cls];
 }
 
 void BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
                               const Topology& topo, TileId home_tile) {
   assert(can_accept_beat());
-  const auto push_narrow = [&](const WordRequest& w) {
-    const DecodedAddr dec = map.decode(w.addr);
+  const auto push_narrow = [&](const WordAccess& w) {
     PendingItem item;
-    item.word = w;
-    if (dec.tile == home_tile) {
-      item.local = true;
-      item.row = dec.row;
-      item.bank_in_tile = dec.bank_in_tile;
-    } else {
-      item.dst_tile = dec.tile;
-      item.cls = topo.class_of(home_tile, dec.tile);
-    }
+    item.route = route_word(map, topo, home_tile, w.addr);
+    item.access = w;
     push_staged(item);
   };
 
   // A 1-word-stride vlse32 is semantically a vle32; the extension detects
   // it and rides the plain unit-stride burst path (the paper's baseline
-  // design keys on the VLE opcode only).
-  const bool unit_load = bursts_ && beat.unit_stride_load;
-  const bool strided_load = bursts_ && strided_bursts_ &&
-                            beat.strided_load && beat.stride_words >= 1 &&
-                            beat.stride_words < map.banks_per_tile();
-  const bool unit_store = bursts_ && store_bursts_ && beat.unit_stride_store;
+  // design keys on the VLE opcode only). A strided burst needs a positive
+  // word-aligned stride that fits the request's 8-bit stride field and
+  // keeps two elements inside one tile's bank span.
+  const unsigned stride_words =
+      beat.stride > 0 && beat.stride % static_cast<std::int32_t>(kWordBytes) == 0
+          ? static_cast<unsigned>(beat.stride) / kWordBytes
+          : 0;
+  const bool unit_load = bursts_ && beat.form == Form::kVLoad;
+  const bool strided_load = bursts_ && strided_bursts_ && beat.form == Form::kVLoadS &&
+                            stride_words >= 1 && stride_words <= 0xff &&
+                            stride_words < map.banks_per_tile();
+  const bool unit_store = bursts_ && store_bursts_ && beat.form == Form::kVStore;
   if (!unit_load && !strided_load && !unit_store) {
-    for (const WordRequest& w : beat.words) push_narrow(w);
+    for (const WordAccess& w : beat.words) push_narrow(w);
     return;
   }
-  const unsigned stride = strided_load ? beat.stride_words : 1;
+  const unsigned stride = strided_load ? stride_words : 1;
   const bool write = unit_store;
 
   // Burst-eligible: the words are equidistant addresses in element order.
@@ -138,43 +137,35 @@ void BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
     } else if (try_extend_tail(&beat.words[i], static_cast<unsigned>(run), base, dst,
                                stride, write, map)) {
       // Coalesced into the still-staged previous burst (max_burst_len > K).
-    } else if (write) {
-      // Write bursts carry their payload and need no reorder table: the
-      // serving banks acknowledge each word out of band.
+    } else if (!write && free_ids_.empty()) {
+      // Table exhausted: degrade gracefully to narrow requests. Performance
+      // falls back to baseline behaviour; correctness is unaffected.
+      for (std::size_t j = 0; j < run; ++j) push_narrow(beat.words[i + j]);
+    } else {
       PendingItem item;
       item.is_burst = true;
-      item.write = true;
-      item.base = base;
+      item.access.addr = base;
+      item.access.write = write;
+      item.access.tag.owner = ReqOwner::kBurst;
       item.len = static_cast<std::uint8_t>(run);
-      item.stride = 1;
-      item.dst_tile = dst;
-      item.cls = topo.class_of(home_tile, dst);
-      for (std::size_t j = 0; j < run; ++j) item.wdata[j] = beat.words[i + j].wdata;
-      push_staged(item);
-    } else {
-      const auto id = alloc_burst();
-      if (!id.has_value()) {
-        // Table exhausted: degrade gracefully to narrow requests. Performance
-        // falls back to baseline behaviour; correctness is unaffected.
-        for (std::size_t j = 0; j < run; ++j) push_narrow(beat.words[i + j]);
+      item.stride = static_cast<std::uint8_t>(stride);
+      item.route.dst_tile = dst;
+      item.route.cls = topo.class_of(home_tile, dst);
+      if (write) {
+        // Write bursts carry their payload and need no reorder table: the
+        // serving banks acknowledge each word out of band.
+        for (std::size_t j = 0; j < run; ++j) item.wdata[j] = beat.words[i + j].wdata;
       } else {
-        TableEntry& e = table_[*id];
+        item.access.tag.id = alloc_burst();
+        TableEntry& e = table_[item.access.tag.id];
         e.valid = true;
         e.len = static_cast<std::uint8_t>(run);
         e.resolved = 0;
         for (std::size_t j = 0; j < run; ++j) {
-          e.words[j] = BurstWord{beat.words[i + j].port, beat.words[i + j].rob_slot};
+          e.words[j] = BurstWord{beat.words[i + j].tag.port, beat.words[i + j].tag.rob_slot};
         }
-        PendingItem item;
-        item.is_burst = true;
-        item.base = base;
-        item.len = static_cast<std::uint8_t>(run);
-        item.stride = static_cast<std::uint8_t>(stride);
-        item.burst_id = *id;
-        item.dst_tile = dst;
-        item.cls = topo.class_of(home_tile, dst);
-        push_staged(item);
       }
+      push_staged(item);
     }
     i += run;
   }
@@ -182,49 +173,27 @@ void BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
 }
 
 bool BurstSender::try_send(const PendingItem& item, Cycle now, TileServices& tile) {
-  const TileId home = tile.tile_id();
-  const WordRequest& w = item.word;
-  ReqTag tag;  // a narrow word's tag, on its local and its remote route alike
-  tag.owner = ReqOwner::kVecNarrow;
-  tag.port = w.port;
-  tag.rob_slot = w.rob_slot;
-  if (item.local) {
-    BankReq br;
-    br.row = item.row;
-    br.write = w.write;
-    br.wdata = w.wdata;
-    br.route.tag = tag;
-    br.route.src_tile = home;
-    if (!tile.try_local_push(item.bank_in_tile, br)) return false;
-    local_words_.inc();
+  if (!item.is_burst) {
+    if (!tile.send_word(item.route, item.access, now)) return false;
+    (item.route.local ? local_words_ : narrow_sent_).inc();
     return true;
   }
+  const TileId home = tile.tile_id();
   HierNetwork& net = tile.net();
-  if (!net.can_send_req(home, item.cls, now)) return false;
+  if (!net.can_send_req(home, item.route.cls, now)) return false;
   TcdmReq req;
   req.src_tile = home;
-  if (!item.is_burst) {
-    req.addr = w.addr;
-    req.len = 1;
-    req.write = w.write;
-    req.wdata = w.wdata;
-    req.tag = tag;
-    net.send_req(home, item.dst_tile, req, now);
-    narrow_sent_.inc();
-    return true;
-  }
-  req.addr = item.base;
+  req.addr = item.access.addr;
   req.len = item.len;
   req.stride = item.stride;
-  req.write = item.write;
-  req.tag.owner = ReqOwner::kBurst;
-  req.tag.id = item.burst_id;
-  if (item.write) req.burst_wdata = item.wdata;
-  net.send_req(home, item.dst_tile, req, now);
+  req.write = item.access.write;
+  req.tag = item.access.tag;
+  if (req.write) req.burst_wdata = item.wdata;
+  net.send_req(home, item.route.dst_tile, req, now);
   bursts_sent_.inc();
   burst_words_.inc(item.len);
   if (item.stride > 1) strided_bursts_sent_.inc();
-  if (item.write) store_bursts_sent_.inc();
+  if (req.write) store_bursts_sent_.inc();
   return true;
 }
 
@@ -247,16 +216,17 @@ void BurstSender::dispatch(Cycle now, TileServices& tile) {
   std::size_t last_sent = 0;
   for (std::size_t k = 0; k < staged && open_left > 0; ++k) {
     PendingItem& item = staging_.at(k);
-    if (item.local) {
+    const WordRoute& route = item.route;
+    if (route.local) {
       --open_left;
     } else {
-      if (closed[item.cls]) continue;
-      closed.set(item.cls);
-      assert(open_left >= class_staged_[item.cls]);
-      open_left -= class_staged_[item.cls];
+      if (closed[route.cls]) continue;
+      closed.set(route.cls);
+      assert(open_left >= class_staged_[route.cls]);
+      open_left -= class_staged_[route.cls];
     }
     if (!try_send(item, now, tile)) continue;
-    if (!item.local) --class_staged_[item.cls];
+    if (!route.local) --class_staged_[route.cls];
     item.sent = true;
     ++sent;
     last_sent = k;

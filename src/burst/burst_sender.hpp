@@ -1,8 +1,9 @@
 // Burst Sender (paper §III-A): sits on the VLSU ports of a Spatz core.
 //
 // The VLSU hands it one "beat" per cycle — the K parallel element accesses
-// of a vector memory instruction, each with its pre-allocated ROB slot. The
-// sender decides how each element travels:
+// of a vector memory instruction, each with its pre-allocated ROB slot,
+// plus the instruction's addressing form and stride. The sender alone
+// decides how each element travels:
 //
 //  * local tile          -> straight into the local banks (full bandwidth);
 //  * remote, burst mode,
@@ -22,14 +23,15 @@
 // tile's TileServices (own banks, own master ports; remote sends go through
 // HierNetwork, see network.hpp).
 //
-// Each staged item is decoded once, when accept_beat() stages it: its local
-// bank and row, or its destination tile and class. dispatch() then walks the
-// staging ring in place and gives every open route one attempt per cycle.
+// Each staged item is decoded once, when accept_beat() stages it: a narrow
+// word's route (route_word), or a burst's destination tile and class.
+// dispatch() then walks the staging ring in place and gives every open
+// route one attempt per cycle; narrow words leave through
+// TileServices::send_word.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,31 +41,22 @@
 #include "src/common/types.hpp"
 #include "src/cluster/tile_services.hpp"
 #include "src/memory/mem_types.hpp"
-#include "src/spatz/vinstr.hpp"  // kMaxPorts bounds a beat's fan-out
+#include "src/spatz/vinstr.hpp"  // kMaxPorts bounds a beat's fan-out; Form
 
 namespace tcdm {
 
 struct ClusterConfig;
 
-/// One element access prepared by the VLSU.
-struct WordRequest {
-  Addr addr = 0;
-  bool write = false;
-  Word wdata = 0;
-  std::uint8_t port = 0;       // VLSU port (== elem % K)
-  std::uint16_t rob_slot = 0;  // pre-allocated ROB slot (loads only)
-};
-
-/// A cycle's worth of element accesses from one vector memory instruction.
-/// At most one element per VLSU port, so the words live in inline storage —
-/// beats are built and consumed every issuing cycle on the MP128 hot path,
-/// and a heap-backed vector here costs an allocation per core per beat.
+/// A cycle's worth of element accesses from one vector memory instruction,
+/// each tagged with its VLSU port (== elem % K) and, for loads, its
+/// pre-allocated ROB slot. At most one element per VLSU port, so the words
+/// live in inline storage — beats are built and consumed every issuing
+/// cycle on the MP128 hot path, and a heap-backed vector here costs an
+/// allocation per core per beat.
 struct BeatRequest {
-  InlineVec<WordRequest, kMaxPorts> words;
-  bool unit_stride_load = false;   // burst-eligible pattern
-  bool strided_load = false;       // constant-stride load (strided-burst ext.)
-  bool unit_stride_store = false;  // consecutive store (store-burst ext.)
-  unsigned stride_words = 1;       // element spacing for strided_load
+  InlineVec<WordAccess, kMaxPorts> words;
+  Form form = Form::kVLoad;  // the instruction's addressing form
+  std::int32_t stride = 0;   // byte stride (kVLoadS / kVStoreS)
 };
 
 class BurstSender {
@@ -84,9 +77,12 @@ class BurstSender {
     return staging_.size() <= capacity_items_;
   }
 
-  /// Stage a beat: coalesce burst-eligible runs, enqueue the rest narrow.
-  /// `map` and `topo` decode each staged item's route once, here. Every
-  /// beat is taken: a run that finds the burst table full goes narrow.
+  /// Stage a beat: the beat's form and stride and the config's burst
+  /// switches decide whether it bursts (unit-stride loads; strided loads
+  /// and unit-stride stores under their extensions); burst runs coalesce,
+  /// the rest is enqueued narrow. `map` and `topo` decode each staged
+  /// item's route once, here. Every beat is taken: a run that finds the
+  /// burst table full goes narrow.
   void accept_beat(const BeatRequest& beat, const AddressMap& map,
                                  const Topology& topo, TileId home_tile);
 
@@ -113,21 +109,15 @@ class BurstSender {
 
  private:
   struct PendingItem {
+    WordRoute route;  // a burst's route is remote: its class and tile
+    // A narrow word as it is sent; for a burst, its base address, its
+    // write flag (store-burst ext.) and its tag (kBurst, table id).
+    WordAccess access;
     bool is_burst = false;
-    bool local = false;     // narrow word for one of the home tile's banks
-    bool sent = false;      // left staging in this dispatch() call
-    std::uint8_t cls = 0;   // destination class (remote items)
-    TileId dst_tile = 0;    // destination tile (remote items)
-    // narrow:
-    WordRequest word;
-    std::uint32_t row = 0;           // local words: decoded bank row
-    std::uint32_t bank_in_tile = 0;  // local words: bank within the home tile
+    bool sent = false;  // left staging in this dispatch() call
     // burst:
-    Addr base = 0;
     std::uint8_t len = 0;
     std::uint8_t stride = 1;  // element spacing in words (strided-burst ext.)
-    bool write = false;       // write burst (store-burst ext.)
-    std::uint32_t burst_id = 0;
     std::array<Word, kMaxBurstWords> wdata{};  // write-burst payload
   };
 
@@ -138,13 +128,14 @@ class BurstSender {
     std::array<BurstWord, kMaxBurstWords> words{};
   };
 
-  [[nodiscard]] std::optional<std::uint32_t> alloc_burst();
+  /// Takes a free burst id (the caller checked that one is free).
+  [[nodiscard]] std::uint32_t alloc_burst();
   void push_staged(const PendingItem& item);
   /// Send one staged item if its route takes it this cycle.
   [[nodiscard]] bool try_send(const PendingItem& item, Cycle now, TileServices& tile);
   /// Try to extend the most recent staged burst with a contiguous run of the
   /// same kind (stride and read/write must match).
-  [[nodiscard]] bool try_extend_tail(const WordRequest* run, unsigned n, Addr base,
+  [[nodiscard]] bool try_extend_tail(const WordAccess* run, unsigned n, Addr base,
                                      TileId dst, unsigned stride, bool write,
                                      const AddressMap& map);
 

@@ -26,8 +26,7 @@ bool Tile::try_local_push(unsigned bank_in_tile, const BankReq& req) {
 
 void Tile::cycle_cores(Cycle now) { cc_->cycle(now, *this); }
 
-void Tile::accept_slave_requests(Cycle now) {
-  (void)now;
+void Tile::accept_slave_requests() {
   const unsigned num_classes = net_.topology().num_classes();
   for (std::uint8_t cls = 0; cls < num_classes; ++cls) {
     if (net_.slave_empty(id_, cls)) continue;
@@ -79,8 +78,7 @@ void Tile::route_bank_responses(Cycle now) {
           (void)bank.resp_pop();
           break;
         }
-        const std::uint8_t cls = net_.topology().class_of(id_, requester);
-        if (!net_.can_send_rsp(id_, cls, now)) break;  // bank output stalls
+        if (!net_.can_send_rsp(id_, requester, now)) break;  // bank output stalls
         TcdmResp out;
         out.num_words = 1;
         out.data[0] = resp.data;
@@ -94,37 +92,8 @@ void Tile::route_bank_responses(Cycle now) {
   }
 }
 
-void Tile::emit_burst_beats(Cycle now) {
-  // Each completed merge slot becomes one wide beat on its response port.
-  // A blocked class only defers its own slots.
-  const unsigned max_attempts = 64;
-  unsigned consecutive_defers = 0;
-  for (unsigned i = 0; i < max_attempts; ++i) {
-    const auto slot = bm_.next_ready_slot();
-    if (!slot.has_value()) return;
-    const TileId requester = bm_.slot_requester(*slot);
-    const std::uint8_t cls = net_.topology().class_of(id_, requester);
-    if (net_.can_send_rsp(id_, cls, now)) {
-      net_.send_rsp(id_, bm_.take_beat(*slot), now);
-      consecutive_defers = 0;
-    } else {
-      // Its class port is busy: the slot stays ready and the rotation moves
-      // on, so other classes go on.
-      // A class blocked at cycle `now` stays blocked for the rest of this
-      // call (sends only push free_at further out), and the ready set only
-      // shrinks on sends — so a full no-send pass over the ready slots
-      // proves every remaining attempt would defer too. Collapse that tail
-      // into the equivalent rr_ rotation (identical future arbitration).
-      if (++consecutive_defers >= bm_.ready_count()) {
-        bm_.skip_rotation((max_attempts - 1 - i) % consecutive_defers);
-        return;
-      }
-    }
-  }
-}
-
 void Tile::cycle_memory(Cycle now) {
-  accept_slave_requests(now);
+  accept_slave_requests();
   bm_.issue(banks_);
   for (SpmBank& bank : banks_) {
     if (bank.has_request()) bank.cycle();  // cycle() is a no-op otherwise
@@ -133,11 +102,11 @@ void Tile::cycle_memory(Cycle now) {
   // burst beats so neither starves the shared response ports. Odd/even on
   // the cycle number, so skipped quiescent cycles keep the alternation.
   if ((now & 1) != 0) {
-    emit_burst_beats(now);
+    bm_.emit_beats(net_, now);
     route_bank_responses(now);
   } else {
     route_bank_responses(now);
-    emit_burst_beats(now);
+    bm_.emit_beats(net_, now);
   }
 }
 

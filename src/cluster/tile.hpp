@@ -21,7 +21,6 @@ class Tile final : public TileServices {
        Barrier& barrier, StatsRegistry& stats);
 
   // ---- TileServices ----
-  [[nodiscard]] bool try_local_push(unsigned bank_in_tile, const BankReq& req) override;
   [[nodiscard]] HierNetwork& net() override { return net_; }
   [[nodiscard]] const AddressMap& map() const override { return map_; }
   [[nodiscard]] TileId tile_id() const override { return id_; }
@@ -50,9 +49,9 @@ class Tile final : public TileServices {
   void reset();
 
  private:
-  void accept_slave_requests(Cycle now);
+  void accept_slave_requests();
   void route_bank_responses(Cycle now);
-  void emit_burst_beats(Cycle now);
+  [[nodiscard]] bool try_local_push(unsigned bank_in_tile, const BankReq& req) override;
 
   TileId id_;
   HierNetwork& net_;

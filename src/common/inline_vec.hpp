@@ -1,8 +1,8 @@
 // Fixed-capacity vector with inline storage — no heap traffic, ever.
 //
-// The burst path used to carry a std::vector<WordRequest> inside every
-// staged beat, which cost one allocation per core per beat cycle on the
-// MP128 hot path. Beat fan-out is architecturally bounded by the number of
+// The burst path used to carry a std::vector of element accesses inside
+// every staged beat, which cost one allocation per core per beat cycle on
+// the MP128 hot path. Beat fan-out is architecturally bounded by the number of
 // VLSU ports (kMaxPorts), so the words fit in a small inline array. This is
 // the minimal subset of the std::vector interface those call sites use;
 // exceeding the capacity is a programming error and asserts.

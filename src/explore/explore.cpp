@@ -127,8 +127,6 @@ ExploreOutcome run_explore(const scenario::LoadedSuite& suite,
           p.rel = cands[i].rel;
           p.key = keys[i];
           p.area_mge = areas[i];
-          p.cost = areas[i];
-          p.value = r->metrics.bw_bytes_per_cycle;
           p.metrics = r->metrics;
           p.power = r->power;
           frontier.insert(std::move(p));
@@ -148,7 +146,6 @@ Json report_json(const scenario::LoadedSuite& suite, const ExploreOptions& opts,
   doc.set("schema", kReportSchemaName);
   doc.set("schema_version", kReportSchemaVersion);
   doc.set("suite", suite.suite.name);
-  doc.set("objective", kObjectiveName);
   doc.set("area_cap_mge", opts.area_cap_mge);
   Json::Array pts;
   pts.reserve(outcome.frontier.size());
@@ -159,18 +156,16 @@ Json report_json(const scenario::LoadedSuite& suite, const ExploreOptions& opts,
 
 void print_frontier(std::ostream& os, const ExploreOptions& opts,
                     const ExploreOutcome& outcome) {
-  os << "Pareto frontier — objective " << kObjectiveName;
+  os << "Pareto frontier — area vs. bandwidth";
   if (opts.area_cap_mge > 0.0) {
     os << ", area cap " << fmt(opts.area_cap_mge, 2) << " MGE";
   }
   os << " (" << outcome.frontier.size() << " of " << outcome.candidates
      << " candidates)\n";
-  TableWriter table({"scenario", "area [MGE]", "BW [B/cyc]", "cycles",
-                     "FPU util", "value"});
+  TableWriter table({"scenario", "area [MGE]", "BW [B/cyc]", "cycles", "FPU util"});
   for (const FrontierPoint& p : outcome.frontier) {
     table.add_row({p.rel, fmt(p.area_mge, 3), fmt(p.metrics.bw_bytes_per_cycle, 2),
-                   std::to_string(p.metrics.cycles), pct(p.metrics.fpu_util),
-                   fmt(p.value, 4)});
+                   std::to_string(p.metrics.cycles), pct(p.metrics.fpu_util)});
   }
   table.print(os);
 }

@@ -34,7 +34,7 @@
 namespace tcdm::explore {
 
 inline constexpr const char* kReportSchemaName = "tcdm-explore-report";
-inline constexpr int kReportSchemaVersion = 1;
+inline constexpr int kReportSchemaVersion = 2;
 
 /// Candidates per wave. A constant (not derived from `jobs`) so that the
 /// prune/evaluate schedule and the final report are identical at any

@@ -18,30 +18,31 @@ double peak_bw_bound(const ClusterConfig& cfg, const std::optional<SystemConfig>
          static_cast<double>(kWordBytes * noc_words);
 }
 
-bool dominates(double cost_a, double value_a, double cost_b, double value_b) {
-  return cost_a <= cost_b && value_a >= value_b;
+bool dominates(const FrontierPoint& a, const FrontierPoint& b) {
+  return a.area_mge <= b.area_mge &&
+         a.metrics.bw_bytes_per_cycle >= b.metrics.bw_bytes_per_cycle;
 }
 
-bool ParetoFrontier::would_admit(double cost, double value) const {
+bool ParetoFrontier::would_admit(double area_mge, double bw) const {
   for (const FrontierPoint& p : points_) {
-    if (p.cost > cost) break;  // sorted: no later member can dominate
-    if (dominates(p.cost, p.value, cost, value)) return false;
+    if (p.area_mge > area_mge) break;  // sorted: no later member can dominate
+    if (p.metrics.bw_bytes_per_cycle >= bw) return false;  // no more area, at least the bw
   }
   return true;
 }
 
 bool ParetoFrontier::insert(FrontierPoint p) {
-  if (!would_admit(p.cost, p.value)) return false;
+  if (!would_admit(p.area_mge, p.metrics.bw_bytes_per_cycle)) return false;
   // Evict everything the new point weakly dominates. (Members with equal
   // coordinates cannot survive to this line: they would have rejected p.)
   points_.erase(std::remove_if(points_.begin(), points_.end(),
                                [&](const FrontierPoint& q) {
-                                 return dominates(p.cost, p.value, q.cost, q.value);
+                                 return dominates(p, q);
                                }),
                 points_.end());
   const auto pos = std::lower_bound(
       points_.begin(), points_.end(), p,
-      [](const FrontierPoint& a, const FrontierPoint& b) { return a.cost < b.cost; });
+      [](const FrontierPoint& a, const FrontierPoint& b) { return a.area_mge < b.area_mge; });
   points_.insert(pos, std::move(p));
   return true;
 }

@@ -23,24 +23,19 @@
 
 namespace tcdm::explore {
 
-/// The objective's name in the report.
-inline constexpr const char* kObjectiveName = "pareto-area-bw";
-
 /// Upper bound on bw_bytes_per_cycle knowable from the configuration alone
 /// (`system` is the candidate's system block, if any); the exact-pruning
 /// guarantee is that no simulation of the point exceeds it.
 [[nodiscard]] double peak_bw_bound(const ClusterConfig& cfg,
                                    const std::optional<SystemConfig>& system);
 
-/// One frontier member: identity, objective coordinates (cost = area_mge,
-/// value = metrics.bw_bytes_per_cycle), and the full result (so reports
-/// need no second lookup).
+/// One frontier member: identity, its area (the cost axis), and the full
+/// result, whose metrics.bw_bytes_per_cycle is the bandwidth axis (so
+/// reports need no second lookup).
 struct FrontierPoint {
   std::string rel;   // scenario name within the explored suite
   std::string key;   // canonical config hash
   double area_mge = 0.0;
-  double cost = 0.0;
-  double value = 0.0;
   KernelMetrics metrics;
   PowerBreakdown power;
 };
@@ -50,25 +45,24 @@ void fields(S& p, V& v) {
   v("rel", p.rel);
   v("key", p.key);
   v("area_mge", p.area_mge);
-  v("cost", p.cost);
-  v("value", p.value);
   v("metrics", p.metrics);
   v("power", p.power);
 }
 
-/// Weak dominance: a is at least as good on both axes.
-[[nodiscard]] bool dominates(double cost_a, double value_a, double cost_b,
-                             double value_b);
+/// Weak dominance: a is at least as good on both axes (no more area, at
+/// least the bandwidth).
+[[nodiscard]] bool dominates(const FrontierPoint& a, const FrontierPoint& b);
 
 /// Incrementally maintained non-dominated set, kept sorted by ascending
-/// cost (equivalently ascending value: members are mutually non-dominated,
-/// so the two orders coincide and the report order is deterministic).
+/// area (equivalently ascending bandwidth: members are mutually
+/// non-dominated, so the two orders coincide and the report order is
+/// deterministic).
 class ParetoFrontier {
  public:
-  /// Would a point at (cost, value) enter the frontier? False iff some
-  /// member weakly dominates it — the insertion predicate, also usable with
-  /// a value *upper bound* for exact pre-simulation pruning.
-  [[nodiscard]] bool would_admit(double cost, double value) const;
+  /// Would a point of this area and bandwidth enter the frontier? False iff
+  /// some member weakly dominates it — the insertion predicate, also usable
+  /// with a bandwidth *upper bound* for exact pre-simulation pruning.
+  [[nodiscard]] bool would_admit(double area_mge, double bw) const;
 
   /// Inserts if admitted, evicting every member the new point dominates.
   /// Returns false (frontier unchanged) when the point is dominated. Ties
@@ -80,7 +74,7 @@ class ParetoFrontier {
   [[nodiscard]] std::size_t size() const { return points_.size(); }
 
  private:
-  std::vector<FrontierPoint> points_;  // ascending cost
+  std::vector<FrontierPoint> points_;  // ascending area
 };
 
 }  // namespace tcdm::explore

@@ -83,7 +83,7 @@ void HierNetwork::send_req(TileId src, TileId dst, const TcdmReq& req, Cycle now
 void HierNetwork::send_rsp(TileId responder, const TcdmResp& rsp, Cycle now) {
   const std::uint8_t cls = topo_.class_of(responder, rsp.dst_tile);
   const std::size_t p = port_index(responder, cls);
-  assert(can_send_rsp(responder, cls, now));
+  assert(can_send_rsp(responder, rsp.dst_tile, now));
   const bool ok = rsp_master_[p].try_push(rsp, now + topo_.rsp_latency(cls));
   assert(ok);
   (void)ok;

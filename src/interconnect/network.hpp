@@ -89,9 +89,10 @@ class HierNetwork {
   // ---- response ingress (memory stage; one beat per (responder, class) per cycle) ----
   // Responder side: one beat per (tile, class) per cycle — each class has
   // its own response wires in the RTL. The CC-side 1-beat/cycle gate is at
-  // the requester's egress (see cycle()).
-  [[nodiscard]] bool can_send_rsp(TileId responder, std::uint8_t cls, Cycle now) const noexcept {
-    const std::size_t p = port_index(responder, cls);
+  // the requester's egress (see cycle()). Asked for the destination tile,
+  // the network looks up the class port itself, as send_rsp does.
+  [[nodiscard]] bool can_send_rsp(TileId responder, TileId dst, Cycle now) const noexcept {
+    const std::size_t p = port_index(responder, topo_.class_of(responder, dst));
     return rsp_master_last_push_[p] != now && !rsp_master_[p].full();
   }
   void send_rsp(TileId responder, const TcdmResp& rsp, Cycle now);

@@ -266,6 +266,10 @@ Json runner_options_to_json(const RunnerOptions& o) { return write_fields(o); }
 RunnerOptions runner_options_from_json(const Json& j, const std::string& path) {
   RunnerOptions o;
   read_fields(j, path, ReadPolicy::kUserInput, o);
+  // A zero cycle budget times out, and a zero watchdog window fires, before
+  // the run's first cycle.
+  if (o.max_cycles == 0) spec_error(path + "/max_cycles", "must be at least 1");
+  if (o.watchdog_window == 0) spec_error(path + "/watchdog_window", "must be at least 1");
   return o;
 }
 

@@ -54,39 +54,18 @@ int Snitch::alloc_pending() {
 
 bool Snitch::send_scalar_mem(Cycle now, TileServices& tile, Addr addr, bool write, bool amo,
                              Word wdata, std::uint16_t pending_id) {
-  const AddressMap& map = tile.map();
-  if (addr % kWordBytes != 0 || !map.valid(addr)) {
+  if (addr % kWordBytes != 0 || !tile.map().valid(addr)) {
     throw std::runtime_error("scalar access out of TCDM range or misaligned: addr=" +
                              std::to_string(addr) + " hart=" + std::to_string(hartid_));
   }
-  const TileId home = tile.tile_id();
-  const TileId dst = map.tile_of(addr);
-  ReqTag tag;
-  tag.owner = ReqOwner::kScalar;
-  tag.rob_slot = pending_id;
-  if (dst == home) {
-    BankReq br;
-    br.row = map.row_of(addr);
-    br.write = write;
-    br.amo_add = amo;
-    br.wdata = wdata;
-    br.route.tag = tag;
-    br.route.src_tile = home;
-    return tile.try_local_push(map.bank_in_tile(addr), br);
-  }
-  HierNetwork& net = tile.net();
-  const std::uint8_t cls = net.topology().class_of(home, dst);
-  if (!net.can_send_req(home, cls, now)) return false;
-  TcdmReq req;
-  req.addr = addr;
-  req.len = 1;
-  req.write = write;
-  req.amo_add = amo;
-  req.wdata = wdata;
-  req.src_tile = home;
-  req.tag = tag;
-  net.send_req(home, dst, req, now);
-  return true;
+  WordAccess w;
+  w.addr = addr;
+  w.write = write;
+  w.amo_add = amo;
+  w.wdata = wdata;
+  w.tag.owner = ReqOwner::kScalar;
+  w.tag.rob_slot = pending_id;
+  return tile.send_word(tile.route(addr), w, now);
 }
 
 void Snitch::fill_scalar(std::uint16_t id, Word data, Cycle now) {

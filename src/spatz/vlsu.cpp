@@ -101,19 +101,12 @@ void Vlsu::issue(Cycle now, TileServices& tile, std::array<VInstr, kVInstrSlots>
 
     if (can_issue) {
       BeatRequest beat;
-      beat.unit_stride_load = form == Form::kVLoad;
-      // Strided-burst extension: positive word-aligned strides qualify; the
-      // Burst Sender decides whether the stride fits its tile's bank span.
-      beat.strided_load = form == Form::kVLoadS && d.stride > 0 &&
-                          d.stride % static_cast<std::int32_t>(kWordBytes) == 0 &&
-                          d.stride / static_cast<std::int32_t>(kWordBytes) <= 0xff;
-      beat.stride_words =
-          beat.strided_load ? static_cast<unsigned>(d.stride) / kWordBytes : 1;
-      beat.unit_stride_store = form == Form::kVStore;
+      beat.form = form;
+      beat.stride = d.stride;
       for (unsigned j = 0; j < n; ++j) {
         const unsigned e = e0 + j;
         const unsigned p = e % ports_;
-        WordRequest w;
+        WordAccess w;
         switch (form) {
           case Form::kVLoad:
           case Form::kVStore:
@@ -141,14 +134,15 @@ void Vlsu::issue(Cycle now, TileServices& tile, std::array<VInstr, kVInstrSlots>
           msg += std::to_string(tile.tile_id());
           throw std::runtime_error(msg);
         }
-        w.port = static_cast<std::uint8_t>(p);
+        w.tag.owner = ReqOwner::kVecNarrow;
+        w.tag.port = static_cast<std::uint8_t>(p);
         if (is_store) {
           w.write = true;
           w.wdata = vrf.read(d.vd, e);
           ++outstanding_stores_;
           words_stored_.inc();
         } else {
-          w.rob_slot = rob_[p].alloc(static_cast<std::uint8_t>(active_), e);
+          w.tag.rob_slot = rob_[p].alloc(static_cast<std::uint8_t>(active_), e);
         }
         beat.words.push_back(w);
       }

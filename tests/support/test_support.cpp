@@ -83,6 +83,21 @@ void FakeTile::drain(Cycle now) {
   }
 }
 
+BeatCollector::BeatCollector(StatsRegistry& stats)
+    : topo_(flat4_topology()), net_(topo_, 1, stats) {}
+
+std::vector<TcdmResp> BeatCollector::step(BurstManager& bm, unsigned cycles) {
+  struct Sink final : RspSink {
+    std::vector<TcdmResp> beats;
+    void deliver_rsp(const TcdmResp& rsp, Cycle) override { beats.push_back(rsp); }
+  } sink;
+  for (const Cycle end = now + cycles; now < end; ++now) {
+    bm.emit_beats(net_, now);
+    net_.cycle(now, sink);
+  }
+  return sink.beats;
+}
+
 // ------------------------------------------------------ kernel run helpers --
 
 KernelMetrics run_capped(const ClusterConfig& cfg, Kernel& k, Cycle max_cycles) {

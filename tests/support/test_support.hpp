@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/burst/burst_manager.hpp"
 #include "src/cluster/cluster_config.hpp"
 #include "src/cluster/kernel_runner.hpp"
 #include "src/cluster/tile_services.hpp"
@@ -108,6 +109,22 @@ class FakeTile final : public TileServices {
   AddressMap map_;
   Topology topo_;
   HierNetwork net_;
+};
+
+/// The response side of a Burst Manager at tile 1 of flat4_topology(): a
+/// real HierNetwork into which step() lets the manager emit its merged
+/// beats, recording every beat the network delivers.
+class BeatCollector {
+ public:
+  explicit BeatCollector(StatsRegistry& stats);
+
+  /// `cycles` cycles, from `now` on, of the manager's emission followed by
+  /// the network cycle. Returns the beats delivered in these cycles.
+  std::vector<TcdmResp> step(BurstManager& bm, unsigned cycles = 2 * BurstManager::kMergeSlots);
+
+  Topology topo_;
+  HierNetwork net_;
+  Cycle now = 0;
 };
 
 // ------------------------------------------------------ kernel run helpers --

@@ -20,7 +20,8 @@ class BurstManagerTest : public ::testing::Test {
   BurstManagerTest()
       : map_(test::small_address_map()),
         bm_(4, kMaxGroupingFactor, map_, 1),
-        banks_(test::patterned_banks()) {}
+        banks_(test::patterned_banks()),
+        beats_(stats_) {}
 
   /// Byte address of (bank-in-tile, row) for tile 1.
   Addr addr_of(unsigned bank_in_tile, unsigned row) const {
@@ -30,6 +31,8 @@ class BurstManagerTest : public ::testing::Test {
   AddressMap map_;
   BurstManager bm_;
   std::vector<SpmBank> banks_;
+  StatsRegistry stats_;
+  test::BeatCollector beats_;
 };
 
 TEST_F(BurstManagerTest, SplitsBurstAcrossBanksAndMergesOneBeat) {
@@ -49,10 +52,10 @@ TEST_F(BurstManagerTest, SplitsBurstAcrossBanksAndMergesOneBeat) {
     EXPECT_EQ(r.route.kind, RouteKind::kBurstSegment);
     bm_.fill(r.route, r.data);
   }
-  const auto slot = bm_.next_ready_slot();
-  ASSERT_TRUE(slot.has_value());
-  EXPECT_EQ(bm_.slot_requester(*slot), 3u);
-  const TcdmResp beat = bm_.take_beat(*slot);
+  const std::vector<TcdmResp> out = beats_.step(bm_);
+  ASSERT_EQ(out.size(), 1u);
+  const TcdmResp& beat = out[0];
+  EXPECT_EQ(beat.dst_tile, 3u);
   EXPECT_EQ(beat.num_words, 4u);
   EXPECT_EQ(beat.tag.id, 7u);
   EXPECT_EQ(beat.tag.word_offset, 0u);
@@ -74,16 +77,9 @@ TEST_F(BurstManagerTest, Gf2ProducesTwoBeats) {
     const BankResp r = banks_[b].resp_pop();
     bm2.fill(r.route, r.data);
   }
-  unsigned beats = 0;
-  unsigned words = 0;
-  while (const auto s = bm2.next_ready_slot()) {
-    const TcdmResp beat = bm2.take_beat(*s);
-    EXPECT_EQ(beat.num_words, 2u);
-    words += beat.num_words;
-    ++beats;
-  }
-  EXPECT_EQ(beats, 2u);
-  EXPECT_EQ(words, 4u);
+  const std::vector<TcdmResp> out = beats_.step(bm2);
+  EXPECT_EQ(out.size(), 2u);
+  for (const TcdmResp& beat : out) EXPECT_EQ(beat.num_words, 2u);
 }
 
 TEST_F(BurstManagerTest, UnalignedBurstSpansSegments) {
@@ -101,9 +97,7 @@ TEST_F(BurstManagerTest, UnalignedBurstSpansSegments) {
     bm2.fill(r.route, r.data);
   }
   std::vector<unsigned> beat_sizes;
-  while (const auto s = bm2.next_ready_slot()) {
-    beat_sizes.push_back(bm2.take_beat(*s).num_words);
-  }
+  for (const TcdmResp& beat : beats_.step(bm2)) beat_sizes.push_back(beat.num_words);
   std::sort(beat_sizes.begin(), beat_sizes.end());
   EXPECT_EQ(beat_sizes, (std::vector<unsigned>{1, 2}));
 }
@@ -133,7 +127,6 @@ TEST_F(BurstManagerTest, MergeSlotExhaustionStallsIssue) {
     }
   };
   for (unsigned i = 0; i < BurstManager::kMergeSlots; ++i) issue_and_fill(addr_of(0, i));
-  ASSERT_EQ(bm_.ready_count(), BurstManager::kMergeSlots);
 
   // The next burst finds no free slot: no bank sees a request.
   TcdmReq req;
@@ -146,12 +139,15 @@ TEST_F(BurstManagerTest, MergeSlotExhaustionStallsIssue) {
   }
   EXPECT_TRUE(bm_.busy());
 
-  // Emitting one beat frees its slot, and the stalled burst issues.
-  const auto slot = bm_.next_ready_slot();
-  ASSERT_TRUE(slot.has_value());
-  (void)bm_.take_beat(*slot);
+  // Every slot's beat returns to tile 0, whose class port takes one beat a
+  // cycle: emitting one frees its slot, and the stalled burst issues.
+  bm_.emit_beats(beats_.net_, 0);
+  EXPECT_EQ(stats_.value("network.rsp_beats"), 1.0);
   bm_.issue(banks_);
   for (unsigned b = 0; b < 4; ++b) EXPECT_TRUE(banks_[b].has_request()) << "bank " << b;
+  // The other slots kept their beats: all of them leave, one a cycle.
+  beats_.now = 1;
+  EXPECT_EQ(beats_.step(bm_).size(), BurstManager::kMergeSlots);
 }
 
 TEST_F(BurstManagerTest, StalledBankRetriesNextCycle) {
@@ -186,7 +182,76 @@ TEST_F(BurstManagerTest, StalledBankRetriesNextCycle) {
     }
   }
   EXPECT_EQ(burst_words, 4u);
-  EXPECT_TRUE(bm_.next_ready_slot().has_value());
+  EXPECT_EQ(beats_.step(bm_).size(), 1u);
+}
+
+TEST(BurstManagerEmission, BusyClassPortDefersOnlyItsOwnSlots) {
+  // GF2 manager at tile 1. Five 4-word bursts fill ten merge slots, two
+  // beats each, for requesters in two response classes: tile 0 (bursts
+  // 0, 2, 4) and tile 2 (bursts 21, 23).
+  const AddressMap map = test::small_address_map();
+  std::vector<SpmBank> banks = test::patterned_banks();
+  BurstManager bm(2, kMaxGroupingFactor, map, 1);
+  StatsRegistry stats;
+  bm.attach_stats(stats, "bm");
+  test::BeatCollector beats(stats);
+  const TileId requester[] = {0, 2, 0, 2, 0};
+  for (unsigned k = 0; k < 5; ++k) {
+    TcdmReq req;
+    req.addr = (k * 16 + 4) * kWordBytes;  // tile 1, bank 0, row k
+    req.len = 4;
+    req.src_tile = requester[k];
+    req.tag.owner = ReqOwner::kBurst;
+    req.tag.id = 10 * requester[k] + k;
+    ASSERT_TRUE(bm.try_accept(req));
+    bm.issue(banks);
+    for (unsigned b = 0; b < 4; ++b) {
+      banks[b].cycle();
+      const BankResp r = banks[b].resp_pop();
+      bm.fill(r.route, r.data);
+    }
+  }
+
+  // Tile 0's class port already carries a beat at cycle 0: that cycle's
+  // emission sends one beat to tile 2 and leaves tile 0's slots ready.
+  TcdmResp blocker;
+  blocker.dst_tile = 0;
+  blocker.tag.id = 99;
+  beats.net_.send_rsp(1, blocker, 0);
+  bm.emit_beats(beats.net_, 0);
+  EXPECT_EQ(stats.value("bm.beats_merged"), 1.0);
+  EXPECT_EQ(stats.value("network.rsp_beats"), 2.0);
+  EXPECT_TRUE(bm.busy());
+
+  // Then both ports fill while the network stands still for three cycles,
+  // so whole emission calls find every class busy and only advance the
+  // slot rotation. Recorded as (cycle, requester, burst id, word offset)
+  // from the tile-side emission loop this call replaced.
+  struct Delivered {
+    Cycle at;
+    TileId dst;
+    std::uint32_t id;
+    unsigned offset;
+    bool operator==(const Delivered&) const = default;
+  };
+  std::vector<Delivered> got;
+  struct Sink final : RspSink {
+    std::vector<Delivered>* got;
+    void deliver_rsp(const TcdmResp& r, Cycle now) override {
+      got->push_back({now, r.dst_tile, r.tag.id, r.tag.word_offset});
+    }
+  } sink;
+  sink.got = &got;
+  beats.net_.cycle(0, sink);
+  for (Cycle c = 1; c < 16; ++c) {
+    bm.emit_beats(beats.net_, c);
+    if (c < 2 || c > 4) beats.net_.cycle(c, sink);
+  }
+  const std::vector<Delivered> expected = {
+      {1, 0, 99, 0}, {1, 2, 21, 0}, {5, 0, 0, 0}, {5, 2, 21, 2}, {6, 0, 4, 2}, {6, 2, 23, 0},
+      {7, 0, 2, 2},  {7, 2, 23, 2}, {8, 0, 0, 2}, {9, 0, 4, 0},  {10, 0, 2, 0}};
+  EXPECT_EQ(got, expected);
+  EXPECT_FALSE(bm.busy());
 }
 
 // ----------------------------------------------------------------- sender --
@@ -203,12 +268,12 @@ ClusterConfig bursting(unsigned max_len = 4) {
 
 BeatRequest unit_beat(Addr base, unsigned n, bool load = true) {
   BeatRequest b;
-  b.unit_stride_load = load;
+  b.form = load ? Form::kVLoad : Form::kVStore;
   for (unsigned i = 0; i < n; ++i) {
-    WordRequest w;
+    WordAccess w;
     w.addr = base + i * kWordBytes;
-    w.port = static_cast<std::uint8_t>(i % 4);
-    w.rob_slot = static_cast<std::uint16_t>(i);
+    w.tag.port = static_cast<std::uint8_t>(i % 4);
+    w.tag.rob_slot = static_cast<std::uint16_t>(i);
     w.write = !load;
     b.words.push_back(w);
   }
@@ -261,9 +326,8 @@ TEST(BurstSender, StoresNeverBurst) {
   StatsRegistry stats;
   FakeTile tile(stats);
   BurstSender sender(bursting());
-  BeatRequest b = unit_beat(16, 4, /*load=*/false);
-  b.unit_stride_load = false;  // stores are not burst-eligible
-  sender.accept_beat(b, tile.map(), tile.topo_, 0);
+  // Without the store-burst extension, unit-stride stores go narrow.
+  sender.accept_beat(unit_beat(16, 4, /*load=*/false), tile.map(), tile.topo_, 0);
   for (Cycle c = 0; c < 4; ++c) {
     sender.dispatch(c, tile);
     tile.drain(c);
@@ -334,12 +398,13 @@ TEST(BurstSender, TableExhaustionDegradesToNarrow) {
 /// A narrow (not burst-eligible) beat over arbitrary word addresses.
 BeatRequest narrow_beat(std::initializer_list<Addr> addrs) {
   BeatRequest b;
+  b.form = Form::kVLoadIdx;
   std::uint16_t slot = 0;
   for (const Addr a : addrs) {
-    WordRequest w;
+    WordAccess w;
     w.addr = a;
-    w.port = static_cast<std::uint8_t>(slot % 4);
-    w.rob_slot = slot++;
+    w.tag.port = static_cast<std::uint8_t>(slot % 4);
+    w.tag.rob_slot = slot++;
     b.words.push_back(w);
   }
   return b;

@@ -23,13 +23,13 @@ using test::FakeTile;
 
 BeatRequest strided_beat(Addr base, unsigned n, unsigned stride_words) {
   BeatRequest b;
-  b.strided_load = true;
-  b.stride_words = stride_words;
+  b.form = Form::kVLoadS;
+  b.stride = static_cast<std::int32_t>(stride_words * kWordBytes);
   for (unsigned i = 0; i < n; ++i) {
-    WordRequest w;
+    WordAccess w;
     w.addr = base + i * stride_words * kWordBytes;
-    w.port = static_cast<std::uint8_t>(i % 4);
-    w.rob_slot = static_cast<std::uint16_t>(i);
+    w.tag.port = static_cast<std::uint8_t>(i % 4);
+    w.tag.rob_slot = static_cast<std::uint16_t>(i);
     b.words.push_back(w);
   }
   return b;
@@ -37,13 +37,13 @@ BeatRequest strided_beat(Addr base, unsigned n, unsigned stride_words) {
 
 BeatRequest store_beat(Addr base, unsigned n) {
   BeatRequest b;
-  b.unit_stride_store = true;
+  b.form = Form::kVStore;
   for (unsigned i = 0; i < n; ++i) {
-    WordRequest w;
+    WordAccess w;
     w.addr = base + i * kWordBytes;
     w.write = true;
     w.wdata = 1000 + i;
-    w.port = static_cast<std::uint8_t>(i % 4);
+    w.tag.port = static_cast<std::uint8_t>(i % 4);
     b.words.push_back(w);
   }
   return b;
@@ -128,7 +128,7 @@ TEST(StoreBurstSender, LocalStoresStayNarrowLocal) {
 
 class StridedManagerTest : public ::testing::Test {
  protected:
-  StridedManagerTest() : map_(16, 4, 64) {
+  StridedManagerTest() : map_(16, 4, 64), beats_(stats_) {
     for (unsigned b = 0; b < 4; ++b) {
       banks_.emplace_back(64u);
       for (unsigned r = 0; r < 64; ++r) banks_[b].write_row(r, 100 * b + r);
@@ -142,6 +142,8 @@ class StridedManagerTest : public ::testing::Test {
 
   AddressMap map_;
   std::vector<SpmBank> banks_;
+  StatsRegistry stats_;
+  test::BeatCollector beats_;
 };
 
 TEST_F(StridedManagerTest, Gf4MergesStride2PairsIntoOneBeat) {
@@ -160,9 +162,9 @@ TEST_F(StridedManagerTest, Gf4MergesStride2PairsIntoOneBeat) {
     const BankResp r = banks_[b].resp_pop();
     bm.fill(r.route, r.data);
   }
-  const auto slot = bm.next_ready_slot();
-  ASSERT_TRUE(slot.has_value());
-  const TcdmResp beat = bm.take_beat(*slot);
+  const std::vector<TcdmResp> out = beats_.step(bm);
+  ASSERT_EQ(out.size(), 1u);
+  const TcdmResp& beat = out[0];
   EXPECT_EQ(beat.num_words, 2u);
   EXPECT_EQ(beat.data[0], 100u * 0 + 5);  // element 0: bank 0 row 5
   EXPECT_EQ(beat.data[1], 100u * 2 + 5);  // element 1: bank 2 row 5
@@ -182,12 +184,9 @@ TEST_F(StridedManagerTest, Gf2DegradesStride2ToOneWordBeats) {
     const BankResp r = banks_[b].resp_pop();
     bm.fill(r.route, r.data);
   }
-  unsigned beats = 0;
-  while (const auto s = bm.next_ready_slot()) {
-    EXPECT_EQ(bm.take_beat(*s).num_words, 1u);
-    ++beats;
-  }
-  EXPECT_EQ(beats, 2u);
+  const std::vector<TcdmResp> out = beats_.step(bm);
+  EXPECT_EQ(out.size(), 2u);
+  for (const TcdmResp& beat : out) EXPECT_EQ(beat.num_words, 1u);
 }
 
 TEST_F(StridedManagerTest, WriteBurstFansOutAndWritesBanks) {

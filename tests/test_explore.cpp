@@ -197,17 +197,17 @@ TEST(Pareto, RandomizedInsertionKeepsInvariants) {
   for (int i = 0; i < 500; ++i) {
     FrontierPoint p;
     p.rel = "p" + std::to_string(i);
-    p.cost = coord(rng);
-    p.value = coord(rng);
+    p.area_mge = coord(rng);
+    p.metrics.bw_bytes_per_cycle = coord(rng);
     if (!frontier.insert(p)) rejected.push_back(p);
 
-    // Invariant 1: members are mutually non-dominated and sorted by cost.
+    // Invariant 1: members are mutually non-dominated and sorted by area.
     const auto& pts = frontier.points();
     for (std::size_t a = 0; a < pts.size(); ++a) {
-      if (a + 1 < pts.size()) ASSERT_LE(pts[a].cost, pts[a + 1].cost);
+      if (a + 1 < pts.size()) ASSERT_LE(pts[a].area_mge, pts[a + 1].area_mge);
       for (std::size_t b = 0; b < pts.size(); ++b) {
         if (a == b) continue;
-        ASSERT_FALSE(dominates(pts[a].cost, pts[a].value, pts[b].cost, pts[b].value))
+        ASSERT_FALSE(dominates(pts[a], pts[b]))
             << pts[a].rel << " dominates member " << pts[b].rel;
       }
     }
@@ -220,7 +220,7 @@ TEST(Pareto, RandomizedInsertionKeepsInvariants) {
   for (const FrontierPoint& r : rejected) {
     bool dominated = false;
     for (const FrontierPoint& m : frontier.points()) {
-      if (dominates(m.cost, m.value, r.cost, r.value)) {
+      if (dominates(m, r)) {
         dominated = true;
         break;
       }
@@ -231,10 +231,10 @@ TEST(Pareto, RandomizedInsertionKeepsInvariants) {
 
 TEST(Pareto, DominatingInsertEvictsEveryDominatedMember) {
   ParetoFrontier f;
-  auto mk = [](double cost, double value) {
+  auto mk = [](double area, double bw) {
     FrontierPoint p;
-    p.cost = cost;
-    p.value = value;
+    p.area_mge = area;
+    p.metrics.bw_bytes_per_cycle = bw;
     return p;
   };
   EXPECT_TRUE(f.insert(mk(10, 5)));
@@ -244,7 +244,7 @@ TEST(Pareto, DominatingInsertEvictsEveryDominatedMember) {
   // Cheaper than all and at least as valuable: sweeps the board.
   EXPECT_TRUE(f.insert(mk(5, 9)));
   ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f.points()[0].cost, 5.0);
+  EXPECT_EQ(f.points()[0].area_mge, 5.0);
   // Exact duplicate is rejected (first-come tie-breaking).
   EXPECT_FALSE(f.insert(mk(5, 9)));
   ASSERT_EQ(f.size(), 1u);

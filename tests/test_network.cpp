@@ -128,9 +128,9 @@ TEST_F(NetworkTest, ResponseRoundTripAndEgressGate) {
   r1.dst_tile = 0;
   r1.num_words = 1;
   TcdmResp r2 = r1;
-  ASSERT_TRUE(net_.can_send_rsp(1, topo_.class_of(1, 0), 0));
+  ASSERT_TRUE(net_.can_send_rsp(1, 0, 0));
   net_.send_rsp(1, r1, 0);
-  ASSERT_TRUE(net_.can_send_rsp(2, topo_.class_of(2, 0), 0));
+  ASSERT_TRUE(net_.can_send_rsp(2, 0, 0));
   net_.send_rsp(2, r2, 0);
   net_.cycle(1, sink_);  // class-0 response (lat 1) ready
   net_.cycle(2, sink_);  // level-1 response (lat 2) ready

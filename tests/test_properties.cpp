@@ -204,12 +204,12 @@ TEST(BurstSenderProperty, RandomBeatsConserveWordsAndRespectTiles) {
       Addr base = static_cast<Addr>(rng.next_below(words - n)) * kWordBytes;
       if (b > 0 && rng.next_below(2) == 0 && next / kWordBytes + n <= words) base = next;
       BeatRequest beat;
-      beat.unit_stride_load = true;
+      beat.form = Form::kVLoad;
       for (unsigned i = 0; i < n; ++i) {
-        WordRequest w;
+        WordAccess w;
         w.addr = base + i * kWordBytes;
-        w.port = static_cast<std::uint8_t>(i % ports);
-        w.rob_slot = static_cast<std::uint16_t>(total + i);
+        w.tag.port = static_cast<std::uint8_t>(i % ports);
+        w.tag.rob_slot = static_cast<std::uint16_t>(total + i);
         beat.words.push_back(w);
         if (tile.map_.decode(w.addr).tile == 0) ++home_words;
       }
